@@ -37,6 +37,7 @@ from .optimizer import (
 from .problem import (
     FederatedProblem,
     Optimum,
+    ProblemError,
     load_optimum,
     logistic_problem,
     quadratic_problem,
@@ -170,7 +171,12 @@ def resolve_optimum(
         ).hexdigest()[:24]
         cache = Path(cache_dir) / f"optimum_{key}.bin"
         if cache.exists():
-            return load_optimum(cache)
+            try:
+                opt = load_optimum(cache)
+                if opt.x_star.size == problem.d:
+                    return opt
+            except ProblemError:
+                pass  # truncated or corrupt: solve again and overwrite it
         opt = solve_optimum(problem, cfg.optimum_tol)
         cache.parent.mkdir(parents=True, exist_ok=True)
         save_optimum(cache, opt)

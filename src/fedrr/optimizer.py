@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .problem import FederatedProblem, Optimum
 from .rng import stream
 from .shuffling import (
+    ClientMode,
     ShuffleMode,
     build_cohort_schedule,
-    draw_data_permutations,
+    data_permutations,
     fisher_yates,
 )
 
@@ -109,6 +111,8 @@ class AlgoConfig:
             raise ValueError("batch fraction must lie in (0, 1]")
         if self.T < 1 or self.C < 1:
             raise ValueError("T and C must be positive")
+        if self.local_steps is not None and self.local_steps < 1:
+            raise ValueError("local_steps must be positive")
 
 
 def apply_decay(steps: StepSizes, epochs_passed: float) -> StepSizes:
@@ -137,12 +141,21 @@ def local_pass(
     """
     N = problem.N
     S = N if local_steps is None else min(local_steps, N)
-    batches = np.array_split(np.asarray(perm), S)
+    perm = np.asarray(perm)
+    batches = [perm[a:b] for a, b in _batch_bounds(N, S)]
     x_end = problem.local_pass(m, x_start, gamma, batches)
     if not np.all(np.isfinite(x_end)):
         raise DivergenceError(f"non-finite iterate in local pass of client {m}")
     g = (x_start - x_end) / (gamma * S)
     return x_end, g
+
+
+@lru_cache(maxsize=128)
+def _batch_bounds(N: int, S: int) -> tuple[tuple[int, int], ...]:
+    """(start, stop) of the S contiguous batches that ``np.array_split`` cuts N items into."""
+    size, extra = divmod(N, S)
+    stops = [(r + 1) * size + min(r + 1, extra) for r in range(S)]
+    return tuple(zip([0] + stops[:-1], stops))
 
 
 def _check_iterate(x, t, r):
@@ -185,11 +198,13 @@ def run_rrcli(problem: FederatedProblem, cfg: AlgoConfig, optimum: Optimum) -> R
     trace = RunTrace()
     evals = 0
     trace.record(problem, optimum, x, 0, evals, t0)
+    perms = schedule = None
     for t in range(cfg.T):
         steps = apply_decay(cfg.steps, t) if cfg.decay else cfg.steps
-        perms = draw_data_permutations(M, N, cfg.shuffle, t, cfg.seed)
+        perms = data_permutations(N, cfg.shuffle, t, cfg.seed, perms)
         if cfg.algorithm == RRCLI:
-            schedule = build_cohort_schedule(M, cfg.C, cfg.shuffle, t, cfg.seed)
+            if schedule is None or cfg.shuffle.client_mode is not ClientMode.SHUFFLE_ONCE:
+                schedule = build_cohort_schedule(M, cfg.C, cfg.shuffle, t, cfg.seed)
             cohorts = schedule.cohorts
         else:
             cohorts = tuple(
@@ -232,19 +247,20 @@ def run_nastya(
     if cfg.algorithm != NASTYA:
         raise ValueError(f"expected a nastya config, got {cfg.algorithm}")
     M, N = problem.M, problem.N
-    R = max(1, M // cfg.C)
+    if M % cfg.C != 0:
+        raise ValueError(f"cohort size {cfg.C} does not divide client count {M}")
+    R = M // cfg.C
     total_rounds = cfg.T * R
     t0 = time.perf_counter()
     x = np.zeros(problem.d) if cfg.x0 is None else np.array(cfg.x0, dtype=np.float64)
     trace = RunTrace()
     evals = 0
     trace.record(problem, optimum, x, 0, evals, t0)
-    perms = draw_data_permutations(M, N, cfg.shuffle, 0, cfg.seed)
+    perms = None
     for k in range(total_rounds):
-        epoch_passed = evals / (M * N)
-        steps = apply_decay(cfg.steps, int(epoch_passed)) if cfg.decay else cfg.steps
-        if cfg.shuffle.data_mode.value == "reshuffling":
-            perms = draw_data_permutations(M, N, cfg.shuffle, k, cfg.seed)
+        steps = apply_decay(cfg.steps, evals // (M * N)) if cfg.decay else cfg.steps
+        # reshuffling redraws the data order every round
+        perms = data_permutations(N, cfg.shuffle, k, cfg.seed, perms)
         if cohort_sequence is not None:
             cohort = tuple(cohort_sequence[k])
         else:
@@ -280,8 +296,8 @@ def run_fedavg(problem: FederatedProblem, cfg: AlgoConfig, optimum: Optimum) -> 
     trace.record(problem, optimum, x, 0, evals, t0)
     k = 0
     while evals < budget:
-        epoch_passed = evals / (M * N)
-        steps = apply_decay(cfg.steps, int(epoch_passed)) if cfg.decay else cfg.steps
+        epoch = evals // (M * N)
+        steps = apply_decay(cfg.steps, epoch) if cfg.decay else cfg.steps
         cohort = tuple(int(m) for m in fisher_yates(M, stream(cfg.seed, "fedavg_cohort", k))[: cfg.C])
         g = np.zeros(problem.d)
         for m in sorted(cohort):
@@ -291,12 +307,12 @@ def run_fedavg(problem: FederatedProblem, cfg: AlgoConfig, optimum: Optimum) -> 
                 idx = rng.choice(N, size=batch, replace=False)
                 x_m = problem.local_pass(m, x_m, steps.gamma, [np.sort(idx)])
             if not np.all(np.isfinite(x_m)):
-                raise DivergenceError(f"non-finite iterate on client {m}", round_index=k)
+                raise DivergenceError(f"non-finite iterate on client {m}", meta_epoch=epoch, round_index=k)
             g += (x - x_m) / (steps.gamma * S)
         g /= cfg.C
         x = x - steps.eta * g
         evals += cfg.C * S * batch
-        _check_iterate(x, 0, k)
+        _check_iterate(x, epoch, k)
         k += 1
         if evals // (M * N) > recorded_epochs:
             recorded_epochs = evals // (M * N)

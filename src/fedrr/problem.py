@@ -8,6 +8,7 @@ them the workhorse for bound verification).
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -313,21 +314,30 @@ def _sigmoid(z):
 
 
 def save_optimum(path, opt: Optimum) -> None:
-    """Binary sidecar: magic, u32 d, x* as little-endian f64, grad_norm."""
-    with open(path, "wb") as fh:
+    """Binary sidecar: magic, u32 d, x* as little-endian f64, f_star, grad_norm.
+
+    The bytes go to a temporary file that is then renamed over ``path``, so
+    an interrupted write never leaves a truncated sidecar behind.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", opt.x_star.size))
         fh.write(opt.x_star.astype("<f8").tobytes())
         fh.write(struct.pack("<d", opt.f_star))
         fh.write(struct.pack("<d", opt.grad_norm))
+    os.replace(tmp, path)
 
 
 def load_optimum(path) -> Optimum:
     with open(path, "rb") as fh:
-        if fh.read(len(MAGIC)) != MAGIC:
-            raise ProblemError(f"{path} is not an optimum sidecar file")
-        (d,) = struct.unpack("<I", fh.read(4))
-        x = np.frombuffer(fh.read(8 * d), dtype="<f8").copy()
-        (f_star,) = struct.unpack("<d", fh.read(8))
-        (grad_norm,) = struct.unpack("<d", fh.read(8))
+        raw = fh.read()
+    if raw[: len(MAGIC)] != MAGIC:
+        raise ProblemError(f"{path} is not an optimum sidecar file")
+    head = len(MAGIC) + 4
+    d = struct.unpack_from("<I", raw, len(MAGIC))[0] if len(raw) >= head else 0
+    if len(raw) != head + 8 * d + 16:
+        raise ProblemError(f"{path} is truncated or corrupt: {len(raw)} bytes, expected {head + 8 * d + 16} for d={d}")
+    x = np.frombuffer(raw, dtype="<f8", count=d, offset=head).copy()
+    f_star, grad_norm = struct.unpack_from("<dd", raw, head + 8 * d)
     return Optimum(x_star=x, f_star=f_star, grad_norm=grad_norm)

@@ -4,7 +4,8 @@ The participation scheme is "regularized": every meta-epoch the M clients are
 partitioned into R = M/C disjoint cohorts of size C, so each client trains
 exactly once per meta-epoch.  Client and data permutations can each be drawn
 once up front (shuffle-once), redrawn every meta-epoch (reshuffling), or, for
-the client level, supplied as a fixed deterministic schedule.
+the client level, supplied as a fixed deterministic schedule.  Data
+permutations are drawn lazily, only for the clients that train.
 """
 
 from __future__ import annotations
@@ -55,14 +56,20 @@ class CohortSchedule:
 
 
 def fisher_yates(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform permutation of range(n) via the classic swap loop."""
+    """Uniform permutation of range(n), stream-exact with the scalar swap loop.
+
+    Swap i (for i = n-1 down to 1) exchanges positions i and j ~ U{0..i}.  All
+    n-1 indices j come from one bounded-integer draw over the bounds
+    n, n-1, ..., 2, which numpy generates element by element exactly as it
+    would n-1 scalar ``rng.integers(0, i + 1)`` calls: the permutation and the
+    generator's state afterwards are those of the per-swap loop.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    perm = np.arange(n, dtype=np.int64)
-    for i in range(n - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+    perm = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), rng.integers(0, np.arange(n, 1, -1)).tolist()):
         perm[i], perm[j] = perm[j], perm[i]
-    return perm
+    return np.array(perm, dtype=np.int64)
 
 
 def double_shuffle_index(k: int, N: int, client_perm, local_perms) -> tuple[int, int]:
@@ -110,14 +117,47 @@ def build_cohort_schedule(
     return CohortSchedule(R=R, C=C, cohorts=cohorts)
 
 
+class DataPermutations(dict):
+    """One epoch's per-client data permutations, each drawn on first access.
+
+    ``perms[m]`` is client m's permutation of range(N) from its own named
+    stream (seed, "data_perm", t, m).  No draw depends on another, so drawing
+    only the clients that train, in whatever order they train, yields the same
+    permutations as drawing all M up front.
+    """
+
+    def __init__(self, N: int, t: int, seed: int):
+        super().__init__()
+        self.N, self.t, self.seed = N, t, seed
+
+    def __missing__(self, m: int) -> np.ndarray:
+        perm = self[m] = fisher_yates(self.N, stream(self.seed, "data_perm", self.t, m))
+        return perm
+
+
+def data_permutations(
+    N: int, mode: ShuffleMode, meta_epoch: int, seed: int, current: DataPermutations | None = None
+) -> DataPermutations:
+    """Lazy data permutations for ``meta_epoch`` under the configured data mode.
+
+    Shuffle-once maps every epoch to stream epoch 0; reshuffling uses the
+    epoch itself.  ``current`` is returned as it is when it already holds
+    that stream epoch, so a run draws each permutation at most once.
+    """
+    t = 0 if mode.data_mode is DataMode.SHUFFLE_ONCE else meta_epoch
+    if current is not None and (current.N, current.t, current.seed) == (N, t, seed):
+        return current
+    return DataPermutations(N, t, seed)
+
+
 def draw_data_permutations(M: int, N: int, mode: ShuffleMode, meta_epoch: int, seed: int) -> list[np.ndarray]:
-    """Per-client data permutations with independent named streams.
+    """All M clients' data permutations for one epoch, drawn eagerly.
 
     Stream ids are derived from (seed, "data_perm", epoch, client), so adding
     clients never perturbs existing clients' permutations.
     """
-    t = 0 if mode.data_mode is DataMode.SHUFFLE_ONCE else meta_epoch
-    return [fisher_yates(N, stream(seed, "data_perm", t, m)) for m in range(M)]
+    perms = data_permutations(N, mode, meta_epoch, seed)
+    return [perms[m] for m in range(M)]
 
 
 def load_fixed_schedule(path) -> tuple[tuple[tuple[int, ...], ...], ...]:

@@ -170,6 +170,22 @@ def test_logistic_config_builds(tmp_path):
     assert np.array_equal(again["optimum"].x_star, summary["optimum"].x_star)
 
 
+def test_truncated_optimum_cache_is_resolved(tmp_path):
+    cfg = ExperimentConfig(
+        dataset={"synthetic": {"count": 60, "dim": 8, "seed": 1, "nnz_per_row": 4}},
+        M=4, C=2, T=2, algorithms=["rrcli"], seeds=[0], local_steps=3,
+        out_dir=str(tmp_path / "out"),
+    )
+    first = run_experiment(cfg)
+    (sidecar,) = (tmp_path / "out" / "cache").glob("optimum_*.bin")
+    intact = sidecar.read_bytes()
+    sidecar.write_bytes(intact[: len(intact) // 2])
+    again = run_experiment(cfg)
+    assert np.array_equal(again["optimum"].x_star, first["optimum"].x_star)
+    assert again["manifest"] == first["manifest"]
+    assert sidecar.read_bytes() == intact
+
+
 def test_cohort_size_must_divide(tmp_path):
     cfg = quad_config(tmp_path, C=4)
     with pytest.raises(ConfigError):

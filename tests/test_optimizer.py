@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eager_reference import eager_run
 from fedrr.optimizer import (
+    ALGORITHMS,
     AlgoConfig,
     DivergenceError,
     StepSizes,
+    _batch_bounds,
     apply_decay,
     local_pass,
     run_algorithm,
@@ -56,6 +61,17 @@ def test_local_pass_batched_normalization():
     x0 = np.ones(problem.d)
     x_end, g = local_pass(problem, 0, x0, 0.01, np.arange(problem.N), local_steps=2)
     assert np.allclose(g, (x0 - x_end) / (0.01 * 2), atol=1e-14)
+
+
+@given(st.integers(min_value=1, max_value=60), st.data())
+@settings(max_examples=60, deadline=None)
+def test_batch_bounds_match_array_split(N, data):
+    S = data.draw(st.integers(min_value=1, max_value=N))
+    perm = np.arange(N)[::-1]
+    expected = np.array_split(perm, S)
+    got = [perm[a:b] for a, b in _batch_bounds(N, S)]
+    assert len(got) == S
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
 def make_cfg(problem, algorithm, C, T, gamma, eta=None, theta=None, **kw):
@@ -242,3 +258,71 @@ def test_config_validation():
         AlgoConfig(algorithm="sgd", C=1, T=1, steps=StepSizes(1, 1, 1))
     with pytest.raises(ValueError):
         AlgoConfig(algorithm="fedavg", C=1, T=1, steps=StepSizes(1, 1, 1), batch_fraction=0.0)
+
+
+def trace_values(trace):
+    return [(p.epoch, p.meta_epoch, p.dist_sq, p.func_gap, p.grad_evals) for p in trace.points]
+
+
+FIXED_PLAN = (((0, 1), (2, 3), (4, 5)), ((5, 2), (1, 4), (3, 0)))
+
+
+@pytest.mark.parametrize("decay", [False, True])
+@pytest.mark.parametrize("data_mode", list(DataMode))
+@pytest.mark.parametrize("client_mode", list(ClientMode))
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_trace_matches_eager_replay(algorithm, client_mode, data_mode, decay):
+    # lazy, memoised permutations and precomputed batch slices change no bit
+    problem = hetero_quadratic(N=5)
+    opt = problem.analytic_optimum()
+    fixed = FIXED_PLAN if client_mode is ClientMode.DETERMINISTIC_FIXED else None
+    mode = ShuffleMode(client_mode=client_mode, data_mode=data_mode, fixed_schedule=fixed)
+    R = problem.M // 2
+    for local_steps, theta_scale in ((None, 1.0), (2, 0.5)):
+        S = local_steps or problem.N
+        cfg = make_cfg(
+            problem, algorithm, C=2, T=3, gamma=0.004, theta=0.004 * S * R * theta_scale,
+            shuffle=mode, seed=11, decay=decay, local_steps=local_steps,
+        )
+        assert trace_values(run_algorithm(problem, cfg, opt)) == trace_values(eager_run(problem, cfg, opt))
+
+
+def test_fedavg_divergence_reports_epoch_in_progress():
+    # x^2/2 with gamma = 11 multiplies the iterate by -10 per round, and one
+    # round (2 clients x 1 step x 5 points) is one epoch: from x0 = 0.5 the
+    # norm cap 1e12 is first exceeded in round 12 (|x| = 5e12), meta-epoch 12
+    problem = unit_quadratic(M=2, N=5, d=1)
+    opt = problem.analytic_optimum()
+    cfg = AlgoConfig(
+        algorithm="fedavg", C=2, T=30, steps=StepSizes(gamma=11.0, eta=11.0, theta=11.0),
+        local_steps=1, batch_fraction=1.0, x0=np.full(1, 0.5),
+    )
+    with pytest.raises(DivergenceError) as info:
+        run_fedavg(problem, cfg, opt)
+    assert (info.value.meta_epoch, info.value.round_index) == (12, 12)
+    assert "meta-epoch 12, round 12" in str(info.value)
+
+
+def test_fedavg_non_finite_client_iterate_carries_position():
+    problem = unit_quadratic(M=2, N=5, d=1)
+    opt = problem.analytic_optimum()
+    cfg = AlgoConfig(
+        algorithm="fedavg", C=2, T=3, steps=StepSizes(gamma=1e200, eta=2e200, theta=2e200),
+        local_steps=2, batch_fraction=1.0, x0=np.ones(1),
+    )
+    with pytest.raises(DivergenceError, match="non-finite iterate on client") as info, np.errstate(over="ignore"):
+        run_fedavg(problem, cfg, opt)
+    assert (info.value.meta_epoch, info.value.round_index) == (0, 0)
+
+
+def test_nastya_cohort_size_must_divide():
+    problem = hetero_quadratic()
+    opt = problem.analytic_optimum()
+    cfg = make_cfg(problem, "nastya", C=4, T=2, gamma=0.005)
+    with pytest.raises(ValueError, match="does not divide"):
+        run_nastya(problem, cfg, opt)
+
+
+def test_local_steps_must_be_positive():
+    with pytest.raises(ValueError):
+        AlgoConfig(algorithm="rrcli", C=1, T=1, steps=StepSizes(1, 1, 1), local_steps=0)

@@ -134,6 +134,24 @@ def test_load_optimum_rejects_garbage(tmp_path):
         load_optimum(path)
 
 
+@pytest.mark.parametrize("keep", [0, 5, 12, 13, 20, -8, -1])
+def test_load_optimum_rejects_truncated(tmp_path, keep):
+    path = tmp_path / "opt.bin"
+    save_optimum(path, small_quadratic().analytic_optimum())
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ProblemError):
+        load_optimum(path)
+
+
+def test_save_optimum_replaces_in_place(tmp_path):
+    path = tmp_path / "opt.bin"
+    path.write_bytes(b"stale")
+    opt = small_quadratic().analytic_optimum()
+    save_optimum(path, opt)
+    assert [p.name for p in tmp_path.iterdir()] == ["opt.bin"]
+    assert np.array_equal(load_optimum(path).x_star, opt.x_star)
+
+
 def test_local_pass_generic_matches_manual():
     problem = small_quadratic()
     x0 = np.ones(problem.d)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eager_reference import eager_data_permutations, fisher_yates_loop
 from fedrr.rng import stream
 from fedrr.shuffling import (
     ClientMode,
@@ -12,6 +13,7 @@ from fedrr.shuffling import (
     ScheduleError,
     ShuffleMode,
     build_cohort_schedule,
+    data_permutations,
     double_shuffle_index,
     draw_data_permutations,
     fisher_yates,
@@ -23,6 +25,23 @@ from fedrr.shuffling import (
 def test_fisher_yates_is_permutation(n, seed):
     perm = fisher_yates(n, stream(seed, "t"))
     assert sorted(perm) == list(range(n))
+
+
+@given(
+    st.integers(min_value=1, max_value=2000),
+    st.integers(),
+    st.integers(min_value=0, max_value=5),
+)
+@settings(max_examples=100, deadline=None)
+def test_fisher_yates_matches_scalar_loop(n, seed, skip):
+    # ``skip`` earlier small draws leave the generator mid-way through its
+    # buffered 32-bit output, so both halves of a 64-bit word get exercised
+    fast, slow = stream(seed, "fy"), stream(seed, "fy")
+    for _ in range(skip):
+        assert fast.integers(0, 7) == slow.integers(0, 7)
+    assert np.array_equal(fisher_yates(n, fast), fisher_yates_loop(n, slow))
+    assert fast.integers(0, 1000) == slow.integers(0, 1000)
+    assert fast.integers(0, 2**63) == slow.integers(0, 2**63)
 
 
 def test_fisher_yates_uniform_n3():
@@ -137,3 +156,39 @@ def test_adding_clients_preserves_existing_streams():
     big = draw_data_permutations(6, 5, ShuffleMode(), 0, 2)
     for m in range(3):
         assert np.array_equal(small[m], big[m])
+
+
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=0, max_value=5),
+    st.data(),
+)
+@settings(max_examples=50, deadline=None)
+def test_lazy_permutations_match_eager(M, N, seed, t, data):
+    order = data.draw(st.permutations(range(M)))
+    used = order[: data.draw(st.integers(min_value=0, max_value=M))]
+    for mode in (ShuffleMode(data_mode=DataMode.SHUFFLE_ONCE), ShuffleMode(data_mode=DataMode.RESHUFFLING)):
+        eager = draw_data_permutations(M, N, mode, t, seed)
+        reference = eager_data_permutations(M, N, mode, t, seed)
+        assert all(np.array_equal(a, b) for a, b in zip(eager, reference))
+        lazy = data_permutations(N, mode, t, seed)
+        for m in used:
+            assert np.array_equal(lazy[m], eager[m])
+        assert sorted(lazy) == sorted(used)  # only the clients asked for were drawn
+
+
+def test_lazy_permutations_memoised_per_stream_epoch():
+    once = ShuffleMode(data_mode=DataMode.SHUFFLE_ONCE)
+    reshuffle = ShuffleMode(data_mode=DataMode.RESHUFFLING)
+    first = data_permutations(5, once, 0, 3)
+    perm = first[2]
+    assert data_permutations(5, once, 7, 3, first) is first
+    assert first[2] is perm
+    second = data_permutations(5, reshuffle, 0, 3, first)
+    assert second is first  # stream epoch 0 either way
+    third = data_permutations(5, reshuffle, 1, 3, second)
+    assert third is not second and len(third) == 0
+    assert data_permutations(6, once, 0, 3, first) is not first
+    assert data_permutations(5, once, 0, 4, first) is not first
