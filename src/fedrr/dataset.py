@@ -39,9 +39,11 @@ class SparseDataset:
         return out
 
     def to_libsvm_text(self) -> str:
+        # Python ints and floats format exactly like the numpy scalars
+        # (np.float64 subclasses float), without a numpy scalar per feature
         lines = []
-        for (idx, val), y in zip(self.rows, self.labels):
-            feats = " ".join(f"{i + 1}:{v:.17g}" for i, v in zip(idx, val))
+        for (idx, val), y in zip(self.rows, self.labels.tolist()):
+            feats = " ".join(f"{i + 1}:{v:.17g}" for i, v in zip(idx.tolist(), val.tolist()))
             lines.append(f"{int(y):+d} {feats}".rstrip())
         return "\n".join(lines) + "\n"
 
@@ -102,10 +104,10 @@ def parse_libsvm(source) -> SparseDataset:
         raw_label = tokens[0]
         if raw_label not in _LABEL_MAP:
             raise DatasetError(f"line {lineno}: unsupported label {raw_label!r}")
-        idx = np.empty(len(tokens) - 1, dtype=np.int64)
-        val = np.empty(len(tokens) - 1, dtype=np.float64)
+        idx: list[int] = []
+        val: list[float] = []
         prev = 0
-        for pos, tok in enumerate(tokens[1:]):
+        for tok in tokens[1:]:
             try:
                 k, v = tok.split(":", 1)
                 index = int(k)
@@ -115,11 +117,10 @@ def parse_libsvm(source) -> SparseDataset:
             if index <= prev:
                 raise DatasetError(f"line {lineno}: feature indices must be strictly increasing")
             prev = index
-            idx[pos] = index - 1
-            val[pos] = value
-        if len(idx):
-            dim = max(dim, int(idx[-1]) + 1)
-        rows.append((idx, val))
+            idx.append(index - 1)
+            val.append(value)
+        dim = max(dim, prev)  # prev: the row's last 1-based index, 0 for an empty row
+        rows.append((np.array(idx, dtype=np.int64), np.array(val, dtype=np.float64)))
         labels.append(_LABEL_MAP[raw_label])
     return SparseDataset(rows=rows, labels=np.asarray(labels), dim=dim)
 

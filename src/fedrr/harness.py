@@ -100,6 +100,18 @@ class ExperimentConfig:
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {a!r}")
+        for name, modes in (("client_mode", ClientMode), ("data_mode", DataMode)):
+            value, allowed = getattr(self, name), [m.value for m in modes]
+            if value not in allowed:
+                raise ConfigError(f"unknown {name} {value!r}; expected one of {allowed}")
+        if self.client_mode == ClientMode.DETERMINISTIC_FIXED.value and self.fixed_schedule_path is None:
+            raise ConfigError("client_mode 'deterministic_fixed' needs a fixed_schedule_path")
+        if self.local_steps is not None and self.local_steps < 1:
+            raise ConfigError("local_steps must be null or at least 1")
+        if not 0 < self.batch_fraction <= 1:
+            raise ConfigError("batch_fraction must lie in (0, 1]")
+        if self.C < 1:
+            raise ConfigError("cohort size C must be at least 1")
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "ExperimentConfig":

@@ -130,6 +130,8 @@ def local_pass(
     gamma: float,
     perm: np.ndarray,
     local_steps: int | None = None,
+    meta_epoch: int | None = None,
+    round_index: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One pass of client m over its data in ``perm`` order.
 
@@ -138,6 +140,8 @@ def local_pass(
     mean gradient, so S=N recovers the per-point recursion.  The returned
     pseudo-gradient g = (x_start - x_end)/(gamma*S) makes the server update
     with eta = gamma*S equal to model averaging in both cases.
+    ``meta_epoch`` and ``round_index`` locate the pass in a run; a non-finite
+    end point raises :class:`DivergenceError` carrying them.
     """
     N = problem.N
     S = N if local_steps is None else min(local_steps, N)
@@ -145,7 +149,10 @@ def local_pass(
     batches = [perm[a:b] for a, b in _batch_bounds(N, S)]
     x_end = problem.local_pass(m, x_start, gamma, batches)
     if not np.all(np.isfinite(x_end)):
-        raise DivergenceError(f"non-finite iterate in local pass of client {m}")
+        where = "" if meta_epoch is None else f" at meta-epoch {meta_epoch}, round {round_index}"
+        raise DivergenceError(
+            f"non-finite iterate in local pass of client {m}{where}", meta_epoch=meta_epoch, round_index=round_index
+        )
     g = (x_start - x_end) / (gamma * S)
     return x_end, g
 
@@ -163,16 +170,17 @@ def _check_iterate(x, t, r):
         raise DivergenceError(f"divergence at meta-epoch {t}, round {r}", meta_epoch=t, round_index=r)
 
 
-def _aggregate_cohort(problem, cohort, x, gamma, perms, local_steps):
+def _aggregate_cohort(problem, cohort, x, gamma, perms, local_steps, meta_epoch=None, round_index=None):
     """Mean update and mean endpoint over a cohort.
 
     Clients are summed in client-id order so parallel execution cannot change
-    the floating-point result.
+    the floating-point result.  ``meta_epoch`` and ``round_index`` go to the
+    local passes for their divergence reports.
     """
     g = np.zeros(problem.d)
     x_end_sum = np.zeros(problem.d)
     for m in sorted(cohort):
-        x_end, g_m = local_pass(problem, m, x, gamma, perms[m], local_steps)
+        x_end, g_m = local_pass(problem, m, x, gamma, perms[m], local_steps, meta_epoch, round_index)
         g += g_m
         x_end_sum += x_end
     return g / len(cohort), x_end_sum / len(cohort)
@@ -214,7 +222,7 @@ def run_rrcli(problem: FederatedProblem, cfg: AlgoConfig, optimum: Optimum) -> R
         S = N if cfg.local_steps is None else min(cfg.local_steps, N)
         x_meta = x
         for r, cohort in enumerate(cohorts):
-            g, mean_end = _aggregate_cohort(problem, cohort, x, steps.gamma, perms, cfg.local_steps)
+            g, mean_end = _aggregate_cohort(problem, cohort, x, steps.gamma, perms, cfg.local_steps, t, r)
             x = x - steps.eta * g
             evals += cfg.C * N
             _check_iterate(x, t, r)
@@ -265,7 +273,7 @@ def run_nastya(
             cohort = tuple(cohort_sequence[k])
         else:
             cohort = tuple(int(m) for m in fisher_yates(M, stream(cfg.seed, "nastya_cohort", k))[: cfg.C])
-        g, _ = _aggregate_cohort(problem, cohort, x, steps.gamma, perms, cfg.local_steps)
+        g, _ = _aggregate_cohort(problem, cohort, x, steps.gamma, perms, cfg.local_steps, k // R, k % R)
         x = x - steps.eta * g
         evals += cfg.C * N
         _check_iterate(x, k // R, k % R)

@@ -66,6 +66,11 @@ class FederatedProblem:
         if j is not None and not 0 <= j < self.N:
             raise IndexError(f"component {j} out of range [0, {self.N})")
 
+    def component_gradients(self, m: int, x: np.ndarray) -> np.ndarray:
+        """Client m's N x d block of component gradients, row j bit-equal to ``component_gradient(m, j, x)``."""
+        self._check_indices(m)
+        return np.array([self.component_gradient(m, j, x) for j in range(self.N)])
+
     def client_gradient(self, m: int, x: np.ndarray) -> np.ndarray:
         self._check_indices(m)
         g = np.zeros(self.d)
@@ -129,6 +134,15 @@ class LogisticProblem(FederatedProblem):
         s = _sigmoid(-b * float(a @ x))
         return (-b * s) * a + self.alpha * x
 
+    def component_gradients(self, m, x):
+        self._check_indices(m)
+        A = self._A[m]
+        b = self._b[m]
+        # one ddot per row: a gemv over the block rounds some rows differently
+        z = np.array([a @ x for a in A])
+        s = _sigmoid(-b * z)
+        return (-b * s)[:, None] * A + self.alpha * x
+
     def client_gradient(self, m, x):
         self._check_indices(m)
         z = self._A[m] @ x
@@ -141,11 +155,15 @@ class LogisticProblem(FederatedProblem):
         return float(np.mean(np.logaddexp(0.0, z)) + 0.5 * self.alpha * (x @ x))
 
     def full_gradient(self, x):
+        # numpy runs one gemv per client for both stacked products, so each
+        # client's sum equals ``A[m] @ x`` and ``A[m].T @ t[m]`` bit for bit;
+        # the clients are then added in order, as a per-client loop would
+        z = self._A @ x
+        t = -self._b * _sigmoid(-self._b * z)
+        back = np.matmul(t[:, None, :], self._A)[:, 0, :]
         g = np.zeros(self.d)
-        for m in range(self.M):
-            z = self._A[m] @ x
-            t = -self._b[m] * _sigmoid(-self._b[m] * z)
-            g += self._A[m].T @ t
+        for row in back:
+            g += row
         return g / (self.M * self.N) + self.alpha * x
 
     def local_pass(self, m, x, gamma_step, batches):
@@ -310,7 +328,13 @@ def _finish(problem: FederatedProblem, x: np.ndarray, g: np.ndarray) -> Optimum:
 
 
 def _sigmoid(z):
-    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.clip(z, None, 50))), np.exp(np.clip(z, -50, None)) / (1.0 + np.exp(np.clip(z, -50, None))))
+    """Logistic function with arguments clipped to [-50, 50], one ``exp`` per element.
+
+    ``min(z, -z)`` is -|z| but keeps the sign of a NaN, so NaN inputs come out
+    with the same bits as in the clipped two-branch form.
+    """
+    e = np.exp(np.maximum(np.minimum(z, -z), -50))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def save_optimum(path, opt: Optimum) -> None:

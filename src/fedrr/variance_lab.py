@@ -67,9 +67,9 @@ def star_variances(problem: FederatedProblem, x_star: np.ndarray) -> tuple[float
     averages squared client-gradient norms over the M clients.
     """
     comp = math.fsum(
-        float(np.linalg.norm(problem.component_gradient(m, j, x_star)) ** 2)
+        float(np.linalg.norm(g) ** 2)
         for m in range(problem.M)
-        for j in range(problem.N)
+        for g in problem.component_gradients(m, x_star)
     ) / (problem.M * problem.N)
     cli = math.fsum(
         float(np.linalg.norm(problem.client_gradient(m, x_star)) ** 2) for m in range(problem.M)

@@ -6,8 +6,15 @@ without laziness or caching: every epoch (every round, for nastya under
 reshuffling) draws all M data permutations with the scalar loop, the client
 schedule is drawn anew every epoch, and each pass is cut into batches with
 ``np.array_split``.
+
+The logistic and codec oracles are the per-component and per-client forms
+that the vectorised code must match bit for bit: ``sigmoid_three_exp`` (the
+clipped two-branch logistic function), ``full_gradient_loop`` (one client at
+a time), ``star_variances_per_component`` (one ``component_gradient`` call
+per component) and ``to_libsvm_text_scalars`` (formatting numpy scalars).
 """
 
+import math
 import time
 
 import numpy as np
@@ -107,3 +114,44 @@ def eager_run(problem, cfg, optimum):
         if trace.points[-1].grad_evals != evals:
             trace.record(problem, optimum, x, recorded, evals, t0)
     return trace
+
+
+def sigmoid_three_exp(z):
+    # exp overflows in the branch that np.where discards, and inf/inf there is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(
+            z >= 0,
+            1.0 / (1.0 + np.exp(-np.clip(z, None, 50))),
+            np.exp(np.clip(z, -50, None)) / (1.0 + np.exp(np.clip(z, -50, None))),
+        )
+
+
+def full_gradient_loop(problem, x):
+    """``LogisticProblem.full_gradient``, one client's products at a time."""
+    A, b = problem._A, problem._b
+    g = np.zeros(problem.d)
+    for m in range(problem.M):
+        z = A[m] @ x
+        t = -b[m] * sigmoid_three_exp(-b[m] * z)
+        g += A[m].T @ t
+    return g / (problem.M * problem.N) + problem.alpha * x
+
+
+def star_variances_per_component(problem, x_star):
+    comp = math.fsum(
+        float(np.linalg.norm(problem.component_gradient(m, j, x_star)) ** 2)
+        for m in range(problem.M)
+        for j in range(problem.N)
+    ) / (problem.M * problem.N)
+    cli = math.fsum(
+        float(np.linalg.norm(problem.client_gradient(m, x_star)) ** 2) for m in range(problem.M)
+    ) / problem.M
+    return comp, cli
+
+
+def to_libsvm_text_scalars(dataset):
+    lines = []
+    for (idx, val), y in zip(dataset.rows, dataset.labels):
+        feats = " ".join(f"{i + 1}:{v:.17g}" for i, v in zip(idx, val))
+        lines.append(f"{int(y):+d} {feats}".rstrip())
+    return "\n".join(lines) + "\n"

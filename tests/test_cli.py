@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from fedrr.cli import EXIT_CONFIG, EXIT_OK, main
 from fedrr.dataset import synthetic_libsvm_like
@@ -44,6 +45,17 @@ def test_run_command_bad_config(tmp_path, capsys):
     code = main(["run", "--config", str(cfg_path)])
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("client_mode", "bogus"), ("local_steps", 0)])
+def test_run_command_bad_value_is_one_line(tmp_path, capsys, key, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**QUAD_CFG, key: value}))
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert len(err.splitlines()) == 1
 
 
 def test_verify_variance_command(capsys):

@@ -46,6 +46,28 @@ def test_config_validation():
         ExperimentConfig(regime="thm7")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("client_mode", "bogus"),
+        ("client_mode", "deterministic_fixed"),
+        ("data_mode", "bogus"),
+        ("local_steps", 0),
+        ("batch_fraction", 0.0),
+        ("batch_fraction", 1.5),
+        ("C", 0),
+    ],
+)
+def test_config_rejects_bad_values_when_built(field, value):
+    with pytest.raises(ConfigError, match=field.split("_")[0]):
+        ExperimentConfig(**{field: value})
+
+
+def test_config_accepts_boundary_values():
+    ExperimentConfig(local_steps=None, batch_fraction=1.0, C=1, client_mode="shuffle_once", data_mode="shuffle_once")
+    ExperimentConfig(local_steps=1, client_mode="deterministic_fixed", fixed_schedule_path="plan.json")
+
+
 def test_config_file_roundtrip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"M": 4, "C": 2, "T": 3, "seeds": [1, 2]}))

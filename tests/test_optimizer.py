@@ -326,3 +326,26 @@ def test_nastya_cohort_size_must_divide():
 def test_local_steps_must_be_positive():
     with pytest.raises(ValueError):
         AlgoConfig(algorithm="rrcli", C=1, T=1, steps=StepSizes(1, 1, 1), local_steps=0)
+
+
+@pytest.mark.parametrize("algorithm", ["rrcli", "nastya"])
+def test_local_pass_divergence_carries_position(algorithm):
+    # 1-d components (1/2)(x - c)^2 with c = 0 on client 0 and c = 1 on client 1;
+    # from x0 = 0 client 0 stays at 0, while client 1's pass at gamma = 1e200
+    # goes 0 -> 1e200 -> -inf, so the first non-finite pass is meta-epoch 0, round 1
+    H = np.ones((2, 2, 1, 1))
+    centers = np.zeros((2, 2, 1))
+    centers[1] = 1.0
+    problem = QuadraticProblem(H, centers, mu=1.0, L=1.0)
+    opt = problem.analytic_optimum()
+    plan = (((0,), (1,)),)
+    shuffle = ShuffleMode(client_mode=ClientMode.DETERMINISTIC_FIXED, fixed_schedule=plan)
+    cfg = make_cfg(problem, algorithm, C=1, T=3, gamma=1e200, shuffle=shuffle)
+    with pytest.raises(DivergenceError, match="local pass of client 1 at meta-epoch 0, round 1") as info, np.errstate(
+        over="ignore", invalid="ignore"
+    ):
+        if algorithm == "rrcli":
+            run_rrcli(problem, cfg, opt)
+        else:
+            run_nastya(problem, cfg, opt, cohort_sequence=[(0,), (1,), (0,), (1,)])
+    assert (info.value.meta_epoch, info.value.round_index) == (0, 1)
