@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -93,6 +94,14 @@ def _geometries(max_size: int):
 
 
 def _cmd_verify(args) -> int:
+    for bad, message in (
+        (args.max_size < 1, f"--max-size must be at least 1, got {args.max_size}"),
+        (args.inputs < 1, f"--inputs must be at least 1, got {args.inputs}"),
+        (not (math.isfinite(args.tol) and args.tol > 0), f"--tol must be finite and positive, got {args.tol}"),
+    ):
+        if bad:
+            print(f"config error: {message}", file=sys.stderr)
+            return EXIT_CONFIG
     rng = stream(args.seed, "verify_variance")
     worst = 0.0
     failures = 0

@@ -45,7 +45,14 @@ from .problem import (
     solve_optimum,
 )
 from .rng import derive_seed
-from .shuffling import ClientMode, DataMode, ShuffleMode, load_fixed_schedule
+from .shuffling import (
+    ClientMode,
+    DataMode,
+    ScheduleError,
+    ShuffleMode,
+    build_cohort_schedule,
+    load_fixed_schedule,
+)
 from .theory import THM1, REGIMES, RegimeParams, theoretical_steps
 from .variance_lab import star_variances
 
@@ -112,6 +119,9 @@ class ExperimentConfig:
             raise ConfigError("batch_fraction must lie in (0, 1]")
         if self.C < 1:
             raise ConfigError("cohort size C must be at least 1")
+        quad = self.dataset.get("quadratic") if isinstance(self.dataset, dict) else None
+        if isinstance(quad, dict) and quad.get("M", self.M) != self.M:
+            raise ConfigError(f"quadratic dataset M={quad['M']} differs from the config's M={self.M}")
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
@@ -137,6 +147,22 @@ class ExperimentConfig:
             fixed = load_fixed_schedule(self.fixed_schedule_path)
             client_mode = ClientMode.DETERMINISTIC_FIXED
         return ShuffleMode(client_mode=client_mode, data_mode=DataMode(self.data_mode), fixed_schedule=fixed)
+
+
+def _check_fixed_schedule(cfg: ExperimentConfig, M: int) -> None:
+    """Every epoch of a fixed schedule must split the M clients into cohorts of C."""
+    path = cfg.fixed_schedule_path
+    if path is None:
+        return
+    try:
+        mode = cfg.shuffle_mode()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"fixed schedule {path} is not epochs of cohorts of client ids: {exc}") from exc
+    try:
+        for t in range(max(1, len(mode.fixed_schedule))):
+            build_cohort_schedule(M, cfg.C, mode, t, cfg.master_seed)
+    except ScheduleError as exc:
+        raise ConfigError(f"fixed schedule {path} does not fit M={M}, C={cfg.C}: {exc}") from exc
 
 
 def build_problem(cfg: ExperimentConfig) -> tuple[FederatedProblem, str]:
@@ -276,6 +302,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     problem, data_hash = build_problem(cfg)
     if problem.M % cfg.C != 0:
         raise ConfigError(f"cohort size {cfg.C} does not divide client count {problem.M}")
+    _check_fixed_schedule(cfg, problem.M)
     optimum = resolve_optimum(problem, cfg, cache_dir=out / "cache", cache_key=data_hash)
     sigma_star2, sigma_tilde_star2 = star_variances(problem, optimum.x_star)
 

@@ -126,7 +126,6 @@ def upper_bound_check(M: int, N: int, C: int, sigma2: float, sigma_tilde2: float
     return (M / (2.0 * C * C) + 2.0) * N * N * sigma_tilde2 + N / 2.0 * sigma2
 
 
-@lru_cache(maxsize=64)
 def _enumerate_sequences(M: int, N: int, C: int) -> np.ndarray:
     """All equally likely grouped shuffle outcomes as flat sample indices.
 
@@ -134,56 +133,75 @@ def _enumerate_sequences(M: int, N: int, C: int) -> np.ndarray:
     + data) index of the sample processed at position i by group p.  A
     uniform client permutation chunked into C blocks yields the uniform
     group assignment and uniform within-group orders simultaneously.
+    Outcomes run over client permutations, then over per-client data
+    permutation combinations, both in ``itertools`` order.
     """
-    R = M // C
     n_client = math.factorial(M)
     n_data = math.factorial(N) ** M
     if n_client * n_data > ENUMERATION_GUARD:
         raise EnumerationTooLarge(f"{n_client * n_data} outcomes exceed the enumeration guard")
-    data_perms = list(itertools.permutations(range(N)))
-    out = np.empty((n_client * n_data, C, N * R), dtype=np.int64)
-    o = 0
-    for sigma in itertools.permutations(range(M)):
-        for combo in itertools.product(range(len(data_perms)), repeat=M):
-            for p in range(C):
-                pos = 0
-                for b in range(R):
-                    m = sigma[p * R + b]
-                    pi = data_perms[combo[m]]
-                    for j in range(N):
-                        out[o, p, pos] = m * N + pi[j]
-                        pos += 1
-            o += 1
-    return out
+    client_perms = np.array(list(itertools.permutations(range(M))), dtype=np.int64)
+    data_perms = np.array(list(itertools.permutations(range(N))), dtype=np.int64)
+    # combos[c, m]: which data permutation client m uses in combination c
+    combos = np.stack(np.unravel_index(np.arange(n_data), (len(data_perms),) * M), axis=1)
+    # orders[c, m]: client m's flat sample indices in processing order
+    orders = np.arange(M)[:, None] * N + data_perms[combos]
+    out = orders[np.arange(n_data)[None, :, None], client_perms[:, None, :]]
+    return out.reshape(n_client * n_data, C, N * (M // C))
 
 
-def _prefix_estimators(inputs: VarianceInputs, C: int) -> np.ndarray:
-    """Deviations of all prefix estimators: shape (n_outcomes, C, NR, d).
+_GRAM_CHUNK = 4096  # outcomes per block of the Gram accumulation
 
-    Entry [o, g, k-1] is the k-sample estimator for tail group g under
-    outcome o, minus the grand mean.
+
+@lru_cache(maxsize=64)
+def _prefix_gram(M: int, N: int, C: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Exact moments of the prefix estimators' weights over every outcome.
+
+    The k-sample estimator of group g is Q.zeta / (C*k) for an integer
+    weight vector Q over the M*N samples: each sample in the first k_N
+    positions of any group counts once, each of group g's own samples at
+    positions k_N..k counts C times (k_N = floor(k/N)*N).  Its deviation
+    from the grand mean is D.zeta / (C*k*M*N) with D = M*N*Q - C*k, and the
+    entries of D sum to zero.  Returns (G, S1, n_outcomes): G[k-1] is the
+    sum of D D^T and S1[k-1] the sum of D over all (outcome, group) pairs.
+    Every partial sum is an integer below 2**53, so both are exact.
     """
-    seq = _enumerate_sequences(inputs.M, inputs.N, C)
+    if M % C != 0:
+        raise ValueError(f"group count {C} does not divide client count {M}")
+    seq = _enumerate_sequences(M, N, C)
     n_out, _, NR = seq.shape
-    flat = inputs.zeta.reshape(inputs.M * inputs.N, inputs.d)
-    vals = flat[seq]  # (n_out, C, NR, d)
-    cum = np.cumsum(vals, axis=2)
-    row_mean_cum = cum.mean(axis=1, keepdims=True)  # (n_out, 1, NR, d)
-    k = np.arange(1, NR + 1)
-    k_N = (k // inputs.N) * inputs.N
-    # numerator(k, g) = sum of complete rows averaged over groups + tail of group g
-    complete = np.where(k_N[None, None, :, None] > 0, np.take(row_mean_cum, np.maximum(k_N - 1, 0), axis=2), 0.0)
-    tail = cum - np.where(k_N[None, None, :, None] > 0, np.take(cum, np.maximum(k_N - 1, 0), axis=2), 0.0)
-    est = (complete + tail) / k[None, None, :, None]
-    return est - inputs.grand_mean
+    MN = M * N
+    gram = np.zeros((NR, MN, MN))
+    first = np.zeros((NR, MN))
+    for lo in range(0, n_out, _GRAM_CHUNK):
+        block = seq[lo : lo + _GRAM_CHUNK]
+        B = len(block)
+        rows = np.zeros((B, 1, MN))  # samples in the completed rows of all groups
+        tail = np.zeros((B, C, MN))  # each group's samples since its last completed row
+        o, g = np.ogrid[:B, :C]
+        for k in range(1, NR + 1):
+            tail[o, g, block[:, :, k - 1]] = 1.0
+            if k % N == 0:
+                rows += tail.sum(axis=1, keepdims=True)
+                tail[:] = 0.0
+            dev = (MN * (rows + C * tail) - C * k).reshape(B * C, MN)
+            gram[k - 1] += dev.T @ dev
+            first[k - 1] += dev.sum(axis=0)
+    gram.setflags(write=False)
+    first.setflags(write=False)
+    return gram, first, n_out
+
+
+def _centred(inputs: VarianceInputs) -> np.ndarray:
+    return inputs.zeta.reshape(inputs.M * inputs.N, inputs.d) - inputs.grand_mean
 
 
 def brute_force_all(inputs: VarianceInputs, C: int = 1) -> np.ndarray:
     """Exact prefix-average variances for every k in one enumeration pass."""
-    if inputs.M % C != 0:
-        raise ValueError(f"group count {C} does not divide client count {inputs.M}")
-    dev = _prefix_estimators(inputs, C)
-    return np.mean(np.sum(dev * dev, axis=-1), axis=(0, 1))
+    gram, _, n_out = _prefix_gram(inputs.M, inputs.N, C)
+    z = _centred(inputs)
+    scale = C * np.arange(1.0, len(gram) + 1) * (inputs.M * inputs.N)
+    return np.sum(z * (gram @ z), axis=(1, 2)) / (n_out * C * scale * scale)
 
 
 def brute_force_variance(inputs: VarianceInputs, k: int, C: int = 1) -> float:
@@ -198,8 +216,10 @@ def brute_force_variance(inputs: VarianceInputs, k: int, C: int = 1) -> float:
 
 def brute_force_expectation(inputs: VarianceInputs, k: int, C: int = 1) -> np.ndarray:
     """Mean of the k-sample prefix estimator over all outcomes (should equal the grand mean)."""
-    dev = _prefix_estimators(inputs, C)[:, :, k - 1, :]
-    return dev.mean(axis=(0, 1)) + inputs.grand_mean
+    _, first, n_out = _prefix_gram(inputs.M, inputs.N, C)
+    if not 1 <= k <= len(first):
+        raise ValueError(f"k={k} out of range [1, {len(first)}]")
+    return inputs.grand_mean + first[k - 1] @ _centred(inputs) / (n_out * C * C * k * inputs.M * inputs.N)
 
 
 @dataclass

@@ -12,10 +12,20 @@ that the vectorised code must match bit for bit: ``sigmoid_three_exp`` (the
 clipped two-branch logistic function), ``full_gradient_loop`` (one client at
 a time), ``star_variances_per_component`` (one ``component_gradient`` call
 per component) and ``to_libsvm_text_scalars`` (formatting numpy scalars).
+
+The variance oracles are the enumeration forms that ``variance_lab`` replaced
+with exact Gram matrices: ``enumerate_sequences_loop`` builds the outcome
+table one sample at a time, and ``prefix_estimators`` evaluates every prefix
+estimator of every outcome and group on the inputs, from which
+``brute_force_all_tensor`` and ``brute_force_expectation_tensor`` average.
+They average in long double, so that the oracle's own rounding over up to
+40,320 outcomes stays far below the tolerances it is compared at.
 """
 
+import itertools
 import math
 import time
+from functools import lru_cache
 
 import numpy as np
 
@@ -155,3 +165,54 @@ def to_libsvm_text_scalars(dataset):
         feats = " ".join(f"{i + 1}:{v:.17g}" for i, v in zip(idx, val))
         lines.append(f"{int(y):+d} {feats}".rstrip())
     return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=64)
+def enumerate_sequences_loop(M, N, C):
+    """``variance_lab._enumerate_sequences``, filled one sample at a time."""
+    R = M // C
+    data_perms = list(itertools.permutations(range(N)))
+    out = np.empty((math.factorial(M) * len(data_perms) ** M, C, N * R), dtype=np.int64)
+    o = 0
+    for sigma in itertools.permutations(range(M)):
+        for combo in itertools.product(range(len(data_perms)), repeat=M):
+            for p in range(C):
+                pos = 0
+                for b in range(R):
+                    m = sigma[p * R + b]
+                    pi = data_perms[combo[m]]
+                    for j in range(N):
+                        out[o, p, pos] = m * N + pi[j]
+                        pos += 1
+            o += 1
+    return out
+
+
+def prefix_estimators(inputs, C):
+    """Deviations of all prefix estimators: shape (n_outcomes, C, NR, d).
+
+    Entry [o, g, k-1] is the k-sample estimator for tail group g under
+    outcome o, minus the grand mean.
+    """
+    seq = enumerate_sequences_loop(inputs.M, inputs.N, C)
+    NR = seq.shape[2]
+    flat = inputs.zeta.reshape(inputs.M * inputs.N, inputs.d)
+    cum = np.cumsum(flat[seq], axis=2)
+    row_mean_cum = cum.mean(axis=1, keepdims=True)
+    k = np.arange(1, NR + 1)
+    k_N = (k // inputs.N) * inputs.N
+    # numerator(k, g) = sum of complete rows averaged over groups + tail of group g
+    before = np.maximum(k_N - 1, 0)
+    complete = np.where(k_N[None, None, :, None] > 0, np.take(row_mean_cum, before, axis=2), 0.0)
+    tail = cum - np.where(k_N[None, None, :, None] > 0, np.take(cum, before, axis=2), 0.0)
+    return (complete + tail) / k[None, None, :, None] - inputs.grand_mean
+
+
+def brute_force_all_tensor(inputs, C):
+    dev = prefix_estimators(inputs, C)
+    return np.mean(np.sum(dev * dev, axis=-1), axis=(0, 1), dtype=np.longdouble).astype(np.float64)
+
+
+def brute_force_expectation_tensor(inputs, k, C):
+    dev = prefix_estimators(inputs, C)[:, :, k - 1, :]
+    return dev.mean(axis=(0, 1), dtype=np.longdouble).astype(np.float64) + inputs.grand_mean

@@ -66,6 +66,41 @@ def test_verify_variance_command(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--max-size", "0"), ("--inputs", "0"), ("--tol", "-1"), ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf")],
+)
+def test_verify_variance_rejects_arguments_that_check_nothing(capsys, flag, value):
+    code = main(["verify-variance", "--max-size", "2", "--inputs", "1", flag, value])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {flag}") and len(captured.err.splitlines()) == 1
+
+
+def test_run_command_schedule_geometry_is_one_line(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps([[[0, 1], [2, 3]]]))
+    quad = {**QUAD_CFG["dataset"]["quadratic"], "M": 6}
+    cfg_path = tmp_path / "cfg.json"
+    cfg = {**QUAD_CFG, "dataset": {"quadratic": quad}, "M": 6, "fixed_schedule_path": str(plan)}
+    cfg_path.write_text(json.dumps(cfg))
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: fixed schedule") and len(err.splitlines()) == 1
+
+
+def test_run_command_quadratic_client_count_mismatch(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**QUAD_CFG, "M": 6}))
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: quadratic dataset M=4") and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_optimum_command(tmp_path, capsys):
     ds = synthetic_libsvm_like(count=40, dim=6, seed=4, nnz_per_row=3)
     path = tmp_path / "data.txt"

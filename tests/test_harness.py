@@ -212,3 +212,38 @@ def test_cohort_size_must_divide(tmp_path):
     cfg = quad_config(tmp_path, C=4)
     with pytest.raises(ConfigError):
         run_experiment(cfg)
+
+
+def test_quadratic_client_count_must_match_config():
+    with pytest.raises(ConfigError, match="M=4 differs from the config's M=6"):
+        ExperimentConfig(dataset={"quadratic": {"M": 4}}, M=6)
+    ExperimentConfig(dataset={"quadratic": {"N": 3}}, M=6)  # M comes from the config
+
+
+@pytest.mark.parametrize(
+    "plan, message",
+    [
+        ([[[0, 1], [2, 3]]], "does not fit M=6, C=2"),  # 4 clients
+        ([[[0, 1, 2], [3, 4, 5]]], "does not fit M=6, C=2"),  # cohorts of 3
+        ([[[0, 1], [2, 3], [4, 5]], [[0, 1], [2, 3], [4, 4]]], "does not fit M=6, C=2"),  # epoch 1 repeats a client
+        ([], "does not fit M=6, C=2"),
+        ([[["a", "b"], [2, 3], [4, 5]]], "is not epochs of cohorts of client ids"),
+        ([[0, 1, 2, 3, 4, 5]], "is not epochs of cohorts of client ids"),
+    ],
+    ids=["four-clients", "cohorts-of-three", "repeated-client", "empty", "string-ids", "flat-list"],
+)
+def test_fixed_schedule_checked_before_any_job(tmp_path, monkeypatch, plan, message):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    cfg = quad_config(tmp_path, fixed_schedule_path=str(path))
+    monkeypatch.setattr("fedrr.harness.resolve_optimum", lambda *a, **k: pytest.fail("optimum resolved"))
+    with pytest.raises(ConfigError, match=message):
+        run_experiment(cfg)
+    assert not (tmp_path / "out" / "runs.csv").exists()
+
+
+def test_fixed_schedule_runs(tmp_path):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps([[[0, 1], [2, 3], [4, 5]], [[5, 3], [1, 4], [0, 2]]]))
+    summary = run_experiment(quad_config(tmp_path, fixed_schedule_path=str(path)))
+    assert summary["manifest"]["diverged_count"] == 0

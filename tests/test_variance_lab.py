@@ -1,12 +1,18 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from eager_reference import brute_force_all_tensor, brute_force_expectation_tensor, enumerate_sequences_loop
 from fedrr.problem import quadratic_problem
 from fedrr.rng import stream
 from fedrr.variance_lab import (
     EnumerationTooLarge,
     VarianceInputs,
     _enumerate_sequences,
+    _prefix_gram,
+    brute_force_all,
     brute_force_expectation,
     brute_force_variance,
     build_report,
@@ -164,6 +170,82 @@ def test_upper_bound_dominates():
 def test_enumeration_guard():
     with pytest.raises(EnumerationTooLarge):
         _enumerate_sequences(6, 6, 1)
+
+
+# every (M, N, C) with M*N <= 8 and C dividing M: the verify-variance default
+GEOMETRIES = [
+    (M, N, C) for M in range(1, 9) for N in range(1, 9) if M * N <= 8 for C in range(1, M + 1) if M % C == 0
+]
+
+
+@pytest.mark.parametrize("M, N, C", GEOMETRIES)
+def test_outcome_table_matches_loop(M, N, C):
+    table = _enumerate_sequences(M, N, C)
+    assert table.dtype == np.int64
+    assert np.array_equal(table, enumerate_sequences_loop(M, N, C))
+
+
+def close_to_oracle(got, want, tol=1e-12):
+    # relative where the oracle exceeds tol, absolute below it
+    want = np.asarray(want)
+    err = np.abs(np.asarray(got) - want)
+    return bool(np.all(np.where(np.abs(want) > tol, err <= tol * np.abs(want), err <= tol)))
+
+
+@pytest.mark.parametrize("M, N, C", GEOMETRIES)
+def test_gram_oracle_matches_estimator_tensor(M, N, C):
+    rng = stream(14, "gram", M, N, C)
+    base = rng.normal(size=(M, N, 2))
+    for zeta in (base, base * 1e-6, base * 1e6, rng.normal(size=(M, N, 2)) + 3.0):
+        inp = VarianceInputs(zeta)
+        assert close_to_oracle(brute_force_all(inp, C), brute_force_all_tensor(inp, C))
+        for k in range(1, N * M // C + 1):
+            assert close_to_oracle(brute_force_expectation(inp, k, C), brute_force_expectation_tensor(inp, k, C))
+    inp = VarianceInputs(np.full((M, N, 2), 1.5))
+    assert np.all(brute_force_all(inp, C) == 0.0)
+    for k in range(1, N * M // C + 1):
+        assert np.array_equal(brute_force_expectation(inp, k, C), inp.grand_mean)
+
+
+def test_brute_force_all_is_the_exact_quadratic_form():
+    # far from zero mean, so the centring before the Gram product is what keeps it accurate
+    rng = stream(16, "exact")
+    for M, N, C in GEOMETRIES:
+        inp = VarianceInputs(rng.normal(size=(M, N, 2)) + 1e3)
+        gram, _, n_out = _prefix_gram(M, N, C)
+        flat = [[Fraction(float(v)) for v in col] for col in inp.zeta.reshape(M * N, 2).T]
+        z = [[v - sum(col) / (M * N) for v in col] for col in flat]
+        got = brute_force_all(inp, C)
+        for k, g in enumerate(gram.astype(np.int64).tolist(), start=1):
+            form = sum(gij * zc[i] * zc[j] for zc in z for i, row in enumerate(g) for j, gij in enumerate(row))
+            exact = float(form / (n_out * C * (C * k * M * N) ** 2))
+            assert abs(got[k - 1] - exact) <= 1e-14 * abs(exact) + 1e-300
+
+
+def test_prefix_gram_is_exact_and_structured():
+    for M, N, C in GEOMETRIES:
+        gram, first, n_out = _prefix_gram(M, N, C)
+        assert n_out == math.factorial(M) * math.factorial(N) ** M
+        assert gram.shape == (N * M // C, M * N, M * N) and first.shape == gram.shape[:2]
+        assert np.all(gram == np.round(gram)) and np.abs(gram).max() < 2.0**53
+        assert np.array_equal(gram, gram.transpose(0, 2, 1))
+        assert np.all(gram.sum(axis=2) == 0.0)
+        # every sample is equally weighted on average: the estimators are unbiased
+        assert np.all(first == 0.0)
+        # the full average is the grand mean under every outcome
+        assert np.all(gram[-1] == 0.0)
+        assert not gram.flags.writeable and not first.flags.writeable
+
+
+def test_enumeration_argument_checks():
+    inp = VarianceInputs(stream(15, "div").normal(size=(4, 2, 1)))
+    with pytest.raises(ValueError, match="does not divide"):
+        brute_force_all(inp, 3)
+    with pytest.raises(ValueError, match="does not divide"):
+        brute_force_expectation(inp, 1, 3)
+    for k in (0, 5):
+        with pytest.raises(ValueError, match="out of range"):
+            brute_force_expectation(inp, k, 2)
 
 
 def test_report_serializes():
