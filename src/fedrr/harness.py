@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from .optimizer import (
     DivergenceError,
     RunTrace,
     StepSizes,
+    _pass_length,
     run_algorithm,
 )
 from .problem import (
@@ -140,22 +142,17 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    def shuffle_mode(self) -> ShuffleMode:
-        fixed = None
-        client_mode = ClientMode(self.client_mode)
-        if self.fixed_schedule_path is not None:
-            fixed = load_fixed_schedule(self.fixed_schedule_path)
-            client_mode = ClientMode.DETERMINISTIC_FIXED
-        return ShuffleMode(client_mode=client_mode, data_mode=DataMode(self.data_mode), fixed_schedule=fixed)
 
+def _load_shuffle_mode(cfg: ExperimentConfig, M: int) -> ShuffleMode:
+    """The grid's shuffle mode; a fixed schedule is read here, once for all jobs.
 
-def _check_fixed_schedule(cfg: ExperimentConfig, M: int) -> None:
-    """Every epoch of a fixed schedule must split the M clients into cohorts of C."""
+    Every epoch of a fixed schedule must split the M clients into cohorts of C.
+    """
     path = cfg.fixed_schedule_path
     if path is None:
-        return
+        return ShuffleMode(client_mode=ClientMode(cfg.client_mode), data_mode=DataMode(cfg.data_mode))
     try:
-        mode = cfg.shuffle_mode()
+        mode = ShuffleMode(ClientMode.DETERMINISTIC_FIXED, DataMode(cfg.data_mode), load_fixed_schedule(path))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"fixed schedule {path} is not epochs of cohorts of client ids: {exc}") from exc
     try:
@@ -163,6 +160,7 @@ def _check_fixed_schedule(cfg: ExperimentConfig, M: int) -> None:
             build_cohort_schedule(M, cfg.C, mode, t, cfg.master_seed)
     except ScheduleError as exc:
         raise ConfigError(f"fixed schedule {path} does not fit M={M}, C={cfg.C}: {exc}") from exc
+    return mode
 
 
 def build_problem(cfg: ExperimentConfig) -> tuple[FederatedProblem, str]:
@@ -226,16 +224,17 @@ def algorithm_steps(algorithm: str, problem: FederatedProblem, cfg: ExperimentCo
     """Theoretical step sizes for one algorithm, scaled by the multiplier.
 
     When a pass is batched into S < N local steps, the batch means play the
-    role of the data points, so the theoretical relations use S as the pass
-    length.  The shuffled-participation method uses the configured regime's
-    steps; the round-sampling baseline takes the server-regime local step
+    role of the data points, so the theoretical relations use the
+    optimizer's pass length S (at most N for a shuffled pass).  The
+    shuffled-participation method uses the configured regime's steps; the
+    round-sampling baseline takes the server-regime local step
     with plain model averaging (eta = gamma*S); the local-SGD baseline steps
     at 1/(L + mu) with model averaging over its minibatch steps.  The
     multiplier scales all levels together so the collapse relations are
     preserved.
     """
     R = problem.M // cfg.C
-    S = cfg.local_steps if cfg.local_steps is not None else problem.N
+    S = _pass_length(algorithm, problem.N, cfg.local_steps)
     if algorithm in (RRCLI, RRCLI_WITH_REPLACEMENT):
         rp = RegimeParams(regime=cfg.regime, L=problem.L, mu=problem.mu, M=problem.M, N=S, C=cfg.C)
         base = theoretical_steps(rp)
@@ -246,12 +245,11 @@ def algorithm_steps(algorithm: str, problem: FederatedProblem, cfg: ExperimentCo
         base = StepSizes(gamma=gamma, eta=gamma * S, theta=gamma * S * R)
     elif algorithm == FEDAVG:
         gamma = 1.0 / (problem.L + problem.mu)
-        S = cfg.local_steps if cfg.local_steps is not None else 10
         base = StepSizes(gamma=gamma, eta=gamma * S, theta=gamma * S * R)
     else:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
     m = float(multiplier)
-    return StepSizes(gamma=base.gamma * m, eta=base.eta * m, theta=base.theta * m, decay=base.decay)
+    return StepSizes(gamma=base.gamma * m, eta=base.eta * m, theta=base.theta * m)
 
 
 @dataclass
@@ -265,7 +263,9 @@ class RunResult:
     error: str | None = None
 
 
-def _execute_run(problem, optimum, cfg: ExperimentConfig, algorithm: str, multiplier: float, replicate: int) -> RunResult:
+def _execute_run(
+    problem, optimum, cfg: ExperimentConfig, shuffle: ShuffleMode, algorithm: str, multiplier: float, replicate: int
+) -> RunResult:
     seed = derive_seed(cfg.master_seed, "run", algorithm, multiplier, replicate)
     steps = algorithm_steps(algorithm, problem, cfg, multiplier)
     algo_cfg = AlgoConfig(
@@ -273,7 +273,7 @@ def _execute_run(problem, optimum, cfg: ExperimentConfig, algorithm: str, multip
         C=cfg.C,
         T=cfg.T,
         steps=steps,
-        shuffle=cfg.shuffle_mode(),
+        shuffle=shuffle,
         local_steps=cfg.local_steps,
         batch_fraction=cfg.batch_fraction,
         seed=seed,
@@ -302,12 +302,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     problem, data_hash = build_problem(cfg)
     if problem.M % cfg.C != 0:
         raise ConfigError(f"cohort size {cfg.C} does not divide client count {problem.M}")
-    _check_fixed_schedule(cfg, problem.M)
+    shuffle = _load_shuffle_mode(cfg, problem.M)
     optimum = resolve_optimum(problem, cfg, cache_dir=out / "cache", cache_key=data_hash)
     sigma_star2, sigma_tilde_star2 = star_variances(problem, optimum.x_star)
 
     jobs = [
-        (problem, optimum, cfg, algorithm, float(multiplier), replicate)
+        (problem, optimum, cfg, shuffle, algorithm, float(multiplier), replicate)
         for algorithm in cfg.algorithms
         for multiplier in cfg.multipliers
         for replicate in cfg.seeds
@@ -327,7 +327,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     best = None
     if len(cfg.multipliers) > 1:
         best = select_best_multiplier(results)
-        with open(out / "best_multipliers.json", "w") as fh:
+        with _atomic_write(out / "best_multipliers.json") as fh:
             json.dump(best, fh, indent=2, sort_keys=True)
 
     manifest = {
@@ -358,7 +358,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         "diverged_count": sum(r.diverged for r in results),
         "version": __version__,
     }
-    with open(out / "manifest.json", "w") as fh:
+    with _atomic_write(out / "manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
     return {
@@ -394,12 +394,29 @@ def select_best_multiplier(results) -> dict:
     return out
 
 
+@contextmanager
+def _atomic_write(path):
+    """Text file handle whose contents replace ``path`` only once the block completes.
+
+    The text goes to a temporary file beside ``path`` that is then renamed
+    over it, so a crash mid-write leaves the previous file intact.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
 def _write_runs_csv(path, results) -> None:
-    with open(path, "w", newline="") as fh:
+    with _atomic_write(path) as fh:
         w = csv.writer(fh)
         w.writerow(RUN_FIELDS)
         for r in results:
@@ -410,7 +427,7 @@ def _write_runs_csv(path, results) -> None:
 
 
 def _write_timings_csv(path, results) -> None:
-    with open(path, "w", newline="") as fh:
+    with _atomic_write(path) as fh:
         w = csv.writer(fh)
         w.writerow(["algorithm", "multiplier", "seed", "epoch", "wall_ms"])
         for r in results:
@@ -421,7 +438,7 @@ def _write_timings_csv(path, results) -> None:
 
 
 def _write_aggregate_csv(path, results) -> None:
-    with open(path, "w", newline="") as fh:
+    with _atomic_write(path) as fh:
         w = csv.writer(fh)
         w.writerow(AGG_FIELDS)
         for multiplier in sorted({r.multiplier for r in results}):

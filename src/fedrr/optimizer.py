@@ -1,5 +1,6 @@
-"""Training loops: shuffled partial participation, plus the two baselines.
+"""One training loop for shuffled partial participation and its baselines.
 
+Each algorithm's participation scheme is a round plan that feeds the loop.
 All algorithms are compared at equal oracle cost: one epoch is M*N component
 gradient evaluations, i.e. the cost of one full gradient over the pooled
 dataset.  Metrics are recorded at (meta-)epoch boundaries against a
@@ -53,7 +54,6 @@ class StepSizes:
     gamma: float
     eta: float
     theta: float
-    decay: str | None = None
 
     def __post_init__(self):
         if min(self.gamma, self.eta, self.theta) <= 0:
@@ -123,6 +123,17 @@ def apply_decay(steps: StepSizes, epochs_passed: float) -> StepSizes:
     return replace(steps, gamma=steps.gamma * f, eta=steps.eta * f, theta=steps.theta * f)
 
 
+def _pass_length(algorithm: str, N: int, local_steps: int | None) -> int:
+    """Local steps S per client pass, the pass length of the step-size relations.
+
+    A shuffled pass cuts N points into min(local_steps, N) batches (default
+    N); a fedavg client takes ``local_steps`` minibatch steps (default 10).
+    """
+    if algorithm == FEDAVG:
+        return 10 if local_steps is None else local_steps
+    return N if local_steps is None else min(local_steps, N)
+
+
 def local_pass(
     problem: FederatedProblem,
     m: int,
@@ -144,7 +155,7 @@ def local_pass(
     end point raises :class:`DivergenceError` carrying them.
     """
     N = problem.N
-    S = N if local_steps is None else min(local_steps, N)
+    S = _pass_length(RRCLI, N, local_steps)
     perm = np.asarray(perm)
     batches = [perm[a:b] for a, b in _batch_bounds(N, S)]
     x_end = problem.local_pass(m, x_start, gamma, batches)
@@ -186,153 +197,102 @@ def _aggregate_cohort(problem, cohort, x, gamma, perms, local_steps, meta_epoch=
     return g / len(cohort), x_end_sum / len(cohort)
 
 
-def run_rrcli(problem: FederatedProblem, cfg: AlgoConfig, optimum: Optimum) -> RunTrace:
-    """Shuffled partial participation with server and global step sizes.
+def _sampled_cohort(M, C, seed, label, *parts):
+    """The first C clients of a uniform permutation drawn from the named stream."""
+    return tuple(int(m) for m in fisher_yates(M, stream(seed, label, *parts))[:C])
 
-    Every meta-epoch walks R = M/C disjoint cohorts; after the R rounds a
-    global step is taken from the meta-epoch's starting point.  The
-    with-replacement variant draws each round's cohort independently instead
-    (the control for the variance-scaling comparison) but is otherwise
-    identical.
+
+def _round_plan(problem: FederatedProblem, cfg: AlgoConfig, S: int, batch: int, cohort_sequence):
+    """Yield ``(meta_epoch, round, cohort, data order)`` for every round of a run.
+
+    rrcli walks the R disjoint cohorts of each meta-epoch's schedule; rrcli-wr
+    draws each of the R cohorts independently; nastya draws one cohort per
+    round (or takes ``cohort_sequence[k]``) and its data epoch is the round;
+    fedavg draws one cohort per round until the epoch budget is spent.  The
+    data order is the lazy data permutations, or for fedavg each client's S
+    sorted minibatches of ``batch`` points.
     """
-    if cfg.algorithm not in (RRCLI, RRCLI_WITH_REPLACEMENT):
-        raise ValueError(f"expected a shuffled-participation config, got {cfg.algorithm}")
+    M, N, C = problem.M, problem.N, cfg.C
+    R = M // C
+    perms = cohorts = None
+    if cfg.algorithm == FEDAVG:
+        per_round = C * S * batch
+        for k in range(-(-cfg.T * M * N // per_round)):
+            cohort = _sampled_cohort(M, C, cfg.seed, "fedavg_cohort", k)
+            rngs = {m: stream(cfg.seed, "fedavg_batches", k, m) for m in sorted(cohort)}
+            batches = {m: [np.sort(rng.choice(N, batch, replace=False)) for _ in range(S)] for m, rng in rngs.items()}
+            yield k * per_round // (M * N), k, cohort, batches
+    elif cfg.algorithm == NASTYA:
+        for k in range(cfg.T * R):
+            perms = data_permutations(N, cfg.shuffle, k, cfg.seed, perms)
+            if cohort_sequence is None:
+                yield k // R, k % R, _sampled_cohort(M, C, cfg.seed, "nastya_cohort", k), perms
+            else:
+                yield k // R, k % R, tuple(cohort_sequence[k]), perms
+    else:
+        for t in range(cfg.T):
+            perms = data_permutations(N, cfg.shuffle, t, cfg.seed, perms)
+            if cfg.algorithm == RRCLI_WITH_REPLACEMENT:
+                cohorts = (_sampled_cohort(M, C, cfg.seed, "wr_cohort", t, r) for r in range(R))
+            elif cohorts is None or cfg.shuffle.client_mode is not ClientMode.SHUFFLE_ONCE:
+                cohorts = build_cohort_schedule(M, C, cfg.shuffle, t, cfg.seed).cohorts
+            for r, cohort in enumerate(cohorts):
+                yield t, r, cohort, perms
+
+
+def run_algorithm(problem: FederatedProblem, cfg: AlgoConfig, optimum: Optimum, cohort_sequence=None) -> RunTrace:
+    """Run any of the four algorithms: its round plan feeds this one loop.
+
+    Each round the cohort trains from the server iterate, and the server
+    steps with eta along the mean pseudo-gradient.  The shuffled methods
+    (rrcli, rrcli-wr) check the eta = gamma*S collapse every round and take
+    the global step with theta after each meta-epoch's R rounds.  A trace
+    point is recorded at every completed epoch of M*N gradient evaluations,
+    plus a final partial one.  ``cohort_sequence`` overrides nastya's
+    per-round draws (used by coupling tests).
+    """
     M, N = problem.M, problem.N
-    if M % cfg.C != 0:
+    if cfg.algorithm != FEDAVG and M % cfg.C != 0:
         raise ValueError(f"cohort size {cfg.C} does not divide client count {M}")
     R = M // cfg.C
+    S = _pass_length(cfg.algorithm, N, cfg.local_steps)
+    batch = max(1, int(round(cfg.batch_fraction * N)))  # fedavg only
+    per_round = cfg.C * (S * batch if cfg.algorithm == FEDAVG else N)
+    shuffled = cfg.algorithm in (RRCLI, RRCLI_WITH_REPLACEMENT)
     t0 = time.perf_counter()
     x = np.zeros(problem.d) if cfg.x0 is None else np.array(cfg.x0, dtype=np.float64)
     trace = RunTrace()
-    evals = 0
+    evals = recorded = 0
     trace.record(problem, optimum, x, 0, evals, t0)
-    perms = schedule = None
-    for t in range(cfg.T):
-        steps = apply_decay(cfg.steps, t) if cfg.decay else cfg.steps
-        perms = data_permutations(N, cfg.shuffle, t, cfg.seed, perms)
-        if cfg.algorithm == RRCLI:
-            if schedule is None or cfg.shuffle.client_mode is not ClientMode.SHUFFLE_ONCE:
-                schedule = build_cohort_schedule(M, cfg.C, cfg.shuffle, t, cfg.seed)
-            cohorts = schedule.cohorts
+    for t, r, cohort, order in _round_plan(problem, cfg, S, batch, cohort_sequence):
+        steps = apply_decay(cfg.steps, evals // (M * N)) if cfg.decay else cfg.steps
+        if shuffled and r == 0:
+            x_meta = x  # the global step starts from here
+        if cfg.algorithm == FEDAVG:  # each client runs its S minibatch steps in one pass
+            g = np.zeros(problem.d)
+            for m in sorted(cohort):
+                x_m = problem.local_pass(m, x, steps.gamma, order[m])
+                if not np.all(np.isfinite(x_m)):
+                    raise DivergenceError(f"non-finite iterate on client {m}", meta_epoch=t, round_index=r)
+                g += (x - x_m) / (steps.gamma * S)
+            g /= cfg.C
         else:
-            cohorts = tuple(
-                tuple(int(m) for m in fisher_yates(M, stream(cfg.seed, "wr_cohort", t, r))[: cfg.C])
-                for r in range(R)
-            )
-        S = N if cfg.local_steps is None else min(cfg.local_steps, N)
-        x_meta = x
-        for r, cohort in enumerate(cohorts):
-            g, mean_end = _aggregate_cohort(problem, cohort, x, steps.gamma, perms, cfg.local_steps, t, r)
-            x = x - steps.eta * g
-            evals += cfg.C * N
-            _check_iterate(x, t, r)
+            g, mean_end = _aggregate_cohort(problem, cohort, x, steps.gamma, order, cfg.local_steps, t, r)
+        evals += per_round
+        x = x - steps.eta * g
+        _check_iterate(x, t, r)
+        if shuffled:
             if VERIFY_COLLAPSE and steps.eta == steps.gamma * S:
                 scale = max(1.0, float(np.abs(x).max()))
                 if float(np.abs(x - mean_end).max()) > COLLAPSE_TOL * scale:
                     raise AssertionError("server iterate deviates from cohort mean under eta = gamma*S")
-        if steps.theta == steps.eta * R:
-            pass  # global step collapses to x_t^R exactly
-        else:
-            x = x_meta - steps.theta * (x_meta - x) / (steps.eta * R)
-        _check_iterate(x, t, R)
-        trace.record(problem, optimum, x, t + 1, evals, t0)
-    return trace
-
-
-def run_nastya(
-    problem: FederatedProblem,
-    cfg: AlgoConfig,
-    optimum: Optimum,
-    cohort_sequence=None,
-) -> RunTrace:
-    """Uniform per-round client sampling with full local shuffled passes.
-
-    Same local computation and server step as the shuffled-participation
-    method, but cohorts are independent across rounds and there is no
-    meta-epoch structure or global step.  ``cohort_sequence`` overrides the
-    per-round draws (used by coupling tests).
-    """
-    if cfg.algorithm != NASTYA:
-        raise ValueError(f"expected a nastya config, got {cfg.algorithm}")
-    M, N = problem.M, problem.N
-    if M % cfg.C != 0:
-        raise ValueError(f"cohort size {cfg.C} does not divide client count {M}")
-    R = M // cfg.C
-    total_rounds = cfg.T * R
-    t0 = time.perf_counter()
-    x = np.zeros(problem.d) if cfg.x0 is None else np.array(cfg.x0, dtype=np.float64)
-    trace = RunTrace()
-    evals = 0
-    trace.record(problem, optimum, x, 0, evals, t0)
-    perms = None
-    for k in range(total_rounds):
-        steps = apply_decay(cfg.steps, evals // (M * N)) if cfg.decay else cfg.steps
-        # reshuffling redraws the data order every round
-        perms = data_permutations(N, cfg.shuffle, k, cfg.seed, perms)
-        if cohort_sequence is not None:
-            cohort = tuple(cohort_sequence[k])
-        else:
-            cohort = tuple(int(m) for m in fisher_yates(M, stream(cfg.seed, "nastya_cohort", k))[: cfg.C])
-        g, _ = _aggregate_cohort(problem, cohort, x, steps.gamma, perms, cfg.local_steps, k // R, k % R)
-        x = x - steps.eta * g
-        evals += cfg.C * N
-        _check_iterate(x, k // R, k % R)
-        if (k + 1) % R == 0:
-            trace.record(problem, optimum, x, (k + 1) // R, evals, t0)
-    return trace
-
-
-def run_fedavg(problem: FederatedProblem, cfg: AlgoConfig, optimum: Optimum) -> RunTrace:
-    """Uniform client sampling with local minibatch SGD and pseudo-gradient averaging.
-
-    Each selected client runs ``local_steps`` SGD steps; every step samples a
-    fresh minibatch of ``batch_fraction * N`` points without replacement.
-    The server applies the averaged pseudo-gradient with the server step
-    size, which at eta = gamma * local_steps is plain model averaging.
-    """
-    if cfg.algorithm != FEDAVG:
-        raise ValueError(f"expected a fedavg config, got {cfg.algorithm}")
-    M, N = problem.M, problem.N
-    S = cfg.local_steps if cfg.local_steps is not None else 10
-    batch = max(1, int(round(cfg.batch_fraction * N)))
-    budget = cfg.T * M * N
-    t0 = time.perf_counter()
-    x = np.zeros(problem.d) if cfg.x0 is None else np.array(cfg.x0, dtype=np.float64)
-    trace = RunTrace()
-    evals = 0
-    recorded_epochs = 0
-    trace.record(problem, optimum, x, 0, evals, t0)
-    k = 0
-    while evals < budget:
-        epoch = evals // (M * N)
-        steps = apply_decay(cfg.steps, epoch) if cfg.decay else cfg.steps
-        cohort = tuple(int(m) for m in fisher_yates(M, stream(cfg.seed, "fedavg_cohort", k))[: cfg.C])
-        g = np.zeros(problem.d)
-        for m in sorted(cohort):
-            rng = stream(cfg.seed, "fedavg_batches", k, m)
-            x_m = x
-            for s in range(S):
-                idx = rng.choice(N, size=batch, replace=False)
-                x_m = problem.local_pass(m, x_m, steps.gamma, [np.sort(idx)])
-            if not np.all(np.isfinite(x_m)):
-                raise DivergenceError(f"non-finite iterate on client {m}", meta_epoch=epoch, round_index=k)
-            g += (x - x_m) / (steps.gamma * S)
-        g /= cfg.C
-        x = x - steps.eta * g
-        evals += cfg.C * S * batch
-        _check_iterate(x, epoch, k)
-        k += 1
-        if evals // (M * N) > recorded_epochs:
-            recorded_epochs = evals // (M * N)
-            trace.record(problem, optimum, x, recorded_epochs, evals, t0)
+            if r == R - 1:
+                if steps.theta != steps.eta * R:  # at theta = eta*R the global step is x itself
+                    x = x_meta - steps.theta * (x_meta - x) / (steps.eta * R)
+                _check_iterate(x, t, R)
+        if evals // (M * N) > recorded:
+            recorded = evals // (M * N)
+            trace.record(problem, optimum, x, recorded, evals, t0)
     if trace.points[-1].grad_evals != evals:
-        trace.record(problem, optimum, x, recorded_epochs, evals, t0)
+        trace.record(problem, optimum, x, recorded, evals, t0)
     return trace
-
-
-def run_algorithm(problem, cfg: AlgoConfig, optimum: Optimum) -> RunTrace:
-    if cfg.algorithm in (RRCLI, RRCLI_WITH_REPLACEMENT):
-        return run_rrcli(problem, cfg, optimum)
-    if cfg.algorithm == NASTYA:
-        return run_nastya(problem, cfg, optimum)
-    return run_fedavg(problem, cfg, optimum)

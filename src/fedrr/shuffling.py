@@ -51,9 +51,6 @@ class CohortSchedule:
     C: int
     cohorts: tuple[tuple[int, ...], ...]
 
-    def round_cohort(self, r: int) -> tuple[int, ...]:
-        return self.cohorts[r]
-
 
 def fisher_yates(n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform permutation of range(n), stream-exact with the scalar swap loop.

@@ -17,7 +17,6 @@ from fedrr.optimizer import (
     StepSizes,
     _aggregate_cohort,
     run_algorithm,
-    run_rrcli,
 )
 from fedrr.problem import logistic_problem, quadratic_problem, solve_optimum
 from fedrr.rng import stream
@@ -163,7 +162,7 @@ def test_04_collapse_identities():
     steps = StepSizes(gamma=gamma, eta=gamma * 4, theta=gamma * 4 * 3)
     mode = ShuffleMode(client_mode=ClientMode.RESHUFFLING, data_mode=DataMode.RESHUFFLING)
     cfg = AlgoConfig(algorithm="rrcli", C=2, T=3, steps=steps, shuffle=mode, seed=5)
-    trace = run_rrcli(problem, cfg, opt)  # internal eta = gamma*N check on every round
+    trace = run_algorithm(problem, cfg, opt)  # internal eta = gamma*N check on every round
 
     # replay manually: server iterate vs cohort endpoint mean, and the exact
     # theta = eta*R global collapse

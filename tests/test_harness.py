@@ -13,8 +13,10 @@ from fedrr.harness import (
     run_experiment,
     select_best_multiplier,
 )
-from fedrr.optimizer import DivergenceError, RunTrace, TracePoint
+from fedrr.optimizer import ALGORITHMS, DivergenceError, RunTrace, TracePoint
+from fedrr.shuffling import load_fixed_schedule
 
+FIXED_PLAN = [[[0, 1], [2, 3], [4, 5]], [[5, 3], [1, 4], [0, 2]]]
 QUAD = {"quadratic": {"M": 6, "N": 4, "d": 5, "mu": 1.0, "L": 10.0, "client_spread": 1.0, "sample_spread": 0.5, "seed": 3}}
 
 
@@ -171,11 +173,54 @@ def test_nastya_gamma_override(tmp_path):
 
 
 def test_worker_pool_matches_sequential(tmp_path, monkeypatch):
-    cfg = quad_config(tmp_path, algorithms=["rrcli", "nastya"])
-    seq = run_experiment(cfg, out_dir=tmp_path / "seq")
-    monkeypatch.setenv("FEDRR_WORKERS", "2")
-    par = run_experiment(cfg, out_dir=tmp_path / "par")
-    assert csv_hashes(seq["out_dir"]) == csv_hashes(par["out_dir"])
+    # the second grid sends the loaded fixed schedule to the workers inside the job tuples
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(FIXED_PLAN))
+    for name, extra in (("sampled", {}), ("fixed", {"fixed_schedule_path": str(plan)})):
+        cfg = quad_config(tmp_path, algorithms=list(ALGORITHMS), **extra)
+        monkeypatch.delenv("FEDRR_WORKERS", raising=False)
+        seq = run_experiment(cfg, out_dir=tmp_path / name / "seq")
+        monkeypatch.setenv("FEDRR_WORKERS", "2")
+        par = run_experiment(cfg, out_dir=tmp_path / name / "par")
+        assert csv_hashes(seq["out_dir"]) == csv_hashes(par["out_dir"])
+        assert len(csv_hashes(seq["out_dir"])) == 1 + len(ALGORITHMS)
+
+
+def test_fixed_schedule_read_once_per_grid(tmp_path, monkeypatch):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(FIXED_PLAN))
+    loads = []
+    monkeypatch.setattr("fedrr.harness.load_fixed_schedule", lambda path: loads.append(path) or load_fixed_schedule(path))
+    cfg = quad_config(tmp_path, algorithms=list(ALGORITHMS), multipliers=[0.5, 1.0], fixed_schedule_path=str(plan))
+    summary = run_experiment(cfg)
+    assert len(summary["results"]) == 16
+    assert loads == [str(plan)]
+
+
+@pytest.mark.parametrize("algorithm", ["rrcli", "rrcli-wr", "nastya"])
+def test_local_steps_beyond_pass_length_change_nothing(tmp_path, algorithm):
+    # a shuffled pass over N = 4 points has at most 4 local steps, so the
+    # step sizes and the runs at local_steps = 2N are those at local_steps = N
+    at_n = run_experiment(quad_config(tmp_path, algorithms=[algorithm], local_steps=4), out_dir=tmp_path / "n")
+    at_2n = run_experiment(quad_config(tmp_path, algorithms=[algorithm], local_steps=8), out_dir=tmp_path / "2n")
+    assert at_2n["manifest"]["diverged_count"] == 0
+    assert (at_n["out_dir"] / "runs.csv").read_bytes() == (at_2n["out_dir"] / "runs.csv").read_bytes()
+
+
+def test_failed_manifest_write_keeps_previous_manifest(tmp_path, monkeypatch):
+    cfg = quad_config(tmp_path)
+    out = run_experiment(cfg)["out_dir"]
+    before = (out / "manifest.json").read_bytes()
+
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write("{")
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    with pytest.raises(RuntimeError, match="disk full"):
+        run_experiment(cfg)
+    assert (out / "manifest.json").read_bytes() == before
+    assert not [p.name for p in out.rglob("*") if p.name.endswith(".tmp")]
 
 
 def test_logistic_config_builds(tmp_path):

@@ -10,12 +10,10 @@ from fedrr.optimizer import (
     DivergenceError,
     StepSizes,
     _batch_bounds,
+    _pass_length,
     apply_decay,
     local_pass,
     run_algorithm,
-    run_fedavg,
-    run_nastya,
-    run_rrcli,
 )
 from fedrr.problem import QuadraticProblem, quadratic_problem
 from fedrr.shuffling import ClientMode, DataMode, ShuffleMode, build_cohort_schedule
@@ -94,7 +92,7 @@ def test_collapse_to_gradient_descent():
     opt = problem.analytic_optimum()
     gamma = 0.01
     cfg = make_cfg(problem, "rrcli", C=problem.M, T=3, gamma=gamma)
-    trace = run_rrcli(problem, cfg, opt)
+    trace = run_algorithm(problem, cfg, opt)
     x = np.zeros(problem.d)
     for _ in range(3):
         x = x - gamma * problem.full_gradient(x)
@@ -102,11 +100,11 @@ def test_collapse_to_gradient_descent():
 
 
 def test_server_collapse_identity_checked_internally():
-    # the eta = gamma*S identity is asserted inside run_rrcli on every round
+    # the eta = gamma*S identity is asserted inside run_algorithm on every round
     problem = hetero_quadratic()
     opt = problem.analytic_optimum()
     cfg = make_cfg(problem, "rrcli", C=2, T=4, gamma=0.005)
-    run_rrcli(problem, cfg, opt)  # raises AssertionError on violation
+    run_algorithm(problem, cfg, opt)  # raises AssertionError on violation
 
 
 def test_global_collapse_is_exact():
@@ -114,7 +112,7 @@ def test_global_collapse_is_exact():
     opt = problem.analytic_optimum()
     cfg = make_cfg(problem, "rrcli", C=2, T=2, gamma=0.005)
     # replay the rounds manually and compare bit for bit
-    trace = run_rrcli(problem, cfg, opt)
+    trace = run_algorithm(problem, cfg, opt)
     x = np.zeros(problem.d)
     from fedrr.optimizer import _aggregate_cohort
     from fedrr.shuffling import draw_data_permutations
@@ -138,7 +136,7 @@ def test_rrcli_reshuffling_visits_every_client():
         flat = sorted(m for c in sched.cohorts for m in c)
         assert flat == list(range(problem.M))
     cfg = make_cfg(problem, "rrcli", C=2, T=4, gamma=0.005, shuffle=mode, seed=5)
-    trace = run_rrcli(problem, cfg, opt)
+    trace = run_algorithm(problem, cfg, opt)
     assert len(trace.points) == 5
 
 
@@ -160,20 +158,20 @@ def test_nastya_coupling_with_rrcli():
     mode = ShuffleMode(client_mode=ClientMode.SHUFFLE_ONCE, data_mode=DataMode.SHUFFLE_ONCE)
     T = 3
     rr_cfg = make_cfg(problem, "rrcli", C=2, T=T, gamma=0.005, shuffle=mode, seed=4)
-    rr = run_rrcli(problem, rr_cfg, opt)
+    rr = run_algorithm(problem, rr_cfg, opt)
     cohorts = []
     for t in range(T):
         cohorts.extend(build_cohort_schedule(problem.M, 2, mode, t, seed=4).cohorts)
     na_cfg = make_cfg(problem, "nastya", C=2, T=T, gamma=0.005, shuffle=mode, seed=4)
-    na = run_nastya(problem, na_cfg, opt, cohort_sequence=cohorts)
+    na = run_algorithm(problem, na_cfg, opt, cohort_sequence=cohorts)
     assert [p.dist_sq for p in na.points] == [p.dist_sq for p in rr.points]
 
 
 def test_nastya_full_participation_equals_rrcli():
     problem = hetero_quadratic()
     opt = problem.analytic_optimum()
-    rr = run_rrcli(problem, make_cfg(problem, "rrcli", C=problem.M, T=3, gamma=0.005, seed=1), opt)
-    na = run_nastya(problem, make_cfg(problem, "nastya", C=problem.M, T=3, gamma=0.005, seed=1), opt)
+    rr = run_algorithm(problem, make_cfg(problem, "rrcli", C=problem.M, T=3, gamma=0.005, seed=1), opt)
+    na = run_algorithm(problem, make_cfg(problem, "nastya", C=problem.M, T=3, gamma=0.005, seed=1), opt)
     assert [p.dist_sq for p in na.points] == [p.dist_sq for p in rr.points]
 
 
@@ -190,7 +188,7 @@ def test_fedavg_full_batch_single_step_is_gd():
         batch_fraction=1.0,
         seed=0,
     )
-    trace = run_fedavg(problem, cfg, opt)
+    trace = run_algorithm(problem, cfg, opt)
     x = np.zeros(problem.d)
     rounds_per_epoch = 0
     evals_per_round = problem.M * 1 * problem.N
@@ -215,7 +213,7 @@ def test_fedavg_stays_at_optimum_when_homogeneous():
         seed=3,
         x0=opt.x_star,
     )
-    trace = run_fedavg(problem, cfg, opt)
+    trace = run_algorithm(problem, cfg, opt)
     assert trace.points[-1].dist_sq <= 1e-28
 
 
@@ -235,14 +233,14 @@ def test_divergence_detected():
     opt = problem.analytic_optimum()
     cfg = make_cfg(problem, "rrcli", C=2, T=50, gamma=50.0)
     with pytest.raises(DivergenceError):
-        run_rrcli(problem, cfg, opt)
+        run_algorithm(problem, cfg, opt)
 
 
 def test_epoch_accounting_equal_cost():
     problem = hetero_quadratic()
     opt = problem.analytic_optimum()
-    rr = run_rrcli(problem, make_cfg(problem, "rrcli", C=2, T=3, gamma=0.005), opt)
-    na = run_nastya(problem, make_cfg(problem, "nastya", C=2, T=3, gamma=0.005), opt)
+    rr = run_algorithm(problem, make_cfg(problem, "rrcli", C=2, T=3, gamma=0.005), opt)
+    na = run_algorithm(problem, make_cfg(problem, "nastya", C=2, T=3, gamma=0.005), opt)
     assert [p.epoch for p in rr.points] == [0, 1, 2, 3]
     assert [p.epoch for p in na.points] == [0, 1, 2, 3]
     assert rr.points[-1].grad_evals == na.points[-1].grad_evals == 3 * problem.M * problem.N
@@ -298,7 +296,7 @@ def test_fedavg_divergence_reports_epoch_in_progress():
         local_steps=1, batch_fraction=1.0, x0=np.full(1, 0.5),
     )
     with pytest.raises(DivergenceError) as info:
-        run_fedavg(problem, cfg, opt)
+        run_algorithm(problem, cfg, opt)
     assert (info.value.meta_epoch, info.value.round_index) == (12, 12)
     assert "meta-epoch 12, round 12" in str(info.value)
 
@@ -311,16 +309,24 @@ def test_fedavg_non_finite_client_iterate_carries_position():
         local_steps=2, batch_fraction=1.0, x0=np.ones(1),
     )
     with pytest.raises(DivergenceError, match="non-finite iterate on client") as info, np.errstate(over="ignore"):
-        run_fedavg(problem, cfg, opt)
+        run_algorithm(problem, cfg, opt)
     assert (info.value.meta_epoch, info.value.round_index) == (0, 0)
 
 
-def test_nastya_cohort_size_must_divide():
+@pytest.mark.parametrize("algorithm", ["rrcli", "rrcli-wr", "nastya"])
+def test_nastya_cohort_size_must_divide(algorithm):
     problem = hetero_quadratic()
     opt = problem.analytic_optimum()
-    cfg = make_cfg(problem, "nastya", C=4, T=2, gamma=0.005)
+    cfg = make_cfg(problem, algorithm, C=4, T=2, gamma=0.005)
     with pytest.raises(ValueError, match="does not divide"):
-        run_nastya(problem, cfg, opt)
+        run_algorithm(problem, cfg, opt)
+
+
+def test_pass_length():
+    # a shuffled pass has at most N steps; a fedavg client takes local_steps minibatch steps
+    assert [_pass_length(a, 4, None) for a in ("rrcli", "rrcli-wr", "nastya", "fedavg")] == [4, 4, 4, 10]
+    assert [_pass_length(a, 4, 8) for a in ("rrcli", "rrcli-wr", "nastya", "fedavg")] == [4, 4, 4, 8]
+    assert [_pass_length(a, 4, 3) for a in ("rrcli", "rrcli-wr", "nastya", "fedavg")] == [3, 3, 3, 3]
 
 
 def test_local_steps_must_be_positive():
@@ -345,7 +351,7 @@ def test_local_pass_divergence_carries_position(algorithm):
         over="ignore", invalid="ignore"
     ):
         if algorithm == "rrcli":
-            run_rrcli(problem, cfg, opt)
+            run_algorithm(problem, cfg, opt)
         else:
-            run_nastya(problem, cfg, opt, cohort_sequence=[(0,), (1,), (0,), (1,)])
+            run_algorithm(problem, cfg, opt, cohort_sequence=[(0,), (1,), (0,), (1,)])
     assert (info.value.meta_epoch, info.value.round_index) == (0, 1)

@@ -107,7 +107,7 @@ def test_cohort_schedule_partition_property():
 def test_cohort_schedule_full_participation():
     sched = build_cohort_schedule(5, 5, ShuffleMode(), 0, seed=0)
     assert sched.R == 1
-    assert sorted(sched.round_cohort(0)) == list(range(5))
+    assert sorted(sched.cohorts[0]) == list(range(5))
 
 
 def test_cohort_schedule_modes():
