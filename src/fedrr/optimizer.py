@@ -39,6 +39,9 @@ DIVERGENCE_NORM_CAP = 1e12
 VERIFY_COLLAPSE = True
 COLLAPSE_TOL = 1e-12
 
+LOCAL_PASS_DIVERGED = "non-finite iterate in local pass of client {m}{where}"
+FEDAVG_DIVERGED = "non-finite iterate on client {m}"
+
 
 class DivergenceError(RuntimeError):
     def __init__(self, message: str, meta_epoch: int | None = None, round_index: int | None = None):
@@ -154,16 +157,11 @@ def local_pass(
     ``meta_epoch`` and ``round_index`` locate the pass in a run; a non-finite
     end point raises :class:`DivergenceError` carrying them.
     """
-    N = problem.N
-    S = _pass_length(RRCLI, N, local_steps)
-    perm = np.asarray(perm)
-    batches = [perm[a:b] for a, b in _batch_bounds(N, S)]
-    x_end = problem.local_pass(m, x_start, gamma, batches)
-    if not np.all(np.isfinite(x_end)):
-        where = "" if meta_epoch is None else f" at meta-epoch {meta_epoch}, round {round_index}"
-        raise DivergenceError(
-            f"non-finite iterate in local pass of client {m}{where}", meta_epoch=meta_epoch, round_index=round_index
-        )
+    S = _pass_length(RRCLI, problem.N, local_steps)
+    order = np.asarray(perm)[None, :]
+    bounds = _batch_bounds(problem.N, S)
+    X = _cohort_endpoints(problem, [m], x_start, gamma, order, bounds, LOCAL_PASS_DIVERGED, meta_epoch, round_index)
+    x_end = X[0]
     g = (x_start - x_end) / (gamma * S)
     return x_end, g
 
@@ -177,24 +175,49 @@ def _batch_bounds(N: int, S: int) -> tuple[tuple[int, int], ...]:
 
 
 def _check_iterate(x, t, r):
-    if not np.all(np.isfinite(x)) or float(x @ x) > DIVERGENCE_NORM_CAP**2:
+    # a NaN or infinite entry makes x @ x NaN or inf, so this also catches them
+    if not float(x @ x) <= DIVERGENCE_NORM_CAP**2:
         raise DivergenceError(f"divergence at meta-epoch {t}, round {r}", meta_epoch=t, round_index=r)
 
 
-def _aggregate_cohort(problem, cohort, x, gamma, perms, local_steps, meta_epoch=None, round_index=None):
-    """Mean update and mean endpoint over a cohort.
+def _cohort_endpoints(problem, ms, x, gamma, order, bounds, text, meta_epoch, round_index):
+    """End points of the passes of clients ``ms`` from x, one ``problem.cohort_pass`` call.
 
-    Clients are summed in client-id order so parallel execution cannot change
-    the floating-point result.  ``meta_epoch`` and ``round_index`` go to the
-    local passes for their divergence reports.
+    The first client in ``ms`` whose end point is not finite raises
+    :class:`DivergenceError` with ``text`` formatted for it, as a per-client
+    loop that stops there would.  ``meta_epoch`` and ``round_index`` locate
+    the passes in a run.
     """
+    X = problem.cohort_pass(ms, x, gamma, order, bounds)
+    if not np.isfinite(X).all():
+        where = "" if meta_epoch is None else f" at meta-epoch {meta_epoch}, round {round_index}"
+        m = ms[int(np.isfinite(X).all(axis=1).argmin())]
+        raise DivergenceError(text.format(m=m, where=where), meta_epoch=meta_epoch, round_index=round_index)
+    return X
+
+
+def _cohort_update(problem, cohort, x, gamma, order, bounds, text, meta_epoch, round_index):
+    """Mean pseudo-gradient and mean end point of a cohort whose client m passes over ``order[m]``.
+
+    Clients are summed in client-id order, from zeros, so the result is the
+    one of a per-client loop whatever the kernel computes in one go.
+    """
+    ms = sorted(cohort)
+    rows = np.array([order[m] for m in ms])
+    X = _cohort_endpoints(problem, ms, x, gamma, rows, bounds, text, meta_epoch, round_index)
+    G = (x - X) / (gamma * len(bounds))
     g = np.zeros(problem.d)
     x_end_sum = np.zeros(problem.d)
-    for m in sorted(cohort):
-        x_end, g_m = local_pass(problem, m, x, gamma, perms[m], local_steps, meta_epoch, round_index)
+    for g_m, x_end in zip(G, X):
         g += g_m
         x_end_sum += x_end
-    return g / len(cohort), x_end_sum / len(cohort)
+    return g / len(ms), x_end_sum / len(ms)
+
+
+def _aggregate_cohort(problem, cohort, x, gamma, perms, local_steps, meta_epoch=None, round_index=None):
+    """Mean update and mean endpoint over a cohort of shuffled passes, client m in ``perms[m]`` order."""
+    bounds = _batch_bounds(problem.N, _pass_length(RRCLI, problem.N, local_steps))
+    return _cohort_update(problem, cohort, x, gamma, perms, bounds, LOCAL_PASS_DIVERGED, meta_epoch, round_index)
 
 
 def _sampled_cohort(M, C, seed, label, *parts):
@@ -210,7 +233,7 @@ def _round_plan(problem: FederatedProblem, cfg: AlgoConfig, S: int, batch: int, 
     round (or takes ``cohort_sequence[k]``) and its data epoch is the round;
     fedavg draws one cohort per round until the epoch budget is spent.  The
     data order is the lazy data permutations, or for fedavg each client's S
-    sorted minibatches of ``batch`` points.
+    sorted minibatches of ``batch`` points, one after the other.
     """
     M, N, C = problem.M, problem.N, cfg.C
     R = M // C
@@ -219,9 +242,11 @@ def _round_plan(problem: FederatedProblem, cfg: AlgoConfig, S: int, batch: int, 
         per_round = C * S * batch
         for k in range(-(-cfg.T * M * N // per_round)):
             cohort = _sampled_cohort(M, C, cfg.seed, "fedavg_cohort", k)
-            rngs = {m: stream(cfg.seed, "fedavg_batches", k, m) for m in sorted(cohort)}
-            batches = {m: [np.sort(rng.choice(N, batch, replace=False)) for _ in range(S)] for m, rng in rngs.items()}
-            yield k * per_round // (M * N), k, cohort, batches
+            rows = {}
+            for m in sorted(cohort):
+                rng = stream(cfg.seed, "fedavg_batches", k, m)
+                rows[m] = np.concatenate([np.sort(rng.choice(N, batch, replace=False)) for _ in range(S)])
+            yield k * per_round // (M * N), k, cohort, rows
     elif cfg.algorithm == NASTYA:
         for k in range(cfg.T * R):
             perms = data_permutations(N, cfg.shuffle, k, cfg.seed, perms)
@@ -252,11 +277,14 @@ def run_algorithm(problem: FederatedProblem, cfg: AlgoConfig, optimum: Optimum, 
     per-round draws (used by coupling tests).
     """
     M, N = problem.M, problem.N
+    if cfg.algorithm == FEDAVG and cfg.C > M:
+        raise ValueError(f"cohort size {cfg.C} exceeds client count {M}")
     if cfg.algorithm != FEDAVG and M % cfg.C != 0:
         raise ValueError(f"cohort size {cfg.C} does not divide client count {M}")
     R = M // cfg.C
     S = _pass_length(cfg.algorithm, N, cfg.local_steps)
     batch = max(1, int(round(cfg.batch_fraction * N)))  # fedavg only
+    fedavg_bounds = tuple((s * batch, (s + 1) * batch) for s in range(S))
     per_round = cfg.C * (S * batch if cfg.algorithm == FEDAVG else N)
     shuffled = cfg.algorithm in (RRCLI, RRCLI_WITH_REPLACEMENT)
     t0 = time.perf_counter()
@@ -269,13 +297,7 @@ def run_algorithm(problem: FederatedProblem, cfg: AlgoConfig, optimum: Optimum, 
         if shuffled and r == 0:
             x_meta = x  # the global step starts from here
         if cfg.algorithm == FEDAVG:  # each client runs its S minibatch steps in one pass
-            g = np.zeros(problem.d)
-            for m in sorted(cohort):
-                x_m = problem.local_pass(m, x, steps.gamma, order[m])
-                if not np.all(np.isfinite(x_m)):
-                    raise DivergenceError(f"non-finite iterate on client {m}", meta_epoch=t, round_index=r)
-                g += (x - x_m) / (steps.gamma * S)
-            g /= cfg.C
+            g, _ = _cohort_update(problem, cohort, x, steps.gamma, order, fedavg_bounds, FEDAVG_DIVERGED, t, r)
         else:
             g, mean_end = _aggregate_cohort(problem, cohort, x, steps.gamma, order, cfg.local_steps, t, r)
         evals += per_round

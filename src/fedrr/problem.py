@@ -84,25 +84,22 @@ class FederatedProblem:
             g += self.client_gradient(m, x)
         return g / self.M
 
-    def client_objective(self, m: int, x: np.ndarray) -> float:
-        return sum(self.component_loss(m, j, x) for j in range(self.N)) / self.N
-
+    # -- kernels, overridden by subclasses ----------------------------------
     def objective_value(self, x: np.ndarray) -> float:
-        return sum(self.client_objective(m, x) for m in range(self.M)) / self.M
+        """f(x): each client's mean of its N component losses, then the mean over clients."""
+        raise NotImplementedError
 
-    def local_pass(self, m: int, x: np.ndarray, gamma_step: float, batches) -> np.ndarray:
-        """Sequential pass over ``batches`` (lists of component ids) for one client.
+    def cohort_pass(self, ms, x: np.ndarray, gamma_step: float, order: np.ndarray, bounds) -> np.ndarray:
+        """End points of one sequential local pass per client, all from ``x``: shape (C, d).
 
-        Each step moves against the batch-mean gradient with step ``gamma_step``.
-        Subclasses override this with vectorized kernels; semantics must match.
+        Row i is client ``ms[i]``'s pass over its components ``order[i]`` (a
+        (C, L) int array), cut into the steps ``order[i, a:b]`` for each
+        ``(a, b)`` in ``bounds``.  Each step moves against the batch-mean
+        gradient with step ``gamma_step``.  If a row ends non-finite, the
+        rows after it are unspecified, and floating-point warnings come only
+        from the rows up to it: a per-client loop stops there.
         """
-        x = np.array(x, dtype=np.float64)
-        for batch in batches:
-            g = np.zeros(self.d)
-            for j in batch:
-                g += self.component_gradient(m, j, x)
-            x -= (gamma_step / len(batch)) * g
-        return x
+        raise NotImplementedError
 
 
 class LogisticProblem(FederatedProblem):
@@ -154,6 +151,9 @@ class LogisticProblem(FederatedProblem):
         z = -self._b[m] * (self._A[m] @ x)
         return float(np.mean(np.logaddexp(0.0, z)) + 0.5 * self.alpha * (x @ x))
 
+    def objective_value(self, x):
+        return sum(self.client_objective(m, x) for m in range(self.M)) / self.M
+
     def full_gradient(self, x):
         # numpy runs one gemv per client for both stacked products, so each
         # client's sum equals ``A[m] @ x`` and ``A[m].T @ t[m]`` bit for bit;
@@ -178,6 +178,15 @@ class LogisticProblem(FederatedProblem):
             t = -bb * _sigmoid(-bb * (Ab @ x))
             x -= gamma_step * (Ab.T @ t / len(batch) + alpha * x)
         return x
+
+    def cohort_pass(self, ms, x, gamma_step, order, bounds):
+        # one BLAS-bound pass per client: stacking the clients is no faster
+        X = np.empty((len(ms), self.d))
+        for i, (m, row) in enumerate(zip(ms, order)):
+            X[i] = self.local_pass(m, x, gamma_step, [row[a:b] for a, b in bounds])
+            if not np.all(np.isfinite(X[i])):
+                break
+        return X
 
 
 class QuadraticProblem(FederatedProblem):
@@ -212,17 +221,40 @@ class QuadraticProblem(FederatedProblem):
     def full_gradient(self, x):
         return (self._H.sum(axis=(0, 1)) @ x - self._Hc.sum(axis=(0, 1))) / (self.M * self.N)
 
-    def local_pass(self, m, x, gamma_step, batches):
-        self._check_indices(m)
-        H = self._H[m]
-        Hc = self._Hc[m]
-        x = np.array(x, dtype=np.float64)
-        for batch in batches:
-            g = np.zeros(self.d)
-            for j in batch:
-                g += H[j] @ x - Hc[j]
-            x -= (gamma_step / len(batch)) * g
-        return x
+    def objective_value(self, x):
+        r = x - self._c
+        q = (0.5 * (r[..., None, :] @ self._H @ r[..., None])[..., 0, 0]).tolist()
+        # each r @ H @ r bit-equal to the per-component form, added over j and then m in the same order
+        return sum(sum(losses) / self.N for losses in q) / self.M
+
+    def cohort_pass(self, ms, x, gamma_step, order, bounds):
+        if min(ms) < 0 or max(ms) >= self.M:
+            raise IndexError(f"clients {list(ms)} out of range [0, {self.M})")
+        ms = np.asarray(ms)
+        with np.errstate(over="ignore", invalid="ignore"):
+            X = self._cohort_steps(ms, x, gamma_step, order, bounds)
+        if not np.isfinite(X).all():
+            # replay the first diverging client alone under the caller's error
+            # state: only it, and no client after it, may warn or raise
+            i = int(np.isfinite(X).all(axis=1).argmin())
+            X[i] = self._cohort_steps(ms[i : i + 1], x, gamma_step, order[i : i + 1], bounds)[0]
+        return X
+
+    def _cohort_steps(self, ms, x, gamma_step, order, bounds):
+        # step p of all C clients is one (C, d, d) @ (C, d, 1) matmul, each
+        # product bit-equal to the per-client ``H[m, j] @ x``
+        H = self._H[ms, order.T]
+        Hc = self._Hc[ms, order.T][..., None]
+        X = np.repeat(np.asarray(x, dtype=np.float64)[None, :, None], len(ms), axis=0)
+        for a, b in bounds:
+            g = np.matmul(H[a], X)
+            g -= Hc[a]
+            g += 0.0  # the loop form adds to zeros, which turns -0.0 into +0.0
+            for p in range(a + 1, b):
+                g += np.matmul(H[p], X) - Hc[p]
+            g *= gamma_step / (b - a)
+            X -= g
+        return X[..., 0]
 
     def analytic_optimum(self) -> Optimum:
         Hbar = self._H.sum(axis=(0, 1))

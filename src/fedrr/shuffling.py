@@ -1,4 +1,4 @@
-"""Permutations, cohort schedules, and the composed two-level index map.
+"""Permutations and cohort schedules.
 
 The participation scheme is "regularized": every meta-epoch the M clients are
 partitioned into R = M/C disjoint cohorts of size C, so each client trains
@@ -67,20 +67,6 @@ def fisher_yates(n: int, rng: np.random.Generator) -> np.ndarray:
     for i, j in zip(range(n - 1, 0, -1), rng.integers(0, np.arange(n, 1, -1)).tolist()):
         perm[i], perm[j] = perm[j], perm[i]
     return np.array(perm, dtype=np.int64)
-
-
-def double_shuffle_index(k: int, N: int, client_perm, local_perms) -> tuple[int, int]:
-    """Map global step k in [0, M*N) to a (client id, data index) pair.
-
-    Steps walk clients in ``client_perm`` order; within a client, data points
-    follow that client's local permutation.  All indexing is 0-based.
-    """
-    M = len(client_perm)
-    if not 0 <= k < M * N:
-        raise IndexError(f"step {k} out of range for {M}x{N}")
-    block, j = divmod(k, N)
-    m = int(client_perm[block])
-    return m, int(local_perms[m][j])
 
 
 def build_cohort_schedule(

@@ -4,8 +4,17 @@
 must reproduce draw for draw.  ``eager_run`` replays the four training loops
 without laziness or caching: every epoch (every round, for nastya under
 reshuffling) draws all M data permutations with the scalar loop, the client
-schedule is drawn anew every epoch, and each pass is cut into batches with
-``np.array_split``.
+schedule is drawn anew every epoch, each pass is cut into batches with
+``np.array_split`` and runs one client and one component at a time, and
+every trace point evaluates the objective one component at a time.
+
+The kernel oracles are the per-component forms that the stacked problem
+kernels must match bit for bit: ``local_pass_loop`` (one client's pass, one
+``component_gradient`` call per component), ``cohort_pass_loop`` (one such
+pass per client, stopping at the first non-finite end point),
+``aggregate_cohort_loop`` (the cohort's mean update, one pass at a time),
+and ``client_objective_loop`` and ``objective_value_loop`` (one
+``component_loss`` call per component, added with Python's ``sum``).
 
 The logistic and codec oracles are the per-component and per-client forms
 that the vectorised code must match bit for bit: ``sigmoid_three_exp`` (the
@@ -29,9 +38,53 @@ from functools import lru_cache
 
 import numpy as np
 
-from fedrr.optimizer import RunTrace, apply_decay
+from fedrr.optimizer import RunTrace, TracePoint, apply_decay
 from fedrr.rng import stream
 from fedrr.shuffling import ClientMode, DataMode
+
+
+def local_pass_loop(problem, m, x, gamma_step, batches):
+    """Client m's sequential pass over ``batches``, stepping along each batch's mean gradient."""
+    x = np.array(x, dtype=np.float64)
+    for batch in batches:
+        g = np.zeros(problem.d)
+        for j in batch:
+            g += problem.component_gradient(m, j, x)
+        x -= (gamma_step / len(batch)) * g
+    return x
+
+
+def cohort_pass_loop(problem, ms, x, gamma_step, order, bounds):
+    """``problem.cohort_pass`` one client at a time; the rows after a non-finite one stay NaN."""
+    X = np.full((len(ms), problem.d), np.nan)
+    for i, (m, row) in enumerate(zip(ms, order)):
+        X[i] = local_pass_loop(problem, m, x, gamma_step, [row[a:b] for a, b in bounds])
+        if not np.all(np.isfinite(X[i])):
+            break
+    return X
+
+
+def client_objective_loop(problem, m, x):
+    return sum(problem.component_loss(m, j, x) for j in range(problem.N)) / problem.N
+
+
+def objective_value_loop(problem, x):
+    return sum(client_objective_loop(problem, m, x) for m in range(problem.M)) / problem.M
+
+
+def record(trace, problem, optimum, x, meta_epoch, grad_evals, t0):
+    """``RunTrace.record`` with the per-component objective."""
+    x_delta = x - optimum.x_star
+    trace.points.append(
+        TracePoint(
+            epoch=grad_evals / (problem.M * problem.N),
+            meta_epoch=meta_epoch,
+            dist_sq=float(x_delta @ x_delta),
+            func_gap=float(objective_value_loop(problem, x) - optimum.f_star),
+            grad_evals=grad_evals,
+            wall_s=time.perf_counter() - t0,
+        )
+    )
 
 
 def fisher_yates_loop(n, rng):
@@ -59,13 +112,21 @@ def sampled_cohort(M, C, seed, label, *parts):
     return fisher_yates_loop(M, stream(seed, label, *parts))[:C]
 
 
-def server_step(problem, cohort, x, steps, perms, local_steps):
+def aggregate_cohort_loop(problem, cohort, x, gamma, perms, local_steps):
+    """``optimizer._aggregate_cohort`` one client at a time, in client-id order, from zeros."""
     S = problem.N if local_steps is None else min(local_steps, problem.N)
     g = np.zeros(problem.d)
+    x_end_sum = np.zeros(problem.d)
     for m in sorted(int(m) for m in cohort):
-        x_end = problem.local_pass(m, x, steps.gamma, np.array_split(perms[m], S))
-        g += (x - x_end) / (steps.gamma * S)
-    return x - steps.eta * (g / len(cohort))
+        x_end = local_pass_loop(problem, m, x, gamma, np.array_split(perms[m], S))
+        g += (x - x_end) / (gamma * S)
+        x_end_sum += x_end
+    return g / len(cohort), x_end_sum / len(cohort)
+
+
+def server_step(problem, cohort, x, steps, perms, local_steps):
+    g, _ = aggregate_cohort_loop(problem, cohort, x, steps.gamma, perms, local_steps)
+    return x - steps.eta * g
 
 
 def eager_run(problem, cfg, optimum):
@@ -76,7 +137,7 @@ def eager_run(problem, cfg, optimum):
     x = np.zeros(problem.d) if cfg.x0 is None else np.array(cfg.x0, dtype=np.float64)
     trace = RunTrace()
     evals = 0
-    trace.record(problem, optimum, x, 0, evals, t0)
+    record(trace, problem, optimum, x, 0, evals, t0)
     if cfg.algorithm in ("rrcli", "rrcli-wr"):
         for t in range(cfg.T):
             steps = apply_decay(cfg.steps, t) if cfg.decay else cfg.steps
@@ -91,7 +152,7 @@ def eager_run(problem, cfg, optimum):
                 evals += C * N
             if steps.theta != steps.eta * R:
                 x = x_meta - steps.theta * (x_meta - x) / (steps.eta * R)
-            trace.record(problem, optimum, x, t + 1, evals, t0)
+            record(trace, problem, optimum, x, t + 1, evals, t0)
     elif cfg.algorithm == "nastya":
         for k in range(cfg.T * R):
             steps = apply_decay(cfg.steps, evals // (M * N)) if cfg.decay else cfg.steps
@@ -100,7 +161,7 @@ def eager_run(problem, cfg, optimum):
             x = server_step(problem, cohort, x, steps, perms, cfg.local_steps)
             evals += C * N
             if (k + 1) % R == 0:
-                trace.record(problem, optimum, x, (k + 1) // R, evals, t0)
+                record(trace, problem, optimum, x, (k + 1) // R, evals, t0)
     else:
         S = cfg.local_steps if cfg.local_steps is not None else 10
         batch = max(1, int(round(cfg.batch_fraction * N)))
@@ -112,7 +173,8 @@ def eager_run(problem, cfg, optimum):
                 rng = stream(cfg.seed, "fedavg_batches", k, m)
                 x_m = x
                 for _ in range(S):
-                    x_m = problem.local_pass(m, x_m, steps.gamma, [np.sort(rng.choice(N, size=batch, replace=False))])
+                    batches = [np.sort(rng.choice(N, size=batch, replace=False))]
+                    x_m = local_pass_loop(problem, m, x_m, steps.gamma, batches)
                 g += (x - x_m) / (steps.gamma * S)
             g /= C
             x = x - steps.eta * g
@@ -120,9 +182,9 @@ def eager_run(problem, cfg, optimum):
             k += 1
             if evals // (M * N) > recorded:
                 recorded = evals // (M * N)
-                trace.record(problem, optimum, x, recorded, evals, t0)
+                record(trace, problem, optimum, x, recorded, evals, t0)
         if trace.points[-1].grad_evals != evals:
-            trace.record(problem, optimum, x, recorded, evals, t0)
+            record(trace, problem, optimum, x, recorded, evals, t0)
     return trace
 
 

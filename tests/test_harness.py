@@ -1,8 +1,12 @@
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedrr.harness import (
     ConfigError,
@@ -14,7 +18,8 @@ from fedrr.harness import (
     select_best_multiplier,
 )
 from fedrr.optimizer import ALGORITHMS, DivergenceError, RunTrace, TracePoint
-from fedrr.shuffling import load_fixed_schedule
+from fedrr.shuffling import ClientMode, DataMode, load_fixed_schedule
+from fedrr.theory import REGIMES
 
 FIXED_PLAN = [[[0, 1], [2, 3], [4, 5]], [[5, 3], [1, 4], [0, 2]]]
 QUAD = {"quadratic": {"M": 6, "N": 4, "d": 5, "mu": 1.0, "L": 10.0, "client_spread": 1.0, "sample_spread": 0.5, "seed": 3}}
@@ -78,6 +83,60 @@ def test_config_file_roundtrip(tmp_path):
     path.write_text(json.dumps({"bogus_key": 1}))
     with pytest.raises(ConfigError):
         ExperimentConfig.from_file(path)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+TEXT = st.text(max_size=20)
+
+
+@st.composite
+def experiment_configs(draw):
+    """Any valid ExperimentConfig: every field drawn, the datasets of all three kinds."""
+    M = draw(st.integers(min_value=1, max_value=64))
+    quadratic = st.fixed_dictionaries(
+        {"M": st.just(M), "N": st.integers(1, 50), "d": st.integers(1, 20)}, optional={"seed": st.integers(0, 2**31)}
+    )
+    dataset = draw(
+        st.one_of(
+            st.fixed_dictionaries({"synthetic": st.fixed_dictionaries({}, optional={"count": st.integers(1, 10**6)})}),
+            st.fixed_dictionaries({"path": TEXT}),
+            st.fixed_dictionaries({"quadratic": quadratic}),
+        )
+    )
+    client_mode = draw(st.sampled_from([m.value for m in ClientMode]))
+    fixed = TEXT if client_mode == ClientMode.DETERMINISTIC_FIXED.value else st.one_of(st.none(), TEXT)
+    return ExperimentConfig(
+        dataset=dataset,
+        M=M,
+        C=draw(st.integers(min_value=1, max_value=64)),
+        T=draw(st.integers(min_value=1, max_value=10**6)),
+        alpha=draw(FINITE),
+        algorithms=draw(st.lists(st.sampled_from(ALGORITHMS), max_size=4)),
+        regime=draw(st.sampled_from(REGIMES)),
+        multipliers=draw(st.lists(st.floats(min_value=1e-300, max_value=1e300), max_size=5)),
+        decay=draw(st.booleans()),
+        local_steps=draw(st.one_of(st.none(), st.integers(min_value=1, max_value=10**6))),
+        batch_fraction=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+        nastya_gamma=draw(st.one_of(st.none(), FINITE)),
+        seeds=draw(st.lists(st.integers(-(2**63), 2**63), min_size=1, max_size=6)),
+        master_seed=draw(st.integers(-(2**63), 2**63)),
+        client_mode=client_mode,
+        data_mode=draw(st.sampled_from([m.value for m in DataMode])),
+        fixed_schedule_path=draw(fixed),
+        optimum_tol=draw(FINITE),
+        out_dir=draw(TEXT),
+    )
+
+
+@given(experiment_configs())
+@settings(max_examples=150, deadline=None)
+def test_config_survives_json_file_round_trip(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg.to_dict()))
+        back = ExperimentConfig.from_file(path)
+    assert back == cfg
+    assert back.to_dict() == cfg.to_dict()
 
 
 def test_run_experiment_outputs(tmp_path):

@@ -10,6 +10,7 @@ from fedrr.optimizer import (
     DivergenceError,
     StepSizes,
     _batch_bounds,
+    _check_iterate,
     _pass_length,
     apply_decay,
     local_pass,
@@ -320,6 +321,22 @@ def test_nastya_cohort_size_must_divide(algorithm):
     cfg = make_cfg(problem, algorithm, C=4, T=2, gamma=0.005)
     with pytest.raises(ValueError, match="does not divide"):
         run_algorithm(problem, cfg, opt)
+
+
+def test_fedavg_cohort_larger_than_client_count_is_rejected():
+    # only M clients could train, while the update would be divided by C
+    problem = hetero_quadratic()
+    cfg = make_cfg(problem, "fedavg", C=60, T=1, gamma=0.005, theta=0.05)
+    with pytest.raises(ValueError, match="cohort size 60 exceeds client count 6"):
+        run_algorithm(problem, cfg, problem.analytic_optimum())
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2e12])
+def test_check_iterate_rejects_non_finite_and_huge(value):
+    x = np.array([0.5, value])
+    with np.errstate(all="raise"), pytest.raises(DivergenceError, match="divergence at meta-epoch 3, round 1"):
+        _check_iterate(x, 3, 1)
+    _check_iterate(np.array([0.5, 9e11]), 3, 1)
 
 
 def test_pass_length():

