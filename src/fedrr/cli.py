@@ -17,7 +17,7 @@ import numpy as np
 from .dataset import DatasetError, load_libsvm_file, partition
 from .harness import ConfigError, ExperimentConfig, run_experiment
 from .optimizer import DivergenceError
-from .problem import SolverError, logistic_problem, solve_optimum
+from .problem import ProblemError, SolverError, logistic_problem, solve_optimum
 from .rng import stream
 from .variance_lab import EnumerationTooLarge, VarianceInputs, build_report
 
@@ -56,20 +56,27 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
+def _split(text: str, convert, flag: str) -> list:
+    try:
+        return [convert(s) for s in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} takes a comma-separated list of {convert.__name__}s, got {text!r}") from None
+
+
 def _cmd_run(args) -> int:
     overrides = {"out_dir": args.out}
-    if args.seeds:
-        overrides["seeds"] = [int(s) for s in args.seeds.split(",")]
     if args.algo:
         overrides["algorithms"] = args.algo.split(",")
-    if args.multipliers:
-        overrides["multipliers"] = [float(m) for m in args.multipliers.split(",")]
     if args.decay:
         overrides["decay"] = True
     try:
+        if args.seeds:
+            overrides["seeds"] = _split(args.seeds, int, "--seeds")
+        if args.multipliers:
+            overrides["multipliers"] = _split(args.multipliers, float, "--multipliers")
         cfg = ExperimentConfig.from_file(args.config, overrides)
         summary = run_experiment(cfg)
-    except (ConfigError, DatasetError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, DatasetError, ProblemError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:
@@ -127,11 +134,10 @@ def _cmd_solve(args) -> int:
         ds = load_libsvm_file(args.dataset)
         part = partition(ds, args.clients, args.seed)
         problem = logistic_problem(part, ds, args.alpha)
-    except (DatasetError, FileNotFoundError) as exc:
+        opt = solve_optimum(problem, args.tol)
+    except (DatasetError, ProblemError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        opt = solve_optimum(problem, args.tol)
     except SolverError as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY

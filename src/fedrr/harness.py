@@ -98,8 +98,14 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ConfigError("seeds list must be nonempty")
+        # a repeated entry would run (and average) the same seeded runs twice
+        for name in ("algorithms", "multipliers", "seeds"):
+            values = getattr(self, name)
+            if not values:
+                raise ConfigError(f"{name} list must be nonempty")
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ConfigError(f"{name} list repeats {repeated[0]!r}")
         if any(m <= 0 for m in self.multipliers):
             raise ConfigError("multipliers must be positive")
         if self.T < 1:
@@ -129,6 +135,8 @@ class ExperimentConfig:
     def from_file(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path} must hold a JSON object, not a {type(raw).__name__}")
         raw.update({k: v for k, v in (overrides or {}).items() if v is not None})
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(raw) - known
@@ -227,24 +235,19 @@ def algorithm_steps(algorithm: str, problem: FederatedProblem, cfg: ExperimentCo
     role of the data points, so the theoretical relations use the
     optimizer's pass length S (at most N for a shuffled pass).  The
     shuffled-participation method uses the configured regime's steps; the
-    round-sampling baseline takes the server-regime local step
-    with plain model averaging (eta = gamma*S); the local-SGD baseline steps
-    at 1/(L + mu) with model averaging over its minibatch steps.  The
-    multiplier scales all levels together so the collapse relations are
-    preserved.
+    round-sampling (nastya) and local-SGD (fedavg) baselines take the
+    stability-limited local step 1/(L + mu) with plain model averaging
+    (eta = gamma*S), and ``cfg.nastya_gamma`` overrides nastya's (e.g. with
+    the server-regime formula).  The multiplier scales all levels together
+    so the collapse relations are preserved.
     """
     R = problem.M // cfg.C
     S = _pass_length(algorithm, problem.N, cfg.local_steps)
     if algorithm in (RRCLI, RRCLI_WITH_REPLACEMENT):
         rp = RegimeParams(regime=cfg.regime, L=problem.L, mu=problem.mu, M=problem.M, N=S, C=cfg.C)
         base = theoretical_steps(rp)
-    elif algorithm == NASTYA:
-        # Tunable: the stability-limited local step with model averaging.
-        # cfg.nastya_gamma overrides it (e.g. with the server-regime formula).
-        gamma = cfg.nastya_gamma if cfg.nastya_gamma is not None else 1.0 / (problem.L + problem.mu)
-        base = StepSizes(gamma=gamma, eta=gamma * S, theta=gamma * S * R)
-    elif algorithm == FEDAVG:
-        gamma = 1.0 / (problem.L + problem.mu)
+    elif algorithm in (NASTYA, FEDAVG):
+        gamma = cfg.nastya_gamma if algorithm == NASTYA and cfg.nastya_gamma is not None else 1.0 / (problem.L + problem.mu)
         base = StepSizes(gamma=gamma, eta=gamma * S, theta=gamma * S * R)
     else:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
@@ -286,10 +289,6 @@ def _execute_run(
         return RunResult(algorithm, multiplier, replicate, seed, None, diverged=True, error=str(exc))
 
 
-def _run_job(args):
-    return _execute_run(*args)
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Run the full (algorithm, multiplier, seed) grid and write outputs.
 
@@ -297,6 +296,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     output paths.  Worker count comes from the FEDRR_WORKERS environment
     variable (default 1); results are collected in grid order either way.
     """
+    try:
+        workers = int(os.environ.get(WORKERS_ENV, "1"))
+    except ValueError:
+        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {os.environ[WORKERS_ENV]!r}") from None
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     problem, data_hash = build_problem(cfg)
@@ -312,12 +315,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         for multiplier in cfg.multipliers
         for replicate in cfg.seeds
     ]
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_job, jobs))
+            results = list(pool.map(_execute_run, *zip(*jobs)))
     else:
-        results = [_run_job(j) for j in jobs]
+        results = [_execute_run(*j) for j in jobs]
 
     _write_runs_csv(out / "runs.csv", results)
     _write_timings_csv(out / "timings.csv", results)

@@ -137,35 +137,6 @@ def _pass_length(algorithm: str, N: int, local_steps: int | None) -> int:
     return N if local_steps is None else min(local_steps, N)
 
 
-def local_pass(
-    problem: FederatedProblem,
-    m: int,
-    x_start: np.ndarray,
-    gamma: float,
-    perm: np.ndarray,
-    local_steps: int | None = None,
-    meta_epoch: int | None = None,
-    round_index: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One pass of client m over its data in ``perm`` order.
-
-    With ``local_steps=S < N`` the permuted data is processed in S contiguous
-    batches; each local step applies the client step size gamma to the batch
-    mean gradient, so S=N recovers the per-point recursion.  The returned
-    pseudo-gradient g = (x_start - x_end)/(gamma*S) makes the server update
-    with eta = gamma*S equal to model averaging in both cases.
-    ``meta_epoch`` and ``round_index`` locate the pass in a run; a non-finite
-    end point raises :class:`DivergenceError` carrying them.
-    """
-    S = _pass_length(RRCLI, problem.N, local_steps)
-    order = np.asarray(perm)[None, :]
-    bounds = _batch_bounds(problem.N, S)
-    X = _cohort_endpoints(problem, [m], x_start, gamma, order, bounds, LOCAL_PASS_DIVERGED, meta_epoch, round_index)
-    x_end = X[0]
-    g = (x_start - x_end) / (gamma * S)
-    return x_end, g
-
-
 @lru_cache(maxsize=128)
 def _batch_bounds(N: int, S: int) -> tuple[tuple[int, int], ...]:
     """(start, stop) of the S contiguous batches that ``np.array_split`` cuts N items into."""
@@ -180,31 +151,21 @@ def _check_iterate(x, t, r):
         raise DivergenceError(f"divergence at meta-epoch {t}, round {r}", meta_epoch=t, round_index=r)
 
 
-def _cohort_endpoints(problem, ms, x, gamma, order, bounds, text, meta_epoch, round_index):
-    """End points of the passes of clients ``ms`` from x, one ``problem.cohort_pass`` call.
-
-    The first client in ``ms`` whose end point is not finite raises
-    :class:`DivergenceError` with ``text`` formatted for it, as a per-client
-    loop that stops there would.  ``meta_epoch`` and ``round_index`` locate
-    the passes in a run.
-    """
-    X = problem.cohort_pass(ms, x, gamma, order, bounds)
-    if not np.isfinite(X).all():
-        where = "" if meta_epoch is None else f" at meta-epoch {meta_epoch}, round {round_index}"
-        m = ms[int(np.isfinite(X).all(axis=1).argmin())]
-        raise DivergenceError(text.format(m=m, where=where), meta_epoch=meta_epoch, round_index=round_index)
-    return X
-
-
 def _cohort_update(problem, cohort, x, gamma, order, bounds, text, meta_epoch, round_index):
     """Mean pseudo-gradient and mean end point of a cohort whose client m passes over ``order[m]``.
 
-    Clients are summed in client-id order, from zeros, so the result is the
-    one of a per-client loop whatever the kernel computes in one go.
+    One ``problem.cohort_pass`` call runs every pass from x in the steps
+    ``bounds``; g = (x - x_end)/(gamma*S) makes the server step at
+    eta = gamma*S model averaging.  As a per-client loop in client-id order
+    would, the first non-finite client raises :class:`DivergenceError` with
+    ``text`` formatted for it, and the clients are summed from zeros.
     """
     ms = sorted(cohort)
-    rows = np.array([order[m] for m in ms])
-    X = _cohort_endpoints(problem, ms, x, gamma, rows, bounds, text, meta_epoch, round_index)
+    X = problem.cohort_pass(ms, x, gamma, np.array([order[m] for m in ms]), bounds)
+    if not np.isfinite(X).all():
+        m = ms[int(np.isfinite(X).all(axis=1).argmin())]
+        where = f" at meta-epoch {meta_epoch}, round {round_index}"
+        raise DivergenceError(text.format(m=m, where=where), meta_epoch=meta_epoch, round_index=round_index)
     G = (x - X) / (gamma * len(bounds))
     g = np.zeros(problem.d)
     x_end_sum = np.zeros(problem.d)
@@ -212,12 +173,6 @@ def _cohort_update(problem, cohort, x, gamma, order, bounds, text, meta_epoch, r
         g += g_m
         x_end_sum += x_end
     return g / len(ms), x_end_sum / len(ms)
-
-
-def _aggregate_cohort(problem, cohort, x, gamma, perms, local_steps, meta_epoch=None, round_index=None):
-    """Mean update and mean endpoint over a cohort of shuffled passes, client m in ``perms[m]`` order."""
-    bounds = _batch_bounds(problem.N, _pass_length(RRCLI, problem.N, local_steps))
-    return _cohort_update(problem, cohort, x, gamma, perms, bounds, LOCAL_PASS_DIVERGED, meta_epoch, round_index)
 
 
 def _sampled_cohort(M, C, seed, label, *parts):
@@ -284,8 +239,11 @@ def run_algorithm(problem: FederatedProblem, cfg: AlgoConfig, optimum: Optimum, 
     R = M // cfg.C
     S = _pass_length(cfg.algorithm, N, cfg.local_steps)
     batch = max(1, int(round(cfg.batch_fraction * N)))  # fedavg only
-    fedavg_bounds = tuple((s * batch, (s + 1) * batch) for s in range(S))
-    per_round = cfg.C * (S * batch if cfg.algorithm == FEDAVG else N)
+    if cfg.algorithm == FEDAVG:  # each client runs its S minibatch steps in one pass
+        bounds, text = tuple((s * batch, (s + 1) * batch) for s in range(S)), FEDAVG_DIVERGED
+    else:
+        bounds, text = _batch_bounds(N, S), LOCAL_PASS_DIVERGED
+    per_round = cfg.C * bounds[-1][1]
     shuffled = cfg.algorithm in (RRCLI, RRCLI_WITH_REPLACEMENT)
     t0 = time.perf_counter()
     x = np.zeros(problem.d) if cfg.x0 is None else np.array(cfg.x0, dtype=np.float64)
@@ -296,10 +254,7 @@ def run_algorithm(problem: FederatedProblem, cfg: AlgoConfig, optimum: Optimum, 
         steps = apply_decay(cfg.steps, evals // (M * N)) if cfg.decay else cfg.steps
         if shuffled and r == 0:
             x_meta = x  # the global step starts from here
-        if cfg.algorithm == FEDAVG:  # each client runs its S minibatch steps in one pass
-            g, _ = _cohort_update(problem, cohort, x, steps.gamma, order, fedavg_bounds, FEDAVG_DIVERGED, t, r)
-        else:
-            g, mean_end = _aggregate_cohort(problem, cohort, x, steps.gamma, order, cfg.local_steps, t, r)
+        g, mean_end = _cohort_update(problem, cohort, x, steps.gamma, order, bounds, text, t, r)
         evals += per_round
         x = x - steps.eta * g
         _check_iterate(x, t, r)

@@ -71,19 +71,6 @@ class FederatedProblem:
         self._check_indices(m)
         return np.array([self.component_gradient(m, j, x) for j in range(self.N)])
 
-    def client_gradient(self, m: int, x: np.ndarray) -> np.ndarray:
-        self._check_indices(m)
-        g = np.zeros(self.d)
-        for j in range(self.N):
-            g += self.component_gradient(m, j, x)
-        return g / self.N
-
-    def full_gradient(self, x: np.ndarray) -> np.ndarray:
-        g = np.zeros(self.d)
-        for m in range(self.M):
-            g += self.client_gradient(m, x)
-        return g / self.M
-
     # -- kernels, overridden by subclasses ----------------------------------
     def objective_value(self, x: np.ndarray) -> float:
         """f(x): each client's mean of its N component losses, then the mean over clients."""
@@ -106,7 +93,7 @@ class LogisticProblem(FederatedProblem):
     """log(1 + exp(-b a.x)) + (alpha/2)||x||^2 per component, dense per-client rows."""
 
     def __init__(self, A: np.ndarray, b: np.ndarray, alpha: float):
-        if alpha <= 0:
+        if not alpha > 0:  # NaN included: the optimum solve would never converge
             raise ProblemError("regularizer alpha must be positive")
         if A.ndim != 3 or b.shape != A.shape[:2]:
             raise ProblemError("expected A of shape (M, N, d) and matching labels")
@@ -324,7 +311,7 @@ def solve_optimum(problem: FederatedProblem, tol: float, max_iter: int = 10_000_
     the strongly convex regime.  Raises :class:`SolverError` with the last
     gradient norm if the cap is hit first.
     """
-    if tol <= 0:
+    if not tol > 0:  # a NaN tolerance would never be met
         raise ProblemError("tolerance must be positive")
     if problem.mu <= 0:
         raise ProblemError("optimum solver requires a strongly convex problem")

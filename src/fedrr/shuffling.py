@@ -133,16 +133,6 @@ def data_permutations(
     return DataPermutations(N, t, seed)
 
 
-def draw_data_permutations(M: int, N: int, mode: ShuffleMode, meta_epoch: int, seed: int) -> list[np.ndarray]:
-    """All M clients' data permutations for one epoch, drawn eagerly.
-
-    Stream ids are derived from (seed, "data_perm", epoch, client), so adding
-    clients never perturbs existing clients' permutations.
-    """
-    perms = data_permutations(N, mode, meta_epoch, seed)
-    return [perms[m] for m in range(M)]
-
-
 def load_fixed_schedule(path) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Read a deterministic client schedule from a JSON array-of-arrays file.
 

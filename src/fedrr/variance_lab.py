@@ -204,16 +204,6 @@ def brute_force_all(inputs: VarianceInputs, C: int = 1) -> np.ndarray:
     return np.sum(z * (gram @ z), axis=(1, 2)) / (n_out * C * scale * scale)
 
 
-def brute_force_variance(inputs: VarianceInputs, k: int, C: int = 1) -> float:
-    """Exact prefix-average variance by enumerating every shuffle outcome."""
-    R = inputs.M // C
-    if inputs.M % C != 0:
-        raise ValueError(f"group count {C} does not divide client count {inputs.M}")
-    if not 1 <= k <= inputs.N * R:
-        raise ValueError(f"k={k} out of range [1, {inputs.N * R}]")
-    return float(brute_force_all(inputs, C)[k - 1])
-
-
 def brute_force_expectation(inputs: VarianceInputs, k: int, C: int = 1) -> np.ndarray:
     """Mean of the k-sample prefix estimator over all outcomes (should equal the grand mean)."""
     _, first, n_out = _prefix_gram(inputs.M, inputs.N, C)

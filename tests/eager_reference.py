@@ -113,7 +113,7 @@ def sampled_cohort(M, C, seed, label, *parts):
 
 
 def aggregate_cohort_loop(problem, cohort, x, gamma, perms, local_steps):
-    """``optimizer._aggregate_cohort`` one client at a time, in client-id order, from zeros."""
+    """``optimizer._cohort_update`` of a shuffled round, one client at a time, in client-id order, from zeros."""
     S = problem.N if local_steps is None else min(local_steps, problem.N)
     g = np.zeros(problem.d)
     x_end_sum = np.zeros(problem.d)

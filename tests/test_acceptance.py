@@ -12,10 +12,12 @@ import pytest
 from fedrr.dataset import partition, synthetic_libsvm_like
 from fedrr.harness import ExperimentConfig, run_experiment
 from fedrr.optimizer import (
+    LOCAL_PASS_DIVERGED,
     VERIFY_COLLAPSE,
     AlgoConfig,
     StepSizes,
-    _aggregate_cohort,
+    _batch_bounds,
+    _cohort_update,
     run_algorithm,
 )
 from fedrr.problem import logistic_problem, quadratic_problem, solve_optimum
@@ -25,7 +27,7 @@ from fedrr.shuffling import (
     DataMode,
     ShuffleMode,
     build_cohort_schedule,
-    draw_data_permutations,
+    data_permutations,
 )
 from fedrr.theory import THM1, RegimeParams, bound_rhs, sigma_ds_upper
 from fedrr.variance_lab import (
@@ -169,10 +171,10 @@ def test_04_collapse_identities():
     worst = 0.0
     x = np.zeros(problem.d)
     for t in range(3):
-        perms = draw_data_permutations(6, 4, mode, t, cfg.seed)
+        perms = data_permutations(4, mode, t, cfg.seed)
         sched = build_cohort_schedule(6, 2, mode, t, cfg.seed)
-        for cohort in sched.cohorts:
-            g, mean_end = _aggregate_cohort(problem, cohort, x, gamma, perms, None)
+        for r, cohort in enumerate(sched.cohorts):
+            g, mean_end = _cohort_update(problem, cohort, x, gamma, perms, _batch_bounds(4, 4), LOCAL_PASS_DIVERGED, t, r)
             x = x - steps.eta * g
             worst = max(worst, float(np.abs(x - mean_end).max()))
         delta = x - opt.x_star

@@ -119,3 +119,50 @@ def test_solve_optimum_command(tmp_path, capsys):
 def test_solve_optimum_missing_file(capsys):
     code = main(["solve-optimum", "--dataset", "/nonexistent", "--alpha", "0.1"])
     assert code == EXIT_CONFIG
+
+
+SMALL_LOGISTIC = {**QUAD_CFG, "dataset": {"synthetic": {"count": 40, "dim": 6, "seed": 4, "nnz_per_row": 3}}}
+
+
+@pytest.mark.parametrize(
+    "command, config, flags, env",
+    [
+        ("run", [1, 2], [], {}),
+        ("run", QUAD_CFG, ["--seeds", "1,,2"], {}),
+        ("run", QUAD_CFG, ["--multipliers", "abc"], {}),
+        ("run", QUAD_CFG, [], {"FEDRR_WORKERS": "two"}),
+        ("run", {**QUAD_CFG, "seeds": [0, 0]}, [], {}),
+        ("run", QUAD_CFG, ["--algo", "rrcli,rrcli"], {}),
+        ("run", {**QUAD_CFG, "algorithms": []}, [], {}),
+        ("run", {**QUAD_CFG, "multipliers": []}, [], {}),
+        ("run", {**SMALL_LOGISTIC, "alpha": -1}, [], {}),
+        ("run", {**SMALL_LOGISTIC, "alpha": float("nan")}, [], {}),
+        ("run", {**SMALL_LOGISTIC, "optimum_tol": -1}, [], {}),
+        ("run", {**QUAD_CFG, "dataset": {"quadratic": {**QUAD_CFG["dataset"]["quadratic"], "mu": 0}}}, [], {}),
+        ("solve-optimum", None, ["--alpha", "-1"], {}),
+        ("solve-optimum", None, ["--alpha", "nan"], {}),
+        ("solve-optimum", None, ["--alpha", "0.1", "--tol", "-1"], {}),
+        ("solve-optimum", None, ["--alpha", "0.1", "--tol", "nan"], {}),
+    ],
+    ids=[
+        "config-not-an-object", "empty-seed", "non-numeric-multiplier", "non-integer-workers", "repeated-seed",
+        "repeated-algorithm", "no-algorithms", "no-multipliers", "negative-alpha", "nan-alpha",
+        "negative-optimum-tol", "quadratic-mu-zero", "solve-negative-alpha", "solve-nan-alpha", "solve-negative-tol",
+        "solve-nan-tol",
+    ],
+)
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command, config, flags, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if command == "run":
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = ["run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
+    else:
+        ds = synthetic_libsvm_like(count=40, dim=6, seed=4, nnz_per_row=3)
+        (tmp_path / "data.txt").write_text(ds.to_libsvm_text())
+        argv = ["solve-optimum", "--dataset", str(tmp_path / "data.txt")]
+    code = main(argv + flags)
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err

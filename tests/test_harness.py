@@ -70,6 +70,24 @@ def test_config_rejects_bad_values_when_built(field, value):
         ExperimentConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("seeds", [0, 0], "seeds list repeats 0"),
+        ("seeds", [0, 1, 0], "seeds list repeats 0"),
+        ("multipliers", [1.0, 1], "multipliers list repeats 1"),
+        ("multipliers", [], "multipliers list must be nonempty"),
+        ("algorithms", ["rrcli", "nastya", "rrcli"], "algorithms list repeats 'rrcli'"),
+        ("algorithms", [], "algorithms list must be nonempty"),
+        ("seeds", [], "seeds list must be nonempty"),
+    ],
+)
+def test_config_rejects_repeated_or_empty_grid_lists(field, value, message):
+    # a repeated entry would run the same seeded runs twice and weight them twice in the means
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        ExperimentConfig(**{field: value})
+
+
 def test_config_accepts_boundary_values():
     ExperimentConfig(local_steps=None, batch_fraction=1.0, C=1, client_mode="shuffle_once", data_mode="shuffle_once")
     ExperimentConfig(local_steps=1, client_mode="deterministic_fixed", fixed_schedule_path="plan.json")
@@ -111,14 +129,14 @@ def experiment_configs(draw):
         C=draw(st.integers(min_value=1, max_value=64)),
         T=draw(st.integers(min_value=1, max_value=10**6)),
         alpha=draw(FINITE),
-        algorithms=draw(st.lists(st.sampled_from(ALGORITHMS), max_size=4)),
+        algorithms=draw(st.lists(st.sampled_from(ALGORITHMS), min_size=1, max_size=4, unique=True)),
         regime=draw(st.sampled_from(REGIMES)),
-        multipliers=draw(st.lists(st.floats(min_value=1e-300, max_value=1e300), max_size=5)),
+        multipliers=draw(st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=1, max_size=5, unique=True)),
         decay=draw(st.booleans()),
         local_steps=draw(st.one_of(st.none(), st.integers(min_value=1, max_value=10**6))),
         batch_fraction=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
         nastya_gamma=draw(st.one_of(st.none(), FINITE)),
-        seeds=draw(st.lists(st.integers(-(2**63), 2**63), min_size=1, max_size=6)),
+        seeds=draw(st.lists(st.integers(-(2**63), 2**63), min_size=1, max_size=6, unique=True)),
         master_seed=draw(st.integers(-(2**63), 2**63)),
         client_mode=client_mode,
         data_mode=draw(st.sampled_from([m.value for m in DataMode])),

@@ -2,7 +2,7 @@
 
 ``QuadraticProblem.cohort_pass`` steps a whole cohort with stacked matmuls
 and ``QuadraticProblem.objective_value`` evaluates every component at once;
-``optimizer._aggregate_cohort`` feeds one cohort pass per round.  Each must
+``optimizer._cohort_update`` makes one cohort pass per round.  Each must
 give the bytes of the one-client, one-component loops in
 ``tests/eager_reference.py``, signed zeros included, and a diverging cohort
 must fail as the per-client loop does.
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from eager_reference import aggregate_cohort_loop, cohort_pass_loop, local_pass_loop, objective_value_loop
 from fedrr.dataset import partition, synthetic_libsvm_like
-from fedrr.optimizer import DivergenceError, _aggregate_cohort, _batch_bounds
+from fedrr.optimizer import LOCAL_PASS_DIVERGED, DivergenceError, _batch_bounds, _cohort_update
 from fedrr.problem import QuadraticProblem, logistic_problem, quadratic_problem
 
 M = 6
@@ -40,6 +40,12 @@ def make_quadratic(N, d, seed, underflow, zero_centers, M=M):
     if zero_centers:
         centers = np.zeros_like(centers)
     return QuadraticProblem(H, centers, mu=0.5, L=4.0)
+
+
+def round_update(problem, cohort, x, gamma, perms, local_steps, meta_epoch=0, round_index=0):
+    """``_cohort_update`` of a shuffled round: S batches of each client's permutation."""
+    bounds = _batch_bounds(problem.N, local_steps or problem.N)
+    return _cohort_update(problem, cohort, x, gamma, perms, bounds, LOCAL_PASS_DIVERGED, meta_epoch, round_index)
 
 
 def signed_vector(d):
@@ -81,7 +87,7 @@ def test_quadratic_cohort_pass_matches_loop(case):
 @settings(max_examples=300, deadline=None)
 def test_aggregate_cohort_matches_loop(case):
     problem, cohort, perms, local_steps, x, gamma = case
-    g, mean_end = _aggregate_cohort(problem, cohort, x, gamma, perms, local_steps)
+    g, mean_end = round_update(problem, cohort, x, gamma, perms, local_steps)
     g_ref, mean_ref = aggregate_cohort_loop(problem, cohort, x, gamma, perms, local_steps)
     assert (g.tobytes(), mean_end.tobytes()) == (g_ref.tobytes(), mean_ref.tobytes())
 
@@ -100,7 +106,7 @@ def test_signed_zero_passes_match_loop():
             bounds = _batch_bounds(4, local_steps or 4)
             got = problem.cohort_pass(ms, x, 0.1, order, bounds)
             assert got.tobytes() == cohort_pass_loop(problem, ms, x, 0.1, order, bounds).tobytes()
-            g, mean_end = _aggregate_cohort(problem, cohort, x, 0.1, perms, local_steps)
+            g, mean_end = round_update(problem, cohort, x, 0.1, perms, local_steps)
             g_ref, mean_ref = aggregate_cohort_loop(problem, cohort, x, 0.1, perms, local_steps)
             assert (g.tobytes(), mean_end.tobytes()) == (g_ref.tobytes(), mean_ref.tobytes())
 
@@ -163,7 +169,7 @@ def test_diverging_cohort_fails_like_client_loop(C, N, client_centers, gamma, se
     with warnings.catch_warnings(record=True) as caught, np.errstate(over="warn", invalid="warn"):
         warnings.simplefilter("always")
         try:
-            _aggregate_cohort(problem, cohort, x, gamma, perms, None, meta_epoch=4, round_index=2)
+            round_update(problem, cohort, x, gamma, perms, None, meta_epoch=4, round_index=2)
         except DivergenceError as exc:
             assert first is not None
             assert str(exc) == f"non-finite iterate in local pass of client {first} at meta-epoch 4, round 2"
@@ -181,8 +187,10 @@ def test_clients_after_a_diverging_one_do_not_warn():
     perms = {m: np.arange(3) for m in range(M)}
     with warnings.catch_warnings(record=True) as caught, np.errstate(over="warn", invalid="warn"):
         warnings.simplefilter("always")
-        with pytest.raises(DivergenceError, match="local pass of client 0$"):
-            _aggregate_cohort(problem, (1, 0), np.zeros(1), 1e200, perms, None)
+        with pytest.raises(DivergenceError) as exc:
+            round_update(problem, (1, 0), np.zeros(1), 1e200, perms, None, meta_epoch=3, round_index=1)
+    assert str(exc.value) == "non-finite iterate in local pass of client 0 at meta-epoch 3, round 1"
+    assert (exc.value.meta_epoch, exc.value.round_index) == (3, 1)
     assert {str(w.message) for w in caught} == {"overflow encountered in multiply"}
 
 
@@ -193,7 +201,7 @@ def test_diverging_cohort_raises_under_errstate_raise_at_the_same_client():
     with np.errstate(over="raise", invalid="raise"), pytest.raises(FloatingPointError):
         local_pass_loop(problem, 1, np.zeros(1), 1e200, np.array_split(perms[1], 3))
     with np.errstate(over="raise", invalid="raise"), pytest.raises(FloatingPointError):
-        _aggregate_cohort(problem, (4, 1, 0), np.zeros(1), 1e200, perms, None)
+        round_update(problem, (4, 1, 0), np.zeros(1), 1e200, perms, None)
 
 
 def test_quadratic_cohort_pass_checks_clients():

@@ -6,18 +6,19 @@ from hypothesis import strategies as st
 from eager_reference import eager_run
 from fedrr.optimizer import (
     ALGORITHMS,
+    LOCAL_PASS_DIVERGED,
     AlgoConfig,
     DivergenceError,
     StepSizes,
     _batch_bounds,
     _check_iterate,
+    _cohort_update,
     _pass_length,
     apply_decay,
-    local_pass,
     run_algorithm,
 )
 from fedrr.problem import QuadraticProblem, quadratic_problem
-from fedrr.shuffling import ClientMode, DataMode, ShuffleMode, build_cohort_schedule
+from fedrr.shuffling import ClientMode, DataMode, ShuffleMode, build_cohort_schedule, data_permutations
 
 
 def unit_quadratic(M=1, N=2, d=1):
@@ -31,10 +32,17 @@ def hetero_quadratic(seed=0, M=6, C=2, N=4, d=5):
     return quadratic_problem(M, N, d, mu=1.0, L=10.0, client_spread=1.0, sample_spread=0.5, seed=seed)
 
 
+def one_client_pass(problem, m, x_start, gamma, perm, local_steps=None):
+    """Client m's pass alone, as a one-client round update: (end point, pseudo-gradient)."""
+    bounds = _batch_bounds(problem.N, _pass_length("rrcli", problem.N, local_steps))
+    g, x_end = _cohort_update(problem, (m,), x_start, gamma, {m: perm}, bounds, LOCAL_PASS_DIVERGED, 0, 0)
+    return x_end, g
+
+
 def test_local_pass_hand_example():
     # f = x^2/2, x0 = 1, gamma = 0.1, N = 2: 1 -> 0.9 -> 0.81
     problem = unit_quadratic()
-    x_end, g = local_pass(problem, 0, np.array([1.0]), 0.1, np.array([0, 1]))
+    x_end, g = one_client_pass(problem, 0, np.array([1.0]), 0.1, np.array([0, 1]))
     assert x_end[0] == pytest.approx(0.81, abs=1e-15)
     assert g[0] == pytest.approx((1.0 - 0.81) / 0.2, abs=1e-15)
 
@@ -42,14 +50,14 @@ def test_local_pass_hand_example():
 def test_local_pass_single_step_is_component_gradient():
     problem = hetero_quadratic(N=1)
     x0 = np.ones(problem.d)
-    _, g = local_pass(problem, 2, x0, 0.05, np.array([0]))
+    _, g = one_client_pass(problem, 2, x0, 0.05, np.array([0]))
     assert np.allclose(g, problem.component_gradient(2, 0, x0), atol=1e-12)
 
 
 def test_local_pass_zero_gradients_fixed_point():
     problem = unit_quadratic(M=2, N=3, d=2)
     x_star = np.zeros(2)
-    x_end, g = local_pass(problem, 1, x_star, 0.3, np.arange(3))
+    x_end, g = one_client_pass(problem, 1, x_star, 0.3, np.arange(3))
     assert np.array_equal(x_end, x_star)
     assert np.allclose(g, 0.0)
 
@@ -58,7 +66,7 @@ def test_local_pass_batched_normalization():
     # with S batches the pseudo-gradient divides by gamma*S
     problem = hetero_quadratic()
     x0 = np.ones(problem.d)
-    x_end, g = local_pass(problem, 0, x0, 0.01, np.arange(problem.N), local_steps=2)
+    x_end, g = one_client_pass(problem, 0, x0, 0.01, np.arange(problem.N), local_steps=2)
     assert np.allclose(g, (x0 - x_end) / (0.01 * 2), atol=1e-14)
 
 
@@ -115,14 +123,12 @@ def test_global_collapse_is_exact():
     # replay the rounds manually and compare bit for bit
     trace = run_algorithm(problem, cfg, opt)
     x = np.zeros(problem.d)
-    from fedrr.optimizer import _aggregate_cohort
-    from fedrr.shuffling import draw_data_permutations
-
+    bounds = _batch_bounds(problem.N, problem.N)
     for t in range(2):
-        perms = draw_data_permutations(problem.M, problem.N, cfg.shuffle, t, cfg.seed)
+        perms = data_permutations(problem.N, cfg.shuffle, t, cfg.seed)
         sched = build_cohort_schedule(problem.M, 2, cfg.shuffle, t, cfg.seed)
-        for cohort in sched.cohorts:
-            g, _ = _aggregate_cohort(problem, cohort, x, cfg.steps.gamma, perms, None)
+        for r, cohort in enumerate(sched.cohorts):
+            g, _ = _cohort_update(problem, cohort, x, cfg.steps.gamma, perms, bounds, LOCAL_PASS_DIVERGED, t, r)
             x = x - cfg.steps.eta * g
         delta = x - opt.x_star
         assert trace.points[t + 1].dist_sq == float(delta @ delta)

@@ -14,7 +14,6 @@ from fedrr.shuffling import (
     ShuffleMode,
     build_cohort_schedule,
     data_permutations,
-    draw_data_permutations,
     fisher_yates,
 )
 
@@ -148,25 +147,30 @@ def test_fixed_schedule_applied_and_validated():
         build_cohort_schedule(4, 2, bad, 0, 0)
 
 
+def all_data_permutations(M, N, mode, t, seed):
+    perms = data_permutations(N, mode, t, seed)
+    return [perms[m] for m in range(M)]
+
+
 def test_data_permutations_modes():
     once = ShuffleMode(data_mode=DataMode.SHUFFLE_ONCE)
     reshuffle = ShuffleMode(data_mode=DataMode.RESHUFFLING)
-    a = draw_data_permutations(3, 6, once, 0, 11)
-    b = draw_data_permutations(3, 6, once, 4, 11)
+    a = all_data_permutations(3, 6, once, 0, 11)
+    b = all_data_permutations(3, 6, once, 4, 11)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
-    c = draw_data_permutations(3, 6, reshuffle, 0, 11)
-    d = draw_data_permutations(3, 6, reshuffle, 1, 11)
+    c = all_data_permutations(3, 6, reshuffle, 0, 11)
+    d = all_data_permutations(3, 6, reshuffle, 1, 11)
     assert any(not np.array_equal(x, y) for x, y in zip(c, d))
 
 
 def test_data_permutations_n1():
-    perms = draw_data_permutations(4, 1, ShuffleMode(), 0, 0)
+    perms = all_data_permutations(4, 1, ShuffleMode(), 0, 0)
     assert all(list(p) == [0] for p in perms)
 
 
 def test_adding_clients_preserves_existing_streams():
-    small = draw_data_permutations(3, 5, ShuffleMode(), 0, 2)
-    big = draw_data_permutations(6, 5, ShuffleMode(), 0, 2)
+    small = all_data_permutations(3, 5, ShuffleMode(), 0, 2)
+    big = all_data_permutations(6, 5, ShuffleMode(), 0, 2)
     for m in range(3):
         assert np.array_equal(small[m], big[m])
 
@@ -183,9 +187,8 @@ def test_lazy_permutations_match_eager(M, N, seed, t, data):
     order = data.draw(st.permutations(range(M)))
     used = order[: data.draw(st.integers(min_value=0, max_value=M))]
     for mode in (ShuffleMode(data_mode=DataMode.SHUFFLE_ONCE), ShuffleMode(data_mode=DataMode.RESHUFFLING)):
-        eager = draw_data_permutations(M, N, mode, t, seed)
-        reference = eager_data_permutations(M, N, mode, t, seed)
-        assert all(np.array_equal(a, b) for a, b in zip(eager, reference))
+        eager = eager_data_permutations(M, N, mode, t, seed)
+        assert all(np.array_equal(a, b) for a, b in zip(all_data_permutations(M, N, mode, t, seed), eager))
         lazy = data_permutations(N, mode, t, seed)
         for m in used:
             assert np.array_equal(lazy[m], eager[m])

@@ -14,7 +14,6 @@ from fedrr.variance_lab import (
     _prefix_gram,
     brute_force_all,
     brute_force_expectation,
-    brute_force_variance,
     build_report,
     closed_form_minibatch_variance,
     closed_form_variance,
@@ -43,7 +42,7 @@ def test_hand_example_m1_n3():
     # samples {0,1,2}, k=1: population variance 2/3
     inp = VarianceInputs(np.array([[[0.0], [1.0], [2.0]]]))
     assert closed_form_variance(1, 1, 3, inp.sigma2, inp.sigma_tilde2) == pytest.approx(2 / 3)
-    assert brute_force_variance(inp, 1) == pytest.approx(2 / 3)
+    assert brute_force_all(inp)[0] == pytest.approx(2 / 3)
 
 
 def test_two_level_scalar_example():
@@ -51,20 +50,20 @@ def test_two_level_scalar_example():
     inp = VarianceInputs(np.array([[[0.0], [0.0]], [[1.0], [1.0]]]))
     for k in range(1, 5):
         cf = closed_form_variance(k, 2, 2, inp.sigma2, inp.sigma_tilde2)
-        assert abs(cf - brute_force_variance(inp, k)) <= 1e-12
+        assert abs(cf - brute_force_all(inp)[k - 1]) <= 1e-12
 
 
 def test_full_average_is_deterministic():
     rng = stream(3, "fa")
     inp = VarianceInputs(rng.normal(size=(3, 2, 2)))
     assert abs(closed_form_variance(6, 3, 2, inp.sigma2, inp.sigma_tilde2)) <= 1e-12
-    assert brute_force_variance(inp, 6) <= 1e-24
+    assert brute_force_all(inp)[5] <= 1e-24
 
 
 def test_all_equal_inputs_zero_variance():
     inp = VarianceInputs(np.full((2, 3, 2), 1.5))
     for k in range(1, 7):
-        assert brute_force_variance(inp, k) <= 1e-28
+        assert brute_force_all(inp)[k - 1] <= 1e-28
         assert abs(closed_form_variance(k, 2, 3, inp.sigma2, inp.sigma_tilde2)) <= 1e-28
 
 
@@ -84,7 +83,7 @@ def test_single_data_point_per_client():
     for k in range(1, 6):
         cf = closed_form_variance(k, 5, 1, inp.sigma2, inp.sigma_tilde2)
         assert rel_err(cf, inp.sigma_tilde2 * (5 - k) / (k * 4)) <= 1e-14
-        assert abs(cf - brute_force_variance(inp, k)) <= 1e-12
+        assert abs(cf - brute_force_all(inp)[k - 1]) <= 1e-12
 
 
 def test_single_client_reduction():
@@ -122,7 +121,7 @@ def test_minibatch_matches_enumeration():
         R = M // C
         for k in range(1, N * R + 1):
             cf = closed_form_minibatch_variance(k, M, N, C, inp.sigma2, inp.sigma_tilde2)
-            bf = brute_force_variance(inp, k, C)
+            bf = brute_force_all(inp, C)[k - 1]
             assert abs(cf - bf) <= 1e-10 * max(1.0, abs(bf))
 
 
