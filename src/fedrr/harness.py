@@ -12,7 +12,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import inspect
 import json
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -68,6 +70,23 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+# the JSON value each annotated type names, as (description, isinstance class)
+_KINDS = {
+    "bool": ("true or false", bool), "int": ("an integer", numbers.Integral), "float": ("a number", numbers.Real),
+    "str": ("a string", str), "None": ("null", type(None)), "list": ("a list", list), "dict": ("an object", dict),
+}
+
+
+def _require(name: str, value, annotation: str) -> None:
+    """Raise a ConfigError naming ``name`` unless ``value`` fits ``annotation`` (``list[float]``, say); no bool is a number."""
+    outer, _, item = annotation.partition("[")
+    kinds = [_KINDS[k] for k in outer.split(" | ")]
+    if not any(isinstance(value, cls) and isinstance(value, bool) == (cls is bool) for _, cls in kinds):
+        raise ConfigError(f"{name} must be {' or '.join(text for text, _ in kinds)}, got {value!r}")
+    for i, v in enumerate(value if item else ()):
+        _require(f"{name}[{i}]", v, item[:-1])
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of one experiment grid.
@@ -82,14 +101,14 @@ class ExperimentConfig:
     C: int = 3
     T: int = 100  # epoch budget (meta-epochs for the shuffled algorithms)
     alpha: float = 5e-4
-    algorithms: list = field(default_factory=lambda: [RRCLI, NASTYA, FEDAVG])
+    algorithms: list[str] = field(default_factory=lambda: [RRCLI, NASTYA, FEDAVG])
     regime: str = THM1
-    multipliers: list = field(default_factory=lambda: [1.0])
+    multipliers: list[float] = field(default_factory=lambda: [1.0])
     decay: bool = False
     local_steps: int | None = 10
     batch_fraction: float = 0.1
     nastya_gamma: float | None = None
-    seeds: list = field(default_factory=lambda: [0, 1, 2, 3, 4])
+    seeds: list[int] = field(default_factory=lambda: [0, 1, 2, 3, 4])
     master_seed: int = 2024
     client_mode: str = "reshuffling"
     data_mode: str = "reshuffling"
@@ -98,6 +117,17 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
+        # every field, and every key of a synthetic or quadratic dataset, must fit its annotation
+        for f in dataclasses.fields(self):
+            _require(f.name, getattr(self, f.name), f.type)
+        _require("dataset.path", self.dataset.get("path", ""), "str")
+        for kind, builder in (("synthetic", synthetic_libsvm_like), ("quadratic", quadratic_problem)):
+            _require(f"dataset.{kind}", self.dataset.get(kind, {}), "dict")
+            params = inspect.signature(builder).parameters
+            for key, value in self.dataset.get(kind, {}).items():
+                if key not in params:
+                    raise ConfigError(f"unknown dataset.{kind} key {key!r}; expected one of {sorted(params)}")
+                _require(f"dataset.{kind}.{key}", value, params[key].annotation)
         # a repeated entry would run (and average) the same seeded runs twice
         for name in ("algorithms", "multipliers", "seeds"):
             values = getattr(self, name)
@@ -127,8 +157,8 @@ class ExperimentConfig:
             raise ConfigError("batch_fraction must lie in (0, 1]")
         if self.C < 1:
             raise ConfigError("cohort size C must be at least 1")
-        quad = self.dataset.get("quadratic") if isinstance(self.dataset, dict) else None
-        if isinstance(quad, dict) and quad.get("M", self.M) != self.M:
+        quad = self.dataset.get("quadratic", {})
+        if quad.get("M", self.M) != self.M:
             raise ConfigError(f"quadratic dataset M={quad['M']} differs from the config's M={self.M}")
 
     @classmethod
@@ -142,10 +172,7 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            return cls(**raw)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**raw)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -175,20 +202,10 @@ def build_problem(cfg: ExperimentConfig) -> tuple[FederatedProblem, str]:
     """Instantiate the configured problem; returns (problem, dataset hash)."""
     spec = cfg.dataset
     if "quadratic" in spec:
-        q = dict(spec["quadratic"])
-        q.setdefault("M", cfg.M)
-        prob = quadratic_problem(
-            M=q["M"],
-            N=q.get("N", 4),
-            d=q.get("d", 5),
-            mu=q.get("mu", 1.0),
-            L=q.get("L", 10.0),
-            client_spread=q.get("client_spread", 1.0),
-            sample_spread=q.get("sample_spread", 0.5),
-            seed=q.get("seed", cfg.master_seed),
-        )
+        q = {"M": cfg.M, **spec["quadratic"]}
         digest = hashlib.sha256(json.dumps(q, sort_keys=True).encode()).hexdigest()
-        return prob, digest
+        defaults = dict(N=4, d=5, mu=1.0, L=10.0, client_spread=1.0, sample_spread=0.5, seed=cfg.master_seed)
+        return quadratic_problem(**{**defaults, **q}), digest
     if "path" in spec:
         ds = load_libsvm_file(spec["path"])
     elif "synthetic" in spec:
@@ -200,32 +217,25 @@ def build_problem(cfg: ExperimentConfig) -> tuple[FederatedProblem, str]:
     return logistic_problem(part, ds, cfg.alpha), digest
 
 
-def resolve_optimum(
-    problem: FederatedProblem,
-    cfg: ExperimentConfig,
-    cache_dir: Path | None = None,
-    cache_key: str = "",
-) -> Optimum:
-    """Solve (or load a cached) optimum for the configured problem."""
+def resolve_optimum(problem: FederatedProblem, cfg: ExperimentConfig, cache_dir: Path, cache_key: str) -> Optimum:
+    """The problem's analytic optimum, else the optimum cached under ``cache_dir``, solved on a miss."""
     if hasattr(problem, "analytic_optimum"):
         return problem.analytic_optimum()
-    if cache_dir is not None and cache_key:
-        key = hashlib.sha256(
-            f"{cache_key}:{cfg.M}:{cfg.master_seed}:{problem.alpha}:{cfg.optimum_tol}".encode()
-        ).hexdigest()[:24]
-        cache = Path(cache_dir) / f"optimum_{key}.bin"
-        if cache.exists():
-            try:
-                opt = load_optimum(cache)
-                if opt.x_star.size == problem.d:
-                    return opt
-            except ProblemError:
-                pass  # truncated or corrupt: solve again and overwrite it
-        opt = solve_optimum(problem, cfg.optimum_tol)
-        cache.parent.mkdir(parents=True, exist_ok=True)
-        save_optimum(cache, opt)
-        return opt
-    return solve_optimum(problem, cfg.optimum_tol)
+    key = hashlib.sha256(
+        f"{cache_key}:{cfg.M}:{cfg.master_seed}:{problem.alpha}:{cfg.optimum_tol}".encode()
+    ).hexdigest()[:24]
+    cache = Path(cache_dir) / f"optimum_{key}.bin"
+    if cache.exists():
+        try:
+            opt = load_optimum(cache)
+            if opt.x_star.size == problem.d:
+                return opt
+        except ProblemError:
+            pass  # truncated or corrupt: solve again and overwrite it
+    opt = solve_optimum(problem, cfg.optimum_tol)
+    cache.parent.mkdir(parents=True, exist_ok=True)
+    save_optimum(cache, opt)
+    return opt
 
 
 def algorithm_steps(algorithm: str, problem: FederatedProblem, cfg: ExperimentConfig, multiplier: float) -> StepSizes:
@@ -246,11 +256,9 @@ def algorithm_steps(algorithm: str, problem: FederatedProblem, cfg: ExperimentCo
     if algorithm in (RRCLI, RRCLI_WITH_REPLACEMENT):
         rp = RegimeParams(regime=cfg.regime, L=problem.L, mu=problem.mu, M=problem.M, N=S, C=cfg.C)
         base = theoretical_steps(rp)
-    elif algorithm in (NASTYA, FEDAVG):
+    else:  # nastya or fedavg: ExperimentConfig and AlgoConfig reject any other name
         gamma = cfg.nastya_gamma if algorithm == NASTYA and cfg.nastya_gamma is not None else 1.0 / (problem.L + problem.mu)
         base = StepSizes(gamma=gamma, eta=gamma * S, theta=gamma * S * R)
-    else:
-        raise ConfigError(f"unknown algorithm {algorithm!r}")
     m = float(multiplier)
     return StepSizes(gamma=base.gamma * m, eta=base.eta * m, theta=base.theta * m)
 
@@ -321,10 +329,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     else:
         results = [_execute_run(*j) for j in jobs]
 
-    _write_runs_csv(out / "runs.csv", results)
-    _write_timings_csv(out / "timings.csv", results)
+    groups = _finished_groups(results)
+    # every finished point in grid order, with the leading columns runs.csv and timings.csv share
+    points = [
+        (p, [r.algorithm, _fmt(r.multiplier), r.seed, _fmt(p.epoch)])
+        for runs in groups.values() for r in runs for p in r.trace.points
+    ]
+    _write_csv(out / "runs.csv", RUN_FIELDS, (key + [_fmt(p.dist_sq), _fmt(p.func_gap), p.grad_evals] for p, key in points))
+    _write_csv(out / "timings.csv", RUN_FIELDS[:4] + ["wall_ms"], (key + [_fmt(p.wall_s * 1e3)] for p, key in points))
     for algorithm in cfg.algorithms:
-        _write_aggregate_csv(out / f"aggregate_{algorithm}.csv", [r for r in results if r.algorithm == algorithm])
+        _write_csv(out / f"aggregate_{algorithm}.csv", AGG_FIELDS, _aggregate_rows(groups, algorithm))
 
     best = None
     if len(cfg.multipliers) > 1:
@@ -373,27 +387,48 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     }
 
 
+def _finished_groups(results) -> dict:
+    """The runs that did not diverge, per (algorithm, multiplier) in grid order, each in run order."""
+    groups = {}
+    for r in results:
+        if not r.diverged:
+            groups.setdefault((r.algorithm, r.multiplier), []).append(r)
+    return groups
+
+
 def select_best_multiplier(results) -> dict:
     """Per algorithm: the multiplier with the smallest final mean distance.
 
     Multipliers whose runs all diverged are excluded; ties break toward the
     smaller multiplier.  Raises if every multiplier of an algorithm diverged.
     """
+    groups = _finished_groups(results)
     out = {}
     for algorithm in sorted({r.algorithm for r in results}):
-        candidates = []
-        for multiplier in sorted({r.multiplier for r in results if r.algorithm == algorithm}):
-            finals = [
-                r.trace.final_dist_sq()
-                for r in results
-                if r.algorithm == algorithm and r.multiplier == multiplier and not r.diverged
-            ]
-            if finals:
-                candidates.append((float(np.mean(finals)), multiplier))
+        candidates = [
+            (float(np.mean([r.trace.final_dist_sq() for r in groups[algorithm, m]])), m)
+            for m in sorted(m for a, m in groups if a == algorithm)
+        ]
         if not candidates:
             raise DivergenceError(f"all runs diverged for algorithm {algorithm!r}")
         out[algorithm] = min(candidates)[1]
     return out
+
+
+def _aggregate_rows(groups: dict, algorithm: str):
+    """Seed-mean curve rows of one algorithm, per multiplier in ascending order.
+
+    A run's ``grad_evals`` strictly increase, so it records each epoch at most
+    once: an epoch's points are one per run that reached it, in run order.
+    """
+    for multiplier in sorted(m for a, m in groups if a == algorithm):
+        at_epoch = {}
+        for r in groups[algorithm, multiplier]:
+            for p in r.trace.points:
+                at_epoch.setdefault(p.epoch, []).append(p)
+        for epoch, ps in sorted(at_epoch.items()):
+            means = [np.mean([p.dist_sq for p in ps]), np.mean([p.func_gap for p in ps])]
+            yield [algorithm, _fmt(multiplier), _fmt(epoch), *map(_fmt, means), len(ps)]
 
 
 @contextmanager
@@ -417,51 +452,8 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_runs_csv(path, results) -> None:
+def _write_csv(path, header: list, rows) -> None:
     with _atomic_write(path) as fh:
         w = csv.writer(fh)
-        w.writerow(RUN_FIELDS)
-        for r in results:
-            if r.diverged:
-                continue
-            for p in r.trace.points:
-                w.writerow([r.algorithm, _fmt(r.multiplier), r.seed, _fmt(p.epoch), _fmt(p.dist_sq), _fmt(p.func_gap), p.grad_evals])
-
-
-def _write_timings_csv(path, results) -> None:
-    with _atomic_write(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["algorithm", "multiplier", "seed", "epoch", "wall_ms"])
-        for r in results:
-            if r.diverged:
-                continue
-            for p in r.trace.points:
-                w.writerow([r.algorithm, _fmt(r.multiplier), r.seed, _fmt(p.epoch), _fmt(p.wall_s * 1e3)])
-
-
-def _write_aggregate_csv(path, results) -> None:
-    with _atomic_write(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(AGG_FIELDS)
-        for multiplier in sorted({r.multiplier for r in results}):
-            live = [r for r in results if r.multiplier == multiplier and not r.diverged]
-            if not live:
-                continue
-            epochs = sorted({p.epoch for r in live for p in r.trace.points})
-            for epoch in epochs:
-                dist, gap = [], []
-                for r in live:
-                    match = [p for p in r.trace.points if p.epoch == epoch]
-                    if match:
-                        dist.append(match[0].dist_sq)
-                        gap.append(match[0].func_gap)
-                w.writerow(
-                    [
-                        results[0].algorithm,
-                        _fmt(multiplier),
-                        _fmt(epoch),
-                        _fmt(np.mean(dist)),
-                        _fmt(np.mean(gap)),
-                        len(dist),
-                    ]
-                )
+        w.writerow(header)
+        w.writerows(rows)

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
-
 import numpy as np
 
 from .problem import FederatedProblem, Optimum
@@ -137,7 +135,6 @@ def _pass_length(algorithm: str, N: int, local_steps: int | None) -> int:
     return N if local_steps is None else min(local_steps, N)
 
 
-@lru_cache(maxsize=128)
 def _batch_bounds(N: int, S: int) -> tuple[tuple[int, int], ...]:
     """(start, stop) of the S contiguous batches that ``np.array_split`` cuts N items into."""
     size, extra = divmod(N, S)

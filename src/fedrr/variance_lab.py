@@ -15,7 +15,6 @@ not match enumeration (the two coincide at C = 1).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -212,44 +211,13 @@ def brute_force_expectation(inputs: VarianceInputs, k: int, C: int = 1) -> np.nd
     return inputs.grand_mean + first[k - 1] @ _centred(inputs) / (n_out * C * C * k * inputs.M * inputs.N)
 
 
-@dataclass
-class VarianceReport:
-    M: int
-    N: int
-    C: int
-    sigma2: float
-    sigma_tilde2: float
-    closed_form: list[float]
-    brute_force: list[float]
-    max_rel_error: float
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, indent=2)
-
-
-def build_report(inputs: VarianceInputs, C: int = 1) -> VarianceReport:
-    """Closed form vs enumeration for every admissible prefix length."""
-    R = inputs.M // C
-    ks = range(1, inputs.N * R + 1)
-    closed = [
-        closed_form_minibatch_variance(k, inputs.M, inputs.N, C, inputs.sigma2, inputs.sigma_tilde2)
-        for k in ks
-    ]
-    brute = [float(v) for v in brute_force_all(inputs, C)]
-    rel = max(
-        abs(c - b) / max(abs(b), 1e-30) if abs(b) > 1e-12 else abs(c - b)
-        for c, b in zip(closed, brute)
-    )
-    return VarianceReport(
-        M=inputs.M,
-        N=inputs.N,
-        C=C,
-        sigma2=inputs.sigma2,
-        sigma_tilde2=inputs.sigma_tilde2,
-        closed_form=closed,
-        brute_force=brute,
-        max_rel_error=rel,
-    )
+def max_rel_error(inputs: VarianceInputs, C: int = 1) -> float:
+    """Largest closed-form error over every prefix length: relative where enumeration gives over 1e-12, else absolute."""
+    errors = []
+    for k, b in enumerate(brute_force_all(inputs, C).tolist(), start=1):
+        c = closed_form_minibatch_variance(k, inputs.M, inputs.N, C, inputs.sigma2, inputs.sigma_tilde2)
+        errors.append(abs(c - b) / (abs(b) if abs(b) > 1e-12 else 1.0))
+    return max(errors)
 
 
 @dataclass

@@ -29,8 +29,15 @@ estimator of every outcome and group on the inputs, from which
 ``brute_force_all_tensor`` and ``brute_force_expectation_tensor`` average.
 They average in long double, so that the oracle's own rounding over up to
 40,320 outcomes stays far below the tolerances it is compared at.
+
+The output oracles are the result scans that ``harness`` replaced with one
+grouping of the finished runs: ``write_runs_csv``, ``write_timings_csv`` and
+``write_aggregate_csv`` (which rescans every run's points once per epoch),
+and ``select_best_multiplier_scan`` (one filter of all results per
+algorithm and multiplier).
 """
 
+import csv
 import itertools
 import math
 import time
@@ -38,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from fedrr.optimizer import RunTrace, TracePoint, apply_decay
+from fedrr.optimizer import DivergenceError, RunTrace, TracePoint, apply_decay
 from fedrr.rng import stream
 from fedrr.shuffling import ClientMode, DataMode
 
@@ -278,3 +285,67 @@ def brute_force_all_tensor(inputs, C):
 def brute_force_expectation_tensor(inputs, k, C):
     dev = prefix_estimators(inputs, C)[:, :, k - 1, :]
     return dev.mean(axis=(0, 1), dtype=np.longdouble).astype(np.float64) + inputs.grand_mean
+
+
+def _fmt(x):
+    return format(float(x), ".17g")
+
+
+def write_runs_csv(path, results):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["algorithm", "multiplier", "seed", "epoch", "dist_sq", "func_gap", "grad_evals"])
+        for r in results:
+            if r.diverged:
+                continue
+            for p in r.trace.points:
+                w.writerow([r.algorithm, _fmt(r.multiplier), r.seed, _fmt(p.epoch), _fmt(p.dist_sq), _fmt(p.func_gap), p.grad_evals])
+
+
+def write_timings_csv(path, results):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["algorithm", "multiplier", "seed", "epoch", "wall_ms"])
+        for r in results:
+            if r.diverged:
+                continue
+            for p in r.trace.points:
+                w.writerow([r.algorithm, _fmt(r.multiplier), r.seed, _fmt(p.epoch), _fmt(p.wall_s * 1e3)])
+
+
+def write_aggregate_csv(path, results):
+    """One algorithm's results: the seed-mean curve per multiplier, ascending."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["algorithm", "multiplier", "epoch", "dist_sq_mean", "func_gap_mean", "n_runs"])
+        for multiplier in sorted({r.multiplier for r in results}):
+            live = [r for r in results if r.multiplier == multiplier and not r.diverged]
+            if not live:
+                continue
+            epochs = sorted({p.epoch for r in live for p in r.trace.points})
+            for epoch in epochs:
+                dist, gap = [], []
+                for r in live:
+                    match = [p for p in r.trace.points if p.epoch == epoch]
+                    if match:
+                        dist.append(match[0].dist_sq)
+                        gap.append(match[0].func_gap)
+                w.writerow([results[0].algorithm, _fmt(multiplier), _fmt(epoch), _fmt(np.mean(dist)), _fmt(np.mean(gap)), len(dist)])
+
+
+def select_best_multiplier_scan(results):
+    out = {}
+    for algorithm in sorted({r.algorithm for r in results}):
+        candidates = []
+        for multiplier in sorted({r.multiplier for r in results if r.algorithm == algorithm}):
+            finals = [
+                r.trace.final_dist_sq()
+                for r in results
+                if r.algorithm == algorithm and r.multiplier == multiplier and not r.diverged
+            ]
+            if finals:
+                candidates.append((float(np.mean(finals)), multiplier))
+        if not candidates:
+            raise DivergenceError(f"all runs diverged for algorithm {algorithm!r}")
+        out[algorithm] = min(candidates)[1]
+    return out

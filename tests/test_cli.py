@@ -125,33 +125,50 @@ SMALL_LOGISTIC = {**QUAD_CFG, "dataset": {"synthetic": {"count": 40, "dim": 6, "
 
 
 @pytest.mark.parametrize(
-    "command, config, flags, env",
+    "command, config, flags, env, message",
     [
-        ("run", [1, 2], [], {}),
-        ("run", QUAD_CFG, ["--seeds", "1,,2"], {}),
-        ("run", QUAD_CFG, ["--multipliers", "abc"], {}),
-        ("run", QUAD_CFG, [], {"FEDRR_WORKERS": "two"}),
-        ("run", {**QUAD_CFG, "seeds": [0, 0]}, [], {}),
-        ("run", QUAD_CFG, ["--algo", "rrcli,rrcli"], {}),
-        ("run", {**QUAD_CFG, "algorithms": []}, [], {}),
-        ("run", {**QUAD_CFG, "multipliers": []}, [], {}),
-        ("run", {**SMALL_LOGISTIC, "alpha": -1}, [], {}),
-        ("run", {**SMALL_LOGISTIC, "alpha": float("nan")}, [], {}),
-        ("run", {**SMALL_LOGISTIC, "optimum_tol": -1}, [], {}),
-        ("run", {**QUAD_CFG, "dataset": {"quadratic": {**QUAD_CFG["dataset"]["quadratic"], "mu": 0}}}, [], {}),
-        ("solve-optimum", None, ["--alpha", "-1"], {}),
-        ("solve-optimum", None, ["--alpha", "nan"], {}),
-        ("solve-optimum", None, ["--alpha", "0.1", "--tol", "-1"], {}),
-        ("solve-optimum", None, ["--alpha", "0.1", "--tol", "nan"], {}),
+        ("run", [1, 2], [], {}, ""),
+        ("run", QUAD_CFG, ["--seeds", "1,,2"], {}, ""),
+        ("run", QUAD_CFG, ["--multipliers", "abc"], {}, ""),
+        ("run", QUAD_CFG, [], {"FEDRR_WORKERS": "two"}, ""),
+        ("run", {**QUAD_CFG, "seeds": [0, 0]}, [], {}, ""),
+        ("run", QUAD_CFG, ["--algo", "rrcli,rrcli"], {}, ""),
+        ("run", {**QUAD_CFG, "algorithms": []}, [], {}, ""),
+        ("run", {**QUAD_CFG, "multipliers": []}, [], {}, ""),
+        ("run", {**SMALL_LOGISTIC, "alpha": -1}, [], {}, ""),
+        ("run", {**SMALL_LOGISTIC, "alpha": float("nan")}, [], {}, ""),
+        ("run", {**SMALL_LOGISTIC, "optimum_tol": -1}, [], {}, ""),
+        ("run", {**QUAD_CFG, "dataset": {"quadratic": {**QUAD_CFG["dataset"]["quadratic"], "mu": 0}}}, [], {}, ""),
+        ("solve-optimum", None, ["--alpha", "-1"], {}, ""),
+        ("solve-optimum", None, ["--alpha", "nan"], {}, ""),
+        ("solve-optimum", None, ["--alpha", "0.1", "--tol", "-1"], {}, ""),
+        ("solve-optimum", None, ["--alpha", "0.1", "--tol", "nan"], {}, ""),
+        ("run", {**QUAD_CFG, "T": 2.5}, [], {}, "T must be an integer, got 2.5"),
+        ("run", {**QUAD_CFG, "M": 6.0}, [], {}, "M must be an integer, got 6.0"),
+        ("run", {**QUAD_CFG, "master_seed": "a"}, [], {}, "master_seed must be an integer, got 'a'"),
+        ("run", {**QUAD_CFG, "dataset": {"quadratic": 3}}, [], {}, "dataset.quadratic must be an object, got 3"),
+        ("run", {**QUAD_CFG, "dataset": {"quadratic": {"N": "4"}}}, [], {}, "dataset.quadratic.N must be an integer"),
+        ("run", {**QUAD_CFG, "dataset": {"synthetic": {"count": "x"}}}, [], {}, "dataset.synthetic.count must be an integer"),
+        ("run", {**QUAD_CFG, "seeds": 5}, [], {}, "seeds must be a list, got 5"),
+        ("run", {**QUAD_CFG, "algorithms": "rrcli"}, [], {}, "algorithms must be a list, got 'rrcli'"),
+        ("run", {**QUAD_CFG, "C": "2"}, [], {}, "C must be an integer, got '2'"),
+        ("run", {**QUAD_CFG, "seeds": [0.5]}, [], {}, "seeds[0] must be an integer, got 0.5"),
+        ("run", {**QUAD_CFG, "seeds": ["x"]}, [], {}, "seeds[0] must be an integer, got 'x'"),
+        ("run", {**QUAD_CFG, "multipliers": [True]}, [], {}, "multipliers[0] must be a number, got True"),
+        ("run", {**QUAD_CFG, "dataset": {"path": 2}}, [], {}, "dataset.path must be a string, got 2"),
+        ("run", {**QUAD_CFG, "dataset": {"path": 0}}, [], {}, "dataset.path must be a string, got 0"),
     ],
     ids=[
         "config-not-an-object", "empty-seed", "non-numeric-multiplier", "non-integer-workers", "repeated-seed",
         "repeated-algorithm", "no-algorithms", "no-multipliers", "negative-alpha", "nan-alpha",
         "negative-optimum-tol", "quadratic-mu-zero", "solve-negative-alpha", "solve-nan-alpha", "solve-negative-tol",
         "solve-nan-tol",
+        "fractional-T", "fractional-M", "string-master-seed", "quadratic-not-an-object", "string-quadratic-N",
+        "string-synthetic-count", "seeds-not-a-list", "algorithms-not-a-list", "string-C", "fractional-seed",
+        "string-seed", "bool-multiplier", "integer-path-stderr", "integer-path-stdin",
     ],
 )
-def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command, config, flags, env):
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command, config, flags, env, message):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     if command == "run":
@@ -164,5 +181,5 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command,
     code = main(argv + flags)
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
-    assert err.startswith("config error: ") and len(err.splitlines()) == 1
+    assert err.startswith(f"config error: {message}") and len(err.splitlines()) == 1
     assert "Traceback" not in err

@@ -1,14 +1,18 @@
 import hashlib
 import json
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eager_reference
 from fedrr.harness import (
+    WORKERS_ENV,
     ConfigError,
     ExperimentConfig,
     RunResult,
@@ -18,6 +22,7 @@ from fedrr.harness import (
     select_best_multiplier,
 )
 from fedrr.optimizer import ALGORITHMS, DivergenceError, RunTrace, TracePoint
+from fedrr.rng import derive_seed
 from fedrr.shuffling import ClientMode, DataMode, load_fixed_schedule
 from fedrr.theory import REGIMES
 
@@ -88,9 +93,28 @@ def test_config_rejects_repeated_or_empty_grid_lists(field, value, message):
         ExperimentConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("alpha", True, "alpha must be a number, got True"),
+        ("local_steps", False, "local_steps must be an integer or null, got False"),
+        ("decay", 1, "decay must be true or false, got 1"),
+        ("fixed_schedule_path", 0, "fixed_schedule_path must be a string or null, got 0"),
+        ("seeds", (0, 1), r"seeds must be a list, got \(0, 1\)"),
+        ("dataset", [], r"dataset must be an object, got \[\]"),
+        ("dataset", {"quadratic": {"mu": True}}, "dataset.quadratic.mu must be a number, got True"),
+        ("dataset", {"synthetic": {"rows": 5}}, "unknown dataset.synthetic key 'rows'"),
+    ],
+)
+def test_config_rejects_wrong_types_by_name(field, value, message):
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        ExperimentConfig(**{field: value})
+
+
 def test_config_accepts_boundary_values():
     ExperimentConfig(local_steps=None, batch_fraction=1.0, C=1, client_mode="shuffle_once", data_mode="shuffle_once")
     ExperimentConfig(local_steps=1, client_mode="deterministic_fixed", fixed_schedule_path="plan.json")
+    ExperimentConfig(M=np.int64(12), alpha=1, seeds=[np.int64(0)], multipliers=[2], dataset={"synthetic": {"feature_scale": None}})
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -212,6 +236,78 @@ def test_single_multiplier_is_itself():
     trace = RunTrace([TracePoint(1.0, 1, 0.3, 0.0, 4, 0.0)])
     best = select_best_multiplier([RunResult("rrcli", 3.0, 0, 0, trace, False)])
     assert best == {"rrcli": 3.0}
+
+
+@st.composite
+def finished_grids(draw):
+    """A grid and, in grid order, each run's trace (None: it diverged).
+
+    Traces record ascending subsets of a shared epoch set, so runs miss
+    epochs that others reach; one algorithm may diverge in every run.
+    """
+    algorithms = draw(st.lists(st.sampled_from(ALGORITHMS), min_size=1, max_size=3, unique=True))
+    multipliers = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=3, unique=True))
+    seeds = draw(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True))
+    epochs = draw(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=6, unique=True))
+    all_diverged = draw(st.sampled_from([None, *algorithms]))
+    value = st.floats(0.0, 1e6)
+    traces = []
+    for algorithm in algorithms:
+        for _ in range(len(multipliers) * len(seeds)):
+            if algorithm == all_diverged or draw(st.integers(0, 3)) == 0:
+                traces.append(None)
+                continue
+            kept = sorted(draw(st.lists(st.sampled_from(epochs), min_size=1, unique=True)))
+            traces.append(RunTrace([
+                TracePoint(e, i, draw(value), draw(value), i + 1, draw(st.floats(0.0, 10.0))) for i, e in enumerate(kept)
+            ]))
+    return algorithms, multipliers, seeds, traces
+
+
+@given(finished_grids())
+@settings(max_examples=60, deadline=None)
+def test_output_files_match_the_eager_scans(grid):
+    algorithms, multipliers, seeds, traces = grid
+    pending = iter(traces)
+
+    def replay(problem, algo_cfg, optimum):
+        trace = next(pending)
+        if trace is None:
+            raise DivergenceError("replayed divergence")
+        return trace
+
+    results = [
+        RunResult(a, m, s, derive_seed(2024, "run", a, m, s), trace, trace is None)
+        for (a, m, s), trace in zip([(a, m, s) for a in algorithms for m in multipliers for s in seeds], traces)
+    ]
+    try:
+        best = eager_reference.select_best_multiplier_scan(results)
+    except DivergenceError:
+        best = None
+    with tempfile.TemporaryDirectory() as tmp, mock.patch("fedrr.harness.run_algorithm", replay), mock.patch.dict(os.environ):
+        os.environ.pop(WORKERS_ENV, None)
+        out, ref = Path(tmp) / "out", Path(tmp) / "ref"
+        ref.mkdir()
+        cfg = ExperimentConfig(
+            dataset=QUAD, M=6, C=2, T=1, algorithms=algorithms, multipliers=multipliers, seeds=seeds, out_dir=str(out)
+        )
+        if best is None and len(multipliers) > 1:
+            with pytest.raises(DivergenceError, match="all runs diverged"):
+                run_experiment(cfg)
+        else:
+            run_experiment(cfg)
+        eager_reference.write_runs_csv(ref / "runs.csv", results)
+        eager_reference.write_timings_csv(ref / "timings.csv", results)
+        names = ["runs.csv", "timings.csv"]
+        for a in algorithms:
+            eager_reference.write_aggregate_csv(ref / f"aggregate_{a}.csv", [r for r in results if r.algorithm == a])
+            names.append(f"aggregate_{a}.csv")
+        if best is not None and len(multipliers) > 1:
+            (ref / "best_multipliers.json").write_text(json.dumps(best, indent=2, sort_keys=True))
+            names.append("best_multipliers.json")
+        assert (out / "best_multipliers.json").exists() == ("best_multipliers.json" in names)
+        for name in names:
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
 
 def test_diverged_runs_excluded_and_counted(tmp_path):
