@@ -76,7 +76,7 @@ def _cmd_run(args) -> int:
             overrides["multipliers"] = _split(args.multipliers, float, "--multipliers")
         cfg = ExperimentConfig.from_file(args.config, overrides)
         summary = run_experiment(cfg)
-    except (ConfigError, DatasetError, ProblemError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, DatasetError, ProblemError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:
@@ -135,7 +135,7 @@ def _cmd_solve(args) -> int:
         part = partition(ds, args.clients, args.seed)
         problem = logistic_problem(part, ds, args.alpha)
         opt = solve_optimum(problem, args.tol)
-    except (DatasetError, ProblemError, FileNotFoundError) as exc:
+    except (DatasetError, ProblemError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import gzip
 import io
-from dataclasses import dataclass, field
+import zlib
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,39 +61,15 @@ class SparseDataset:
         )
 
 
-@dataclass(frozen=True)
-class FederatedPartition:
-    """Assignment of dataset rows to M clients with exactly N rows each."""
-
-    M: int
-    N: int
-    assignment: tuple[tuple[int, ...], ...] = field(repr=False)
-
-    def client_rows(self, m: int) -> tuple[int, ...]:
-        return self.assignment[m]
-
-
 _LABEL_MAP = {"+1": 1.0, "1": 1.0, "-1": -1.0, "0": -1.0, "2": -1.0, "1.0": 1.0, "-1.0": -1.0, "0.0": -1.0, "2.0": -1.0}
 
 
-def parse_libsvm(source) -> SparseDataset:
+def parse_libsvm(text: str) -> SparseDataset:
     """Parse LIBSVM text into a :class:`SparseDataset`.
 
-    ``source`` may be a text string, bytes, or a readable binary/text stream.
-    Gzip-compressed bytes are decompressed transparently.  Labels {0,1,2} are
-    mapped onto {-1,+1} ({0,2} -> -1); anything else is rejected.
+    Labels {0,1,2} are mapped onto {-1,+1} ({0,2} -> -1); anything else is
+    rejected.
     """
-    if isinstance(source, str):
-        text = source
-    else:
-        data = source if isinstance(source, (bytes, bytearray)) else source.read()
-        if isinstance(data, str):
-            text = data
-        else:
-            if data[:2] == b"\x1f\x8b":
-                data = gzip.decompress(data)
-            text = data.decode("utf-8")
-
     rows: list[tuple[np.ndarray, np.ndarray]] = []
     labels: list[float] = []
     dim = 0
@@ -126,23 +103,28 @@ def parse_libsvm(source) -> SparseDataset:
 
 
 def load_libsvm_file(path) -> SparseDataset:
+    """Read a LIBSVM file of UTF-8 text, gunzipping it first if it starts with the gzip magic."""
     with open(path, "rb") as fh:
-        return parse_libsvm(fh)
+        data = fh.read()
+    try:
+        text = (gzip.decompress(data) if data[:2] == b"\x1f\x8b" else data).decode("utf-8")
+    except (EOFError, OSError, UnicodeDecodeError, zlib.error) as exc:
+        raise DatasetError(f"{path} is neither UTF-8 text nor gzipped UTF-8 text: {exc}") from exc
+    return parse_libsvm(text)
 
 
-def partition(dataset: SparseDataset, M: int, seed: int) -> FederatedPartition:
-    """Shuffle row indices with a seeded stream and split into M blocks of N.
+def partition(dataset: SparseDataset, M: int, seed: int) -> np.ndarray:
+    """Shuffle row indices with a seeded stream and split them among M clients.
 
-    N = floor(count / M); the ``count - M*N`` leftover rows are dropped so
-    that every client holds exactly N samples.
+    Returns the (M, N) int64 array whose row m lists client m's dataset
+    rows.  N = floor(count / M); the ``count - M*N`` leftover rows are
+    dropped so that every client holds exactly N samples.
     """
     if M < 1 or M > dataset.count:
         raise DatasetError(f"cannot split {dataset.count} rows into {M} clients")
     N = dataset.count // M
-    rng = stream(seed, "partition", dataset.count, M)
-    order = fisher_yates(dataset.count, rng)
-    assignment = tuple(tuple(int(i) for i in order[m * N : (m + 1) * N]) for m in range(M))
-    return FederatedPartition(M=M, N=N, assignment=assignment)
+    order = fisher_yates(dataset.count, stream(seed, "partition", dataset.count, M))
+    return order[: M * N].reshape(M, N)
 
 
 def synthetic_libsvm_like(
@@ -160,6 +142,8 @@ def synthetic_libsvm_like(
     rescales values so the maximal squared row norm can be pinned (used to
     target a specific smoothness constant in downstream problems).
     """
+    if count < 1 or dim < 1:
+        raise DatasetError(f"synthetic dataset needs count and dim of at least 1, got count={count}, dim={dim}")
     rng = stream(seed, "synthetic_dataset", count, dim, nnz_per_row)
     teacher = rng.normal(size=dim) * signal / np.sqrt(dim)
     if feature_scale is None:

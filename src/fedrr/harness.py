@@ -120,6 +120,9 @@ class ExperimentConfig:
         # every field, and every key of a synthetic or quadratic dataset, must fit its annotation
         for f in dataclasses.fields(self):
             _require(f.name, getattr(self, f.name), f.type)
+        if len(self.dataset) != 1 or not self.dataset.keys() <= {"path", "synthetic", "quadratic"}:
+            keys = sorted(self.dataset)
+            raise ConfigError(f"dataset must hold exactly one of 'path', 'synthetic' and 'quadratic', got {keys}")
         _require("dataset.path", self.dataset.get("path", ""), "str")
         for kind, builder in (("synthetic", synthetic_libsvm_like), ("quadratic", quadratic_problem)):
             _require(f"dataset.{kind}", self.dataset.get(kind, {}), "dict")
@@ -136,8 +139,10 @@ class ExperimentConfig:
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise ConfigError(f"{name} list repeats {repeated[0]!r}")
-        if any(m <= 0 for m in self.multipliers):
+        if any(not m > 0 for m in self.multipliers):  # NaN included
             raise ConfigError("multipliers must be positive")
+        if self.nastya_gamma is not None and not self.nastya_gamma > 0:
+            raise ConfigError(f"nastya_gamma must be null or positive, got {self.nastya_gamma!r}")
         if self.T < 1:
             raise ConfigError("epoch budget must be positive")
         if self.regime not in REGIMES:
@@ -149,8 +154,9 @@ class ExperimentConfig:
             value, allowed = getattr(self, name), [m.value for m in modes]
             if value not in allowed:
                 raise ConfigError(f"unknown {name} {value!r}; expected one of {allowed}")
-        if self.client_mode == ClientMode.DETERMINISTIC_FIXED.value and self.fixed_schedule_path is None:
-            raise ConfigError("client_mode 'deterministic_fixed' needs a fixed_schedule_path")
+        fixed = self.client_mode == ClientMode.DETERMINISTIC_FIXED.value
+        if fixed != (self.fixed_schedule_path is not None):
+            raise ConfigError(f"client_mode {self.client_mode!r} {'needs a' if fixed else 'takes no'} fixed_schedule_path")
         if self.local_steps is not None and self.local_steps < 1:
             raise ConfigError("local_steps must be null or at least 1")
         if not 0 < self.batch_fraction <= 1:
@@ -163,7 +169,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ConfigError(f"{path} must hold a JSON object, not a {type(raw).__name__}")
@@ -206,12 +212,7 @@ def build_problem(cfg: ExperimentConfig) -> tuple[FederatedProblem, str]:
         digest = hashlib.sha256(json.dumps(q, sort_keys=True).encode()).hexdigest()
         defaults = dict(N=4, d=5, mu=1.0, L=10.0, client_spread=1.0, sample_spread=0.5, seed=cfg.master_seed)
         return quadratic_problem(**{**defaults, **q}), digest
-    if "path" in spec:
-        ds = load_libsvm_file(spec["path"])
-    elif "synthetic" in spec:
-        ds = synthetic_libsvm_like(**spec["synthetic"])
-    else:
-        raise ConfigError("dataset spec needs one of: path, synthetic, quadratic")
+    ds = load_libsvm_file(spec["path"]) if "path" in spec else synthetic_libsvm_like(**spec["synthetic"])
     digest = hashlib.sha256(ds.to_libsvm_text().encode()).hexdigest()
     part = partition(ds, cfg.M, cfg.master_seed)
     return logistic_problem(part, ds, cfg.alpha), digest

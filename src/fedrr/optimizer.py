@@ -224,9 +224,11 @@ def run_algorithm(problem: FederatedProblem, cfg: AlgoConfig, optimum: Optimum, 
     steps with eta along the mean pseudo-gradient.  The shuffled methods
     (rrcli, rrcli-wr) check the eta = gamma*S collapse every round and take
     the global step with theta after each meta-epoch's R rounds.  A trace
-    point is recorded at every completed epoch of M*N gradient evaluations,
-    plus a final partial one.  ``cohort_sequence`` overrides nastya's
-    per-round draws (used by coupling tests).
+    point is recorded at every completed epoch of M*N gradient evaluations.
+    The last round always completes one: a shuffled or nastya run ends at
+    exactly T*M*N evaluations, and fedavg's last round is the first to reach
+    T*M*N.  ``cohort_sequence`` overrides nastya's per-round draws (used by
+    coupling tests).
     """
     M, N = problem.M, problem.N
     if cfg.algorithm == FEDAVG and cfg.C > M:
@@ -267,6 +269,4 @@ def run_algorithm(problem: FederatedProblem, cfg: AlgoConfig, optimum: Optimum, 
         if evals // (M * N) > recorded:
             recorded = evals // (M * N)
             trace.record(problem, optimum, x, recorded, evals, t0)
-    if trace.points[-1].grad_evals != evals:
-        trace.record(problem, optimum, x, recorded, evals, t0)
     return trace

@@ -14,14 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import FederatedPartition, SparseDataset
+from .dataset import SparseDataset
 from .rng import stream
 
 MAGIC = b"FEDRROPT1"
-
-COMPONENT_STRONGLY_CONVEX = "component-strongly-convex"
-CLIENT_STRONGLY_CONVEX = "client-strongly-convex"
-GLOBAL_STRONGLY_CONVEX = "global-strongly-convex"
 
 
 class ProblemError(ValueError):
@@ -50,7 +46,6 @@ class FederatedProblem:
     alpha: float
     L: float
     mu: float
-    regime: str
 
     # -- component oracles, overridden by subclasses ------------------------
     def component_loss(self, m: int, j: int, x: np.ndarray) -> float:
@@ -104,7 +99,6 @@ class LogisticProblem(FederatedProblem):
         row_sq = np.einsum("mnd,mnd->mn", self._A, self._A)
         self.L = float(row_sq.max() / 4.0 + alpha)
         self.mu = float(alpha)
-        self.regime = COMPONENT_STRONGLY_CONVEX
 
     def component_loss(self, m, j, x):
         self._check_indices(m, j)
@@ -133,13 +127,9 @@ class LogisticProblem(FederatedProblem):
         t = -self._b[m] * _sigmoid(-self._b[m] * z)
         return self._A[m].T @ t / self.N + self.alpha * x
 
-    def client_objective(self, m, x):
-        self._check_indices(m)
-        z = -self._b[m] * (self._A[m] @ x)
-        return float(np.mean(np.logaddexp(0.0, z)) + 0.5 * self.alpha * (x @ x))
-
     def objective_value(self, x):
-        return sum(self.client_objective(m, x) for m in range(self.M)) / self.M
+        reg = 0.5 * self.alpha * (x @ x)
+        return sum(float(np.mean(np.logaddexp(0.0, -b * (A @ x))) + reg) for A, b in zip(self._A, self._b)) / self.M
 
     def full_gradient(self, x):
         # numpy runs one gemv per client for both stacked products, so each
@@ -188,7 +178,6 @@ class QuadraticProblem(FederatedProblem):
         self.alpha = 0.0
         self.mu = float(mu)
         self.L = float(L)
-        self.regime = COMPONENT_STRONGLY_CONVEX
         # Hc products, reused by the analytic solve and gradients
         self._Hc = np.einsum("mnij,mnj->mni", self._H, self._c)
 
@@ -254,18 +243,11 @@ class QuadraticProblem(FederatedProblem):
         )
 
 
-def logistic_problem(partition: FederatedPartition, dataset: SparseDataset, alpha: float) -> LogisticProblem:
-    """Build the regularized logistic problem on a client partition of a dataset."""
-    if partition.M < 1 or partition.N < 1:
+def logistic_problem(partition: np.ndarray, dataset: SparseDataset, alpha: float) -> LogisticProblem:
+    """Build the regularized logistic problem on an (M, N) array of each client's dataset rows."""
+    if partition.size == 0:
         raise ProblemError("partition must assign at least one sample per client")
-    dense = dataset.to_dense()
-    A = np.empty((partition.M, partition.N, dataset.dim))
-    b = np.empty((partition.M, partition.N))
-    for m in range(partition.M):
-        rows = list(partition.client_rows(m))
-        A[m] = dense[rows]
-        b[m] = dataset.labels[rows]
-    return LogisticProblem(A, b, alpha)
+    return LogisticProblem(dataset.to_dense()[partition], dataset.labels[partition], alpha)
 
 
 def quadratic_problem(
@@ -285,6 +267,8 @@ def quadratic_problem(
     per-sample offsets (scale ``sample_spread``); both spreads at zero give a
     homogeneous problem whose optimum sits at the shared center.
     """
+    if min(M, N, d) < 1:
+        raise ProblemError(f"quadratic sizes must be at least 1, got M={M}, N={N}, d={d}")
     if not 0 < mu <= L:
         raise ProblemError("spectrum bounds must satisfy 0 < mu <= L")
     rng = stream(seed, "quadratic_problem", M, N, d)

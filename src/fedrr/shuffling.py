@@ -47,8 +47,6 @@ class ShuffleMode:
 class CohortSchedule:
     """Disjoint cohorts for one meta-epoch: ``cohorts[r]`` holds C client ids."""
 
-    R: int
-    C: int
     cohorts: tuple[tuple[int, ...], ...]
 
 
@@ -92,12 +90,12 @@ def build_cohort_schedule(
         if len(epoch_plan) != R or any(len(c) != C for c in epoch_plan) or sorted(flat) != list(range(M)):
             raise ScheduleError("fixed schedule is not a partition of clients into R cohorts of C")
         cohorts = tuple(tuple(int(m) for m in cohort) for cohort in epoch_plan)
-        return CohortSchedule(R=R, C=C, cohorts=cohorts)
+        return CohortSchedule(cohorts)
 
     t = 0 if mode.client_mode is ClientMode.SHUFFLE_ONCE else meta_epoch
     perm = fisher_yates(M, stream(seed, "client_perm", t))
     cohorts = tuple(tuple(int(m) for m in perm[r * C : (r + 1) * C]) for r in range(R))
-    return CohortSchedule(R=R, C=C, cohorts=cohorts)
+    return CohortSchedule(cohorts)
 
 
 class DataPermutations(dict):

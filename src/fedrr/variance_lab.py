@@ -39,10 +39,7 @@ class VarianceInputs:
     zeta: np.ndarray  # (M, N, d)
 
     def __post_init__(self):
-        z = np.asarray(self.zeta, dtype=np.float64)
-        if z.ndim == 2:
-            z = z[:, :, None]
-        self.zeta = z
+        z = self.zeta = np.asarray(self.zeta, dtype=np.float64)
         self.M, self.N, self.d = z.shape
         self.grand_mean = z.mean(axis=(0, 1))
         self.client_means = z.mean(axis=1)
@@ -241,15 +238,15 @@ def star_sequence_deviation(
 
     Local steps use gradients frozen at x*; rounds end with a cohort average.
     Cohorts and permutations are redrawn per draw; returned statistics are
-    per-(round, local step) means over draws.
+    per-(round, local step) means over draws.  Each component's gradient and
+    loss at x* are read once, so a step makes one ``component_loss`` call.
     """
     M, N = problem.M, problem.N
     if M % C != 0:
         raise ValueError("C must divide M")
     R = M // C
-    star_grads = np.array(
-        [[problem.component_gradient(m, j, x_star) for j in range(N)] for m in range(M)]
-    )
+    star_grads = np.array([problem.component_gradients(m, x_star) for m in range(M)])
+    star_losses = [[problem.component_loss(m, j, x_star) for j in range(N)] for m in range(M)]
     sq = np.zeros((R, N))
     breg = np.zeros((R, N))
     for draw in range(n_draws):
@@ -260,14 +257,16 @@ def star_sequence_deviation(
         for r in range(R):
             cohort = client_perm[r * C : (r + 1) * C]
             endpoints = []
-            for m in cohort:
+            for m in cohort.tolist():
                 x = x_round.copy()
-                for j in range(N):
-                    comp = int(perms[m][j])
-                    x = x - gamma * star_grads[m, comp]
+                for j, comp in enumerate(perms[m].tolist()):
+                    g = star_grads[m, comp]
+                    x = x - gamma * g
                     delta = x - x_star
                     sq[r, j] += float(delta @ delta)
-                    breg[r, j] += _bregman(problem, int(m), comp, x, x_star)
+                    # the Bregman divergence of component (m, comp) from x* to x
+                    loss = problem.component_loss(m, comp, x)
+                    breg[r, j] += float(loss - star_losses[m][comp] - g @ delta)
                 endpoints.append(x)
             x_round = np.mean(endpoints, axis=0)
     sq /= n_draws * C
@@ -278,8 +277,3 @@ def star_sequence_deviation(
         max_mean_sq_dev=float(sq.max()),
         max_sigma_ds=max_sigma_ds,
     )
-
-
-def _bregman(problem, m, j, x, y):
-    gy = problem.component_gradient(m, j, y)
-    return float(problem.component_loss(m, j, x) - problem.component_loss(m, j, y) - gy @ (x - y))

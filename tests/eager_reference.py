@@ -21,6 +21,13 @@ that the vectorised code must match bit for bit: ``sigmoid_three_exp`` (the
 clipped two-branch logistic function), ``full_gradient_loop`` (one client at
 a time), ``star_variances_per_component`` (one ``component_gradient`` call
 per component) and ``to_libsvm_text_scalars`` (formatting numpy scalars).
+``partition_tuples`` and ``logistic_arrays_gathered`` are the partition as a
+tuple of client row tuples and ``logistic_problem``'s per-client gather of
+the dense rows and labels from it.
+
+``star_sequence_loop`` is ``variance_lab.star_sequence_deviation`` with x*'s
+oracles read anew at every step: one ``component_gradient`` and two
+``component_loss`` calls in ``bregman``, besides the step's own loss.
 
 The variance oracles are the enumeration forms that ``variance_lab`` replaced
 with exact Gram matrices: ``enumerate_sequences_loop`` builds the outcome
@@ -48,6 +55,7 @@ import numpy as np
 from fedrr.optimizer import DivergenceError, RunTrace, TracePoint, apply_decay
 from fedrr.rng import stream
 from fedrr.shuffling import ClientMode, DataMode
+from fedrr.variance_lab import StarSequenceStats
 
 
 def local_pass_loop(problem, m, x, gamma_step, batches):
@@ -226,6 +234,60 @@ def star_variances_per_component(problem, x_star):
         float(np.linalg.norm(problem.client_gradient(m, x_star)) ** 2) for m in range(problem.M)
     ) / problem.M
     return comp, cli
+
+
+def partition_tuples(dataset, M, seed):
+    """Client m's dataset rows as ``assignment[m]``, a tuple of N Python ints."""
+    N = dataset.count // M
+    order = fisher_yates_loop(dataset.count, stream(seed, "partition", dataset.count, M))
+    return tuple(tuple(int(i) for i in order[m * N : (m + 1) * N]) for m in range(M))
+
+
+def logistic_arrays_gathered(assignment, dataset):
+    """The (M, N, d) rows and (M, N) labels of a tuple partition, gathered one client at a time."""
+    M, N = len(assignment), len(assignment[0])
+    dense = dataset.to_dense()
+    A = np.empty((M, N, dataset.dim))
+    b = np.empty((M, N))
+    for m in range(M):
+        rows = list(assignment[m])
+        A[m] = dense[rows]
+        b[m] = dataset.labels[rows]
+    return A, b
+
+
+def bregman(problem, m, j, x, y):
+    gy = problem.component_gradient(m, j, y)
+    return float(problem.component_loss(m, j, x) - problem.component_loss(m, j, y) - gy @ (x - y))
+
+
+def star_sequence_loop(problem, x_star, gamma, C, n_draws=200, seed=0):
+    M, N = problem.M, problem.N
+    R = M // C
+    star_grads = np.array([[problem.component_gradient(m, j, x_star) for j in range(N)] for m in range(M)])
+    sq = np.zeros((R, N))
+    breg = np.zeros((R, N))
+    for draw in range(n_draws):
+        rng = stream(seed, "star_sequence", draw)
+        client_perm = fisher_yates_loop(M, rng)
+        perms = [fisher_yates_loop(N, rng) for _ in range(M)]
+        x_round = x_star.copy()
+        for r in range(R):
+            endpoints = []
+            for m in client_perm[r * C : (r + 1) * C]:
+                x = x_round.copy()
+                for j in range(N):
+                    comp = int(perms[m][j])
+                    x = x - gamma * star_grads[m, comp]
+                    delta = x - x_star
+                    sq[r, j] += float(delta @ delta)
+                    breg[r, j] += bregman(problem, int(m), comp, x, x_star)
+                endpoints.append(x)
+            x_round = np.mean(endpoints, axis=0)
+    sq /= n_draws * C
+    breg /= n_draws * C
+    max_sigma_ds = float(breg.max() / (gamma * gamma)) if gamma > 0 else 0.0
+    return StarSequenceStats(mean_sq_dev=sq, max_mean_sq_dev=float(sq.max()), max_sigma_ds=max_sigma_ds)
 
 
 def to_libsvm_text_scalars(dataset):

@@ -1,9 +1,10 @@
+import gzip
 import json
 
 import numpy as np
 import pytest
 
-from fedrr.cli import EXIT_CONFIG, EXIT_OK, main
+from fedrr.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_VERIFY, main
 from fedrr.dataset import synthetic_libsvm_like
 
 QUAD_CFG = {
@@ -15,6 +16,13 @@ QUAD_CFG = {
     "seeds": [0],
     "local_steps": None,
 }
+SMALL_LOGISTIC = {**QUAD_CFG, "dataset": {"synthetic": {"count": 40, "dim": 6, "seed": 4, "nnz_per_row": 3}}}
+NASTYA_CFG = {**QUAD_CFG, "algorithms": ["nastya"]}
+
+
+def quadratic_with(**kw):
+    return {**QUAD_CFG, "dataset": {"quadratic": {**QUAD_CFG["dataset"]["quadratic"], **kw}}}
+
 
 
 def test_run_command(tmp_path, capsys):
@@ -58,6 +66,40 @@ def test_run_command_bad_value_is_one_line(tmp_path, capsys, key, value):
     assert len(err.splitlines()) == 1
 
 
+def test_run_command_all_multipliers_diverge_exits_3(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**QUAD_CFG, "multipliers": [1e6, 1e7]}))
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert err == "divergence: all runs diverged for algorithm 'rrcli'\n"
+
+
+def test_run_command_decay_flag_reaches_the_manifest(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(QUAD_CFG))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--decay"]) == EXIT_OK
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]["decay"] is True
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["text", "gzip"])
+def test_run_command_reads_a_dataset_file(tmp_path, capsys, compress):
+    ds = synthetic_libsvm_like(count=40, dim=6, seed=4, nnz_per_row=3)
+    path = tmp_path / ("data.txt.gz" if compress else "data.txt")
+    text = ds.to_libsvm_text().encode()
+    path.write_bytes(gzip.compress(text) if compress else text)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**SMALL_LOGISTIC, "dataset": {"path": str(path)}}))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "file")]) == EXIT_OK
+    cfg_path.write_text(json.dumps(SMALL_LOGISTIC))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "synthetic")]) == EXIT_OK
+    # the same rows from a file or from the generator make the same contract files
+    for name in ("runs.csv", "aggregate_rrcli.csv"):
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "synthetic" / name).read_bytes()
+    hashes = [json.loads((tmp_path / out / "manifest.json").read_text())["dataset_hash"] for out in ("file", "synthetic")]
+    assert hashes[0] == hashes[1]
+
+
 def test_verify_variance_command(capsys):
     code = main(["verify-variance", "--max-size", "4", "--inputs", "2"])
     assert code == EXIT_OK
@@ -78,12 +120,23 @@ def test_verify_variance_rejects_arguments_that_check_nothing(capsys, flag, valu
     assert captured.err.startswith(f"config error: {flag}") and len(captured.err.splitlines()) == 1
 
 
+def test_verify_variance_failures_exit_4(capsys):
+    code = main(["verify-variance", "--max-size", "3", "--inputs", "1", "--tol", "1e-300"])
+    assert code == EXIT_VERIFY
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.endswith(" FAIL") for line in lines)
+    assert lines[-1].startswith("worst relative error")
+
+
 def test_run_command_schedule_geometry_is_one_line(tmp_path, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps([[[0, 1], [2, 3]]]))
     quad = {**QUAD_CFG["dataset"]["quadratic"], "M": 6}
     cfg_path = tmp_path / "cfg.json"
-    cfg = {**QUAD_CFG, "dataset": {"quadratic": quad}, "M": 6, "fixed_schedule_path": str(plan)}
+    cfg = {
+        **QUAD_CFG, "dataset": {"quadratic": quad}, "M": 6,
+        "client_mode": "deterministic_fixed", "fixed_schedule_path": str(plan),
+    }
     cfg_path.write_text(json.dumps(cfg))
     code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
@@ -121,8 +174,6 @@ def test_solve_optimum_missing_file(capsys):
     assert code == EXIT_CONFIG
 
 
-SMALL_LOGISTIC = {**QUAD_CFG, "dataset": {"synthetic": {"count": 40, "dim": 6, "seed": 4, "nnz_per_row": 3}}}
-
 
 @pytest.mark.parametrize(
     "command, config, flags, env, message",
@@ -157,6 +208,23 @@ SMALL_LOGISTIC = {**QUAD_CFG, "dataset": {"synthetic": {"count": 40, "dim": 6, "
         ("run", {**QUAD_CFG, "multipliers": [True]}, [], {}, "multipliers[0] must be a number, got True"),
         ("run", {**QUAD_CFG, "dataset": {"path": 2}}, [], {}, "dataset.path must be a string, got 2"),
         ("run", {**QUAD_CFG, "dataset": {"path": 0}}, [], {}, "dataset.path must be a string, got 0"),
+        ("run", {**QUAD_CFG, "multipliers": [float("nan"), 1.0]}, [], {}, "multipliers must be positive"),
+        ("run", {**NASTYA_CFG, "nastya_gamma": -1.0}, [], {}, "nastya_gamma must be null or positive, got -1.0"),
+        ("run", {**NASTYA_CFG, "nastya_gamma": float("nan")}, [], {}, "nastya_gamma must be null or positive, got nan"),
+        ("run", quadratic_with(N=0), [], {}, "quadratic sizes must be at least 1, got M=4, N=0, d=3"),
+        ("run", quadratic_with(d=0), [], {}, "quadratic sizes must be at least 1, got M=4, N=3, d=0"),
+        ("run", {**QUAD_CFG, "dataset": {"synthetic": {"dim": 0}}}, [], {}, "synthetic dataset needs count and dim"),
+        ("run", {**QUAD_CFG, "dataset": {**QUAD_CFG["dataset"], "path": "x.txt"}}, [], {}, "dataset must hold exactly"),
+        ("run", {**QUAD_CFG, "dataset": {**QUAD_CFG["dataset"], "typo": 1}}, [], {}, "dataset must hold exactly"),
+        ("run", {**QUAD_CFG, "fixed_schedule_path": "plan.json"}, [], {}, "client_mode 'reshuffling' takes no fixed"),
+        ("run", {**QUAD_CFG, "dataset": {"path": "latin1.txt"}}, [], {}, "latin1.txt is neither UTF-8 text nor gzipped"),
+        ("run", {**QUAD_CFG, "dataset": {"path": "truncated.gz"}}, [], {}, "truncated.gz is neither UTF-8 text nor gzipped"),
+        ("run", {**QUAD_CFG, "dataset": {"path": "folder"}}, [], {}, "[Errno 21] Is a directory: 'folder'"),
+        ("run", QUAD_CFG, ["--config", "folder"], {}, "[Errno 21] Is a directory: 'folder'"),
+        ("run", QUAD_CFG, ["--config", "latin1.txt"], {}, "'utf-8' codec can't decode byte 0xe9"),
+        ("solve-optimum", None, ["--alpha", "0.1", "--dataset", "latin1.txt"], {}, "latin1.txt is neither UTF-8 text"),
+        ("solve-optimum", None, ["--alpha", "0.1", "--dataset", "truncated.gz"], {}, "truncated.gz is neither UTF-8 text"),
+        ("solve-optimum", None, ["--alpha", "0.1", "--dataset", "folder"], {}, "[Errno 21] Is a directory: 'folder'"),
     ],
     ids=[
         "config-not-an-object", "empty-seed", "non-numeric-multiplier", "non-integer-workers", "repeated-seed",
@@ -166,11 +234,21 @@ SMALL_LOGISTIC = {**QUAD_CFG, "dataset": {"synthetic": {"count": 40, "dim": 6, "
         "fractional-T", "fractional-M", "string-master-seed", "quadratic-not-an-object", "string-quadratic-N",
         "string-synthetic-count", "seeds-not-a-list", "algorithms-not-a-list", "string-C", "fractional-seed",
         "string-seed", "bool-multiplier", "integer-path-stderr", "integer-path-stdin",
+        "nan-multiplier", "negative-nastya-gamma", "nan-nastya-gamma", "quadratic-N-zero", "quadratic-d-zero",
+        "synthetic-dim-zero", "quadratic-and-path", "quadratic-and-unknown-key", "schedule-without-fixed-mode",
+        "non-utf8-dataset", "truncated-gzip-dataset", "directory-dataset", "directory-config", "non-utf8-config",
+        "solve-non-utf8-dataset", "solve-truncated-gzip-dataset", "solve-directory-dataset",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command, config, flags, env, message):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
+    # unreadable inputs, named relative to tmp_path: a dataset that is not UTF-8, a truncated gzip, a directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1.txt").write_bytes("+1 1:0.5\n-1 2:1 # caf\u00e9\n".encode("latin-1"))
+    (tmp_path / "truncated.gz").write_bytes(gzip.compress(b"+1 1:0.5\n" * 50)[:20])
+    (tmp_path / "folder").mkdir()
+    (tmp_path / "plan.json").write_text(json.dumps([[[0, 1], [2, 3]]]))
     if command == "run":
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         argv = ["run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]

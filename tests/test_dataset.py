@@ -1,4 +1,5 @@
 import gzip
+import re
 
 import numpy as np
 import pytest
@@ -59,19 +60,40 @@ def test_gzip_transparent(tmp_path):
     assert load_libsvm_file(path) == parse_libsvm(SAMPLE)
 
 
+GZ = gzip.compress(SAMPLE.encode())
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"+1 1:0.5 # caf\xe9\n", GZ[:20], GZ[:10] + b"\xff" * 30, GZ[:-8] + bytes(8), gzip.compress(b"+1 1:\xe9\n")],
+    ids=["latin-1", "truncated-gzip", "corrupt-deflate", "bad-crc", "gzipped-latin-1"],
+)
+def test_unreadable_file_is_a_dataset_error_naming_the_path(tmp_path, data):
+    path = tmp_path / "data"
+    path.write_bytes(data)
+    with pytest.raises(DatasetError, match=f"^{re.escape(str(path))} is neither UTF-8 text nor gzipped UTF-8 text: "):
+        load_libsvm_file(path)
+
+
+@pytest.mark.parametrize("sizes", [{"count": 0}, {"dim": 0}, {"count": -3, "dim": 4}])
+def test_synthetic_sizes_must_be_positive(sizes):
+    with pytest.raises(DatasetError, match="synthetic dataset needs count and dim of at least 1"):
+        synthetic_libsvm_like(**sizes)
+
+
 def test_partition_shapes_and_disjoint():
     ds = synthetic_libsvm_like(count=103, dim=10, seed=5, nnz_per_row=4)
     part = partition(ds, 10, seed=1)
-    assert part.M == 10 and part.N == 10
-    flat = [i for m in range(10) for i in part.client_rows(m)]
+    assert part.shape == (10, 10) and part.dtype == np.int64
+    flat = part.ravel().tolist()
     assert len(flat) == len(set(flat)) == 100  # 3 remainder rows dropped
     assert all(0 <= i < 103 for i in flat)
 
 
 def test_partition_deterministic():
     ds = synthetic_libsvm_like(count=40, dim=6, seed=5, nnz_per_row=3)
-    assert partition(ds, 4, seed=9) == partition(ds, 4, seed=9)
-    assert partition(ds, 4, seed=9) != partition(ds, 4, seed=10)
+    assert np.array_equal(partition(ds, 4, seed=9), partition(ds, 4, seed=9))
+    assert not np.array_equal(partition(ds, 4, seed=9), partition(ds, 4, seed=10))
 
 
 def test_partition_rejects_too_many_clients():

@@ -111,6 +111,25 @@ def test_config_rejects_wrong_types_by_name(field, value, message):
         ExperimentConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        ({"dataset": {}}, r"dataset must hold exactly one of 'path', 'synthetic' and 'quadratic', got \[\]"),
+        ({"dataset": {"synthetic": {}, "path": "x.txt"}}, r"dataset must hold exactly one of .*, got \['path', 'synthetic'\]"),
+        ({"dataset": {"quadratic": {}, "seed": 1}}, r"dataset must hold exactly one of .*, got \['quadratic', 'seed'\]"),
+        ({"fixed_schedule_path": "plan.json"}, "client_mode 'reshuffling' takes no fixed_schedule_path"),
+        ({"client_mode": "shuffle_once", "fixed_schedule_path": "p"}, "client_mode 'shuffle_once' takes no"),
+        ({"client_mode": "deterministic_fixed"}, "client_mode 'deterministic_fixed' needs a fixed_schedule_path"),
+        ({"nastya_gamma": 0.0}, "nastya_gamma must be null or positive, got 0.0"),
+        ({"nastya_gamma": float("nan")}, "nastya_gamma must be null or positive, got nan"),
+        ({"multipliers": [1.0, float("nan")]}, "multipliers must be positive"),
+    ],
+)
+def test_config_states_each_setting_once_and_in_range(kw, message):
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        ExperimentConfig(**kw)
+
+
 def test_config_accepts_boundary_values():
     ExperimentConfig(local_steps=None, batch_fraction=1.0, C=1, client_mode="shuffle_once", data_mode="shuffle_once")
     ExperimentConfig(local_steps=1, client_mode="deterministic_fixed", fixed_schedule_path="plan.json")
@@ -128,6 +147,7 @@ def test_config_file_roundtrip(tmp_path):
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 TEXT = st.text(max_size=20)
 
 
@@ -146,7 +166,7 @@ def experiment_configs(draw):
         )
     )
     client_mode = draw(st.sampled_from([m.value for m in ClientMode]))
-    fixed = TEXT if client_mode == ClientMode.DETERMINISTIC_FIXED.value else st.one_of(st.none(), TEXT)
+    fixed = TEXT if client_mode == ClientMode.DETERMINISTIC_FIXED.value else st.none()
     return ExperimentConfig(
         dataset=dataset,
         M=M,
@@ -159,7 +179,7 @@ def experiment_configs(draw):
         decay=draw(st.booleans()),
         local_steps=draw(st.one_of(st.none(), st.integers(min_value=1, max_value=10**6))),
         batch_fraction=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
-        nastya_gamma=draw(st.one_of(st.none(), FINITE)),
+        nastya_gamma=draw(st.one_of(st.none(), POSITIVE)),
         seeds=draw(st.lists(st.integers(-(2**63), 2**63), min_size=1, max_size=6, unique=True)),
         master_seed=draw(st.integers(-(2**63), 2**63)),
         client_mode=client_mode,
@@ -349,7 +369,8 @@ def test_worker_pool_matches_sequential(tmp_path, monkeypatch):
     # the second grid sends the loaded fixed schedule to the workers inside the job tuples
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps(FIXED_PLAN))
-    for name, extra in (("sampled", {}), ("fixed", {"fixed_schedule_path": str(plan)})):
+    fixed = {"client_mode": "deterministic_fixed", "fixed_schedule_path": str(plan)}
+    for name, extra in (("sampled", {}), ("fixed", fixed)):
         cfg = quad_config(tmp_path, algorithms=list(ALGORITHMS), **extra)
         monkeypatch.delenv("FEDRR_WORKERS", raising=False)
         seq = run_experiment(cfg, out_dir=tmp_path / name / "seq")
@@ -364,7 +385,10 @@ def test_fixed_schedule_read_once_per_grid(tmp_path, monkeypatch):
     plan.write_text(json.dumps(FIXED_PLAN))
     loads = []
     monkeypatch.setattr("fedrr.harness.load_fixed_schedule", lambda path: loads.append(path) or load_fixed_schedule(path))
-    cfg = quad_config(tmp_path, algorithms=list(ALGORITHMS), multipliers=[0.5, 1.0], fixed_schedule_path=str(plan))
+    cfg = quad_config(
+        tmp_path, algorithms=list(ALGORITHMS), multipliers=[0.5, 1.0],
+        client_mode="deterministic_fixed", fixed_schedule_path=str(plan),
+    )
     summary = run_experiment(cfg)
     assert len(summary["results"]) == 16
     assert loads == [str(plan)]
@@ -453,7 +477,7 @@ def test_quadratic_client_count_must_match_config():
 def test_fixed_schedule_checked_before_any_job(tmp_path, monkeypatch, plan, message):
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(plan))
-    cfg = quad_config(tmp_path, fixed_schedule_path=str(path))
+    cfg = quad_config(tmp_path, client_mode="deterministic_fixed", fixed_schedule_path=str(path))
     monkeypatch.setattr("fedrr.harness.resolve_optimum", lambda *a, **k: pytest.fail("optimum resolved"))
     with pytest.raises(ConfigError, match=message):
         run_experiment(cfg)
@@ -463,5 +487,5 @@ def test_fixed_schedule_checked_before_any_job(tmp_path, monkeypatch, plan, mess
 def test_fixed_schedule_runs(tmp_path):
     path = tmp_path / "plan.json"
     path.write_text(json.dumps([[[0, 1], [2, 3], [4, 5]], [[5, 3], [1, 4], [0, 2]]]))
-    summary = run_experiment(quad_config(tmp_path, fixed_schedule_path=str(path)))
+    summary = run_experiment(quad_config(tmp_path, client_mode="deterministic_fixed", fixed_schedule_path=str(path)))
     assert summary["manifest"]["diverged_count"] == 0

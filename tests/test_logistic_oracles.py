@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from eager_reference import (
     full_gradient_loop,
+    logistic_arrays_gathered,
+    partition_tuples,
     sigmoid_three_exp,
     star_variances_per_component,
     to_libsvm_text_scalars,
@@ -83,6 +85,16 @@ def test_solve_optimum_bytes_equal_with_reference_gradient():
 def test_star_variances_match_per_component_form(problem):
     x = np.random.default_rng(11).normal(size=problem.d)
     assert star_variances(problem, x) == star_variances_per_component(problem, x)
+
+
+@pytest.mark.parametrize("count, M, seed", [(120, 3, 0), (103, 10, 1), (40, 1, 9), (11, 11, 4)])
+def test_partition_array_gathers_the_tuple_partition_bytes(count, M, seed):
+    ds = synthetic_libsvm_like(count=count, dim=9, seed=seed, nnz_per_row=4)
+    assignment = partition_tuples(ds, M, seed)
+    assert partition(ds, M, seed).tolist() == [list(rows) for rows in assignment]
+    problem = logistic_problem(partition(ds, M, seed), ds, 1e-2)
+    A, b = logistic_arrays_gathered(assignment, ds)
+    assert same_bits(problem._A, A) and same_bits(problem._b, b)
 
 
 def test_text_round_trip_is_byte_identical():

@@ -378,3 +378,28 @@ def test_local_pass_divergence_carries_position(algorithm):
         else:
             run_algorithm(problem, cfg, opt, cohort_sequence=[(0,), (1,), (0,), (1,)])
     assert (info.value.meta_epoch, info.value.round_index) == (0, 1)
+
+
+@st.composite
+def run_lengths(draw):
+    algorithm = draw(st.sampled_from(ALGORITHMS))
+    divisors = [c for c in range(1, 7) if 6 % c == 0]
+    C = draw(st.sampled_from(divisors) if algorithm != "fedavg" else st.integers(1, 6))
+    local_steps = draw(st.one_of(st.none(), st.integers(1, 12)))
+    batch_fraction = draw(st.floats(0.0, 1.0, exclude_min=True))
+    return algorithm, C, draw(st.integers(1, 4)), local_steps, batch_fraction
+
+
+@given(run_lengths())
+@settings(max_examples=120, deadline=None)
+def test_last_trace_point_holds_the_run_total(spec):
+    # the last round always completes an epoch, so the loop itself records the run's total
+    algorithm, C, T, local_steps, batch_fraction = spec
+    problem = hetero_quadratic(M=6, N=5, d=2)
+    cfg = make_cfg(problem, algorithm, C, T, 0.002, local_steps=local_steps, batch_fraction=batch_fraction)
+    trace = run_algorithm(problem, cfg, problem.analytic_optimum())
+    total = T * problem.M * problem.N
+    if algorithm == "fedavg":
+        per_round = C * _pass_length("fedavg", problem.N, local_steps) * max(1, round(batch_fraction * problem.N))
+        total = -(-total // per_round) * per_round
+    assert trace.points[-1].grad_evals == total

@@ -178,3 +178,15 @@ def test_index_validation():
         problem.component_gradient(99, 0, np.zeros(problem.d))
     with pytest.raises(IndexError):
         problem.component_gradient(0, 99, np.zeros(problem.d))
+
+
+@pytest.mark.parametrize("M, N, d", [(0, 4, 3), (3, 0, 3), (3, 4, 0)])
+def test_quadratic_sizes_must_be_positive(M, N, d):
+    with pytest.raises(ProblemError, match=f"^quadratic sizes must be at least 1, got M={M}, N={N}, d={d}$"):
+        quadratic_problem(M, N, d, mu=0.5, L=4.0, client_spread=1.0, sample_spread=0.5, seed=0)
+
+
+def test_empty_partition_rejected():
+    ds = synthetic_libsvm_like(count=6, dim=3, seed=0, nnz_per_row=2)
+    with pytest.raises(ProblemError, match="at least one sample per client"):
+        logistic_problem(np.zeros((2, 0), dtype=np.int64), ds, 1e-2)

@@ -111,14 +111,14 @@ def test_cohort_schedule_partition_property():
     mode = ShuffleMode(client_mode=ClientMode.RESHUFFLING)
     for t in range(5):
         sched = build_cohort_schedule(12, 3, mode, t, seed=4)
-        assert sched.R == 4 and sched.C == 3
+        assert len(sched.cohorts) == 4 and len(sched.cohorts[0]) == 3
         flat = sorted(m for cohort in sched.cohorts for m in cohort)
         assert flat == list(range(12))
 
 
 def test_cohort_schedule_full_participation():
     sched = build_cohort_schedule(5, 5, ShuffleMode(), 0, seed=0)
-    assert sched.R == 1
+    assert len(sched.cohorts) == 1
     assert sorted(sched.cohorts[0]) == list(range(5))
 
 

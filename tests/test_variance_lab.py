@@ -4,8 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from eager_reference import brute_force_all_tensor, brute_force_expectation_tensor, enumerate_sequences_loop
-from fedrr.problem import quadratic_problem
+from eager_reference import (
+    brute_force_all_tensor,
+    brute_force_expectation_tensor,
+    enumerate_sequences_loop,
+    star_sequence_loop,
+)
+from fedrr.dataset import partition, synthetic_libsvm_like
+from fedrr.problem import logistic_problem, quadratic_problem, solve_optimum
 from fedrr.rng import stream
 from fedrr.variance_lab import (
     EnumerationTooLarge,
@@ -267,3 +273,26 @@ def test_star_sequence_scales_as_gamma_squared():
     b = star_sequence_deviation(problem, opt.x_star, gamma=0.02, C=2, n_draws=20, seed=3)
     ratio = b.mean_sq_dev / np.maximum(a.mean_sq_dev, 1e-300)
     assert np.allclose(ratio, 4.0, rtol=1e-9)
+
+
+def _star_problems():
+    ds = synthetic_libsvm_like(count=26, dim=5, seed=2, nnz_per_row=3)
+    logistic = logistic_problem(partition(ds, 4, 6), ds, 5e-2)
+    yield pytest.param(logistic, solve_optimum(logistic, 1e-12).x_star, id="logistic")
+    for M, N, d, seed in ((4, 3, 2, 1), (6, 2, 3, 4), (3, 5, 1, 0)):
+        quad = quadratic_problem(M, N, d, mu=1.0, L=5.0, client_spread=1.0, sample_spread=0.5, seed=seed)
+        yield pytest.param(quad, quad.analytic_optimum().x_star, id=f"quadratic-{M}x{N}x{d}")
+
+
+@pytest.mark.parametrize("problem, x_star", list(_star_problems()))
+@pytest.mark.parametrize("full", [False, True], ids=["C=1", "C=M"])
+def test_star_sequence_matches_per_step_oracle_reads(problem, x_star, full):
+    # x*'s gradients and losses read once must give every statistic the bytes of the per-step reads
+    C = problem.M if full else 1
+    for gamma in (0.01, 0.3 / problem.L):
+        got = star_sequence_deviation(problem, x_star, gamma, C, n_draws=15, seed=7)
+        want = star_sequence_loop(problem, x_star, gamma, C, n_draws=15, seed=7)
+        assert got.mean_sq_dev.tobytes() == want.mean_sq_dev.tobytes()
+        assert got.mean_sq_dev.shape == want.mean_sq_dev.shape
+        assert repr(got.max_mean_sq_dev) == repr(want.max_mean_sq_dev)
+        assert repr(got.max_sigma_ds) == repr(want.max_sigma_ds)
