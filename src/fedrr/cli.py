@@ -2,7 +2,7 @@
 solve optima.
 
 Exit codes: 0 success, 2 configuration error, 3 all runs diverged,
-4 verification failure.
+4 verification or optimum-solver failure.
 """
 
 from __future__ import annotations
@@ -69,19 +69,11 @@ def _cmd_run(args) -> int:
         overrides["algorithms"] = args.algo.split(",")
     if args.decay:
         overrides["decay"] = True
-    try:
-        if args.seeds:
-            overrides["seeds"] = _split(args.seeds, int, "--seeds")
-        if args.multipliers:
-            overrides["multipliers"] = _split(args.multipliers, float, "--multipliers")
-        cfg = ExperimentConfig.from_file(args.config, overrides)
-        summary = run_experiment(cfg)
-    except (ConfigError, DatasetError, ProblemError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DivergenceError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+    if args.seeds:
+        overrides["seeds"] = _split(args.seeds, int, "--seeds")
+    if args.multipliers:
+        overrides["multipliers"] = _split(args.multipliers, float, "--multipliers")
+    summary = run_experiment(ExperimentConfig.from_file(args.config, overrides))
     n = len(summary["results"])
     diverged = summary["manifest"]["diverged_count"]
     print(f"{n} runs completed ({diverged} diverged); outputs in {summary['out_dir']}")
@@ -107,8 +99,7 @@ def _cmd_verify(args) -> int:
         (not (math.isfinite(args.tol) and args.tol > 0), f"--tol must be finite and positive, got {args.tol}"),
     ):
         if bad:
-            print(f"config error: {message}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError(message)
     rng = stream(args.seed, "verify_variance")
     worst = 0.0
     failures = 0
@@ -130,17 +121,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    try:
-        ds = load_libsvm_file(args.dataset)
-        part = partition(ds, args.clients, args.seed)
-        problem = logistic_problem(part, ds, args.alpha)
-        opt = solve_optimum(problem, args.tol)
-    except (DatasetError, ProblemError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SolverError as exc:
-        print(f"solver failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    ds = load_libsvm_file(args.dataset)
+    problem = logistic_problem(partition(ds, args.clients, args.seed), ds, args.alpha)
+    opt = solve_optimum(problem, args.tol)
     print(f"samples={ds.count} dim={ds.dim} L={problem.L:.6g} mu={problem.mu:.6g} kappa={problem.L / problem.mu:.6g}")
     print(f"f(x*)={opt.f_star:.12g} ||grad||={opt.grad_norm:.3e}")
     if args.out:
@@ -151,11 +134,18 @@ def _cmd_solve(args) -> int:
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "verify-variance":
-        return _cmd_verify(args)
-    return _cmd_solve(args)
+    command = {"run": _cmd_run, "verify-variance": _cmd_verify, "solve-optimum": _cmd_solve}[args.command]
+    try:
+        return command(args)
+    except (ConfigError, DatasetError, ProblemError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except DivergenceError as exc:
+        print(f"divergence: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
+    except SolverError as exc:
+        print(f"solver failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -68,7 +69,7 @@ def parse_libsvm(text: str) -> SparseDataset:
     """Parse LIBSVM text into a :class:`SparseDataset`.
 
     Labels {0,1,2} are mapped onto {-1,+1} ({0,2} -> -1); anything else is
-    rejected.
+    rejected, and so is a NaN or infinite feature value.
     """
     rows: list[tuple[np.ndarray, np.ndarray]] = []
     labels: list[float] = []
@@ -91,6 +92,8 @@ def parse_libsvm(text: str) -> SparseDataset:
                 value = float(v)
             except ValueError as exc:
                 raise DatasetError(f"line {lineno}: malformed feature {tok!r}") from exc
+            if not math.isfinite(value):
+                raise DatasetError(f"line {lineno}: non-finite feature value {tok!r}")
             if index <= prev:
                 raise DatasetError(f"line {lineno}: feature indices must be strictly increasing")
             prev = index
@@ -144,10 +147,14 @@ def synthetic_libsvm_like(
     """
     if count < 1 or dim < 1:
         raise DatasetError(f"synthetic dataset needs count and dim of at least 1, got count={count}, dim={dim}")
-    rng = stream(seed, "synthetic_dataset", count, dim, nnz_per_row)
-    teacher = rng.normal(size=dim) * signal / np.sqrt(dim)
+    if nnz_per_row < 1:
+        raise DatasetError(f"synthetic dataset needs nnz_per_row of at least 1, got {nnz_per_row}")
     if feature_scale is None:
         feature_scale = 1.0
+    if not math.isfinite(signal) or not math.isfinite(feature_scale):
+        raise DatasetError(f"synthetic signal and feature_scale must be finite, got {signal} and {feature_scale}")
+    rng = stream(seed, "synthetic_dataset", count, dim, nnz_per_row)
+    teacher = rng.normal(size=dim) * signal / np.sqrt(dim)
     rows = []
     labels = np.empty(count)
     for i in range(count):

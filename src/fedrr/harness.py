@@ -16,6 +16,7 @@ import inspect
 import json
 import numbers
 import os
+import struct
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -26,7 +27,6 @@ import numpy as np
 from . import __version__
 from .dataset import load_libsvm_file, partition, synthetic_libsvm_like
 from .optimizer import (
-    ALGORITHMS,
     FEDAVG,
     NASTYA,
     RRCLI,
@@ -36,18 +36,10 @@ from .optimizer import (
     RunTrace,
     StepSizes,
     _pass_length,
+    check_run_settings,
     run_algorithm,
 )
-from .problem import (
-    FederatedProblem,
-    Optimum,
-    ProblemError,
-    load_optimum,
-    logistic_problem,
-    quadratic_problem,
-    save_optimum,
-    solve_optimum,
-)
+from .problem import FederatedProblem, Optimum, ProblemError, logistic_problem, quadratic_problem, solve_optimum
 from .rng import derive_seed
 from .shuffling import (
     ClientMode,
@@ -64,6 +56,8 @@ WORKERS_ENV = "FEDRR_WORKERS"
 
 RUN_FIELDS = ["algorithm", "multiplier", "seed", "epoch", "dist_sq", "func_gap", "grad_evals"]
 AGG_FIELDS = ["algorithm", "multiplier", "epoch", "dist_sq_mean", "func_gap_mean", "n_runs"]
+
+OPTIMUM_MAGIC = b"FEDRROPT1"
 
 
 class ConfigError(ValueError):
@@ -143,13 +137,16 @@ class ExperimentConfig:
             raise ConfigError("multipliers must be positive")
         if self.nastya_gamma is not None and not self.nastya_gamma > 0:
             raise ConfigError(f"nastya_gamma must be null or positive, got {self.nastya_gamma!r}")
-        if self.T < 1:
-            raise ConfigError("epoch budget must be positive")
         if self.regime not in REGIMES:
             raise ConfigError(f"unknown regime {self.regime!r}")
         for a in self.algorithms:
-            if a not in ALGORITHMS:
-                raise ConfigError(f"unknown algorithm {a!r}")
+            try:
+                check_run_settings(a, self.C, self.T, self.local_steps, self.batch_fraction)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+        # C | M: every client trains exactly once in each meta-epoch of M/C rounds
+        if self.M % self.C != 0:
+            raise ConfigError(f"cohort size {self.C} does not divide client count {self.M}")
         for name, modes in (("client_mode", ClientMode), ("data_mode", DataMode)):
             value, allowed = getattr(self, name), [m.value for m in modes]
             if value not in allowed:
@@ -157,12 +154,6 @@ class ExperimentConfig:
         fixed = self.client_mode == ClientMode.DETERMINISTIC_FIXED.value
         if fixed != (self.fixed_schedule_path is not None):
             raise ConfigError(f"client_mode {self.client_mode!r} {'needs a' if fixed else 'takes no'} fixed_schedule_path")
-        if self.local_steps is not None and self.local_steps < 1:
-            raise ConfigError("local_steps must be null or at least 1")
-        if not 0 < self.batch_fraction <= 1:
-            raise ConfigError("batch_fraction must lie in (0, 1]")
-        if self.C < 1:
-            raise ConfigError("cohort size C must be at least 1")
         quad = self.dataset.get("quadratic", {})
         if quad.get("M", self.M) != self.M:
             raise ConfigError(f"quadratic dataset M={quad['M']} differs from the config's M={self.M}")
@@ -184,7 +175,7 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
 
-def _load_shuffle_mode(cfg: ExperimentConfig, M: int) -> ShuffleMode:
+def _load_shuffle_mode(cfg: ExperimentConfig) -> ShuffleMode:
     """The grid's shuffle mode; a fixed schedule is read here, once for all jobs.
 
     Every epoch of a fixed schedule must split the M clients into cohorts of C.
@@ -198,9 +189,9 @@ def _load_shuffle_mode(cfg: ExperimentConfig, M: int) -> ShuffleMode:
         raise ConfigError(f"fixed schedule {path} is not epochs of cohorts of client ids: {exc}") from exc
     try:
         for t in range(max(1, len(mode.fixed_schedule))):
-            build_cohort_schedule(M, cfg.C, mode, t, cfg.master_seed)
+            build_cohort_schedule(cfg.M, cfg.C, mode, t, cfg.master_seed)
     except ScheduleError as exc:
-        raise ConfigError(f"fixed schedule {path} does not fit M={M}, C={cfg.C}: {exc}") from exc
+        raise ConfigError(f"fixed schedule {path} does not fit M={cfg.M}, C={cfg.C}: {exc}") from exc
     return mode
 
 
@@ -210,8 +201,7 @@ def build_problem(cfg: ExperimentConfig) -> tuple[FederatedProblem, str]:
     if "quadratic" in spec:
         q = {"M": cfg.M, **spec["quadratic"]}
         digest = hashlib.sha256(json.dumps(q, sort_keys=True).encode()).hexdigest()
-        defaults = dict(N=4, d=5, mu=1.0, L=10.0, client_spread=1.0, sample_spread=0.5, seed=cfg.master_seed)
-        return quadratic_problem(**{**defaults, **q}), digest
+        return quadratic_problem(**{"seed": cfg.master_seed, **q}), digest
     ds = load_libsvm_file(spec["path"]) if "path" in spec else synthetic_libsvm_like(**spec["synthetic"])
     digest = hashlib.sha256(ds.to_libsvm_text().encode()).hexdigest()
     part = partition(ds, cfg.M, cfg.master_seed)
@@ -237,6 +227,27 @@ def resolve_optimum(problem: FederatedProblem, cfg: ExperimentConfig, cache_dir:
     cache.parent.mkdir(parents=True, exist_ok=True)
     save_optimum(cache, opt)
     return opt
+
+
+def save_optimum(path, opt: Optimum) -> None:
+    """Binary sidecar: magic, u32 d, x* as little-endian f64, f_star, grad_norm."""
+    with _atomic_write(path, "wb") as fh:
+        fh.write(OPTIMUM_MAGIC + struct.pack("<I", opt.x_star.size) + opt.x_star.astype("<f8").tobytes())
+        fh.write(struct.pack("<dd", opt.f_star, opt.grad_norm))
+
+
+def load_optimum(path) -> Optimum:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw[: len(OPTIMUM_MAGIC)] != OPTIMUM_MAGIC:
+        raise ProblemError(f"{path} is not an optimum sidecar file")
+    head = len(OPTIMUM_MAGIC) + 4
+    d = struct.unpack_from("<I", raw, len(OPTIMUM_MAGIC))[0] if len(raw) >= head else 0
+    if len(raw) != head + 8 * d + 16:
+        raise ProblemError(f"{path} is truncated or corrupt: {len(raw)} bytes, expected {head + 8 * d + 16} for d={d}")
+    x = np.frombuffer(raw, dtype="<f8", count=d, offset=head).copy()
+    f_star, grad_norm = struct.unpack_from("<dd", raw, head + 8 * d)
+    return Optimum(x_star=x, f_star=f_star, grad_norm=grad_norm)
 
 
 def algorithm_steps(algorithm: str, problem: FederatedProblem, cfg: ExperimentConfig, multiplier: float) -> StepSizes:
@@ -309,12 +320,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         workers = int(os.environ.get(WORKERS_ENV, "1"))
     except ValueError:
         raise ConfigError(f"{WORKERS_ENV} must be an integer, got {os.environ[WORKERS_ENV]!r}") from None
+    shuffle = _load_shuffle_mode(cfg)
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     problem, data_hash = build_problem(cfg)
-    if problem.M % cfg.C != 0:
-        raise ConfigError(f"cohort size {cfg.C} does not divide client count {problem.M}")
-    shuffle = _load_shuffle_mode(cfg, problem.M)
     optimum = resolve_optimum(problem, cfg, cache_dir=out / "cache", cache_key=data_hash)
     sigma_star2, sigma_tilde_star2 = star_variances(problem, optimum.x_star)
 
@@ -433,15 +442,15 @@ def _aggregate_rows(groups: dict, algorithm: str):
 
 
 @contextmanager
-def _atomic_write(path):
-    """Text file handle whose contents replace ``path`` only once the block completes.
+def _atomic_write(path, mode="w"):
+    """File handle (text, or bytes for ``mode="wb"``) whose contents replace ``path`` only once the block completes.
 
-    The text goes to a temporary file beside ``path`` that is then renamed
+    The contents go to a temporary file beside ``path`` that is then renamed
     over it, so a crash mid-write leaves the previous file intact.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", newline="") as fh:
+        with open(tmp, mode, newline="" if mode == "w" else None) as fh:
             yield fh
         os.replace(tmp, path)
     finally:

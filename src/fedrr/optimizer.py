@@ -32,13 +32,9 @@ ALGORITHMS = (RRCLI, RRCLI_WITH_REPLACEMENT, FEDAVG, NASTYA)
 
 DIVERGENCE_NORM_CAP = 1e12
 
-# when the collapse relations hold (eta = gamma*S, theta = eta*R), verify the
-# resulting algebraic identities on every round; cheap and always on in tests
-VERIFY_COLLAPSE = True
+# under eta = gamma*S the server iterate must equal the cohort's mean end point;
+# shuffled runs check this on every round
 COLLAPSE_TOL = 1e-12
-
-LOCAL_PASS_DIVERGED = "non-finite iterate in local pass of client {m}{where}"
-FEDAVG_DIVERGED = "non-finite iterate on client {m}"
 
 
 class DivergenceError(RuntimeError):
@@ -57,14 +53,13 @@ class StepSizes:
     theta: float
 
     def __post_init__(self):
-        if min(self.gamma, self.eta, self.theta) <= 0:
+        if not (self.gamma > 0 and self.eta > 0 and self.theta > 0):  # NaN included
             raise ValueError("all step sizes must be positive")
 
 
 @dataclass(frozen=True)
 class TracePoint:
     epoch: float  # equivalent full-gradient passes
-    meta_epoch: int
     dist_sq: float
     func_gap: float
     grad_evals: int
@@ -78,12 +73,11 @@ class RunTrace:
     def final_dist_sq(self) -> float:
         return self.points[-1].dist_sq
 
-    def record(self, problem, optimum, x, meta_epoch, grad_evals, t0):
+    def record(self, problem, optimum, x, grad_evals, t0):
         x_delta = x - optimum.x_star
         self.points.append(
             TracePoint(
                 epoch=grad_evals / (problem.M * problem.N),
-                meta_epoch=meta_epoch,
                 dist_sq=float(x_delta @ x_delta),
                 func_gap=float(problem.objective_value(x) - optimum.f_star),
                 grad_evals=grad_evals,
@@ -106,14 +100,19 @@ class AlgoConfig:
     x0: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if not 0 < self.batch_fraction <= 1:
-            raise ValueError("batch fraction must lie in (0, 1]")
-        if self.T < 1 or self.C < 1:
-            raise ValueError("T and C must be positive")
-        if self.local_steps is not None and self.local_steps < 1:
-            raise ValueError("local_steps must be positive")
+        check_run_settings(self.algorithm, self.C, self.T, self.local_steps, self.batch_fraction)
+
+
+def check_run_settings(algorithm: str, C: int, T: int, local_steps: int | None, batch_fraction: float) -> None:
+    """Raise ValueError unless these settings describe a run of one of the four algorithms."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    if not 0 < batch_fraction <= 1:
+        raise ValueError("batch_fraction must lie in (0, 1]")
+    if T < 1 or C < 1:
+        raise ValueError("T and C must be positive")
+    if local_steps is not None and local_steps < 1:
+        raise ValueError("local_steps must be null or positive")
 
 
 def apply_decay(steps: StepSizes, epochs_passed: float) -> StepSizes:
@@ -148,21 +147,21 @@ def _check_iterate(x, t, r):
         raise DivergenceError(f"divergence at meta-epoch {t}, round {r}", meta_epoch=t, round_index=r)
 
 
-def _cohort_update(problem, cohort, x, gamma, order, bounds, text, meta_epoch, round_index):
+def _cohort_update(problem, cohort, x, gamma, order, bounds, meta_epoch, round_index):
     """Mean pseudo-gradient and mean end point of a cohort whose client m passes over ``order[m]``.
 
     One ``problem.cohort_pass`` call runs every pass from x in the steps
     ``bounds``; g = (x - x_end)/(gamma*S) makes the server step at
     eta = gamma*S model averaging.  As a per-client loop in client-id order
-    would, the first non-finite client raises :class:`DivergenceError` with
-    ``text`` formatted for it, and the clients are summed from zeros.
+    would, the first non-finite client raises :class:`DivergenceError` that
+    names it and the round, and the clients are summed from zeros.
     """
     ms = sorted(cohort)
     X = problem.cohort_pass(ms, x, gamma, np.array([order[m] for m in ms]), bounds)
     if not np.isfinite(X).all():
         m = ms[int(np.isfinite(X).all(axis=1).argmin())]
-        where = f" at meta-epoch {meta_epoch}, round {round_index}"
-        raise DivergenceError(text.format(m=m, where=where), meta_epoch=meta_epoch, round_index=round_index)
+        where = f"meta-epoch {meta_epoch}, round {round_index}"
+        raise DivergenceError(f"non-finite iterate in local pass of client {m} at {where}", meta_epoch, round_index)
     G = (x - X) / (gamma * len(bounds))
     g = np.zeros(problem.d)
     x_end_sum = np.zeros(problem.d)
@@ -238,27 +237,25 @@ def run_algorithm(problem: FederatedProblem, cfg: AlgoConfig, optimum: Optimum, 
     R = M // cfg.C
     S = _pass_length(cfg.algorithm, N, cfg.local_steps)
     batch = max(1, int(round(cfg.batch_fraction * N)))  # fedavg only
-    if cfg.algorithm == FEDAVG:  # each client runs its S minibatch steps in one pass
-        bounds, text = tuple((s * batch, (s + 1) * batch) for s in range(S)), FEDAVG_DIVERGED
-    else:
-        bounds, text = _batch_bounds(N, S), LOCAL_PASS_DIVERGED
+    # a fedavg client runs its S minibatches one after the other in one pass
+    bounds = tuple((s * batch, (s + 1) * batch) for s in range(S)) if cfg.algorithm == FEDAVG else _batch_bounds(N, S)
     per_round = cfg.C * bounds[-1][1]
     shuffled = cfg.algorithm in (RRCLI, RRCLI_WITH_REPLACEMENT)
     t0 = time.perf_counter()
     x = np.zeros(problem.d) if cfg.x0 is None else np.array(cfg.x0, dtype=np.float64)
     trace = RunTrace()
     evals = recorded = 0
-    trace.record(problem, optimum, x, 0, evals, t0)
+    trace.record(problem, optimum, x, evals, t0)
     for t, r, cohort, order in _round_plan(problem, cfg, S, batch, cohort_sequence):
         steps = apply_decay(cfg.steps, evals // (M * N)) if cfg.decay else cfg.steps
         if shuffled and r == 0:
             x_meta = x  # the global step starts from here
-        g, mean_end = _cohort_update(problem, cohort, x, steps.gamma, order, bounds, text, t, r)
+        g, mean_end = _cohort_update(problem, cohort, x, steps.gamma, order, bounds, t, r)
         evals += per_round
         x = x - steps.eta * g
         _check_iterate(x, t, r)
         if shuffled:
-            if VERIFY_COLLAPSE and steps.eta == steps.gamma * S:
+            if steps.eta == steps.gamma * S:
                 scale = max(1.0, float(np.abs(x).max()))
                 if float(np.abs(x - mean_end).max()) > COLLAPSE_TOL * scale:
                     raise AssertionError("server iterate deviates from cohort mean under eta = gamma*S")
@@ -268,5 +265,5 @@ def run_algorithm(problem: FederatedProblem, cfg: AlgoConfig, optimum: Optimum, 
                 _check_iterate(x, t, R)
         if evals // (M * N) > recorded:
             recorded = evals // (M * N)
-            trace.record(problem, optimum, x, recorded, evals, t0)
+            trace.record(problem, optimum, x, evals, t0)
     return trace

@@ -8,16 +8,13 @@ them the workhorse for bound verification).
 
 from __future__ import annotations
 
-import os
-import struct
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import SparseDataset
 from .rng import stream
-
-MAGIC = b"FEDRROPT1"
 
 
 class ProblemError(ValueError):
@@ -88,8 +85,8 @@ class LogisticProblem(FederatedProblem):
     """log(1 + exp(-b a.x)) + (alpha/2)||x||^2 per component, dense per-client rows."""
 
     def __init__(self, A: np.ndarray, b: np.ndarray, alpha: float):
-        if not alpha > 0:  # NaN included: the optimum solve would never converge
-            raise ProblemError("regularizer alpha must be positive")
+        if not 0 < alpha < math.inf:  # NaN or inf: the optimum solve would never converge
+            raise ProblemError(f"regularizer alpha must be positive and finite, got {alpha}")
         if A.ndim != 3 or b.shape != A.shape[:2]:
             raise ProblemError("expected A of shape (M, N, d) and matching labels")
         self.M, self.N, self.d = A.shape
@@ -252,13 +249,13 @@ def logistic_problem(partition: np.ndarray, dataset: SparseDataset, alpha: float
 
 def quadratic_problem(
     M: int,
-    N: int,
-    d: int,
-    mu: float,
-    L: float,
-    client_spread: float,
-    sample_spread: float,
-    seed: int,
+    N: int = 4,
+    d: int = 5,
+    mu: float = 1.0,
+    L: float = 10.0,
+    client_spread: float = 1.0,
+    sample_spread: float = 0.5,
+    seed: int = 2024,
 ) -> QuadraticProblem:
     """Synthetic strongly convex instance with controllable heterogeneity.
 
@@ -269,8 +266,10 @@ def quadratic_problem(
     """
     if min(M, N, d) < 1:
         raise ProblemError(f"quadratic sizes must be at least 1, got M={M}, N={N}, d={d}")
-    if not 0 < mu <= L:
-        raise ProblemError("spectrum bounds must satisfy 0 < mu <= L")
+    if not 0 < mu <= L < math.inf:
+        raise ProblemError(f"spectrum bounds must satisfy 0 < mu <= L < inf, got mu={mu}, L={L}")
+    if not math.isfinite(client_spread) or not math.isfinite(sample_spread):
+        raise ProblemError(f"spreads must be finite, got client_spread={client_spread}, sample_spread={sample_spread}")
     rng = stream(seed, "quadratic_problem", M, N, d)
     H = np.empty((M, N, d, d))
     centers = np.empty((M, N, d))
@@ -293,10 +292,10 @@ def solve_optimum(problem: FederatedProblem, tol: float, max_iter: int = 10_000_
 
     Plain 1/L steps for the first 1000 iterations, then Nesterov momentum for
     the strongly convex regime.  Raises :class:`SolverError` with the last
-    gradient norm if the cap is hit first.
+    gradient norm if the cap is hit first, or at the first non-finite gradient.
     """
-    if not tol > 0:  # a NaN tolerance would never be met
-        raise ProblemError("tolerance must be positive")
+    if not 0 < tol < math.inf:  # a NaN tolerance would never be met, an infinite one by x = 0
+        raise ProblemError(f"tolerance must be positive and finite, got {tol}")
     if problem.mu <= 0:
         raise ProblemError("optimum solver requires a strongly convex problem")
     L, mu = problem.L, problem.mu
@@ -305,7 +304,7 @@ def solve_optimum(problem: FederatedProblem, tol: float, max_iter: int = 10_000_
     g = problem.full_gradient(x)
     it = 0
     while it < min(1000, max_iter):
-        if np.linalg.norm(g) <= tol:
+        if _converged(g, tol):
             return _finish(problem, x, g)
         x = x - step * g
         g = problem.full_gradient(x)
@@ -313,7 +312,7 @@ def solve_optimum(problem: FederatedProblem, tol: float, max_iter: int = 10_000_
     beta = (np.sqrt(L / mu) - 1.0) / (np.sqrt(L / mu) + 1.0)
     y = x.copy()
     while it < max_iter:
-        if np.linalg.norm(g) <= tol:
+        if _converged(g, tol):
             return _finish(problem, x, g)
         x_next = y - step * problem.full_gradient(y)
         y = x_next + beta * (x_next - x)
@@ -324,6 +323,13 @@ def solve_optimum(problem: FederatedProblem, tol: float, max_iter: int = 10_000_
         f"optimum solver hit the {max_iter}-iteration cap at grad norm {np.linalg.norm(g):.3e}",
         grad_norm=float(np.linalg.norm(g)),
     )
+
+
+def _converged(g: np.ndarray, tol: float) -> bool:
+    norm = float(np.linalg.norm(g))
+    if not math.isfinite(norm):  # descent never comes back from NaN or inf
+        raise SolverError(f"optimum solver met a non-finite gradient (norm {norm})", grad_norm=norm)
+    return norm <= tol
 
 
 def _finish(problem: FederatedProblem, x: np.ndarray, g: np.ndarray) -> Optimum:
@@ -338,33 +344,3 @@ def _sigmoid(z):
     """
     e = np.exp(np.maximum(np.minimum(z, -z), -50))
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def save_optimum(path, opt: Optimum) -> None:
-    """Binary sidecar: magic, u32 d, x* as little-endian f64, f_star, grad_norm.
-
-    The bytes go to a temporary file that is then renamed over ``path``, so
-    an interrupted write never leaves a truncated sidecar behind.
-    """
-    tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", opt.x_star.size))
-        fh.write(opt.x_star.astype("<f8").tobytes())
-        fh.write(struct.pack("<d", opt.f_star))
-        fh.write(struct.pack("<d", opt.grad_norm))
-    os.replace(tmp, path)
-
-
-def load_optimum(path) -> Optimum:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[: len(MAGIC)] != MAGIC:
-        raise ProblemError(f"{path} is not an optimum sidecar file")
-    head = len(MAGIC) + 4
-    d = struct.unpack_from("<I", raw, len(MAGIC))[0] if len(raw) >= head else 0
-    if len(raw) != head + 8 * d + 16:
-        raise ProblemError(f"{path} is truncated or corrupt: {len(raw)} bytes, expected {head + 8 * d + 16} for d={d}")
-    x = np.frombuffer(raw, dtype="<f8", count=d, offset=head).copy()
-    f_star, grad_norm = struct.unpack_from("<dd", raw, head + 8 * d)
-    return Optimum(x_star=x, f_star=f_star, grad_norm=grad_norm)

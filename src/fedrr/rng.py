@@ -11,9 +11,9 @@ experiment never perturbs the streams of the others.
 from __future__ import annotations
 
 import hashlib
-from functools import cache
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 
 def stream_key(root_seed: int, label: str, *parts) -> int:
@@ -23,32 +23,25 @@ def stream_key(root_seed: int, label: str, *parts) -> int:
     return int.from_bytes(digest[:16], "little")
 
 
-@cache
-def _philox_key_type() -> type:
+class _PhiloxKey(ISeedSequence):
     """A seed sequence that holds a 128-bit key as the two little-endian words Philox asks for.
 
-    ``Philox(_philox_key_type()(k))`` has the state of ``Philox(key=k)``,
-    without the OS-entropy ``SeedSequence`` that numpy draws for a generator
-    built from a key.  The type is made on first use, so importing fedrr does
-    not load numpy.random.
+    ``Philox(_PhiloxKey(k))`` has the state of ``Philox(key=k)``, without the
+    OS-entropy ``SeedSequence`` that numpy draws for a generator built from a key.
     """
-    from numpy.random.bit_generator import ISeedSequence
 
-    class PhiloxKey(ISeedSequence):
-        def __init__(self, key: int):
-            self.words = np.array([key & 0xFFFF_FFFF_FFFF_FFFF, key >> 64], dtype=np.uint64)
+    def __init__(self, key: int):
+        self.words = np.array([key & 0xFFFF_FFFF_FFFF_FFFF, key >> 64], dtype=np.uint64)
 
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 2 or np.dtype(dtype) != np.uint64:
-                raise ValueError("a Philox key holds exactly two uint64 words")
-            return self.words.copy()
-
-    return PhiloxKey
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a Philox key holds exactly two uint64 words")
+        return self.words.copy()
 
 
 def stream(root_seed: int, label: str, *parts) -> np.random.Generator:
     """Return an independent generator for the named (seed, label, parts) context."""
-    key = _philox_key_type()(stream_key(root_seed, label, *parts))
+    key = _PhiloxKey(stream_key(root_seed, label, *parts))
     return np.random.Generator(np.random.Philox(key))
 
 

@@ -87,13 +87,12 @@ def objective_value_loop(problem, x):
     return sum(client_objective_loop(problem, m, x) for m in range(problem.M)) / problem.M
 
 
-def record(trace, problem, optimum, x, meta_epoch, grad_evals, t0):
+def record(trace, problem, optimum, x, grad_evals, t0):
     """``RunTrace.record`` with the per-component objective."""
     x_delta = x - optimum.x_star
     trace.points.append(
         TracePoint(
             epoch=grad_evals / (problem.M * problem.N),
-            meta_epoch=meta_epoch,
             dist_sq=float(x_delta @ x_delta),
             func_gap=float(objective_value_loop(problem, x) - optimum.f_star),
             grad_evals=grad_evals,
@@ -152,7 +151,7 @@ def eager_run(problem, cfg, optimum):
     x = np.zeros(problem.d) if cfg.x0 is None else np.array(cfg.x0, dtype=np.float64)
     trace = RunTrace()
     evals = 0
-    record(trace, problem, optimum, x, 0, evals, t0)
+    record(trace, problem, optimum, x, evals, t0)
     if cfg.algorithm in ("rrcli", "rrcli-wr"):
         for t in range(cfg.T):
             steps = apply_decay(cfg.steps, t) if cfg.decay else cfg.steps
@@ -167,7 +166,7 @@ def eager_run(problem, cfg, optimum):
                 evals += C * N
             if steps.theta != steps.eta * R:
                 x = x_meta - steps.theta * (x_meta - x) / (steps.eta * R)
-            record(trace, problem, optimum, x, t + 1, evals, t0)
+            record(trace, problem, optimum, x, evals, t0)
     elif cfg.algorithm == "nastya":
         for k in range(cfg.T * R):
             steps = apply_decay(cfg.steps, evals // (M * N)) if cfg.decay else cfg.steps
@@ -176,7 +175,7 @@ def eager_run(problem, cfg, optimum):
             x = server_step(problem, cohort, x, steps, perms, cfg.local_steps)
             evals += C * N
             if (k + 1) % R == 0:
-                record(trace, problem, optimum, x, (k + 1) // R, evals, t0)
+                record(trace, problem, optimum, x, evals, t0)
     else:
         S = cfg.local_steps if cfg.local_steps is not None else 10
         batch = max(1, int(round(cfg.batch_fraction * N)))
@@ -197,9 +196,9 @@ def eager_run(problem, cfg, optimum):
             k += 1
             if evals // (M * N) > recorded:
                 recorded = evals // (M * N)
-                record(trace, problem, optimum, x, recorded, evals, t0)
+                record(trace, problem, optimum, x, evals, t0)
         if trace.points[-1].grad_evals != evals:
-            record(trace, problem, optimum, x, recorded, evals, t0)
+            record(trace, problem, optimum, x, evals, t0)
     return trace
 
 

@@ -12,8 +12,6 @@ import pytest
 from fedrr.dataset import partition, synthetic_libsvm_like
 from fedrr.harness import ExperimentConfig, run_experiment
 from fedrr.optimizer import (
-    LOCAL_PASS_DIVERGED,
-    VERIFY_COLLAPSE,
     AlgoConfig,
     StepSizes,
     _batch_bounds,
@@ -174,13 +172,13 @@ def test_04_collapse_identities():
         perms = data_permutations(4, mode, t, cfg.seed)
         sched = build_cohort_schedule(6, 2, mode, t, cfg.seed)
         for r, cohort in enumerate(sched.cohorts):
-            g, mean_end = _cohort_update(problem, cohort, x, gamma, perms, _batch_bounds(4, 4), LOCAL_PASS_DIVERGED, t, r)
+            g, mean_end = _cohort_update(problem, cohort, x, gamma, perms, _batch_bounds(4, 4), t, r)
             x = x - steps.eta * g
             worst = max(worst, float(np.abs(x - mean_end).max()))
         delta = x - opt.x_star
         bit_exact = trace.points[t + 1].dist_sq == float(delta @ delta)
         worst = worst if bit_exact else np.inf
-    verdict(4, "step-size collapse identities", VERIFY_COLLAPSE and worst <= 1e-12, f"max dev {worst:.1e}")
+    verdict(4, "step-size collapse identities", worst <= 1e-12, f"max dev {worst:.1e}")
 
 
 def test_05_small_step_bound_dominance():

@@ -225,6 +225,21 @@ def test_solve_optimum_missing_file(capsys):
         ("solve-optimum", None, ["--alpha", "0.1", "--dataset", "latin1.txt"], {}, "latin1.txt is neither UTF-8 text"),
         ("solve-optimum", None, ["--alpha", "0.1", "--dataset", "truncated.gz"], {}, "truncated.gz is neither UTF-8 text"),
         ("solve-optimum", None, ["--alpha", "0.1", "--dataset", "folder"], {}, "[Errno 21] Is a directory: 'folder'"),
+        ("run", {**QUAD_CFG, "dataset": {"synthetic": {"nnz_per_row": -10}}}, [], {},
+         "synthetic dataset needs nnz_per_row of at least 1, got -10"),
+        ("run", quadratic_with(L=float("inf")), [], {}, "spectrum bounds must satisfy 0 < mu <= L < inf, got mu=1.0, L=inf"),
+        ("run", quadratic_with(client_spread=float("nan")), [], {},
+         "spreads must be finite, got client_spread=nan, sample_spread=0.5"),
+        ("run", {**QUAD_CFG, "dataset": {"synthetic": {"feature_scale": float("nan")}}}, [], {},
+         "synthetic signal and feature_scale must be finite, got 1.0 and nan"),
+        ("run", {**QUAD_CFG, "dataset": {"synthetic": {"signal": float("inf")}}}, [], {},
+         "synthetic signal and feature_scale must be finite, got inf and 1.0"),
+        ("solve-optimum", None, ["--alpha", "0.1", "--dataset", "nan.txt"], {}, "line 2: non-finite feature value '1:nan'"),
+        ("run", {**QUAD_CFG, "dataset": {"path": "missing.txt"}, "M": 12, "C": 5}, [], {},
+         "cohort size 5 does not divide client count 12"),
+        ("run", {**SMALL_LOGISTIC, "alpha": float("inf")}, [], {}, "regularizer alpha must be positive and finite, got inf"),
+        ("run", {**SMALL_LOGISTIC, "optimum_tol": float("inf")}, [], {}, "tolerance must be positive and finite, got inf"),
+        ("solve-optimum", None, ["--alpha", "0.1", "--tol", "inf"], {}, "tolerance must be positive and finite, got inf"),
     ],
     ids=[
         "config-not-an-object", "empty-seed", "non-numeric-multiplier", "non-integer-workers", "repeated-seed",
@@ -238,16 +253,21 @@ def test_solve_optimum_missing_file(capsys):
         "synthetic-dim-zero", "quadratic-and-path", "quadratic-and-unknown-key", "schedule-without-fixed-mode",
         "non-utf8-dataset", "truncated-gzip-dataset", "directory-dataset", "directory-config", "non-utf8-config",
         "solve-non-utf8-dataset", "solve-truncated-gzip-dataset", "solve-directory-dataset",
+        "synthetic-negative-nnz", "quadratic-infinite-L", "quadratic-nan-client-spread", "synthetic-nan-feature-scale",
+        "synthetic-infinite-signal", "solve-nan-feature", "cohort-not-dividing-before-missing-dataset",
+        "infinite-alpha", "infinite-optimum-tol", "solve-infinite-tol",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command, config, flags, env, message):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    # unreadable inputs, named relative to tmp_path: a dataset that is not UTF-8, a truncated gzip, a directory
+    # unreadable inputs, named relative to tmp_path: a dataset that is not UTF-8, a truncated gzip, a directory,
+    # a dataset with a NaN feature
     monkeypatch.chdir(tmp_path)
     (tmp_path / "latin1.txt").write_bytes("+1 1:0.5\n-1 2:1 # caf\u00e9\n".encode("latin-1"))
     (tmp_path / "truncated.gz").write_bytes(gzip.compress(b"+1 1:0.5\n" * 50)[:20])
     (tmp_path / "folder").mkdir()
+    (tmp_path / "nan.txt").write_text("+1 1:0.5\n-1 1:nan\n+1 2:1\n-1 1:1 2:1\n")
     (tmp_path / "plan.json").write_text(json.dumps([[[0, 1], [2, 3]]]))
     if command == "run":
         (tmp_path / "cfg.json").write_text(json.dumps(config))

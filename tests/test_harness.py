@@ -170,7 +170,7 @@ def experiment_configs(draw):
     return ExperimentConfig(
         dataset=dataset,
         M=M,
-        C=draw(st.integers(min_value=1, max_value=64)),
+        C=draw(st.sampled_from([c for c in range(1, M + 1) if M % c == 0])),
         T=draw(st.integers(min_value=1, max_value=10**6)),
         alpha=draw(FINITE),
         algorithms=draw(st.lists(st.sampled_from(ALGORITHMS), min_size=1, max_size=4, unique=True)),
@@ -235,7 +235,7 @@ def test_multiplier_selection_rules():
     def result(algo, mult, final, diverged=False):
         trace = None
         if not diverged:
-            trace = RunTrace([TracePoint(1.0, 1, final, 0.0, 4, 0.0)])
+            trace = RunTrace([TracePoint(1.0, final, 0.0, 4, 0.0)])
         return RunResult(algo, mult, 0, 0, trace, diverged)
 
     results = [
@@ -253,7 +253,7 @@ def test_multiplier_selection_rules():
 
 
 def test_single_multiplier_is_itself():
-    trace = RunTrace([TracePoint(1.0, 1, 0.3, 0.0, 4, 0.0)])
+    trace = RunTrace([TracePoint(1.0, 0.3, 0.0, 4, 0.0)])
     best = select_best_multiplier([RunResult("rrcli", 3.0, 0, 0, trace, False)])
     assert best == {"rrcli": 3.0}
 
@@ -279,7 +279,7 @@ def finished_grids(draw):
                 continue
             kept = sorted(draw(st.lists(st.sampled_from(epochs), min_size=1, unique=True)))
             traces.append(RunTrace([
-                TracePoint(e, i, draw(value), draw(value), i + 1, draw(st.floats(0.0, 10.0))) for i, e in enumerate(kept)
+                TracePoint(e, draw(value), draw(value), i + 1, draw(st.floats(0.0, 10.0))) for i, e in enumerate(kept)
             ]))
     return algorithms, multipliers, seeds, traces
 
@@ -451,9 +451,8 @@ def test_truncated_optimum_cache_is_resolved(tmp_path):
 
 
 def test_cohort_size_must_divide(tmp_path):
-    cfg = quad_config(tmp_path, C=4)
-    with pytest.raises(ConfigError):
-        run_experiment(cfg)
+    with pytest.raises(ConfigError, match=r"^cohort size 4 does not divide client count 6$"):
+        quad_config(tmp_path, C=4)
 
 
 def test_quadratic_client_count_must_match_config():

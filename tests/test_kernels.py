@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from eager_reference import aggregate_cohort_loop, cohort_pass_loop, local_pass_loop, objective_value_loop
 from fedrr.dataset import partition, synthetic_libsvm_like
-from fedrr.optimizer import LOCAL_PASS_DIVERGED, DivergenceError, _batch_bounds, _cohort_update
+from fedrr.optimizer import DivergenceError, _batch_bounds, _cohort_update
 from fedrr.problem import QuadraticProblem, logistic_problem, quadratic_problem
 
 M = 6
@@ -45,7 +45,7 @@ def make_quadratic(N, d, seed, underflow, zero_centers, M=M):
 def round_update(problem, cohort, x, gamma, perms, local_steps, meta_epoch=0, round_index=0):
     """``_cohort_update`` of a shuffled round: S batches of each client's permutation."""
     bounds = _batch_bounds(problem.N, local_steps or problem.N)
-    return _cohort_update(problem, cohort, x, gamma, perms, bounds, LOCAL_PASS_DIVERGED, meta_epoch, round_index)
+    return _cohort_update(problem, cohort, x, gamma, perms, bounds, meta_epoch, round_index)
 
 
 def signed_vector(d):

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eager_reference import eager_run
+from fedrr import optimizer
 from fedrr.optimizer import (
     ALGORITHMS,
-    LOCAL_PASS_DIVERGED,
     AlgoConfig,
     DivergenceError,
     StepSizes,
@@ -35,7 +35,7 @@ def hetero_quadratic(seed=0, M=6, C=2, N=4, d=5):
 def one_client_pass(problem, m, x_start, gamma, perm, local_steps=None):
     """Client m's pass alone, as a one-client round update: (end point, pseudo-gradient)."""
     bounds = _batch_bounds(problem.N, _pass_length("rrcli", problem.N, local_steps))
-    g, x_end = _cohort_update(problem, (m,), x_start, gamma, {m: perm}, bounds, LOCAL_PASS_DIVERGED, 0, 0)
+    g, x_end = _cohort_update(problem, (m,), x_start, gamma, {m: perm}, bounds, 0, 0)
     return x_end, g
 
 
@@ -108,12 +108,21 @@ def test_collapse_to_gradient_descent():
     assert trace.points[-1].dist_sq == pytest.approx(float((x - opt.x_star) @ (x - opt.x_star)), rel=1e-12)
 
 
-def test_server_collapse_identity_checked_internally():
-    # the eta = gamma*S identity is asserted inside run_algorithm on every round
+def test_server_collapse_identity_checked_internally(monkeypatch):
+    # at eta = gamma*S run_algorithm checks on every round that the server iterate is the cohort's mean end point
     problem = hetero_quadratic()
     opt = problem.analytic_optimum()
     cfg = make_cfg(problem, "rrcli", C=2, T=4, gamma=0.005)
-    run_algorithm(problem, cfg, opt)  # raises AssertionError on violation
+    run_algorithm(problem, cfg, opt)
+    update = optimizer._cohort_update
+
+    def shifted_update(*args):
+        g, mean_end = update(*args)
+        return g, mean_end + 1e-6
+
+    monkeypatch.setattr(optimizer, "_cohort_update", shifted_update)
+    with pytest.raises(AssertionError, match="server iterate deviates from cohort mean under eta = gamma\\*S"):
+        run_algorithm(problem, cfg, opt)
 
 
 def test_global_collapse_is_exact():
@@ -128,7 +137,7 @@ def test_global_collapse_is_exact():
         perms = data_permutations(problem.N, cfg.shuffle, t, cfg.seed)
         sched = build_cohort_schedule(problem.M, 2, cfg.shuffle, t, cfg.seed)
         for r, cohort in enumerate(sched.cohorts):
-            g, _ = _cohort_update(problem, cohort, x, cfg.steps.gamma, perms, bounds, LOCAL_PASS_DIVERGED, t, r)
+            g, _ = _cohort_update(problem, cohort, x, cfg.steps.gamma, perms, bounds, t, r)
             x = x - cfg.steps.eta * g
         delta = x - opt.x_star
         assert trace.points[t + 1].dist_sq == float(delta @ delta)
@@ -258,6 +267,12 @@ def test_step_sizes_must_be_positive():
         StepSizes(gamma=0.0, eta=1.0, theta=1.0)
 
 
+@pytest.mark.parametrize("steps", [(np.nan, 1, 1), (1, np.nan, 1), (1, 1, np.nan)])
+def test_step_sizes_reject_nan(steps):
+    with pytest.raises(ValueError, match="all step sizes must be positive"):
+        StepSizes(*steps)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         AlgoConfig(algorithm="sgd", C=1, T=1, steps=StepSizes(1, 1, 1))
@@ -266,7 +281,7 @@ def test_config_validation():
 
 
 def trace_values(trace):
-    return [(p.epoch, p.meta_epoch, p.dist_sq, p.func_gap, p.grad_evals) for p in trace.points]
+    return [(p.epoch, p.dist_sq, p.func_gap, p.grad_evals) for p in trace.points]
 
 
 FIXED_PLAN = (((0, 1), (2, 3), (4, 5)), ((5, 2), (1, 4), (3, 0)))
@@ -315,7 +330,7 @@ def test_fedavg_non_finite_client_iterate_carries_position():
         algorithm="fedavg", C=2, T=3, steps=StepSizes(gamma=1e200, eta=2e200, theta=2e200),
         local_steps=2, batch_fraction=1.0, x0=np.ones(1),
     )
-    with pytest.raises(DivergenceError, match="non-finite iterate on client") as info, np.errstate(over="ignore"):
+    with pytest.raises(DivergenceError, match="^non-finite iterate in local pass of client 0 at meta-epoch 0, round 0$") as info, np.errstate(over="ignore"):
         run_algorithm(problem, cfg, opt)
     assert (info.value.meta_epoch, info.value.round_index) == (0, 0)
 

@@ -1,14 +1,17 @@
+import struct
+
 import numpy as np
 import pytest
 
 from fedrr.dataset import partition, synthetic_libsvm_like
+from fedrr.harness import load_optimum, save_optimum
 from fedrr.problem import (
+    LogisticProblem,
+    Optimum,
     ProblemError,
     SolverError,
-    load_optimum,
     logistic_problem,
     quadratic_problem,
-    save_optimum,
     solve_optimum,
 )
 from fedrr.rng import stream
@@ -110,6 +113,15 @@ def test_solver_iteration_cap():
     assert info.value.grad_norm > 0
 
 
+def test_solver_stops_at_a_non_finite_gradient():
+    # one NaN feature makes every gradient NaN: the solve stops at once instead of running to its cap
+    A = np.ones((2, 2, 3))
+    A[1, 0, 2] = np.nan
+    with pytest.raises(SolverError, match="non-finite gradient") as info:
+        solve_optimum(LogisticProblem(A, np.ones((2, 2)), alpha=0.1), tol=1e-12)
+    assert np.isnan(info.value.grad_norm)
+
+
 def test_solver_rejects_bad_inputs():
     problem = small_quadratic()
     with pytest.raises(ProblemError):
@@ -150,6 +162,13 @@ def test_save_optimum_replaces_in_place(tmp_path):
     save_optimum(path, opt)
     assert [p.name for p in tmp_path.iterdir()] == ["opt.bin"]
     assert np.array_equal(load_optimum(path).x_star, opt.x_star)
+
+
+def test_failed_save_optimum_leaves_no_temporary_file(tmp_path):
+    opt = small_quadratic().analytic_optimum()
+    with pytest.raises(struct.error):
+        save_optimum(tmp_path / "opt.bin", Optimum(opt.x_star, "not a number", opt.grad_norm))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_local_pass_generic_matches_manual():
