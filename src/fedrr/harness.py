@@ -14,9 +14,9 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 import numbers
 import os
-import struct
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -39,7 +39,7 @@ from .optimizer import (
     check_run_settings,
     run_algorithm,
 )
-from .problem import FederatedProblem, Optimum, ProblemError, logistic_problem, quadratic_problem, solve_optimum
+from .problem import FederatedProblem, Optimum, logistic_problem, optimum_at, quadratic_problem, solve_optimum
 from .rng import derive_seed
 from .shuffling import (
     ClientMode,
@@ -56,8 +56,6 @@ WORKERS_ENV = "FEDRR_WORKERS"
 
 RUN_FIELDS = ["algorithm", "multiplier", "seed", "epoch", "dist_sq", "func_gap", "grad_evals"]
 AGG_FIELDS = ["algorithm", "multiplier", "epoch", "dist_sq_mean", "func_gap_mean", "n_runs"]
-
-OPTIMUM_MAGIC = b"FEDRROPT1"
 
 
 class ConfigError(ValueError):
@@ -133,10 +131,16 @@ class ExperimentConfig:
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise ConfigError(f"{name} list repeats {repeated[0]!r}")
-        if any(not m > 0 for m in self.multipliers):  # NaN included
-            raise ConfigError("multipliers must be positive")
-        if self.nastya_gamma is not None and not self.nastya_gamma > 0:
-            raise ConfigError(f"nastya_gamma must be null or positive, got {self.nastya_gamma!r}")
+        # NaN and inf included, for every dataset kind: an infinite step or regularizer
+        # diverges, and an infinite tolerance takes x = 0 for the optimum
+        gamma = [] if self.nastya_gamma is None else [self.nastya_gamma]
+        for name, values in (
+            ("multipliers", self.multipliers), ("nastya_gamma", gamma),
+            ("regularizer alpha", [self.alpha]), ("tolerance", [self.optimum_tol]),
+        ):
+            for value in values:
+                if not 0 < value < math.inf:
+                    raise ConfigError(f"{name} must be positive and finite, got {value}")
         if self.regime not in REGIMES:
             raise ConfigError(f"unknown regime {self.regime!r}")
         for a in self.algorithms:
@@ -209,45 +213,33 @@ def build_problem(cfg: ExperimentConfig) -> tuple[FederatedProblem, str]:
 
 
 def resolve_optimum(problem: FederatedProblem, cfg: ExperimentConfig, cache_dir: Path, cache_key: str) -> Optimum:
-    """The problem's analytic optimum, else the optimum cached under ``cache_dir``, solved on a miss."""
+    """The problem's analytic optimum, else the x* cached as ``.npy`` under ``cache_dir``, solved on a miss.
+
+    A cached vector is used only if it is a float64 vector of length d whose
+    gradient norm meets ``cfg.optimum_tol``; any other file is solved again and overwritten.
+    """
     if hasattr(problem, "analytic_optimum"):
         return problem.analytic_optimum()
     key = hashlib.sha256(
         f"{cache_key}:{cfg.M}:{cfg.master_seed}:{problem.alpha}:{cfg.optimum_tol}".encode()
     ).hexdigest()[:24]
-    cache = Path(cache_dir) / f"optimum_{key}.bin"
-    if cache.exists():
-        try:
-            opt = load_optimum(cache)
-            if opt.x_star.size == problem.d:
+    cache = Path(cache_dir) / f"optimum_{key}.npy"
+    try:
+        with open(cache, "rb") as fh:
+            x = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError):
+        pass  # missing, truncated or not an array: solve again and overwrite it
+    else:
+        if x.dtype == np.float64 and x.shape == (problem.d,):
+            with np.errstate(all="ignore"):  # a stray vector may overflow; its norm then fails the test
+                opt = optimum_at(problem, x)
+            if opt.grad_norm <= cfg.optimum_tol:
                 return opt
-        except ProblemError:
-            pass  # truncated or corrupt: solve again and overwrite it
     opt = solve_optimum(problem, cfg.optimum_tol)
     cache.parent.mkdir(parents=True, exist_ok=True)
-    save_optimum(cache, opt)
+    with _atomic_write(cache, "wb") as fh:
+        np.save(fh, opt.x_star, allow_pickle=False)
     return opt
-
-
-def save_optimum(path, opt: Optimum) -> None:
-    """Binary sidecar: magic, u32 d, x* as little-endian f64, f_star, grad_norm."""
-    with _atomic_write(path, "wb") as fh:
-        fh.write(OPTIMUM_MAGIC + struct.pack("<I", opt.x_star.size) + opt.x_star.astype("<f8").tobytes())
-        fh.write(struct.pack("<dd", opt.f_star, opt.grad_norm))
-
-
-def load_optimum(path) -> Optimum:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[: len(OPTIMUM_MAGIC)] != OPTIMUM_MAGIC:
-        raise ProblemError(f"{path} is not an optimum sidecar file")
-    head = len(OPTIMUM_MAGIC) + 4
-    d = struct.unpack_from("<I", raw, len(OPTIMUM_MAGIC))[0] if len(raw) >= head else 0
-    if len(raw) != head + 8 * d + 16:
-        raise ProblemError(f"{path} is truncated or corrupt: {len(raw)} bytes, expected {head + 8 * d + 16} for d={d}")
-    x = np.frombuffer(raw, dtype="<f8", count=d, offset=head).copy()
-    f_star, grad_norm = struct.unpack_from("<dd", raw, head + 8 * d)
-    return Optimum(x_star=x, f_star=f_star, grad_norm=grad_norm)
 
 
 def algorithm_steps(algorithm: str, problem: FederatedProblem, cfg: ExperimentConfig, multiplier: float) -> StepSizes:
@@ -319,7 +311,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     try:
         workers = int(os.environ.get(WORKERS_ENV, "1"))
     except ValueError:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {os.environ[WORKERS_ENV]!r}") from None
+        workers = 0
+    if workers < 1:  # the default is 1, so the variable is set here
+        raise ConfigError(f"{WORKERS_ENV} must be a positive integer, got {os.environ[WORKERS_ENV]!r}")
     shuffle = _load_shuffle_mode(cfg)
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -230,14 +230,12 @@ class QuadraticProblem(FederatedProblem):
         return X[..., 0]
 
     def analytic_optimum(self) -> Optimum:
-        Hbar = self._H.sum(axis=(0, 1))
-        rhs = self._Hc.sum(axis=(0, 1))
-        x_star = np.linalg.solve(Hbar, rhs)
-        return Optimum(
-            x_star=x_star,
-            f_star=self.objective_value(x_star),
-            grad_norm=float(np.linalg.norm(self.full_gradient(x_star))),
-        )
+        return optimum_at(self, np.linalg.solve(self._H.sum(axis=(0, 1)), self._Hc.sum(axis=(0, 1))))
+
+
+def optimum_at(problem: FederatedProblem, x: np.ndarray) -> Optimum:
+    """The optimum record of ``x``: f(x) and ||grad f(x)|| both follow from x alone."""
+    return Optimum(x_star=x, f_star=problem.objective_value(x), grad_norm=float(np.linalg.norm(problem.full_gradient(x))))
 
 
 def logistic_problem(partition: np.ndarray, dataset: SparseDataset, alpha: float) -> LogisticProblem:
@@ -305,7 +303,7 @@ def solve_optimum(problem: FederatedProblem, tol: float, max_iter: int = 10_000_
     it = 0
     while it < min(1000, max_iter):
         if _converged(g, tol):
-            return _finish(problem, x, g)
+            return optimum_at(problem, x)
         x = x - step * g
         g = problem.full_gradient(x)
         it += 1
@@ -313,7 +311,7 @@ def solve_optimum(problem: FederatedProblem, tol: float, max_iter: int = 10_000_
     y = x.copy()
     while it < max_iter:
         if _converged(g, tol):
-            return _finish(problem, x, g)
+            return optimum_at(problem, x)
         x_next = y - step * problem.full_gradient(y)
         y = x_next + beta * (x_next - x)
         x = x_next
@@ -330,10 +328,6 @@ def _converged(g: np.ndarray, tol: float) -> bool:
     if not math.isfinite(norm):  # descent never comes back from NaN or inf
         raise SolverError(f"optimum solver met a non-finite gradient (norm {norm})", grad_norm=norm)
     return norm <= tol
-
-
-def _finish(problem: FederatedProblem, x: np.ndarray, g: np.ndarray) -> Optimum:
-    return Optimum(x_star=x, f_star=problem.objective_value(x), grad_norm=float(np.linalg.norm(g)))
 
 
 def _sigmoid(z):

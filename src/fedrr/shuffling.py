@@ -134,8 +134,12 @@ def data_permutations(
 def load_fixed_schedule(path) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Read a deterministic client schedule from a JSON array-of-arrays file.
 
-    Layout: ``[epoch][round] -> [client ids]``.
+    Layout: ``[epoch][round] -> [client ids]``; each id a JSON integer (not a
+    bool, a fraction or a string).
     """
     with open(path) as fh:
-        raw = json.load(fh)
-    return tuple(tuple(tuple(int(m) for m in cohort) for cohort in epoch) for epoch in raw)
+        schedule = tuple(tuple(tuple(cohort) for cohort in epoch) for epoch in json.load(fh))
+    bad = [m for epoch in schedule for cohort in epoch for m in cohort if type(m) is not int]  # bool is not int
+    if bad:
+        raise TypeError(f"client id {bad[0]!r} is not an integer")
+    return schedule

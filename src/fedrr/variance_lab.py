@@ -117,11 +117,6 @@ def closed_form_minibatch_variance(
     return out
 
 
-def upper_bound_check(M: int, N: int, C: int, sigma2: float, sigma_tilde2: float) -> float:
-    """Uniform-in-k bound on k^2 times the prefix variance."""
-    return (M / (2.0 * C * C) + 2.0) * N * N * sigma_tilde2 + N / 2.0 * sigma2
-
-
 def _enumerate_sequences(M: int, N: int, C: int) -> np.ndarray:
     """All equally likely grouped shuffle outcomes as flat sample indices.
 

@@ -35,7 +35,6 @@ from fedrr.variance_lab import (
     closed_form_variance,
     star_sequence_deviation,
     star_variances,
-    upper_bound_check,
 )
 
 
@@ -132,7 +131,7 @@ def test_03_variance_bounds_dominate():
     for _ in range(100):
         M, N = int(rng.integers(2, 5)), int(rng.integers(2, 4))
         inp = VarianceInputs(rng.normal(size=(M, N, 2)))
-        bound = upper_bound_check(M, N, 1, inp.sigma2, inp.sigma_tilde2)
+        bound = sigma_ds_upper(1.0, M, N, 1, inp.sigma_tilde2, inp.sigma2)
         for k in range(1, M * N + 1):
             lhs = k * k * closed_form_variance(k, M, N, inp.sigma2, inp.sigma_tilde2)
             worst_k2 = max(worst_k2, lhs - bound)
@@ -147,7 +146,7 @@ def test_03_variance_bounds_dominate():
         s2, st2 = star_variances(problem, opt.x_star)
         gamma = 0.05
         stats = star_sequence_deviation(problem, opt.x_star, gamma, C, n_draws=100, seed=i)
-        rhs3 = gamma**2 * ((M * N * N / (2 * C * C) + 2 * N * N) * st2 + N / 2 * s2)
+        rhs3 = gamma**2 * sigma_ds_upper(1.0, M, N, C, st2, s2)
         rhs4 = sigma_ds_upper(problem.L, M, N, C, st2, s2)
         worst3 = max(worst3, stats.max_mean_sq_dev - rhs3)
         worst4 = max(worst4, stats.max_sigma_ds - rhs4)

@@ -209,8 +209,8 @@ def test_solve_optimum_missing_file(capsys):
         ("run", {**QUAD_CFG, "dataset": {"path": 2}}, [], {}, "dataset.path must be a string, got 2"),
         ("run", {**QUAD_CFG, "dataset": {"path": 0}}, [], {}, "dataset.path must be a string, got 0"),
         ("run", {**QUAD_CFG, "multipliers": [float("nan"), 1.0]}, [], {}, "multipliers must be positive"),
-        ("run", {**NASTYA_CFG, "nastya_gamma": -1.0}, [], {}, "nastya_gamma must be null or positive, got -1.0"),
-        ("run", {**NASTYA_CFG, "nastya_gamma": float("nan")}, [], {}, "nastya_gamma must be null or positive, got nan"),
+        ("run", {**NASTYA_CFG, "nastya_gamma": -1.0}, [], {}, "nastya_gamma must be positive and finite, got -1.0"),
+        ("run", {**NASTYA_CFG, "nastya_gamma": float("nan")}, [], {}, "nastya_gamma must be positive and finite, got nan"),
         ("run", quadratic_with(N=0), [], {}, "quadratic sizes must be at least 1, got M=4, N=0, d=3"),
         ("run", quadratic_with(d=0), [], {}, "quadratic sizes must be at least 1, got M=4, N=3, d=0"),
         ("run", {**QUAD_CFG, "dataset": {"synthetic": {"dim": 0}}}, [], {}, "synthetic dataset needs count and dim"),
@@ -240,6 +240,18 @@ def test_solve_optimum_missing_file(capsys):
         ("run", {**SMALL_LOGISTIC, "alpha": float("inf")}, [], {}, "regularizer alpha must be positive and finite, got inf"),
         ("run", {**SMALL_LOGISTIC, "optimum_tol": float("inf")}, [], {}, "tolerance must be positive and finite, got inf"),
         ("solve-optimum", None, ["--alpha", "0.1", "--tol", "inf"], {}, "tolerance must be positive and finite, got inf"),
+        ("run", {**QUAD_CFG, "multipliers": [float("inf")]}, [], {}, "multipliers must be positive and finite, got inf"),
+        ("run", {**NASTYA_CFG, "nastya_gamma": float("inf")}, [], {}, "nastya_gamma must be positive and finite, got inf"),
+        ("run", {**QUAD_CFG, "alpha": float("inf")}, [], {}, "regularizer alpha must be positive and finite, got inf"),
+        ("run", {**QUAD_CFG, "alpha": -1}, [], {}, "regularizer alpha must be positive and finite, got -1"),
+        ("run", {**QUAD_CFG, "optimum_tol": float("inf")}, [], {}, "tolerance must be positive and finite, got inf"),
+        ("run", {**QUAD_CFG, "optimum_tol": 0}, [], {}, "tolerance must be positive and finite, got 0"),
+        ("run", {**QUAD_CFG, "client_mode": "deterministic_fixed", "fixed_schedule_path": "fractional.json"}, [], {},
+         "fixed schedule fractional.json is not epochs of cohorts of client ids: client id 0.5 is not an integer"),
+        ("run", {**QUAD_CFG, "client_mode": "deterministic_fixed", "fixed_schedule_path": "bool.json"}, [], {},
+         "fixed schedule bool.json is not epochs of cohorts of client ids: client id True is not an integer"),
+        ("run", QUAD_CFG, [], {"FEDRR_WORKERS": "0"}, "FEDRR_WORKERS must be a positive integer, got '0'"),
+        ("run", QUAD_CFG, [], {"FEDRR_WORKERS": "-3"}, "FEDRR_WORKERS must be a positive integer, got '-3'"),
     ],
     ids=[
         "config-not-an-object", "empty-seed", "non-numeric-multiplier", "non-integer-workers", "repeated-seed",
@@ -255,7 +267,9 @@ def test_solve_optimum_missing_file(capsys):
         "solve-non-utf8-dataset", "solve-truncated-gzip-dataset", "solve-directory-dataset",
         "synthetic-negative-nnz", "quadratic-infinite-L", "quadratic-nan-client-spread", "synthetic-nan-feature-scale",
         "synthetic-infinite-signal", "solve-nan-feature", "cohort-not-dividing-before-missing-dataset",
-        "infinite-alpha", "infinite-optimum-tol", "solve-infinite-tol",
+        "infinite-alpha", "infinite-optimum-tol", "solve-infinite-tol", "infinite-multiplier", "infinite-nastya-gamma",
+        "quadratic-infinite-alpha", "quadratic-negative-alpha", "quadratic-infinite-optimum-tol",
+        "quadratic-zero-optimum-tol", "fractional-schedule-id", "bool-schedule-id", "zero-workers", "negative-workers",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command, config, flags, env, message):
@@ -269,6 +283,8 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command,
     (tmp_path / "folder").mkdir()
     (tmp_path / "nan.txt").write_text("+1 1:0.5\n-1 1:nan\n+1 2:1\n-1 1:1 2:1\n")
     (tmp_path / "plan.json").write_text(json.dumps([[[0, 1], [2, 3]]]))
+    (tmp_path / "fractional.json").write_text(json.dumps([[[0.5, 1], [2, 3]], [[True, "0"], [2, 3]]]))
+    (tmp_path / "bool.json").write_text(json.dumps([[[True, 0], [2, 3]]]))
     if command == "run":
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         argv = ["run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]

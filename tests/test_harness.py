@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -120,9 +121,15 @@ def test_config_rejects_wrong_types_by_name(field, value, message):
         ({"fixed_schedule_path": "plan.json"}, "client_mode 'reshuffling' takes no fixed_schedule_path"),
         ({"client_mode": "shuffle_once", "fixed_schedule_path": "p"}, "client_mode 'shuffle_once' takes no"),
         ({"client_mode": "deterministic_fixed"}, "client_mode 'deterministic_fixed' needs a fixed_schedule_path"),
-        ({"nastya_gamma": 0.0}, "nastya_gamma must be null or positive, got 0.0"),
-        ({"nastya_gamma": float("nan")}, "nastya_gamma must be null or positive, got nan"),
-        ({"multipliers": [1.0, float("nan")]}, "multipliers must be positive"),
+        ({"nastya_gamma": 0.0}, "nastya_gamma must be positive and finite, got 0.0"),
+        ({"nastya_gamma": float("nan")}, "nastya_gamma must be positive and finite, got nan"),
+        ({"nastya_gamma": float("inf")}, "nastya_gamma must be positive and finite, got inf"),
+        ({"multipliers": [1.0, float("nan")]}, "multipliers must be positive and finite, got nan"),
+        ({"multipliers": [1.0, float("inf")]}, "multipliers must be positive and finite, got inf"),
+        ({"dataset": {"quadratic": {}}, "alpha": float("inf")}, "regularizer alpha must be positive and finite, got inf"),
+        ({"dataset": {"quadratic": {}}, "alpha": 0}, "regularizer alpha must be positive and finite, got 0"),
+        ({"dataset": {"quadratic": {}}, "optimum_tol": float("inf")}, "tolerance must be positive and finite, got inf"),
+        ({"dataset": {"quadratic": {}}, "optimum_tol": -1.0}, "tolerance must be positive and finite, got -1.0"),
     ],
 )
 def test_config_states_each_setting_once_and_in_range(kw, message):
@@ -146,7 +153,6 @@ def test_config_file_roundtrip(tmp_path):
         ExperimentConfig.from_file(path)
 
 
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 TEXT = st.text(max_size=20)
 
@@ -172,7 +178,7 @@ def experiment_configs(draw):
         M=M,
         C=draw(st.sampled_from([c for c in range(1, M + 1) if M % c == 0])),
         T=draw(st.integers(min_value=1, max_value=10**6)),
-        alpha=draw(FINITE),
+        alpha=draw(POSITIVE),
         algorithms=draw(st.lists(st.sampled_from(ALGORITHMS), min_size=1, max_size=4, unique=True)),
         regime=draw(st.sampled_from(REGIMES)),
         multipliers=draw(st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=1, max_size=5, unique=True)),
@@ -185,7 +191,7 @@ def experiment_configs(draw):
         client_mode=client_mode,
         data_mode=draw(st.sampled_from([m.value for m in DataMode])),
         fixed_schedule_path=draw(fixed),
-        optimum_tol=draw(FINITE),
+        optimum_tol=draw(POSITIVE),
         out_dir=draw(TEXT),
     )
 
@@ -420,34 +426,64 @@ def test_failed_manifest_write_keeps_previous_manifest(tmp_path, monkeypatch):
     assert not [p.name for p in out.rglob("*") if p.name.endswith(".tmp")]
 
 
+LOGISTIC = dict(
+    dataset={"synthetic": {"count": 60, "dim": 8, "seed": 1, "nnz_per_row": 4}},
+    M=4, C=2, T=2, algorithms=["rrcli"], seeds=[0], local_steps=3,
+)
+
+
 def test_logistic_config_builds(tmp_path):
-    cfg = ExperimentConfig(
-        dataset={"synthetic": {"count": 60, "dim": 8, "seed": 1, "nnz_per_row": 4}},
-        M=4, C=2, T=2, algorithms=["rrcli"], seeds=[0], local_steps=3,
-        out_dir=str(tmp_path / "out"),
-    )
+    cfg = ExperimentConfig(**LOGISTIC, out_dir=str(tmp_path / "out"))
     summary = run_experiment(cfg)
     assert summary["manifest"]["diverged_count"] == 0
     assert summary["optimum"].grad_norm <= cfg.optimum_tol
-    # cached optimum reused on rerun
+    contract = {name: (tmp_path / "out" / name).read_bytes() for name in ("runs.csv", "manifest.json")}
+    (cache,) = (tmp_path / "out" / "cache").iterdir()
+    assert cache.name.startswith("optimum_") and cache.suffix == ".npy"
+    stored = cache.read_bytes(), cache.stat().st_mtime_ns
+    # the warm rerun reads x* from the cache, leaves the file alone and writes the same contract bytes
     again = run_experiment(cfg)
     assert np.array_equal(again["optimum"].x_star, summary["optimum"].x_star)
+    assert {name: (tmp_path / "out" / name).read_bytes() for name in contract} == contract
+    assert (cache.read_bytes(), cache.stat().st_mtime_ns) == stored
 
 
-def test_truncated_optimum_cache_is_resolved(tmp_path):
-    cfg = ExperimentConfig(
-        dataset={"synthetic": {"count": 60, "dim": 8, "seed": 1, "nnz_per_row": 4}},
-        M=4, C=2, T=2, algorithms=["rrcli"], seeds=[0], local_steps=3,
-        out_dir=str(tmp_path / "out"),
-    )
+def _npy(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=True)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda intact, d: b"",
+        lambda intact, d: intact[: len(intact) // 2],
+        lambda intact, d: intact[:-8],
+        lambda intact, d: _npy(np.zeros(d)),
+        lambda intact, d: _npy(np.full(d, 1e300)),
+        lambda intact, d: _npy(np.ones(d + 1)),
+        lambda intact, d: _npy(np.arange(d, dtype=np.int64)),
+        lambda intact, d: _npy(np.array([None] * d, dtype=object)),
+        lambda intact, d: b"FEDRROPT1" + bytes(12 + 8 * d + 16),
+    ],
+    ids=[
+        "empty", "truncated-header", "truncated-body", "zero-vector", "overflowing-vector", "wrong-length", "int64",
+        "pickled-objects", "garbage",
+    ],
+)
+@pytest.mark.filterwarnings("error")  # checking a stray vector must not warn either
+def test_truncated_optimum_cache_is_resolved(tmp_path, corrupt):
+    cfg = ExperimentConfig(**LOGISTIC, out_dir=str(tmp_path / "out"))
     first = run_experiment(cfg)
-    (sidecar,) = (tmp_path / "out" / "cache").glob("optimum_*.bin")
-    intact = sidecar.read_bytes()
-    sidecar.write_bytes(intact[: len(intact) // 2])
+    (cache,) = (tmp_path / "out" / "cache").iterdir()
+    intact = cache.read_bytes()
+    cache.write_bytes(corrupt(intact, first["problem"].d))
     again = run_experiment(cfg)
     assert np.array_equal(again["optimum"].x_star, first["optimum"].x_star)
     assert again["manifest"] == first["manifest"]
-    assert sidecar.read_bytes() == intact
+    assert cache.read_bytes() == intact
+    assert list((tmp_path / "out" / "cache").iterdir()) == [cache]
 
 
 def test_cohort_size_must_divide(tmp_path):
@@ -470,8 +506,16 @@ def test_quadratic_client_count_must_match_config():
         ([], "does not fit M=6, C=2"),
         ([[["a", "b"], [2, 3], [4, 5]]], "is not epochs of cohorts of client ids"),
         ([[0, 1, 2, 3, 4, 5]], "is not epochs of cohorts of client ids"),
+        ([[[0.5, 1], [2, 3], [4, 5]]], r"is not epochs of cohorts of client ids: client id 0.5 is not an integer"),
+        ([[[0.0, 1], [2, 3], [4, 5]]], r"is not epochs of cohorts of client ids: client id 0.0 is not an integer"),
+        ([[[True, 1], [2, 3], [4, 5]]], r"is not epochs of cohorts of client ids: client id True is not an integer"),
+        ([[["0", 1], [2, 3], [4, 5]]], r"is not epochs of cohorts of client ids: client id '0' is not an integer"),
+        ([[[None, 1], [2, 3], [4, 5]]], r"is not epochs of cohorts of client ids: client id None is not an integer"),
     ],
-    ids=["four-clients", "cohorts-of-three", "repeated-client", "empty", "string-ids", "flat-list"],
+    ids=[
+        "four-clients", "cohorts-of-three", "repeated-client", "empty", "string-ids", "flat-list", "fractional-id",
+        "integral-float-id", "bool-id", "numeric-string-id", "null-id",
+    ],
 )
 def test_fixed_schedule_checked_before_any_job(tmp_path, monkeypatch, plan, message):
     path = tmp_path / "plan.json"

@@ -1,13 +1,9 @@
-import struct
-
 import numpy as np
 import pytest
 
 from fedrr.dataset import partition, synthetic_libsvm_like
-from fedrr.harness import load_optimum, save_optimum
 from fedrr.problem import (
     LogisticProblem,
-    Optimum,
     ProblemError,
     SolverError,
     logistic_problem,
@@ -128,47 +124,12 @@ def test_solver_rejects_bad_inputs():
         solve_optimum(problem, tol=-1.0)
 
 
-def test_optimum_roundtrip(tmp_path):
-    problem = small_quadratic()
-    opt = problem.analytic_optimum()
-    path = tmp_path / "opt.bin"
-    save_optimum(path, opt)
-    back = load_optimum(path)
-    assert np.array_equal(back.x_star, opt.x_star)
-    assert back.f_star == opt.f_star
-    assert back.grad_norm == opt.grad_norm
-
-
-def test_load_optimum_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"not an optimum")
-    with pytest.raises(ProblemError):
-        load_optimum(path)
-
-
-@pytest.mark.parametrize("keep", [0, 5, 12, 13, 20, -8, -1])
-def test_load_optimum_rejects_truncated(tmp_path, keep):
-    path = tmp_path / "opt.bin"
-    save_optimum(path, small_quadratic().analytic_optimum())
-    path.write_bytes(path.read_bytes()[:keep])
-    with pytest.raises(ProblemError):
-        load_optimum(path)
-
-
-def test_save_optimum_replaces_in_place(tmp_path):
-    path = tmp_path / "opt.bin"
-    path.write_bytes(b"stale")
-    opt = small_quadratic().analytic_optimum()
-    save_optimum(path, opt)
-    assert [p.name for p in tmp_path.iterdir()] == ["opt.bin"]
-    assert np.array_equal(load_optimum(path).x_star, opt.x_star)
-
-
-def test_failed_save_optimum_leaves_no_temporary_file(tmp_path):
-    opt = small_quadratic().analytic_optimum()
-    with pytest.raises(struct.error):
-        save_optimum(tmp_path / "opt.bin", Optimum(opt.x_star, "not a number", opt.grad_norm))
-    assert list(tmp_path.iterdir()) == []
+@pytest.mark.parametrize("solve", ["analytic", "solver"])
+def test_optimum_is_derived_from_x_star_alone(solve):
+    problem = small_quadratic() if solve == "analytic" else small_logistic(alpha=1e-2)
+    opt = problem.analytic_optimum() if solve == "analytic" else solve_optimum(problem, tol=1e-12)
+    assert opt.f_star == problem.objective_value(opt.x_star)
+    assert opt.grad_norm == np.linalg.norm(problem.full_gradient(opt.x_star))
 
 
 def test_local_pass_generic_matches_manual():

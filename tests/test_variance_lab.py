@@ -13,6 +13,7 @@ from eager_reference import (
 from fedrr.dataset import partition, synthetic_libsvm_like
 from fedrr.problem import logistic_problem, quadratic_problem, solve_optimum
 from fedrr.rng import stream
+from fedrr.theory import sigma_ds_upper
 from fedrr.variance_lab import (
     EnumerationTooLarge,
     VarianceInputs,
@@ -25,7 +26,6 @@ from fedrr.variance_lab import (
     max_rel_error,
     star_sequence_deviation,
     star_variances,
-    upper_bound_check,
 )
 
 
@@ -167,7 +167,7 @@ def test_upper_bound_dominates():
     for _ in range(20):
         M, N = int(rng.integers(2, 5)), int(rng.integers(2, 4))
         inp = VarianceInputs(rng.normal(size=(M, N, 2)))
-        bound = upper_bound_check(M, N, 1, inp.sigma2, inp.sigma_tilde2)
+        bound = sigma_ds_upper(1.0, M, N, 1, inp.sigma_tilde2, inp.sigma2)
         for k in range(1, M * N + 1):
             assert k * k * closed_form_variance(k, M, N, inp.sigma2, inp.sigma_tilde2) <= bound + 1e-12
 
