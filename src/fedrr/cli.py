@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .dataset import DatasetError, load_libsvm_file, partition
-from .harness import ConfigError, ExperimentConfig, run_experiment
+from .harness import ConfigError, ExperimentConfig, _atomic_write, run_experiment
 from .optimizer import DivergenceError
 from .problem import ProblemError, SolverError, logistic_problem, solve_optimum
 from .rng import stream
@@ -51,7 +51,7 @@ def _parse_args(argv):
     solve.add_argument("--tol", type=float, default=1e-12)
     solve.add_argument("--clients", type=int, default=1)
     solve.add_argument("--seed", type=int, default=2024)
-    solve.add_argument("--out", default=None, help="write the solution vector to this .npy file")
+    solve.add_argument("--out", default=None, help="write the solution vector in .npy format to exactly this path")
 
     return parser.parse_args(argv)
 
@@ -127,7 +127,8 @@ def _cmd_solve(args) -> int:
     print(f"samples={ds.count} dim={ds.dim} L={problem.L:.6g} mu={problem.mu:.6g} kappa={problem.L / problem.mu:.6g}")
     print(f"f(x*)={opt.f_star:.12g} ||grad||={opt.grad_norm:.3e}")
     if args.out:
-        np.save(args.out, opt.x_star)
+        with _atomic_write(args.out, "wb") as fh:
+            np.save(fh, opt.x_star, allow_pickle=False)
         print(f"solution written to {args.out}")
     return EXIT_OK
 

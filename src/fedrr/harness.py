@@ -333,6 +333,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     else:
         results = [_execute_run(*j) for j in jobs]
 
+    # chosen before any file is written, so a sweep in which every multiplier
+    # of an algorithm diverged leaves the previous outputs as they were
+    best = select_best_multiplier(results) if len(cfg.multipliers) > 1 else None
     groups = _finished_groups(results)
     # every finished point in grid order, with the leading columns runs.csv and timings.csv share
     points = [
@@ -344,9 +347,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     for algorithm in cfg.algorithms:
         _write_csv(out / f"aggregate_{algorithm}.csv", AGG_FIELDS, _aggregate_rows(groups, algorithm))
 
-    best = None
-    if len(cfg.multipliers) > 1:
-        best = select_best_multiplier(results)
+    if best is not None:
         with _atomic_write(out / "best_multipliers.json") as fh:
             json.dump(best, fh, indent=2, sort_keys=True)
 

@@ -153,15 +153,19 @@ def _cohort_update(problem, cohort, x, gamma, order, bounds, meta_epoch, round_i
     One ``problem.cohort_pass`` call runs every pass from x in the steps
     ``bounds``; g = (x - x_end)/(gamma*S) makes the server step at
     eta = gamma*S model averaging.  As a per-client loop in client-id order
-    would, the first non-finite client raises :class:`DivergenceError` that
-    names it and the round, and the clients are summed from zeros.
+    would, the first non-finite client alone warns or raises under the
+    caller's error state, then raises :class:`DivergenceError` that names it
+    and the round, and the clients are summed from zeros.
     """
     ms = sorted(cohort)
-    X = problem.cohort_pass(ms, x, gamma, np.array([order[m] for m in ms]), bounds)
+    rows = np.array([order[m] for m in ms])
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = problem.cohort_pass(ms, x, gamma, rows, bounds)
     if not np.isfinite(X).all():
-        m = ms[int(np.isfinite(X).all(axis=1).argmin())]
+        i = int(np.isfinite(X).all(axis=1).argmin())
+        problem.cohort_pass(ms[i : i + 1], x, gamma, rows[i : i + 1], bounds)  # its warnings, or its raise
         where = f"meta-epoch {meta_epoch}, round {round_index}"
-        raise DivergenceError(f"non-finite iterate in local pass of client {m} at {where}", meta_epoch, round_index)
+        raise DivergenceError(f"non-finite iterate in local pass of client {ms[i]} at {where}", meta_epoch, round_index)
     G = (x - X) / (gamma * len(bounds))
     g = np.zeros(problem.d)
     x_end_sum = np.zeros(problem.d)

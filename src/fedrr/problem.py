@@ -74,9 +74,8 @@ class FederatedProblem:
         Row i is client ``ms[i]``'s pass over its components ``order[i]`` (a
         (C, L) int array), cut into the steps ``order[i, a:b]`` for each
         ``(a, b)`` in ``bounds``.  Each step moves against the batch-mean
-        gradient with step ``gamma_step``.  If a row ends non-finite, the
-        rows after it are unspecified, and floating-point warnings come only
-        from the rows up to it: a per-client loop stops there.
+        gradient with step ``gamma_step``.  Every row is computed, finite or
+        not.
         """
         raise NotImplementedError
 
@@ -155,12 +154,7 @@ class LogisticProblem(FederatedProblem):
 
     def cohort_pass(self, ms, x, gamma_step, order, bounds):
         # one BLAS-bound pass per client: stacking the clients is no faster
-        X = np.empty((len(ms), self.d))
-        for i, (m, row) in enumerate(zip(ms, order)):
-            X[i] = self.local_pass(m, x, gamma_step, [row[a:b] for a, b in bounds])
-            if not np.all(np.isfinite(X[i])):
-                break
-        return X
+        return np.array([self.local_pass(m, x, gamma_step, [row[a:b] for a, b in bounds]) for m, row in zip(ms, order)])
 
 
 class QuadraticProblem(FederatedProblem):
@@ -204,16 +198,6 @@ class QuadraticProblem(FederatedProblem):
         if min(ms) < 0 or max(ms) >= self.M:
             raise IndexError(f"clients {list(ms)} out of range [0, {self.M})")
         ms = np.asarray(ms)
-        with np.errstate(over="ignore", invalid="ignore"):
-            X = self._cohort_steps(ms, x, gamma_step, order, bounds)
-        if not np.isfinite(X).all():
-            # replay the first diverging client alone under the caller's error
-            # state: only it, and no client after it, may warn or raise
-            i = int(np.isfinite(X).all(axis=1).argmin())
-            X[i] = self._cohort_steps(ms[i : i + 1], x, gamma_step, order[i : i + 1], bounds)[0]
-        return X
-
-    def _cohort_steps(self, ms, x, gamma_step, order, bounds):
         # step p of all C clients is one (C, d, d) @ (C, d, 1) matmul, each
         # product bit-equal to the per-client ``H[m, j] @ x``
         H = self._H[ms, order.T]

@@ -11,7 +11,7 @@ every trace point evaluates the objective one component at a time.
 The kernel oracles are the per-component forms that the stacked problem
 kernels must match bit for bit: ``local_pass_loop`` (one client's pass, one
 ``component_gradient`` call per component), ``cohort_pass_loop`` (one such
-pass per client, stopping at the first non-finite end point),
+pass per client, every one run even after a non-finite end point),
 ``aggregate_cohort_loop`` (the cohort's mean update, one pass at a time),
 and ``client_objective_loop`` and ``objective_value_loop`` (one
 ``component_loss`` call per component, added with Python's ``sum``).
@@ -70,13 +70,8 @@ def local_pass_loop(problem, m, x, gamma_step, batches):
 
 
 def cohort_pass_loop(problem, ms, x, gamma_step, order, bounds):
-    """``problem.cohort_pass`` one client at a time; the rows after a non-finite one stay NaN."""
-    X = np.full((len(ms), problem.d), np.nan)
-    for i, (m, row) in enumerate(zip(ms, order)):
-        X[i] = local_pass_loop(problem, m, x, gamma_step, [row[a:b] for a, b in bounds])
-        if not np.all(np.isfinite(X[i])):
-            break
-    return X
+    """``problem.cohort_pass`` one client at a time, every row computed, finite or not."""
+    return np.array([local_pass_loop(problem, m, x, gamma_step, [row[a:b] for a, b in bounds]) for m, row in zip(ms, order)])
 
 
 def client_objective_loop(problem, m, x):

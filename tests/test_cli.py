@@ -75,6 +75,21 @@ def test_run_command_all_multipliers_diverge_exits_3(tmp_path, capsys):
     assert err == "divergence: all runs diverged for algorithm 'rrcli'\n"
 
 
+def test_all_diverging_sweep_leaves_a_used_out_dir_as_it_was(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(QUAD_CFG))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--multipliers", "1,2"]) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--multipliers", "1e6,1e7"]) == EXIT_DIVERGED
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # with one multiplier there is nothing to select: the diverged runs are written and counted
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--multipliers", "1e6"]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["multipliers"] == [1e6]
+    assert manifest["diverged_count"] == len(manifest["runs"]) == 1
+
+
 def test_run_command_decay_flag_reaches_the_manifest(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(QUAD_CFG))
@@ -167,6 +182,13 @@ def test_solve_optimum_command(tmp_path, capsys):
     assert "kappa" in capsys.readouterr().out
     x = np.load(out_npy)
     assert x.shape == (6,)
+    # a path without the .npy suffix is written as it is, through a temporary file
+    out_bare = tmp_path / "xstar"
+    assert main(["solve-optimum", "--dataset", str(path), "--alpha", "0.1", "--tol", "1e-10", "--out", str(out_bare)]) == EXIT_OK
+    assert f"solution written to {out_bare}" in capsys.readouterr().out
+    with open(out_bare, "rb") as fh:
+        assert np.lib.format.read_array(fh, allow_pickle=False).tobytes() == x.tobytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.txt", "xstar", "xstar.npy"]
 
 
 def test_solve_optimum_missing_file(capsys):

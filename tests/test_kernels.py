@@ -4,8 +4,9 @@
 and ``QuadraticProblem.objective_value`` evaluates every component at once;
 ``optimizer._cohort_update`` makes one cohort pass per round.  Each must
 give the bytes of the one-client, one-component loops in
-``tests/eager_reference.py``, signed zeros included, and a diverging cohort
-must fail as the per-client loop does.
+``tests/eager_reference.py``, signed zeros included.  A cohort pass computes
+every row, finite or not, and a diverging cohort must fail as the per-client
+loop does, for either problem.
 """
 
 import warnings
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from eager_reference import aggregate_cohort_loop, cohort_pass_loop, local_pass_loop, objective_value_loop
 from fedrr.dataset import partition, synthetic_libsvm_like
 from fedrr.optimizer import DivergenceError, _batch_bounds, _cohort_update
-from fedrr.problem import QuadraticProblem, logistic_problem, quadratic_problem
+from fedrr.problem import LogisticProblem, QuadraticProblem, logistic_problem, quadratic_problem
 
 M = 6
 COHORT_SIZES = (1, 2, 3, 6)
@@ -130,14 +131,18 @@ def test_quadratic_objective_matches_loop(clients, N, d, seed, underflow, zero_c
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
-def diverging_problem(N, client_centers):
-    """1-d components (1/2)(x - c_m)^2 from x = 0 at a huge step.
+def diverging_problem(N, client_values, kind="quadratic"):
+    """1-d components of client m set by one value v_m, run from x = 0 at a huge step.
 
-    c_m = 0 keeps x at 0; c_m = 1 and c_m = 1e-250 blow up after different
-    numbers of steps, so their passes can end with different warnings.
+    The quadratic components are (1/2)(x - v_m)^2; the logistic ones have
+    feature v_m, label 1 and regularizer 1e-2.  Either way v_m = 0 keeps x
+    at 0, while v_m = 1 and v_m = 1e-250 blow up after different numbers of
+    steps, so their passes can end with different warnings.
     """
-    centers = np.repeat(np.array(client_centers, dtype=np.float64)[:, None, None], N, axis=1)
-    return QuadraticProblem(np.ones((M, N, 1, 1)), centers, mu=1.0, L=1.0)
+    values = np.repeat(np.array(client_values, dtype=np.float64)[:, None, None], N, axis=1)
+    if kind == "logistic":
+        return LogisticProblem(values, np.ones((M, N)), alpha=1e-2)
+    return QuadraticProblem(np.ones((M, N, 1, 1)), values, mu=1.0, L=1.0)
 
 
 def client_loop_warnings(problem, cohort, x, gamma, perms):
@@ -180,10 +185,11 @@ def test_diverging_cohort_fails_like_client_loop(C, N, client_centers, gamma, se
     assert {str(w.message) for w in caught} == expected
 
 
-def test_clients_after_a_diverging_one_do_not_warn():
-    # in 3 steps at gamma 1e200, client 0 (c = 1e-250) overflows to inf, while
-    # client 1 (c = 1) also reaches inf - inf; the loop never runs client 1
-    problem = diverging_problem(3, [1e-250, 1.0, 0.0, 0.0, 0.0, 0.0])
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+def test_clients_after_a_diverging_one_do_not_warn(kind):
+    # in 3 steps at gamma 1e200, client 0 (v = 1e-250) overflows to inf, while
+    # client 1 (v = 1) also reaches inf - inf; the loop never runs client 1
+    problem = diverging_problem(3, [1e-250, 1.0, 0.0, 0.0, 0.0, 0.0], kind)
     perms = {m: np.arange(3) for m in range(M)}
     with warnings.catch_warnings(record=True) as caught, np.errstate(over="warn", invalid="warn"):
         warnings.simplefilter("always")
@@ -194,14 +200,34 @@ def test_clients_after_a_diverging_one_do_not_warn():
     assert {str(w.message) for w in caught} == {"overflow encountered in multiply"}
 
 
-def test_diverging_cohort_raises_under_errstate_raise_at_the_same_client():
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+def test_diverging_cohort_raises_under_errstate_raise_at_the_same_client(kind):
     # clients 1 and 4 diverge; the loop reaches client 1 first, and so must the kernel
-    problem = diverging_problem(3, [0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
+    problem = diverging_problem(3, [0.0, 1.0, 0.0, 0.0, 1.0, 0.0], kind)
     perms = {m: np.arange(3) for m in range(M)}
     with np.errstate(over="raise", invalid="raise"), pytest.raises(FloatingPointError):
         local_pass_loop(problem, 1, np.zeros(1), 1e200, np.array_split(perms[1], 3))
     with np.errstate(over="raise", invalid="raise"), pytest.raises(FloatingPointError):
         round_update(problem, (4, 1, 0), np.zeros(1), 1e200, perms, None)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+def test_rows_after_a_diverging_one_are_computed(kind):
+    # at gamma 1e3 clients 1 and 5 (v = 1e306) overflow in their first step,
+    # while the others grow but stay finite over their 3 steps
+    problem = diverging_problem(3, [1.0, 1e306, 0.5, 2.0, -1.0, 1e306], kind)
+    ms = list(range(M))
+    order = np.array([np.roll(np.arange(3), m) for m in ms])
+    bounds = _batch_bounds(3, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = problem.cohort_pass(ms, np.zeros(1), 1e3, order, bounds)
+        alone = [problem.cohort_pass([m], np.zeros(1), 1e3, order[m : m + 1], bounds)[0] for m in ms]
+    assert [bool(np.isfinite(row).all()) for row in X] == [True, False, True, True, True, False]
+    for row, want in zip(X, alone):
+        if np.isfinite(row).all():
+            assert row.tobytes() == want.tobytes()
+        else:
+            assert not np.isfinite(want).all()
 
 
 def test_quadratic_cohort_pass_checks_clients():
