@@ -65,13 +65,13 @@ def _split(text: str, convert, flag: str) -> list:
 
 def _cmd_run(args) -> int:
     overrides = {"out_dir": args.out}
-    if args.algo:
+    if args.algo is not None:
         overrides["algorithms"] = args.algo.split(",")
     if args.decay:
         overrides["decay"] = True
-    if args.seeds:
+    if args.seeds is not None:
         overrides["seeds"] = _split(args.seeds, int, "--seeds")
-    if args.multipliers:
+    if args.multipliers is not None:
         overrides["multipliers"] = _split(args.multipliers, float, "--multipliers")
     summary = run_experiment(ExperimentConfig.from_file(args.config, overrides))
     n = len(summary["results"])
@@ -84,9 +84,7 @@ def _cmd_run(args) -> int:
 
 def _geometries(max_size: int):
     for M in range(1, max_size + 1):
-        for N in range(1, max_size + 1):
-            if M * N > max_size:
-                continue
+        for N in range(1, max_size // M + 1):
             for C in range(1, M + 1):
                 if M % C == 0:
                     yield M, N, C

@@ -308,6 +308,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     output paths.  Worker count comes from the FEDRR_WORKERS environment
     variable (default 1); results are collected in grid order either way.
     """
+    out_dir = cfg.out_dir if out_dir is None else out_dir
+    if os.fspath(out_dir) == "":  # Path("") would be the working directory
+        raise ConfigError("output directory must be a nonempty path")
     try:
         workers = int(os.environ.get(WORKERS_ENV, "1"))
     except ValueError:
@@ -315,7 +318,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     if workers < 1:  # the default is 1, so the variable is set here
         raise ConfigError(f"{WORKERS_ENV} must be a positive integer, got {os.environ[WORKERS_ENV]!r}")
     shuffle = _load_shuffle_mode(cfg)
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     problem, data_hash = build_problem(cfg)
     optimum = resolve_optimum(problem, cfg, cache_dir=out / "cache", cache_key=data_hash)

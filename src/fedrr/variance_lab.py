@@ -42,7 +42,7 @@ class VarianceInputs:
         z = self.zeta = np.asarray(self.zeta, dtype=np.float64)
         self.M, self.N, self.d = z.shape
         self.grand_mean = z.mean(axis=(0, 1))
-        self.client_means = z.mean(axis=1)
+        client_means = z.mean(axis=1)
         # compensated sums: these feed exact-identity tests
         self.sigma2 = math.fsum(
             float((z[m, j] - self.grand_mean) @ (z[m, j] - self.grand_mean))
@@ -50,7 +50,7 @@ class VarianceInputs:
             for j in range(self.N)
         ) / (self.M * self.N)
         self.sigma_tilde2 = math.fsum(
-            float((self.client_means[m] - self.grand_mean) @ (self.client_means[m] - self.grand_mean))
+            float((client_means[m] - self.grand_mean) @ (client_means[m] - self.grand_mean))
             for m in range(self.M)
         ) / self.M
 
@@ -145,17 +145,17 @@ _GRAM_CHUNK = 4096  # outcomes per block of the Gram accumulation
 
 
 @lru_cache(maxsize=64)
-def _prefix_gram(M: int, N: int, C: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Exact moments of the prefix estimators' weights over every outcome.
+def _prefix_gram(M: int, N: int, C: int) -> tuple[np.ndarray, int]:
+    """Exact second moments of the prefix estimators' weights over every outcome.
 
     The k-sample estimator of group g is Q.zeta / (C*k) for an integer
     weight vector Q over the M*N samples: each sample in the first k_N
     positions of any group counts once, each of group g's own samples at
     positions k_N..k counts C times (k_N = floor(k/N)*N).  Its deviation
     from the grand mean is D.zeta / (C*k*M*N) with D = M*N*Q - C*k, and the
-    entries of D sum to zero.  Returns (G, S1, n_outcomes): G[k-1] is the
-    sum of D D^T and S1[k-1] the sum of D over all (outcome, group) pairs.
-    Every partial sum is an integer below 2**53, so both are exact.
+    entries of D sum to zero.  Returns (G, n_outcomes): G[k-1] is the sum of
+    D D^T over all (outcome, group) pairs.  Every partial sum is an integer
+    below 2**53, so G is exact.
     """
     if M % C != 0:
         raise ValueError(f"group count {C} does not divide client count {M}")
@@ -163,7 +163,6 @@ def _prefix_gram(M: int, N: int, C: int) -> tuple[np.ndarray, np.ndarray, int]:
     n_out, _, NR = seq.shape
     MN = M * N
     gram = np.zeros((NR, MN, MN))
-    first = np.zeros((NR, MN))
     for lo in range(0, n_out, _GRAM_CHUNK):
         block = seq[lo : lo + _GRAM_CHUNK]
         B = len(block)
@@ -177,30 +176,16 @@ def _prefix_gram(M: int, N: int, C: int) -> tuple[np.ndarray, np.ndarray, int]:
                 tail[:] = 0.0
             dev = (MN * (rows + C * tail) - C * k).reshape(B * C, MN)
             gram[k - 1] += dev.T @ dev
-            first[k - 1] += dev.sum(axis=0)
     gram.setflags(write=False)
-    first.setflags(write=False)
-    return gram, first, n_out
-
-
-def _centred(inputs: VarianceInputs) -> np.ndarray:
-    return inputs.zeta.reshape(inputs.M * inputs.N, inputs.d) - inputs.grand_mean
+    return gram, n_out
 
 
 def brute_force_all(inputs: VarianceInputs, C: int = 1) -> np.ndarray:
     """Exact prefix-average variances for every k in one enumeration pass."""
-    gram, _, n_out = _prefix_gram(inputs.M, inputs.N, C)
-    z = _centred(inputs)
+    gram, n_out = _prefix_gram(inputs.M, inputs.N, C)
+    z = inputs.zeta.reshape(inputs.M * inputs.N, inputs.d) - inputs.grand_mean
     scale = C * np.arange(1.0, len(gram) + 1) * (inputs.M * inputs.N)
     return np.sum(z * (gram @ z), axis=(1, 2)) / (n_out * C * scale * scale)
-
-
-def brute_force_expectation(inputs: VarianceInputs, k: int, C: int = 1) -> np.ndarray:
-    """Mean of the k-sample prefix estimator over all outcomes (should equal the grand mean)."""
-    _, first, n_out = _prefix_gram(inputs.M, inputs.N, C)
-    if not 1 <= k <= len(first):
-        raise ValueError(f"k={k} out of range [1, {len(first)}]")
-    return inputs.grand_mean + first[k - 1] @ _centred(inputs) / (n_out * C * C * k * inputs.M * inputs.N)
 
 
 def max_rel_error(inputs: VarianceInputs, C: int = 1) -> float:

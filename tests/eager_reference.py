@@ -32,10 +32,10 @@ oracles read anew at every step: one ``component_gradient`` and two
 The variance oracles are the enumeration forms that ``variance_lab`` replaced
 with exact Gram matrices: ``enumerate_sequences_loop`` builds the outcome
 table one sample at a time, and ``prefix_estimators`` evaluates every prefix
-estimator of every outcome and group on the inputs, from which
-``brute_force_all_tensor`` and ``brute_force_expectation_tensor`` average.
-They average in long double, so that the oracle's own rounding over up to
-40,320 outcomes stays far below the tolerances it is compared at.
+estimator of every outcome and group on the inputs, which
+``brute_force_all_tensor`` averages.  It averages in long double, so that
+the oracle's own rounding over up to 40,320 outcomes stays far below the
+tolerances it is compared at.
 
 The output oracles are the result scans that ``harness`` replaced with one
 grouping of the finished runs: ``write_runs_csv``, ``write_timings_csv`` and
@@ -336,11 +336,6 @@ def prefix_estimators(inputs, C):
 def brute_force_all_tensor(inputs, C):
     dev = prefix_estimators(inputs, C)
     return np.mean(np.sum(dev * dev, axis=-1), axis=(0, 1), dtype=np.longdouble).astype(np.float64)
-
-
-def brute_force_expectation_tensor(inputs, k, C):
-    dev = prefix_estimators(inputs, C)[:, :, k - 1, :]
-    return dev.mean(axis=(0, 1), dtype=np.longdouble).astype(np.float64) + inputs.grand_mean
 
 
 def _fmt(x):

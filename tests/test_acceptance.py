@@ -18,7 +18,7 @@ from fedrr.optimizer import (
     _cohort_update,
     run_algorithm,
 )
-from fedrr.problem import logistic_problem, quadratic_problem, solve_optimum
+from fedrr.problem import logistic_problem, quadratic_problem
 from fedrr.rng import stream
 from fedrr.shuffling import (
     ClientMode,
@@ -70,11 +70,17 @@ def geometries(max_size=8):
 
 
 @pytest.fixture(scope="module")
-def surrogate():
-    ds = synthetic_libsvm_like()
-    problem = logistic_problem(partition(ds, 12, 2024), ds, 5e-4)
-    optimum = solve_optimum(problem, 1e-12)
-    return problem, optimum
+def fig2(tmp_path_factory):
+    """The fig2 grid, run once: test 07 reads its runs and test 08 the optimum it solved on a cold cache."""
+    t0 = time.perf_counter()
+    cfg = ExperimentConfig(
+        dataset={"synthetic": {}}, M=12, C=3, T=100, alpha=5e-4,
+        algorithms=["rrcli", "nastya", "fedavg"], regime=THM1,
+        multipliers=[1.0], local_steps=10, seeds=[0, 1, 2, 3, 4],
+        out_dir=str(tmp_path_factory.mktemp("fig2")),
+    )
+    summary = run_experiment(cfg)
+    return summary, time.perf_counter() - t0
 
 
 def test_01_closed_form_matches_enumeration():
@@ -224,21 +230,13 @@ def test_06_quadratic_statistical_scaling():
     verdict(6, "plateau scales with step size squared", ok, f"shuffled {med_rr:.2f}, control {med_wr:.2f}")
 
 
-def test_07_baseline_ordering(tmp_path):
-    t0 = time.perf_counter()
-    cfg = ExperimentConfig(
-        dataset={"synthetic": {}}, M=12, C=3, T=100, alpha=5e-4,
-        algorithms=["rrcli", "nastya", "fedavg"], regime=THM1,
-        multipliers=[1.0], local_steps=10, seeds=[0, 1, 2, 3, 4],
-        out_dir=str(tmp_path / "fig2"),
-    )
-    summary = run_experiment(cfg)
+def test_07_baseline_ordering(fig2):
+    summary, elapsed = fig2
     finals = {}
-    for algorithm in cfg.algorithms:
+    for algorithm in ("rrcli", "nastya", "fedavg"):
         finals[algorithm] = float(np.mean([
             r.trace.final_dist_sq() for r in summary["results"] if r.algorithm == algorithm
         ]))
-    elapsed = time.perf_counter() - t0
     ordered = finals["rrcli"] <= finals["nastya"] <= finals["fedavg"]
     gap = finals["nastya"] / max(finals["rrcli"], 1e-300)
     ok = ordered and gap >= 2.0 and summary["manifest"]["diverged_count"] == 0 and elapsed <= 600
@@ -250,9 +248,9 @@ def test_07_baseline_ordering(tmp_path):
     )
 
 
-def test_08_optimum_solver(surrogate):
+def test_08_optimum_solver(fig2):
     t0 = time.perf_counter()
-    problem, optimum = surrogate
+    problem, optimum = fig2[0]["problem"], fig2[0]["optimum"]
     kappa = problem.L / problem.mu
     elapsed = time.perf_counter() - t0
     ok = optimum.grad_norm <= 1e-12 and 5e3 <= kappa <= 5e4 and elapsed <= 300

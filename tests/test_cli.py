@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from fedrr.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_VERIFY, main
+from fedrr.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_VERIFY, _geometries, main
 from fedrr.dataset import synthetic_libsvm_like
 
 QUAD_CFG = {
@@ -133,6 +133,19 @@ def test_verify_variance_rejects_arguments_that_check_nothing(capsys, flag, valu
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"config error: {flag}") and len(captured.err.splitlines()) == 1
+
+
+def test_geometries_are_every_small_enough_one_in_scan_order():
+    for max_size in range(1, 13):
+        scan = [
+            (M, N, C)
+            for M in range(1, max_size + 1)
+            for N in range(1, max_size + 1)
+            if M * N <= max_size
+            for C in range(1, M + 1)
+            if M % C == 0
+        ]
+        assert list(_geometries(max_size)) == scan
 
 
 def test_verify_variance_failures_exit_4(capsys):
@@ -274,6 +287,10 @@ def test_solve_optimum_missing_file(capsys):
          "fixed schedule bool.json is not epochs of cohorts of client ids: client id True is not an integer"),
         ("run", QUAD_CFG, [], {"FEDRR_WORKERS": "0"}, "FEDRR_WORKERS must be a positive integer, got '0'"),
         ("run", QUAD_CFG, [], {"FEDRR_WORKERS": "-3"}, "FEDRR_WORKERS must be a positive integer, got '-3'"),
+        ("run", QUAD_CFG, ["--seeds", ""], {}, "--seeds takes a comma-separated list of ints, got ''"),
+        ("run", QUAD_CFG, ["--multipliers", ""], {}, "--multipliers takes a comma-separated list of floats, got ''"),
+        ("run", QUAD_CFG, ["--algo", ""], {}, "unknown algorithm ''"),
+        ("run", QUAD_CFG, ["--out", ""], {}, "output directory must be a nonempty path"),
     ],
     ids=[
         "config-not-an-object", "empty-seed", "non-numeric-multiplier", "non-integer-workers", "repeated-seed",
@@ -292,6 +309,7 @@ def test_solve_optimum_missing_file(capsys):
         "infinite-alpha", "infinite-optimum-tol", "solve-infinite-tol", "infinite-multiplier", "infinite-nastya-gamma",
         "quadratic-infinite-alpha", "quadratic-negative-alpha", "quadratic-infinite-optimum-tol",
         "quadratic-zero-optimum-tol", "fractional-schedule-id", "bool-schedule-id", "zero-workers", "negative-workers",
+        "empty-seeds", "empty-multipliers", "empty-algo", "empty-out",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command, config, flags, env, message):
@@ -319,3 +337,4 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command,
     assert code == EXIT_CONFIG
     assert err.startswith(f"config error: {message}") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+    assert not (tmp_path / "runs.csv").exists()

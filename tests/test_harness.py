@@ -528,6 +528,16 @@ def test_fixed_schedule_checked_before_any_job(tmp_path, monkeypatch, plan, mess
     assert not (tmp_path / "out" / "runs.csv").exists()
 
 
+def test_empty_output_directory_rejected_before_any_read_or_write(tmp_path, monkeypatch):
+    # Path("") is the working directory, which would receive every output file
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("fedrr.harness._load_shuffle_mode", lambda cfg: pytest.fail("schedule read"))
+    for cfg, out_dir in ((quad_config(tmp_path, out_dir=""), None), (quad_config(tmp_path), "")):
+        with pytest.raises(ConfigError, match="^output directory must be a nonempty path$"):
+            run_experiment(cfg, out_dir)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fixed_schedule_runs(tmp_path):
     path = tmp_path / "plan.json"
     path.write_text(json.dumps([[[0, 1], [2, 3], [4, 5]], [[5, 3], [1, 4], [0, 2]]]))

@@ -6,7 +6,6 @@ import pytest
 
 from eager_reference import (
     brute_force_all_tensor,
-    brute_force_expectation_tensor,
     enumerate_sequences_loop,
     star_sequence_loop,
 )
@@ -20,7 +19,6 @@ from fedrr.variance_lab import (
     _enumerate_sequences,
     _prefix_gram,
     brute_force_all,
-    brute_force_expectation,
     closed_form_minibatch_variance,
     closed_form_variance,
     max_rel_error,
@@ -71,15 +69,6 @@ def test_all_equal_inputs_zero_variance():
     for k in range(1, 7):
         assert brute_force_all(inp)[k - 1] <= 1e-28
         assert abs(closed_form_variance(k, 2, 3, inp.sigma2, inp.sigma_tilde2)) <= 1e-28
-
-
-def test_expectation_is_grand_mean():
-    rng = stream(4, "exp")
-    inp = VarianceInputs(rng.normal(size=(4, 2, 3)))
-    for C in (1, 2):
-        for k in (1, 2, 3):
-            e = brute_force_expectation(inp, k, C)
-            assert np.allclose(e, inp.grand_mean, atol=1e-12)
 
 
 def test_single_data_point_per_client():
@@ -190,6 +179,19 @@ def test_outcome_table_matches_loop(M, N, C):
     assert np.array_equal(table, enumerate_sequences_loop(M, N, C))
 
 
+@pytest.mark.parametrize("M, N, C", GEOMETRIES)
+def test_every_slot_of_the_outcome_table_is_uniform(M, N, C):
+    # each (group, position) slot holds every sample in n_out/(M*N) outcomes, so every sample carries the
+    # same mean weight in every prefix estimator: the estimators are unbiased for the grand mean
+    table = _enumerate_sequences(M, N, C)
+    n_out = len(table)
+    assert n_out % (M * N) == 0
+    slots = table.reshape(n_out, -1).T
+    counts = np.stack([np.bincount(slot, minlength=M * N) for slot in slots])
+    assert counts.shape == (N * M, M * N)
+    assert np.all(counts == n_out // (M * N))
+
+
 def close_to_oracle(got, want, tol=1e-12):
     # relative where the oracle exceeds tol, absolute below it
     want = np.asarray(want)
@@ -204,12 +206,8 @@ def test_gram_oracle_matches_estimator_tensor(M, N, C):
     for zeta in (base, base * 1e-6, base * 1e6, rng.normal(size=(M, N, 2)) + 3.0):
         inp = VarianceInputs(zeta)
         assert close_to_oracle(brute_force_all(inp, C), brute_force_all_tensor(inp, C))
-        for k in range(1, N * M // C + 1):
-            assert close_to_oracle(brute_force_expectation(inp, k, C), brute_force_expectation_tensor(inp, k, C))
     inp = VarianceInputs(np.full((M, N, 2), 1.5))
     assert np.all(brute_force_all(inp, C) == 0.0)
-    for k in range(1, N * M // C + 1):
-        assert np.array_equal(brute_force_expectation(inp, k, C), inp.grand_mean)
 
 
 def test_brute_force_all_is_the_exact_quadratic_form():
@@ -217,7 +215,7 @@ def test_brute_force_all_is_the_exact_quadratic_form():
     rng = stream(16, "exact")
     for M, N, C in GEOMETRIES:
         inp = VarianceInputs(rng.normal(size=(M, N, 2)) + 1e3)
-        gram, _, n_out = _prefix_gram(M, N, C)
+        gram, n_out = _prefix_gram(M, N, C)
         flat = [[Fraction(float(v)) for v in col] for col in inp.zeta.reshape(M * N, 2).T]
         z = [[v - sum(col) / (M * N) for v in col] for col in flat]
         got = brute_force_all(inp, C)
@@ -229,28 +227,21 @@ def test_brute_force_all_is_the_exact_quadratic_form():
 
 def test_prefix_gram_is_exact_and_structured():
     for M, N, C in GEOMETRIES:
-        gram, first, n_out = _prefix_gram(M, N, C)
+        gram, n_out = _prefix_gram(M, N, C)
         assert n_out == math.factorial(M) * math.factorial(N) ** M
-        assert gram.shape == (N * M // C, M * N, M * N) and first.shape == gram.shape[:2]
+        assert gram.shape == (N * M // C, M * N, M * N)
         assert np.all(gram == np.round(gram)) and np.abs(gram).max() < 2.0**53
         assert np.array_equal(gram, gram.transpose(0, 2, 1))
         assert np.all(gram.sum(axis=2) == 0.0)
-        # every sample is equally weighted on average: the estimators are unbiased
-        assert np.all(first == 0.0)
         # the full average is the grand mean under every outcome
         assert np.all(gram[-1] == 0.0)
-        assert not gram.flags.writeable and not first.flags.writeable
+        assert not gram.flags.writeable
 
 
 def test_enumeration_argument_checks():
     inp = VarianceInputs(stream(15, "div").normal(size=(4, 2, 1)))
     with pytest.raises(ValueError, match="does not divide"):
         brute_force_all(inp, 3)
-    with pytest.raises(ValueError, match="does not divide"):
-        brute_force_expectation(inp, 1, 3)
-    for k in (0, 5):
-        with pytest.raises(ValueError, match="out of range"):
-            brute_force_expectation(inp, k, 2)
 
 
 def test_report_serializes():
