@@ -119,10 +119,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    ds = load_libsvm_file(args.dataset)
-    problem = logistic_problem(partition(ds, args.clients, args.seed), ds, args.alpha)
+    X, labels = load_libsvm_file(args.dataset)
+    problem = logistic_problem(partition(len(labels), args.clients, args.seed), X, labels, args.alpha)
     opt = solve_optimum(problem, args.tol)
-    print(f"samples={ds.count} dim={ds.dim} L={problem.L:.6g} mu={problem.mu:.6g} kappa={problem.L / problem.mu:.6g}")
+    print(f"samples={len(labels)} dim={X.shape[1]} L={problem.L:.6g} mu={problem.mu:.6g} kappa={problem.L / problem.mu:.6g}")
     print(f"f(x*)={opt.f_star:.12g} ||grad||={opt.grad_norm:.3e}")
     if args.out:
         with _atomic_write(args.out, "wb") as fh:

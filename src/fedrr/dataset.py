@@ -1,4 +1,8 @@
-"""LIBSVM-format dataset loading and equisized federated partitioning."""
+"""LIBSVM-format dataset loading and equisized federated partitioning.
+
+A dataset is a pair ``(X, labels)``: a C-contiguous (count, dim) float64
+matrix whose row i holds sample i's features, and its labels in {-1, +1}.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,7 @@ import gzip
 import io
 import math
 import zlib
-from dataclasses import dataclass
+from array import array
 
 import numpy as np
 
@@ -18,60 +22,25 @@ class DatasetError(ValueError):
     """Malformed input file or invalid partitioning request."""
 
 
-@dataclass
-class SparseDataset:
-    """Sparse binary-classification dataset with labels in {-1, +1}.
-
-    Feature indices are stored 0-based; files use the 1-based LIBSVM
-    convention.  ``rows[i]`` is a pair of aligned arrays (indices, values).
-    """
-
-    rows: list[tuple[np.ndarray, np.ndarray]]
-    labels: np.ndarray
-    dim: int
-
-    @property
-    def count(self) -> int:
-        return len(self.rows)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.count, self.dim))
-        for i, (idx, val) in enumerate(self.rows):
-            out[i, idx] = val
-        return out
-
-    def to_libsvm_text(self) -> str:
-        # Python ints and floats format exactly like the numpy scalars
-        # (np.float64 subclasses float), without a numpy scalar per feature
-        lines = []
-        for (idx, val), y in zip(self.rows, self.labels.tolist()):
-            feats = " ".join(f"{i + 1}:{v:.17g}" for i, v in zip(idx.tolist(), val.tolist()))
-            lines.append(f"{int(y):+d} {feats}".rstrip())
-        return "\n".join(lines) + "\n"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseDataset):
-            return NotImplemented
-        if self.dim != other.dim or self.count != other.count:
-            return False
-        if not np.array_equal(self.labels, other.labels):
-            return False
-        return all(
-            np.array_equal(ia, ib) and np.array_equal(va, vb)
-            for (ia, va), (ib, vb) in zip(self.rows, other.rows)
-        )
-
-
 _LABEL_MAP = {"+1": 1.0, "1": 1.0, "-1": -1.0, "0": -1.0, "2": -1.0, "1.0": 1.0, "-1.0": -1.0, "0.0": -1.0, "2.0": -1.0}
 
 
-def parse_libsvm(text: str) -> SparseDataset:
-    """Parse LIBSVM text into a :class:`SparseDataset`.
+def _dense(count: int, dim: int) -> np.ndarray:
+    """A zeroed (count, dim) float64 matrix, or a DatasetError if it cannot be allocated."""
+    try:
+        return np.zeros((count, dim))
+    except (MemoryError, ValueError):  # numpy raises ValueError for a size past its index range
+        raise DatasetError(f"{count} rows of {dim} features do not fit in memory as a dense matrix") from None
+
+
+def parse_libsvm(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Parse LIBSVM text into ``(X, labels)``; ``dim`` is the largest feature index.
 
     Labels {0,1,2} are mapped onto {-1,+1} ({0,2} -> -1); anything else is
     rejected, and so is a NaN or infinite feature value.
     """
-    rows: list[tuple[np.ndarray, np.ndarray]] = []
+    # every row's listed features, scattered into X once dim is known
+    counts, cols, vals = array("q"), array("q"), array("d")
     labels: list[float] = []
     dim = 0
     for lineno, line in enumerate(io.StringIO(text), start=1):
@@ -97,15 +66,22 @@ def parse_libsvm(text: str) -> SparseDataset:
             if index <= prev:
                 raise DatasetError(f"line {lineno}: feature indices must be strictly increasing")
             prev = index
-            idx.append(index - 1)
+            idx.append(index)
             val.append(value)
         dim = max(dim, prev)  # prev: the row's last 1-based index, 0 for an empty row
-        rows.append((np.array(idx, dtype=np.int64), np.array(val, dtype=np.float64)))
+        if dim < 2**63:  # past int64, X cannot be allocated: _dense says so once every line is checked
+            cols.extend(idx)
+        counts.append(len(idx))
+        vals.extend(val)
         labels.append(_LABEL_MAP[raw_label])
-    return SparseDataset(rows=rows, labels=np.asarray(labels), dim=dim)
+    X = _dense(len(labels), dim)
+    flat = np.repeat(np.arange(len(labels)) * dim - 1, counts)  # each feature's row offset, less 1 for 1-based indices
+    flat += np.frombuffer(cols, dtype=np.int64)
+    X.ravel()[flat] = np.frombuffer(vals)
+    return X, np.asarray(labels)
 
 
-def load_libsvm_file(path) -> SparseDataset:
+def load_libsvm_file(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a LIBSVM file of UTF-8 text, gunzipping it first if it starts with the gzip magic."""
     with open(path, "rb") as fh:
         data = fh.read()
@@ -116,17 +92,34 @@ def load_libsvm_file(path) -> SparseDataset:
     return parse_libsvm(text)
 
 
-def partition(dataset: SparseDataset, M: int, seed: int) -> np.ndarray:
-    """Shuffle row indices with a seeded stream and split them among M clients.
+def libsvm_text(X: np.ndarray, labels: np.ndarray) -> str:
+    """LIBSVM text of ``(X, labels)``: each row's label as ``%+d``, then its nonzero features as ``j:v``.
+
+    ``j`` is 1-based and ``v`` has 17 significant digits, so parsing the text
+    gives back every nonzero of X and the labels bit for bit.  The dataset
+    hash reads this text.
+    """
+    lines = []
+    # one row's Python ints and floats at a time: they format exactly like the
+    # numpy scalars (np.float64 subclasses float), without a scalar per feature
+    for x, y in zip(X, labels.tolist()):
+        (idx,) = x.nonzero()
+        feats = " ".join([f"{j}:{v:.17g}" for j, v in zip((idx + 1).tolist(), x[idx].tolist())])
+        lines.append(f"{int(y):+d} {feats}".rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def partition(count: int, M: int, seed: int) -> np.ndarray:
+    """Shuffle the row indices of ``count`` rows with a seeded stream and split them among M clients.
 
     Returns the (M, N) int64 array whose row m lists client m's dataset
     rows.  N = floor(count / M); the ``count - M*N`` leftover rows are
     dropped so that every client holds exactly N samples.
     """
-    if M < 1 or M > dataset.count:
-        raise DatasetError(f"cannot split {dataset.count} rows into {M} clients")
-    N = dataset.count // M
-    order = fisher_yates(dataset.count, stream(seed, "partition", dataset.count, M))
+    if M < 1 or M > count:
+        raise DatasetError(f"cannot split {count} rows into {M} clients")
+    N = count // M
+    order = fisher_yates(count, stream(seed, "partition", count, M))
     return order[: M * N].reshape(M, N)
 
 
@@ -137,8 +130,8 @@ def synthetic_libsvm_like(
     nnz_per_row: int = 30,
     feature_scale: float | None = None,
     signal: float = 1.0,
-) -> SparseDataset:
-    """Generate a sparse binary dataset shaped like a LIBSVM benchmark file.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Generate ``(X, labels)`` shaped like a sparse LIBSVM benchmark file.
 
     Rows get ``nnz_per_row`` active binary features; labels are drawn from a
     weak logistic teacher with strength ``signal``.  ``feature_scale``
@@ -153,16 +146,15 @@ def synthetic_libsvm_like(
         feature_scale = 1.0
     if not math.isfinite(signal) or not math.isfinite(feature_scale):
         raise DatasetError(f"synthetic signal and feature_scale must be finite, got {signal} and {feature_scale}")
+    X = _dense(count, dim)  # before the first draw, which would be dim normals
     rng = stream(seed, "synthetic_dataset", count, dim, nnz_per_row)
     teacher = rng.normal(size=dim) * signal / np.sqrt(dim)
-    rows = []
     labels = np.empty(count)
     for i in range(count):
         k = int(rng.integers(max(1, nnz_per_row - 5), nnz_per_row + 6))
-        idx = np.sort(rng.choice(dim, size=min(k, dim), replace=False)).astype(np.int64)
-        val = np.full(idx.shape, feature_scale)
-        z = float(val @ teacher[idx])
+        idx = np.sort(rng.choice(dim, size=min(k, dim), replace=False))
+        X[i, idx] = feature_scale
+        z = float(X[i, idx] @ teacher[idx])
         p = 1.0 / (1.0 + np.exp(-z))
         labels[i] = 1.0 if rng.random() < p else -1.0
-        rows.append((idx, val))
-    return SparseDataset(rows=rows, labels=labels, dim=dim)
+    return X, labels

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataset import load_libsvm_file, partition, synthetic_libsvm_like
+from .dataset import libsvm_text, load_libsvm_file, partition, synthetic_libsvm_like
 from .optimizer import (
     FEDAVG,
     NASTYA,
@@ -206,10 +206,9 @@ def build_problem(cfg: ExperimentConfig) -> tuple[FederatedProblem, str]:
         q = {"M": cfg.M, **spec["quadratic"]}
         digest = hashlib.sha256(json.dumps(q, sort_keys=True).encode()).hexdigest()
         return quadratic_problem(**{"seed": cfg.master_seed, **q}), digest
-    ds = load_libsvm_file(spec["path"]) if "path" in spec else synthetic_libsvm_like(**spec["synthetic"])
-    digest = hashlib.sha256(ds.to_libsvm_text().encode()).hexdigest()
-    part = partition(ds, cfg.M, cfg.master_seed)
-    return logistic_problem(part, ds, cfg.alpha), digest
+    X, labels = load_libsvm_file(spec["path"]) if "path" in spec else synthetic_libsvm_like(**spec["synthetic"])
+    digest = hashlib.sha256(libsvm_text(X, labels).encode()).hexdigest()
+    return logistic_problem(partition(len(labels), cfg.M, cfg.master_seed), X, labels, cfg.alpha), digest
 
 
 def resolve_optimum(problem: FederatedProblem, cfg: ExperimentConfig, cache_dir: Path, cache_key: str) -> Optimum:
@@ -330,7 +329,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         for multiplier in cfg.multipliers
         for replicate in cfg.seeds
     ]
-    if workers > 1 and len(jobs) > 1:
+    workers = min(workers, len(jobs))  # the pool starts every worker it is given, needed or not
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_execute_run, *zip(*jobs)))
     else:

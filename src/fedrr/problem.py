@@ -1,7 +1,7 @@
 """Finite-sum objectives over M clients x N components, with exact oracles.
 
 Two concrete problem families are provided: L2-regularized logistic regression
-on a partitioned sparse dataset, and synthetic quadratics with controllable
+on a partitioned dataset, and synthetic quadratics with controllable
 spectrum and client heterogeneity (these have an analytic optimum, which makes
 them the workhorse for bound verification).
 """
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SparseDataset
 from .rng import stream
 
 
@@ -222,11 +221,11 @@ def optimum_at(problem: FederatedProblem, x: np.ndarray) -> Optimum:
     return Optimum(x_star=x, f_star=problem.objective_value(x), grad_norm=float(np.linalg.norm(problem.full_gradient(x))))
 
 
-def logistic_problem(partition: np.ndarray, dataset: SparseDataset, alpha: float) -> LogisticProblem:
-    """Build the regularized logistic problem on an (M, N) array of each client's dataset rows."""
+def logistic_problem(partition: np.ndarray, X: np.ndarray, labels: np.ndarray, alpha: float) -> LogisticProblem:
+    """Build the regularized logistic problem on an (M, N) array of each client's rows of ``X`` and ``labels``."""
     if partition.size == 0:
         raise ProblemError("partition must assign at least one sample per client")
-    return LogisticProblem(dataset.to_dense()[partition], dataset.labels[partition], alpha)
+    return LogisticProblem(X[partition], labels[partition], alpha)
 
 
 def quadratic_problem(

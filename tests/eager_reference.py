@@ -20,10 +20,11 @@ The logistic and codec oracles are the per-component and per-client forms
 that the vectorised code must match bit for bit: ``sigmoid_three_exp`` (the
 clipped two-branch logistic function), ``full_gradient_loop`` (one client at
 a time), ``star_variances_per_component`` (one ``component_gradient`` call
-per component) and ``to_libsvm_text_scalars`` (formatting numpy scalars).
-``partition_tuples`` and ``logistic_arrays_gathered`` are the partition as a
-tuple of client row tuples and ``logistic_problem``'s per-client gather of
-the dense rows and labels from it.
+per component) and ``to_libsvm_text_scalars`` (the text of a feature matrix
+and its labels, formatting numpy scalars).  ``partition_tuples`` is the
+partition of a row count as a tuple of client row tuples, and
+``logistic_arrays_gathered`` is ``logistic_problem``'s gather of the matrix
+rows and labels from it, one row at a time.
 
 ``star_sequence_loop`` is ``variance_lab.star_sequence_deviation`` with x*'s
 oracles read anew at every step: one ``component_gradient`` and two
@@ -230,23 +231,22 @@ def star_variances_per_component(problem, x_star):
     return comp, cli
 
 
-def partition_tuples(dataset, M, seed):
-    """Client m's dataset rows as ``assignment[m]``, a tuple of N Python ints."""
-    N = dataset.count // M
-    order = fisher_yates_loop(dataset.count, stream(seed, "partition", dataset.count, M))
+def partition_tuples(count, M, seed):
+    """Client m's rows of a ``count``-row dataset as ``assignment[m]``, a tuple of N Python ints."""
+    N = count // M
+    order = fisher_yates_loop(count, stream(seed, "partition", count, M))
     return tuple(tuple(int(i) for i in order[m * N : (m + 1) * N]) for m in range(M))
 
 
-def logistic_arrays_gathered(assignment, dataset):
-    """The (M, N, d) rows and (M, N) labels of a tuple partition, gathered one client at a time."""
+def logistic_arrays_gathered(assignment, X, labels):
+    """The (M, N, d) rows of ``X`` and (M, N) labels of a tuple partition, gathered one row at a time."""
     M, N = len(assignment), len(assignment[0])
-    dense = dataset.to_dense()
-    A = np.empty((M, N, dataset.dim))
+    A = np.empty((M, N, X.shape[1]))
     b = np.empty((M, N))
     for m in range(M):
-        rows = list(assignment[m])
-        A[m] = dense[rows]
-        b[m] = dataset.labels[rows]
+        for j, row in enumerate(assignment[m]):
+            A[m, j] = X[row]
+            b[m, j] = labels[row]
     return A, b
 
 
@@ -284,10 +284,11 @@ def star_sequence_loop(problem, x_star, gamma, C, n_draws=200, seed=0):
     return StarSequenceStats(mean_sq_dev=sq, max_mean_sq_dev=float(sq.max()), max_sigma_ds=max_sigma_ds)
 
 
-def to_libsvm_text_scalars(dataset):
+def to_libsvm_text_scalars(X, labels):
     lines = []
-    for (idx, val), y in zip(dataset.rows, dataset.labels):
-        feats = " ".join(f"{i + 1}:{v:.17g}" for i, v in zip(idx, val))
+    for x, y in zip(X, labels):
+        idx = np.flatnonzero(x)
+        feats = " ".join(f"{i + 1}:{v:.17g}" for i, v in zip(idx, x[idx]))
         lines.append(f"{int(y):+d} {feats}".rstrip())
     return "\n".join(lines) + "\n"
 

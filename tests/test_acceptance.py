@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from fedrr import harness
 from fedrr.dataset import partition, synthetic_libsvm_like
 from fedrr.harness import ExperimentConfig, run_experiment
 from fedrr.optimizer import (
@@ -71,7 +72,18 @@ def geometries(max_size=8):
 
 @pytest.fixture(scope="module")
 def fig2(tmp_path_factory):
-    """The fig2 grid, run once: test 07 reads its runs and test 08 the optimum it solved on a cold cache."""
+    """The fig2 grid, run once: test 07 reads its runs, and test 08 the optimum it solved on a cold cache
+    and the seconds each optimum solve took."""
+    solve = harness.solve_optimum
+    solve_s = []
+
+    def timed_solve(*args, **kwargs):
+        t = time.perf_counter()
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            solve_s.append(time.perf_counter() - t)
+
     t0 = time.perf_counter()
     cfg = ExperimentConfig(
         dataset={"synthetic": {}}, M=12, C=3, T=100, alpha=5e-4,
@@ -79,8 +91,10 @@ def fig2(tmp_path_factory):
         multipliers=[1.0], local_steps=10, seeds=[0, 1, 2, 3, 4],
         out_dir=str(tmp_path_factory.mktemp("fig2")),
     )
-    summary = run_experiment(cfg)
-    return summary, time.perf_counter() - t0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "solve_optimum", timed_solve)
+        summary = run_experiment(cfg)
+    return summary, time.perf_counter() - t0, solve_s
 
 
 def test_01_closed_form_matches_enumeration():
@@ -231,7 +245,7 @@ def test_06_quadratic_statistical_scaling():
 
 
 def test_07_baseline_ordering(fig2):
-    summary, elapsed = fig2
+    summary, elapsed, _ = fig2
     finals = {}
     for algorithm in ("rrcli", "nastya", "fedavg"):
         finals[algorithm] = float(np.mean([
@@ -249,11 +263,11 @@ def test_07_baseline_ordering(fig2):
 
 
 def test_08_optimum_solver(fig2):
-    t0 = time.perf_counter()
-    problem, optimum = fig2[0]["problem"], fig2[0]["optimum"]
+    summary, _, solve_s = fig2
+    problem, optimum = summary["problem"], summary["optimum"]
     kappa = problem.L / problem.mu
-    elapsed = time.perf_counter() - t0
-    ok = optimum.grad_norm <= 1e-12 and 5e3 <= kappa <= 5e4 and elapsed <= 300
+    # the cache starts cold, so the grid solved exactly once
+    ok = optimum.grad_norm <= 1e-12 and 5e3 <= kappa <= 5e4 and len(solve_s) == 1 and solve_s[0] <= 300
     verdict(8, "high-accuracy optimum solver", ok, f"grad {optimum.grad_norm:.1e}, kappa {kappa:.0f}")
 
 
@@ -283,9 +297,9 @@ def test_10_gradient_correctness():
             g[i] = (f(x + e) - f(x - e)) / (2 * h)
         return g
 
-    ds = synthetic_libsvm_like(count=24, dim=6, seed=8, nnz_per_row=3)
+    X, labels = synthetic_libsvm_like(count=24, dim=6, seed=8, nnz_per_row=3)
     problems = [
-        logistic_problem(partition(ds, 3, 8), ds, 1e-2),
+        logistic_problem(partition(24, 3, 8), X, labels, 1e-2),
         quadratic_problem(3, 4, 3, mu=0.5, L=4.0, client_spread=1.0, sample_spread=0.5, seed=8),
     ]
     worst = 0.0

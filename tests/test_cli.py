@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fedrr.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_VERIFY, _geometries, main
-from fedrr.dataset import synthetic_libsvm_like
+from fedrr.dataset import libsvm_text, synthetic_libsvm_like
 
 QUAD_CFG = {
     "dataset": {"quadratic": {"M": 4, "N": 3, "d": 3, "mu": 1.0, "L": 5.0, "client_spread": 1.0, "sample_spread": 0.5, "seed": 2}},
@@ -99,9 +99,8 @@ def test_run_command_decay_flag_reaches_the_manifest(tmp_path, capsys):
 
 @pytest.mark.parametrize("compress", [False, True], ids=["text", "gzip"])
 def test_run_command_reads_a_dataset_file(tmp_path, capsys, compress):
-    ds = synthetic_libsvm_like(count=40, dim=6, seed=4, nnz_per_row=3)
     path = tmp_path / ("data.txt.gz" if compress else "data.txt")
-    text = ds.to_libsvm_text().encode()
+    text = libsvm_text(*synthetic_libsvm_like(count=40, dim=6, seed=4, nnz_per_row=3)).encode()
     path.write_bytes(gzip.compress(text) if compress else text)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**SMALL_LOGISTIC, "dataset": {"path": str(path)}}))
@@ -183,9 +182,8 @@ def test_run_command_quadratic_client_count_mismatch(tmp_path, capsys):
 
 
 def test_solve_optimum_command(tmp_path, capsys):
-    ds = synthetic_libsvm_like(count=40, dim=6, seed=4, nnz_per_row=3)
     path = tmp_path / "data.txt"
-    path.write_text(ds.to_libsvm_text())
+    path.write_text(libsvm_text(*synthetic_libsvm_like(count=40, dim=6, seed=4, nnz_per_row=3)))
     out_npy = tmp_path / "xstar.npy"
     code = main([
         "solve-optimum", "--dataset", str(path), "--alpha", "0.1",
@@ -291,6 +289,14 @@ def test_solve_optimum_missing_file(capsys):
         ("run", QUAD_CFG, ["--multipliers", ""], {}, "--multipliers takes a comma-separated list of floats, got ''"),
         ("run", QUAD_CFG, ["--algo", ""], {}, "unknown algorithm ''"),
         ("run", QUAD_CFG, ["--out", ""], {}, "output directory must be a nonempty path"),
+        ("solve-optimum", None, ["--alpha", "0.1", "--dataset", "wide.txt"], {},
+         "2 rows of 1000000000000 features do not fit in memory as a dense matrix"),
+        ("run", {**QUAD_CFG, "dataset": {"path": "wide.txt"}, "M": 2}, [], {},
+         "2 rows of 1000000000000 features do not fit in memory as a dense matrix"),
+        ("run", {**QUAD_CFG, "dataset": {"synthetic": {"dim": 10**12}}}, [], {},
+         "11055 rows of 1000000000000 features do not fit in memory as a dense matrix"),
+        ("solve-optimum", None, ["--alpha", "0.1", "--dataset", "past_int64.txt"], {},
+         "2 rows of 100000000000000000000000000000 features do not fit in memory as a dense matrix"),
     ],
     ids=[
         "config-not-an-object", "empty-seed", "non-numeric-multiplier", "non-integer-workers", "repeated-seed",
@@ -310,18 +316,21 @@ def test_solve_optimum_missing_file(capsys):
         "quadratic-infinite-alpha", "quadratic-negative-alpha", "quadratic-infinite-optimum-tol",
         "quadratic-zero-optimum-tol", "fractional-schedule-id", "bool-schedule-id", "zero-workers", "negative-workers",
         "empty-seeds", "empty-multipliers", "empty-algo", "empty-out",
+        "solve-dataset-too-large", "dataset-too-large", "synthetic-too-large", "solve-index-past-int64",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command, config, flags, env, message):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     # unreadable inputs, named relative to tmp_path: a dataset that is not UTF-8, a truncated gzip, a directory,
-    # a dataset with a NaN feature
+    # a dataset with a NaN feature, datasets too wide to hold as a dense matrix
     monkeypatch.chdir(tmp_path)
     (tmp_path / "latin1.txt").write_bytes("+1 1:0.5\n-1 2:1 # caf\u00e9\n".encode("latin-1"))
     (tmp_path / "truncated.gz").write_bytes(gzip.compress(b"+1 1:0.5\n" * 50)[:20])
     (tmp_path / "folder").mkdir()
     (tmp_path / "nan.txt").write_text("+1 1:0.5\n-1 1:nan\n+1 2:1\n-1 1:1 2:1\n")
+    (tmp_path / "wide.txt").write_text("+1 1:1 1000000000000:1\n-1 2:1\n")
+    (tmp_path / "past_int64.txt").write_text("+1 1:1 100000000000000000000000000000:1\n-1 2:1\n")
     (tmp_path / "plan.json").write_text(json.dumps([[[0, 1], [2, 3]]]))
     (tmp_path / "fractional.json").write_text(json.dumps([[[0.5, 1], [2, 3]], [[True, "0"], [2, 3]]]))
     (tmp_path / "bool.json").write_text(json.dumps([[[True, 0], [2, 3]]]))
@@ -329,8 +338,7 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command,
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         argv = ["run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
     else:
-        ds = synthetic_libsvm_like(count=40, dim=6, seed=4, nnz_per_row=3)
-        (tmp_path / "data.txt").write_text(ds.to_libsvm_text())
+        (tmp_path / "data.txt").write_text(libsvm_text(*synthetic_libsvm_like(count=40, dim=6, seed=4, nnz_per_row=3)))
         argv = ["solve-optimum", "--dataset", str(tmp_path / "data.txt")]
     code = main(argv + flags)
     err = capsys.readouterr().err

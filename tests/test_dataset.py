@@ -6,6 +6,7 @@ import pytest
 
 from fedrr.dataset import (
     DatasetError,
+    libsvm_text,
     load_libsvm_file,
     parse_libsvm,
     partition,
@@ -18,19 +19,22 @@ SAMPLE = """+1 1:0.5 3:1.25
 """
 
 
+def same_dataset(a, b):
+    return all(np.array_equal(u, v) and u.tobytes() == v.tobytes() for u, v in zip(a, b))
+
+
 def test_parse_basic():
-    ds = parse_libsvm(SAMPLE)
-    assert ds.count == 3
-    assert ds.dim == 4
-    assert list(ds.labels) == [1.0, -1.0, 1.0]
-    dense = ds.to_dense()
-    assert dense[0, 0] == 0.5 and dense[0, 2] == 1.25
-    assert dense[1, 1] == 2.0 and dense[1, 3] == -0.75
+    X, labels = parse_libsvm(SAMPLE)
+    assert len(labels) == 3
+    assert X.shape[1] == 4
+    assert list(labels) == [1.0, -1.0, 1.0]
+    assert X[0, 0] == 0.5 and X[0, 2] == 1.25
+    assert X[1, 1] == 2.0 and X[1, 3] == -0.75
 
 
 def test_label_mapping_zero_and_two():
-    ds = parse_libsvm("0 1:1\n2 1:1\n1 1:1\n")
-    assert list(ds.labels) == [-1.0, -1.0, 1.0]
+    _, labels = parse_libsvm("0 1:1\n2 1:1\n1 1:1\n")
+    assert list(labels) == [-1.0, -1.0, 1.0]
 
 
 def test_bad_label_rejected_with_line_number():
@@ -50,14 +54,14 @@ def test_malformed_feature_rejected():
 
 def test_roundtrip_through_text():
     ds = parse_libsvm(SAMPLE)
-    again = parse_libsvm(ds.to_libsvm_text())
-    assert ds == again
+    again = parse_libsvm(libsvm_text(*ds))
+    assert same_dataset(ds, again)
 
 
 def test_gzip_transparent(tmp_path):
     path = tmp_path / "data.txt.gz"
     path.write_bytes(gzip.compress(SAMPLE.encode()))
-    assert load_libsvm_file(path) == parse_libsvm(SAMPLE)
+    assert same_dataset(load_libsvm_file(path), parse_libsvm(SAMPLE))
 
 
 GZ = gzip.compress(SAMPLE.encode())
@@ -82,8 +86,8 @@ def test_synthetic_sizes_must_be_positive(sizes):
 
 
 def test_partition_shapes_and_disjoint():
-    ds = synthetic_libsvm_like(count=103, dim=10, seed=5, nnz_per_row=4)
-    part = partition(ds, 10, seed=1)
+    _, labels = synthetic_libsvm_like(count=103, dim=10, seed=5, nnz_per_row=4)
+    part = partition(len(labels), 10, seed=1)
     assert part.shape == (10, 10) and part.dtype == np.int64
     flat = part.ravel().tolist()
     assert len(flat) == len(set(flat)) == 100  # 3 remainder rows dropped
@@ -91,20 +95,31 @@ def test_partition_shapes_and_disjoint():
 
 
 def test_partition_deterministic():
-    ds = synthetic_libsvm_like(count=40, dim=6, seed=5, nnz_per_row=3)
-    assert np.array_equal(partition(ds, 4, seed=9), partition(ds, 4, seed=9))
-    assert not np.array_equal(partition(ds, 4, seed=9), partition(ds, 4, seed=10))
+    _, labels = synthetic_libsvm_like(count=40, dim=6, seed=5, nnz_per_row=3)
+    count = len(labels)
+    assert np.array_equal(partition(count, 4, seed=9), partition(count, 4, seed=9))
+    assert not np.array_equal(partition(count, 4, seed=9), partition(count, 4, seed=10))
 
 
 def test_partition_rejects_too_many_clients():
-    ds = parse_libsvm(SAMPLE)
+    _, labels = parse_libsvm(SAMPLE)
     with pytest.raises(DatasetError):
-        partition(ds, 4, seed=0)
+        partition(len(labels), 4, seed=0)
 
 
 def test_synthetic_shape_and_determinism():
-    ds = synthetic_libsvm_like(count=50, dim=12, seed=3, nnz_per_row=5)
-    assert ds.count == 50 and ds.dim == 12
-    assert set(np.unique(ds.labels)) <= {-1.0, 1.0}
+    ds = X, labels = synthetic_libsvm_like(count=50, dim=12, seed=3, nnz_per_row=5)
+    assert len(labels) == 50 and X.shape[1] == 12
+    assert set(np.unique(labels)) <= {-1.0, 1.0}
     again = synthetic_libsvm_like(count=50, dim=12, seed=3, nnz_per_row=5)
-    assert ds == again
+    assert same_dataset(ds, again)
+
+
+def test_every_line_is_checked_before_the_matrix_is_allocated():
+    with pytest.raises(DatasetError, match="line 2: malformed feature '3:x'"):
+        parse_libsvm("+1 1:1 1000000000000:1\n-1 2:1 3:x\n")
+
+
+def test_text_lists_only_nonzero_features():
+    X, labels = parse_libsvm("+1 1:0 2:-0 3:1.5\n-1 2:0\n")
+    assert libsvm_text(X, labels) == "+1 3:1.5\n-1\n"

@@ -387,6 +387,49 @@ def test_worker_pool_matches_sequential(tmp_path, monkeypatch):
         assert len(csv_hashes(seq["out_dir"])) == 1 + len(ALGORITHMS)
 
 
+def test_worker_pool_is_never_larger_than_the_job_count(tmp_path, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records the pool size it is asked for and runs the jobs in this process, in order."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("fedrr.harness.ProcessPoolExecutor", SerialPool)
+    cfg = quad_config(tmp_path)  # one algorithm, one multiplier, two seeds: two jobs
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    seq = run_experiment(cfg, out_dir=tmp_path / "seq")
+    monkeypatch.setenv(WORKERS_ENV, "64")
+    pooled = run_experiment(cfg, out_dir=tmp_path / "pooled")
+    assert sizes == [2]
+    assert csv_hashes(seq["out_dir"]) == csv_hashes(pooled["out_dir"])
+    assert (seq["out_dir"] / "manifest.json").read_bytes() == (pooled["out_dir"] / "manifest.json").read_bytes()
+
+
+def test_explicit_zero_feature_hashes_like_an_absent_one(tmp_path):
+    # the dataset hash reads the text of X and the labels, so a feature listed as 0 or -0 changes nothing
+    plain = ["+1 1:0.5 3:1", "-1 2:2", "+1 1:1 2:1", "-1 3:0.25"]
+    zeros = ["+1 1:0.5 2:0 3:1", "-1 1:-0 2:2", "+1 1:1 2:1 3:0", "-1 1:0 3:0.25"]
+    built = []
+    for name, lines in (("plain", plain), ("zeros", zeros)):
+        path = tmp_path / f"{name}.txt"
+        path.write_text("\n".join(lines) + "\n")
+        built.append(build_problem(quad_config(tmp_path, dataset={"path": str(path)}, M=2)))
+    (a, a_hash), (b, b_hash) = built
+    assert a_hash == b_hash
+    assert np.array_equal(a._A, b._A) and np.array_equal(a._b, b._b)
+
+
 def test_fixed_schedule_read_once_per_grid(tmp_path, monkeypatch):
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps(FIXED_PLAN))

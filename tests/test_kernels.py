@@ -239,8 +239,8 @@ def test_quadratic_cohort_pass_checks_clients():
 
 @pytest.mark.parametrize("C", COHORT_SIZES)
 def test_logistic_cohort_pass_is_per_client_pass(C):
-    ds = synthetic_libsvm_like(count=M * 7, dim=5, seed=1, nnz_per_row=3)
-    problem = logistic_problem(partition(ds, M, 1), ds, 1e-2)
+    X, labels = synthetic_libsvm_like(count=M * 7, dim=5, seed=1, nnz_per_row=3)
+    problem = logistic_problem(partition(M * 7, M, 1), X, labels, 1e-2)
     rng = np.random.default_rng(C)
     ms = sorted(int(m) for m in rng.permutation(M)[:C])
     order = np.array([rng.permutation(7) for _ in ms])

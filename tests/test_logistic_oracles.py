@@ -15,14 +15,14 @@ from eager_reference import (
     star_variances_per_component,
     to_libsvm_text_scalars,
 )
-from fedrr.dataset import parse_libsvm, partition, synthetic_libsvm_like
+from fedrr.dataset import libsvm_text, parse_libsvm, partition, synthetic_libsvm_like
 from fedrr.problem import _sigmoid, logistic_problem, quadratic_problem, solve_optimum
 from fedrr.variance_lab import star_variances
 
 
 def logistic(M=3, N=40, dim=12, alpha=1e-2, seed=0):
-    ds = synthetic_libsvm_like(count=M * N, dim=dim, seed=seed, nnz_per_row=5)
-    return logistic_problem(partition(ds, M, seed), ds, alpha)
+    X, labels = synthetic_libsvm_like(count=M * N, dim=dim, seed=seed, nnz_per_row=5)
+    return logistic_problem(partition(M * N, M, seed), X, labels, alpha)
 
 
 PROBLEM = logistic()
@@ -89,24 +89,22 @@ def test_star_variances_match_per_component_form(problem):
 
 @pytest.mark.parametrize("count, M, seed", [(120, 3, 0), (103, 10, 1), (40, 1, 9), (11, 11, 4)])
 def test_partition_array_gathers_the_tuple_partition_bytes(count, M, seed):
-    ds = synthetic_libsvm_like(count=count, dim=9, seed=seed, nnz_per_row=4)
-    assignment = partition_tuples(ds, M, seed)
-    assert partition(ds, M, seed).tolist() == [list(rows) for rows in assignment]
-    problem = logistic_problem(partition(ds, M, seed), ds, 1e-2)
-    A, b = logistic_arrays_gathered(assignment, ds)
+    X, labels = synthetic_libsvm_like(count=count, dim=9, seed=seed, nnz_per_row=4)
+    assignment = partition_tuples(count, M, seed)
+    assert partition(count, M, seed).tolist() == [list(rows) for rows in assignment]
+    problem = logistic_problem(partition(count, M, seed), X, labels, 1e-2)
+    A, b = logistic_arrays_gathered(assignment, X, labels)
     assert same_bits(problem._A, A) and same_bits(problem._b, b)
 
 
 def test_text_round_trip_is_byte_identical():
-    ds = synthetic_libsvm_like(feature_scale=0.123456789)
-    text = ds.to_libsvm_text()
-    assert text == to_libsvm_text_scalars(ds)
-    again = parse_libsvm(text)
-    assert again == ds
-    assert all(
-        ia.dtype == np.int64 and va.dtype == np.float64 for ia, va in again.rows
-    )
-    assert again.to_libsvm_text() == text
+    X, labels = synthetic_libsvm_like(feature_scale=0.123456789)
+    text = libsvm_text(X, labels)
+    assert text == to_libsvm_text_scalars(X, labels)
+    X2, labels2 = parse_libsvm(text)
+    assert same_bits(X2, X) and same_bits(labels2, labels)
+    assert X2.dtype == np.float64 and X2.flags.c_contiguous and X2.shape == (11055, 68)
+    assert libsvm_text(X2, labels2) == text
 
 
 def test_no_floating_point_warnings_far_outside_exp_range():

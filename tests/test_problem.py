@@ -14,8 +14,8 @@ from fedrr.rng import stream
 
 
 def small_logistic(M=3, N=8, alpha=1e-2, seed=0):
-    ds = synthetic_libsvm_like(count=M * N, dim=6, seed=seed, nnz_per_row=3)
-    return logistic_problem(partition(ds, M, seed), ds, alpha)
+    X, labels = synthetic_libsvm_like(count=M * N, dim=6, seed=seed, nnz_per_row=3)
+    return logistic_problem(partition(M * N, M, seed), X, labels, alpha)
 
 
 def small_quadratic(M=3, N=4, d=3, seed=0, client_spread=1.0, sample_spread=0.5):
@@ -167,6 +167,6 @@ def test_quadratic_sizes_must_be_positive(M, N, d):
 
 
 def test_empty_partition_rejected():
-    ds = synthetic_libsvm_like(count=6, dim=3, seed=0, nnz_per_row=2)
+    X, labels = synthetic_libsvm_like(count=6, dim=3, seed=0, nnz_per_row=2)
     with pytest.raises(ProblemError, match="at least one sample per client"):
-        logistic_problem(np.zeros((2, 0), dtype=np.int64), ds, 1e-2)
+        logistic_problem(np.zeros((2, 0), dtype=np.int64), X, labels, 1e-2)

@@ -267,8 +267,8 @@ def test_star_sequence_scales_as_gamma_squared():
 
 
 def _star_problems():
-    ds = synthetic_libsvm_like(count=26, dim=5, seed=2, nnz_per_row=3)
-    logistic = logistic_problem(partition(ds, 4, 6), ds, 5e-2)
+    X, labels = synthetic_libsvm_like(count=26, dim=5, seed=2, nnz_per_row=3)
+    logistic = logistic_problem(partition(26, 4, 6), X, labels, 5e-2)
     yield pytest.param(logistic, solve_optimum(logistic, 1e-12).x_star, id="logistic")
     for M, N, d, seed in ((4, 3, 2, 1), (6, 2, 3, 4), (3, 5, 1, 0)):
         quad = quadratic_problem(M, N, d, mu=1.0, L=5.0, client_spread=1.0, sample_spread=0.5, seed=seed)
