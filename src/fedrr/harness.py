@@ -219,8 +219,9 @@ def resolve_optimum(problem: FederatedProblem, cfg: ExperimentConfig, cache_dir:
     """
     if hasattr(problem, "analytic_optimum"):
         return problem.analytic_optimum()
+    # the dataset hash does not record d: a column listed only as zero widens the problem, not the hash
     key = hashlib.sha256(
-        f"{cache_key}:{cfg.M}:{cfg.master_seed}:{problem.alpha}:{cfg.optimum_tol}".encode()
+        f"{cache_key}:{problem.d}:{cfg.M}:{cfg.master_seed}:{problem.alpha}:{cfg.optimum_tol}".encode()
     ).hexdigest()[:24]
     cache = Path(cache_dir) / f"optimum_{key}.npy"
     try:

@@ -4,8 +4,12 @@ The closed-form expressions below describe the variance of prefix averages
 under the two-level shuffle (a random client order crossed with independent
 per-client data orders), including the grouped variant where C parallel
 groups each run their own two-level shuffle.  Every formula is checked
-against exhaustive enumeration over all permutations, which is the ground
-truth the tests trust.
+against the exact variance over all permutation outcomes, which is the
+ground truth the tests trust.  That variance comes from integer Gram
+matrices of the prefix estimators' weights, summed over outcome classes
+(the clients in completed rows, a group's tail client and the samples it
+has seen) times each class's number of outcomes; the tests check them bit
+for bit against a walk over every outcome of ``_enumerate_sequences``.
 
 Enumeration note: the grouped cross-covariance term carries coefficient
 2*k_N*(k - k_N) / (k^2 * (M - 1)); a variant with an extra 1/C factor does
@@ -141,7 +145,9 @@ def _enumerate_sequences(M: int, N: int, C: int) -> np.ndarray:
     return out.reshape(n_client * n_data, C, N * (M // C))
 
 
-_GRAM_CHUNK = 4096  # outcomes per block of the Gram accumulation
+def _subsets(n: int, size: int) -> np.ndarray:
+    """Indicator rows of every ``size``-subset of range(n), in ``itertools`` order."""
+    return np.array([[float(i in c) for i in range(n)] for c in itertools.combinations(range(n), size)])
 
 
 @lru_cache(maxsize=64)
@@ -151,31 +157,46 @@ def _prefix_gram(M: int, N: int, C: int) -> tuple[np.ndarray, int]:
     The k-sample estimator of group g is Q.zeta / (C*k) for an integer
     weight vector Q over the M*N samples: each sample in the first k_N
     positions of any group counts once, each of group g's own samples at
-    positions k_N..k counts C times (k_N = floor(k/N)*N).  Its deviation
-    from the grand mean is D.zeta / (C*k*M*N) with D = M*N*Q - C*k, and the
-    entries of D sum to zero.  Returns (G, n_outcomes): G[k-1] is the sum of
-    D D^T over all (outcome, group) pairs.  Every partial sum is an integer
-    below 2**53, so G is exact.
+    positions k_N..k counts C times (k_N = floor(k/N)*N, j = k - k_N).  Its
+    deviation from the grand mean is D.zeta / (C*k*M*N) with D = M*N*Q - C*k,
+    and the entries of D sum to zero.  Returns (G, n_outcomes): G[k-1] is the
+    sum of D D^T over all (outcome, group) pairs.
+
+    D depends only on the outcome class: the set S of the C*k_N/N clients in
+    completed rows and, when j > 0, group g's tail client t outside S and the
+    j-subset T of t's samples seen so far.  Each class holds the same number
+    of (outcome, group) pairs, C*|S|!*(M-|S|-1)!*N!^(M-1)*j!*(N-j)! when
+    j > 0 and C*|S|!*(M-|S|)!*N!^M when j = 0, so G[k-1] is that multiplicity
+    times the sum of D D^T over one row per class.  The guard keeps every
+    partial sum an integer below 2**53, so G is exact; the tests check it
+    bit for bit against a walk over the outcome table.
     """
     if M % C != 0:
         raise ValueError(f"group count {C} does not divide client count {M}")
-    seq = _enumerate_sequences(M, N, C)
-    n_out, _, NR = seq.shape
+    n_out = math.factorial(M) * math.factorial(N) ** M
+    if n_out > ENUMERATION_GUARD:
+        raise EnumerationTooLarge(f"{n_out} outcomes exceed the enumeration guard")
     MN = M * N
-    gram = np.zeros((NR, MN, MN))
-    for lo in range(0, n_out, _GRAM_CHUNK):
-        block = seq[lo : lo + _GRAM_CHUNK]
-        B = len(block)
-        rows = np.zeros((B, 1, MN))  # samples in the completed rows of all groups
-        tail = np.zeros((B, C, MN))  # each group's samples since its last completed row
-        o, g = np.ogrid[:B, :C]
-        for k in range(1, NR + 1):
-            tail[o, g, block[:, :, k - 1]] = 1.0
-            if k % N == 0:
-                rows += tail.sum(axis=1, keepdims=True)
-                tail[:] = 0.0
-            dev = (MN * (rows + C * tail) - C * k).reshape(B * C, MN)
-            gram[k - 1] += dev.T @ dev
+    grams = []
+    for k in range(1, N * (M // C) + 1):
+        r, j = divmod(k, N)
+        s = C * r
+        # rows[S, m, :] = 1 for every sample of a client m in S
+        rows = np.repeat(_subsets(M, s)[:, :, None], N, axis=2)
+        if j == 0:
+            Q = rows
+            mult = C * math.factorial(s) * math.factorial(M - s) * math.factorial(N) ** M
+        else:
+            # tails[t, T, t, :] is C on the j samples of T
+            tails = C * np.eye(M)[:, None, :, None] * _subsets(N, j)[None, :, None, :]
+            Q = (rows[:, None, None] + tails)[rows[:, :, 0] == 0]  # classes (S, t, T) with t outside S
+            mult = (
+                C * math.factorial(s) * math.factorial(M - s - 1) * math.factorial(N) ** (M - 1)
+                * math.factorial(j) * math.factorial(N - j)
+            )
+        D = (MN * Q - C * k).reshape(-1, MN)
+        grams.append(mult * (D.T @ D))
+    gram = np.stack(grams)
     gram.setflags(write=False)
     return gram, n_out
 

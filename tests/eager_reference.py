@@ -31,9 +31,11 @@ oracles read anew at every step: one ``component_gradient`` and two
 ``component_loss`` calls in ``bregman``, besides the step's own loss.
 
 The variance oracles are the enumeration forms that ``variance_lab`` replaced
-with exact Gram matrices: ``enumerate_sequences_loop`` builds the outcome
-table one sample at a time, and ``prefix_estimators`` evaluates every prefix
-estimator of every outcome and group on the inputs, which
+with exact Gram matrices summed over outcome classes: ``enumerate_sequences_loop``
+builds the outcome table one sample at a time, ``prefix_gram_from_table`` walks
+``variance_lab._enumerate_sequences``'s table in chunks and adds every outcome's
+and group's weight deviations to the Gram, and ``prefix_estimators`` evaluates
+every prefix estimator of every outcome and group on the inputs, which
 ``brute_force_all_tensor`` averages.  It averages in long double, so that
 the oracle's own rounding over up to 40,320 outcomes stays far below the
 tolerances it is compared at.
@@ -56,7 +58,7 @@ import numpy as np
 from fedrr.optimizer import DivergenceError, RunTrace, TracePoint, apply_decay
 from fedrr.rng import stream
 from fedrr.shuffling import ClientMode, DataMode
-from fedrr.variance_lab import StarSequenceStats
+from fedrr.variance_lab import StarSequenceStats, _enumerate_sequences
 
 
 def local_pass_loop(problem, m, x, gamma_step, batches):
@@ -312,6 +314,28 @@ def enumerate_sequences_loop(M, N, C):
                         pos += 1
             o += 1
     return out
+
+
+def prefix_gram_from_table(M, N, C, chunk=4096):
+    """``variance_lab._prefix_gram``, summed over every (outcome, group) pair of the outcome table."""
+    seq = _enumerate_sequences(M, N, C)
+    n_out, _, NR = seq.shape
+    MN = M * N
+    gram = np.zeros((NR, MN, MN))
+    for lo in range(0, n_out, chunk):
+        block = seq[lo : lo + chunk]
+        B = len(block)
+        rows = np.zeros((B, 1, MN))  # samples in the completed rows of all groups
+        tail = np.zeros((B, C, MN))  # each group's samples since its last completed row
+        o, g = np.ogrid[:B, :C]
+        for k in range(1, NR + 1):
+            tail[o, g, block[:, :, k - 1]] = 1.0
+            if k % N == 0:
+                rows += tail.sum(axis=1, keepdims=True)
+                tail[:] = 0.0
+            dev = (MN * (rows + C * tail) - C * k).reshape(B * C, MN)
+            gram[k - 1] += dev.T @ dev
+    return gram, n_out
 
 
 def prefix_estimators(inputs, C):

@@ -147,6 +147,21 @@ def test_geometries_are_every_small_enough_one_in_scan_order():
         assert list(_geometries(max_size)) == scan
 
 
+def test_verify_variance_skips_only_geometries_past_the_guard(capsys):
+    code = main(["verify-variance", "--max-size", "11", "--inputs", "1"])
+    assert code == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("worst relative error")
+    skipped = [line for line in lines if "skipped" in line]
+    assert skipped == [
+        f"M={M} N={N} C={C}: skipped (39916800 outcomes exceed the enumeration guard)"
+        for M, N, C in ((1, 11, 1), (11, 1, 1), (11, 1, 11))
+    ]
+    checked = [line for line in lines[:-1] if line not in skipped]
+    assert len(checked) == len(list(_geometries(11))) - 3
+    assert all(line.endswith(" ok") for line in checked)
+
+
 def test_verify_variance_failures_exit_4(capsys):
     code = main(["verify-variance", "--max-size", "3", "--inputs", "1", "--tol", "1e-300"])
     assert code == EXIT_VERIFY

@@ -23,6 +23,7 @@ from fedrr.harness import (
     select_best_multiplier,
 )
 from fedrr.optimizer import ALGORITHMS, DivergenceError, RunTrace, TracePoint
+from fedrr.problem import solve_optimum
 from fedrr.rng import derive_seed
 from fedrr.shuffling import ClientMode, DataMode, load_fixed_schedule
 from fedrr.theory import REGIMES
@@ -452,6 +453,27 @@ def test_local_steps_beyond_pass_length_change_nothing(tmp_path, algorithm):
     at_2n = run_experiment(quad_config(tmp_path, algorithms=[algorithm], local_steps=8), out_dir=tmp_path / "2n")
     assert at_2n["manifest"]["diverged_count"] == 0
     assert (at_n["out_dir"] / "runs.csv").read_bytes() == (at_2n["out_dir"] / "runs.csv").read_bytes()
+
+
+def test_optimum_cache_tells_apart_files_that_differ_only_in_width(tmp_path, monkeypatch):
+    # "5:0" widens the problem to d = 5 but leaves the dataset hash as it is
+    plain = ["+1 1:0.5 2:1", "-1 2:2", "+1 1:1 2:1", "-1 1:0.25"]
+    wide = ["+1 1:0.5 2:1 5:0"] + plain[1:]
+    configs = []
+    for name, lines in (("plain", plain), ("wide", wide)):
+        path = tmp_path / f"{name}.txt"
+        path.write_text("\n".join(lines) + "\n")
+        configs.append(quad_config(tmp_path, dataset={"path": str(path)}, M=2, T=2, seeds=[0]))
+    solves = []
+    monkeypatch.setattr("fedrr.harness.solve_optimum", lambda problem, tol: solves.append(problem.d) or solve_optimum(problem, tol))
+    first = [run_experiment(cfg) for cfg in configs]
+    assert solves == [2, 5]
+    assert first[0]["manifest"]["dataset_hash"] == first[1]["manifest"]["dataset_hash"]
+    second = [run_experiment(cfg) for cfg in configs]
+    assert solves == [2, 5]
+    for a, b in zip(first, second):
+        assert np.array_equal(a["optimum"].x_star, b["optimum"].x_star)
+    assert len(list((tmp_path / "out" / "cache").iterdir())) == 2
 
 
 def test_failed_manifest_write_keeps_previous_manifest(tmp_path, monkeypatch):

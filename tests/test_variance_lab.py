@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from eager_reference import (
     brute_force_all_tensor,
     enumerate_sequences_loop,
+    prefix_gram_from_table,
     star_sequence_loop,
 )
 from fedrr.dataset import partition, synthetic_libsvm_like
@@ -190,6 +193,35 @@ def test_every_slot_of_the_outcome_table_is_uniform(M, N, C):
     counts = np.stack([np.bincount(slot, minlength=M * N) for slot in slots])
     assert counts.shape == (N * M, M * N)
     assert np.all(counts == n_out // (M * N))
+
+
+# a few larger geometries whose outcome tables the reference walks in a few seconds
+LARGER_GEOMETRIES = [(3, 3, 1), (3, 3, 3), (2, 5, 2), (5, 2, 5), (9, 1, 3), (1, 9, 1)]
+
+
+@pytest.mark.parametrize("M, N, C", GEOMETRIES + LARGER_GEOMETRIES)
+def test_prefix_gram_matches_the_outcome_table_walk(M, N, C):
+    gram, n_out = _prefix_gram(M, N, C)
+    want, want_n = prefix_gram_from_table(M, N, C)
+    assert n_out == want_n
+    assert gram.dtype == want.dtype and gram.shape == want.shape
+    assert np.array_equal(gram, want) and gram.tobytes() == want.tobytes()
+
+
+def test_prefix_gram_guard_is_checked_before_any_work():
+    n_out = math.factorial(6) ** 7
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(EnumerationTooLarge, match=rf"^{n_out} outcomes exceed the enumeration guard$"):
+            _prefix_gram(6, 6, 1)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 36 Gram matrices of (6, 6, 1) alone would take 373 KB
+    assert elapsed < 0.5
+    assert peak < 100_000
 
 
 def close_to_oracle(got, want, tol=1e-12):
