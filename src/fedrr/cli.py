@@ -119,6 +119,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.out == "":
+        raise ConfigError("--out must be a nonempty path")
     X, labels = load_libsvm_file(args.dataset)
     problem = logistic_problem(partition(len(labels), args.clients, args.seed), X, labels, args.alpha)
     opt = solve_optimum(problem, args.tol)

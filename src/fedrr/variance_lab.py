@@ -10,6 +10,8 @@ matrices of the prefix estimators' weights, summed over outcome classes
 (the clients in completed rows, a group's tail client and the samples it
 has seen) times each class's number of outcomes; the tests check them bit
 for bit against a walk over every outcome of ``_enumerate_sequences``.
+The same class rows, with the last sample stepped added to the class, give
+the exact deviation statistics of the optimum-anchored (star) sequence.
 
 Enumeration note: the grouped cross-covariance term carries coefficient
 2*k_N*(k - k_N) / (k^2 * (M - 1)); a variant with an extra 1/C factor does
@@ -26,8 +28,6 @@ from functools import lru_cache
 import numpy as np
 
 from .problem import FederatedProblem
-from .rng import stream
-from .shuffling import fisher_yates
 
 ENUMERATION_GUARD = 10_000_000
 
@@ -150,6 +150,21 @@ def _subsets(n: int, size: int) -> np.ndarray:
     return np.array([[float(i in c) for i in range(n)] for c in itertools.combinations(range(n), size)])
 
 
+def _class_rows(M: int, N: int, C: int, s: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weight rows Q and tail clients t of the outcome classes (S, t, T), j >= 1.
+
+    S runs over the s-subsets of the clients, t over the clients outside S
+    and T over the j-subsets of t's samples.  Row Q[i] over the M*N samples
+    is 1 on every sample of a client in S and C on the samples of T.
+    """
+    in_S = _subsets(M, s)
+    # tails[t, T, t, :] is C on the j samples of T
+    tails = C * np.eye(M)[:, None, :, None] * _subsets(N, j)[None, :, None, :]
+    outside = in_S == 0
+    Q = (in_S[:, None, None, :, None] + tails)[outside]
+    return Q.reshape(-1, M * N), np.repeat(np.nonzero(outside)[1], Q.shape[1])
+
+
 @lru_cache(maxsize=64)
 def _prefix_gram(M: int, N: int, C: int) -> tuple[np.ndarray, int]:
     """Exact second moments of the prefix estimators' weights over every outcome.
@@ -181,20 +196,16 @@ def _prefix_gram(M: int, N: int, C: int) -> tuple[np.ndarray, int]:
     for k in range(1, N * (M // C) + 1):
         r, j = divmod(k, N)
         s = C * r
-        # rows[S, m, :] = 1 for every sample of a client m in S
-        rows = np.repeat(_subsets(M, s)[:, :, None], N, axis=2)
         if j == 0:
-            Q = rows
+            Q = np.repeat(_subsets(M, s), N, axis=1)  # 1 on every sample of the clients in S
             mult = C * math.factorial(s) * math.factorial(M - s) * math.factorial(N) ** M
         else:
-            # tails[t, T, t, :] is C on the j samples of T
-            tails = C * np.eye(M)[:, None, :, None] * _subsets(N, j)[None, :, None, :]
-            Q = (rows[:, None, None] + tails)[rows[:, :, 0] == 0]  # classes (S, t, T) with t outside S
+            Q, _ = _class_rows(M, N, C, s, j)
             mult = (
                 C * math.factorial(s) * math.factorial(M - s - 1) * math.factorial(N) ** (M - 1)
                 * math.factorial(j) * math.factorial(N - j)
             )
-        D = (MN * Q - C * k).reshape(-1, MN)
+        D = MN * Q - C * k
         grams.append(mult * (D.T @ D))
     gram = np.stack(grams)
     gram.setflags(write=False)
@@ -220,61 +231,44 @@ def max_rel_error(inputs: VarianceInputs, C: int = 1) -> float:
 
 @dataclass
 class StarSequenceStats:
-    """Monte-Carlo deviation statistics of the optimum-anchored sequence."""
+    """Exact deviation statistics of the optimum-anchored sequence."""
 
     mean_sq_dev: np.ndarray  # (R, N) mean ||x - x*||^2 after local step j+1 in round r
     max_mean_sq_dev: float
     max_sigma_ds: float  # max over slots of mean Bregman divergence / gamma^2
 
 
-def star_sequence_deviation(
-    problem: FederatedProblem,
-    x_star: np.ndarray,
-    gamma: float,
-    C: int,
-    n_draws: int = 200,
-    seed: int = 0,
-) -> StarSequenceStats:
-    """Simulate the fictitious sequence started at the optimum.
+def star_sequence_deviation(problem: FederatedProblem, x_star: np.ndarray, gamma: float, C: int) -> StarSequenceStats:
+    """Exact statistics of the fictitious sequence started at the optimum.
 
-    Local steps use gradients frozen at x*; rounds end with a cohort average.
-    Cohorts and permutations are redrawn per draw; returned statistics are
-    per-(round, local step) means over draws.  Each component's gradient and
-    loss at x* are read once, so a step makes one ``component_loss`` call.
+    Local steps use gradients g* frozen at x*; rounds end with a cohort
+    average.  After local step j+1 of round r, x - x* = -gamma*Q.g*/C for the
+    ``_class_rows`` row Q of (S, t, T): the C*r clients of completed rounds,
+    the current client and the j+1 samples it has seen.  The step's component
+    l is any sample of T.  Every (S, t, T, l) is equally likely once the
+    cohort is averaged, so the statistics are plain means over the classes,
+    with one ``component_loss`` call per (S, t, T, l) for the Bregman term.
     """
     M, N = problem.M, problem.N
     if M % C != 0:
         raise ValueError("C must divide M")
     R = M // C
+    n = sum(math.comb(M, C * r) * (M - C * r) for r in range(R)) * N * 2 ** (N - 1)
+    if n > ENUMERATION_GUARD:
+        raise EnumerationTooLarge(f"{n} outcome classes exceed the enumeration guard")
     star_grads = np.array([problem.component_gradients(m, x_star) for m in range(M)])
     star_losses = [[problem.component_loss(m, j, x_star) for j in range(N)] for m in range(M)]
     sq = np.zeros((R, N))
     breg = np.zeros((R, N))
-    for draw in range(n_draws):
-        rng = stream(seed, "star_sequence", draw)
-        client_perm = fisher_yates(M, rng)
-        perms = [fisher_yates(N, rng) for _ in range(M)]
-        x_round = x_star.copy()
-        for r in range(R):
-            cohort = client_perm[r * C : (r + 1) * C]
-            endpoints = []
-            for m in cohort.tolist():
-                x = x_round.copy()
-                for j, comp in enumerate(perms[m].tolist()):
-                    g = star_grads[m, comp]
-                    x = x - gamma * g
-                    delta = x - x_star
-                    sq[r, j] += float(delta @ delta)
-                    # the Bregman divergence of component (m, comp) from x* to x
-                    loss = problem.component_loss(m, comp, x)
-                    breg[r, j] += float(loss - star_losses[m][comp] - g @ delta)
-                endpoints.append(x)
-            x_round = np.mean(endpoints, axis=0)
-    sq /= n_draws * C
-    breg /= n_draws * C
+    for r in range(R):
+        for j in range(N):
+            Q, t = _class_rows(M, N, C, C * r, j + 1)
+            deltas = (-gamma / C) * (Q @ star_grads.reshape(M * N, -1))
+            sq[r, j] = np.mean(np.sum(deltas * deltas, axis=1))
+            rows, ls = np.nonzero(Q.reshape(-1, M, N)[np.arange(len(t)), t])  # every l in each row's T
+            breg[r, j] = sum(
+                problem.component_loss(m, l, x_star + deltas[i]) - star_losses[m][l] - star_grads[m, l] @ deltas[i]
+                for i, m, l in zip(rows.tolist(), t[rows].tolist(), ls.tolist())
+            ) / len(rows)
     max_sigma_ds = float(breg.max() / (gamma * gamma)) if gamma > 0 else 0.0
-    return StarSequenceStats(
-        mean_sq_dev=sq,
-        max_mean_sq_dev=float(sq.max()),
-        max_sigma_ds=max_sigma_ds,
-    )
+    return StarSequenceStats(mean_sq_dev=sq, max_mean_sq_dev=float(sq.max()), max_sigma_ds=max_sigma_ds)

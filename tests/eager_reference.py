@@ -26,9 +26,12 @@ partition of a row count as a tuple of client row tuples, and
 ``logistic_arrays_gathered`` is ``logistic_problem``'s gather of the matrix
 rows and labels from it, one row at a time.
 
-``star_sequence_loop`` is ``variance_lab.star_sequence_deviation`` with x*'s
-oracles read anew at every step: one ``component_gradient`` and two
-``component_loss`` calls in ``bregman``, besides the step's own loss.
+``star_sequence_enumerated`` is ``variance_lab.star_sequence_deviation``
+as a walk over every outcome: each client permutation crossed with each
+combination of per-client data permutations steps the optimum-anchored
+sequence directly, reads x*'s gradient and loss anew at every step and
+calls ``component_loss`` at the step's new point, and the statistics are
+means over the outcomes and the cohort's members.
 
 The variance oracles are the enumeration forms that ``variance_lab`` replaced
 with exact Gram matrices summed over outcome classes: ``enumerate_sequences_loop``
@@ -252,36 +255,33 @@ def logistic_arrays_gathered(assignment, X, labels):
     return A, b
 
 
-def bregman(problem, m, j, x, y):
-    gy = problem.component_gradient(m, j, y)
-    return float(problem.component_loss(m, j, x) - problem.component_loss(m, j, y) - gy @ (x - y))
-
-
-def star_sequence_loop(problem, x_star, gamma, C, n_draws=200, seed=0):
+def star_sequence_enumerated(problem, x_star, gamma, C):
+    """``variance_lab.star_sequence_deviation``, stepped along every client permutation and per-client data permutation."""
     M, N = problem.M, problem.N
     R = M // C
-    star_grads = np.array([[problem.component_gradient(m, j, x_star) for j in range(N)] for m in range(M)])
     sq = np.zeros((R, N))
     breg = np.zeros((R, N))
-    for draw in range(n_draws):
-        rng = stream(seed, "star_sequence", draw)
-        client_perm = fisher_yates_loop(M, rng)
-        perms = [fisher_yates_loop(N, rng) for _ in range(M)]
-        x_round = x_star.copy()
-        for r in range(R):
-            endpoints = []
-            for m in client_perm[r * C : (r + 1) * C]:
-                x = x_round.copy()
-                for j in range(N):
-                    comp = int(perms[m][j])
-                    x = x - gamma * star_grads[m, comp]
-                    delta = x - x_star
-                    sq[r, j] += float(delta @ delta)
-                    breg[r, j] += bregman(problem, int(m), comp, x, x_star)
-                endpoints.append(x)
-            x_round = np.mean(endpoints, axis=0)
-    sq /= n_draws * C
-    breg /= n_draws * C
+    data_perms = list(itertools.permutations(range(N)))
+    n_out = 0
+    for client_perm in itertools.permutations(range(M)):
+        for perms in itertools.product(data_perms, repeat=M):
+            x_round = x_star.copy()
+            for r in range(R):
+                endpoints = []
+                for m in client_perm[r * C : (r + 1) * C]:
+                    x = x_round.copy()
+                    for j, comp in enumerate(perms[m]):
+                        g = problem.component_gradient(m, comp, x_star)
+                        x = x - gamma * g
+                        delta = x - x_star
+                        sq[r, j] += float(delta @ delta)
+                        loss = problem.component_loss(m, comp, x)
+                        breg[r, j] += float(loss - problem.component_loss(m, comp, x_star) - g @ delta)
+                    endpoints.append(x)
+                x_round = np.mean(endpoints, axis=0)
+            n_out += 1
+    sq /= n_out * C
+    breg /= n_out * C
     max_sigma_ds = float(breg.max() / (gamma * gamma)) if gamma > 0 else 0.0
     return StarSequenceStats(mean_sq_dev=sq, max_mean_sq_dev=float(sq.max()), max_sigma_ds=max_sigma_ds)
 

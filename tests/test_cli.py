@@ -304,6 +304,7 @@ def test_solve_optimum_missing_file(capsys):
         ("run", QUAD_CFG, ["--multipliers", ""], {}, "--multipliers takes a comma-separated list of floats, got ''"),
         ("run", QUAD_CFG, ["--algo", ""], {}, "unknown algorithm ''"),
         ("run", QUAD_CFG, ["--out", ""], {}, "output directory must be a nonempty path"),
+        ("solve-optimum", None, ["--alpha", "0.1", "--out", ""], {}, "--out must be a nonempty path"),
         ("solve-optimum", None, ["--alpha", "0.1", "--dataset", "wide.txt"], {},
          "2 rows of 1000000000000 features do not fit in memory as a dense matrix"),
         ("run", {**QUAD_CFG, "dataset": {"path": "wide.txt"}, "M": 2}, [], {},
@@ -330,7 +331,7 @@ def test_solve_optimum_missing_file(capsys):
         "infinite-alpha", "infinite-optimum-tol", "solve-infinite-tol", "infinite-multiplier", "infinite-nastya-gamma",
         "quadratic-infinite-alpha", "quadratic-negative-alpha", "quadratic-infinite-optimum-tol",
         "quadratic-zero-optimum-tol", "fractional-schedule-id", "bool-schedule-id", "zero-workers", "negative-workers",
-        "empty-seeds", "empty-multipliers", "empty-algo", "empty-out",
+        "empty-seeds", "empty-multipliers", "empty-algo", "empty-out", "solve-empty-out",
         "solve-dataset-too-large", "dataset-too-large", "synthetic-too-large", "solve-index-past-int64",
     ],
 )

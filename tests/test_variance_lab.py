@@ -2,6 +2,7 @@ import math
 import time
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from eager_reference import (
     brute_force_all_tensor,
     enumerate_sequences_loop,
     prefix_gram_from_table,
-    star_sequence_loop,
+    star_sequence_enumerated,
 )
 from fedrr.dataset import partition, synthetic_libsvm_like
 from fedrr.problem import logistic_problem, quadratic_problem, solve_optimum
@@ -284,7 +285,7 @@ def test_report_serializes():
 def test_star_sequence_zero_gradients():
     problem = quadratic_problem(2, 2, 2, mu=1.0, L=2.0, client_spread=0.0, sample_spread=0.0, seed=0)
     opt = problem.analytic_optimum()
-    stats = star_sequence_deviation(problem, opt.x_star, gamma=0.1, C=1, n_draws=5)
+    stats = star_sequence_deviation(problem, opt.x_star, gamma=0.1, C=1)
     assert stats.max_mean_sq_dev <= 1e-24
     assert stats.max_sigma_ds <= 1e-12
 
@@ -292,30 +293,36 @@ def test_star_sequence_zero_gradients():
 def test_star_sequence_scales_as_gamma_squared():
     problem = quadratic_problem(4, 3, 2, mu=1.0, L=3.0, client_spread=1.0, sample_spread=0.5, seed=1)
     opt = problem.analytic_optimum()
-    a = star_sequence_deviation(problem, opt.x_star, gamma=0.01, C=2, n_draws=20, seed=3)
-    b = star_sequence_deviation(problem, opt.x_star, gamma=0.02, C=2, n_draws=20, seed=3)
+    a = star_sequence_deviation(problem, opt.x_star, gamma=0.01, C=2)
+    b = star_sequence_deviation(problem, opt.x_star, gamma=0.02, C=2)
     ratio = b.mean_sq_dev / np.maximum(a.mean_sq_dev, 1e-300)
     assert np.allclose(ratio, 4.0, rtol=1e-9)
 
 
 def _star_problems():
-    X, labels = synthetic_libsvm_like(count=26, dim=5, seed=2, nnz_per_row=3)
-    logistic = logistic_problem(partition(26, 4, 6), X, labels, 5e-2)
-    yield pytest.param(logistic, solve_optimum(logistic, 1e-12).x_star, id="logistic")
-    for M, N, d, seed in ((4, 3, 2, 1), (6, 2, 3, 4), (3, 5, 1, 0)):
-        quad = quadratic_problem(M, N, d, mu=1.0, L=5.0, client_spread=1.0, sample_spread=0.5, seed=seed)
-        yield pytest.param(quad, quad.analytic_optimum().x_star, id=f"quadratic-{M}x{N}x{d}")
+    X, labels = synthetic_libsvm_like(count=9, dim=4, seed=2, nnz_per_row=3)
+    logistic = logistic_problem(partition(9, 3, 6), X, labels, 5e-2)
+    x_star = solve_optimum(logistic, 1e-12).x_star
+    for C in (1, 3):
+        yield pytest.param(logistic, x_star, C, id=f"logistic-3x3-C={C}")
+    for M, N, C in ((2, 2, 1), (4, 2, 2), (3, 3, 1), (2, 3, 1), (3, 2, 3), (4, 2, 1)):
+        quad = quadratic_problem(M, N, 2, mu=1.0, L=5.0, client_spread=1.0, sample_spread=0.5, seed=M * N + C)
+        yield pytest.param(quad, quad.analytic_optimum().x_star, C, id=f"quadratic-{M}x{N}-C={C}")
 
 
-@pytest.mark.parametrize("problem, x_star", list(_star_problems()))
-@pytest.mark.parametrize("full", [False, True], ids=["C=1", "C=M"])
-def test_star_sequence_matches_per_step_oracle_reads(problem, x_star, full):
-    # x*'s gradients and losses read once must give every statistic the bytes of the per-step reads
-    C = problem.M if full else 1
+@pytest.mark.parametrize("problem, x_star, C", list(_star_problems()))
+def test_star_sequence_matches_the_outcome_walk(problem, x_star, C):
+    # the class means must equal the walk over every outcome, up to rounding
     for gamma in (0.01, 0.3 / problem.L):
-        got = star_sequence_deviation(problem, x_star, gamma, C, n_draws=15, seed=7)
-        want = star_sequence_loop(problem, x_star, gamma, C, n_draws=15, seed=7)
-        assert got.mean_sq_dev.tobytes() == want.mean_sq_dev.tobytes()
-        assert got.mean_sq_dev.shape == want.mean_sq_dev.shape
-        assert repr(got.max_mean_sq_dev) == repr(want.max_mean_sq_dev)
-        assert repr(got.max_sigma_ds) == repr(want.max_sigma_ds)
+        got = star_sequence_deviation(problem, x_star, gamma, C)
+        want = star_sequence_enumerated(problem, x_star, gamma, C)
+        assert got.mean_sq_dev.shape == want.mean_sq_dev.shape == (problem.M // C, problem.N)
+        assert np.abs(got.mean_sq_dev - want.mean_sq_dev).max() <= 1e-12 * want.max_mean_sq_dev
+        assert abs(got.max_sigma_ds - want.max_sigma_ds) <= 1e-12 * abs(want.max_sigma_ds)
+
+
+def test_star_sequence_guard_raises_before_reading_the_problem():
+    # 1,024 (S, t) pairs times 20 * 2**19 (T, l) pairs; the stub has no oracles, so any read would fail
+    with pytest.raises(EnumerationTooLarge) as exc:
+        star_sequence_deviation(SimpleNamespace(M=8, N=20), np.zeros(1), 0.1, 1)
+    assert str(exc.value) == "10737418240 outcome classes exceed the enumeration guard"
