@@ -50,17 +50,15 @@ class FederatedProblem:
     def component_gradient(self, m: int, j: int, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    # -- aggregates ---------------------------------------------------------
+    def component_gradients(self, m: int, x: np.ndarray) -> np.ndarray:
+        """Client m's N x d block of component gradients, row j bit-equal to ``component_gradient(m, j, x)``."""
+        raise NotImplementedError
+
     def _check_indices(self, m: int, j: int | None = None) -> None:
         if not 0 <= m < self.M:
             raise IndexError(f"client {m} out of range [0, {self.M})")
         if j is not None and not 0 <= j < self.N:
             raise IndexError(f"component {j} out of range [0, {self.N})")
-
-    def component_gradients(self, m: int, x: np.ndarray) -> np.ndarray:
-        """Client m's N x d block of component gradients, row j bit-equal to ``component_gradient(m, j, x)``."""
-        self._check_indices(m)
-        return np.array([self.component_gradient(m, j, x) for j in range(self.N)])
 
     # -- kernels, overridden by subclasses ----------------------------------
     def objective_value(self, x: np.ndarray) -> float:
@@ -138,22 +136,20 @@ class LogisticProblem(FederatedProblem):
             g += row
         return g / (self.M * self.N) + self.alpha * x
 
-    def local_pass(self, m, x, gamma_step, batches):
-        self._check_indices(m)
-        A = self._A[m]
-        b = self._b[m]
-        alpha = self.alpha
-        x = np.array(x, dtype=np.float64)
-        for batch in batches:
-            Ab = A[batch]
-            bb = b[batch]
-            t = -bb * _sigmoid(-bb * (Ab @ x))
-            x -= gamma_step * (Ab.T @ t / len(batch) + alpha * x)
-        return x
-
     def cohort_pass(self, ms, x, gamma_step, order, bounds):
-        # one BLAS-bound pass per client: stacking the clients is no faster
-        return np.array([self.local_pass(m, x, gamma_step, [row[a:b] for a, b in bounds]) for m, row in zip(ms, order)])
+        if min(ms) < 0 or max(ms) >= self.M:
+            raise IndexError(f"clients {list(ms)} out of range [0, {self.M})")
+        # one gather of the cohort's rows per pass; each step's stacked matmuls run
+        # the per-client gemvs, so every row is one client's pass bit for bit
+        rows = np.asarray(ms)[:, None] * self.N + order
+        A = self._A.reshape(-1, self.d).take(rows, axis=0)
+        neg_b = -self._b.reshape(-1).take(rows)
+        X = np.repeat(np.asarray(x, dtype=np.float64)[None, :], len(ms), axis=0)
+        for lo, hi in bounds:
+            Ab = A[:, lo:hi]
+            t = neg_b[:, lo:hi] * _sigmoid(neg_b[:, lo:hi] * np.matmul(Ab, X[:, :, None])[..., 0])
+            X -= gamma_step * (np.matmul(t[:, None, :], Ab)[:, 0, :] / (hi - lo) + self.alpha * X)
+        return X
 
 
 class QuadraticProblem(FederatedProblem):
@@ -179,6 +175,10 @@ class QuadraticProblem(FederatedProblem):
     def component_gradient(self, m, j, x):
         self._check_indices(m, j)
         return self._H[m, j] @ x - self._Hc[m, j]
+
+    def component_gradients(self, m, x):
+        self._check_indices(m)
+        return self._H[m] @ x - self._Hc[m]
 
     def client_gradient(self, m, x):
         self._check_indices(m)
@@ -252,19 +252,21 @@ def quadratic_problem(
     if not math.isfinite(client_spread) or not math.isfinite(sample_spread):
         raise ProblemError(f"spreads must be finite, got client_spread={client_spread}, sample_spread={sample_spread}")
     rng = stream(seed, "quadratic_problem", M, N, d)
-    H = np.empty((M, N, d, d))
+    eigs = np.empty((M, N, d))
+    gauss = np.ones((M, N, d, d))  # the matrices whose QR gives the rotations; d = 1 draws none
     centers = np.empty((M, N, d))
     for m in range(M):
         client_center = rng.normal(size=d) * client_spread
         for j in range(N):
             if d == 1:
-                eigs = np.array([rng.uniform(mu, L)])
-                Q = np.ones((1, 1))
+                eigs[m, j] = rng.uniform(mu, L)
             else:
-                eigs = np.concatenate(([mu, L], rng.uniform(mu, L, size=d - 2)))
-                Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-            H[m, j] = (Q * eigs) @ Q.T
+                eigs[m, j] = np.concatenate(([mu, L], rng.uniform(mu, L, size=d - 2)))
+                gauss[m, j] = rng.normal(size=(d, d))
             centers[m, j] = client_center + rng.normal(size=d) * sample_spread
+    # one stacked QR and one stacked product, each matrix bit-equal to its own
+    Q = np.linalg.qr(gauss)[0] if d > 1 else gauss
+    H = (Q * eigs[..., None, :]) @ np.swapaxes(Q, -1, -2)
     return QuadraticProblem(H, centers, mu=mu, L=L)
 
 
@@ -320,4 +322,4 @@ def _sigmoid(z):
     with the same bits as in the clipped two-branch form.
     """
     e = np.exp(np.maximum(np.minimum(z, -z), -50))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)

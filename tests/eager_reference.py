@@ -19,9 +19,13 @@ and ``client_objective_loop`` and ``objective_value_loop`` (one
 The logistic and codec oracles are the per-component and per-client forms
 that the vectorised code must match bit for bit: ``sigmoid_three_exp`` (the
 clipped two-branch logistic function), ``full_gradient_loop`` (one client at
-a time), ``star_variances_per_component`` (one ``component_gradient`` call
-per component) and ``to_libsvm_text_scalars`` (the text of a feature matrix
-and its labels, formatting numpy scalars).  ``partition_tuples`` is the
+a time), ``logistic_local_pass`` (one client's pass, one gemv forward and
+one back per batch, which ``LogisticProblem.cohort_pass`` stacks over the
+cohort), ``star_variances_per_component`` (one ``component_gradient`` call
+and one ``np.linalg.norm`` per component) and ``to_libsvm_text_scalars``
+(the text of a feature matrix and its labels, formatting numpy scalars).
+``quadratic_problem_loop`` is ``quadratic_problem`` with one QR and one
+Hessian product per component, in the same draw order.  ``partition_tuples`` is the
 partition of a row count as a tuple of client row tuples, and
 ``logistic_arrays_gathered`` is ``logistic_problem``'s gather of the matrix
 rows and labels from it, one row at a time.
@@ -59,6 +63,7 @@ from functools import lru_cache
 import numpy as np
 
 from fedrr.optimizer import DivergenceError, RunTrace, TracePoint, apply_decay
+from fedrr.problem import QuadraticProblem, _sigmoid
 from fedrr.rng import stream
 from fedrr.shuffling import ClientMode, DataMode
 from fedrr.variance_lab import StarSequenceStats, _enumerate_sequences
@@ -222,6 +227,40 @@ def full_gradient_loop(problem, x):
         t = -b[m] * sigmoid_three_exp(-b[m] * z)
         g += A[m].T @ t
     return g / (problem.M * problem.N) + problem.alpha * x
+
+
+def logistic_local_pass(problem, m, x, gamma_step, batches):
+    """Client m's logistic pass over ``batches``, one gemv forward and one back per batch."""
+    problem._check_indices(m)
+    A = problem._A[m]
+    b = problem._b[m]
+    alpha = problem.alpha
+    x = np.array(x, dtype=np.float64)
+    for batch in batches:
+        Ab = A[batch]
+        bb = b[batch]
+        t = -bb * _sigmoid(-bb * (Ab @ x))
+        x -= gamma_step * (Ab.T @ t / len(batch) + alpha * x)
+    return x
+
+
+def quadratic_problem_loop(M, N=4, d=5, mu=1.0, L=10.0, client_spread=1.0, sample_spread=0.5, seed=2024):
+    """``problem.quadratic_problem`` with one QR and one Hessian product per component."""
+    rng = stream(seed, "quadratic_problem", M, N, d)
+    H = np.empty((M, N, d, d))
+    centers = np.empty((M, N, d))
+    for m in range(M):
+        client_center = rng.normal(size=d) * client_spread
+        for j in range(N):
+            if d == 1:
+                eigs = np.array([rng.uniform(mu, L)])
+                Q = np.ones((1, 1))
+            else:
+                eigs = np.concatenate(([mu, L], rng.uniform(mu, L, size=d - 2)))
+                Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+            H[m, j] = (Q * eigs) @ Q.T
+            centers[m, j] = client_center + rng.normal(size=d) * sample_spread
+    return QuadraticProblem(H, centers, mu=mu, L=L)
 
 
 def star_variances_per_component(problem, x_star):

@@ -6,6 +6,8 @@ import pytest
 
 from fedrr.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_VERIFY, _geometries, main
 from fedrr.dataset import libsvm_text, synthetic_libsvm_like
+from fedrr.rng import stream
+from fedrr.variance_lab import VarianceInputs, max_rel_error
 
 QUAD_CFG = {
     "dataset": {"quadratic": {"M": 4, "N": 3, "d": 3, "mu": 1.0, "L": 5.0, "client_spread": 1.0, "sample_spread": 0.5, "seed": 2}},
@@ -160,6 +162,22 @@ def test_verify_variance_skips_only_geometries_past_the_guard(capsys):
     checked = [line for line in lines[:-1] if line not in skipped]
     assert len(checked) == len(list(_geometries(11))) - 3
     assert all(line.endswith(" ok") for line in checked)
+
+
+def test_verify_variance_prints_a_skip_once_and_draws_every_input(capsys):
+    code = main(["verify-variance", "--max-size", "11", "--inputs", "3"])
+    assert code == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    # all three inputs of a skipped geometry are drawn, so the later geometries check the same inputs
+    rng = stream(0, "verify_variance")
+    want = []
+    for M, N, C in _geometries(11):
+        draws = [rng.normal(size=(M, N, 2)) for _ in range(3)]
+        if M * N == 11:
+            want.append(f"M={M} N={N} C={C}: skipped (39916800 outcomes exceed the enumeration guard)")
+        else:
+            want += [f"M={M} N={N} C={C}: max rel error {max_rel_error(VarianceInputs(z), C):.3e} ok" for z in draws]
+    assert lines[:-1] == want
 
 
 def test_verify_variance_failures_exit_4(capsys):

@@ -4,9 +4,14 @@
 and ``QuadraticProblem.objective_value`` evaluates every component at once;
 ``optimizer._cohort_update`` makes one cohort pass per round.  Each must
 give the bytes of the one-client, one-component loops in
-``tests/eager_reference.py``, signed zeros included.  A cohort pass computes
-every row, finite or not, and a diverging cohort must fail as the per-client
-loop does, for either problem.
+``tests/eager_reference.py``, signed zeros included.
+``LogisticProblem.cohort_pass`` gathers the cohort's rows once and steps
+every client with one stacked product each way; it must give the bytes of
+``logistic_local_pass``, one client's gemv pass at a time.
+``quadratic_problem`` builds every Hessian with one stacked QR and must give
+the bytes of ``quadratic_problem_loop``.  A cohort pass computes every row,
+finite or not, and a diverging cohort must fail as the per-client loop
+does, for either problem.
 """
 
 import warnings
@@ -16,7 +21,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eager_reference import aggregate_cohort_loop, cohort_pass_loop, local_pass_loop, objective_value_loop
+from eager_reference import (
+    aggregate_cohort_loop,
+    cohort_pass_loop,
+    local_pass_loop,
+    logistic_local_pass,
+    objective_value_loop,
+    quadratic_problem_loop,
+)
 from fedrr.dataset import partition, synthetic_libsvm_like
 from fedrr.optimizer import DivergenceError, _batch_bounds, _cohort_update
 from fedrr.problem import LogisticProblem, QuadraticProblem, logistic_problem, quadratic_problem
@@ -145,12 +157,12 @@ def diverging_problem(N, client_values, kind="quadratic"):
     return QuadraticProblem(np.ones((M, N, 1, 1)), values, mu=1.0, L=1.0)
 
 
-def client_loop_warnings(problem, cohort, x, gamma, perms):
+def client_loop_warnings(problem, cohort, x, gamma, perms, pass_loop=local_pass_loop):
     """Messages of the warnings a per-client loop raises before it stops at a non-finite client."""
     with warnings.catch_warnings(record=True) as caught, np.errstate(over="warn", invalid="warn"):
         warnings.simplefilter("always")
         for m in sorted(cohort):
-            x_end = local_pass_loop(problem, m, x, gamma, np.array_split(perms[m], problem.N))
+            x_end = pass_loop(problem, m, x, gamma, np.array_split(perms[m], problem.N))
             if not np.all(np.isfinite(x_end)):
                 return m, {str(w.message) for w in caught}
     return None, {str(w.message) for w in caught}
@@ -162,15 +174,17 @@ def client_loop_warnings(problem, cohort, x, gamma, perms):
     st.lists(st.sampled_from([0.0, 1.0, 1e-250]), min_size=M, max_size=M),
     st.sampled_from([1e100, 1e200, 1e300]),
     st.integers(min_value=0, max_value=1000),
+    st.sampled_from(["quadratic", "logistic"]),
 )
 @settings(max_examples=200, deadline=None)
-def test_diverging_cohort_fails_like_client_loop(C, N, client_centers, gamma, seed):
-    problem = diverging_problem(N, client_centers)
+def test_diverging_cohort_fails_like_client_loop(C, N, client_centers, gamma, seed, kind):
+    problem = diverging_problem(N, client_centers, kind)
     rng = np.random.default_rng(seed)
     cohort = tuple(int(m) for m in rng.permutation(M)[:C])
     perms = {m: rng.permutation(N) for m in range(M)}
     x = np.zeros(1)
-    first, expected = client_loop_warnings(problem, cohort, x, gamma, perms)
+    pass_loop = logistic_local_pass if kind == "logistic" else local_pass_loop
+    first, expected = client_loop_warnings(problem, cohort, x, gamma, perms, pass_loop)
     with warnings.catch_warnings(record=True) as caught, np.errstate(over="warn", invalid="warn"):
         warnings.simplefilter("always")
         try:
@@ -247,5 +261,74 @@ def test_logistic_cohort_pass_is_per_client_pass(C):
     x = rng.normal(size=5)
     for bounds in (_batch_bounds(7, 7), _batch_bounds(7, 3)):
         got = problem.cohort_pass(ms, x, 0.05, order, bounds)
-        want = [problem.local_pass(m, x, 0.05, [row[a:b] for a, b in bounds]) for m, row in zip(ms, order)]
+        want = [logistic_local_pass(problem, m, x, 0.05, [row[a:b] for a, b in bounds]) for m, row in zip(ms, order)]
         assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_logistic_cohort_pass_checks_clients():
+    problem = diverging_problem(3, [0.0] * M, "logistic")
+    for ms in ([-1], [0, M]):
+        with pytest.raises(IndexError):
+            problem.cohort_pass(ms, np.zeros(1), 0.1, np.zeros((len(ms), 3), dtype=np.int64), ((0, 3),))
+
+
+def logistic(M, N, dim, seed):
+    X, labels = synthetic_libsvm_like(count=M * N, dim=dim, seed=seed)
+    return logistic_problem(partition(M * N, M, seed), X, labels, 5e-4)
+
+
+SMALL_LOGISTIC = logistic(M, 13, 9, seed=3)
+BENCHMARK_LOGISTIC = logistic(12, 921, 68, seed=2024)  # the phishing-shaped grid
+
+
+def pass_rows(problem, rng, C, S, batch):
+    """A cohort of C clients with shuffled rows cut into S batches, or with
+    fedavg's rows of S sorted minibatches of ``batch`` points when ``batch`` is set."""
+    N = problem.N
+    ms = sorted(int(m) for m in rng.permutation(problem.M)[:C])
+    if batch is None:
+        return ms, np.array([rng.permutation(N) for _ in ms]), _batch_bounds(N, S)
+    rows = [np.concatenate([np.sort(rng.choice(N, batch, replace=False)) for _ in range(S)]) for _ in ms]
+    return ms, np.array(rows), tuple((s * batch, (s + 1) * batch) for s in range(S))
+
+
+def assert_logistic_pass_matches(problem, ms, x, gamma, order, bounds):
+    with np.errstate(all="ignore"):  # large steps drive some rows to inf or NaN
+        got = problem.cohort_pass(ms, x, gamma, order, bounds)
+        want = np.array([logistic_local_pass(problem, m, x, gamma, [row[a:b] for a, b in bounds]) for m, row in zip(ms, order)])
+    assert got.shape == (len(ms), problem.d)
+    assert got.tobytes() == want.tobytes()
+
+
+@given(
+    st.integers(min_value=1, max_value=M),
+    st.integers(min_value=1, max_value=SMALL_LOGISTIC.N),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=SMALL_LOGISTIC.N)),
+    signed_vector(SMALL_LOGISTIC.d).filter(lambda x: np.abs(x).max() <= 1e4),
+    st.sampled_from([1e-3, 0.05, 1.0, 50.0]),
+    st.integers(min_value=0, max_value=10_000),
+)
+@settings(max_examples=300, deadline=None)
+def test_logistic_cohort_pass_matches_per_client_pass(C, S, batch, x, gamma, seed):
+    ms, order, bounds = pass_rows(SMALL_LOGISTIC, np.random.default_rng(seed), C, S, batch)
+    assert_logistic_pass_matches(SMALL_LOGISTIC, ms, x, gamma, order, bounds)
+
+
+@pytest.mark.parametrize("C, S, batch", [(1, 921, None), (3, 10, None), (12, 1, None), (12, 7, None), (3, 10, 92), (12, 10, 92)])
+def test_logistic_cohort_pass_matches_per_client_pass_at_benchmark_shape(C, S, batch):
+    rng = np.random.default_rng(C * 1000 + S)
+    ms, order, bounds = pass_rows(BENCHMARK_LOGISTIC, rng, C, S, batch)
+    for scale, gamma in ((1e-2, 0.05), (1e4, 1.0), (1e4, 50.0)):
+        x = rng.normal(size=BENCHMARK_LOGISTIC.d) * scale
+        x[rng.random(x.size) < 0.1] = -0.0
+        assert_logistic_pass_matches(BENCHMARK_LOGISTIC, ms, x, gamma, order, bounds)
+
+
+@pytest.mark.parametrize("clients, N, d", [(6, 4, 5), (1, 1, 1), (3, 2, 1), (2, 3, 2), (4, 1, 2), (2, 5, 3), (3, 2, 8)])
+@pytest.mark.parametrize("spreads", [(1.0, 0.5), (0.0, 0.0), (3.0, 0.0)])
+def test_quadratic_problem_matches_loop(clients, N, d, spreads):
+    for seed in (0, 1, 2024, 99_991):
+        got = quadratic_problem(clients, N, d, mu=0.5, L=4.0, client_spread=spreads[0], sample_spread=spreads[1], seed=seed)
+        want = quadratic_problem_loop(clients, N, d, mu=0.5, L=4.0, client_spread=spreads[0], sample_spread=spreads[1], seed=seed)
+        assert (got._H.tobytes(), got._c.tobytes()) == (want._H.tobytes(), want._c.tobytes())
+        assert (got.mu, got.L) == (want.mu, want.L)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from eager_reference import (
     full_gradient_loop,
     logistic_arrays_gathered,
+    logistic_local_pass,
     partition_tuples,
     sigmoid_three_exp,
     star_variances_per_component,
@@ -33,14 +34,25 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@given(st.floats(min_value=-6, max_value=3), st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=80, deadline=None)
-def test_gradients_match_reference_bit_for_bit(log_scale, seed):
-    x = np.random.default_rng(seed).normal(size=PROBLEM.d) * 10.0**log_scale
-    assert same_bits(PROBLEM.full_gradient(x), full_gradient_loop(PROBLEM, x))
-    for m in range(PROBLEM.M):
-        block = PROBLEM.component_gradients(m, x)
-        assert same_bits(block, [PROBLEM.component_gradient(m, j, x) for j in range(PROBLEM.N)])
+QUADRATICS = [
+    quadratic_problem(M, N, d, mu=0.5, L=4.0, client_spread=spread, sample_spread=spread / 2, seed=seed)
+    for M, N, d, spread, seed in ((3, 4, 3, 1.0, 0), (2, 5, 1, 1.0, 1), (4, 2, 2, 0.0, 2), (2, 3, 7, 3.0, 3))
+]
+
+
+@given(
+    st.floats(min_value=-6, max_value=3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([PROBLEM, *QUADRATICS]),
+)
+@settings(max_examples=120, deadline=None)
+def test_gradients_match_reference_bit_for_bit(log_scale, seed, problem):
+    x = np.random.default_rng(seed).normal(size=problem.d) * 10.0**log_scale
+    if problem is PROBLEM:
+        assert same_bits(problem.full_gradient(x), full_gradient_loop(problem, x))
+    for m in range(problem.M):
+        block = problem.component_gradients(m, x)
+        assert same_bits(block, [problem.component_gradient(m, j, x) for j in range(problem.N)])
 
 
 def test_full_gradient_matches_reference_at_benchmark_shape():
@@ -77,14 +89,12 @@ def test_solve_optimum_bytes_equal_with_reference_gradient():
     assert (fast.f_star, fast.grad_norm) == (slow.f_star, slow.grad_norm)
 
 
-@pytest.mark.parametrize(
-    "problem",
-    [PROBLEM, quadratic_problem(3, 4, 3, mu=0.5, L=4.0, client_spread=1.0, sample_spread=0.5, seed=0)],
-    ids=["logistic", "quadratic"],
-)
+@pytest.mark.parametrize("problem", [PROBLEM, *QUADRATICS], ids=["logistic", "quadratic", "quadratic-d1", "quadratic-d2", "quadratic-d7"])
 def test_star_variances_match_per_component_form(problem):
-    x = np.random.default_rng(11).normal(size=problem.d)
-    assert star_variances(problem, x) == star_variances_per_component(problem, x)
+    rng = np.random.default_rng(11)
+    for scale in (1e-6, 1.0, 1e3):
+        x = rng.normal(size=problem.d) * scale
+        assert star_variances(problem, x) == star_variances_per_component(problem, x)
 
 
 @pytest.mark.parametrize("count, M, seed", [(120, 3, 0), (103, 10, 1), (40, 1, 9), (11, 11, 4)])
@@ -110,9 +120,12 @@ def test_text_round_trip_is_byte_identical():
 def test_no_floating_point_warnings_far_outside_exp_range():
     x = np.full(PROBLEM.d, 1e4)
     assert np.abs(PROBLEM._A @ x).max() > 1e4  # |z| far above 709
-    batches = [np.arange(0, 20), np.arange(20, PROBLEM.N)]
+    ms = list(range(PROBLEM.M))
+    order = np.repeat(np.arange(PROBLEM.N)[None, :], PROBLEM.M, axis=0)
+    bounds = ((0, 20), (20, PROBLEM.N))
     with np.errstate(over="raise", invalid="raise"):
         for sign in (1.0, -1.0):
             PROBLEM.full_gradient(sign * x)
-            for m in range(PROBLEM.M):
-                PROBLEM.local_pass(m, sign * x, 1e-3, batches)
+            PROBLEM.cohort_pass(ms, sign * x, 1e-3, order, bounds)
+            for m in ms:
+                logistic_local_pass(PROBLEM, m, sign * x, 1e-3, [order[m, a:b] for a, b in bounds])
