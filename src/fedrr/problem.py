@@ -60,6 +60,10 @@ class FederatedProblem:
         if j is not None and not 0 <= j < self.N:
             raise IndexError(f"component {j} out of range [0, {self.N})")
 
+    def _check_clients(self, ms) -> None:
+        if min(ms) < 0 or max(ms) >= self.M:
+            raise IndexError(f"clients {list(ms)} out of range [0, {self.M})")
+
     # -- kernels, overridden by subclasses ----------------------------------
     def objective_value(self, x: np.ndarray) -> float:
         """f(x): each client's mean of its N component losses, then the mean over clients."""
@@ -100,8 +104,7 @@ class LogisticProblem(FederatedProblem):
 
     def component_gradient(self, m, j, x):
         self._check_indices(m, j)
-        a = self._A[m, j]
-        b = self._b[m, j]
+        a, b = self._A[m, j], self._b[m, j]
         s = _sigmoid(-b * float(a @ x))
         return (-b * s) * a + self.alpha * x
 
@@ -137,17 +140,18 @@ class LogisticProblem(FederatedProblem):
         return g / (self.M * self.N) + self.alpha * x
 
     def cohort_pass(self, ms, x, gamma_step, order, bounds):
-        if min(ms) < 0 or max(ms) >= self.M:
-            raise IndexError(f"clients {list(ms)} out of range [0, {self.M})")
-        # one gather of the cohort's rows per pass; each step's stacked matmuls run
-        # the per-client gemvs, so every row is one client's pass bit for bit
+        self._check_clients(ms)
+        # rows gathered N entries at a time, at most C*N*d floats; the stacked matmuls run the per-client gemvs bit for bit
         rows = np.asarray(ms)[:, None] * self.N + order
-        A = self._A.reshape(-1, self.d).take(rows, axis=0)
-        neg_b = -self._b.reshape(-1).take(rows)
         X = np.repeat(np.asarray(x, dtype=np.float64)[None, :], len(ms), axis=0)
+        stop = 0
         for lo, hi in bounds:
-            Ab = A[:, lo:hi]
-            t = neg_b[:, lo:hi] * _sigmoid(neg_b[:, lo:hi] * np.matmul(Ab, X[:, :, None])[..., 0])
+            if hi > stop:  # the next N entries, or this step alone if it is longer
+                start, stop = lo, max(hi, lo + self.N)
+                A = self._A.reshape(-1, self.d).take(rows[:, start:stop], axis=0)
+                neg_b = -self._b.reshape(-1).take(rows[:, start:stop])
+            Ab, nb = A[:, lo - start : hi - start], neg_b[:, lo - start : hi - start]
+            t = nb * _sigmoid(nb * np.matmul(Ab, X[:, :, None])[..., 0])
             X -= gamma_step * (np.matmul(t[:, None, :], Ab)[:, 0, :] / (hi - lo) + self.alpha * X)
         return X
 
@@ -194,8 +198,7 @@ class QuadraticProblem(FederatedProblem):
         return sum(sum(losses) / self.N for losses in q) / self.M
 
     def cohort_pass(self, ms, x, gamma_step, order, bounds):
-        if min(ms) < 0 or max(ms) >= self.M:
-            raise IndexError(f"clients {list(ms)} out of range [0, {self.M})")
+        self._check_clients(ms)
         ms = np.asarray(ms)
         # step p of all C clients is one (C, d, d) @ (C, d, 1) matmul, each
         # product bit-equal to the per-client ``H[m, j] @ x``

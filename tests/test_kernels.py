@@ -5,7 +5,7 @@ and ``QuadraticProblem.objective_value`` evaluates every component at once;
 ``optimizer._cohort_update`` makes one cohort pass per round.  Each must
 give the bytes of the one-client, one-component loops in
 ``tests/eager_reference.py``, signed zeros included.
-``LogisticProblem.cohort_pass`` gathers the cohort's rows once and steps
+``LogisticProblem.cohort_pass`` gathers the cohort's rows N entries at a time and steps
 every client with one stacked product each way; it must give the bytes of
 ``logistic_local_pass``, one client's gemv pass at a time.
 ``quadratic_problem`` builds every Hessian with one stacked QR and must give
@@ -14,6 +14,7 @@ finite or not, and a diverging cohort must fail as the per-client loop
 does, for either problem.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -244,11 +245,12 @@ def test_rows_after_a_diverging_one_are_computed(kind):
             assert not np.isfinite(want).all()
 
 
-def test_quadratic_cohort_pass_checks_clients():
-    problem = make_quadratic(N=3, d=2, seed=0, underflow=False, zero_centers=False)
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+def test_cohort_pass_checks_clients(kind):
+    problem = diverging_problem(3, [0.0] * M, kind)
     for ms in ([-1], [0, M]):
         with pytest.raises(IndexError):
-            problem.cohort_pass(ms, np.zeros(2), 0.1, np.zeros((len(ms), 3), dtype=np.int64), ((0, 3),))
+            problem.cohort_pass(ms, np.zeros(1), 0.1, np.zeros((len(ms), 3), dtype=np.int64), ((0, 3),))
 
 
 @pytest.mark.parametrize("C", COHORT_SIZES)
@@ -263,13 +265,6 @@ def test_logistic_cohort_pass_is_per_client_pass(C):
         got = problem.cohort_pass(ms, x, 0.05, order, bounds)
         want = [logistic_local_pass(problem, m, x, 0.05, [row[a:b] for a, b in bounds]) for m, row in zip(ms, order)]
         assert got.tobytes() == np.array(want).tobytes()
-
-
-def test_logistic_cohort_pass_checks_clients():
-    problem = diverging_problem(3, [0.0] * M, "logistic")
-    for ms in ([-1], [0, M]):
-        with pytest.raises(IndexError):
-            problem.cohort_pass(ms, np.zeros(1), 0.1, np.zeros((len(ms), 3), dtype=np.int64), ((0, 3),))
 
 
 def logistic(M, N, dim, seed):
@@ -314,7 +309,7 @@ def test_logistic_cohort_pass_matches_per_client_pass(C, S, batch, x, gamma, see
     assert_logistic_pass_matches(SMALL_LOGISTIC, ms, x, gamma, order, bounds)
 
 
-@pytest.mark.parametrize("C, S, batch", [(1, 921, None), (3, 10, None), (12, 1, None), (12, 7, None), (3, 10, 92), (12, 10, 92)])
+@pytest.mark.parametrize("C, S, batch", [(1, 921, None), (3, 10, None), (12, 1, None), (12, 7, None), (3, 10, 92), (12, 10, 92), (3, 30, 92), (2, 3, 921)])
 def test_logistic_cohort_pass_matches_per_client_pass_at_benchmark_shape(C, S, batch):
     rng = np.random.default_rng(C * 1000 + S)
     ms, order, bounds = pass_rows(BENCHMARK_LOGISTIC, rng, C, S, batch)
@@ -322,6 +317,22 @@ def test_logistic_cohort_pass_matches_per_client_pass_at_benchmark_shape(C, S, b
         x = rng.normal(size=BENCHMARK_LOGISTIC.d) * scale
         x[rng.random(x.size) < 0.1] = -0.0
         assert_logistic_pass_matches(BENCHMARK_LOGISTIC, ms, x, gamma, order, bounds)
+
+
+def test_logistic_cohort_pass_gathers_at_most_n_entries_at_a_time():
+    # fedavg rows of 6N entries: one gather of all of them would hold 6*C*N*d floats, while the
+    # pass holds at most two gathers of N entries, the old one until the new one is assigned
+    problem, C = BENCHMARK_LOGISTIC, 3
+    ms, order, bounds = pass_rows(problem, np.random.default_rng(5), C, 60, 92)
+    assert order.shape[1] > 5 * problem.N
+    x = np.zeros(problem.d)
+    tracemalloc.start()
+    try:
+        problem.cohort_pass(ms, x, 0.05, order, bounds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * C * problem.N * problem.d * 8
 
 
 @pytest.mark.parametrize("clients, N, d", [(6, 4, 5), (1, 1, 1), (3, 2, 1), (2, 3, 2), (4, 1, 2), (2, 5, 3), (3, 2, 8)])

@@ -40,16 +40,21 @@ QUADRATICS = [
 ]
 
 
-@given(
-    st.floats(min_value=-6, max_value=3),
-    st.integers(min_value=0, max_value=2**32 - 1),
-    st.sampled_from([PROBLEM, *QUADRATICS]),
-)
-@settings(max_examples=120, deadline=None)
-def test_gradients_match_reference_bit_for_bit(log_scale, seed, problem):
+@given(st.floats(min_value=-6, max_value=3), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_gradients_match_reference_bit_for_bit(log_scale, seed):
+    x = np.random.default_rng(seed).normal(size=PROBLEM.d) * 10.0**log_scale
+    assert same_bits(PROBLEM.full_gradient(x), full_gradient_loop(PROBLEM, x))
+    for m in range(PROBLEM.M):
+        block = PROBLEM.component_gradients(m, x)
+        assert same_bits(block, [PROBLEM.component_gradient(m, j, x) for j in range(PROBLEM.N)])
+
+
+@pytest.mark.parametrize("problem", QUADRATICS, ids=["d3", "d1", "d2", "d7"])
+@given(st.floats(min_value=-6, max_value=3), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_quadratic_component_gradients_match_reference_bit_for_bit(problem, log_scale, seed):
     x = np.random.default_rng(seed).normal(size=problem.d) * 10.0**log_scale
-    if problem is PROBLEM:
-        assert same_bits(problem.full_gradient(x), full_gradient_loop(problem, x))
     for m in range(problem.M):
         block = problem.component_gradients(m, x)
         assert same_bits(block, [problem.component_gradient(m, j, x) for j in range(problem.N)])
