@@ -27,8 +27,16 @@ EXIT_DIVERGED = 3
 EXIT_VERIFY = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors reach ``main`` as one-line config errors."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _parse_args(argv):
-    parser = argparse.ArgumentParser(prog="fedrr", description=__doc__.splitlines()[0])
+    # subcommand parsers take their parent's class
+    parser = _Parser(prog="fedrr", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run an experiment grid from a JSON config")
@@ -134,10 +142,9 @@ def _cmd_solve(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv)
-    command = {"run": _cmd_run, "verify-variance": _cmd_verify, "solve-optimum": _cmd_solve}[args.command]
     try:
-        return command(args)
+        args = _parse_args(argv)
+        return {"run": _cmd_run, "verify-variance": _cmd_verify, "solve-optimum": _cmd_solve}[args.command](args)
     except (ConfigError, DatasetError, ProblemError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -38,25 +38,20 @@ class EnumerationTooLarge(ValueError):
 
 @dataclass
 class VarianceInputs:
-    """Fixed vectors zeta[m, j] with their population means and variances."""
+    """Fixed vectors zeta[m, j] with their population means and variances;
+    ``centred`` holds the M*N samples less the grand mean, one row each."""
 
     zeta: np.ndarray  # (M, N, d)
 
     def __post_init__(self):
         z = self.zeta = np.asarray(self.zeta, dtype=np.float64)
         self.M, self.N, self.d = z.shape
-        self.grand_mean = z.mean(axis=(0, 1))
-        client_means = z.mean(axis=1)
-        # compensated sums: these feed exact-identity tests
-        self.sigma2 = math.fsum(
-            float((z[m, j] - self.grand_mean) @ (z[m, j] - self.grand_mean))
-            for m in range(self.M)
-            for j in range(self.N)
-        ) / (self.M * self.N)
-        self.sigma_tilde2 = math.fsum(
-            float((client_means[m] - self.grand_mean) @ (client_means[m] - self.grand_mean))
-            for m in range(self.M)
-        ) / self.M
+        self.grand_mean = z.sum(axis=(0, 1)) / (self.M * self.N)
+        c = self.centred = z.reshape(self.M * self.N, self.d) - self.grand_mean
+        cm = z.sum(axis=1) / self.N - self.grand_mean
+        # compensated sums of row dots, each the ddot of ``row @ row``: these feed exact-identity tests
+        self.sigma2 = math.fsum((c[:, None] @ c[:, :, None]).ravel().tolist()) / (self.M * self.N)
+        self.sigma_tilde2 = math.fsum((cm[:, None] @ cm[:, :, None]).ravel().tolist()) / self.M
 
 
 def star_variances(problem: FederatedProblem, x_star: np.ndarray) -> tuple[float, float]:
@@ -161,7 +156,7 @@ def _class_rows(M: int, N: int, C: int, s: int, j: int) -> tuple[np.ndarray, np.
 
 
 @lru_cache(maxsize=64)
-def _prefix_gram(M: int, N: int, C: int) -> tuple[np.ndarray, int]:
+def _prefix_gram(M: int, N: int, C: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact second moments of the prefix estimators' weights over every outcome.
 
     The k-sample estimator of group g is Q.zeta / (C*k) for an integer
@@ -169,8 +164,9 @@ def _prefix_gram(M: int, N: int, C: int) -> tuple[np.ndarray, int]:
     positions of any group counts once, each of group g's own samples at
     positions k_N..k counts C times (k_N = floor(k/N)*N, j = k - k_N).  Its
     deviation from the grand mean is D.zeta / (C*k*M*N) with D = M*N*Q - C*k,
-    and the entries of D sum to zero.  Returns (G, n_outcomes): G[k-1] is the
-    sum of D D^T over all (outcome, group) pairs.
+    and the entries of D sum to zero.  Returns read-only (G, divisor): G[k-1]
+    is the sum of D D^T over all (outcome, group) pairs and divisor[k-1] =
+    n_outcomes*C*(C*k*M*N)^2 is their count times the squared scale.
 
     D depends only on the outcome class: the set S of the C*k_N/N clients in
     completed rows and, when j > 0, group g's tail client t outside S and the
@@ -203,16 +199,18 @@ def _prefix_gram(M: int, N: int, C: int) -> tuple[np.ndarray, int]:
         D = MN * Q - C * k
         grams.append(mult * (D.T @ D))
     gram = np.stack(grams)
+    scale = C * np.arange(1.0, len(gram) + 1) * MN
+    divisor = n_out * C * scale * scale
     gram.setflags(write=False)
-    return gram, n_out
+    divisor.setflags(write=False)
+    return gram, divisor
 
 
 def brute_force_all(inputs: VarianceInputs, C: int = 1) -> np.ndarray:
     """Exact prefix-average variances for every k in one enumeration pass."""
-    gram, n_out = _prefix_gram(inputs.M, inputs.N, C)
-    z = inputs.zeta.reshape(inputs.M * inputs.N, inputs.d) - inputs.grand_mean
-    scale = C * np.arange(1.0, len(gram) + 1) * (inputs.M * inputs.N)
-    return np.sum(z * (gram @ z), axis=(1, 2)) / (n_out * C * scale * scale)
+    gram, divisor = _prefix_gram(inputs.M, inputs.N, C)
+    z = inputs.centred
+    return np.sum(z * (gram @ z), axis=(1, 2)) / divisor
 
 
 def max_rel_error(inputs: VarianceInputs, C: int = 1) -> float:

@@ -45,7 +45,11 @@ and group's weight deviations to the Gram, and ``prefix_estimators`` evaluates
 every prefix estimator of every outcome and group on the inputs, which
 ``brute_force_all_tensor`` averages.  It averages in long double, so that
 the oracle's own rounding over up to 40,320 outcomes stays far below the
-tolerances it is compared at.
+tolerances it is compared at.  The byte oracles of ``VarianceInputs`` and
+``brute_force_all`` are their earlier per-row forms: ``variance_inputs_loop``
+takes the moments with ``np.mean`` and one generator term per sample or
+client, re-centring each row for both sides of its dot, and
+``brute_force_all_loop`` centres ``zeta`` and builds its divisor on every call.
 
 The output oracles are the result scans that ``harness`` replaced with one
 grouping of the finished runs: ``write_runs_csv``, ``write_timings_csv`` and
@@ -66,7 +70,7 @@ from fedrr.optimizer import DivergenceError, RunTrace, TracePoint, apply_decay
 from fedrr.problem import QuadraticProblem, _sigmoid
 from fedrr.rng import stream
 from fedrr.shuffling import ClientMode, DataMode
-from fedrr.variance_lab import StarSequenceStats, _enumerate_sequences
+from fedrr.variance_lab import StarSequenceStats, _enumerate_sequences, _prefix_gram
 
 
 def local_pass_loop(problem, m, x, gamma_step, batches):
@@ -400,6 +404,33 @@ def prefix_estimators(inputs, C):
 def brute_force_all_tensor(inputs, C):
     dev = prefix_estimators(inputs, C)
     return np.mean(np.sum(dev * dev, axis=-1), axis=(0, 1), dtype=np.longdouble).astype(np.float64)
+
+
+def variance_inputs_loop(zeta):
+    """``VarianceInputs``' (grand_mean, sigma2, sigma_tilde2), one row dot per generator term."""
+    z = np.asarray(zeta, dtype=np.float64)
+    M, N, _ = z.shape
+    grand_mean = z.mean(axis=(0, 1))
+    client_means = z.mean(axis=1)
+    sigma2 = math.fsum(
+        float((z[m, j] - grand_mean) @ (z[m, j] - grand_mean))
+        for m in range(M)
+        for j in range(N)
+    ) / (M * N)
+    sigma_tilde2 = math.fsum(
+        float((client_means[m] - grand_mean) @ (client_means[m] - grand_mean))
+        for m in range(M)
+    ) / M
+    return grand_mean, sigma2, sigma_tilde2
+
+
+def brute_force_all_loop(inputs, C=1):
+    """``variance_lab.brute_force_all``, re-centring zeta and rebuilding the divisor on every call."""
+    gram = _prefix_gram(inputs.M, inputs.N, C)[0]
+    n_out = math.factorial(inputs.M) * math.factorial(inputs.N) ** inputs.M
+    z = inputs.zeta.reshape(inputs.M * inputs.N, inputs.d) - inputs.grand_mean
+    scale = C * np.arange(1.0, len(gram) + 1) * (inputs.M * inputs.N)
+    return np.sum(z * (gram @ z), axis=(1, 2)) / (n_out * C * scale * scale)
 
 
 def _fmt(x):

@@ -136,6 +136,32 @@ def test_verify_variance_rejects_arguments_that_check_nothing(capsys, flag, valu
     assert captured.err.startswith(f"config error: {flag}") and len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify-variance", "--max-size", "x"], "fedrr verify-variance: argument --max-size: invalid int value: 'x'"),
+        (["solve-optimum", "--dataset", "d.txt", "--alpha", "abc"], "fedrr solve-optimum: argument --alpha: invalid float value: 'abc'"),
+        ([], "fedrr: the following arguments are required: command"),
+        (["train"], "fedrr: argument command: invalid choice: 'train'"),
+        (["run"], "fedrr run: the following arguments are required: --config"),
+    ],
+    ids=["bad-int", "bad-float", "no-command", "unknown-command", "missing-flag"],
+)
+def test_malformed_arguments_are_one_config_error_line(capsys, argv, message):
+    # main returns the exit code itself rather than letting argparse raise SystemExit after its usage text
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {message}") and len(captured.err.splitlines()) == 1
+
+
+def test_help_still_prints_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-variance", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: fedrr verify-variance")
+
+
 def test_geometries_are_every_small_enough_one_in_scan_order():
     for max_size in range(1, 13):
         scan = [

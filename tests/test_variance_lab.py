@@ -6,18 +6,23 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eager_reference import (
+    brute_force_all_loop,
     brute_force_all_tensor,
     enumerate_sequences_loop,
     prefix_gram_from_table,
     star_sequence_enumerated,
+    variance_inputs_loop,
 )
 from fedrr.dataset import partition, synthetic_libsvm_like
 from fedrr.problem import logistic_problem, quadratic_problem, solve_optimum
 from fedrr.rng import stream
 from fedrr.theory import sigma_ds_upper
 from fedrr.variance_lab import (
+    ENUMERATION_GUARD,
     EnumerationTooLarge,
     VarianceInputs,
     _enumerate_sequences,
@@ -202,9 +207,9 @@ LARGER_GEOMETRIES = [(3, 3, 1), (3, 3, 3), (2, 5, 2), (5, 2, 5), (9, 1, 3), (1, 
 
 @pytest.mark.parametrize("M, N, C", GEOMETRIES + LARGER_GEOMETRIES)
 def test_prefix_gram_matches_the_outcome_table_walk(M, N, C):
-    gram, n_out = _prefix_gram(M, N, C)
+    gram, divisor = _prefix_gram(M, N, C)
     want, want_n = prefix_gram_from_table(M, N, C)
-    assert n_out == want_n
+    assert divisor.tolist() == [float(want_n * C * (C * k * M * N) ** 2) for k in range(1, len(want) + 1)]
     assert gram.dtype == want.dtype and gram.shape == want.shape
     assert np.array_equal(gram, want) and gram.tobytes() == want.tobytes()
 
@@ -248,7 +253,8 @@ def test_brute_force_all_is_the_exact_quadratic_form():
     rng = stream(16, "exact")
     for M, N, C in GEOMETRIES:
         inp = VarianceInputs(rng.normal(size=(M, N, 2)) + 1e3)
-        gram, n_out = _prefix_gram(M, N, C)
+        gram = _prefix_gram(M, N, C)[0]
+        n_out = math.factorial(M) * math.factorial(N) ** M
         flat = [[Fraction(float(v)) for v in col] for col in inp.zeta.reshape(M * N, 2).T]
         z = [[v - sum(col) / (M * N) for v in col] for col in flat]
         got = brute_force_all(inp, C)
@@ -260,8 +266,12 @@ def test_brute_force_all_is_the_exact_quadratic_form():
 
 def test_prefix_gram_is_exact_and_structured():
     for M, N, C in GEOMETRIES:
-        gram, n_out = _prefix_gram(M, N, C)
-        assert n_out == math.factorial(M) * math.factorial(N) ** M
+        gram, divisor = _prefix_gram(M, N, C)
+        n_out = math.factorial(M) * math.factorial(N) ** M
+        # every divisor is an integer below 2**53, so its float is exact whatever the order of the products
+        assert divisor.dtype == np.float64 and not divisor.flags.writeable
+        assert divisor.tolist() == [float(n_out * C * (C * k * M * N) ** 2) for k in range(1, N * M // C + 1)]
+        assert divisor.max() < 2.0**53
         assert gram.shape == (N * M // C, M * N, M * N)
         assert np.all(gram == np.round(gram)) and np.abs(gram).max() < 2.0**53
         assert np.array_equal(gram, gram.transpose(0, 2, 1))
@@ -269,6 +279,35 @@ def test_prefix_gram_is_exact_and_structured():
         # the full average is the grand mean under every outcome
         assert np.all(gram[-1] == 0.0)
         assert not gram.flags.writeable
+
+
+@given(
+    M=st.integers(1, 8),
+    N=st.integers(1, 8),
+    d=st.integers(1, 69),
+    log_scale=st.floats(-6, 6),
+    offset=st.booleans(),
+    constant=st.booleans(),
+    c_pick=st.integers(0, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+@example(M=3, N=1, d=5, log_scale=0.0, offset=False, constant=False, c_pick=2, seed=1)
+@example(M=4, N=2, d=69, log_scale=6.0, offset=True, constant=True, c_pick=1, seed=2)
+@example(M=1, N=8, d=1, log_scale=-6.0, offset=True, constant=False, c_pick=0, seed=3)
+def test_moments_and_enumeration_form_match_their_loops_byte_for_byte(M, N, d, log_scale, offset, constant, c_pick, seed):
+    rng = stream(seed, "moment_bytes")
+    zeta = np.full((M, N, d), rng.normal()) if constant else rng.normal(size=(M, N, d))
+    zeta = zeta * 10.0**log_scale + (1e3 if offset else 0.0)
+    inp = VarianceInputs(zeta)
+    grand_mean, sigma2, sigma_tilde2 = variance_inputs_loop(zeta)
+    assert inp.grand_mean.tobytes() == grand_mean.tobytes()
+    assert np.float64(inp.sigma2).tobytes() == np.float64(sigma2).tobytes()
+    assert np.float64(inp.sigma_tilde2).tobytes() == np.float64(sigma_tilde2).tobytes()
+    if math.factorial(M) * math.factorial(N) ** M <= ENUMERATION_GUARD:
+        divisors = [C for C in range(1, M + 1) if M % C == 0]
+        C = divisors[c_pick % len(divisors)]
+        assert brute_force_all(inp, C).tobytes() == brute_force_all_loop(inp, C).tobytes()
 
 
 def test_enumeration_argument_checks():
