@@ -65,6 +65,10 @@ class FederatedProblem:
             raise IndexError(f"clients {list(ms)} out of range [0, {self.M})")
 
     # -- kernels, overridden by subclasses ----------------------------------
+    def full_gradients(self, P: np.ndarray) -> np.ndarray:
+        """grad f at each row of the (k, d) array ``P``, row i bit-equal to ``full_gradient(P[i])``; here one call per point."""
+        return np.array([self.full_gradient(p) for p in P])
+
     def objective_value(self, x: np.ndarray) -> float:
         """f(x): each client's mean of its N component losses, then the mean over clients."""
         raise NotImplementedError
@@ -128,16 +132,19 @@ class LogisticProblem(FederatedProblem):
         return sum(float(np.mean(np.logaddexp(0.0, -b * (A @ x))) + reg) for A, b in zip(self._A, self._b)) / self.M
 
     def full_gradient(self, x):
-        # numpy runs one gemv per client for both stacked products, so each
-        # client's sum equals ``A[m] @ x`` and ``A[m].T @ t[m]`` bit for bit;
-        # the clients are then added in order, as a per-client loop would
-        z = self._A @ x
-        t = -self._b * _sigmoid(-self._b * z)
-        back = np.matmul(t[:, None, :], self._A)[:, 0, :]
-        g = np.zeros(self.d)
-        for row in back:
-            g += row
-        return g / (self.M * self.N) + self.alpha * x
+        return self.full_gradients(np.asarray(x)[None])[0]
+
+    def full_gradients(self, P):
+        # client by client, the forward and back products of every point run
+        # while the client's block is in cache; numpy runs one gemv per point
+        # for each stacked product, so each equals ``A[m] @ x`` and
+        # ``A[m].T @ t`` bit for bit, and the clients are added in order from zeros
+        G = np.zeros((len(P), self.d))
+        for A, neg_b in zip(self._A, -self._b):
+            z = np.matmul(A, P[:, :, None])[..., 0]
+            t = neg_b * _sigmoid(neg_b * z)
+            G += np.matmul(t[:, None, :], A)[:, 0, :]
+        return G / (self.M * self.N) + self.alpha * P
 
     def cohort_pass(self, ms, x, gamma_step, order, bounds):
         self._check_clients(ms)
@@ -277,8 +284,10 @@ def solve_optimum(problem: FederatedProblem, tol: float, max_iter: int = 10_000_
     """Drive ||grad f|| below ``tol`` with deterministic full-gradient descent.
 
     Plain 1/L steps for the first 1000 iterations, then Nesterov momentum for
-    the strongly convex regime.  Raises :class:`SolverError` with the last
-    gradient norm if the cap is hit first, or at the first non-finite gradient.
+    the strongly convex regime; each Nesterov iteration takes the gradients at
+    the new iterate and at the extrapolated point with one ``full_gradients``
+    call.  Raises :class:`SolverError` with the last gradient norm if the cap
+    is hit first, or at the first non-finite gradient.
     """
     if not 0 < tol < math.inf:  # a NaN tolerance would never be met, an infinite one by x = 0
         raise ProblemError(f"tolerance must be positive and finite, got {tol}")
@@ -296,19 +305,39 @@ def solve_optimum(problem: FederatedProblem, tol: float, max_iter: int = 10_000_
         g = problem.full_gradient(x)
         it += 1
     beta = (np.sqrt(L / mu) - 1.0) / (np.sqrt(L / mu) + 1.0)
-    y = x.copy()
+    y, g_y = x, g
     while it < max_iter:
         if _converged(g, tol):
             return optimum_at(problem, x)
-        x_next = y - step * problem.full_gradient(y)
+        if g_y is None:
+            g_y = problem.full_gradient(y)
+        x_next = y - step * g_y
         y = x_next + beta * (x_next - x)
         x = x_next
-        g = problem.full_gradient(x)
+        g, g_y = _gradient_pair(problem, x, y)
         it += 1
     raise SolverError(
         f"optimum solver hit the {max_iter}-iteration cap at grad norm {np.linalg.norm(g):.3e}",
         grad_norm=float(np.linalg.norm(g)),
     )
+
+
+def _gradient_pair(problem: FederatedProblem, x: np.ndarray, y: np.ndarray):
+    """(grad f(x), grad f(y)) from one ``full_gradients`` call.
+
+    A loop of one-point calls takes grad f(y) only once x has been checked.
+    So if the pair meets a floating-point error that the caller's error state
+    does not ignore, grad f(x) is taken again alone under that state (its
+    warnings, or its raise), and grad f(y) is returned as None, for the solver
+    to take when it needs it.
+    """
+    caller = {kind: "ignore" if mode == "ignore" else "raise" for kind, mode in np.geterr().items()}
+    try:
+        with np.errstate(**caller):
+            g_x, g_y = problem.full_gradients(np.stack((x, y)))
+    except FloatingPointError:
+        return problem.full_gradient(x), None
+    return g_x, g_y
 
 
 def _converged(g: np.ndarray, tol: float) -> bool:

@@ -19,11 +19,15 @@ and ``client_objective_loop`` and ``objective_value_loop`` (one
 The logistic and codec oracles are the per-component and per-client forms
 that the vectorised code must match bit for bit: ``sigmoid_three_exp`` (the
 clipped two-branch logistic function), ``full_gradient_loop`` (one client at
-a time), ``logistic_local_pass`` (one client's pass, one gemv forward and
+a time, one point per call), ``solve_optimum_loop`` (the optimum solve with
+two one-point ``full_gradient_loop`` calls per Nesterov iteration),
+``logistic_local_pass`` (one client's pass, one gemv forward and
 one back per batch, which ``LogisticProblem.cohort_pass`` stacks over the
 cohort), ``star_variances_per_component`` (one ``component_gradient`` call
-and one ``np.linalg.norm`` per component) and ``to_libsvm_text_scalars``
-(the text of a feature matrix and its labels, formatting numpy scalars).
+and one ``np.linalg.norm`` per component), ``to_libsvm_text_scalars``
+(the text of a feature matrix and its labels, formatting numpy scalars) and
+``libsvm_text_per_value`` (the same text, formatting every value and column
+index anew, which bounds ``dataset.libsvm_text``'s peak memory).
 ``quadratic_problem_loop`` is ``quadratic_problem`` with one QR and one
 Hessian product per component, in the same draw order.  ``partition_tuples`` is the
 partition of a row count as a tuple of client row tuples, and
@@ -67,7 +71,7 @@ from functools import lru_cache
 import numpy as np
 
 from fedrr.optimizer import DivergenceError, RunTrace, TracePoint, apply_decay
-from fedrr.problem import QuadraticProblem, _sigmoid
+from fedrr.problem import Optimum, QuadraticProblem, SolverError, _converged, _sigmoid
 from fedrr.rng import stream
 from fedrr.shuffling import ClientMode, DataMode
 from fedrr.variance_lab import StarSequenceStats, _enumerate_sequences, _prefix_gram
@@ -233,6 +237,35 @@ def full_gradient_loop(problem, x):
     return g / (problem.M * problem.N) + problem.alpha * x
 
 
+def solve_optimum_loop(problem, tol, max_iter=10_000_000, gradient=full_gradient_loop):
+    """``fedrr.problem.solve_optimum`` with one ``gradient(problem, x)`` call per point: two per Nesterov iteration."""
+    L, mu = problem.L, problem.mu
+    step = 1.0 / L
+    x = np.zeros(problem.d)
+    g = gradient(problem, x)
+    it = 0
+    while it < min(1000, max_iter):
+        if _converged(g, tol):
+            return Optimum(x, problem.objective_value(x), float(np.linalg.norm(gradient(problem, x))))
+        x = x - step * g
+        g = gradient(problem, x)
+        it += 1
+    beta = (np.sqrt(L / mu) - 1.0) / (np.sqrt(L / mu) + 1.0)
+    y = x.copy()
+    while it < max_iter:
+        if _converged(g, tol):
+            return Optimum(x, problem.objective_value(x), float(np.linalg.norm(gradient(problem, x))))
+        x_next = y - step * gradient(problem, y)
+        y = x_next + beta * (x_next - x)
+        x = x_next
+        g = gradient(problem, x)
+        it += 1
+    raise SolverError(
+        f"optimum solver hit the {max_iter}-iteration cap at grad norm {np.linalg.norm(g):.3e}",
+        grad_norm=float(np.linalg.norm(g)),
+    )
+
+
 def logistic_local_pass(problem, m, x, gamma_step, batches):
     """Client m's logistic pass over ``batches``, one gemv forward and one back per batch."""
     problem._check_indices(m)
@@ -334,6 +367,15 @@ def to_libsvm_text_scalars(X, labels):
     for x, y in zip(X, labels):
         idx = np.flatnonzero(x)
         feats = " ".join(f"{i + 1}:{v:.17g}" for i, v in zip(idx, x[idx]))
+        lines.append(f"{int(y):+d} {feats}".rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def libsvm_text_per_value(X, labels):
+    lines = []
+    for x, y in zip(X, labels.tolist()):
+        (idx,) = x.nonzero()
+        feats = " ".join([f"{j}:{v:.17g}" for j, v in zip((idx + 1).tolist(), x[idx].tolist())])
         lines.append(f"{int(y):+d} {feats}".rstrip())
     return "\n".join(lines) + "\n"
 

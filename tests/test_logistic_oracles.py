@@ -2,6 +2,10 @@
 per-component reference forms in ``eager_reference``: every comparison is on
 raw bytes, not within a tolerance."""
 
+import functools
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,15 +13,25 @@ from hypothesis import strategies as st
 
 from eager_reference import (
     full_gradient_loop,
+    libsvm_text_per_value,
     logistic_arrays_gathered,
     logistic_local_pass,
     partition_tuples,
     sigmoid_three_exp,
+    solve_optimum_loop,
     star_variances_per_component,
     to_libsvm_text_scalars,
 )
 from fedrr.dataset import libsvm_text, parse_libsvm, partition, synthetic_libsvm_like
-from fedrr.problem import _sigmoid, logistic_problem, quadratic_problem, solve_optimum
+from fedrr.problem import (
+    LogisticProblem,
+    SolverError,
+    _gradient_pair,
+    _sigmoid,
+    logistic_problem,
+    quadratic_problem,
+    solve_optimum,
+)
 from fedrr.variance_lab import star_variances
 
 
@@ -67,6 +81,48 @@ def test_full_gradient_matches_reference_at_benchmark_shape():
     for scale in (1e-6, 1e-2, 1.0, 1e2):
         x = rng.normal(size=problem.d) * scale
         assert same_bits(problem.full_gradient(x), full_gradient_loop(problem, x))
+        P = np.stack((x, rng.normal(size=problem.d) * scale, -x))
+        for k in (2, 3):
+            assert all(same_bits(g, full_gradient_loop(problem, p)) for p, g in zip(P, problem.full_gradients(P[:k])))
+
+
+POINT = st.tuples(st.floats(min_value=-6, max_value=4), st.sampled_from([None, 0.0, -0.0]))
+
+
+def stacked_points(d, points, seed):
+    """One point per (log10 scale, zero) pair; a zero replaces about a third of its point's coordinates."""
+    rng = np.random.default_rng(seed)
+    P = np.array([rng.normal(size=d) * 10.0**log_scale for log_scale, _ in points])
+    for p, (_, zero) in zip(P, points):
+        if zero is not None:
+            p[rng.random(d) < 0.35] = zero
+    return P
+
+
+@given(st.lists(POINT, min_size=1, max_size=3), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_gradient_kernel_matches_reference_at_each_point(points, seed):
+    P = stacked_points(PROBLEM.d, points, seed)
+    with np.errstate(over="raise", invalid="raise"):  # scales up to 1e4 put |z| far past exp's range
+        G = PROBLEM.full_gradients(P)
+    assert G.shape == P.shape
+    for p, g in zip(P, G):
+        assert same_bits(g, full_gradient_loop(PROBLEM, p))
+
+
+def test_gradient_kernel_matches_reference_far_outside_exp_range_and_at_a_nan_feature():
+    x = np.full(PROBLEM.d, 1e4)
+    assert np.abs(PROBLEM._A @ x).max() > 1e4
+    P = np.stack((x, -x, np.zeros(PROBLEM.d), np.full(PROBLEM.d, -0.0)))
+    with np.errstate(over="raise", invalid="raise"):
+        G = PROBLEM.full_gradients(P)
+    assert all(same_bits(g, full_gradient_loop(PROBLEM, p)) for p, g in zip(P, G))
+    A = PROBLEM._A.copy()
+    A[1, 3, 2] = np.nan
+    problem = LogisticProblem(A, PROBLEM._b, PROBLEM.alpha)
+    G = problem.full_gradients(P[1:])
+    assert np.isnan(G).all(axis=1).any()
+    assert all(same_bits(g, full_gradient_loop(problem, p)) for p, g in zip(P[1:], G))
 
 
 SPECIAL = [0.0, -0.0, 50.0, -50.0, 709.0, -709.0, 1e4, -1e4, np.inf, -np.inf, np.nan, -np.nan]
@@ -85,13 +141,79 @@ def test_sigmoid_matches_three_exp_form_at_special_values():
 
 
 def test_solve_optimum_bytes_equal_with_reference_gradient():
-    problem = logistic(M=4, N=30, dim=10, alpha=1e-3, seed=5)
-    reference = logistic(M=4, N=30, dim=10, alpha=1e-3, seed=5)
-    reference.full_gradient = lambda x: full_gradient_loop(reference, x)
-    fast = solve_optimum(problem, 1e-12)
-    slow = solve_optimum(reference, 1e-12)
-    assert same_bits(fast.x_star, slow.x_star)
-    assert (fast.f_star, fast.grad_norm) == (slow.f_star, slow.grad_norm)
+    # the first three problems reach the Nesterov phase (568-990 gradient pairs), the last stops before it
+    for M, N, dim, alpha, seed in ((4, 30, 10, 1e-3, 5), (3, 40, 12, 1e-4, 0), (6, 15, 7, 3e-4, 2), (2, 50, 20, 1e-1, 9)):
+        problem = logistic(M, N, dim, alpha, seed)
+        fast = solve_optimum(problem, 1e-12)
+        slow = solve_optimum_loop(problem, 1e-12)
+        assert same_bits(fast.x_star, slow.x_star)
+        assert (fast.f_star, fast.grad_norm) == (slow.f_star, slow.grad_norm)
+
+
+@pytest.mark.parametrize("max_iter", [3, 1000, 1001, 1500])
+def test_solver_cap_matches_loop_solver(max_iter):
+    problem = logistic(M=4, N=30, dim=10, alpha=1e-4, seed=5)
+    capped = []
+    for solve in (solve_optimum, solve_optimum_loop):
+        with pytest.raises(SolverError, match="iteration cap") as info:
+            solve(problem, 1e-300, max_iter=max_iter)
+        capped.append((str(info.value), info.value.grad_norm))
+    assert capped[0] == capped[1]
+
+
+def diverging_quadratic():
+    # L just above half the top curvature: 1/L descent is stable, Nesterov's momentum is not
+    problem = quadratic_problem(3, 4, 3, mu=0.5, L=4.0, seed=1)
+    problem.L = 0.51 * np.linalg.eigvalsh(problem._H.sum(axis=(0, 1)) / (problem.M * problem.N))[-1]
+    return problem
+
+
+@pytest.mark.parametrize("mode", ["raise", "warn", "ignore"])
+def test_nesterov_divergence_fails_as_the_loop_solver_does(mode):
+    with pytest.raises(SolverError, match="iteration cap"):
+        solve_optimum(diverging_quadratic(), 1e-300, max_iter=1000)  # the 1/L phase stays finite
+    failures = []
+    loop = functools.partial(solve_optimum_loop, gradient=lambda problem, x: problem.full_gradient(x))
+    for solve in (solve_optimum, loop):
+        with warnings.catch_warnings(record=True) as caught, np.errstate(all=mode):
+            warnings.simplefilter("always")
+            with pytest.raises((SolverError, FloatingPointError)) as info:
+                solve(diverging_quadratic(), 1e-300, max_iter=5000)
+        failures.append((type(info.value), str(info.value), getattr(info.value, "grad_norm", None), [(w.category, str(w.message)) for w in caught]))
+    assert failures[0] == failures[1]
+    assert (failures[0][0] is FloatingPointError) == (mode == "raise")
+
+
+def replayed(fn, mode):
+    """What ``fn()`` returns or raises under ``np.errstate(all=mode)``, with every warning it gives."""
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all=mode):
+        warnings.simplefilter("always")
+        try:
+            out = fn()
+        except FloatingPointError as exc:
+            out = str(exc)
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("mode", ["raise", "warn", "ignore"])
+def test_gradient_pair_warns_and_raises_only_as_a_one_point_call_at_x(mode):
+    fine = np.random.default_rng(5).normal(size=PROBLEM.d)
+    huge = np.full(PROBLEM.d, 1e308)  # its forward products overflow
+    with np.errstate(all="ignore"):
+        gradients = {id(fine): PROBLEM.full_gradient(fine), id(huge): PROBLEM.full_gradient(huge)}
+    for x, y in ((fine, huge), (huge, fine), (fine, fine)):
+        got, got_warnings = replayed(lambda: _gradient_pair(PROBLEM, x, y), mode)
+        alone, alone_warnings = replayed(lambda: PROBLEM.full_gradient(x), mode)
+        assert got_warnings == alone_warnings
+        if isinstance(alone, str):
+            assert got == alone
+            continue
+        g_x, g_y = got
+        assert same_bits(g_x, gradients[id(x)])
+        if mode == "ignore" or y is fine and x is fine:
+            assert same_bits(g_y, gradients[id(y)])
+        else:
+            assert g_y is None  # taken later, when the solver needs it
 
 
 @pytest.mark.parametrize("problem", [PROBLEM, *QUADRATICS], ids=["logistic", "quadratic", "quadratic-d1", "quadratic-d2", "quadratic-d7"])
@@ -110,6 +232,30 @@ def test_partition_array_gathers_the_tuple_partition_bytes(count, M, seed):
     problem = logistic_problem(partition(count, M, seed), X, labels, 1e-2)
     A, b = logistic_arrays_gathered(assignment, X, labels)
     assert same_bits(problem._A, A) and same_bits(problem._b, b)
+
+
+TEXT_VALUES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300, 1.0, -1.0, 0.1]) | st.floats()
+
+
+@given(st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=5), st.data())
+@settings(max_examples=150, deadline=None)
+def test_text_matches_scalar_form(rows, cols, data):
+    X = np.array(data.draw(st.lists(TEXT_VALUES, min_size=rows * cols, max_size=rows * cols)), dtype=np.float64).reshape(rows, cols)
+    labels = np.array(data.draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=rows, max_size=rows)), dtype=np.float64)
+    assert libsvm_text(X, labels) == to_libsvm_text_scalars(X, labels)
+
+
+def test_text_peak_memory_is_no_higher_than_the_per_value_form():
+    X, labels = synthetic_libsvm_like()  # the 11,055 x 68 phishing-shaped set
+    peaks = []
+    for form in (libsvm_text, libsvm_text_per_value):
+        tracemalloc.start()
+        try:
+            form(X, labels)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
 
 
 def test_text_round_trip_is_byte_identical():
