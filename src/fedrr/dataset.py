@@ -99,17 +99,15 @@ def libsvm_text(X: np.ndarray, labels: np.ndarray) -> str:
     gives back every nonzero of X and the labels bit for bit.  The dataset
     hash reads this text.
     """
-    # one row's Python ints and floats at a time: they format exactly like the
-    # numpy scalars (np.float64 subclasses float), without a scalar per feature;
-    # each column's "j:" and each distinct value's digits are made once per call
-    # (equal values format alike: only -0.0 == 0.0 would not, and zeros are not listed)
-    cols = [f"{j}:" for j in range(1, X.shape[1] + 1)]
-    vals: dict[float, str] = {}
+    # one row's Python floats at a time: they format exactly like the numpy
+    # scalars (np.float64 subclasses float), without a scalar per feature; each
+    # column's " j:%.17g" template is made once per call, and a row's templates,
+    # joined, format all its values with one % (no assumption on the values)
+    cols = [f" {j}:%.17g" for j in range(1, X.shape[1] + 1)]
     lines = []
     for x, y in zip(X, labels.tolist()):
         (idx,) = x.nonzero()
-        feats = " ".join([cols[j] + (vals.get(v) or vals.setdefault(v, f"{v:.17g}")) for j, v in zip(idx.tolist(), x[idx].tolist())])
-        lines.append(f"{int(y):+d} {feats}".rstrip() + "\n")
+        lines.append(f"{int(y):+d}" + "".join([cols[j] for j in idx.tolist()]) % tuple(x[idx].tolist()) + "\n")
     return "".join(lines) or "\n"  # no rows: the newline that ends the text
 
 

@@ -161,6 +161,21 @@ def test_solver_cap_matches_loop_solver(max_iter):
     assert capped[0] == capped[1]
 
 
+def test_solver_and_kernel_match_the_loops_on_a_block_blas_may_thread():
+    # one 8,000 x 68 client: OpenBLAS splits a gemv of this size over its threads (one of 921 x 68 it
+    # does not), and the x* it gives then depends on the thread count; at any one count, the pair
+    # kernel and the solver must give the one-point loop's bytes, into the Nesterov phase
+    problem = logistic(M=1, N=8000, dim=68, alpha=1e-3, seed=4)
+    P = np.random.default_rng(2).normal(size=(2, problem.d))
+    assert all(same_bits(g, full_gradient_loop(problem, p)) for p, g in zip(P, problem.full_gradients(P)))
+    capped = []
+    for solve in (solve_optimum, solve_optimum_loop):
+        with pytest.raises(SolverError, match="iteration cap") as info:
+            solve(problem, 1e-300, max_iter=1100)
+        capped.append((str(info.value), info.value.grad_norm))
+    assert capped[0] == capped[1]
+
+
 def diverging_quadratic():
     # L just above half the top curvature: 1/L descent is stable, Nesterov's momentum is not
     problem = quadratic_problem(3, 4, 3, mu=0.5, L=4.0, seed=1)
@@ -245,8 +260,14 @@ def test_text_matches_scalar_form(rows, cols, data):
     assert libsvm_text(X, labels) == to_libsvm_text_scalars(X, labels)
 
 
-def test_text_peak_memory_is_no_higher_than_the_per_value_form():
+@pytest.mark.parametrize("values", ["binary", "continuous"])
+def test_text_peak_memory_is_no_higher_than_the_per_value_form(values):
     X, labels = synthetic_libsvm_like()  # the 11,055 x 68 phishing-shaped set
+    if values == "continuous":  # the same nonzeros, each a distinct normal draw
+        nonzero = X != 0
+        X[nonzero] = np.random.default_rng(0).normal(size=int(nonzero.sum()))
+        assert len(np.unique(X[nonzero])) == nonzero.sum()
+    assert libsvm_text(X, labels) == libsvm_text_per_value(X, labels)
     peaks = []
     for form in (libsvm_text, libsvm_text_per_value):
         tracemalloc.start()
