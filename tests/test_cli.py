@@ -1,13 +1,20 @@
 import gzip
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedrr.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_VERIFY, _geometries, main
 from fedrr.dataset import libsvm_text, synthetic_libsvm_like
+from fedrr.problem import SolverError
 from fedrr.rng import stream
 from fedrr.variance_lab import VarianceInputs, max_rel_error
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 QUAD_CFG = {
     "dataset": {"quadratic": {"M": 4, "N": 3, "d": 3, "mu": 1.0, "L": 5.0, "client_spread": 1.0, "sample_spread": 0.5, "seed": 2}},
@@ -406,3 +413,81 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command,
     assert err.startswith(f"config error: {message}") and len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert not (tmp_path / "runs.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["solve-optimum", "run"])
+def test_solver_failure_exits_4_with_one_line(tmp_path, capsys, monkeypatch, command):
+    def fail(problem, tol):
+        raise SolverError("optimum solver hit the 3-iteration cap at grad norm 1.000e-01", grad_norm=0.1)
+
+    monkeypatch.setattr("fedrr.cli.solve_optimum", fail)
+    monkeypatch.setattr("fedrr.harness.solve_optimum", fail)
+    data = tmp_path / "data.txt"
+    data.write_text(libsvm_text(*synthetic_libsvm_like(count=40, dim=6, seed=4, nnz_per_row=3)))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**SMALL_LOGISTIC, "dataset": {"path": str(data)}}))
+    if command == "run":
+        argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["solve-optimum", "--dataset", str(data), "--alpha", "0.1", "--out", str(tmp_path / "xstar.npy")]
+    assert main(argv) == EXIT_VERIFY
+    assert capsys.readouterr().err == "solver failed: optimum solver hit the 3-iteration cap at grad norm 1.000e-01\n"
+    assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["cfg.json", "data.txt"]
+
+
+def fedrr_process(args, cwd, **env):
+    """``python -m fedrr.cli *args`` in a new interpreter with ``src/`` on its path; a hang fails after 120 s."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    environ = {**os.environ, "PYTHONPATH": path, "FEDRR_WORKERS": "1", **env}
+    command = [sys.executable, "-m", "fedrr.cli", *args]
+    return subprocess.run(command, cwd=cwd, env=environ, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize(
+    "args, config, env, message",
+    [
+        (["run", "--config", "cfg.json", "--out", "out"], [1, 2], {}, "cfg.json must hold a JSON object, not a list"),
+        (["run", "--config", "cfg.json", "--out", "out"], QUAD_CFG, {"FEDRR_WORKERS": "0"},
+         "FEDRR_WORKERS must be a positive integer, got '0'"),
+        (["run", "--config", "cfg.json", "--out", "out"], {**QUAD_CFG, "dataset": {"synthetic": {"dim": 10**12}}}, {},
+         "11055 rows of 1000000000000 features do not fit in memory as a dense matrix"),
+        (["run", "--config", "cfg.json", "--out", ""], QUAD_CFG, {}, "output directory must be a nonempty path"),
+        (["verify-variance", "--max-size", "x"], QUAD_CFG, {},
+         "fedrr verify-variance: argument --max-size: invalid int value: 'x'"),
+    ],
+    ids=["config-not-an-object", "zero-workers", "synthetic-too-large", "empty-out", "bad-int"],
+)
+def test_bad_input_in_a_process_exits_2_with_one_line(tmp_path, args, config, env, message):
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    done = fedrr_process(args, tmp_path, **env)
+    assert (done.returncode, done.stdout) == (EXIT_CONFIG, "")
+    assert done.stderr.startswith(f"config error: {message}") and len(done.stderr.splitlines()) == 1
+    # nothing is written, a runs.csv in the working directory included
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"]
+
+
+def test_all_diverging_sweep_in_a_process_exits_3_and_leaves_the_out_dir_as_it_was(tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps(QUAD_CFG))
+    run = ["run", "--config", "cfg.json", "--out", "out"]
+    assert fedrr_process(run, tmp_path).returncode == EXIT_OK
+    before = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+    done = fedrr_process(run + ["--multipliers", "1e6,1e7"], tmp_path)
+    assert (done.returncode, done.stdout, done.stderr) == (EXIT_DIVERGED, "", "divergence: all runs diverged for algorithm 'rrcli'\n")
+    assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == before
+
+
+def test_cold_and_warm_runs_in_interpreters_with_different_hash_seeds_write_the_same_bytes(tmp_path):
+    cfg = {
+        "dataset": {"synthetic": {"count": 60, "dim": 8, "seed": 1, "nnz_per_row": 4}},
+        "M": 4, "C": 2, "T": 2, "algorithms": ["rrcli"], "seeds": [0], "local_steps": 3,
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    written = []
+    for hash_seed in ("1", "2"):  # the first run solves x* and caches it, the second reads the cache
+        done = fedrr_process(["run", "--config", "cfg.json", "--out", "out"], tmp_path, PYTHONHASHSEED=hash_seed)
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
+        written.append({p.name: p.read_bytes() for p in out.iterdir() if p.is_file() and p.name != "timings.csv"})
+    assert sorted(written[0]) == ["aggregate_rrcli.csv", "manifest.json", "runs.csv"]
+    assert written[0] == written[1]
+    assert len(list((out / "cache").glob("optimum_*.npy"))) == 1

@@ -42,6 +42,13 @@ def test_bad_label_rejected_with_line_number():
         parse_libsvm("+1 1:1\n3 1:1\n")
 
 
+def test_blank_lines_are_skipped_and_an_error_names_its_physical_line():
+    text = "\n+1 1:0.5 3:1.25\n   \n\t\n-1 2:2 4:-0.75\n+1 1:1\n"
+    assert same_dataset(parse_libsvm(text), parse_libsvm(SAMPLE))
+    with pytest.raises(DatasetError, match=r"^line 6: unsupported label '3'$"):
+        parse_libsvm(text.replace("+1 1:1", "3 1:1"))
+
+
 def test_nonincreasing_indices_rejected():
     with pytest.raises(DatasetError, match="strictly increasing"):
         parse_libsvm("+1 2:1 2:2\n")

@@ -150,6 +150,18 @@ def test_solve_optimum_bytes_equal_with_reference_gradient():
         assert (fast.f_star, fast.grad_norm) == (slow.f_star, slow.grad_norm)
 
 
+@pytest.mark.parametrize("M, N, dim, alpha, seed", [(4, 30, 10, 1e-3, 5), (3, 40, 12, 1e-4, 0), (6, 15, 7, 3e-4, 2), (2, 50, 20, 1e-1, 9)])
+def test_solver_takes_a_deferred_extrapolated_gradient_bit_for_bit(monkeypatch, M, N, dim, alpha, seed):
+    # a pair that met an error answers grad f(y) as None; the solver takes it alone once x has passed its convergence check
+    problem = logistic(M, N, dim, alpha, seed)
+    references = (solve_optimum(problem, 1e-12), solve_optimum_loop(problem, 1e-12))
+    monkeypatch.setattr("fedrr.problem._gradient_pair", lambda problem, x, y: (problem.full_gradient(x), None))
+    deferred = solve_optimum(problem, 1e-12)
+    for reference in references:
+        assert same_bits(deferred.x_star, reference.x_star)
+        assert (deferred.f_star, deferred.grad_norm) == (reference.f_star, reference.grad_norm)
+
+
 @pytest.mark.parametrize("max_iter", [3, 1000, 1001, 1500])
 def test_solver_cap_matches_loop_solver(max_iter):
     problem = logistic(M=4, N=30, dim=10, alpha=1e-4, seed=5)
