@@ -34,7 +34,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-def _parse_args(argv):
+def _build_parser() -> _Parser:
     # subcommand parsers take their parent's class
     parser = _Parser(prog="fedrr", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -61,7 +61,10 @@ def _parse_args(argv):
     solve.add_argument("--seed", type=int, default=2024)
     solve.add_argument("--out", default=None, help="write the solution vector in .npy format to exactly this path")
 
-    return parser.parse_args(argv)
+    return parser
+
+
+_PARSER = _build_parser()  # built once, at import
 
 
 def _split(text: str, convert, flag: str) -> list:
@@ -143,7 +146,7 @@ def _cmd_solve(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = _parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return {"run": _cmd_run, "verify-variance": _cmd_verify, "solve-optimum": _cmd_solve}[args.command](args)
     except (ConfigError, DatasetError, ProblemError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

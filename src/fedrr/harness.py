@@ -319,9 +319,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         raise ConfigError(f"{WORKERS_ENV} must be a positive integer, got {os.environ[WORKERS_ENV]!r}")
     shuffle = _load_shuffle_mode(cfg)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     problem, data_hash = build_problem(cfg)
     optimum = resolve_optimum(problem, cfg, cache_dir=out / "cache", cache_key=data_hash)
+    out.mkdir(parents=True, exist_ok=True)  # only now: a bad dataset or a failed solve leaves no directory behind
     sigma_star2, sigma_tilde_star2 = star_variances(problem, optimum.x_star)
 
     jobs = [

@@ -66,8 +66,12 @@ class FederatedProblem:
 
     # -- kernels, overridden by subclasses ----------------------------------
     def full_gradients(self, P: np.ndarray) -> np.ndarray:
-        """grad f at each row of the (k, d) array ``P``, row i bit-equal to ``full_gradient(P[i])``; here one call per point."""
-        return np.array([self.full_gradient(p) for p in P])
+        """grad f at each row of the (k, d) array ``P``, each row with the bytes of that point's one-point call."""
+        raise NotImplementedError
+
+    def full_gradient(self, x: np.ndarray) -> np.ndarray:
+        """grad f at ``x``: the one-point case of ``full_gradients``."""
+        return self.full_gradients(np.asarray(x)[None])[0]
 
     def objective_value(self, x: np.ndarray) -> float:
         """f(x): each client's mean of its N component losses, then the mean over clients."""
@@ -131,9 +135,6 @@ class LogisticProblem(FederatedProblem):
         reg = 0.5 * self.alpha * (x @ x)
         return sum(float(np.mean(np.logaddexp(0.0, -b * (A @ x))) + reg) for A, b in zip(self._A, self._b)) / self.M
 
-    def full_gradient(self, x):
-        return self.full_gradients(np.asarray(x)[None])[0]
-
     def full_gradients(self, P):
         # client by client, the forward and back products of every point run
         # while the client's block is in cache; numpy runs one gemv per point
@@ -195,8 +196,9 @@ class QuadraticProblem(FederatedProblem):
         self._check_indices(m)
         return (self._H[m].sum(axis=0) @ x - self._Hc[m].sum(axis=0)) / self.N
 
-    def full_gradient(self, x):
-        return (self._H.sum(axis=(0, 1)) @ x - self._Hc.sum(axis=(0, 1))) / (self.M * self.N)
+    def full_gradients(self, P):
+        # numpy runs one gemv per point, each equal to ``H.sum(axis=(0, 1)) @ x`` bit for bit
+        return (np.matmul(self._H.sum(axis=(0, 1)), P[:, :, None])[..., 0] - self._Hc.sum(axis=(0, 1))) / (self.M * self.N)
 
     def objective_value(self, x):
         r = x - self._c
@@ -262,9 +264,12 @@ def quadratic_problem(
     if not math.isfinite(client_spread) or not math.isfinite(sample_spread):
         raise ProblemError(f"spreads must be finite, got client_spread={client_spread}, sample_spread={sample_spread}")
     rng = stream(seed, "quadratic_problem", M, N, d)
-    eigs = np.empty((M, N, d))
-    gauss = np.ones((M, N, d, d))  # the matrices whose QR gives the rotations; d = 1 draws none
-    centers = np.empty((M, N, d))
+    try:
+        eigs = np.empty((M, N, d))
+        gauss = np.ones((M, N, d, d))  # the matrices whose QR gives the rotations; d = 1 draws none
+        centers = np.empty((M, N, d))
+    except (MemoryError, ValueError):  # numpy raises ValueError for a size past its index range
+        raise ProblemError(f"a quadratic of M={M}, N={N}, d={d} does not fit in memory") from None
     for m in range(M):
         client_center = rng.normal(size=d) * client_spread
         for j in range(N):
@@ -286,8 +291,10 @@ def solve_optimum(problem: FederatedProblem, tol: float, max_iter: int = 10_000_
     Plain 1/L steps for the first 1000 iterations, then Nesterov momentum for
     the strongly convex regime; each Nesterov iteration takes the gradients at
     the new iterate and at the extrapolated point with one ``full_gradients``
-    call.  Raises :class:`SolverError` with the last gradient norm if the cap
-    is hit first, or at the first non-finite gradient.
+    call, under the caller's numpy error state, so a floating-point error at
+    either point warns or raises in the iteration that meets it.  Raises
+    :class:`SolverError` with the last gradient norm if the cap is hit first,
+    or at the first non-finite gradient.
     """
     if not 0 < tol < math.inf:  # a NaN tolerance would never be met, an infinite one by x = 0
         raise ProblemError(f"tolerance must be positive and finite, got {tol}")
@@ -309,35 +316,15 @@ def solve_optimum(problem: FederatedProblem, tol: float, max_iter: int = 10_000_
     while it < max_iter:
         if _converged(g, tol):
             return optimum_at(problem, x)
-        if g_y is None:
-            g_y = problem.full_gradient(y)
         x_next = y - step * g_y
         y = x_next + beta * (x_next - x)
         x = x_next
-        g, g_y = _gradient_pair(problem, x, y)
+        g, g_y = problem.full_gradients(np.stack((x, y)))
         it += 1
     raise SolverError(
         f"optimum solver hit the {max_iter}-iteration cap at grad norm {np.linalg.norm(g):.3e}",
         grad_norm=float(np.linalg.norm(g)),
     )
-
-
-def _gradient_pair(problem: FederatedProblem, x: np.ndarray, y: np.ndarray):
-    """(grad f(x), grad f(y)) from one ``full_gradients`` call.
-
-    A loop of one-point calls takes grad f(y) only once x has been checked.
-    So if the pair meets a floating-point error that the caller's error state
-    does not ignore, grad f(x) is taken again alone under that state (its
-    warnings, or its raise), and grad f(y) is returned as None, for the solver
-    to take when it needs it.
-    """
-    caller = {kind: "ignore" if mode == "ignore" else "raise" for kind, mode in np.geterr().items()}
-    try:
-        with np.errstate(**caller):
-            g_x, g_y = problem.full_gradients(np.stack((x, y)))
-    except FloatingPointError:
-        return problem.full_gradient(x), None
-    return g_x, g_y
 
 
 def _converged(g: np.ndarray, tol: float) -> bool:

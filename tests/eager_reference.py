@@ -19,8 +19,10 @@ and ``client_objective_loop`` and ``objective_value_loop`` (one
 The logistic and codec oracles are the per-component and per-client forms
 that the vectorised code must match bit for bit: ``sigmoid_three_exp`` (the
 clipped two-branch logistic function), ``full_gradient_loop`` (one client at
-a time, one point per call), ``solve_optimum_loop`` (the optimum solve with
-two one-point ``full_gradient_loop`` calls per Nesterov iteration),
+a time, one point per call), ``quadratic_full_gradient_loop`` (the
+quadratic's gradient at one point, one product with the summed Hessian),
+``solve_optimum_loop`` (the optimum solve with two one-point gradient calls
+per Nesterov iteration),
 ``logistic_local_pass`` (one client's pass, one gemv forward and
 one back per batch, which ``LogisticProblem.cohort_pass`` stacks over the
 cohort), ``star_variances_per_component`` (one ``component_gradient`` call
@@ -235,6 +237,11 @@ def full_gradient_loop(problem, x):
         t = -b[m] * sigmoid_three_exp(-b[m] * z)
         g += A[m].T @ t
     return g / (problem.M * problem.N) + problem.alpha * x
+
+
+def quadratic_full_gradient_loop(problem, x):
+    """``QuadraticProblem.full_gradient``, one point per call: the summed Hessian times x, less the summed Hc."""
+    return (problem._H.sum(axis=(0, 1)) @ x - problem._Hc.sum(axis=(0, 1))) / (problem.M * problem.N)
 
 
 def solve_optimum_loop(problem, tol, max_iter=10_000_000, gradient=full_gradient_loop):

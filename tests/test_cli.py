@@ -27,6 +27,8 @@ QUAD_CFG = {
 }
 SMALL_LOGISTIC = {**QUAD_CFG, "dataset": {"synthetic": {"count": 40, "dim": 6, "seed": 4, "nnz_per_row": 3}}}
 NASTYA_CFG = {**QUAD_CFG, "algorithms": ["nastya"]}
+# 12 x 10^12 x 5 eigenvalues alone take 437 TiB, so no allocation of it can succeed
+QUADRATIC_TOO_LARGE = {"dataset": {"quadratic": {"N": 10**12, "d": 5}}, "M": 12, "C": 3, "T": 1, "algorithms": ["rrcli"], "seeds": [0]}
 
 
 def quadratic_with(**kw):
@@ -364,6 +366,9 @@ def test_solve_optimum_missing_file(capsys):
          "11055 rows of 1000000000000 features do not fit in memory as a dense matrix"),
         ("solve-optimum", None, ["--alpha", "0.1", "--dataset", "past_int64.txt"], {},
          "2 rows of 100000000000000000000000000000 features do not fit in memory as a dense matrix"),
+        ("run", QUADRATIC_TOO_LARGE, [], {}, "a quadratic of M=12, N=1000000000000, d=5 does not fit in memory"),
+        ("run", {**QUADRATIC_TOO_LARGE, "dataset": {"quadratic": {"N": 10**19, "d": 5}}}, [], {},
+         "a quadratic of M=12, N=10000000000000000000, d=5 does not fit in memory"),
     ],
     ids=[
         "config-not-an-object", "empty-seed", "non-numeric-multiplier", "non-integer-workers", "repeated-seed",
@@ -384,6 +389,7 @@ def test_solve_optimum_missing_file(capsys):
         "quadratic-zero-optimum-tol", "fractional-schedule-id", "bool-schedule-id", "zero-workers", "negative-workers",
         "empty-seeds", "empty-multipliers", "empty-algo", "empty-out", "solve-empty-out",
         "solve-dataset-too-large", "dataset-too-large", "synthetic-too-large", "solve-index-past-int64",
+        "quadratic-too-large", "quadratic-index-past-int64",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command, config, flags, env, message):
@@ -413,6 +419,19 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command,
     assert err.startswith(f"config error: {message}") and len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert not (tmp_path / "runs.csv").exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config", [QUAD_CFG, SMALL_LOGISTIC], ids=["quadratic", "logistic"])
+def test_out_naming_a_regular_file_is_one_config_error_line(tmp_path, capsys, config):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    out.write_text("not a directory")
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [Errno ") and len(err.splitlines()) == 1
+    assert out.read_text() == "not a directory"
 
 
 @pytest.mark.parametrize("command", ["solve-optimum", "run"])
@@ -433,6 +452,7 @@ def test_solver_failure_exits_4_with_one_line(tmp_path, capsys, monkeypatch, com
     assert main(argv) == EXIT_VERIFY
     assert capsys.readouterr().err == "solver failed: optimum solver hit the 3-iteration cap at grad norm 1.000e-01\n"
     assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["cfg.json", "data.txt"]
+    assert not (tmp_path / "out").exists()
 
 
 def fedrr_process(args, cwd, **env):
@@ -454,16 +474,18 @@ def fedrr_process(args, cwd, **env):
         (["run", "--config", "cfg.json", "--out", ""], QUAD_CFG, {}, "output directory must be a nonempty path"),
         (["verify-variance", "--max-size", "x"], QUAD_CFG, {},
          "fedrr verify-variance: argument --max-size: invalid int value: 'x'"),
+        (["run", "--config", "cfg.json", "--out", "out"], QUADRATIC_TOO_LARGE, {},
+         "a quadratic of M=12, N=1000000000000, d=5 does not fit in memory"),
     ],
-    ids=["config-not-an-object", "zero-workers", "synthetic-too-large", "empty-out", "bad-int"],
+    ids=["config-not-an-object", "zero-workers", "synthetic-too-large", "empty-out", "bad-int", "quadratic-too-large"],
 )
 def test_bad_input_in_a_process_exits_2_with_one_line(tmp_path, args, config, env, message):
     (tmp_path / "cfg.json").write_text(json.dumps(config))
     done = fedrr_process(args, tmp_path, **env)
     assert (done.returncode, done.stdout) == (EXIT_CONFIG, "")
     assert done.stderr.startswith(f"config error: {message}") and len(done.stderr.splitlines()) == 1
-    # nothing is written, a runs.csv in the working directory included
-    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"]
+    # nothing is written, a runs.csv in the working directory and an empty --out directory included
+    assert [p.name for p in tmp_path.rglob("*")] == ["cfg.json"]
 
 
 def test_all_diverging_sweep_in_a_process_exits_3_and_leaves_the_out_dir_as_it_was(tmp_path):

@@ -1,6 +1,7 @@
-"""The vectorised logistic oracles and the LIBSVM codec against their
-per-component reference forms in ``eager_reference``: every comparison is on
-raw bytes, not within a tolerance."""
+"""The vectorised logistic oracles, both problems' stacked gradient kernels,
+the optimum solver and the LIBSVM codec against their per-component and
+one-point reference forms in ``eager_reference``: every comparison is on raw
+bytes, not within a tolerance."""
 
 import functools
 import tracemalloc
@@ -17,6 +18,7 @@ from eager_reference import (
     logistic_arrays_gathered,
     logistic_local_pass,
     partition_tuples,
+    quadratic_full_gradient_loop,
     sigmoid_three_exp,
     solve_optimum_loop,
     star_variances_per_component,
@@ -25,8 +27,8 @@ from eager_reference import (
 from fedrr.dataset import libsvm_text, parse_libsvm, partition, synthetic_libsvm_like
 from fedrr.problem import (
     LogisticProblem,
+    QuadraticProblem,
     SolverError,
-    _gradient_pair,
     _sigmoid,
     logistic_problem,
     quadratic_problem,
@@ -150,18 +152,6 @@ def test_solve_optimum_bytes_equal_with_reference_gradient():
         assert (fast.f_star, fast.grad_norm) == (slow.f_star, slow.grad_norm)
 
 
-@pytest.mark.parametrize("M, N, dim, alpha, seed", [(4, 30, 10, 1e-3, 5), (3, 40, 12, 1e-4, 0), (6, 15, 7, 3e-4, 2), (2, 50, 20, 1e-1, 9)])
-def test_solver_takes_a_deferred_extrapolated_gradient_bit_for_bit(monkeypatch, M, N, dim, alpha, seed):
-    # a pair that met an error answers grad f(y) as None; the solver takes it alone once x has passed its convergence check
-    problem = logistic(M, N, dim, alpha, seed)
-    references = (solve_optimum(problem, 1e-12), solve_optimum_loop(problem, 1e-12))
-    monkeypatch.setattr("fedrr.problem._gradient_pair", lambda problem, x, y: (problem.full_gradient(x), None))
-    deferred = solve_optimum(problem, 1e-12)
-    for reference in references:
-        assert same_bits(deferred.x_star, reference.x_star)
-        assert (deferred.f_star, deferred.grad_norm) == (reference.f_star, reference.grad_norm)
-
-
 @pytest.mark.parametrize("max_iter", [3, 1000, 1001, 1500])
 def test_solver_cap_matches_loop_solver(max_iter):
     problem = logistic(M=4, N=30, dim=10, alpha=1e-4, seed=5)
@@ -187,6 +177,44 @@ def test_solver_and_kernel_match_the_loops_on_a_block_blas_may_thread():
         capped.append((str(info.value), info.value.grad_norm))
     assert capped[0] == capped[1]
 
+@given(
+    st.integers(min_value=1, max_value=69),
+    st.lists(st.floats(min_value=-8, max_value=8), min_size=1, max_size=3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_quadratic_gradient_kernel_matches_the_one_point_form(d, log_scales, seed):
+    problem = quadratic_problem(2, 2, d, mu=0.5, L=4.0, seed=seed)
+    rng = np.random.default_rng(seed)
+    P = np.array([rng.normal(size=d) * 10.0**log_scale for log_scale in log_scales])
+    G = problem.full_gradients(P)
+    assert G.shape == P.shape
+    for p, g in zip(P, G):
+        assert same_bits(g, quadratic_full_gradient_loop(problem, p))
+        assert same_bits(problem.full_gradient(p), g)
+
+
+def solver_outcome(solve, problem, **kw):
+    """The optimum ``solve`` returns, as bytes and floats, or its cap message and gradient norm."""
+    try:
+        opt = solve(problem, **kw)
+    except SolverError as exc:
+        return str(exc), exc.grad_norm
+    return opt.x_star.tobytes(), opt.f_star, opt.grad_norm
+
+
+# the d2 problem is homogeneous: its optimum is the solver's start point 0
+@pytest.mark.parametrize("problem", [QUADRATICS[i] for i in (0, 1, 3)], ids=["d3", "d1", "d7"])
+def test_quadratic_solver_bytes_equal_the_one_point_loop_solver(problem):
+    # L a hundred times the curvature bound: 1000 steps of 1/L leave ||grad f|| above 1e-12, so each solve
+    # runs into the Nesterov phase
+    slow = QuadraticProblem(problem._H, problem._c, mu=problem.mu, L=100 * problem.L)
+    with pytest.raises(SolverError, match="1000-iteration cap"):
+        solve_optimum(slow, 1e-12, max_iter=1000)
+    loop = functools.partial(solve_optimum_loop, gradient=quadratic_full_gradient_loop)
+    for kw in ({"tol": 1e-300, "max_iter": 1100}, {"tol": 1e-12}):
+        assert solver_outcome(solve_optimum, slow, **kw) == solver_outcome(loop, slow, **kw)
+
 
 def diverging_quadratic():
     # L just above half the top curvature: 1/L descent is stable, Nesterov's momentum is not
@@ -209,38 +237,6 @@ def test_nesterov_divergence_fails_as_the_loop_solver_does(mode):
         failures.append((type(info.value), str(info.value), getattr(info.value, "grad_norm", None), [(w.category, str(w.message)) for w in caught]))
     assert failures[0] == failures[1]
     assert (failures[0][0] is FloatingPointError) == (mode == "raise")
-
-
-def replayed(fn, mode):
-    """What ``fn()`` returns or raises under ``np.errstate(all=mode)``, with every warning it gives."""
-    with warnings.catch_warnings(record=True) as caught, np.errstate(all=mode):
-        warnings.simplefilter("always")
-        try:
-            out = fn()
-        except FloatingPointError as exc:
-            out = str(exc)
-    return out, [(w.category, str(w.message)) for w in caught]
-
-
-@pytest.mark.parametrize("mode", ["raise", "warn", "ignore"])
-def test_gradient_pair_warns_and_raises_only_as_a_one_point_call_at_x(mode):
-    fine = np.random.default_rng(5).normal(size=PROBLEM.d)
-    huge = np.full(PROBLEM.d, 1e308)  # its forward products overflow
-    with np.errstate(all="ignore"):
-        gradients = {id(fine): PROBLEM.full_gradient(fine), id(huge): PROBLEM.full_gradient(huge)}
-    for x, y in ((fine, huge), (huge, fine), (fine, fine)):
-        got, got_warnings = replayed(lambda: _gradient_pair(PROBLEM, x, y), mode)
-        alone, alone_warnings = replayed(lambda: PROBLEM.full_gradient(x), mode)
-        assert got_warnings == alone_warnings
-        if isinstance(alone, str):
-            assert got == alone
-            continue
-        g_x, g_y = got
-        assert same_bits(g_x, gradients[id(x)])
-        if mode == "ignore" or y is fine and x is fine:
-            assert same_bits(g_y, gradients[id(y)])
-        else:
-            assert g_y is None  # taken later, when the solver needs it
 
 
 @pytest.mark.parametrize("problem", [PROBLEM, *QUADRATICS], ids=["logistic", "quadratic", "quadratic-d1", "quadratic-d2", "quadratic-d7"])
