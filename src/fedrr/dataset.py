@@ -63,6 +63,8 @@ def parse_libsvm(text: str) -> tuple[np.ndarray, np.ndarray]:
                 raise DatasetError(f"line {lineno}: malformed feature {tok!r}") from exc
             if not math.isfinite(value):
                 raise DatasetError(f"line {lineno}: non-finite feature value {tok!r}")
+            if index < 1:  # LIBSVM indices are 1-based; a 0 usually means a 0-based export
+                raise DatasetError(f"line {lineno}: feature index must be at least 1, got {tok!r}")
             if index <= prev:
                 raise DatasetError(f"line {lineno}: feature indices must be strictly increasing")
             prev = index

@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from .dataset import libsvm_text, load_libsvm_file, partition, synthetic_libsvm_like
 from .optimizer import (
+    ALGORITHMS,
     FEDAVG,
     NASTYA,
     RRCLI,
@@ -351,9 +352,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     for algorithm in cfg.algorithms:
         _write_csv(out / f"aggregate_{algorithm}.csv", AGG_FIELDS, _aggregate_rows(groups, algorithm))
 
+    # an earlier grid's files that this manifest does not describe go
+    for algorithm in ALGORITHMS:
+        if algorithm not in cfg.algorithms:
+            (out / f"aggregate_{algorithm}.csv").unlink(missing_ok=True)
     if best is not None:
         with _atomic_write(out / "best_multipliers.json") as fh:
             json.dump(best, fh, indent=2, sort_keys=True)
+    else:
+        (out / "best_multipliers.json").unlink(missing_ok=True)
 
     manifest = {
         "config": cfg.to_dict(),

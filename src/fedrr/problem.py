@@ -47,11 +47,8 @@ class FederatedProblem:
     def component_loss(self, m: int, j: int, x: np.ndarray) -> float:
         raise NotImplementedError
 
-    def component_gradient(self, m: int, j: int, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def component_gradients(self, m: int, x: np.ndarray) -> np.ndarray:
-        """Client m's N x d block of component gradients, row j bit-equal to ``component_gradient(m, j, x)``."""
+        """Client m's N x d block of component gradients, row j the gradient of ``component_loss(m, j, .)``."""
         raise NotImplementedError
 
     def _check_indices(self, m: int, j: int | None = None) -> None:
@@ -110,20 +107,15 @@ class LogisticProblem(FederatedProblem):
         z = -self._b[m, j] * float(self._A[m, j] @ x)
         return float(np.logaddexp(0.0, z) + 0.5 * self.alpha * (x @ x))
 
-    def component_gradient(self, m, j, x):
-        self._check_indices(m, j)
-        a, b = self._A[m, j], self._b[m, j]
-        s = _sigmoid(-b * float(a @ x))
-        return (-b * s) * a + self.alpha * x
-
     def component_gradients(self, m, x):
         self._check_indices(m)
         A = self._A[m]
         b = self._b[m]
-        # one ddot per row: a gemv over the block rounds some rows differently
-        z = np.array([a @ x for a in A])
-        s = _sigmoid(-b * z)
-        return (-b * s)[:, None] * A + self.alpha * x
+        # one ddot per row, stacked: a gemv over the block rounds some rows differently
+        z = (A[:, None, :] @ x[:, None])[:, 0, 0]
+        G = (-b * _sigmoid(-b * z))[:, None] * A
+        G += self.alpha * x  # in place: one N x d block at a time
+        return G
 
     def client_gradient(self, m, x):
         self._check_indices(m)
@@ -176,17 +168,15 @@ class QuadraticProblem(FederatedProblem):
         self.alpha = 0.0
         self.mu = float(mu)
         self.L = float(L)
-        # Hc products, reused by the analytic solve and gradients
+        # Hc products, and the summed H and Hc that the full gradient and the analytic solve read
         self._Hc = np.einsum("mnij,mnj->mni", self._H, self._c)
+        self._H_sum = self._H.sum(axis=(0, 1))
+        self._Hc_sum = self._Hc.sum(axis=(0, 1))
 
     def component_loss(self, m, j, x):
         self._check_indices(m, j)
         r = x - self._c[m, j]
         return 0.5 * float(r @ self._H[m, j] @ r)
-
-    def component_gradient(self, m, j, x):
-        self._check_indices(m, j)
-        return self._H[m, j] @ x - self._Hc[m, j]
 
     def component_gradients(self, m, x):
         self._check_indices(m)
@@ -198,7 +188,7 @@ class QuadraticProblem(FederatedProblem):
 
     def full_gradients(self, P):
         # numpy runs one gemv per point, each equal to ``H.sum(axis=(0, 1)) @ x`` bit for bit
-        return (np.matmul(self._H.sum(axis=(0, 1)), P[:, :, None])[..., 0] - self._Hc.sum(axis=(0, 1))) / (self.M * self.N)
+        return (np.matmul(self._H_sum, P[:, :, None])[..., 0] - self._Hc_sum) / (self.M * self.N)
 
     def objective_value(self, x):
         r = x - self._c
@@ -225,7 +215,7 @@ class QuadraticProblem(FederatedProblem):
         return X[..., 0]
 
     def analytic_optimum(self) -> Optimum:
-        return optimum_at(self, np.linalg.solve(self._H.sum(axis=(0, 1)), self._Hc.sum(axis=(0, 1))))
+        return optimum_at(self, np.linalg.solve(self._H_sum, self._Hc_sum))
 
 
 def optimum_at(problem: FederatedProblem, x: np.ndarray) -> Optimum:
@@ -256,6 +246,11 @@ def quadratic_problem(
     Component centers are client centers (scale ``client_spread``) plus
     per-sample offsets (scale ``sample_spread``); both spreads at zero give a
     homogeneous problem whose optimum sits at the shared center.
+
+    Draw order of the seeded stream: client by client, the client's d center
+    normals, then component by component its uniform eigenvalues (d - 2 of
+    them besides mu and L; one scalar draw when d = 1), then its d*d rotation
+    normals (none when d = 1) followed by its d offset normals.
     """
     if min(M, N, d) < 1:
         raise ProblemError(f"quadratic sizes must be at least 1, got M={M}, N={N}, d={d}")
@@ -264,23 +259,31 @@ def quadratic_problem(
     if not math.isfinite(client_spread) or not math.isfinite(sample_spread):
         raise ProblemError(f"spreads must be finite, got client_spread={client_spread}, sample_spread={sample_spread}")
     rng = stream(seed, "quadratic_problem", M, N, d)
+    k = d * d if d > 1 else 0  # rotation normals per component
     try:
         eigs = np.empty((M, N, d))
-        gauss = np.ones((M, N, d, d))  # the matrices whose QR gives the rotations; d = 1 draws none
-        centers = np.empty((M, N, d))
+        client = np.empty((M, d))
+        draws = np.empty((M, N, k + d))  # each component's rotation normals, then its offset normals
     except (MemoryError, ValueError):  # numpy raises ValueError for a size past its index range
         raise ProblemError(f"a quadratic of M={M}, N={N}, d={d} does not fit in memory") from None
     for m in range(M):
-        client_center = rng.normal(size=d) * client_spread
+        rng.standard_normal(out=client[m])
         for j in range(N):
             if d == 1:
                 eigs[m, j] = rng.uniform(mu, L)
             else:
-                eigs[m, j] = np.concatenate(([mu, L], rng.uniform(mu, L, size=d - 2)))
-                gauss[m, j] = rng.normal(size=(d, d))
-            centers[m, j] = client_center + rng.normal(size=d) * sample_spread
+                eigs[m, j, 2:] = rng.uniform(mu, L, size=d - 2)
+            rng.standard_normal(out=draws[m, j])
+    # the normals as ``rng.normal`` returns them: 0.0 + 1.0*z, which turns -0.0 into +0.0
+    client += 0.0
+    draws += 0.0
+    centers = client[:, None] * client_spread + draws[..., k:] * sample_spread
     # one stacked QR and one stacked product, each matrix bit-equal to its own
-    Q = np.linalg.qr(gauss)[0] if d > 1 else gauss
+    if d > 1:
+        eigs[..., :2] = (mu, L)
+        Q = np.linalg.qr(draws[..., :k].reshape(M, N, d, d))[0]
+    else:
+        Q = np.ones((M, N, 1, 1))
     H = (Q * eigs[..., None, :]) @ np.swapaxes(Q, -1, -2)
     return QuadraticProblem(H, centers, mu=mu, L=L)
 

@@ -61,10 +61,15 @@ def star_variances(problem: FederatedProblem, x_star: np.ndarray) -> tuple[float
     squared component-gradient norms over all M*N components and the second
     averages squared client-gradient norms over the M clients.
     """
-    # np.linalg.norm(g) ** 2 bit for bit: the dot that norm takes, its sqrt, then the square
-    comp = np.sqrt([g @ g for m in range(problem.M) for g in problem.component_gradients(m, x_star)]) ** 2
-    cli = np.sqrt([g @ g for g in (problem.client_gradient(m, x_star) for m in range(problem.M))]) ** 2
+    # one client's N x d block at a time, never all M*N gradients at once
+    comp = itertools.chain.from_iterable(_sq_norms(problem.component_gradients(m, x_star)) for m in range(problem.M))
+    cli = _sq_norms(np.array([problem.client_gradient(m, x_star) for m in range(problem.M)]))
     return math.fsum(comp) / (problem.M * problem.N), math.fsum(cli) / problem.M
+
+
+def _sq_norms(G: np.ndarray) -> list[float]:
+    """``np.linalg.norm(g) ** 2`` of each row g of ``G``, bit for bit: the row's ddot, its sqrt, then the square."""
+    return (np.sqrt((G[:, None, :] @ G[:, :, None]).ravel()) ** 2).tolist()
 
 
 def closed_form_variance(k: int, M: int, N: int, sigma2: float, sigma_tilde2: float) -> float:

@@ -9,10 +9,12 @@ schedule is drawn anew every epoch, each pass is cut into batches with
 every trace point evaluates the objective one component at a time.
 
 The kernel oracles are the per-component forms that the stacked problem
-kernels must match bit for bit: ``local_pass_loop`` (one client's pass, one
-``component_gradient`` call per component), ``cohort_pass_loop`` (one such
-pass per client, every one run even after a non-finite end point),
-``aggregate_cohort_loop`` (the cohort's mean update, one pass at a time),
+kernels must match bit for bit: ``component_gradient`` (one component's
+gradient of either problem, the row of ``component_gradients``, which the
+tests also check against finite differences), ``local_pass_loop`` (one
+client's pass, one ``component_gradient`` call per component),
+``cohort_pass_loop`` (one such pass per client, every one run even after a
+non-finite end point), ``aggregate_cohort_loop`` (the cohort's mean update, one pass at a time),
 and ``client_objective_loop`` and ``objective_value_loop`` (one
 ``component_loss`` call per component, added with Python's ``sum``).
 
@@ -73,10 +75,22 @@ from functools import lru_cache
 import numpy as np
 
 from fedrr.optimizer import DivergenceError, RunTrace, TracePoint, apply_decay
-from fedrr.problem import Optimum, QuadraticProblem, SolverError, _converged, _sigmoid
+from fedrr.problem import LogisticProblem, Optimum, QuadraticProblem, SolverError, _converged, _sigmoid
 from fedrr.rng import stream
 from fedrr.shuffling import ClientMode, DataMode
 from fedrr.variance_lab import StarSequenceStats, _enumerate_sequences, _prefix_gram
+
+
+def component_gradient(problem, m, j, x):
+    """The gradient of ``problem.component_loss(m, j, .)`` at x, one component alone."""
+    problem._check_indices(m, j)
+    if isinstance(problem, LogisticProblem):
+        a, b = problem._A[m, j], problem._b[m, j]
+        s = _sigmoid(-b * float(a @ x))
+        return (-b * s) * a + problem.alpha * x
+    if isinstance(problem, QuadraticProblem):
+        return problem._H[m, j] @ x - problem._Hc[m, j]
+    raise NotImplementedError
 
 
 def local_pass_loop(problem, m, x, gamma_step, batches):
@@ -85,7 +99,7 @@ def local_pass_loop(problem, m, x, gamma_step, batches):
     for batch in batches:
         g = np.zeros(problem.d)
         for j in batch:
-            g += problem.component_gradient(m, j, x)
+            g += component_gradient(problem, m, j, x)
         x -= (gamma_step / len(batch)) * g
     return x
 
@@ -309,7 +323,7 @@ def quadratic_problem_loop(M, N=4, d=5, mu=1.0, L=10.0, client_spread=1.0, sampl
 
 def star_variances_per_component(problem, x_star):
     comp = math.fsum(
-        float(np.linalg.norm(problem.component_gradient(m, j, x_star)) ** 2)
+        float(np.linalg.norm(component_gradient(problem, m, j, x_star)) ** 2)
         for m in range(problem.M)
         for j in range(problem.N)
     ) / (problem.M * problem.N)
@@ -354,7 +368,7 @@ def star_sequence_enumerated(problem, x_star, gamma, C):
                 for m in client_perm[r * C : (r + 1) * C]:
                     x = x_round.copy()
                     for j, comp in enumerate(perms[m]):
-                        g = problem.component_gradient(m, comp, x_star)
+                        g = component_gradient(problem, m, comp, x_star)
                         x = x - gamma * g
                         delta = x - x_star
                         sq[r, j] += float(delta @ delta)

@@ -369,6 +369,8 @@ def test_solve_optimum_missing_file(capsys):
         ("run", QUADRATIC_TOO_LARGE, [], {}, "a quadratic of M=12, N=1000000000000, d=5 does not fit in memory"),
         ("run", {**QUADRATIC_TOO_LARGE, "dataset": {"quadratic": {"N": 10**19, "d": 5}}}, [], {},
          "a quadratic of M=12, N=10000000000000000000, d=5 does not fit in memory"),
+        ("solve-optimum", None, ["--alpha", "0.1", "--dataset", "zero_index.txt"], {},
+         "line 1: feature index must be at least 1, got '0:1'"),
     ],
     ids=[
         "config-not-an-object", "empty-seed", "non-numeric-multiplier", "non-integer-workers", "repeated-seed",
@@ -389,7 +391,7 @@ def test_solve_optimum_missing_file(capsys):
         "quadratic-zero-optimum-tol", "fractional-schedule-id", "bool-schedule-id", "zero-workers", "negative-workers",
         "empty-seeds", "empty-multipliers", "empty-algo", "empty-out", "solve-empty-out",
         "solve-dataset-too-large", "dataset-too-large", "synthetic-too-large", "solve-index-past-int64",
-        "quadratic-too-large", "quadratic-index-past-int64",
+        "quadratic-too-large", "quadratic-index-past-int64", "solve-zero-index",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command, config, flags, env, message):
@@ -404,6 +406,7 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command,
     (tmp_path / "nan.txt").write_text("+1 1:0.5\n-1 1:nan\n+1 2:1\n-1 1:1 2:1\n")
     (tmp_path / "wide.txt").write_text("+1 1:1 1000000000000:1\n-1 2:1\n")
     (tmp_path / "past_int64.txt").write_text("+1 1:1 100000000000000000000000000000:1\n-1 2:1\n")
+    (tmp_path / "zero_index.txt").write_text("+1 0:1 2:1\n")
     (tmp_path / "plan.json").write_text(json.dumps([[[0, 1], [2, 3]]]))
     (tmp_path / "fractional.json").write_text(json.dumps([[[0.5, 1], [2, 3]], [[True, "0"], [2, 3]]]))
     (tmp_path / "bool.json").write_text(json.dumps([[[True, 0], [2, 3]]]))

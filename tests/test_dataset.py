@@ -54,6 +54,21 @@ def test_nonincreasing_indices_rejected():
         parse_libsvm("+1 2:1 2:2\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("+1 0:1 2:1\n", "line 1: feature index must be at least 1, got '0:1'"),
+        ("+1 1:1\n-1 -3:1\n", "line 2: feature index must be at least 1, got '-3:1'"),
+        ("+1 2:1 0:1\n", "line 1: feature index must be at least 1, got '0:1'"),
+        ("+1 2:1 1:1 0:1\n", "line 1: feature indices must be strictly increasing"),
+    ],
+    ids=["zero", "negative", "zero-after-increasing", "nonincreasing-before-zero"],
+)
+def test_index_below_one_rejected_in_token_order(text, message):
+    with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+        parse_libsvm(text)
+
+
 def test_malformed_feature_rejected():
     with pytest.raises(DatasetError, match="malformed"):
         parse_libsvm("+1 1:abc\n")

@@ -338,6 +338,19 @@ def test_output_files_match_the_eager_scans(grid):
             assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
 
+def test_smaller_grid_removes_the_earlier_grids_files(tmp_path):
+    run_experiment(quad_config(tmp_path, algorithms=["rrcli", "fedavg"], multipliers=[1.0, 2.0]))
+    out = tmp_path / "out"
+    assert (out / "aggregate_fedavg.csv").exists() and (out / "best_multipliers.json").exists()
+    run_experiment(quad_config(tmp_path))
+    files = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    assert sorted(files) == ["aggregate_rrcli.csv", "manifest.json", "runs.csv", "timings.csv"]
+    # a grid in which every multiplier diverged writes nothing and removes nothing
+    with pytest.raises(DivergenceError, match="all runs diverged"):
+        run_experiment(quad_config(tmp_path, algorithms=["rrcli", "fedavg"], multipliers=[1e6, 1e7], T=30))
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == files
+
+
 def test_diverged_runs_excluded_and_counted(tmp_path):
     cfg = quad_config(tmp_path, multipliers=[1.0, 1e6], T=30)
     summary = run_experiment(cfg)

@@ -8,12 +8,14 @@ give the bytes of the one-client, one-component loops in
 ``LogisticProblem.cohort_pass`` gathers the cohort's rows N entries at a time and steps
 every client with one stacked product each way; it must give the bytes of
 ``logistic_local_pass``, one client's gemv pass at a time.
-``quadratic_problem`` builds every Hessian with one stacked QR and must give
-the bytes of ``quadratic_problem_loop``.  A cohort pass computes every row,
-finite or not, and a diverging cohort must fail as the per-client loop
-does, for either problem.
+``quadratic_problem`` draws each component's normals into one block and
+builds every Hessian with one stacked QR, and must give the bytes of
+``quadratic_problem_loop``, which draws and builds one component at a time.
+A cohort pass computes every row, finite or not, and a diverging cohort must
+fail as the per-client loop does, for either problem.
 """
 
+import itertools
 import tracemalloc
 import warnings
 
@@ -22,6 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eager_reference
+import fedrr.problem
 from eager_reference import (
     aggregate_cohort_loop,
     cohort_pass_loop,
@@ -343,3 +347,53 @@ def test_quadratic_problem_matches_loop(clients, N, d, spreads):
         want = quadratic_problem_loop(clients, N, d, mu=0.5, L=4.0, client_spread=spreads[0], sample_spread=spreads[1], seed=seed)
         assert (got._H.tobytes(), got._c.tobytes()) == (want._H.tobytes(), want._c.tobytes())
         assert (got.mu, got.L) == (want.mu, want.L)
+
+
+SPREADS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-8, -1e-8, 1e8, -1e8]) | st.floats(-1e8, 1e8)
+
+
+@given(
+    st.integers(1, 6), st.integers(1, 6), st.integers(1, 9), st.floats(1e-8, 1e8), st.floats(1.0, 1e4),
+    SPREADS, SPREADS, st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_quadratic_problem_bytes_match_loop(clients, N, d, mu, ratio, client_spread, sample_spread, seed):
+    L = mu * ratio  # mu <= L, equal when ratio is 1
+    got = quadratic_problem(clients, N, d, mu=mu, L=L, client_spread=client_spread, sample_spread=sample_spread, seed=seed)
+    want = quadratic_problem_loop(clients, N, d, mu=mu, L=L, client_spread=client_spread, sample_spread=sample_spread, seed=seed)
+    assert [a.tobytes() for a in (got._H, got._c, got._Hc)] == [a.tobytes() for a in (want._H, want._c, want._Hc)]
+
+
+class SignedZeroStream:
+    """A stand-in stream whose standard normals cycle through values with -0.0 among them.
+
+    ``normal`` returns 0.0 + 1.0*z and ``uniform`` low + (high - low)*u, as
+    numpy's generator does, so the block build must turn each -0.0 normal
+    into +0.0 just as the loop build's ``normal`` draws do.
+    """
+
+    def __init__(self, *key):
+        self._z = itertools.cycle([-0.0, -0.0, 0.5, -1.25, 0.0, 2.0, -0.0, -0.75, 1.5, -0.0, -0.0])
+        self._u = itertools.cycle([0.125, 0.5, 0.875])
+
+    def _take(self, values, size):
+        return np.array([next(values) for _ in range(int(np.prod(size)))]).reshape(size)
+
+    def standard_normal(self, out):
+        out[...] = self._take(self._z, out.shape)
+
+    def normal(self, size):
+        return 0.0 + 1.0 * self._take(self._z, size)
+
+    def uniform(self, low, high, size=None):
+        return low + (high - low) * (next(self._u) if size is None else self._take(self._u, size))
+
+
+@pytest.mark.parametrize("clients, N, d", [(2, 3, 1), (3, 2, 2), (2, 2, 4)])
+@pytest.mark.parametrize("spreads", [(1.0, 1.0), (0.0, 0.0), (-2.0, 0.5)])
+def test_quadratic_problem_turns_negative_zero_normals_positive_as_the_loop_does(monkeypatch, clients, N, d, spreads):
+    monkeypatch.setattr(fedrr.problem, "stream", SignedZeroStream)
+    monkeypatch.setattr(eager_reference, "stream", SignedZeroStream)
+    got = quadratic_problem(clients, N, d, client_spread=spreads[0], sample_spread=spreads[1])
+    want = quadratic_problem_loop(clients, N, d, client_spread=spreads[0], sample_spread=spreads[1])
+    assert [a.tobytes() for a in (got._H, got._c, got._Hc)] == [a.tobytes() for a in (want._H, want._c, want._Hc)]

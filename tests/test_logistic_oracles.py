@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eager_reference import (
+    component_gradient,
     full_gradient_loop,
     libsvm_text_per_value,
     logistic_arrays_gathered,
@@ -63,7 +64,7 @@ def test_gradients_match_reference_bit_for_bit(log_scale, seed):
     assert same_bits(PROBLEM.full_gradient(x), full_gradient_loop(PROBLEM, x))
     for m in range(PROBLEM.M):
         block = PROBLEM.component_gradients(m, x)
-        assert same_bits(block, [PROBLEM.component_gradient(m, j, x) for j in range(PROBLEM.N)])
+        assert same_bits(block, [component_gradient(PROBLEM, m, j, x) for j in range(PROBLEM.N)])
 
 
 @pytest.mark.parametrize("problem", QUADRATICS, ids=["d3", "d1", "d2", "d7"])
@@ -73,7 +74,7 @@ def test_quadratic_component_gradients_match_reference_bit_for_bit(problem, log_
     x = np.random.default_rng(seed).normal(size=problem.d) * 10.0**log_scale
     for m in range(problem.M):
         block = problem.component_gradients(m, x)
-        assert same_bits(block, [problem.component_gradient(m, j, x) for j in range(problem.N)])
+        assert same_bits(block, [component_gradient(problem, m, j, x) for j in range(problem.N)])
 
 
 def test_full_gradient_matches_reference_at_benchmark_shape():
@@ -245,6 +246,20 @@ def test_star_variances_match_per_component_form(problem):
     for scale in (1e-6, 1.0, 1e3):
         x = rng.normal(size=problem.d) * scale
         assert star_variances(problem, x) == star_variances_per_component(problem, x)
+
+
+def test_star_variances_peak_below_two_client_blocks():
+    # the phishing-shaped grid's 12 clients x 921 rows x 68 features: one client's
+    # block of component gradients at a time, never all M*N of them at once
+    problem = logistic(M=12, N=921, dim=68, alpha=5e-4, seed=2024)
+    x = np.random.default_rng(3).normal(size=problem.d)
+    tracemalloc.start()
+    try:
+        star_variances(problem, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * problem.N * problem.d * 8
 
 
 @pytest.mark.parametrize("count, M, seed", [(120, 3, 0), (103, 10, 1), (40, 1, 9), (11, 11, 4)])

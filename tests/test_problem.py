@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eager_reference import component_gradient
 from fedrr.dataset import partition, synthetic_libsvm_like
 from fedrr.problem import (
     LogisticProblem,
@@ -40,7 +41,7 @@ def test_component_gradients_match_finite_differences(factory):
         m = int(rng.integers(problem.M))
         j = int(rng.integers(problem.N))
         x = rng.normal(size=problem.d)
-        g = problem.component_gradient(m, j, x)
+        g = component_gradient(problem, m, j, x)
         g_fd = finite_diff(lambda y: problem.component_loss(m, j, y), x)
         assert np.linalg.norm(g - g_fd) <= 1e-5 * max(1.0, np.linalg.norm(g))
         checked += 1
@@ -52,7 +53,7 @@ def test_gradient_aggregation_consistency(factory):
     rng = stream(1, "agg")
     x = rng.normal(size=problem.d)
     for m in range(problem.M):
-        parts = np.mean([problem.component_gradient(m, j, x) for j in range(problem.N)], axis=0)
+        parts = np.mean([component_gradient(problem, m, j, x) for j in range(problem.N)], axis=0)
         assert np.allclose(problem.client_gradient(m, x), parts, atol=1e-12)
     full = np.mean([problem.client_gradient(m, x) for m in range(problem.M)], axis=0)
     assert np.allclose(problem.full_gradient(x), full, atol=1e-12)
@@ -138,7 +139,7 @@ def test_local_pass_generic_matches_manual():
     perm = np.array([2, 0, 1, 3])
     x = x0.copy()
     for j in perm:
-        x = x - 0.05 * problem.component_gradient(1, int(j), x)
+        x = x - 0.05 * component_gradient(problem, 1, int(j), x)
     out = problem.cohort_pass([1], x0, 0.05, perm[None, :], ((0, 1), (1, 2), (2, 3), (3, 4)))[0]
     assert np.allclose(out, x, atol=1e-14)
 
@@ -147,7 +148,7 @@ def test_local_pass_batched_uses_batch_means():
     problem = small_quadratic()
     x0 = np.zeros(problem.d)
     batch = np.array([0, 2])
-    g = 0.5 * (problem.component_gradient(0, 0, x0) + problem.component_gradient(0, 2, x0))
+    g = 0.5 * (component_gradient(problem, 0, 0, x0) + component_gradient(problem, 0, 2, x0))
     out = problem.cohort_pass([0], x0, 0.1, batch[None, :], ((0, 2),))[0]
     assert np.allclose(out, x0 - 0.1 * g, atol=1e-14)
 
@@ -155,9 +156,9 @@ def test_local_pass_batched_uses_batch_means():
 def test_index_validation():
     problem = small_quadratic()
     with pytest.raises(IndexError):
-        problem.component_gradient(99, 0, np.zeros(problem.d))
+        problem.component_loss(99, 0, np.zeros(problem.d))
     with pytest.raises(IndexError):
-        problem.component_gradient(0, 99, np.zeros(problem.d))
+        problem.component_loss(0, 99, np.zeros(problem.d))
 
 
 @pytest.mark.parametrize("M, N, d", [(0, 4, 3), (3, 0, 3), (3, 4, 0)])
