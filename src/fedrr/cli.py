@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -130,8 +131,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if args.out == "":
-        raise ConfigError("--out must be a nonempty path")
+    if args.out is not None and not (args.out and os.path.isdir(os.path.dirname(args.out) or ".")):
+        raise ConfigError(f"--out must be a nonempty path in an existing directory, got {args.out!r}")
     X, labels = load_libsvm_file(args.dataset)
     problem = logistic_problem(partition(len(labels), args.clients, args.seed), X, labels, args.alpha)
     opt = solve_optimum(problem, args.tol)

@@ -86,7 +86,10 @@ class ExperimentConfig:
 
     ``seeds`` are replicate indices; per-run seeds derive from
     (master_seed, algorithm, multiplier, replicate) so extending the grid
-    never perturbs existing runs.
+    never perturbs existing runs.  Only rrcli follows ``client_mode`` (and a
+    ``fixed_schedule_path``): rrcli-wr, nastya and fedavg draw their own
+    cohorts.  ``data_mode`` orders the local passes of rrcli, rrcli-wr and
+    nastya; fedavg draws its own minibatches.
     """
 
     dataset: dict = field(default_factory=lambda: {"synthetic": {}})
@@ -170,8 +173,7 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"{path} must hold a JSON object, not a {type(raw).__name__}")
         raw.update({k: v for k, v in (overrides or {}).items() if v is not None})
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**raw)
@@ -204,9 +206,9 @@ def build_problem(cfg: ExperimentConfig) -> tuple[FederatedProblem, str]:
     """Instantiate the configured problem; returns (problem, dataset hash)."""
     spec = cfg.dataset
     if "quadratic" in spec:
-        q = {"M": cfg.M, **spec["quadratic"]}
+        q = {"M": cfg.M, "seed": cfg.master_seed, **spec["quadratic"]}
         digest = hashlib.sha256(json.dumps(q, sort_keys=True).encode()).hexdigest()
-        return quadratic_problem(**{"seed": cfg.master_seed, **q}), digest
+        return quadratic_problem(**q), digest
     X, labels = load_libsvm_file(spec["path"]) if "path" in spec else synthetic_libsvm_like(**spec["synthetic"])
     digest = hashlib.sha256(libsvm_text(X, labels).encode()).hexdigest()
     return logistic_problem(partition(len(labels), cfg.M, cfg.master_seed), X, labels, cfg.alpha), digest
@@ -259,8 +261,7 @@ def algorithm_steps(algorithm: str, problem: FederatedProblem, cfg: ExperimentCo
     R = problem.M // cfg.C
     S = _pass_length(algorithm, problem.N, cfg.local_steps)
     if algorithm in (RRCLI, RRCLI_WITH_REPLACEMENT):
-        rp = RegimeParams(regime=cfg.regime, L=problem.L, mu=problem.mu, M=problem.M, N=S, C=cfg.C)
-        base = theoretical_steps(rp)
+        base = theoretical_steps(RegimeParams(regime=cfg.regime, L=problem.L, mu=problem.mu, M=problem.M, N=S, C=cfg.C))
     else:  # nastya or fedavg: ExperimentConfig and AlgoConfig reject any other name
         gamma = cfg.nastya_gamma if algorithm == NASTYA and cfg.nastya_gamma is not None else 1.0 / (problem.L + problem.mu)
         base = StepSizes(gamma=gamma, eta=gamma * S, theta=gamma * S * R)

@@ -117,31 +117,23 @@ class LogisticProblem(FederatedProblem):
         G += self.alpha * x  # in place: one N x d block at a time
         return G
 
-    def client_gradient(self, m, x):
-        self._check_indices(m)
-        z = self._A[m] @ x
-        t = -self._b[m] * _sigmoid(-self._b[m] * z)
-        return self._A[m].T @ t / self.N + self.alpha * x
+    def client_gradients(self, x):
+        return _loss_back(self._A, -self._b, np.repeat(x[None, :], self.M, axis=0)) / self.N + self.alpha * x
 
     def objective_value(self, x):
         reg = 0.5 * self.alpha * (x @ x)
         return sum(float(np.mean(np.logaddexp(0.0, -b * (A @ x))) + reg) for A, b in zip(self._A, self._b)) / self.M
 
     def full_gradients(self, P):
-        # client by client, the forward and back products of every point run
-        # while the client's block is in cache; numpy runs one gemv per point
-        # for each stacked product, so each equals ``A[m] @ x`` and
-        # ``A[m].T @ t`` bit for bit, and the clients are added in order from zeros
+        # client by client, every point's products while its block is in cache, added in order from zeros
         G = np.zeros((len(P), self.d))
         for A, neg_b in zip(self._A, -self._b):
-            z = np.matmul(A, P[:, :, None])[..., 0]
-            t = neg_b * _sigmoid(neg_b * z)
-            G += np.matmul(t[:, None, :], A)[:, 0, :]
+            G += _loss_back(A, neg_b, P)
         return G / (self.M * self.N) + self.alpha * P
 
     def cohort_pass(self, ms, x, gamma_step, order, bounds):
         self._check_clients(ms)
-        # rows gathered N entries at a time, at most C*N*d floats; the stacked matmuls run the per-client gemvs bit for bit
+        # rows gathered N entries at a time, at most C*N*d floats
         rows = np.asarray(ms)[:, None] * self.N + order
         X = np.repeat(np.asarray(x, dtype=np.float64)[None, :], len(ms), axis=0)
         stop = 0
@@ -151,8 +143,7 @@ class LogisticProblem(FederatedProblem):
                 A = self._A.reshape(-1, self.d).take(rows[:, start:stop], axis=0)
                 neg_b = -self._b.reshape(-1).take(rows[:, start:stop])
             Ab, nb = A[:, lo - start : hi - start], neg_b[:, lo - start : hi - start]
-            t = nb * _sigmoid(nb * np.matmul(Ab, X[:, :, None])[..., 0])
-            X -= gamma_step * (np.matmul(t[:, None, :], Ab)[:, 0, :] / (hi - lo) + self.alpha * X)
+            X -= gamma_step * (_loss_back(Ab, nb, X) / (hi - lo) + self.alpha * X)
         return X
 
 
@@ -182,9 +173,9 @@ class QuadraticProblem(FederatedProblem):
         self._check_indices(m)
         return self._H[m] @ x - self._Hc[m]
 
-    def client_gradient(self, m, x):
-        self._check_indices(m)
-        return (self._H[m].sum(axis=0) @ x - self._Hc[m].sum(axis=0)) / self.N
+    def client_gradients(self, x):
+        # each client's summed Hessian times x is one gemv, bit-equal to ``H[m].sum(axis=0) @ x``
+        return (np.matmul(self._H.sum(axis=1), x) - self._Hc.sum(axis=1)) / self.N
 
     def full_gradients(self, P):
         # numpy runs one gemv per point, each equal to ``H.sum(axis=(0, 1)) @ x`` bit for bit
@@ -335,6 +326,13 @@ def _converged(g: np.ndarray, tol: float) -> bool:
     if not math.isfinite(norm):  # descent never comes back from NaN or inf
         raise SolverError(f"optimum solver met a non-finite gradient (norm {norm})", grad_norm=norm)
     return norm <= tol
+
+
+def _loss_back(A, neg_b, X):
+    """``A.T @ t`` at each row x of X, t the logistic slopes at ``A @ x``; A is one (n, d) block or one per row."""
+    # numpy runs one gemv per row in each stacked product, bit-equal to the one-point products
+    t = neg_b * _sigmoid(neg_b * np.matmul(A, X[:, :, None])[..., 0])
+    return np.matmul(t[:, None, :], A)[:, 0, :]
 
 
 def _sigmoid(z):

@@ -89,13 +89,11 @@ def build_cohort_schedule(
         flat = [m for cohort in epoch_plan for m in cohort]
         if len(epoch_plan) != R or any(len(c) != C for c in epoch_plan) or sorted(flat) != list(range(M)):
             raise ScheduleError("fixed schedule is not a partition of clients into R cohorts of C")
-        cohorts = tuple(tuple(int(m) for m in cohort) for cohort in epoch_plan)
-        return CohortSchedule(cohorts)
+        return CohortSchedule(tuple(tuple(int(m) for m in cohort) for cohort in epoch_plan))
 
     t = 0 if mode.client_mode is ClientMode.SHUFFLE_ONCE else meta_epoch
     perm = fisher_yates(M, stream(seed, "client_perm", t))
-    cohorts = tuple(tuple(int(m) for m in perm[r * C : (r + 1) * C]) for r in range(R))
-    return CohortSchedule(cohorts)
+    return CohortSchedule(tuple(tuple(int(m) for m in perm[r * C : (r + 1) * C]) for r in range(R)))
 
 
 class DataPermutations(dict):

@@ -63,7 +63,7 @@ def star_variances(problem: FederatedProblem, x_star: np.ndarray) -> tuple[float
     """
     # one client's N x d block at a time, never all M*N gradients at once
     comp = itertools.chain.from_iterable(_sq_norms(problem.component_gradients(m, x_star)) for m in range(problem.M))
-    cli = _sq_norms(np.array([problem.client_gradient(m, x_star) for m in range(problem.M)]))
+    cli = _sq_norms(problem.client_gradients(x_star))
     return math.fsum(comp) / (problem.M * problem.N), math.fsum(cli) / problem.M
 
 

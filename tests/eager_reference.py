@@ -11,7 +11,10 @@ every trace point evaluates the objective one component at a time.
 The kernel oracles are the per-component forms that the stacked problem
 kernels must match bit for bit: ``component_gradient`` (one component's
 gradient of either problem, the row of ``component_gradients``, which the
-tests also check against finite differences), ``local_pass_loop`` (one
+tests also check against finite differences), ``client_gradient_loop`` (one
+client's gradient of either problem, the row of ``client_gradients``:
+``A[m] @ x`` forward and ``A[m].T @ t`` back, or one product with the
+client's summed Hessian), ``local_pass_loop`` (one
 client's pass, one ``component_gradient`` call per component),
 ``cohort_pass_loop`` (one such pass per client, every one run even after a
 non-finite end point), ``aggregate_cohort_loop`` (the cohort's mean update, one pass at a time),
@@ -28,7 +31,8 @@ per Nesterov iteration),
 ``logistic_local_pass`` (one client's pass, one gemv forward and
 one back per batch, which ``LogisticProblem.cohort_pass`` stacks over the
 cohort), ``star_variances_per_component`` (one ``component_gradient`` call
-and one ``np.linalg.norm`` per component), ``to_libsvm_text_scalars``
+and one ``np.linalg.norm`` per component, and one ``client_gradient_loop``
+call and norm per client), ``to_libsvm_text_scalars``
 (the text of a feature matrix and its labels, formatting numpy scalars) and
 ``libsvm_text_per_value`` (the same text, formatting every value and column
 index anew, which bounds ``dataset.libsvm_text``'s peak memory).
@@ -90,6 +94,17 @@ def component_gradient(problem, m, j, x):
         return (-b * s) * a + problem.alpha * x
     if isinstance(problem, QuadraticProblem):
         return problem._H[m, j] @ x - problem._Hc[m, j]
+    raise NotImplementedError
+
+
+def client_gradient_loop(problem, m, x):
+    """Client m's gradient at x, one client alone: row m of ``client_gradients``."""
+    problem._check_indices(m)
+    if isinstance(problem, LogisticProblem):
+        t = -problem._b[m] * _sigmoid(-problem._b[m] * (problem._A[m] @ x))
+        return problem._A[m].T @ t / problem.N + problem.alpha * x
+    if isinstance(problem, QuadraticProblem):
+        return (problem._H[m].sum(axis=0) @ x - problem._Hc[m].sum(axis=0)) / problem.N
     raise NotImplementedError
 
 
@@ -328,7 +343,7 @@ def star_variances_per_component(problem, x_star):
         for j in range(problem.N)
     ) / (problem.M * problem.N)
     cli = math.fsum(
-        float(np.linalg.norm(problem.client_gradient(m, x_star)) ** 2) for m in range(problem.M)
+        float(np.linalg.norm(client_gradient_loop(problem, m, x_star)) ** 2) for m in range(problem.M)
     ) / problem.M
     return comp, cli
 

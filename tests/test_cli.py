@@ -358,6 +358,8 @@ def test_solve_optimum_missing_file(capsys):
         ("run", QUAD_CFG, ["--algo", ""], {}, "unknown algorithm ''"),
         ("run", QUAD_CFG, ["--out", ""], {}, "output directory must be a nonempty path"),
         ("solve-optimum", None, ["--alpha", "0.1", "--out", ""], {}, "--out must be a nonempty path"),
+        ("solve-optimum", None, ["--alpha", "0.1", "--out", "nodir/x.npy"], {},
+         "--out must be a nonempty path in an existing directory, got 'nodir/x.npy'"),
         ("solve-optimum", None, ["--alpha", "0.1", "--dataset", "wide.txt"], {},
          "2 rows of 1000000000000 features do not fit in memory as a dense matrix"),
         ("run", {**QUAD_CFG, "dataset": {"path": "wide.txt"}, "M": 2}, [], {},
@@ -390,6 +392,7 @@ def test_solve_optimum_missing_file(capsys):
         "quadratic-infinite-alpha", "quadratic-negative-alpha", "quadratic-infinite-optimum-tol",
         "quadratic-zero-optimum-tol", "fractional-schedule-id", "bool-schedule-id", "zero-workers", "negative-workers",
         "empty-seeds", "empty-multipliers", "empty-algo", "empty-out", "solve-empty-out",
+        "solve-out-in-missing-directory",
         "solve-dataset-too-large", "dataset-too-large", "synthetic-too-large", "solve-index-past-int64",
         "quadratic-too-large", "quadratic-index-past-int64", "solve-zero-index",
     ],
@@ -416,13 +419,14 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command,
     else:
         (tmp_path / "data.txt").write_text(libsvm_text(*synthetic_libsvm_like(count=40, dim=6, seed=4, nnz_per_row=3)))
         argv = ["solve-optimum", "--dataset", str(tmp_path / "data.txt")]
+    before = sorted(tmp_path.rglob("*"))
     code = main(argv + flags)
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == EXIT_CONFIG
     assert err.startswith(f"config error: {message}") and len(err.splitlines()) == 1
     assert "Traceback" not in err
-    assert not (tmp_path / "runs.csv").exists()
-    assert not (tmp_path / "out").exists()
+    assert out == ""
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("config", [QUAD_CFG, SMALL_LOGISTIC], ids=["quadratic", "logistic"])

@@ -386,6 +386,14 @@ def test_nastya_gamma_override(tmp_path):
     assert steps.eta == pytest.approx(1e-3 * problem.N)
 
 
+def test_quadratic_hash_records_the_seed_that_builds_it():
+    built = {seed: build_problem(ExperimentConfig(dataset={"quadratic": {}}, M=6, C=2, master_seed=seed)) for seed in (1, 2)}
+    assert built[1][0]._H.tobytes() != built[2][0]._H.tobytes()
+    assert built[1][1] != built[2][1]
+    problem, digest = build_problem(ExperimentConfig(dataset={"quadratic": {"seed": 1}}, M=6, C=2, master_seed=7))
+    assert digest == built[1][1] and problem._H.tobytes() == built[1][0]._H.tobytes()
+
+
 def test_worker_pool_matches_sequential(tmp_path, monkeypatch):
     # the second grid sends the loaded fixed schedule to the workers inside the job tuples
     plan = tmp_path / "plan.json"

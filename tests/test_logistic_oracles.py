@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eager_reference import (
+    client_gradient_loop,
     component_gradient,
     full_gradient_loop,
     libsvm_text_per_value,
@@ -177,6 +178,39 @@ def test_solver_and_kernel_match_the_loops_on_a_block_blas_may_thread():
             solve(problem, 1e-300, max_iter=1100)
         capped.append((str(info.value), info.value.grad_norm))
     assert capped[0] == capped[1]
+
+
+@pytest.mark.parametrize("kind", ["logistic", "quadratic"])
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=69),
+    st.lists(st.tuples(st.floats(min_value=-8, max_value=4), st.sampled_from([None, 0.0, -0.0])), min_size=1, max_size=3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_client_gradients_match_the_per_client_form(kind, M, d, points, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "logistic":
+        N = int(rng.integers(1, 60))
+        problem = LogisticProblem(rng.normal(size=(M, N, d)), rng.choice([-1.0, 1.0], size=(M, N)), 10.0 ** rng.uniform(-4, 0))
+    else:
+        problem = quadratic_problem(M, int(rng.integers(1, 5)), d, mu=0.5, L=4.0, seed=seed)
+    for x in stacked_points(d, points, seed):
+        G = problem.client_gradients(x)
+        assert G.shape == (M, d)
+        assert all(same_bits(g, client_gradient_loop(problem, m, x)) for m, g in enumerate(G))
+
+
+def test_client_gradients_match_the_per_client_form_on_blocks_blas_may_thread():
+    # two 8,000 x 68 clients: OpenBLAS splits each back-product gemv of this size over its threads
+    problem = logistic(M=2, N=8000, dim=68, alpha=1e-3, seed=4)
+    rng = np.random.default_rng(5)
+    for scale in (1e-8, 1e-2, 1.0, 1e4):
+        x = rng.normal(size=problem.d) * scale
+        x[rng.random(problem.d) < 0.2] = -0.0
+        G = problem.client_gradients(x)
+        assert all(same_bits(g, client_gradient_loop(problem, m, x)) for m, g in enumerate(G))
+
 
 @given(
     st.integers(min_value=1, max_value=69),
