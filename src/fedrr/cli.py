@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 configuration error, 3 all runs diverged,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -149,7 +148,7 @@ def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         return {"run": _cmd_run, "verify-variance": _cmd_verify, "solve-optimum": _cmd_solve}[args.command](args)
-    except (ConfigError, DatasetError, ProblemError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ConfigError, DatasetError, ProblemError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:

@@ -169,7 +169,10 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, an int past the digit limit, deep nesting
+                raise ConfigError(str(exc)) from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{path} must hold a JSON object, not a {type(raw).__name__}")
         raw.update({k: v for k, v in (overrides or {}).items() if v is not None})
@@ -192,7 +195,7 @@ def _load_shuffle_mode(cfg: ExperimentConfig) -> ShuffleMode:
         return ShuffleMode(client_mode=ClientMode(cfg.client_mode), data_mode=DataMode(cfg.data_mode))
     try:
         mode = ShuffleMode(ClientMode.DETERMINISTIC_FIXED, DataMode(cfg.data_mode), load_fixed_schedule(path))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise ConfigError(f"fixed schedule {path} is not epochs of cohorts of client ids: {exc}") from exc
     try:
         for t in range(max(1, len(mode.fixed_schedule))):

@@ -17,9 +17,10 @@ from .problem import FederatedProblem, Optimum
 from .rng import stream
 from .shuffling import (
     ClientMode,
+    DataMode,
+    DataPermutations,
     ShuffleMode,
     build_cohort_schedule,
-    data_permutations,
     fisher_yates,
 )
 
@@ -180,19 +181,22 @@ def _sampled_cohort(M, C, seed, label, *parts):
     return tuple(int(m) for m in fisher_yates(M, stream(seed, label, *parts))[:C])
 
 
-def _round_plan(problem: FederatedProblem, cfg: AlgoConfig, S: int, batch: int, cohort_sequence):
+def _round_plan(problem: FederatedProblem, cfg: AlgoConfig, S: int, batch: int):
     """Yield ``(meta_epoch, round, cohort, data order)`` for every round of a run.
 
     rrcli walks the R disjoint cohorts of each meta-epoch's schedule; rrcli-wr
     draws each of the R cohorts independently; nastya draws one cohort per
-    round (or takes ``cohort_sequence[k]``) and its data epoch is the round;
-    fedavg draws one cohort per round until the epoch budget is spent.  The
-    data order is the lazy data permutations, or for fedavg each client's S
-    sorted minibatches of ``batch`` points, one after the other.
+    round and its data epoch is the round; fedavg draws one cohort per round
+    until the epoch budget is spent.  The data order is the lazy data
+    permutations, or for fedavg each client's S sorted minibatches of
+    ``batch`` points, one after the other.  Under shuffle-once the client
+    schedule and the data permutations (stream epoch 0) are each built once
+    per run; under reshuffling, once per epoch.
     """
     M, N, C = problem.M, problem.N, cfg.C
     R = M // C
     perms = cohorts = None
+    once = cfg.shuffle.data_mode is DataMode.SHUFFLE_ONCE
     if cfg.algorithm == FEDAVG:
         per_round = C * S * batch
         for k in range(-(-cfg.T * M * N // per_round)):
@@ -204,14 +208,13 @@ def _round_plan(problem: FederatedProblem, cfg: AlgoConfig, S: int, batch: int, 
             yield k * per_round // (M * N), k, cohort, rows
     elif cfg.algorithm == NASTYA:
         for k in range(cfg.T * R):
-            perms = data_permutations(N, cfg.shuffle, k, cfg.seed, perms)
-            if cohort_sequence is None:
-                yield k // R, k % R, _sampled_cohort(M, C, cfg.seed, "nastya_cohort", k), perms
-            else:
-                yield k // R, k % R, tuple(cohort_sequence[k]), perms
+            if perms is None or not once:
+                perms = DataPermutations(N, k, cfg.seed)
+            yield k // R, k % R, _sampled_cohort(M, C, cfg.seed, "nastya_cohort", k), perms
     else:
         for t in range(cfg.T):
-            perms = data_permutations(N, cfg.shuffle, t, cfg.seed, perms)
+            if perms is None or not once:
+                perms = DataPermutations(N, t, cfg.seed)
             if cfg.algorithm == RRCLI_WITH_REPLACEMENT:
                 cohorts = (_sampled_cohort(M, C, cfg.seed, "wr_cohort", t, r) for r in range(R))
             elif cohorts is None or cfg.shuffle.client_mode is not ClientMode.SHUFFLE_ONCE:
@@ -220,7 +223,7 @@ def _round_plan(problem: FederatedProblem, cfg: AlgoConfig, S: int, batch: int, 
                 yield t, r, cohort, perms
 
 
-def run_algorithm(problem: FederatedProblem, cfg: AlgoConfig, optimum: Optimum, cohort_sequence=None) -> RunTrace:
+def run_algorithm(problem: FederatedProblem, cfg: AlgoConfig, optimum: Optimum) -> RunTrace:
     """Run any of the four algorithms: its round plan feeds this one loop.
 
     Each round the cohort trains from the server iterate, and the server
@@ -230,8 +233,7 @@ def run_algorithm(problem: FederatedProblem, cfg: AlgoConfig, optimum: Optimum, 
     point is recorded at every completed epoch of M*N gradient evaluations.
     The last round always completes one: a shuffled or nastya run ends at
     exactly T*M*N evaluations, and fedavg's last round is the first to reach
-    T*M*N.  ``cohort_sequence`` overrides nastya's per-round draws (used by
-    coupling tests).
+    T*M*N.
     """
     M, N = problem.M, problem.N
     if cfg.algorithm == FEDAVG and cfg.C > M:
@@ -250,7 +252,7 @@ def run_algorithm(problem: FederatedProblem, cfg: AlgoConfig, optimum: Optimum, 
     trace = RunTrace()
     evals = recorded = 0
     trace.record(problem, optimum, x, evals, t0)
-    for t, r, cohort, order in _round_plan(problem, cfg, S, batch, cohort_sequence):
+    for t, r, cohort, order in _round_plan(problem, cfg, S, batch):
         steps = apply_decay(cfg.steps, evals // (M * N)) if cfg.decay else cfg.steps
         if shuffled and r == 0:
             x_meta = x  # the global step starts from here

@@ -114,21 +114,6 @@ class DataPermutations(dict):
         return perm
 
 
-def data_permutations(
-    N: int, mode: ShuffleMode, meta_epoch: int, seed: int, current: DataPermutations | None = None
-) -> DataPermutations:
-    """Lazy data permutations for ``meta_epoch`` under the configured data mode.
-
-    Shuffle-once maps every epoch to stream epoch 0; reshuffling uses the
-    epoch itself.  ``current`` is returned as it is when it already holds
-    that stream epoch, so a run draws each permutation at most once.
-    """
-    t = 0 if mode.data_mode is DataMode.SHUFFLE_ONCE else meta_epoch
-    if current is not None and (current.N, current.t, current.seed) == (N, t, seed):
-        return current
-    return DataPermutations(N, t, seed)
-
-
 def load_fixed_schedule(path) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Read a deterministic client schedule from a JSON array-of-arrays file.
 

@@ -175,12 +175,12 @@ def _prefix_gram(M: int, N: int, C: int) -> tuple[np.ndarray, np.ndarray]:
 
     D depends only on the outcome class: the set S of the C*k_N/N clients in
     completed rows and, when j > 0, group g's tail client t outside S and the
-    j-subset T of t's samples seen so far.  Each class holds the same number
-    of (outcome, group) pairs, C*|S|!*(M-|S|-1)!*N!^(M-1)*j!*(N-j)! when
-    j > 0 and C*|S|!*(M-|S|)!*N!^M when j = 0, so G[k-1] is that multiplicity
-    times the sum of D D^T over one row per class.  The guard keeps every
-    partial sum an integer below 2**53, so G is exact; the tests check it
-    bit for bit against a walk over the outcome table.
+    j-subset T of t's samples seen so far.  Every class is equally likely, so
+    each holds C*n_outcomes/n_classes of the (outcome, group) pairs, and
+    G[k-1] is that multiplicity times the sum of D D^T over one row per
+    class.  The guard keeps every partial sum an integer below 2**53, so G
+    is exact; the tests check it bit for bit against a walk over the
+    outcome table.
     """
     if M % C != 0:
         raise ValueError(f"group count {C} does not divide client count {M}")
@@ -192,17 +192,10 @@ def _prefix_gram(M: int, N: int, C: int) -> tuple[np.ndarray, np.ndarray]:
     for k in range(1, N * (M // C) + 1):
         r, j = divmod(k, N)
         s = C * r
-        if j == 0:
-            Q = np.repeat(_subsets(M, s), N, axis=1)  # 1 on every sample of the clients in S
-            mult = C * math.factorial(s) * math.factorial(M - s) * math.factorial(N) ** M
-        else:
-            Q, _ = _class_rows(M, N, C, s, j)
-            mult = (
-                C * math.factorial(s) * math.factorial(M - s - 1) * math.factorial(N) ** (M - 1)
-                * math.factorial(j) * math.factorial(N - j)
-            )
+        # j = 0: 1 on every sample of the clients in S
+        Q = np.repeat(_subsets(M, s), N, axis=1) if j == 0 else _class_rows(M, N, C, s, j)[0]
         D = MN * Q - C * k
-        grams.append(mult * (D.T @ D))
+        grams.append(C * n_out // len(Q) * (D.T @ D))
     gram = np.stack(grams)
     scale = C * np.arange(1.0, len(gram) + 1) * MN
     divisor = n_out * C * scale * scale

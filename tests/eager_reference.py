@@ -154,7 +154,7 @@ def fisher_yates_loop(n, rng):
     return perm
 
 
-def eager_data_permutations(M, N, mode, t, seed):
+def eager_data_perms(M, N, mode, t, seed):
     t = 0 if mode.data_mode is DataMode.SHUFFLE_ONCE else t
     return [fisher_yates_loop(N, stream(seed, "data_perm", t, m)) for m in range(M)]
 
@@ -200,7 +200,7 @@ def eager_run(problem, cfg, optimum):
     if cfg.algorithm in ("rrcli", "rrcli-wr"):
         for t in range(cfg.T):
             steps = apply_decay(cfg.steps, t) if cfg.decay else cfg.steps
-            perms = eager_data_permutations(M, N, cfg.shuffle, t, cfg.seed)
+            perms = eager_data_perms(M, N, cfg.shuffle, t, cfg.seed)
             if cfg.algorithm == "rrcli":
                 cohorts = eager_cohorts(M, C, cfg.shuffle, t, cfg.seed)
             else:
@@ -215,7 +215,7 @@ def eager_run(problem, cfg, optimum):
     elif cfg.algorithm == "nastya":
         for k in range(cfg.T * R):
             steps = apply_decay(cfg.steps, evals // (M * N)) if cfg.decay else cfg.steps
-            perms = eager_data_permutations(M, N, cfg.shuffle, k, cfg.seed)
+            perms = eager_data_perms(M, N, cfg.shuffle, k, cfg.seed)
             cohort = sampled_cohort(M, C, cfg.seed, "nastya_cohort", k)
             x = server_step(problem, cohort, x, steps, perms, cfg.local_steps)
             evals += C * N

@@ -25,9 +25,9 @@ from fedrr.rng import stream
 from fedrr.shuffling import (
     ClientMode,
     DataMode,
+    DataPermutations,
     ShuffleMode,
     build_cohort_schedule,
-    data_permutations,
 )
 from fedrr.theory import THM1, RegimeParams, bound_rhs, sigma_ds_upper
 from fedrr.variance_lab import (
@@ -189,7 +189,7 @@ def test_04_collapse_identities():
     worst = 0.0
     x = np.zeros(problem.d)
     for t in range(3):
-        perms = data_permutations(4, mode, t, cfg.seed)
+        perms = DataPermutations(4, t, cfg.seed)  # reshuffling data
         sched = build_cohort_schedule(6, 2, mode, t, cfg.seed)
         for r, cohort in enumerate(sched.cohorts):
             g, mean_end = _cohort_update(problem, cohort, x, gamma, perms, _batch_bounds(4, 4), t, r)

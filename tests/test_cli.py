@@ -31,8 +31,18 @@ NASTYA_CFG = {**QUAD_CFG, "algorithms": ["nastya"]}
 QUADRATIC_TOO_LARGE = {"dataset": {"quadratic": {"N": 10**12, "d": 5}}, "M": 12, "C": 3, "T": 1, "algorithms": ["rrcli"], "seeds": [0]}
 
 
+# JSON texts that json.dumps cannot write: an integer past Python's 4,300-digit limit, and 100,000-deep nesting
+HUGE_INT_CFG = '{"T": ' + "9" * 5000 + "}"
+DEEP_CFG = "[" * 100_000 + "]" * 100_000
+
+
 def quadratic_with(**kw):
     return {**QUAD_CFG, "dataset": {"quadratic": {**QUAD_CFG["dataset"]["quadratic"], **kw}}}
+
+
+def config_text(config) -> str:
+    """A config file's text: a string as it is, anything else as JSON."""
+    return config if isinstance(config, str) else json.dumps(config)
 
 
 
@@ -373,6 +383,10 @@ def test_solve_optimum_missing_file(capsys):
          "a quadratic of M=12, N=10000000000000000000, d=5 does not fit in memory"),
         ("solve-optimum", None, ["--alpha", "0.1", "--dataset", "zero_index.txt"], {},
          "line 1: feature index must be at least 1, got '0:1'"),
+        ("run", HUGE_INT_CFG, [], {}, "Exceeds the limit (4300 digits) for integer string conversion"),
+        ("run", DEEP_CFG, [], {}, "maximum recursion depth exceeded"),
+        ("run", {**QUAD_CFG, "client_mode": "deterministic_fixed", "fixed_schedule_path": "deep.json"}, [], {},
+         "fixed schedule deep.json is not epochs of cohorts of client ids: maximum recursion depth exceeded"),
     ],
     ids=[
         "config-not-an-object", "empty-seed", "non-numeric-multiplier", "non-integer-workers", "repeated-seed",
@@ -394,7 +408,8 @@ def test_solve_optimum_missing_file(capsys):
         "empty-seeds", "empty-multipliers", "empty-algo", "empty-out", "solve-empty-out",
         "solve-out-in-missing-directory",
         "solve-dataset-too-large", "dataset-too-large", "synthetic-too-large", "solve-index-past-int64",
-        "quadratic-too-large", "quadratic-index-past-int64", "solve-zero-index",
+        "quadratic-too-large", "quadratic-index-past-int64", "solve-zero-index", "huge-int-config", "deep-config",
+        "deep-schedule",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command, config, flags, env, message):
@@ -413,8 +428,9 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command,
     (tmp_path / "plan.json").write_text(json.dumps([[[0, 1], [2, 3]]]))
     (tmp_path / "fractional.json").write_text(json.dumps([[[0.5, 1], [2, 3]], [[True, "0"], [2, 3]]]))
     (tmp_path / "bool.json").write_text(json.dumps([[[True, 0], [2, 3]]]))
+    (tmp_path / "deep.json").write_text(DEEP_CFG)
     if command == "run":
-        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        (tmp_path / "cfg.json").write_text(config_text(config))
         argv = ["run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
     else:
         (tmp_path / "data.txt").write_text(libsvm_text(*synthetic_libsvm_like(count=40, dim=6, seed=4, nnz_per_row=3)))
@@ -483,11 +499,17 @@ def fedrr_process(args, cwd, **env):
          "fedrr verify-variance: argument --max-size: invalid int value: 'x'"),
         (["run", "--config", "cfg.json", "--out", "out"], QUADRATIC_TOO_LARGE, {},
          "a quadratic of M=12, N=1000000000000, d=5 does not fit in memory"),
+        (["run", "--config", "cfg.json", "--out", "out"], DEEP_CFG, {}, "maximum recursion depth exceeded"),
+        (["run", "--config", "cfg.json", "--out", "out"], HUGE_INT_CFG, {},
+         "Exceeds the limit (4300 digits) for integer string conversion"),
     ],
-    ids=["config-not-an-object", "zero-workers", "synthetic-too-large", "empty-out", "bad-int", "quadratic-too-large"],
+    ids=[
+        "config-not-an-object", "zero-workers", "synthetic-too-large", "empty-out", "bad-int", "quadratic-too-large",
+        "deep-config", "huge-int-config",
+    ],
 )
 def test_bad_input_in_a_process_exits_2_with_one_line(tmp_path, args, config, env, message):
-    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    (tmp_path / "cfg.json").write_text(config_text(config))
     done = fedrr_process(args, tmp_path, **env)
     assert (done.returncode, done.stdout) == (EXIT_CONFIG, "")
     assert done.stderr.startswith(f"config error: {message}") and len(done.stderr.splitlines()) == 1

@@ -1,10 +1,12 @@
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eager_reference import component_gradient, eager_run
-from fedrr import optimizer
+from fedrr import optimizer, shuffling
 from fedrr.optimizer import (
     ALGORITHMS,
     AlgoConfig,
@@ -18,7 +20,8 @@ from fedrr.optimizer import (
     run_algorithm,
 )
 from fedrr.problem import QuadraticProblem, quadratic_problem
-from fedrr.shuffling import ClientMode, DataMode, ShuffleMode, build_cohort_schedule, data_permutations
+from fedrr.rng import stream
+from fedrr.shuffling import ClientMode, DataMode, DataPermutations, ShuffleMode, build_cohort_schedule
 
 
 def unit_quadratic(M=1, N=2, d=1):
@@ -134,7 +137,7 @@ def test_global_collapse_is_exact():
     x = np.zeros(problem.d)
     bounds = _batch_bounds(problem.N, problem.N)
     for t in range(2):
-        perms = data_permutations(problem.N, cfg.shuffle, t, cfg.seed)
+        perms = DataPermutations(problem.N, 0, cfg.seed)  # shuffle-once data
         sched = build_cohort_schedule(problem.M, 2, cfg.shuffle, t, cfg.seed)
         for r, cohort in enumerate(sched.cohorts):
             g, _ = _cohort_update(problem, cohort, x, cfg.steps.gamma, perms, bounds, t, r)
@@ -167,7 +170,12 @@ def test_determinism():
         assert [p.func_gap for p in a.points] == [p.func_gap for p in b.points]
 
 
-def test_nastya_coupling_with_rrcli():
+def force_nastya_cohorts(monkeypatch, cohorts):
+    """Make nastya's round k train ``cohorts[k]`` in place of its sampled cohort."""
+    monkeypatch.setattr(optimizer, "_sampled_cohort", lambda M, C, seed, label, k: tuple(cohorts[k]))
+
+
+def test_nastya_coupling_with_rrcli(monkeypatch):
     # forcing nastya's cohorts equal to rrcli's makes the traces identical
     problem = hetero_quadratic()
     opt = problem.analytic_optimum()
@@ -178,8 +186,9 @@ def test_nastya_coupling_with_rrcli():
     cohorts = []
     for t in range(T):
         cohorts.extend(build_cohort_schedule(problem.M, 2, mode, t, seed=4).cohorts)
+    force_nastya_cohorts(monkeypatch, cohorts)
     na_cfg = make_cfg(problem, "nastya", C=2, T=T, gamma=0.005, shuffle=mode, seed=4)
-    na = run_algorithm(problem, na_cfg, opt, cohort_sequence=cohorts)
+    na = run_algorithm(problem, na_cfg, opt)
     assert [p.dist_sq for p in na.points] == [p.dist_sq for p in rr.points]
 
 
@@ -292,7 +301,7 @@ FIXED_PLAN = (((0, 1), (2, 3), (4, 5)), ((5, 2), (1, 4), (3, 0)))
 @pytest.mark.parametrize("client_mode", list(ClientMode))
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_trace_matches_eager_replay(algorithm, client_mode, data_mode, decay):
-    # lazy, memoised permutations and precomputed batch slices change no bit
+    # lazy permutations, drawn once per data epoch, and precomputed batch slices change no bit
     problem = hetero_quadratic(N=5)
     opt = problem.analytic_optimum()
     fixed = FIXED_PLAN if client_mode is ClientMode.DETERMINISTIC_FIXED else None
@@ -305,6 +314,28 @@ def test_trace_matches_eager_replay(algorithm, client_mode, data_mode, decay):
             shuffle=mode, seed=11, decay=decay, local_steps=local_steps,
         )
         assert trace_values(run_algorithm(problem, cfg, opt)) == trace_values(eager_run(problem, cfg, opt))
+
+
+@pytest.mark.parametrize("data_mode", list(DataMode))
+@pytest.mark.parametrize("algorithm", ["rrcli", "rrcli-wr", "nastya"])
+def test_data_permutations_drawn_once_per_data_epoch(monkeypatch, algorithm, data_mode):
+    # shuffle-once draws each client's data permutation once per run, from stream epoch 0;
+    # reshuffling draws it at most once per data epoch: the meta-epoch, or nastya's round
+    draws = collections.Counter()
+
+    def counting_stream(seed, label, *parts):
+        if label == "data_perm":
+            draws[parts] += 1
+        return stream(seed, label, *parts)
+
+    monkeypatch.setattr(shuffling, "stream", counting_stream)
+    problem = hetero_quadratic()
+    cfg = make_cfg(problem, algorithm, C=2, T=3, gamma=0.004, shuffle=ShuffleMode(data_mode=data_mode), seed=3)
+    run_algorithm(problem, cfg, problem.analytic_optimum())
+    # every run trains some client in more than one data epoch: 18 client passes over 6 clients
+    assert max(draws.values()) == 1
+    data_epochs = cfg.T * (problem.M // cfg.C if algorithm == "nastya" else 1)
+    assert {t for t, _ in draws} == ({0} if data_mode is DataMode.SHUFFLE_ONCE else set(range(data_epochs)))
 
 
 def test_fedavg_divergence_reports_epoch_in_progress():
@@ -373,7 +404,7 @@ def test_local_steps_must_be_positive():
 
 
 @pytest.mark.parametrize("algorithm", ["rrcli", "nastya"])
-def test_local_pass_divergence_carries_position(algorithm):
+def test_local_pass_divergence_carries_position(monkeypatch, algorithm):
     # 1-d components (1/2)(x - c)^2 with c = 0 on client 0 and c = 1 on client 1;
     # from x0 = 0 client 0 stays at 0, while client 1's pass at gamma = 1e200
     # goes 0 -> 1e200 -> -inf, so the first non-finite pass is meta-epoch 0, round 1
@@ -388,10 +419,9 @@ def test_local_pass_divergence_carries_position(algorithm):
     with pytest.raises(DivergenceError, match="local pass of client 1 at meta-epoch 0, round 1") as info, np.errstate(
         over="ignore", invalid="ignore"
     ):
-        if algorithm == "rrcli":
-            run_algorithm(problem, cfg, opt)
-        else:
-            run_algorithm(problem, cfg, opt, cohort_sequence=[(0,), (1,), (0,), (1,)])
+        if algorithm == "nastya":
+            force_nastya_cohorts(monkeypatch, [(0,), (1,), (0,), (1,)])
+        run_algorithm(problem, cfg, opt)
     assert (info.value.meta_epoch, info.value.round_index) == (0, 1)
 
 

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eager_reference import eager_data_permutations, fisher_yates_loop
+from eager_reference import eager_data_perms, fisher_yates_loop
 from fedrr.rng import stream
 from fedrr.shuffling import (
     ClientMode,
     DataMode,
+    DataPermutations,
     ScheduleError,
     ShuffleMode,
     build_cohort_schedule,
-    data_permutations,
     fisher_yates,
 )
 
@@ -147,30 +147,28 @@ def test_fixed_schedule_applied_and_validated():
         build_cohort_schedule(4, 2, bad, 0, 0)
 
 
-def all_data_permutations(M, N, mode, t, seed):
-    perms = data_permutations(N, mode, t, seed)
+def all_data_perms(M, N, stream_epoch, seed):
+    perms = DataPermutations(N, stream_epoch, seed)
     return [perms[m] for m in range(M)]
 
 
 def test_data_permutations_modes():
-    once = ShuffleMode(data_mode=DataMode.SHUFFLE_ONCE)
-    reshuffle = ShuffleMode(data_mode=DataMode.RESHUFFLING)
-    a = all_data_permutations(3, 6, once, 0, 11)
-    b = all_data_permutations(3, 6, once, 4, 11)
+    # shuffle-once rereads stream epoch 0; reshuffling moves to the next epoch
+    a = all_data_perms(3, 6, 0, 11)
+    b = all_data_perms(3, 6, 0, 11)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
-    c = all_data_permutations(3, 6, reshuffle, 0, 11)
-    d = all_data_permutations(3, 6, reshuffle, 1, 11)
-    assert any(not np.array_equal(x, y) for x, y in zip(c, d))
+    c = all_data_perms(3, 6, 1, 11)
+    assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
 
 def test_data_permutations_n1():
-    perms = all_data_permutations(4, 1, ShuffleMode(), 0, 0)
+    perms = all_data_perms(4, 1, 0, 0)
     assert all(list(p) == [0] for p in perms)
 
 
 def test_adding_clients_preserves_existing_streams():
-    small = all_data_permutations(3, 5, ShuffleMode(), 0, 2)
-    big = all_data_permutations(6, 5, ShuffleMode(), 0, 2)
+    small = all_data_perms(3, 5, 0, 2)
+    big = all_data_perms(6, 5, 0, 2)
     for m in range(3):
         assert np.array_equal(small[m], big[m])
 
@@ -186,25 +184,10 @@ def test_adding_clients_preserves_existing_streams():
 def test_lazy_permutations_match_eager(M, N, seed, t, data):
     order = data.draw(st.permutations(range(M)))
     used = order[: data.draw(st.integers(min_value=0, max_value=M))]
-    for mode in (ShuffleMode(data_mode=DataMode.SHUFFLE_ONCE), ShuffleMode(data_mode=DataMode.RESHUFFLING)):
-        eager = eager_data_permutations(M, N, mode, t, seed)
-        assert all(np.array_equal(a, b) for a, b in zip(all_data_permutations(M, N, mode, t, seed), eager))
-        lazy = data_permutations(N, mode, t, seed)
-        for m in used:
-            assert np.array_equal(lazy[m], eager[m])
-        assert sorted(lazy) == sorted(used)  # only the clients asked for were drawn
-
-
-def test_lazy_permutations_memoised_per_stream_epoch():
-    once = ShuffleMode(data_mode=DataMode.SHUFFLE_ONCE)
-    reshuffle = ShuffleMode(data_mode=DataMode.RESHUFFLING)
-    first = data_permutations(5, once, 0, 3)
-    perm = first[2]
-    assert data_permutations(5, once, 7, 3, first) is first
-    assert first[2] is perm
-    second = data_permutations(5, reshuffle, 0, 3, first)
-    assert second is first  # stream epoch 0 either way
-    third = data_permutations(5, reshuffle, 1, 3, second)
-    assert third is not second and len(third) == 0
-    assert data_permutations(6, once, 0, 3, first) is not first
-    assert data_permutations(5, once, 0, 4, first) is not first
+    # the eager reference reads stream epoch t itself under reshuffling
+    eager = eager_data_perms(M, N, ShuffleMode(data_mode=DataMode.RESHUFFLING), t, seed)
+    assert all(np.array_equal(a, b) for a, b in zip(all_data_perms(M, N, t, seed), eager))
+    lazy = DataPermutations(N, t, seed)
+    for m in used:
+        assert np.array_equal(lazy[m], eager[m])
+    assert sorted(lazy) == sorted(used)  # only the clients asked for were drawn
