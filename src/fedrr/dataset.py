@@ -146,6 +146,8 @@ def synthetic_libsvm_like(
         raise DatasetError(f"synthetic dataset needs count and dim of at least 1, got count={count}, dim={dim}")
     if nnz_per_row < 1:
         raise DatasetError(f"synthetic dataset needs nnz_per_row of at least 1, got {nnz_per_row}")
+    if nnz_per_row > 2**63 - 6:  # its row sizes are drawn below nnz_per_row + 6, an int64 bound
+        raise DatasetError(f"synthetic dataset needs nnz_per_row of at most 2**63 - 6, got {nnz_per_row}")
     if feature_scale is None:
         feature_scale = 1.0
     if not math.isfinite(signal) or not math.isfinite(feature_scale):

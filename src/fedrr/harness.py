@@ -47,7 +47,7 @@ from .shuffling import (
     DataMode,
     ScheduleError,
     ShuffleMode,
-    build_cohort_schedule,
+    check_fixed_schedule,
     load_fixed_schedule,
 )
 from .theory import THM1, REGIMES, RegimeParams, theoretical_steps
@@ -198,8 +198,7 @@ def _load_shuffle_mode(cfg: ExperimentConfig) -> ShuffleMode:
     except (TypeError, ValueError, RecursionError) as exc:
         raise ConfigError(f"fixed schedule {path} is not epochs of cohorts of client ids: {exc}") from exc
     try:
-        for t in range(max(1, len(mode.fixed_schedule))):
-            build_cohort_schedule(cfg.M, cfg.C, mode, t, cfg.master_seed)
+        check_fixed_schedule(cfg.M, cfg.C, mode.fixed_schedule)
     except ScheduleError as exc:
         raise ConfigError(f"fixed schedule {path} does not fit M={cfg.M}, C={cfg.C}: {exc}") from exc
     return mode
@@ -283,27 +282,12 @@ class RunResult:
     error: str | None = None
 
 
-def _execute_run(
-    problem, optimum, cfg: ExperimentConfig, shuffle: ShuffleMode, algorithm: str, multiplier: float, replicate: int
-) -> RunResult:
-    seed = derive_seed(cfg.master_seed, "run", algorithm, multiplier, replicate)
-    steps = algorithm_steps(algorithm, problem, cfg, multiplier)
-    algo_cfg = AlgoConfig(
-        algorithm=algorithm,
-        C=cfg.C,
-        T=cfg.T,
-        steps=steps,
-        shuffle=shuffle,
-        local_steps=cfg.local_steps,
-        batch_fraction=cfg.batch_fraction,
-        seed=seed,
-        decay=cfg.decay,
-    )
+def _execute_run(problem, optimum, algo_cfg: AlgoConfig, multiplier: float, replicate: int) -> RunResult:
     try:
         trace = run_algorithm(problem, algo_cfg, optimum)
-        return RunResult(algorithm, multiplier, replicate, seed, trace, diverged=False)
+        return RunResult(algo_cfg.algorithm, multiplier, replicate, algo_cfg.seed, trace, diverged=False)
     except DivergenceError as exc:
-        return RunResult(algorithm, multiplier, replicate, seed, None, diverged=True, error=str(exc))
+        return RunResult(algo_cfg.algorithm, multiplier, replicate, algo_cfg.seed, None, diverged=True, error=str(exc))
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
@@ -325,22 +309,36 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     shuffle = _load_shuffle_mode(cfg)
     out = Path(out_dir)
     problem, data_hash = build_problem(cfg)
+    # every job's settings exist before the optimum solve and any output: a step size that underflows writes nothing
+    jobs = []
+    for algorithm in cfg.algorithms:
+        for multiplier in map(float, cfg.multipliers):
+            try:
+                steps = algorithm_steps(algorithm, problem, cfg, multiplier)
+            except ValueError as exc:
+                raise ConfigError(f"{algorithm} at multiplier {multiplier!r}: {exc}") from None
+            for replicate in cfg.seeds:
+                algo_cfg = AlgoConfig(
+                    algorithm=algorithm,
+                    C=cfg.C,
+                    T=cfg.T,
+                    steps=steps,
+                    shuffle=shuffle,
+                    local_steps=cfg.local_steps,
+                    batch_fraction=cfg.batch_fraction,
+                    seed=derive_seed(cfg.master_seed, "run", algorithm, multiplier, replicate),
+                    decay=cfg.decay,
+                )
+                jobs.append((algo_cfg, multiplier, replicate))
     optimum = resolve_optimum(problem, cfg, cache_dir=out / "cache", cache_key=data_hash)
     out.mkdir(parents=True, exist_ok=True)  # only now: a bad dataset or a failed solve leaves no directory behind
     sigma_star2, sigma_tilde_star2 = star_variances(problem, optimum.x_star)
-
-    jobs = [
-        (problem, optimum, cfg, shuffle, algorithm, float(multiplier), replicate)
-        for algorithm in cfg.algorithms
-        for multiplier in cfg.multipliers
-        for replicate in cfg.seeds
-    ]
     workers = min(workers, len(jobs))  # the pool starts every worker it is given, needed or not
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_execute_run, *zip(*jobs)))
+            results = list(pool.map(_execute_run, [problem] * len(jobs), [optimum] * len(jobs), *zip(*jobs)))
     else:
-        results = [_execute_run(*j) for j in jobs]
+        results = [_execute_run(problem, optimum, *job) for job in jobs]
 
     # chosen before any file is written, so a sweep in which every multiplier
     # of an algorithm diverged leaves the previous outputs as they were

@@ -21,6 +21,7 @@ from .shuffling import (
     DataPermutations,
     ShuffleMode,
     build_cohort_schedule,
+    check_fixed_schedule,
     fisher_yates,
 )
 
@@ -191,7 +192,8 @@ def _round_plan(problem: FederatedProblem, cfg: AlgoConfig, S: int, batch: int):
     permutations, or for fedavg each client's S sorted minibatches of
     ``batch`` points, one after the other.  Under shuffle-once the client
     schedule and the data permutations (stream epoch 0) are each built once
-    per run; under reshuffling, once per epoch.
+    per run; under reshuffling, once per epoch.  rrcli checks a fixed client
+    schedule once, before its first round, and cycles through its epochs.
     """
     M, N, C = problem.M, problem.N, cfg.C
     R = M // C
@@ -212,13 +214,17 @@ def _round_plan(problem: FederatedProblem, cfg: AlgoConfig, S: int, batch: int):
                 perms = DataPermutations(N, k, cfg.seed)
             yield k // R, k % R, _sampled_cohort(M, C, cfg.seed, "nastya_cohort", k), perms
     else:
+        fixed = cfg.algorithm == RRCLI and cfg.shuffle.client_mode is ClientMode.DETERMINISTIC_FIXED
+        schedule = check_fixed_schedule(M, C, cfg.shuffle.fixed_schedule) if fixed else None
         for t in range(cfg.T):
             if perms is None or not once:
                 perms = DataPermutations(N, t, cfg.seed)
             if cfg.algorithm == RRCLI_WITH_REPLACEMENT:
                 cohorts = (_sampled_cohort(M, C, cfg.seed, "wr_cohort", t, r) for r in range(R))
-            elif cohorts is None or cfg.shuffle.client_mode is not ClientMode.SHUFFLE_ONCE:
-                cohorts = build_cohort_schedule(M, C, cfg.shuffle, t, cfg.seed).cohorts
+            elif fixed:
+                cohorts = schedule[t % len(schedule)]
+            elif cohorts is None or cfg.shuffle.client_mode is ClientMode.RESHUFFLING:
+                cohorts = build_cohort_schedule(M, C, t, cfg.seed).cohorts
             for r, cohort in enumerate(cohorts):
                 yield t, r, cohort, perms
 
@@ -244,7 +250,7 @@ def run_algorithm(problem: FederatedProblem, cfg: AlgoConfig, optimum: Optimum) 
     S = _pass_length(cfg.algorithm, N, cfg.local_steps)
     batch = max(1, int(round(cfg.batch_fraction * N)))  # fedavg only
     # a fedavg client runs its S minibatches one after the other in one pass
-    bounds = tuple((s * batch, (s + 1) * batch) for s in range(S)) if cfg.algorithm == FEDAVG else _batch_bounds(N, S)
+    bounds = _batch_bounds(S * batch if cfg.algorithm == FEDAVG else N, S)
     per_round = cfg.C * bounds[-1][1]
     shuffled = cfg.algorithm in (RRCLI, RRCLI_WITH_REPLACEMENT)
     t0 = time.perf_counter()

@@ -218,6 +218,8 @@ def logistic_problem(partition: np.ndarray, X: np.ndarray, labels: np.ndarray, a
     """Build the regularized logistic problem on an (M, N) array of each client's rows of ``X`` and ``labels``."""
     if partition.size == 0:
         raise ProblemError("partition must assign at least one sample per client")
+    if X.shape[1] == 0:
+        raise ProblemError("a logistic problem needs at least one feature; the dataset lists none")
     return LogisticProblem(X[partition], labels[partition], alpha)
 
 

@@ -4,7 +4,8 @@ The participation scheme is "regularized": every meta-epoch the M clients are
 partitioned into R = M/C disjoint cohorts of size C, so each client trains
 exactly once per meta-epoch.  Client and data permutations can each be drawn
 once up front (shuffle-once), redrawn every meta-epoch (reshuffling), or, for
-the client level, supplied as a fixed deterministic schedule.  Data
+the client level, supplied as a fixed deterministic schedule; the optimizer's
+round plan picks the stream epoch that each builder here draws.  Data
 permutations are drawn lazily, only for the clients that train.
 """
 
@@ -67,33 +68,23 @@ def fisher_yates(n: int, rng: np.random.Generator) -> np.ndarray:
     return np.array(perm, dtype=np.int64)
 
 
-def build_cohort_schedule(
-    M: int,
-    C: int,
-    mode: ShuffleMode,
-    meta_epoch: int,
-    seed: int,
-) -> CohortSchedule:
-    """Cohorts for one meta-epoch under the configured client mode.
-
-    Shuffle-once replays the epoch-0 permutation; reshuffling redraws per
-    epoch; a fixed schedule is validated and applied as given.
-    """
+def build_cohort_schedule(M: int, C: int, stream_epoch: int, seed: int) -> CohortSchedule:
+    """One partition of the M clients into M/C cohorts of C, from the client permutation of ``stream_epoch``."""
     if M % C != 0:
         raise ScheduleError(f"cohort size {C} does not divide client count {M}")
-    R = M // C
-    if mode.client_mode is ClientMode.DETERMINISTIC_FIXED:
-        if not mode.fixed_schedule:
-            raise ScheduleError("deterministic client mode requires a fixed schedule")
-        epoch_plan = mode.fixed_schedule[meta_epoch % len(mode.fixed_schedule)]
-        flat = [m for cohort in epoch_plan for m in cohort]
-        if len(epoch_plan) != R or any(len(c) != C for c in epoch_plan) or sorted(flat) != list(range(M)):
-            raise ScheduleError("fixed schedule is not a partition of clients into R cohorts of C")
-        return CohortSchedule(tuple(tuple(int(m) for m in cohort) for cohort in epoch_plan))
+    perm = fisher_yates(M, stream(seed, "client_perm", stream_epoch))
+    return CohortSchedule(tuple(tuple(int(m) for m in perm[r * C : (r + 1) * C]) for r in range(M // C)))
 
-    t = 0 if mode.client_mode is ClientMode.SHUFFLE_ONCE else meta_epoch
-    perm = fisher_yates(M, stream(seed, "client_perm", t))
-    return CohortSchedule(tuple(tuple(int(m) for m in perm[r * C : (r + 1) * C]) for r in range(R)))
+
+def check_fixed_schedule(M: int, C: int, schedule) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """``schedule`` with int client ids, once every epoch is checked to split range(M) into M/C cohorts of C."""
+    if not schedule:
+        raise ScheduleError("deterministic client mode requires a fixed schedule")
+    for epoch_plan in schedule:
+        flat = [m for cohort in epoch_plan for m in cohort]
+        if len(epoch_plan) != M // C or any(len(c) != C for c in epoch_plan) or sorted(flat) != list(range(M)):
+            raise ScheduleError("fixed schedule is not a partition of clients into R cohorts of C")
+    return tuple(tuple(tuple(int(m) for m in cohort) for cohort in epoch_plan) for epoch_plan in schedule)
 
 
 class DataPermutations(dict):

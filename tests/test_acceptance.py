@@ -190,7 +190,7 @@ def test_04_collapse_identities():
     x = np.zeros(problem.d)
     for t in range(3):
         perms = DataPermutations(4, t, cfg.seed)  # reshuffling data
-        sched = build_cohort_schedule(6, 2, mode, t, cfg.seed)
+        sched = build_cohort_schedule(6, 2, t, cfg.seed)
         for r, cohort in enumerate(sched.cohorts):
             g, mean_end = _cohort_update(problem, cohort, x, gamma, perms, _batch_bounds(4, 4), t, r)
             x = x - steps.eta * g

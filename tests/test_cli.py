@@ -387,6 +387,15 @@ def test_solve_optimum_missing_file(capsys):
         ("run", DEEP_CFG, [], {}, "maximum recursion depth exceeded"),
         ("run", {**QUAD_CFG, "client_mode": "deterministic_fixed", "fixed_schedule_path": "deep.json"}, [], {},
          "fixed schedule deep.json is not epochs of cohorts of client ids: maximum recursion depth exceeded"),
+        ("run", QUAD_CFG, ["--multipliers", "5e-324"], {}, "rrcli at multiplier 5e-324: all step sizes must be positive"),
+        ("run", {**quadratic_with(mu=1e-320, L=10.0), "regime": "thm2"}, [], {},
+         "rrcli at multiplier 1.0: all step sizes must be positive"),
+        ("run", {**QUAD_CFG, "dataset": {"path": "bare.txt"}, "M": 2, "C": 1}, [], {},
+         "a logistic problem needs at least one feature; the dataset lists none"),
+        ("solve-optimum", None, ["--alpha", "0.1", "--dataset", "bare.txt"], {},
+         "a logistic problem needs at least one feature; the dataset lists none"),
+        ("run", {**QUAD_CFG, "dataset": {"synthetic": {"nnz_per_row": 9223372036854775803}}}, [], {},
+         "synthetic dataset needs nnz_per_row of at most 2**63 - 6, got 9223372036854775803"),
     ],
     ids=[
         "config-not-an-object", "empty-seed", "non-numeric-multiplier", "non-integer-workers", "repeated-seed",
@@ -409,14 +418,15 @@ def test_solve_optimum_missing_file(capsys):
         "solve-out-in-missing-directory",
         "solve-dataset-too-large", "dataset-too-large", "synthetic-too-large", "solve-index-past-int64",
         "quadratic-too-large", "quadratic-index-past-int64", "solve-zero-index", "huge-int-config", "deep-config",
-        "deep-schedule",
+        "deep-schedule", "underflowing-multiplier", "quadratic-kappa-overflow", "featureless-dataset",
+        "solve-featureless-dataset", "synthetic-nnz-past-int64",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command, config, flags, env, message):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     # unreadable inputs, named relative to tmp_path: a dataset that is not UTF-8, a truncated gzip, a directory,
-    # a dataset with a NaN feature, datasets too wide to hold as a dense matrix
+    # a dataset with a NaN feature, datasets too wide to hold as a dense matrix, one that lists no feature
     monkeypatch.chdir(tmp_path)
     (tmp_path / "latin1.txt").write_bytes("+1 1:0.5\n-1 2:1 # caf\u00e9\n".encode("latin-1"))
     (tmp_path / "truncated.gz").write_bytes(gzip.compress(b"+1 1:0.5\n" * 50)[:20])
@@ -425,6 +435,7 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command,
     (tmp_path / "wide.txt").write_text("+1 1:1 1000000000000:1\n-1 2:1\n")
     (tmp_path / "past_int64.txt").write_text("+1 1:1 100000000000000000000000000000:1\n-1 2:1\n")
     (tmp_path / "zero_index.txt").write_text("+1 0:1 2:1\n")
+    (tmp_path / "bare.txt").write_text("+1\n-1\n+1\n-1\n")
     (tmp_path / "plan.json").write_text(json.dumps([[[0, 1], [2, 3]]]))
     (tmp_path / "fractional.json").write_text(json.dumps([[[0.5, 1], [2, 3]], [[True, "0"], [2, 3]]]))
     (tmp_path / "bool.json").write_text(json.dumps([[[True, 0], [2, 3]]]))

@@ -21,7 +21,7 @@ from fedrr.optimizer import (
 )
 from fedrr.problem import QuadraticProblem, quadratic_problem
 from fedrr.rng import stream
-from fedrr.shuffling import ClientMode, DataMode, DataPermutations, ShuffleMode, build_cohort_schedule
+from fedrr.shuffling import ClientMode, DataMode, DataPermutations, ScheduleError, ShuffleMode, build_cohort_schedule
 
 
 def unit_quadratic(M=1, N=2, d=1):
@@ -138,7 +138,7 @@ def test_global_collapse_is_exact():
     bounds = _batch_bounds(problem.N, problem.N)
     for t in range(2):
         perms = DataPermutations(problem.N, 0, cfg.seed)  # shuffle-once data
-        sched = build_cohort_schedule(problem.M, 2, cfg.shuffle, t, cfg.seed)
+        sched = build_cohort_schedule(problem.M, 2, 0, cfg.seed)  # shuffle-once clients
         for r, cohort in enumerate(sched.cohorts):
             g, _ = _cohort_update(problem, cohort, x, cfg.steps.gamma, perms, bounds, t, r)
             x = x - cfg.steps.eta * g
@@ -151,7 +151,7 @@ def test_rrcli_reshuffling_visits_every_client():
     opt = problem.analytic_optimum()
     mode = ShuffleMode(client_mode=ClientMode.RESHUFFLING, data_mode=DataMode.RESHUFFLING)
     for t in range(4):
-        sched = build_cohort_schedule(problem.M, 2, mode, t, seed=5)
+        sched = build_cohort_schedule(problem.M, 2, t, seed=5)
         flat = sorted(m for c in sched.cohorts for m in c)
         assert flat == list(range(problem.M))
     cfg = make_cfg(problem, "rrcli", C=2, T=4, gamma=0.005, shuffle=mode, seed=5)
@@ -183,10 +183,7 @@ def test_nastya_coupling_with_rrcli(monkeypatch):
     T = 3
     rr_cfg = make_cfg(problem, "rrcli", C=2, T=T, gamma=0.005, shuffle=mode, seed=4)
     rr = run_algorithm(problem, rr_cfg, opt)
-    cohorts = []
-    for t in range(T):
-        cohorts.extend(build_cohort_schedule(problem.M, 2, mode, t, seed=4).cohorts)
-    force_nastya_cohorts(monkeypatch, cohorts)
+    force_nastya_cohorts(monkeypatch, build_cohort_schedule(problem.M, 2, 0, seed=4).cohorts * T)
     na_cfg = make_cfg(problem, "nastya", C=2, T=T, gamma=0.005, shuffle=mode, seed=4)
     na = run_algorithm(problem, na_cfg, opt)
     assert [p.dist_sq for p in na.points] == [p.dist_sq for p in rr.points]
@@ -336,6 +333,49 @@ def test_data_permutations_drawn_once_per_data_epoch(monkeypatch, algorithm, dat
     assert max(draws.values()) == 1
     data_epochs = cfg.T * (problem.M // cfg.C if algorithm == "nastya" else 1)
     assert {t for t, _ in draws} == ({0} if data_mode is DataMode.SHUFFLE_ONCE else set(range(data_epochs)))
+
+
+@pytest.mark.parametrize("client_mode", list(ClientMode))
+def test_client_permutations_drawn_once_per_client_epoch(monkeypatch, client_mode):
+    # an rrcli run draws its client order once, from stream epoch 0, under shuffle-once;
+    # once per meta-epoch under reshuffling; and never from a fixed schedule
+    draws = []
+
+    def counting_stream(seed, label, *parts):
+        if label == "client_perm":
+            draws.append(parts)
+        return stream(seed, label, *parts)
+
+    monkeypatch.setattr(shuffling, "stream", counting_stream)
+    problem = hetero_quadratic()
+    fixed = FIXED_PLAN if client_mode is ClientMode.DETERMINISTIC_FIXED else None
+    shuffle = ShuffleMode(client_mode=client_mode, fixed_schedule=fixed)
+    cfg = make_cfg(problem, "rrcli", C=2, T=3, gamma=0.004, shuffle=shuffle, seed=3)
+    run_algorithm(problem, cfg, problem.analytic_optimum())
+    expected = {ClientMode.SHUFFLE_ONCE: [(0,)], ClientMode.RESHUFFLING: [(0,), (1,), (2,)]}
+    assert draws == expected.get(client_mode, [])
+
+
+def test_fixed_schedule_checked_before_the_first_round(monkeypatch):
+    # a one-meta-epoch run never reaches the bad second epoch, yet the whole schedule is checked
+    problem = hetero_quadratic()
+    bad = (FIXED_PLAN[0], ((0, 1), (2, 3), (4, 4)))
+    shuffle = ShuffleMode(client_mode=ClientMode.DETERMINISTIC_FIXED, fixed_schedule=bad)
+    cfg = make_cfg(problem, "rrcli", C=2, T=1, gamma=0.004, shuffle=shuffle)
+    monkeypatch.setattr(optimizer, "_cohort_update", lambda *args: pytest.fail("a round ran"))
+    with pytest.raises(ScheduleError, match="not a partition of clients into R cohorts of C"):
+        run_algorithm(problem, cfg, problem.analytic_optimum())
+
+
+def test_fixed_schedule_of_numpy_ids_draws_the_same_streams():
+    problem = hetero_quadratic()
+    numpy_plan = tuple(tuple(tuple(np.int64(m) for m in cohort) for cohort in epoch) for epoch in FIXED_PLAN)
+    traces = []
+    for plan in (FIXED_PLAN, numpy_plan):
+        shuffle = ShuffleMode(ClientMode.DETERMINISTIC_FIXED, DataMode.RESHUFFLING, plan)
+        cfg = make_cfg(problem, "rrcli", C=2, T=3, gamma=0.004, shuffle=shuffle, seed=2)
+        traces.append(trace_values(run_algorithm(problem, cfg, problem.analytic_optimum())))
+    assert traces[0] == traces[1]
 
 
 def test_fedavg_divergence_reports_epoch_in_progress():

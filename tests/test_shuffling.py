@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from eager_reference import eager_data_perms, fisher_yates_loop
 from fedrr.rng import stream
 from fedrr.shuffling import (
-    ClientMode,
     DataMode,
     DataPermutations,
     ScheduleError,
     ShuffleMode,
     build_cohort_schedule,
+    check_fixed_schedule,
     fisher_yates,
 )
 
@@ -108,43 +108,34 @@ def test_composed_order_uniform():
 
 
 def test_cohort_schedule_partition_property():
-    mode = ShuffleMode(client_mode=ClientMode.RESHUFFLING)
     for t in range(5):
-        sched = build_cohort_schedule(12, 3, mode, t, seed=4)
+        sched = build_cohort_schedule(12, 3, t, seed=4)
         assert len(sched.cohorts) == 4 and len(sched.cohorts[0]) == 3
         flat = sorted(m for cohort in sched.cohorts for m in cohort)
         assert flat == list(range(12))
 
 
 def test_cohort_schedule_full_participation():
-    sched = build_cohort_schedule(5, 5, ShuffleMode(), 0, seed=0)
+    sched = build_cohort_schedule(5, 5, 0, seed=0)
     assert len(sched.cohorts) == 1
     assert sorted(sched.cohorts[0]) == list(range(5))
 
 
-def test_cohort_schedule_modes():
-    once = ShuffleMode(client_mode=ClientMode.SHUFFLE_ONCE)
-    reshuffle = ShuffleMode(client_mode=ClientMode.RESHUFFLING)
-    assert build_cohort_schedule(12, 3, once, 0, 7) == build_cohort_schedule(12, 3, once, 5, 7)
-    drawn = {build_cohort_schedule(12, 3, reshuffle, t, 7).cohorts for t in range(6)}
-    assert len(drawn) > 1
-
-
 def test_cohort_schedule_indivisible():
     with pytest.raises(ScheduleError):
-        build_cohort_schedule(10, 3, ShuffleMode(), 0, 0)
+        build_cohort_schedule(10, 3, 0, 0)
 
 
-def test_fixed_schedule_applied_and_validated():
+def test_fixed_schedule_check():
     plan = (((0, 1), (2, 3)), ((3, 2), (1, 0)))
-    mode = ShuffleMode(client_mode=ClientMode.DETERMINISTIC_FIXED, fixed_schedule=plan)
-    assert build_cohort_schedule(4, 2, mode, 0, 0).cohorts == ((0, 1), (2, 3))
-    assert build_cohort_schedule(4, 2, mode, 1, 0).cohorts == ((3, 2), (1, 0))
-    # reused cyclically
-    assert build_cohort_schedule(4, 2, mode, 2, 0).cohorts == ((0, 1), (2, 3))
-    bad = ShuffleMode(client_mode=ClientMode.DETERMINISTIC_FIXED, fixed_schedule=(((0, 1), (1, 3)),))
-    with pytest.raises(ScheduleError):
-        build_cohort_schedule(4, 2, bad, 0, 0)
+    assert check_fixed_schedule(4, 2, plan) == plan
+    ids = check_fixed_schedule(4, 2, tuple(tuple(tuple(np.int64(m) for m in c) for c in e) for e in plan))
+    assert ids == plan and all(type(m) is int for e in ids for c in e for m in c)
+    with pytest.raises(ScheduleError, match="requires a fixed schedule"):
+        check_fixed_schedule(4, 2, ())
+    for bad in ((((0, 1), (1, 3)),), (plan[0], ((0, 1, 2, 3),)), (((0, 1), (2, 3), (4, 5)),)):
+        with pytest.raises(ScheduleError, match="not a partition of clients into R cohorts of C"):
+            check_fixed_schedule(4, 2, bad)
 
 
 def all_data_perms(M, N, stream_epoch, seed):
