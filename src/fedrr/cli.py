@@ -1,8 +1,8 @@
 """Command-line entry points: run experiments, verify variance formulas,
 solve optima.
 
-Exit codes: 0 success, 2 configuration error, 3 all runs diverged,
-4 verification or optimum-solver failure.
+Exit codes: 0 success, 2 configuration error, 3 every run of some algorithm
+diverged (with one multiplier or many), 4 verification or optimum-solver failure.
 """
 
 from __future__ import annotations

@@ -36,8 +36,8 @@ from .optimizer import (
     DivergenceError,
     RunTrace,
     StepSizes,
-    _pass_length,
     check_run_settings,
+    pass_length,
     run_algorithm,
 )
 from .problem import FederatedProblem, Optimum, logistic_problem, optimum_at, quadratic_problem, solve_optimum
@@ -261,7 +261,7 @@ def algorithm_steps(algorithm: str, problem: FederatedProblem, cfg: ExperimentCo
     so the collapse relations are preserved.
     """
     R = problem.M // cfg.C
-    S = _pass_length(algorithm, problem.N, cfg.local_steps)
+    S = pass_length(algorithm, problem.N, cfg.local_steps)
     if algorithm in (RRCLI, RRCLI_WITH_REPLACEMENT):
         base = theoretical_steps(RegimeParams(regime=cfg.regime, L=problem.L, mu=problem.mu, M=problem.M, N=S, C=cfg.C))
     else:  # nastya or fedavg: ExperimentConfig and AlgoConfig reject any other name
@@ -284,7 +284,8 @@ class RunResult:
 
 def _execute_run(problem, optimum, algo_cfg: AlgoConfig, multiplier: float, replicate: int) -> RunResult:
     try:
-        trace = run_algorithm(problem, algo_cfg, optimum)
+        with np.errstate(all="ignore"):  # a diverging run's warnings would repeat what its DivergenceError records
+            trace = run_algorithm(problem, algo_cfg, optimum)
         return RunResult(algo_cfg.algorithm, multiplier, replicate, algo_cfg.seed, trace, diverged=False)
     except DivergenceError as exc:
         return RunResult(algo_cfg.algorithm, multiplier, replicate, algo_cfg.seed, None, diverged=True, error=str(exc))
@@ -340,9 +341,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     else:
         results = [_execute_run(problem, optimum, *job) for job in jobs]
 
-    # chosen before any file is written, so a sweep in which every multiplier
-    # of an algorithm diverged leaves the previous outputs as they were
-    best = select_best_multiplier(results) if len(cfg.multipliers) > 1 else None
+    # chosen before any file is written, with one multiplier or many, so a grid in
+    # which every run of an algorithm diverged leaves the previous outputs as they were
+    best = select_best_multiplier(results)
     groups = _finished_groups(results)
     # every finished point in grid order, with the leading columns runs.csv and timings.csv share
     points = [
@@ -358,10 +359,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     for algorithm in ALGORITHMS:
         if algorithm not in cfg.algorithms:
             (out / f"aggregate_{algorithm}.csv").unlink(missing_ok=True)
-    if best is not None:
+    if len(cfg.multipliers) > 1:  # only a sweep reports its choice
         with _atomic_write(out / "best_multipliers.json") as fh:
             json.dump(best, fh, indent=2, sort_keys=True)
     else:
+        best = None
         (out / "best_multipliers.json").unlink(missing_ok=True)
 
     manifest = {
@@ -378,17 +380,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
             "sigma_tilde_star2": sigma_tilde_star2,
             "grad_norm_at_optimum": optimum.grad_norm,
         },
-        "runs": [
-            {
-                "algorithm": r.algorithm,
-                "multiplier": r.multiplier,
-                "replicate": r.replicate,
-                "seed": r.seed,
-                "diverged": r.diverged,
-                "error": r.error,
-            }
-            for r in results
-        ],
+        "runs": [{k: getattr(r, k) for k in ("algorithm", "multiplier", "replicate", "seed", "diverged", "error")} for r in results],
         "diverged_count": sum(r.diverged for r in results),
         "version": __version__,
     }

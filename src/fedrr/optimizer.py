@@ -9,8 +9,10 @@ pre-computed optimum.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 import numpy as np
 
 from .problem import FederatedProblem, Optimum
@@ -40,10 +42,10 @@ COLLAPSE_TOL = 1e-12
 
 
 class DivergenceError(RuntimeError):
-    def __init__(self, message: str, meta_epoch: int | None = None, round_index: int | None = None):
+    def __init__(self, message: str, meta_epoch=None, round_index=None, client=None, iterate_norm=None):
         super().__init__(message)
-        self.meta_epoch = meta_epoch
-        self.round_index = round_index
+        self.meta_epoch, self.round_index = meta_epoch, round_index
+        self.client, self.iterate_norm = client, iterate_norm  # the client whose local pass ended non-finite, or None
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,7 @@ def apply_decay(steps: StepSizes, epochs_passed: float) -> StepSizes:
     return replace(steps, gamma=steps.gamma * f, eta=steps.eta * f, theta=steps.theta * f)
 
 
-def _pass_length(algorithm: str, N: int, local_steps: int | None) -> int:
+def pass_length(algorithm: str, N: int, local_steps: int | None) -> int:
     """Local steps S per client pass, the pass length of the step-size relations.
 
     A shuffled pass cuts N points into min(local_steps, N) batches (default
@@ -146,28 +148,36 @@ def _batch_bounds(N: int, S: int) -> tuple[tuple[int, int], ...]:
 def _check_iterate(x, t, r):
     # a NaN or infinite entry makes x @ x NaN or inf, so this also catches them
     if not float(x @ x) <= DIVERGENCE_NORM_CAP**2:
-        raise DivergenceError(f"divergence at meta-epoch {t}, round {r}", meta_epoch=t, round_index=r)
+        raise DivergenceError(f"divergence at meta-epoch {t}, round {r}", t, r, iterate_norm=math.hypot(*x))
 
 
-def _cohort_update(problem, cohort, x, gamma, order, bounds, meta_epoch, round_index):
-    """Mean pseudo-gradient and mean end point of a cohort whose client m passes over ``order[m]``.
+class Round(NamedTuple):
+    """One round of a run's plan: client ``clients[i]`` steps over ``rows[i][a:b]`` for each (a, b) in ``bounds``."""
 
-    One ``problem.cohort_pass`` call runs every pass from x in the steps
-    ``bounds``; g = (x - x_end)/(gamma*S) makes the server step at
-    eta = gamma*S model averaging.  As a per-client loop in client-id order
-    would, the first non-finite client alone warns or raises under the
-    caller's error state, then raises :class:`DivergenceError` that names it
-    and the round, and the clients are summed from zeros.
+    meta_epoch: int
+    round_index: int
+    clients: tuple[int, ...]  # the cohort, in client-id order
+    rows: np.ndarray  # (C, L) data order of each client's pass; the round costs rows.size gradient evaluations
+    bounds: tuple[tuple[int, int], ...]  # the S steps of a pass
+
+
+def _cohort_update(problem, rnd: Round, x, gamma):
+    """Mean pseudo-gradient and mean end point of a round's cohort, every client passing from x.
+
+    One ``problem.cohort_pass`` call runs every pass; g = (x - x_end)/(gamma*S)
+    makes the server step at eta = gamma*S model averaging.  As a per-client
+    loop in client-id order would, the first non-finite client alone warns or
+    raises under the caller's error state, then raises :class:`DivergenceError`
+    with it, the round and its end point's norm; clients are summed from zeros.
     """
-    ms = sorted(cohort)
-    rows = np.array([order[m] for m in ms])
+    t, r, ms, rows, bounds = rnd
     with np.errstate(over="ignore", invalid="ignore"):
         X = problem.cohort_pass(ms, x, gamma, rows, bounds)
     if not np.isfinite(X).all():
         i = int(np.isfinite(X).all(axis=1).argmin())
         problem.cohort_pass(ms[i : i + 1], x, gamma, rows[i : i + 1], bounds)  # its warnings, or its raise
-        where = f"meta-epoch {meta_epoch}, round {round_index}"
-        raise DivergenceError(f"non-finite iterate in local pass of client {ms[i]} at {where}", meta_epoch, round_index)
+        where = f"meta-epoch {t}, round {r}"
+        raise DivergenceError(f"non-finite iterate in local pass of client {ms[i]} at {where}", t, r, ms[i], math.hypot(*X[i]))
     G = (x - X) / (gamma * len(bounds))
     g = np.zeros(problem.d)
     x_end_sum = np.zeros(problem.d)
@@ -182,51 +192,56 @@ def _sampled_cohort(M, C, seed, label, *parts):
     return tuple(int(m) for m in fisher_yates(M, stream(seed, label, *parts))[:C])
 
 
-def _round_plan(problem: FederatedProblem, cfg: AlgoConfig, S: int, batch: int):
-    """Yield ``(meta_epoch, round, cohort, data order)`` for every round of a run.
+def round_plan(problem: FederatedProblem, cfg: AlgoConfig):
+    """Yield every :class:`Round` of a run in order: who trains, on which data order, in which steps.
 
-    rrcli walks the R disjoint cohorts of each meta-epoch's schedule; rrcli-wr
-    draws each of the R cohorts independently; nastya draws one cohort per
-    round and its data epoch is the round; fedavg draws one cohort per round
-    until the epoch budget is spent.  The data order is the lazy data
-    permutations, or for fedavg each client's S sorted minibatches of
-    ``batch`` points, one after the other.  Under shuffle-once the client
-    schedule and the data permutations (stream epoch 0) are each built once
-    per run; under reshuffling, once per epoch.  rrcli checks a fixed client
-    schedule once, before its first round, and cycles through its epochs.
+    rrcli walks the R = M/C disjoint cohorts of each meta-epoch's schedule;
+    rrcli-wr draws each of the R cohorts independently; nastya draws one
+    cohort per round and its data epoch is the round; fedavg draws one cohort
+    per round until T*M*N evaluations are spent.  A client passes over its
+    data permutation in S = ``pass_length`` batches, or for fedavg over S sorted
+    minibatches of max(1, round(batch_fraction*N)) points, one after the other.
+    Under shuffle-once the client schedule and the data permutations (stream
+    epoch 0) are each built once per run; under reshuffling, once per epoch.
+    Before the first round, a cohort size that does not fit M raises
+    ValueError and a fixed client schedule is checked, then cycled through.
     """
     M, N, C = problem.M, problem.N, cfg.C
+    if cfg.algorithm == FEDAVG and C > M:
+        raise ValueError(f"cohort size {C} exceeds client count {M}")
+    if cfg.algorithm != FEDAVG and M % C != 0:
+        raise ValueError(f"cohort size {C} does not divide client count {M}")
     R = M // C
-    perms = cohorts = None
-    once = cfg.shuffle.data_mode is DataMode.SHUFFLE_ONCE
+    S = pass_length(cfg.algorithm, N, cfg.local_steps)
     if cfg.algorithm == FEDAVG:
+        batch = max(1, int(round(cfg.batch_fraction * N)))
+        bounds = _batch_bounds(S * batch, S)
         per_round = C * S * batch
         for k in range(-(-cfg.T * M * N // per_round)):
-            cohort = _sampled_cohort(M, C, cfg.seed, "fedavg_cohort", k)
-            rows = {}
-            for m in sorted(cohort):
-                rng = stream(cfg.seed, "fedavg_batches", k, m)
-                rows[m] = np.concatenate([np.sort(rng.choice(N, batch, replace=False)) for _ in range(S)])
-            yield k * per_round // (M * N), k, cohort, rows
-    elif cfg.algorithm == NASTYA:
-        for k in range(cfg.T * R):
-            if perms is None or not once:
-                perms = DataPermutations(N, k, cfg.seed)
-            yield k // R, k % R, _sampled_cohort(M, C, cfg.seed, "nastya_cohort", k), perms
-    else:
-        fixed = cfg.algorithm == RRCLI and cfg.shuffle.client_mode is ClientMode.DETERMINISTIC_FIXED
-        schedule = check_fixed_schedule(M, C, cfg.shuffle.fixed_schedule) if fixed else None
-        for t in range(cfg.T):
-            if perms is None or not once:
-                perms = DataPermutations(N, t, cfg.seed)
-            if cfg.algorithm == RRCLI_WITH_REPLACEMENT:
-                cohorts = (_sampled_cohort(M, C, cfg.seed, "wr_cohort", t, r) for r in range(R))
-            elif fixed:
-                cohorts = schedule[t % len(schedule)]
-            elif cohorts is None or cfg.shuffle.client_mode is ClientMode.RESHUFFLING:
-                cohorts = build_cohort_schedule(M, C, t, cfg.seed).cohorts
-            for r, cohort in enumerate(cohorts):
-                yield t, r, cohort, perms
+            ms = tuple(sorted(_sampled_cohort(M, C, cfg.seed, "fedavg_cohort", k)))
+            rngs = (stream(cfg.seed, "fedavg_batches", k, m) for m in ms)
+            rows = [np.concatenate([np.sort(rng.choice(N, batch, replace=False)) for _ in range(S)]) for rng in rngs]
+            yield Round(k * per_round // (M * N), k, ms, np.array(rows), bounds)
+        return
+    bounds = _batch_bounds(N, S)
+    fixed = cfg.algorithm == RRCLI and cfg.shuffle.client_mode is ClientMode.DETERMINISTIC_FIXED
+    schedule = check_fixed_schedule(M, C, cfg.shuffle.fixed_schedule) if fixed else None
+    perms = cohorts = None
+    for t in range(cfg.T):
+        if cfg.algorithm == NASTYA:
+            cohorts = (_sampled_cohort(M, C, cfg.seed, "nastya_cohort", t * R + r) for r in range(R))
+        elif cfg.algorithm == RRCLI_WITH_REPLACEMENT:
+            cohorts = (_sampled_cohort(M, C, cfg.seed, "wr_cohort", t, r) for r in range(R))
+        elif fixed:
+            cohorts = schedule[t % len(schedule)]
+        elif cohorts is None or cfg.shuffle.client_mode is ClientMode.RESHUFFLING:
+            cohorts = build_cohort_schedule(M, C, t, cfg.seed).cohorts
+        for r, cohort in enumerate(cohorts):
+            data_epoch = t * R + r if cfg.algorithm == NASTYA else t
+            if perms is None or cfg.shuffle.data_mode is DataMode.RESHUFFLING and perms.t != data_epoch:
+                perms = DataPermutations(N, data_epoch, cfg.seed)
+            ms = tuple(sorted(cohort))
+            yield Round(t, r, ms, np.array([perms[m] for m in ms]), bounds)
 
 
 def run_algorithm(problem: FederatedProblem, cfg: AlgoConfig, optimum: Optimum) -> RunTrace:
@@ -242,32 +257,24 @@ def run_algorithm(problem: FederatedProblem, cfg: AlgoConfig, optimum: Optimum) 
     T*M*N.
     """
     M, N = problem.M, problem.N
-    if cfg.algorithm == FEDAVG and cfg.C > M:
-        raise ValueError(f"cohort size {cfg.C} exceeds client count {M}")
-    if cfg.algorithm != FEDAVG and M % cfg.C != 0:
-        raise ValueError(f"cohort size {cfg.C} does not divide client count {M}")
     R = M // cfg.C
-    S = _pass_length(cfg.algorithm, N, cfg.local_steps)
-    batch = max(1, int(round(cfg.batch_fraction * N)))  # fedavg only
-    # a fedavg client runs its S minibatches one after the other in one pass
-    bounds = _batch_bounds(S * batch if cfg.algorithm == FEDAVG else N, S)
-    per_round = cfg.C * bounds[-1][1]
     shuffled = cfg.algorithm in (RRCLI, RRCLI_WITH_REPLACEMENT)
     t0 = time.perf_counter()
     x = np.zeros(problem.d) if cfg.x0 is None else np.array(cfg.x0, dtype=np.float64)
     trace = RunTrace()
     evals = recorded = 0
     trace.record(problem, optimum, x, evals, t0)
-    for t, r, cohort, order in _round_plan(problem, cfg, S, batch):
+    for rnd in round_plan(problem, cfg):
+        t, r = rnd.meta_epoch, rnd.round_index
         steps = apply_decay(cfg.steps, evals // (M * N)) if cfg.decay else cfg.steps
         if shuffled and r == 0:
             x_meta = x  # the global step starts from here
-        g, mean_end = _cohort_update(problem, cohort, x, steps.gamma, order, bounds, t, r)
-        evals += per_round
+        g, mean_end = _cohort_update(problem, rnd, x, steps.gamma)
+        evals += rnd.rows.size
         x = x - steps.eta * g
         _check_iterate(x, t, r)
         if shuffled:
-            if steps.eta == steps.gamma * S:
+            if steps.eta == steps.gamma * len(rnd.bounds):
                 scale = max(1.0, float(np.abs(x).max()))
                 if float(np.abs(x - mean_end).max()) > COLLAPSE_TOL * scale:
                     raise AssertionError("server iterate deviates from cohort mean under eta = gamma*S")

@@ -78,7 +78,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from fedrr.optimizer import DivergenceError, RunTrace, TracePoint, apply_decay
+from fedrr.optimizer import DivergenceError, Round, RunTrace, TracePoint, apply_decay
 from fedrr.problem import LogisticProblem, Optimum, QuadraticProblem, SolverError, _converged, _sigmoid
 from fedrr.rng import stream
 from fedrr.shuffling import ClientMode, DataMode
@@ -169,6 +169,12 @@ def eager_cohorts(M, C, mode, t, seed):
 
 def sampled_cohort(M, C, seed, label, *parts):
     return fisher_yates_loop(M, stream(seed, label, *parts))[:C]
+
+
+def plan_round(cohort, order, bounds, meta_epoch=0, round_index=0):
+    """The ``optimizer.Round`` in which each client m of ``cohort`` passes over ``order[m]``, in client-id order."""
+    ms = tuple(sorted(int(m) for m in cohort))
+    return Round(meta_epoch, round_index, ms, np.array([order[m] for m in ms]), bounds)
 
 
 def aggregate_cohort_loop(problem, cohort, x, gamma, perms, local_steps):

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from eager_reference import component_gradient
+from eager_reference import component_gradient, plan_round
 from fedrr import harness
 from fedrr.dataset import partition, synthetic_libsvm_like
 from fedrr.harness import ExperimentConfig, run_experiment
@@ -192,7 +192,7 @@ def test_04_collapse_identities():
         perms = DataPermutations(4, t, cfg.seed)  # reshuffling data
         sched = build_cohort_schedule(6, 2, t, cfg.seed)
         for r, cohort in enumerate(sched.cohorts):
-            g, mean_end = _cohort_update(problem, cohort, x, gamma, perms, _batch_bounds(4, 4), t, r)
+            g, mean_end = _cohort_update(problem, plan_round(cohort, perms, _batch_bounds(4, 4), t, r), x, gamma)
             x = x - steps.eta * g
             worst = max(worst, float(np.abs(x - mean_end).max()))
         delta = x - opt.x_star

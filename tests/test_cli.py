@@ -104,11 +104,9 @@ def test_all_diverging_sweep_leaves_a_used_out_dir_as_it_was(tmp_path, capsys):
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     assert main(["run", "--config", str(cfg_path), "--out", str(out), "--multipliers", "1e6,1e7"]) == EXIT_DIVERGED
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
-    # with one multiplier there is nothing to select: the diverged runs are written and counted
-    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--multipliers", "1e6"]) == EXIT_OK
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["multipliers"] == [1e6]
-    assert manifest["diverged_count"] == len(manifest["runs"]) == 1
+    # one multiplier is held to the same rule: every run of rrcli diverged, so nothing is written
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--multipliers", "1e6"]) == EXIT_DIVERGED
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_run_command_decay_flag_reaches_the_manifest(tmp_path, capsys):
@@ -493,6 +491,7 @@ def fedrr_process(args, cwd, **env):
     """``python -m fedrr.cli *args`` in a new interpreter with ``src/`` on its path; a hang fails after 120 s."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     environ = {**os.environ, "PYTHONPATH": path, "FEDRR_WORKERS": "1", **env}
+    environ = {k: v for k, v in environ.items() if v is not None}  # an env value of None unsets the variable
     command = [sys.executable, "-m", "fedrr.cli", *args]
     return subprocess.run(command, cwd=cwd, env=environ, capture_output=True, text=True, timeout=120)
 
@@ -536,6 +535,18 @@ def test_all_diverging_sweep_in_a_process_exits_3_and_leaves_the_out_dir_as_it_w
     done = fedrr_process(run + ["--multipliers", "1e6,1e7"], tmp_path)
     assert (done.returncode, done.stdout, done.stderr) == (EXIT_DIVERGED, "", "divergence: all runs diverged for algorithm 'rrcli'\n")
     assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == before
+
+
+@pytest.mark.parametrize("workers", [None, "2"], ids=["workers-unset", "two-workers"])
+@pytest.mark.parametrize("multipliers", ["1e308", "1e308,1e307"], ids=["one-multiplier", "sweep"])
+def test_diverging_grid_in_a_process_exits_3_with_one_line_and_writes_nothing(tmp_path, multipliers, workers):
+    # every run of every algorithm diverges; their floating-point warnings, in pool workers too, stay off stderr
+    (tmp_path / "cfg.json").write_text(json.dumps(QUAD_CFG))
+    run = ["run", "--config", "cfg.json", "--out", "out", "--algo", "fedavg,nastya,rrcli", "--multipliers", multipliers]
+    done = fedrr_process(run, tmp_path, FEDRR_WORKERS=workers)
+    assert (done.returncode, done.stdout) == (EXIT_DIVERGED, "")
+    assert done.stderr == "divergence: all runs diverged for algorithm 'fedavg'\n"
+    assert [p for p in (tmp_path / "out").rglob("*") if p.is_file()] == []
 
 
 def test_cold_and_warm_runs_in_interpreters_with_different_hash_seeds_write_the_same_bytes(tmp_path):

@@ -32,6 +32,7 @@ from eager_reference import (
     local_pass_loop,
     logistic_local_pass,
     objective_value_loop,
+    plan_round,
     quadratic_problem_loop,
 )
 from fedrr.dataset import partition, synthetic_libsvm_like
@@ -63,7 +64,7 @@ def make_quadratic(N, d, seed, underflow, zero_centers, M=M):
 def round_update(problem, cohort, x, gamma, perms, local_steps, meta_epoch=0, round_index=0):
     """``_cohort_update`` of a shuffled round: S batches of each client's permutation."""
     bounds = _batch_bounds(problem.N, local_steps or problem.N)
-    return _cohort_update(problem, cohort, x, gamma, perms, bounds, meta_epoch, round_index)
+    return _cohort_update(problem, plan_round(cohort, perms, bounds, meta_epoch, round_index), x, gamma)
 
 
 def signed_vector(d):

@@ -1,11 +1,12 @@
 import collections
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eager_reference import component_gradient, eager_run
+from eager_reference import component_gradient, eager_run, plan_round
 from fedrr import optimizer, shuffling
 from fedrr.optimizer import (
     ALGORITHMS,
@@ -15,8 +16,9 @@ from fedrr.optimizer import (
     _batch_bounds,
     _check_iterate,
     _cohort_update,
-    _pass_length,
     apply_decay,
+    pass_length,
+    round_plan,
     run_algorithm,
 )
 from fedrr.problem import QuadraticProblem, quadratic_problem
@@ -37,8 +39,8 @@ def hetero_quadratic(seed=0, M=6, C=2, N=4, d=5):
 
 def one_client_pass(problem, m, x_start, gamma, perm, local_steps=None):
     """Client m's pass alone, as a one-client round update: (end point, pseudo-gradient)."""
-    bounds = _batch_bounds(problem.N, _pass_length("rrcli", problem.N, local_steps))
-    g, x_end = _cohort_update(problem, (m,), x_start, gamma, {m: perm}, bounds, 0, 0)
+    bounds = _batch_bounds(problem.N, pass_length("rrcli", problem.N, local_steps))
+    g, x_end = _cohort_update(problem, plan_round((m,), {m: perm}, bounds), x_start, gamma)
     return x_end, g
 
 
@@ -140,7 +142,7 @@ def test_global_collapse_is_exact():
         perms = DataPermutations(problem.N, 0, cfg.seed)  # shuffle-once data
         sched = build_cohort_schedule(problem.M, 2, 0, cfg.seed)  # shuffle-once clients
         for r, cohort in enumerate(sched.cohorts):
-            g, _ = _cohort_update(problem, cohort, x, cfg.steps.gamma, perms, bounds, t, r)
+            g, _ = _cohort_update(problem, plan_round(cohort, perms, bounds, t, r), x, cfg.steps.gamma)
             x = x - cfg.steps.eta * g
         delta = x - opt.x_star
         assert trace.points[t + 1].dist_sq == float(delta @ delta)
@@ -392,6 +394,9 @@ def test_fedavg_divergence_reports_epoch_in_progress():
         run_algorithm(problem, cfg, opt)
     assert (info.value.meta_epoch, info.value.round_index) == (12, 12)
     assert "meta-epoch 12, round 12" in str(info.value)
+    # the server iterate, not a client's pass, left the cap: no client, and the iterate's norm
+    assert info.value.client is None
+    assert info.value.iterate_norm == pytest.approx(5e12, rel=1e-12)
 
 
 def test_fedavg_non_finite_client_iterate_carries_position():
@@ -404,6 +409,37 @@ def test_fedavg_non_finite_client_iterate_carries_position():
     with pytest.raises(DivergenceError, match="^non-finite iterate in local pass of client 0 at meta-epoch 0, round 0$") as info, np.errstate(over="ignore"):
         run_algorithm(problem, cfg, opt)
     assert (info.value.meta_epoch, info.value.round_index) == (0, 0)
+    # x^2/2 from x = 1 at gamma 1e200: 1 -> -1e200 -> inf, so the client's end point is inf
+    assert (info.value.client, info.value.iterate_norm) == (0, math.inf)
+
+
+def test_divergence_error_of_a_local_pass_names_the_client_and_its_end_points_norm():
+    # client 1 of the pair (1/2)(x - c_m)^2, c = (0, 1), at gamma 1e200 goes 0 -> 1e200 -> -inf;
+    # client 0 stays at 0, and the error is raised in the cohort's first round
+    H = np.ones((2, 2, 1, 1))
+    centers = np.zeros((2, 2, 1))
+    centers[1] = 1.0
+    problem = QuadraticProblem(H, centers, mu=1.0, L=1.0)
+    cfg = make_cfg(problem, "rrcli", C=2, T=1, gamma=1e200)
+    with pytest.raises(DivergenceError, match="local pass of client 1 at meta-epoch 0, round 0") as info, np.errstate(
+        over="ignore", invalid="ignore"
+    ):
+        run_algorithm(problem, cfg, problem.analytic_optimum())
+    assert (info.value.client, info.value.iterate_norm) == (1, math.inf)
+
+
+def test_divergence_error_of_the_iterate_check_carries_its_norm():
+    with pytest.raises(DivergenceError) as info:
+        _check_iterate(np.array([3e12, -4e12]), 2, 0)
+    assert (info.value.meta_epoch, info.value.round_index, info.value.client) == (2, 0, None)
+    assert info.value.iterate_norm == 5e12
+    # entries whose squares overflow still give their norm, and a NaN entry a NaN norm
+    with pytest.raises(DivergenceError) as info, np.errstate(over="ignore"):
+        _check_iterate(np.array([3e200, 4e200]), 0, 1)
+    assert info.value.iterate_norm == pytest.approx(5e200, rel=1e-15)
+    with pytest.raises(DivergenceError) as info:
+        _check_iterate(np.array([1.0, np.nan]), 0, 1)
+    assert math.isnan(info.value.iterate_norm)
 
 
 @pytest.mark.parametrize("algorithm", ["rrcli", "rrcli-wr", "nastya"])
@@ -433,9 +469,9 @@ def test_check_iterate_rejects_non_finite_and_huge(value):
 
 def test_pass_length():
     # a shuffled pass has at most N steps; a fedavg client takes local_steps minibatch steps
-    assert [_pass_length(a, 4, None) for a in ("rrcli", "rrcli-wr", "nastya", "fedavg")] == [4, 4, 4, 10]
-    assert [_pass_length(a, 4, 8) for a in ("rrcli", "rrcli-wr", "nastya", "fedavg")] == [4, 4, 4, 8]
-    assert [_pass_length(a, 4, 3) for a in ("rrcli", "rrcli-wr", "nastya", "fedavg")] == [3, 3, 3, 3]
+    assert [pass_length(a, 4, None) for a in ("rrcli", "rrcli-wr", "nastya", "fedavg")] == [4, 4, 4, 10]
+    assert [pass_length(a, 4, 8) for a in ("rrcli", "rrcli-wr", "nastya", "fedavg")] == [4, 4, 4, 8]
+    assert [pass_length(a, 4, 3) for a in ("rrcli", "rrcli-wr", "nastya", "fedavg")] == [3, 3, 3, 3]
 
 
 def test_local_steps_must_be_positive():
@@ -485,6 +521,46 @@ def test_last_trace_point_holds_the_run_total(spec):
     trace = run_algorithm(problem, cfg, problem.analytic_optimum())
     total = T * problem.M * problem.N
     if algorithm == "fedavg":
-        per_round = C * _pass_length("fedavg", problem.N, local_steps) * max(1, round(batch_fraction * problem.N))
+        per_round = C * pass_length("fedavg", problem.N, local_steps) * max(1, round(batch_fraction * problem.N))
         total = -(-total // per_round) * per_round
     assert trace.points[-1].grad_evals == total
+
+
+@pytest.mark.parametrize("client_mode", list(ClientMode))
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_round_plan_states_every_round(algorithm, client_mode):
+    # T = 3 meta-epochs of a 2-epoch fixed schedule, which the plan cycles through
+    problem = hetero_quadratic(N=5)
+    M, N, C, T = problem.M, problem.N, 2, 3
+    R = M // C
+    fixed = FIXED_PLAN if client_mode is ClientMode.DETERMINISTIC_FIXED else None
+    shuffle = ShuffleMode(client_mode=client_mode, data_mode=DataMode.RESHUFFLING, fixed_schedule=fixed)
+    for local_steps, batch_fraction in ((None, 0.1), (2, 0.5), (9, 1.0)):
+        cfg = make_cfg(problem, algorithm, C, T, 0.004, shuffle=shuffle, local_steps=local_steps, batch_fraction=batch_fraction)
+        S = pass_length(algorithm, N, local_steps)
+        L = S * max(1, round(batch_fraction * N)) if algorithm == "fedavg" else N
+        plan = list(round_plan(problem, cfg))
+        assert len(plan) == (-(-T * M * N // (C * L)) if algorithm == "fedavg" else T * R)
+        for k, rnd in enumerate(plan):
+            assert rnd.clients == tuple(sorted(set(rnd.clients))) and set(rnd.clients) <= set(range(M))
+            assert rnd.rows.shape == (C, L) and len(rnd.bounds) == S
+            assert rnd.bounds[0][0] == 0 and rnd.bounds[-1][1] == L
+            assert all(a < b == c for (a, b), (c, _) in zip(rnd.bounds, rnd.bounds[1:] + ((L, L),)))
+            if algorithm == "fedavg":
+                assert (rnd.meta_epoch, rnd.round_index) == (k * C * L // (M * N), k)
+                assert ((0 <= rnd.rows) & (rnd.rows < N)).all()
+            else:
+                assert (rnd.meta_epoch, rnd.round_index) == divmod(k, R)
+                assert (np.sort(rnd.rows, axis=1) == np.arange(N)).all()  # each row permutes the client's data
+        total = sum(rnd.rows.size for rnd in plan)
+        if algorithm == "fedavg":
+            assert total - C * L < T * M * N <= total
+        else:
+            assert total == T * M * N
+        if algorithm == "rrcli":
+            for t in range(T):
+                assert sorted(m for rnd in plan[t * R : (t + 1) * R] for m in rnd.clients) == list(range(M))
+            if client_mode is ClientMode.SHUFFLE_ONCE:
+                assert [rnd.clients for rnd in plan] == [rnd.clients for rnd in plan[:R]] * T
+            if fixed:
+                assert [rnd.clients for rnd in plan] == [tuple(sorted(c)) for t in range(T) for c in FIXED_PLAN[t % 2]]
