@@ -17,7 +17,6 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -336,6 +335,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     sigma_star2, sigma_tilde_star2 = star_variances(problem, optimum.x_star)
     workers = min(workers, len(jobs))  # the pool starts every worker it is given, needed or not
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, so a one-worker process never loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_execute_run, [problem] * len(jobs), [optimum] * len(jobs), *zip(*jobs)))
     else:
@@ -410,18 +411,23 @@ def select_best_multiplier(results) -> dict:
     """Per algorithm: the multiplier with the smallest final mean distance.
 
     Multipliers whose runs all diverged are excluded; ties break toward the
-    smaller multiplier.  Raises if every multiplier of an algorithm diverged.
+    smaller multiplier.  Raises once, naming each algorithm in sorted order,
+    if every multiplier of some algorithm diverged.
     """
     groups = _finished_groups(results)
+    algorithms = sorted({r.algorithm for r in results})
     out = {}
-    for algorithm in sorted({r.algorithm for r in results}):
+    for algorithm in algorithms:
         candidates = [
             (float(np.mean([r.trace.final_dist_sq() for r in groups[algorithm, m]])), m)
             for m in sorted(m for a, m in groups if a == algorithm)
         ]
-        if not candidates:
-            raise DivergenceError(f"all runs diverged for algorithm {algorithm!r}")
-        out[algorithm] = min(candidates)[1]
+        if candidates:
+            out[algorithm] = min(candidates)[1]
+    diverged = [a for a in algorithms if a not in out]
+    if diverged:
+        plural = "s" if len(diverged) > 1 else ""
+        raise DivergenceError(f"all runs diverged for algorithm{plural} {', '.join(map(repr, diverged))}")
     return out
 
 

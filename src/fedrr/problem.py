@@ -66,6 +66,10 @@ class FederatedProblem:
         """grad f at each row of the (k, d) array ``P``, each row with the bytes of that point's one-point call."""
         raise NotImplementedError
 
+    def client_gradients(self, x: np.ndarray) -> np.ndarray:
+        """The (M, d) array whose row m is client m's mean gradient at ``x``."""
+        raise NotImplementedError
+
     def full_gradient(self, x: np.ndarray) -> np.ndarray:
         """grad f at ``x``: the one-point case of ``full_gradients``."""
         return self.full_gradients(np.asarray(x)[None])[0]

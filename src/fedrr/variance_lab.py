@@ -140,9 +140,34 @@ def _enumerate_sequences(M: int, N: int, C: int) -> np.ndarray:
     return out.reshape(n_client * n_data, C, N * (M // C))
 
 
+# The enumeration guard admits M!*N!^M outcomes only when M, N <= 10, so every block a Gram asks for is kept. The
+# kept blocks (size <= n <= 10) hold at most sum_n n*2^n = 18,434 floats (147,472 bytes), the largest
+# C(10, 5) rows of 10. ``star_sequence_deviation`` may ask for far larger blocks (22 clients at C = 11:
+# 124 MB), which are never kept.
+SUBSETS_KEPT_MAX_N = 10
+
+
+def _subset_rows(n: int, size: int) -> np.ndarray:
+    count = math.comb(n, size)
+    members = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(n), size)), np.intp, count * size
+    ).reshape(count, size)
+    rows = np.zeros((count, n))
+    rows[np.arange(count)[:, None], members] = 1.0
+    rows.setflags(write=False)
+    return rows
+
+
+_kept_subsets = lru_cache(maxsize=None)(_subset_rows)
+
+
 def _subsets(n: int, size: int) -> np.ndarray:
-    """Indicator rows of every ``size``-subset of range(n), in ``itertools`` order."""
-    return np.array([[float(i in c) for i in range(n)] for c in itertools.combinations(range(n), size)])
+    """Read-only indicator rows of every ``size``-subset of range(n), in ``itertools`` order.
+
+    A block with size <= n <= ``SUBSETS_KEPT_MAX_N`` is built once and then
+    shared across prefix lengths and geometries.
+    """
+    return _kept_subsets(n, size) if size <= n <= SUBSETS_KEPT_MAX_N else _subset_rows(n, size)
 
 
 def _class_rows(M: int, N: int, C: int, s: int, j: int) -> tuple[np.ndarray, np.ndarray]:

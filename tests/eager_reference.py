@@ -53,11 +53,12 @@ The variance oracles are the enumeration forms that ``variance_lab`` replaced
 with exact Gram matrices summed over outcome classes: ``enumerate_sequences_loop``
 builds the outcome table one sample at a time, ``prefix_gram_from_table`` walks
 ``variance_lab._enumerate_sequences``'s table in chunks and adds every outcome's
-and group's weight deviations to the Gram, and ``prefix_estimators`` evaluates
-every prefix estimator of every outcome and group on the inputs, which
-``brute_force_all_tensor`` averages.  It averages in long double, so that
-the oracle's own rounding over up to 40,320 outcomes stays far below the
-tolerances it is compared at.  The byte oracles of ``VarianceInputs`` and
+and group's weight deviations to the Gram, ``subsets_per_entry`` builds
+``variance_lab._subsets``'s indicator rows one entry at a time, and
+``prefix_estimators`` evaluates every prefix estimator of every outcome and
+group on the inputs, which ``brute_force_all_tensor`` averages.  It averages
+in long double, so that the oracle's own rounding over up to 40,320 outcomes
+stays far below the tolerances it is compared at.  The byte oracles of ``VarianceInputs`` and
 ``brute_force_all`` are their earlier per-row forms: ``variance_inputs_loop``
 takes the moments with ``np.mean`` and one generator term per sample or
 client, re-centring each row for both sides of its dot, and
@@ -422,6 +423,11 @@ def libsvm_text_per_value(X, labels):
     return "\n".join(lines) + "\n"
 
 
+def subsets_per_entry(n, size):
+    """``variance_lab._subsets``: one ``float(i in c)`` per entry of each ``itertools`` combination."""
+    return np.array([[float(i in c) for i in range(n)] for c in itertools.combinations(range(n), size)])
+
+
 @lru_cache(maxsize=64)
 def enumerate_sequences_loop(M, N, C):
     """``variance_lab._enumerate_sequences``, filled one sample at a time."""
@@ -565,6 +571,7 @@ def write_aggregate_csv(path, results):
 
 def select_best_multiplier_scan(results):
     out = {}
+    diverged = []
     for algorithm in sorted({r.algorithm for r in results}):
         candidates = []
         for multiplier in sorted({r.multiplier for r in results if r.algorithm == algorithm}):
@@ -575,7 +582,12 @@ def select_best_multiplier_scan(results):
             ]
             if finals:
                 candidates.append((float(np.mean(finals)), multiplier))
-        if not candidates:
-            raise DivergenceError(f"all runs diverged for algorithm {algorithm!r}")
-        out[algorithm] = min(candidates)[1]
+        if candidates:
+            out[algorithm] = min(candidates)[1]
+        else:
+            diverged.append(algorithm)
+    if len(diverged) == 1:
+        raise DivergenceError(f"all runs diverged for algorithm {diverged[0]!r}")
+    if diverged:
+        raise DivergenceError("all runs diverged for algorithms " + ", ".join(repr(a) for a in diverged))
     return out

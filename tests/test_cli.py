@@ -487,13 +487,31 @@ def test_solver_failure_exits_4_with_one_line(tmp_path, capsys, monkeypatch, com
     assert not (tmp_path / "out").exists()
 
 
-def fedrr_process(args, cwd, **env):
-    """``python -m fedrr.cli *args`` in a new interpreter with ``src/`` on its path; a hang fails after 120 s."""
+def python_process(args, cwd, **env):
+    """``python *args`` in a new interpreter with ``src/`` on its path; a hang fails after 120 s."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     environ = {**os.environ, "PYTHONPATH": path, "FEDRR_WORKERS": "1", **env}
     environ = {k: v for k, v in environ.items() if v is not None}  # an env value of None unsets the variable
-    command = [sys.executable, "-m", "fedrr.cli", *args]
-    return subprocess.run(command, cwd=cwd, env=environ, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=environ, capture_output=True, text=True, timeout=120)
+
+
+def fedrr_process(args, cwd, **env):
+    """``python -m fedrr.cli *args`` in a new interpreter, as ``python_process``."""
+    return python_process(["-m", "fedrr.cli", *args], cwd, **env)
+
+
+def test_a_one_worker_process_never_loads_multiprocessing(tmp_path):
+    # the process pool, and multiprocessing with it, is imported only when FEDRR_WORKERS > 1
+    (tmp_path / "cfg.json").write_text(json.dumps(QUAD_CFG))
+    script = (
+        "import sys, fedrr.cli\n"
+        "loaded = ['multiprocessing' in sys.modules]\n"
+        "code = fedrr.cli.main(['run', '--config', 'cfg.json', '--out', 'out'])\n"
+        "print(code, loaded + ['multiprocessing' in sys.modules])\n"
+    )
+    done = python_process(["-c", script], tmp_path)
+    assert done.stderr == ""
+    assert done.stdout.splitlines()[-1] == f"{EXIT_OK} [False, False]"
 
 
 @pytest.mark.parametrize(
@@ -545,7 +563,7 @@ def test_diverging_grid_in_a_process_exits_3_with_one_line_and_writes_nothing(tm
     run = ["run", "--config", "cfg.json", "--out", "out", "--algo", "fedavg,nastya,rrcli", "--multipliers", multipliers]
     done = fedrr_process(run, tmp_path, FEDRR_WORKERS=workers)
     assert (done.returncode, done.stdout) == (EXIT_DIVERGED, "")
-    assert done.stderr == "divergence: all runs diverged for algorithm 'fedavg'\n"
+    assert done.stderr == "divergence: all runs diverged for algorithms 'fedavg', 'nastya', 'rrcli'\n"
     assert [p for p in (tmp_path / "out").rglob("*") if p.is_file()] == []
 
 

@@ -259,6 +259,20 @@ def test_multiplier_selection_rules():
         select_best_multiplier([result("x", 1.0, 0.0, diverged=True)])
 
 
+def test_every_algorithm_that_diverged_everywhere_is_named_in_one_error():
+    trace = RunTrace([TracePoint(1.0, 0.3, 0.0, 4, 0.0)])
+    results = [
+        RunResult(a, m, 0, 0, trace if a == "rrcli-wr" else None, a != "rrcli-wr")
+        for a in ("rrcli", "rrcli-wr", "nastya", "fedavg") for m in (1.0, 2.0)
+    ]
+    message = "^all runs diverged for algorithms 'fedavg', 'nastya', 'rrcli'$"
+    for select in (select_best_multiplier, eager_reference.select_best_multiplier_scan):
+        with pytest.raises(DivergenceError, match=message):
+            select(results)
+        with pytest.raises(DivergenceError, match="^all runs diverged for algorithm 'nastya'$"):
+            select([r for r in results if r.algorithm in ("nastya", "rrcli-wr")])
+
+
 def test_single_multiplier_is_itself():
     trace = RunTrace([TracePoint(1.0, 0.3, 0.0, 4, 0.0)])
     best = select_best_multiplier([RunResult("rrcli", 3.0, 0, 0, trace, False)])
@@ -427,7 +441,7 @@ def test_worker_pool_is_never_larger_than_the_job_count(tmp_path, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr("fedrr.harness.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     cfg = quad_config(tmp_path)  # one algorithm, one multiplier, two seeds: two jobs
     monkeypatch.delenv(WORKERS_ENV, raising=False)
     seq = run_experiment(cfg, out_dir=tmp_path / "seq")

@@ -4,8 +4,10 @@ import pytest
 from eager_reference import component_gradient
 from fedrr.dataset import partition, synthetic_libsvm_like
 from fedrr.problem import (
+    FederatedProblem,
     LogisticProblem,
     ProblemError,
+    QuadraticProblem,
     SolverError,
     logistic_problem,
     quadratic_problem,
@@ -21,6 +23,16 @@ def small_logistic(M=3, N=8, alpha=1e-2, seed=0):
 
 def small_quadratic(M=3, N=4, d=3, seed=0, client_spread=1.0, sample_spread=0.5):
     return quadratic_problem(M, N, d, mu=0.5, L=4.0, client_spread=client_spread, sample_spread=sample_spread, seed=seed)
+
+
+def test_the_base_class_declares_every_kernel_both_problems_define():
+    def public(cls):
+        return {name for name in vars(cls) if not name.startswith("_")}
+
+    shared = public(LogisticProblem) & public(QuadraticProblem)
+    assert "client_gradients" in shared and shared <= public(FederatedProblem)
+    with pytest.raises(NotImplementedError):
+        FederatedProblem().client_gradients(np.zeros(2))
 
 
 def finite_diff(f, x, h=1e-6):

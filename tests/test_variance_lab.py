@@ -15,6 +15,7 @@ from eager_reference import (
     enumerate_sequences_loop,
     prefix_gram_from_table,
     star_sequence_enumerated,
+    subsets_per_entry,
     variance_inputs_loop,
 )
 from fedrr.dataset import partition, synthetic_libsvm_like
@@ -23,10 +24,13 @@ from fedrr.rng import stream
 from fedrr.theory import sigma_ds_upper
 from fedrr.variance_lab import (
     ENUMERATION_GUARD,
+    SUBSETS_KEPT_MAX_N,
     EnumerationTooLarge,
     VarianceInputs,
     _enumerate_sequences,
+    _kept_subsets,
     _prefix_gram,
+    _subsets,
     brute_force_all,
     closed_form_minibatch_variance,
     closed_form_variance,
@@ -212,6 +216,33 @@ def test_prefix_gram_matches_the_outcome_table_walk(M, N, C):
     assert divisor.tolist() == [float(want_n * C * (C * k * M * N) ** 2) for k in range(1, len(want) + 1)]
     assert gram.dtype == want.dtype and gram.shape == want.shape
     assert np.array_equal(gram, want) and gram.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [*range(SUBSETS_KEPT_MAX_N + 2), 14, 22])
+def test_subsets_match_the_per_entry_rows_byte_for_byte(n):
+    for size in range(n + 1) if n <= 14 else (0, 1, 2, n - 1, n):
+        got, want = _subsets(n, size), subsets_per_entry(n, size)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # the same rows in the same order
+        assert not got.flags.writeable
+
+
+def test_subset_cache_holds_only_the_gram_guards_blocks():
+    # M!*N!^M stays within the guard only for M, N <= 10, so the Gram asks for kept blocks alone
+    assert math.factorial(SUBSETS_KEPT_MAX_N + 1) > ENUMERATION_GUARD >= math.factorial(SUBSETS_KEPT_MAX_N)
+    kept = [(n, size) for n in range(SUBSETS_KEPT_MAX_N + 1) for size in range(n + 1)]
+    blocks = [_subsets(n, size) for n, size in kept]
+    assert all(_subsets(n, size) is block for (n, size), block in zip(kept, blocks))
+    # the worst-case footprint: every kept block at once, the largest C(10, 5) rows of 10 floats
+    assert _kept_subsets.cache_info().currsize == len(kept) == 66
+    assert sum(b.nbytes for b in blocks) == 147_472
+    assert max(b.nbytes for b in blocks) == math.comb(10, 5) * 10 * 8 == 20_160
+    before = _kept_subsets.cache_info()
+    # larger blocks, and sizes past n, are built anew each time and never kept
+    for n, size in ((SUBSETS_KEPT_MAX_N + 1, 3), (22, 2), (3, 5)):
+        block = _subsets(n, size)
+        assert not block.flags.writeable and _subsets(n, size) is not block
+    assert _kept_subsets.cache_info() == before
 
 
 def test_prefix_gram_guard_is_checked_before_any_work():
