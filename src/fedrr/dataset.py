@@ -7,7 +7,6 @@ matrix whose row i holds sample i's features, and its labels in {-1, +1}.
 from __future__ import annotations
 
 import gzip
-import io
 import math
 import zlib
 from array import array
@@ -33,6 +32,21 @@ def _dense(count: int, dim: int) -> np.ndarray:
         raise DatasetError(f"{count} rows of {dim} features do not fit in memory as a dense matrix") from None
 
 
+def _lines(text: str):
+    """The lines of ``text``, split at "\\n" alone as ``io.StringIO`` splits them, without a copy of the text.
+
+    ``str.splitlines`` would also split at "\\x1c", "\\u2028" and other
+    separators, which a line's ``split`` treats as spaces between tokens.
+    """
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start)
+        if stop < 0:
+            stop = len(text)
+        yield text[start:stop]
+        start = stop + 1
+
+
 def parse_libsvm(text: str) -> tuple[np.ndarray, np.ndarray]:
     """Parse LIBSVM text into ``(X, labels)``; ``dim`` is the largest feature index.
 
@@ -43,7 +57,7 @@ def parse_libsvm(text: str) -> tuple[np.ndarray, np.ndarray]:
     counts, cols, vals = array("q"), array("q"), array("d")
     labels: list[float] = []
     dim = 0
-    for lineno, line in enumerate(io.StringIO(text), start=1):
+    for lineno, line in enumerate(_lines(text), start=1):
         line = line.strip()
         if not line:
             continue
@@ -123,7 +137,7 @@ def partition(count: int, M: int, seed: int) -> np.ndarray:
     if M < 1 or M > count:
         raise DatasetError(f"cannot split {count} rows into {M} clients")
     N = count // M
-    order = fisher_yates(count, stream(seed, "partition", count, M))
+    order = fisher_yates(count, seed, "partition", count, M)
     return order[: M * N].reshape(M, N)
 
 

@@ -189,7 +189,7 @@ def _cohort_update(problem, rnd: Round, x, gamma):
 
 def _sampled_cohort(M, C, seed, label, *parts):
     """The first C clients of a uniform permutation drawn from the named stream."""
-    return tuple(int(m) for m in fisher_yates(M, stream(seed, label, *parts))[:C])
+    return tuple(int(m) for m in fisher_yates(M, seed, label, *parts)[:C])
 
 
 def round_plan(problem: FederatedProblem, cfg: AlgoConfig):

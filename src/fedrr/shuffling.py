@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .rng import stream
+from .rng import swap_indices
 
 
 class ScheduleError(ValueError):
@@ -51,19 +51,17 @@ class CohortSchedule:
     cohorts: tuple[tuple[int, ...], ...]
 
 
-def fisher_yates(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform permutation of range(n), stream-exact with the scalar swap loop.
+def fisher_yates(n: int, root_seed: int, label: str, *parts) -> np.ndarray:
+    """Uniform permutation of range(n) from the named stream, draw for draw the scalar swap loop's.
 
-    Swap i (for i = n-1 down to 1) exchanges positions i and j ~ U{0..i}.  All
-    n-1 indices j come from one bounded-integer draw over the bounds
-    n, n-1, ..., 2, which numpy generates element by element exactly as it
-    would n-1 scalar ``rng.integers(0, i + 1)`` calls: the permutation and the
-    generator's state afterwards are those of the per-swap loop.
+    Swap i (for i = n-1 down to 1) exchanges positions i and j ~ U{0..i}.  The
+    n-1 indices j are ``rng.swap_indices``: the draws that n-1 scalar
+    ``stream(root_seed, label, *parts).integers(0, i + 1)`` calls would make.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     perm = list(range(n))
-    for i, j in zip(range(n - 1, 0, -1), rng.integers(0, np.arange(n, 1, -1)).tolist()):
+    for i, j in zip(range(n - 1, 0, -1), swap_indices(n, root_seed, label, *parts).tolist()):
         perm[i], perm[j] = perm[j], perm[i]
     return np.array(perm, dtype=np.int64)
 
@@ -72,7 +70,7 @@ def build_cohort_schedule(M: int, C: int, stream_epoch: int, seed: int) -> Cohor
     """One partition of the M clients into M/C cohorts of C, from the client permutation of ``stream_epoch``."""
     if M % C != 0:
         raise ScheduleError(f"cohort size {C} does not divide client count {M}")
-    perm = fisher_yates(M, stream(seed, "client_perm", stream_epoch))
+    perm = fisher_yates(M, seed, "client_perm", stream_epoch)
     return CohortSchedule(tuple(tuple(int(m) for m in perm[r * C : (r + 1) * C]) for r in range(M // C)))
 
 
@@ -101,7 +99,7 @@ class DataPermutations(dict):
         self.N, self.t, self.seed = N, t, seed
 
     def __missing__(self, m: int) -> np.ndarray:
-        perm = self[m] = fisher_yates(self.N, stream(self.seed, "data_perm", self.t, m))
+        perm = self[m] = fisher_yates(self.N, self.seed, "data_perm", self.t, m)
         return perm
 
 

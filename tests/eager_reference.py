@@ -1,8 +1,10 @@
 """Straightforward reference implementations the fast paths are checked against.
 
 ``fisher_yates_loop`` is the scalar swap loop that ``shuffling.fisher_yates``
-must reproduce draw for draw.  ``eager_run`` replays the four training loops
-without laziness or caching: every epoch (every round, for nastya under
+must reproduce draw for draw, and ``fisher_yates_integers`` the earlier
+``fisher_yates``, which took all n-1 swap indices from one generator's
+``integers`` call over the bounds n, n-1, ..., 2.  ``eager_run`` replays
+the four training loops without laziness or caching: every epoch (every round, for nastya under
 reshuffling) draws all M data permutations with the scalar loop, the client
 schedule is drawn anew every epoch, each pass is cut into batches with
 ``np.array_split`` and runs one client and one component at a time, and
@@ -153,6 +155,13 @@ def fisher_yates_loop(n, rng):
         j = int(rng.integers(0, i + 1))
         perm[i], perm[j] = perm[j], perm[i]
     return perm
+
+
+def fisher_yates_integers(n, rng):
+    perm = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), rng.integers(0, np.arange(n, 1, -1)).tolist()):
+        perm[i], perm[j] = perm[j], perm[i]
+    return np.array(perm, dtype=np.int64)
 
 
 def eager_data_perms(M, N, mode, t, seed):

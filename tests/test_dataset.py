@@ -49,6 +49,24 @@ def test_blank_lines_are_skipped_and_an_error_names_its_physical_line():
         parse_libsvm(text.replace("+1 1:1", "3 1:1"))
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("+1 1:0.5 3:1.25\r\n-1 2:2 4:-0.75\r\n+1 1:1\r\n", "line 3: unsupported label '3'"),  # CRLF
+        ("+1 1:0.5 3:1.25\n-1 2:2 4:-0.75\n+1 1:1", "line 3: unsupported label '3'"),  # no final newline
+        ("\n+1 1:0.5 3:1.25\n\n-1 2:2 4:-0.75\n \n+1 1:1\n\n", "line 6: unsupported label '3'"),  # blank lines
+        # "\x1c" and "\u2028" end a line for str.splitlines, but only separate tokens here
+        ("+1 1:0.5\x1c3:1.25\n-1 2:2 4:-0.75\x1c\n+1 1:1\n", "line 3: unsupported label '3'"),
+        ("+1 1:0.5 3:1.25\u2028\n-1\u20282:2 4:-0.75\n+1 1:1\n", "line 3: unsupported label '3'"),
+    ],
+    ids=["crlf", "no-final-newline", "blank-lines", "file-separator", "line-separator"],
+)
+def test_lines_end_only_at_newlines(text, error):
+    assert same_dataset(parse_libsvm(text), parse_libsvm(SAMPLE))
+    with pytest.raises(DatasetError, match=f"^{re.escape(error)}$"):
+        parse_libsvm(text.replace("+1 1:1", "3 1:1"))
+
+
 def test_nonincreasing_indices_rejected():
     with pytest.raises(DatasetError, match="strictly increasing"):
         parse_libsvm("+1 2:1 2:2\n")

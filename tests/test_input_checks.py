@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fedrr.problem import LogisticProblem, ProblemError, QuadraticProblem, quadratic_problem, solve_optimum
-from fedrr.rng import _PhiloxKey, stream
+from fedrr.rng import _PhiloxKey
 from fedrr.shuffling import fisher_yates
 from fedrr.theory import THM1, RegimeParams
 from fedrr.variance_lab import star_sequence_deviation
@@ -25,7 +25,7 @@ from fedrr.variance_lab import star_sequence_deviation
          "expected H of shape (M, N, d, d) and centers (M, N, d)"),
         (lambda: solve_optimum(QuadraticProblem(np.ones((1, 1, 1, 1)), np.ones((1, 1, 1)), 0.0, 1.0), 1e-12), ProblemError,
          "optimum solver requires a strongly convex problem"),
-        (lambda: fisher_yates(0, stream(0, "checks")), ValueError, "n must be >= 1"),
+        (lambda: fisher_yates(0, 0, "checks"), ValueError, "n must be >= 1"),
         (lambda: RegimeParams(THM1, L=1.0, mu=1.0, M=4, N=2, C=2, sigma_tilde_star2=-1.0), ValueError,
          "variances and distances must be nonnegative"),
         (lambda: star_sequence_deviation(quadratic_problem(3, 2, 2), np.zeros(2), 0.1, 2), ValueError, "C must divide M"),

@@ -22,7 +22,6 @@ from fedrr.optimizer import (
     run_algorithm,
 )
 from fedrr.problem import QuadraticProblem, quadratic_problem
-from fedrr.rng import stream
 from fedrr.shuffling import ClientMode, DataMode, DataPermutations, ScheduleError, ShuffleMode, build_cohort_schedule
 
 
@@ -321,13 +320,14 @@ def test_data_permutations_drawn_once_per_data_epoch(monkeypatch, algorithm, dat
     # shuffle-once draws each client's data permutation once per run, from stream epoch 0;
     # reshuffling draws it at most once per data epoch: the meta-epoch, or nastya's round
     draws = collections.Counter()
+    fisher_yates = shuffling.fisher_yates
 
-    def counting_stream(seed, label, *parts):
+    def counting_fisher_yates(n, seed, label, *parts):
         if label == "data_perm":
             draws[parts] += 1
-        return stream(seed, label, *parts)
+        return fisher_yates(n, seed, label, *parts)
 
-    monkeypatch.setattr(shuffling, "stream", counting_stream)
+    monkeypatch.setattr(shuffling, "fisher_yates", counting_fisher_yates)
     problem = hetero_quadratic()
     cfg = make_cfg(problem, algorithm, C=2, T=3, gamma=0.004, shuffle=ShuffleMode(data_mode=data_mode), seed=3)
     run_algorithm(problem, cfg, problem.analytic_optimum())
@@ -342,13 +342,14 @@ def test_client_permutations_drawn_once_per_client_epoch(monkeypatch, client_mod
     # an rrcli run draws its client order once, from stream epoch 0, under shuffle-once;
     # once per meta-epoch under reshuffling; and never from a fixed schedule
     draws = []
+    fisher_yates = shuffling.fisher_yates
 
-    def counting_stream(seed, label, *parts):
+    def counting_fisher_yates(n, seed, label, *parts):
         if label == "client_perm":
             draws.append(parts)
-        return stream(seed, label, *parts)
+        return fisher_yates(n, seed, label, *parts)
 
-    monkeypatch.setattr(shuffling, "stream", counting_stream)
+    monkeypatch.setattr(shuffling, "fisher_yates", counting_fisher_yates)
     problem = hetero_quadratic()
     fixed = FIXED_PLAN if client_mode is ClientMode.DETERMINISTIC_FIXED else None
     shuffle = ShuffleMode(client_mode=client_mode, fixed_schedule=fixed)

@@ -1,9 +1,13 @@
+import sys
+import threading
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random.bit_generator import ISeedSequence
 
-from fedrr.rng import derive_seed, stream, stream_key
+from fedrr.rng import _bounded_draws, derive_seed, stream, stream_key, swap_indices
 
 
 def test_same_name_same_stream():
@@ -46,3 +50,88 @@ def test_stream_matches_philox_keyed_by_stream_key(root_seed, label, parts):
     seed_seq = fast.bit_generator._seed_seq
     assert isinstance(seed_seq, ISeedSequence)
     assert not isinstance(seed_seq, np.random.SeedSequence)
+
+
+@given(st.integers(min_value=1, max_value=3000), st.integers(), st.text(max_size=8), st.lists(st.integers(), max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_swap_indices_are_numpys_bounded_draws(n, root_seed, label, parts):
+    expected = stream(root_seed, label, *parts).integers(0, np.arange(n, 1, -1))
+    assert np.array_equal(swap_indices(n, root_seed, label, *parts), expected)
+
+
+def untemper(y):
+    """The MT19937 key word that the generator's tempering turns into the output y."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC6_0000
+    x = y
+    for _ in range(4):
+        x = y ^ ((x << 7) & 0x9D2C_5680)
+    y = x & 0xFFFF_FFFF
+    x = y
+    for _ in range(2):
+        x = y ^ (x >> 11)
+    return x
+
+
+def generator_emitting(values):
+    """A Generator whose next 32-bit outputs are ``values``, then zeros."""
+    key = np.zeros(624, dtype=np.uint32)
+    key[: len(values)] = [untemper(v) for v in values]
+    bg = np.random.MT19937(0)
+    bg.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": 0}}
+    return np.random.Generator(bg)
+
+
+INV7 = pow(7, -1, 2**32)  # u = k*INV7 mod 2**32 gives (7u) mod 2**32 = k
+ACCEPTED = [0x9E37_79B9, 0x7F4A_7C15, 0xBF58_476D, 0x94D0_49BB, 0xD6E8_FEB8]
+
+
+@pytest.mark.parametrize(
+    "bounds, values",
+    [
+        ([5, 4, 3], [0] + ACCEPTED[:3]),  # the first draw rejects u = 0
+        ([7, 6, 5, 3], ACCEPTED[:1] + [0] + ACCEPTED[1:4]),  # a middle one
+        ([7, 6, 5], ACCEPTED[:2] + [0] + ACCEPTED[2:3]),  # the last one
+        ([4, 3, 2], ACCEPTED[:1] + [0, 0] + ACCEPTED[1:3]),  # two in a row, at r = 3
+        ([7, 7], [3 * INV7 % 2**32, 4 * INV7 % 2**32, 0x1234_5678]),  # low 3 < 2**32 mod 7 = 4 rejects, low 4 does not
+        ([6, 5, 4, 3, 2], [0, 0] + ACCEPTED),  # a permutation's bounds, rejected twice at the start
+        ([9, 8, 7], ACCEPTED[:3]),  # no rejection
+    ],
+)
+def test_bounded_draws_reject_as_numpy_does(bounds, values):
+    gen = generator_emitting(values + [0xDEAD_BEEF])
+    read = 0
+
+    def uint32s(k):
+        nonlocal read
+        read += k
+        return np.array(values[read - k : read], dtype=np.uint32)
+
+    assert np.array_equal(_bounded_draws(np.array(bounds, dtype=np.uint64), uint32s), gen.integers(0, bounds))
+    # both consumed exactly the chosen values: next comes the sentinel
+    assert read == len(values)
+    assert gen.integers(0, 2**32, dtype=np.uint64) == 0xDEAD_BEEF
+
+
+def test_swap_indices_per_thread():
+    # each thread re-keys its own Philox: threads drawing at once, switching
+    # every few microseconds, get the indices of one thread drawing alone
+    cases = [(n, seed) for n in (4, 6, 921) for seed in range(20)]
+    expected = [swap_indices(n, seed, "threads").tolist() for n, seed in cases]
+    results = [None] * 6
+
+    def work(k):
+        results[k] = [swap_indices(n, seed, "threads").tolist() for _ in range(5) for n, seed in cases]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r == expected * 5 for r in results)
