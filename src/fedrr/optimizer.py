@@ -17,15 +17,7 @@ import numpy as np
 
 from .problem import FederatedProblem, Optimum
 from .rng import stream
-from .shuffling import (
-    ClientMode,
-    DataMode,
-    DataPermutations,
-    ShuffleMode,
-    build_cohort_schedule,
-    check_fixed_schedule,
-    fisher_yates,
-)
+from .shuffling import ClientMode, DataMode, ShuffleMode, check_fixed_schedule, fisher_yates
 
 RRCLI = "rrcli"
 RRCLI_WITH_REPLACEMENT = "rrcli-wr"
@@ -187,24 +179,26 @@ def _cohort_update(problem, rnd: Round, x, gamma):
     return g / len(ms), x_end_sum / len(ms)
 
 
-def _sampled_cohort(M, C, seed, label, *parts):
-    """The first C clients of a uniform permutation drawn from the named stream."""
-    return tuple(int(m) for m in fisher_yates(M, seed, label, *parts)[:C])
+def _cohorts(M, C, seed, label, *parts):
+    """The M//C disjoint cohorts of C clients, in order, cut from a uniform permutation drawn from the named stream."""
+    perm = fisher_yates(M, seed, label, *parts).tolist()
+    return [tuple(perm[i : i + C]) for i in range(0, M - C + 1, C)]
 
 
 def round_plan(problem: FederatedProblem, cfg: AlgoConfig):
     """Yield every :class:`Round` of a run in order: who trains, on which data order, in which steps.
 
-    rrcli walks the R = M/C disjoint cohorts of each meta-epoch's schedule;
-    rrcli-wr draws each of the R cohorts independently; nastya draws one
-    cohort per round and its data epoch is the round; fedavg draws one cohort
-    per round until T*M*N evaluations are spent.  A client passes over its
-    data permutation in S = ``pass_length`` batches, or for fedavg over S sorted
-    minibatches of max(1, round(batch_fraction*N)) points, one after the other.
-    Under shuffle-once the client schedule and the data permutations (stream
-    epoch 0) are each built once per run; under reshuffling, once per epoch.
-    Before the first round, a cohort size that does not fit M raises
-    ValueError and a fixed client schedule is checked, then cycled through.
+    rrcli cuts each meta-epoch's client permutation into R = M/C disjoint
+    cohorts, or cycles through a fixed schedule; rrcli-wr draws its R cohorts
+    independently; nastya draws one cohort per round, and its data epoch is
+    the round; fedavg draws one per round until T*M*N evaluations are spent.
+    A client passes over its data order in S = ``pass_length`` batches
+    (fedavg: S sorted minibatches of max(1, round(batch_fraction*N)) points).
+    Under shuffle-once every permutation is drawn from stream epoch 0, once
+    per run; under reshuffling, once per epoch.  A client's data permutation
+    is drawn when it first trains in a data epoch and reused for the rest of
+    it, also when rrcli-wr samples it twice in one meta-epoch.  A bad cohort
+    size or fixed schedule raises before the first round.
     """
     M, N, C = problem.M, problem.N, cfg.C
     if cfg.algorithm == FEDAVG and C > M:
@@ -218,7 +212,7 @@ def round_plan(problem: FederatedProblem, cfg: AlgoConfig):
         bounds = _batch_bounds(S * batch, S)
         per_round = C * S * batch
         for k in range(-(-cfg.T * M * N // per_round)):
-            ms = tuple(sorted(_sampled_cohort(M, C, cfg.seed, "fedavg_cohort", k)))
+            ms = tuple(sorted(_cohorts(M, C, cfg.seed, "fedavg_cohort", k)[0]))
             rngs = (stream(cfg.seed, "fedavg_batches", k, m) for m in ms)
             rows = [np.concatenate([np.sort(rng.choice(N, batch, replace=False)) for _ in range(S)]) for rng in rngs]
             yield Round(k * per_round // (M * N), k, ms, np.array(rows), bounds)
@@ -226,21 +220,24 @@ def round_plan(problem: FederatedProblem, cfg: AlgoConfig):
     bounds = _batch_bounds(N, S)
     fixed = cfg.algorithm == RRCLI and cfg.shuffle.client_mode is ClientMode.DETERMINISTIC_FIXED
     schedule = check_fixed_schedule(M, C, cfg.shuffle.fixed_schedule) if fixed else None
-    perms = cohorts = None
+    perms, perms_epoch, cohorts = {}, 0, None  # perms[m]: client m's data permutation of data epoch perms_epoch
     for t in range(cfg.T):
         if cfg.algorithm == NASTYA:
-            cohorts = (_sampled_cohort(M, C, cfg.seed, "nastya_cohort", t * R + r) for r in range(R))
+            cohorts = (_cohorts(M, C, cfg.seed, "nastya_cohort", t * R + r)[0] for r in range(R))
         elif cfg.algorithm == RRCLI_WITH_REPLACEMENT:
-            cohorts = (_sampled_cohort(M, C, cfg.seed, "wr_cohort", t, r) for r in range(R))
+            cohorts = (_cohorts(M, C, cfg.seed, "wr_cohort", t, r)[0] for r in range(R))
         elif fixed:
             cohorts = schedule[t % len(schedule)]
         elif cohorts is None or cfg.shuffle.client_mode is ClientMode.RESHUFFLING:
-            cohorts = build_cohort_schedule(M, C, t, cfg.seed).cohorts
+            cohorts = _cohorts(M, C, cfg.seed, "client_perm", t)
         for r, cohort in enumerate(cohorts):
             data_epoch = t * R + r if cfg.algorithm == NASTYA else t
-            if perms is None or cfg.shuffle.data_mode is DataMode.RESHUFFLING and perms.t != data_epoch:
-                perms = DataPermutations(N, data_epoch, cfg.seed)
+            if cfg.shuffle.data_mode is DataMode.RESHUFFLING and data_epoch != perms_epoch:
+                perms, perms_epoch = {}, data_epoch
             ms = tuple(sorted(cohort))
+            for m in ms:
+                if m not in perms:
+                    perms[m] = fisher_yates(N, cfg.seed, "data_perm", perms_epoch, m)
             yield Round(t, r, ms, np.array([perms[m] for m in ms]), bounds)
 
 

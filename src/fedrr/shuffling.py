@@ -1,12 +1,11 @@
-"""Permutations and cohort schedules.
+"""Permutations, shuffle modes and fixed client schedules.
 
 The participation scheme is "regularized": every meta-epoch the M clients are
 partitioned into R = M/C disjoint cohorts of size C, so each client trains
 exactly once per meta-epoch.  Client and data permutations can each be drawn
 once up front (shuffle-once), redrawn every meta-epoch (reshuffling), or, for
-the client level, supplied as a fixed deterministic schedule; the optimizer's
-round plan picks the stream epoch that each builder here draws.  Data
-permutations are drawn lazily, only for the clients that train.
+the client level, supplied as a fixed deterministic schedule.  The optimizer's
+round plan draws every cohort and data order with ``fisher_yates``.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from .rng import swap_indices
 
 
 class ScheduleError(ValueError):
-    """Invalid cohort geometry or deterministic schedule."""
+    """An invalid deterministic client schedule."""
 
 
 class ClientMode(Enum):
@@ -44,13 +43,6 @@ class ShuffleMode:
     fixed_schedule: tuple[tuple[tuple[int, ...], ...], ...] | None = None
 
 
-@dataclass(frozen=True)
-class CohortSchedule:
-    """Disjoint cohorts for one meta-epoch: ``cohorts[r]`` holds C client ids."""
-
-    cohorts: tuple[tuple[int, ...], ...]
-
-
 def fisher_yates(n: int, root_seed: int, label: str, *parts) -> np.ndarray:
     """Uniform permutation of range(n) from the named stream, draw for draw the scalar swap loop's.
 
@@ -66,41 +58,17 @@ def fisher_yates(n: int, root_seed: int, label: str, *parts) -> np.ndarray:
     return np.array(perm, dtype=np.int64)
 
 
-def build_cohort_schedule(M: int, C: int, stream_epoch: int, seed: int) -> CohortSchedule:
-    """One partition of the M clients into M/C cohorts of C, from the client permutation of ``stream_epoch``."""
-    if M % C != 0:
-        raise ScheduleError(f"cohort size {C} does not divide client count {M}")
-    perm = fisher_yates(M, seed, "client_perm", stream_epoch)
-    return CohortSchedule(tuple(tuple(int(m) for m in perm[r * C : (r + 1) * C]) for r in range(M // C)))
-
-
 def check_fixed_schedule(M: int, C: int, schedule) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """``schedule`` with int client ids, once every epoch is checked to split range(M) into M/C cohorts of C."""
-    if not schedule:
+    if schedule is None:
         raise ScheduleError("deterministic client mode requires a fixed schedule")
+    if not schedule:
+        raise ScheduleError("the fixed schedule lists no epoch")
     for epoch_plan in schedule:
         flat = [m for cohort in epoch_plan for m in cohort]
         if len(epoch_plan) != M // C or any(len(c) != C for c in epoch_plan) or sorted(flat) != list(range(M)):
             raise ScheduleError("fixed schedule is not a partition of clients into R cohorts of C")
     return tuple(tuple(tuple(int(m) for m in cohort) for cohort in epoch_plan) for epoch_plan in schedule)
-
-
-class DataPermutations(dict):
-    """One epoch's per-client data permutations, each drawn on first access.
-
-    ``perms[m]`` is client m's permutation of range(N) from its own named
-    stream (seed, "data_perm", t, m).  No draw depends on another, so drawing
-    only the clients that train, in whatever order they train, yields the same
-    permutations as drawing all M up front.
-    """
-
-    def __init__(self, N: int, t: int, seed: int):
-        super().__init__()
-        self.N, self.t, self.seed = N, t, seed
-
-    def __missing__(self, m: int) -> np.ndarray:
-        perm = self[m] = fisher_yates(self.N, self.seed, "data_perm", self.t, m)
-        return perm
 
 
 def load_fixed_schedule(path) -> tuple[tuple[tuple[int, ...], ...], ...]:

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from eager_reference import component_gradient, plan_round
+from eager_reference import component_gradient, eager_cohorts, eager_data_perms, plan_round
 from fedrr import harness
 from fedrr.dataset import partition, synthetic_libsvm_like
 from fedrr.harness import ExperimentConfig, run_experiment
@@ -22,13 +22,7 @@ from fedrr.optimizer import (
 )
 from fedrr.problem import logistic_problem, quadratic_problem
 from fedrr.rng import stream
-from fedrr.shuffling import (
-    ClientMode,
-    DataMode,
-    DataPermutations,
-    ShuffleMode,
-    build_cohort_schedule,
-)
+from fedrr.shuffling import ClientMode, DataMode, ShuffleMode
 from fedrr.theory import THM1, RegimeParams, bound_rhs, sigma_ds_upper
 from fedrr.variance_lab import (
     VarianceInputs,
@@ -189,9 +183,9 @@ def test_04_collapse_identities():
     worst = 0.0
     x = np.zeros(problem.d)
     for t in range(3):
-        perms = DataPermutations(4, t, cfg.seed)  # reshuffling data
-        sched = build_cohort_schedule(6, 2, t, cfg.seed)
-        for r, cohort in enumerate(sched.cohorts):
+        perms = eager_data_perms(6, 4, mode, t, cfg.seed)  # reshuffling data
+        cohorts = eager_cohorts(6, 2, mode, t, cfg.seed)
+        for r, cohort in enumerate(cohorts):
             g, mean_end = _cohort_update(problem, plan_round(cohort, perms, _batch_bounds(4, 4), t, r), x, gamma)
             x = x - steps.eta * g
             worst = max(worst, float(np.abs(x - mean_end).max()))

@@ -545,6 +545,16 @@ def test_bad_input_in_a_process_exits_2_with_one_line(tmp_path, args, config, en
     assert [p.name for p in tmp_path.rglob("*")] == ["cfg.json"]
 
 
+def test_empty_fixed_schedule_in_a_process_exits_2_with_one_line(tmp_path):
+    # a schedule file that lists no epoch is named as such, not as a missing schedule
+    (tmp_path / "plan.json").write_text("[]")
+    (tmp_path / "cfg.json").write_text(json.dumps({**QUAD_CFG, "client_mode": "deterministic_fixed", "fixed_schedule_path": "plan.json"}))
+    done = fedrr_process(["run", "--config", "cfg.json", "--out", "out"], tmp_path)
+    assert (done.returncode, done.stdout) == (EXIT_CONFIG, "")
+    assert done.stderr == "config error: fixed schedule plan.json does not fit M=4, C=2: the fixed schedule lists no epoch\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json", "plan.json"]
+
+
 def test_all_diverging_sweep_in_a_process_exits_3_and_leaves_the_out_dir_as_it_was(tmp_path):
     (tmp_path / "cfg.json").write_text(json.dumps(QUAD_CFG))
     run = ["run", "--config", "cfg.json", "--out", "out"]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eager_reference import component_gradient, eager_run, plan_round
+from eager_reference import component_gradient, eager_cohorts, eager_data_perms, eager_run, plan_round, sampled_cohort
 from fedrr import optimizer, shuffling
 from fedrr.optimizer import (
     ALGORITHMS,
@@ -22,7 +22,7 @@ from fedrr.optimizer import (
     run_algorithm,
 )
 from fedrr.problem import QuadraticProblem, quadratic_problem
-from fedrr.shuffling import ClientMode, DataMode, DataPermutations, ScheduleError, ShuffleMode, build_cohort_schedule
+from fedrr.shuffling import ClientMode, DataMode, ScheduleError, ShuffleMode
 
 
 def unit_quadratic(M=1, N=2, d=1):
@@ -138,9 +138,9 @@ def test_global_collapse_is_exact():
     x = np.zeros(problem.d)
     bounds = _batch_bounds(problem.N, problem.N)
     for t in range(2):
-        perms = DataPermutations(problem.N, 0, cfg.seed)  # shuffle-once data
-        sched = build_cohort_schedule(problem.M, 2, 0, cfg.seed)  # shuffle-once clients
-        for r, cohort in enumerate(sched.cohorts):
+        perms = eager_data_perms(problem.M, problem.N, cfg.shuffle, t, cfg.seed)  # shuffle-once data
+        cohorts = eager_cohorts(problem.M, 2, cfg.shuffle, t, cfg.seed)  # shuffle-once clients
+        for r, cohort in enumerate(cohorts):
             g, _ = _cohort_update(problem, plan_round(cohort, perms, bounds, t, r), x, cfg.steps.gamma)
             x = x - cfg.steps.eta * g
         delta = x - opt.x_star
@@ -151,11 +151,11 @@ def test_rrcli_reshuffling_visits_every_client():
     problem = hetero_quadratic()
     opt = problem.analytic_optimum()
     mode = ShuffleMode(client_mode=ClientMode.RESHUFFLING, data_mode=DataMode.RESHUFFLING)
-    for t in range(4):
-        sched = build_cohort_schedule(problem.M, 2, t, seed=5)
-        flat = sorted(m for c in sched.cohorts for m in c)
-        assert flat == list(range(problem.M))
     cfg = make_cfg(problem, "rrcli", C=2, T=4, gamma=0.005, shuffle=mode, seed=5)
+    plan = list(round_plan(problem, cfg))
+    for t in range(4):
+        flat = sorted(m for rnd in plan if rnd.meta_epoch == t for m in rnd.clients)
+        assert flat == list(range(problem.M))
     trace = run_algorithm(problem, cfg, opt)
     assert len(trace.points) == 5
 
@@ -173,7 +173,7 @@ def test_determinism():
 
 def force_nastya_cohorts(monkeypatch, cohorts):
     """Make nastya's round k train ``cohorts[k]`` in place of its sampled cohort."""
-    monkeypatch.setattr(optimizer, "_sampled_cohort", lambda M, C, seed, label, k: tuple(cohorts[k]))
+    monkeypatch.setattr(optimizer, "_cohorts", lambda M, C, seed, label, k: [tuple(int(m) for m in cohorts[k])])
 
 
 def test_nastya_coupling_with_rrcli(monkeypatch):
@@ -184,7 +184,7 @@ def test_nastya_coupling_with_rrcli(monkeypatch):
     T = 3
     rr_cfg = make_cfg(problem, "rrcli", C=2, T=T, gamma=0.005, shuffle=mode, seed=4)
     rr = run_algorithm(problem, rr_cfg, opt)
-    force_nastya_cohorts(monkeypatch, build_cohort_schedule(problem.M, 2, 0, seed=4).cohorts * T)
+    force_nastya_cohorts(monkeypatch, eager_cohorts(problem.M, 2, mode, 0, 4) * T)
     na_cfg = make_cfg(problem, "nastya", C=2, T=T, gamma=0.005, shuffle=mode, seed=4)
     na = run_algorithm(problem, na_cfg, opt)
     assert [p.dist_sq for p in na.points] == [p.dist_sq for p in rr.points]
@@ -320,14 +320,14 @@ def test_data_permutations_drawn_once_per_data_epoch(monkeypatch, algorithm, dat
     # shuffle-once draws each client's data permutation once per run, from stream epoch 0;
     # reshuffling draws it at most once per data epoch: the meta-epoch, or nastya's round
     draws = collections.Counter()
-    fisher_yates = shuffling.fisher_yates
+    fisher_yates = optimizer.fisher_yates
 
     def counting_fisher_yates(n, seed, label, *parts):
         if label == "data_perm":
             draws[parts] += 1
         return fisher_yates(n, seed, label, *parts)
 
-    monkeypatch.setattr(shuffling, "fisher_yates", counting_fisher_yates)
+    monkeypatch.setattr(optimizer, "fisher_yates", counting_fisher_yates)
     problem = hetero_quadratic()
     cfg = make_cfg(problem, algorithm, C=2, T=3, gamma=0.004, shuffle=ShuffleMode(data_mode=data_mode), seed=3)
     run_algorithm(problem, cfg, problem.analytic_optimum())
@@ -342,14 +342,14 @@ def test_client_permutations_drawn_once_per_client_epoch(monkeypatch, client_mod
     # an rrcli run draws its client order once, from stream epoch 0, under shuffle-once;
     # once per meta-epoch under reshuffling; and never from a fixed schedule
     draws = []
-    fisher_yates = shuffling.fisher_yates
+    fisher_yates = optimizer.fisher_yates
 
     def counting_fisher_yates(n, seed, label, *parts):
         if label == "client_perm":
             draws.append(parts)
         return fisher_yates(n, seed, label, *parts)
 
-    monkeypatch.setattr(shuffling, "fisher_yates", counting_fisher_yates)
+    monkeypatch.setattr(optimizer, "fisher_yates", counting_fisher_yates)
     problem = hetero_quadratic()
     fixed = FIXED_PLAN if client_mode is ClientMode.DETERMINISTIC_FIXED else None
     shuffle = ShuffleMode(client_mode=client_mode, fixed_schedule=fixed)
@@ -525,6 +525,73 @@ def test_last_trace_point_holds_the_run_total(spec):
         per_round = C * pass_length("fedavg", problem.N, local_steps) * max(1, round(batch_fraction * problem.N))
         total = -(-total // per_round) * per_round
     assert trace.points[-1].grad_evals == total
+
+
+@pytest.mark.parametrize("data_mode", list(DataMode))
+@pytest.mark.parametrize(
+    "algorithm, client_mode",
+    [("rrcli", mode) for mode in ClientMode] + [("rrcli-wr", ClientMode.SHUFFLE_ONCE), ("nastya", ClientMode.SHUFFLE_ONCE)],
+)
+def test_round_plan_draws_the_eager_cohorts_and_orders(algorithm, client_mode, data_mode):
+    # every round's clients and rows are the eager oracles' draws: rrcli's cohorts cut from its client
+    # permutation (or the fixed schedule's epoch), rrcli-wr's and nastya's sampled cohorts, and each
+    # client's data permutation of the round's data epoch (stream epoch 0 under shuffle-once)
+    problem = hetero_quadratic(N=5)
+    M, N, C, T = problem.M, problem.N, 2, 3
+    R = M // C
+    fixed = FIXED_PLAN if client_mode is ClientMode.DETERMINISTIC_FIXED else None
+    shuffle = ShuffleMode(client_mode, data_mode, fixed)
+    cfg = make_cfg(problem, algorithm, C, T, 0.004, shuffle=shuffle, seed=7)
+    plan = list(round_plan(problem, cfg))
+    assert [(rnd.meta_epoch, rnd.round_index) for rnd in plan] == [divmod(k, R) for k in range(T * R)]
+    for rnd in plan:
+        t, r = rnd.meta_epoch, rnd.round_index
+        if algorithm == "rrcli":
+            cohort = eager_cohorts(M, C, shuffle, t, cfg.seed)[r]
+        elif algorithm == "rrcli-wr":
+            cohort = sampled_cohort(M, C, cfg.seed, "wr_cohort", t, r)
+        else:
+            cohort = sampled_cohort(M, C, cfg.seed, "nastya_cohort", t * R + r)
+        orders = eager_data_perms(M, N, shuffle, t * R + r if algorithm == "nastya" else t, cfg.seed)
+        expected = plan_round(cohort, orders, rnd.bounds, t, r)
+        assert rnd.clients == expected.clients and np.array_equal(rnd.rows, expected.rows)
+
+
+def test_round_plan_reuses_a_data_order_when_rrcli_wr_samples_a_client_twice(monkeypatch):
+    # under reshuffled data, a client that rrcli-wr samples twice in one meta-epoch passes over its
+    # one data permutation of that meta-epoch both times; a client that never trains in it draws none
+    draws = []
+    fisher_yates = shuffling.fisher_yates
+
+    def counting_fisher_yates(n, seed, label, *parts):
+        if label == "data_perm":
+            draws.append(parts)
+        return fisher_yates(n, seed, label, *parts)
+
+    for module in (shuffling, optimizer):  # wherever the plan's draws are made
+        monkeypatch.setattr(module, "fisher_yates", counting_fisher_yates)
+    problem = hetero_quadratic(N=5)
+    shuffle = ShuffleMode(data_mode=DataMode.RESHUFFLING)
+    cfg = make_cfg(problem, "rrcli-wr", C=2, T=3, gamma=0.004, shuffle=shuffle, seed=7)
+    passes = collections.defaultdict(list)
+    for rnd in round_plan(problem, cfg):
+        for m, row in zip(rnd.clients, rnd.rows):
+            passes[rnd.meta_epoch, m].append(row)
+    assert sorted(draws) == sorted(passes) and len(passes) < cfg.T * problem.M
+    repeats = {key: rows for key, rows in passes.items() if len(rows) > 1}
+    assert repeats
+    for (t, m), rows in repeats.items():
+        order = eager_data_perms(problem.M, problem.N, shuffle, t, cfg.seed)[m]
+        assert all(np.array_equal(row, order) for row in rows)
+
+
+@pytest.mark.parametrize("C", range(1, 7))
+def test_fedavg_round_plan_draws_c_distinct_clients(C):
+    problem = hetero_quadratic(N=5)
+    cfg = make_cfg(problem, "fedavg", C, 2, 0.004, seed=7)
+    for rnd in round_plan(problem, cfg):
+        assert len(set(rnd.clients)) == C and set(rnd.clients) <= set(range(problem.M))
+        assert rnd.clients == tuple(sorted(int(m) for m in sampled_cohort(problem.M, C, cfg.seed, "fedavg_cohort", rnd.round_index)))
 
 
 @pytest.mark.parametrize("client_mode", list(ClientMode))

@@ -5,17 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eager_reference import eager_data_perms, fisher_yates_integers, fisher_yates_loop
+from eager_reference import fisher_yates_integers, fisher_yates_loop
 from fedrr.rng import stream
-from fedrr.shuffling import (
-    DataMode,
-    DataPermutations,
-    ScheduleError,
-    ShuffleMode,
-    build_cohort_schedule,
-    check_fixed_schedule,
-    fisher_yates,
-)
+from fedrr.shuffling import ScheduleError, check_fixed_schedule, fisher_yates
 
 
 @given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=2**32))
@@ -111,78 +103,15 @@ def test_composed_order_uniform():
     assert all(abs(c - 1000) <= 120 for c in counts.values())
 
 
-def test_cohort_schedule_partition_property():
-    for t in range(5):
-        sched = build_cohort_schedule(12, 3, t, seed=4)
-        assert len(sched.cohorts) == 4 and len(sched.cohorts[0]) == 3
-        flat = sorted(m for cohort in sched.cohorts for m in cohort)
-        assert flat == list(range(12))
-
-
-def test_cohort_schedule_full_participation():
-    sched = build_cohort_schedule(5, 5, 0, seed=0)
-    assert len(sched.cohorts) == 1
-    assert sorted(sched.cohorts[0]) == list(range(5))
-
-
-def test_cohort_schedule_indivisible():
-    with pytest.raises(ScheduleError):
-        build_cohort_schedule(10, 3, 0, 0)
-
-
 def test_fixed_schedule_check():
     plan = (((0, 1), (2, 3)), ((3, 2), (1, 0)))
     assert check_fixed_schedule(4, 2, plan) == plan
     ids = check_fixed_schedule(4, 2, tuple(tuple(tuple(np.int64(m) for m in c) for c in e) for e in plan))
     assert ids == plan and all(type(m) is int for e in ids for c in e for m in c)
     with pytest.raises(ScheduleError, match="requires a fixed schedule"):
+        check_fixed_schedule(4, 2, None)
+    with pytest.raises(ScheduleError, match="the fixed schedule lists no epoch"):
         check_fixed_schedule(4, 2, ())
     for bad in ((((0, 1), (1, 3)),), (plan[0], ((0, 1, 2, 3),)), (((0, 1), (2, 3), (4, 5)),)):
         with pytest.raises(ScheduleError, match="not a partition of clients into R cohorts of C"):
             check_fixed_schedule(4, 2, bad)
-
-
-def all_data_perms(M, N, stream_epoch, seed):
-    perms = DataPermutations(N, stream_epoch, seed)
-    return [perms[m] for m in range(M)]
-
-
-def test_data_permutations_modes():
-    # shuffle-once rereads stream epoch 0; reshuffling moves to the next epoch
-    a = all_data_perms(3, 6, 0, 11)
-    b = all_data_perms(3, 6, 0, 11)
-    assert all(np.array_equal(x, y) for x, y in zip(a, b))
-    c = all_data_perms(3, 6, 1, 11)
-    assert any(not np.array_equal(x, y) for x, y in zip(a, c))
-
-
-def test_data_permutations_n1():
-    perms = all_data_perms(4, 1, 0, 0)
-    assert all(list(p) == [0] for p in perms)
-
-
-def test_adding_clients_preserves_existing_streams():
-    small = all_data_perms(3, 5, 0, 2)
-    big = all_data_perms(6, 5, 0, 2)
-    for m in range(3):
-        assert np.array_equal(small[m], big[m])
-
-
-@given(
-    st.integers(min_value=1, max_value=8),
-    st.integers(min_value=1, max_value=30),
-    st.integers(min_value=0, max_value=2**32),
-    st.integers(min_value=0, max_value=5),
-    st.data(),
-)
-@settings(max_examples=50, deadline=None)
-def test_lazy_permutations_match_eager(M, N, seed, t, data):
-    order = data.draw(st.permutations(range(M)))
-    used = order[: data.draw(st.integers(min_value=0, max_value=M))]
-    # the eager reference reads stream epoch t itself under reshuffling
-    eager = eager_data_perms(M, N, ShuffleMode(data_mode=DataMode.RESHUFFLING), t, seed)
-    assert all(np.array_equal(a, b) for a, b in zip(all_data_perms(M, N, t, seed), eager))
-    lazy = DataPermutations(N, t, seed)
-    for m in used:
-        assert np.array_equal(lazy[m], eager[m])
-    assert sorted(lazy) == sorted(used)  # only the clients asked for were drawn
