@@ -6,12 +6,11 @@ per-client data orders), including the grouped variant where C parallel
 groups each run their own two-level shuffle.  Every formula is checked
 against the exact variance over all permutation outcomes, which is the
 ground truth the tests trust.  That variance comes from integer Gram
-matrices of the prefix estimators' weights, summed over outcome classes
-(the clients in completed rows, a group's tail client and the samples it
-has seen) times each class's number of outcomes; the tests check them bit
-for bit against a walk over every outcome of ``_enumerate_sequences``.
-The same class rows, with the last sample stepped added to the class, give
-the exact deviation statistics of the optimum-anchored (star) sequence.
+matrices of the prefix estimators' weights, three integers each from binomial
+counts of the outcome classes (see ``_prefix_gram``), checked bit for bit
+against a walk over every outcome of ``_enumerate_sequences``.  Class rows
+(the clients in completed rows, a group's tail client and the samples it has
+seen) give the exact statistics of the optimum-anchored (star) sequence.
 
 Enumeration note: the grouped cross-covariance term carries coefficient
 2*k_N*(k - k_N) / (k^2 * (M - 1)); a variant with an extra 1/C factor does
@@ -23,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import lru_cache
 
 import numpy as np
@@ -34,6 +34,16 @@ ENUMERATION_GUARD = 10_000_000
 
 class EnumerationTooLarge(ValueError):
     pass
+
+
+def _check_guard(count: int, what: str) -> None:
+    """Raise ``EnumerationTooLarge`` past the guard; a count too long for ``str`` is named to four digits."""
+    if count > ENUMERATION_GUARD:
+        try:
+            text = str(count)
+        except ValueError:
+            text = f"{Decimal(count):.3e}"
+        raise EnumerationTooLarge(f"{text} {what} exceed the enumeration guard")
 
 
 @dataclass
@@ -128,8 +138,7 @@ def _enumerate_sequences(M: int, N: int, C: int) -> np.ndarray:
     """
     n_client = math.factorial(M)
     n_data = math.factorial(N) ** M
-    if n_client * n_data > ENUMERATION_GUARD:
-        raise EnumerationTooLarge(f"{n_client * n_data} outcomes exceed the enumeration guard")
+    _check_guard(n_client * n_data, "outcomes")
     client_perms = np.array(list(itertools.permutations(range(M))), dtype=np.int64)
     data_perms = np.array(list(itertools.permutations(range(N))), dtype=np.int64)
     # combos[c, m]: which data permutation client m uses in combination c
@@ -140,14 +149,8 @@ def _enumerate_sequences(M: int, N: int, C: int) -> np.ndarray:
     return out.reshape(n_client * n_data, C, N * (M // C))
 
 
-# The enumeration guard admits M!*N!^M outcomes only when M, N <= 10, so every block a Gram asks for is kept. The
-# kept blocks (size <= n <= 10) hold at most sum_n n*2^n = 18,434 floats (147,472 bytes), the largest
-# C(10, 5) rows of 10. ``star_sequence_deviation`` may ask for far larger blocks (22 clients at C = 11:
-# 124 MB), which are never kept.
-SUBSETS_KEPT_MAX_N = 10
-
-
-def _subset_rows(n: int, size: int) -> np.ndarray:
+def _subsets(n: int, size: int) -> np.ndarray:
+    """Read-only indicator rows of every ``size``-subset of range(n), in ``itertools`` order."""
     count = math.comb(n, size)
     members = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(n), size)), np.intp, count * size
@@ -156,18 +159,6 @@ def _subset_rows(n: int, size: int) -> np.ndarray:
     rows[np.arange(count)[:, None], members] = 1.0
     rows.setflags(write=False)
     return rows
-
-
-_kept_subsets = lru_cache(maxsize=None)(_subset_rows)
-
-
-def _subsets(n: int, size: int) -> np.ndarray:
-    """Read-only indicator rows of every ``size``-subset of range(n), in ``itertools`` order.
-
-    A block with size <= n <= ``SUBSETS_KEPT_MAX_N`` is built once and then
-    shared across prefix lengths and geometries.
-    """
-    return _kept_subsets(n, size) if size <= n <= SUBSETS_KEPT_MAX_N else _subset_rows(n, size)
 
 
 def _class_rows(M: int, N: int, C: int, s: int, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -185,6 +176,10 @@ def _class_rows(M: int, N: int, C: int, s: int, j: int) -> tuple[np.ndarray, np.
     return Q.reshape(-1, M * N), np.repeat(np.nonzero(outside)[1], Q.shape[1])
 
 
+def _binom(n: int, k: int) -> int:
+    return math.comb(n, k) if n >= 0 and k >= 0 else 0
+
+
 @lru_cache(maxsize=64)
 def _prefix_gram(M: int, N: int, C: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact second moments of the prefix estimators' weights over every outcome.
@@ -198,30 +193,36 @@ def _prefix_gram(M: int, N: int, C: int) -> tuple[np.ndarray, np.ndarray]:
     is the sum of D D^T over all (outcome, group) pairs and divisor[k-1] =
     n_outcomes*C*(C*k*M*N)^2 is their count times the squared scale.
 
-    D depends only on the outcome class: the set S of the C*k_N/N clients in
-    completed rows and, when j > 0, group g's tail client t outside S and the
-    j-subset T of t's samples seen so far.  Every class is equally likely, so
-    each holds C*n_outcomes/n_classes of the (outcome, group) pairs, and
-    G[k-1] is that multiplicity times the sum of D D^T over one row per
-    class.  The guard keeps every partial sum an integer below 2**53, so G
-    is exact; the tests check it bit for bit against a walk over the
-    outcome table.
+    D depends only on the outcome class: the set S of the s = C*k_N/N clients
+    in completed rows and, when j > 0, group g's tail client t outside S and
+    the j-subset T of t's samples.  The n_cls classes are equally likely and
+    relabelling the clients, or one client's samples, permutes them, so
+    G[k-1] holds three integers C*n_outcomes/n_cls*((M*N)^2*q +
+    n_cls*(C*k)^2 - 2*M*N*C*k*q1), q1 the class sum of Q_x and q that of
+    Q_x*Q_y.  With spread = (M-s)*C(N, j) (1 if j = 0), n_S = C(M-1, s-1)*spread
+    classes put x's client in S and n_T = C(M-1, s)*C(N-1, j-1) put x in T:
+    n_cls = C(M, s)*spread, q1 = n_S + C*n_T, and q is n_S + C^2*n_T for
+    x = y, n_S + C^2*C(M-1, s)*C(N-2, j-2) inside one client and
+    C(M-2, s-2)*spread + 2*C*C(M-2, s-1)*C(N-1, j-1) across two, with
+    C(n, k) = 0 off range.  The guard keeps these Python integers below 2**53,
+    so G is exact; the tests check it against the class rows and outcome table.
     """
     if M % C != 0:
         raise ValueError(f"group count {C} does not divide client count {M}")
     n_out = math.factorial(M) * math.factorial(N) ** M
-    if n_out > ENUMERATION_GUARD:
-        raise EnumerationTooLarge(f"{n_out} outcomes exceed the enumeration guard")
+    _check_guard(n_out, "outcomes")
     MN = M * N
-    grams = []
+    values = []  # [q_cross, q_block, q_diag] entries of each prefix length
     for k in range(1, N * (M // C) + 1):
-        r, j = divmod(k, N)
-        s = C * r
-        # j = 0: 1 on every sample of the clients in S
-        Q = np.repeat(_subsets(M, s), N, axis=1) if j == 0 else _class_rows(M, N, C, s, j)[0]
-        D = MN * Q - C * k
-        grams.append(C * n_out // len(Q) * (D.T @ D))
-    gram = np.stack(grams)
+        s, j, Ck = C * (k // N), k % N, C * k
+        spread = (M - s) * _binom(N, j) if j else 1
+        n_S, n_T = _binom(M - 1, s - 1) * spread, _binom(M - 1, s) * _binom(N - 1, j - 1)
+        n_cls, q1 = _binom(M, s) * spread, n_S + C * n_T
+        q_cross = _binom(M - 2, s - 2) * spread + 2 * C * _binom(M - 2, s - 1) * _binom(N - 1, j - 1)
+        qs = q_cross, n_S + C * C * _binom(M - 1, s) * _binom(N - 2, j - 2), n_S + C * C * n_T
+        values.append([C * n_out // n_cls * (MN * MN * q + n_cls * Ck * Ck - 2 * MN * Ck * q1) for q in qs])
+    same_client = np.arange(MN)[:, None] // N == np.arange(MN) // N
+    gram = np.take(np.array(values, dtype=np.float64), same_client + np.eye(MN, dtype=np.intp), axis=1)
     scale = C * np.arange(1.0, len(gram) + 1) * MN
     divisor = n_out * C * scale * scale
     gram.setflags(write=False)
@@ -270,8 +271,7 @@ def star_sequence_deviation(problem: FederatedProblem, x_star: np.ndarray, gamma
         raise ValueError("C must divide M")
     R = M // C
     n = sum(math.comb(M, C * r) * (M - C * r) for r in range(R)) * N * 2 ** (N - 1)
-    if n > ENUMERATION_GUARD:
-        raise EnumerationTooLarge(f"{n} outcome classes exceed the enumeration guard")
+    _check_guard(n, "outcome classes")
     star_grads = np.array([problem.component_gradients(m, x_star) for m in range(M)])
     star_losses = [[problem.component_loss(m, j, x_star) for j in range(N)] for m in range(M)]
     sq = np.zeros((R, N))

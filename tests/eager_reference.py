@@ -52,10 +52,12 @@ calls ``component_loss`` at the step's new point, and the statistics are
 means over the outcomes and the cohort's members.
 
 The variance oracles are the enumeration forms that ``variance_lab`` replaced
-with exact Gram matrices summed over outcome classes: ``enumerate_sequences_loop``
+with closed-form Gram matrices from binomial counts of the outcome classes: ``enumerate_sequences_loop``
 builds the outcome table one sample at a time, ``prefix_gram_from_table`` walks
 ``variance_lab._enumerate_sequences``'s table in chunks and adds every outcome's
-and group's weight deviations to the Gram, ``subsets_per_entry`` builds
+and group's weight deviations to the Gram, ``prefix_gram_class_rows`` sums
+them over one weight row per outcome class times the class's multiplicity,
+``subsets_per_entry`` builds
 ``variance_lab._subsets``'s indicator rows one entry at a time, and
 ``prefix_estimators`` evaluates every prefix estimator of every outcome and
 group on the inputs, which ``brute_force_all_tensor`` averages.  It averages
@@ -85,7 +87,7 @@ from fedrr.optimizer import DivergenceError, Round, RunTrace, TracePoint, apply_
 from fedrr.problem import LogisticProblem, Optimum, QuadraticProblem, SolverError, _converged, _sigmoid
 from fedrr.rng import stream
 from fedrr.shuffling import ClientMode, DataMode
-from fedrr.variance_lab import StarSequenceStats, _enumerate_sequences, _prefix_gram
+from fedrr.variance_lab import StarSequenceStats, _class_rows, _enumerate_sequences, _prefix_gram, _subsets
 
 
 def component_gradient(problem, m, j, x):
@@ -478,6 +480,23 @@ def prefix_gram_from_table(M, N, C, chunk=4096):
             dev = (MN * (rows + C * tail) - C * k).reshape(B * C, MN)
             gram[k - 1] += dev.T @ dev
     return gram, n_out
+
+
+def prefix_gram_class_rows(M, N, C):
+    """``variance_lab._prefix_gram`` with its divisor, summing D D^T over one ``_class_rows`` row per outcome class."""
+    n_out = math.factorial(M) * math.factorial(N) ** M
+    MN = M * N
+    grams = []
+    for k in range(1, N * (M // C) + 1):
+        r, j = divmod(k, N)
+        s = C * r
+        # j = 0: 1 on every sample of the clients in S
+        Q = np.repeat(_subsets(M, s), N, axis=1) if j == 0 else _class_rows(M, N, C, s, j)[0]
+        D = MN * Q - C * k
+        grams.append(C * n_out // len(Q) * (D.T @ D))
+    gram = np.stack(grams)
+    scale = C * np.arange(1.0, len(gram) + 1) * MN
+    return gram, n_out * C * scale * scale
 
 
 def prefix_estimators(inputs, C):

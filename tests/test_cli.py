@@ -1,5 +1,6 @@
 import gzip
 import json
+import math
 import os
 import subprocess
 import sys
@@ -512,6 +513,18 @@ def test_a_one_worker_process_never_loads_multiprocessing(tmp_path):
     done = python_process(["-c", script], tmp_path)
     assert done.stderr == ""
     assert done.stdout.splitlines()[-1] == f"{EXIT_OK} [False, False]"
+
+
+def test_verify_variance_names_counts_past_the_int_digit_limit_in_a_process(tmp_path):
+    # 1558! is the last outcome count with at most 4,300 digits, str's default limit; longer counts print to four digits
+    done = fedrr_process(["verify-variance", "--max-size", "1700", "--inputs", "1"], tmp_path)
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    lines = done.stdout.splitlines()
+    assert len(lines) == len(list(_geometries(1700))) + 1
+    assert lines[-1].startswith("worst relative error")
+    assert lines[1557] == f"M=1 N=1558 C=1: skipped ({math.factorial(1558)} outcomes exceed the enumeration guard)"
+    assert lines[1558] == "M=1 N=1559 C=1: skipped (3.780e+4302 outcomes exceed the enumeration guard)"
+    assert lines[1699] == "M=1 N=1700 C=1: skipped (2.998e+4755 outcomes exceed the enumeration guard)"
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from eager_reference import (
     brute_force_all_loop,
     brute_force_all_tensor,
     enumerate_sequences_loop,
+    prefix_gram_class_rows,
     prefix_gram_from_table,
     star_sequence_enumerated,
     subsets_per_entry,
@@ -24,11 +25,9 @@ from fedrr.rng import stream
 from fedrr.theory import sigma_ds_upper
 from fedrr.variance_lab import (
     ENUMERATION_GUARD,
-    SUBSETS_KEPT_MAX_N,
     EnumerationTooLarge,
     VarianceInputs,
     _enumerate_sequences,
-    _kept_subsets,
     _prefix_gram,
     _subsets,
     brute_force_all,
@@ -218,31 +217,35 @@ def test_prefix_gram_matches_the_outcome_table_walk(M, N, C):
     assert np.array_equal(gram, want) and gram.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("n", [*range(SUBSETS_KEPT_MAX_N + 2), 14, 22])
+# every geometry whose outcome count the guard admits: M, N <= 10, as M!*N!^M passes 10^7 from M = 11 or N = 11 on
+GUARD_ADMITTED = [
+    (M, N, C)
+    for M in range(1, 11)
+    for N in range(1, 11)
+    for C in range(1, M + 1)
+    if M % C == 0 and math.factorial(M) * math.factorial(N) ** M <= ENUMERATION_GUARD
+]
+
+
+def test_prefix_gram_closed_form_matches_the_class_rows_bit_for_bit():
+    assert len(GUARD_ADMITTED) == 71
+    for M, N, C in GUARD_ADMITTED:
+        gram, divisor = _prefix_gram(M, N, C)
+        want, want_divisor = prefix_gram_class_rows(M, N, C)
+        assert gram.dtype == want.dtype and gram.shape == want.shape and gram.tobytes() == want.tobytes()
+        assert divisor.dtype == want_divisor.dtype and divisor.tobytes() == want_divisor.tobytes()
+        # rounding to float64 is monotone, so a float below 2**53 comes from an integer below 2**53, which converts
+        # exactly: the closed form's integers need no more than the float's 53 bits
+        assert np.all(gram == np.round(gram)) and np.abs(gram).max() < 2.0**53
+
+
+@pytest.mark.parametrize("n", [*range(12), 14, 22])
 def test_subsets_match_the_per_entry_rows_byte_for_byte(n):
     for size in range(n + 1) if n <= 14 else (0, 1, 2, n - 1, n):
         got, want = _subsets(n, size), subsets_per_entry(n, size)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()  # the same rows in the same order
         assert not got.flags.writeable
-
-
-def test_subset_cache_holds_only_the_gram_guards_blocks():
-    # M!*N!^M stays within the guard only for M, N <= 10, so the Gram asks for kept blocks alone
-    assert math.factorial(SUBSETS_KEPT_MAX_N + 1) > ENUMERATION_GUARD >= math.factorial(SUBSETS_KEPT_MAX_N)
-    kept = [(n, size) for n in range(SUBSETS_KEPT_MAX_N + 1) for size in range(n + 1)]
-    blocks = [_subsets(n, size) for n, size in kept]
-    assert all(_subsets(n, size) is block for (n, size), block in zip(kept, blocks))
-    # the worst-case footprint: every kept block at once, the largest C(10, 5) rows of 10 floats
-    assert _kept_subsets.cache_info().currsize == len(kept) == 66
-    assert sum(b.nbytes for b in blocks) == 147_472
-    assert max(b.nbytes for b in blocks) == math.comb(10, 5) * 10 * 8 == 20_160
-    before = _kept_subsets.cache_info()
-    # larger blocks, and sizes past n, are built anew each time and never kept
-    for n, size in ((SUBSETS_KEPT_MAX_N + 1, 3), (22, 2), (3, 5)):
-        block = _subsets(n, size)
-        assert not block.flags.writeable and _subsets(n, size) is not block
-    assert _kept_subsets.cache_info() == before
 
 
 def test_prefix_gram_guard_is_checked_before_any_work():
@@ -259,6 +262,19 @@ def test_prefix_gram_guard_is_checked_before_any_work():
     # the 36 Gram matrices of (6, 6, 1) alone would take 373 KB
     assert elapsed < 0.5
     assert peak < 100_000
+
+
+def test_guard_messages_print_counts_past_the_int_digit_limit():
+    # 1800! has 5,080 digits and 20,000 * 2**19,999 has 6,025, past str's default limit of 4,300: such a count is
+    # named to four digits. The stub problem has no oracles, so any read of it would fail
+    for build, message in (
+        (lambda: _prefix_gram(1, 1800, 1), "6.126e+5079 outcomes"),
+        (lambda: _enumerate_sequences(1, 1800, 1), "6.126e+5079 outcomes"),
+        (lambda: star_sequence_deviation(SimpleNamespace(M=1, N=20_000), np.zeros(1), 0.1, 1), "3.980e+6024 outcome classes"),
+    ):
+        with pytest.raises(EnumerationTooLarge) as exc:
+            build()
+        assert str(exc.value) == f"{message} exceed the enumeration guard"
 
 
 def close_to_oracle(got, want, tol=1e-12):
