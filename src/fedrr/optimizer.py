@@ -241,6 +241,15 @@ def round_plan(problem: FederatedProblem, cfg: AlgoConfig):
             yield Round(t, r, ms, np.array([perms[m] for m in ms]), bounds)
 
 
+def plan_period(cfg: AlgoConfig) -> int:
+    """Meta-epochs p after which a run's rounds repeat, or 0: ``round_plan``'s shuffle-once branches, mirrored."""
+    mode = cfg.shuffle
+    if cfg.algorithm != RRCLI or mode.client_mode is ClientMode.RESHUFFLING or mode.data_mode is DataMode.RESHUFFLING:
+        return 0
+    # shuffle-once clients reuse epoch 0; a fixed schedule cycles (round_plan rejects a missing or empty one)
+    return len(mode.fixed_schedule or ()) if mode.client_mode is ClientMode.DETERMINISTIC_FIXED else 1
+
+
 def run_algorithm(problem: FederatedProblem, cfg: AlgoConfig, optimum: Optimum) -> RunTrace:
     """Run any of the four algorithms: its round plan feeds this one loop.
 
@@ -252,6 +261,12 @@ def run_algorithm(problem: FederatedProblem, cfg: AlgoConfig, optimum: Optimum) 
     The last round always completes one: a shuffled or nastya run ends at
     exactly T*M*N evaluations, and fedavg's last round is the first to reach
     T*M*N.
+
+    Without decay, a run with ``plan_period`` p > 0 repeats its float
+    operations every p meta-epochs: once meta-epoch t starts from the bytes
+    of an earlier start t0 = t (mod p), the trace replays points t0+1..t,
+    counts moved on, bit for bit.  The keys take d*8 bytes per meta-epoch;
+    replayed meta-epochs emit no numpy warnings (the cycle's first pass did).
     """
     M, N = problem.M, problem.N
     R = M // cfg.C
@@ -261,11 +276,18 @@ def run_algorithm(problem: FederatedProblem, cfg: AlgoConfig, optimum: Optimum) 
     trace = RunTrace()
     evals = recorded = 0
     trace.record(problem, optimum, x, evals, t0)
+    period = 0 if cfg.decay else plan_period(cfg)
+    starts = {}  # (t mod period, start iterate bytes) -> first meta-epoch t to start there
     for rnd in round_plan(problem, cfg):
         t, r = rnd.meta_epoch, rnd.round_index
         steps = apply_decay(cfg.steps, evals // (M * N)) if cfg.decay else cfg.steps
         if shuffled and r == 0:
             x_meta = x  # the global step starts from here
+            if period and (t0_cycle := starts.setdefault((t % period, x.tobytes()), t)) < t:
+                for k in range(t + 1, cfg.T + 1):  # point k, after meta-epoch k-1, is the point one cycle back
+                    p = trace.points[k - (t - t0_cycle)]
+                    trace.points.append(replace(p, epoch=float(k), grad_evals=k * M * N, wall_s=time.perf_counter() - t0))
+                return trace
         g, mean_end = _cohort_update(problem, rnd, x, steps.gamma)
         evals += rnd.rows.size
         x = x - steps.eta * g

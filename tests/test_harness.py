@@ -22,8 +22,9 @@ from fedrr.harness import (
     run_experiment,
     select_best_multiplier,
 )
+from fedrr import optimizer
 from fedrr.optimizer import ALGORITHMS, DivergenceError, RunTrace, TracePoint
-from fedrr.problem import solve_optimum
+from fedrr.problem import QuadraticProblem, solve_optimum
 from fedrr.rng import derive_seed
 from fedrr.shuffling import ClientMode, DataMode, load_fixed_schedule
 from fedrr.theory import REGIMES
@@ -643,3 +644,23 @@ def test_fixed_schedule_runs(tmp_path):
     path.write_text(json.dumps([[[0, 1], [2, 3], [4, 5]], [[5, 3], [1, 4], [0, 2]]]))
     summary = run_experiment(quad_config(tmp_path, client_mode="deterministic_fixed", fixed_schedule_path=str(path)))
     assert summary["manifest"]["diverged_count"] == 0
+
+
+def test_cycle_replay_keeps_every_contract_byte(tmp_path, monkeypatch):
+    # the four shuffle-once rrcli runs reach a cycle within T = 200; with plan_period at 0 they run every round
+    cfg = quad_config(
+        tmp_path, T=200, algorithms=["rrcli", "rrcli-wr"], multipliers=[1.0, 0.5], client_mode="shuffle_once", data_mode="shuffle_once",
+    )
+    cohort_pass = QuadraticProblem.cohort_pass
+    rounds = []
+    monkeypatch.setattr(QuadraticProblem, "cohort_pass", lambda self, *args: rounds.append(1) or cohort_pass(self, *args))
+    runs = {}
+    for name, period in (("replayed", optimizer.plan_period), ("full", lambda cfg: 0)):
+        monkeypatch.setattr(optimizer, "plan_period", period)
+        rounds.clear()
+        out = run_experiment(cfg, out_dir=tmp_path / name)["out_dir"]
+        files = sorted(p for p in out.iterdir() if p.is_file() and p.name != "timings.csv")
+        runs[name] = len(rounds), {p.name: p.read_bytes() for p in files}
+    assert runs["replayed"][1] == runs["full"][1]
+    assert len(runs["full"][1]) == 5  # runs.csv, two aggregates, best_multipliers.json and manifest.json
+    assert runs["replayed"][0] < runs["full"][0] - 4 * 200 * 3 // 2  # over half of the rrcli runs' rounds were replayed

@@ -18,6 +18,7 @@ from fedrr.optimizer import (
     _cohort_update,
     apply_decay,
     pass_length,
+    plan_period,
     round_plan,
     run_algorithm,
 )
@@ -632,3 +633,124 @@ def test_round_plan_states_every_round(algorithm, client_mode):
                 assert [rnd.clients for rnd in plan] == [rnd.clients for rnd in plan[:R]] * T
             if fixed:
                 assert [rnd.clients for rnd in plan] == [tuple(sorted(c)) for t in range(T) for c in FIXED_PLAN[t % 2]]
+
+
+def plateau_quadratic():
+    """Acceptance test 06's problem, on which shuffle-once runs reach a float fixed point or cycle."""
+    return quadratic_problem(6, 4, 5, mu=1.0, L=10.0, client_spread=2.0, sample_spread=0.3, seed=11)
+
+
+def plateau_cfg(algorithm="rrcli", gamma=0.01, T=400, seed=0, shuffle=ShuffleMode(), decay=False):
+    steps = StepSizes(gamma=gamma, eta=gamma * 4, theta=gamma * 4 * 3)
+    return AlgoConfig(algorithm=algorithm, C=2, T=T, steps=steps, shuffle=shuffle, seed=seed, decay=decay)
+
+
+def trace_bits(trace):
+    return [(p.epoch.hex(), p.dist_sq.hex(), p.func_gap.hex(), p.grad_evals) for p in trace.points]
+
+
+@pytest.fixture
+def pass_calls(monkeypatch):
+    """A list that grows by one entry per ``QuadraticProblem.cohort_pass`` call."""
+    calls = []
+    cohort_pass = QuadraticProblem.cohort_pass
+
+    def counting_cohort_pass(self, *args):
+        calls.append(args)
+        return cohort_pass(self, *args)
+
+    monkeypatch.setattr(QuadraticProblem, "cohort_pass", counting_cohort_pass)
+    return calls
+
+
+FIXED_ONCE = ShuffleMode(ClientMode.DETERMINISTIC_FIXED, DataMode.SHUFFLE_ONCE, FIXED_PLAN)
+
+
+@pytest.mark.parametrize(
+    "gamma, T, seed, shuffle",
+    [
+        # seeds 0, 1 and 3 at gamma = 0.01 end in cycles of 1, 3 and 2 meta-epochs with numpy 2.4.6 and OpenBLAS 0.3.31
+        (0.01, 400, 0, ShuffleMode()),
+        (0.01, 400, 1, ShuffleMode()),
+        (0.01, 400, 3, ShuffleMode()),
+        (0.005, 700, 0, ShuffleMode()),
+        (0.01, 400, 0, FIXED_ONCE),  # a period-2 plan: a cycle of 2 or 4 meta-epochs
+        (0.005, 700, 3, FIXED_ONCE),
+    ],
+)
+def test_replayed_cycle_equals_the_eager_run_bit_for_bit(pass_calls, gamma, T, seed, shuffle):
+    problem, cfg = plateau_quadratic(), plateau_cfg(gamma=gamma, T=T, seed=seed, shuffle=shuffle)
+    opt = problem.analytic_optimum()
+    trace = run_algorithm(problem, cfg, opt)
+    assert len(pass_calls) < T * 3 / 4  # the replay fired: under a quarter of the T*R rounds ran
+    assert trace_bits(trace) == trace_bits(eager_run(problem, cfg, opt))
+    with np.errstate(all="raise"):
+        assert trace_bits(run_algorithm(problem, cfg, opt)) == trace_bits(trace)
+
+
+def test_homogeneous_run_from_its_optimum_cycles_from_meta_epoch_zero(pass_calls):
+    # every gradient at x0 = 0 = x* is exactly 0, so meta-epoch 1 starts where meta-epoch 0 did
+    problem = quadratic_problem(6, 4, 5, client_spread=0.0, sample_spread=0.0)
+    cfg = plateau_cfg(T=50)
+    opt = problem.analytic_optimum()
+    trace = run_algorithm(problem, cfg, opt)
+    assert len(pass_calls) == problem.M // cfg.C
+    assert [p.grad_evals for p in trace.points] == [t * problem.M * problem.N for t in range(cfg.T + 1)]
+    assert trace_bits(trace) == trace_bits(eager_run(problem, cfg, opt))
+
+
+RESHUFFLED_DATA = ShuffleMode(ClientMode.SHUFFLE_ONCE, DataMode.RESHUFFLING)
+RESHUFFLED_CLIENTS = ShuffleMode(ClientMode.RESHUFFLING, DataMode.SHUFFLE_ONCE)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(shuffle=RESHUFFLED_DATA),
+        dict(shuffle=RESHUFFLED_CLIENTS),
+        dict(shuffle=ShuffleMode(ClientMode.DETERMINISTIC_FIXED, DataMode.RESHUFFLING, FIXED_PLAN)),
+        dict(algorithm="rrcli-wr"),
+        dict(algorithm="nastya"),
+        dict(decay=True),
+    ],
+)
+def test_no_replay_where_meta_epochs_differ(pass_calls, kw):
+    # the homogeneous run from its optimum would replay from meta-epoch 1 if any of these cycled
+    problem = quadratic_problem(6, 4, 5, client_spread=0.0, sample_spread=0.0)
+    cfg = plateau_cfg(T=20, **kw)
+    trace = run_algorithm(problem, cfg, problem.analytic_optimum())
+    assert len(pass_calls) == cfg.T * problem.M // cfg.C
+    assert len(trace.points) == cfg.T + 1
+
+
+def test_no_replay_before_the_iterate_repeats(pass_calls):
+    problem, cfg = plateau_quadratic(), plateau_cfg(T=30)  # its start iterates first repeat past meta-epoch 60
+    opt = problem.analytic_optimum()
+    trace = run_algorithm(problem, cfg, opt)
+    assert len(pass_calls) == cfg.T * problem.M // cfg.C
+    assert trace_bits(trace) == trace_bits(eager_run(problem, cfg, opt))
+
+
+THREE_EPOCH_PLAN = FIXED_PLAN + (((0, 3), (1, 2), (4, 5)),)
+
+
+@pytest.mark.parametrize("data_mode", list(DataMode))
+@pytest.mark.parametrize("client_mode", list(ClientMode))
+@pytest.mark.parametrize("algorithm", ["rrcli", "rrcli-wr", "nastya"])
+@pytest.mark.parametrize("schedule", [FIXED_PLAN, THREE_EPOCH_PLAN])
+def test_plan_period_is_the_period_of_the_round_plan(algorithm, client_mode, data_mode, schedule):
+    problem = hetero_quadratic()
+    shuffle = ShuffleMode(client_mode, data_mode, schedule if client_mode is ClientMode.DETERMINISTIC_FIXED else None)
+    cfg = make_cfg(problem, algorithm, C=2, T=3 * len(schedule), gamma=0.004, shuffle=shuffle)
+    period = plan_period(cfg)
+    if algorithm != "rrcli" or data_mode is DataMode.RESHUFFLING or client_mode is ClientMode.RESHUFFLING:
+        assert period == 0
+    else:
+        assert period == (len(schedule) if client_mode is ClientMode.DETERMINISTIC_FIXED else 1)
+    R = problem.M // 2
+    rounds = [(rnd.clients, rnd.rows.tobytes(), rnd.bounds) for rnd in round_plan(problem, cfg)]
+    epochs = [rounds[t * R : (t + 1) * R] for t in range(cfg.T)]
+    if period:  # over at least three periods
+        assert all(epochs[t] == epochs[t + period] for t in range(cfg.T - period))
+    else:  # nor a period of 1, 2 or 3, on this seed
+        assert all(epochs[t] != epochs[t + p] for p in (1, 2, 3) for t in range(cfg.T - p))
