@@ -8,9 +8,7 @@ against the exact variance over all permutation outcomes, which is the
 ground truth the tests trust.  That variance comes from integer Gram
 matrices of the prefix estimators' weights, three integers each from binomial
 counts of the outcome classes (see ``_prefix_gram``), checked bit for bit
-against a walk over every outcome of ``_enumerate_sequences``.  Class rows
-(the clients in completed rows, a group's tail client and the samples it has
-seen) give the exact statistics of the optimum-anchored (star) sequence.
+against a walk over every outcome of ``_enumerate_sequences``.
 
 Enumeration note: the grouped cross-covariance term carries coefficient
 2*k_N*(k - k_N) / (k^2 * (M - 1)); a variant with an extra 1/C factor does
@@ -149,33 +147,6 @@ def _enumerate_sequences(M: int, N: int, C: int) -> np.ndarray:
     return out.reshape(n_client * n_data, C, N * (M // C))
 
 
-def _subsets(n: int, size: int) -> np.ndarray:
-    """Read-only indicator rows of every ``size``-subset of range(n), in ``itertools`` order."""
-    count = math.comb(n, size)
-    members = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n), size)), np.intp, count * size
-    ).reshape(count, size)
-    rows = np.zeros((count, n))
-    rows[np.arange(count)[:, None], members] = 1.0
-    rows.setflags(write=False)
-    return rows
-
-
-def _class_rows(M: int, N: int, C: int, s: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Weight rows Q and tail clients t of the outcome classes (S, t, T), j >= 1.
-
-    S runs over the s-subsets of the clients, t over the clients outside S
-    and T over the j-subsets of t's samples.  Row Q[i] over the M*N samples
-    is 1 on every sample of a client in S and C on the samples of T.
-    """
-    in_S = _subsets(M, s)
-    # tails[t, T, t, :] is C on the j samples of T
-    tails = C * np.eye(M)[:, None, :, None] * _subsets(N, j)[None, :, None, :]
-    outside = in_S == 0
-    Q = (in_S[:, None, None, :, None] + tails)[outside]
-    return Q.reshape(-1, M * N), np.repeat(np.nonzero(outside)[1], Q.shape[1])
-
-
 def _binom(n: int, k: int) -> int:
     return math.comb(n, k) if n >= 0 and k >= 0 else 0
 
@@ -231,7 +202,7 @@ def _prefix_gram(M: int, N: int, C: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def brute_force_all(inputs: VarianceInputs, C: int = 1) -> np.ndarray:
-    """Exact prefix-average variances for every k in one enumeration pass."""
+    """Exact prefix-average variances for every k, one product with the cached Gram per prefix length."""
     gram, divisor = _prefix_gram(inputs.M, inputs.N, C)
     z = inputs.centred
     return np.sum(z * (gram @ z), axis=(1, 2)) / divisor
@@ -244,47 +215,3 @@ def max_rel_error(inputs: VarianceInputs, C: int = 1) -> float:
         c = closed_form_minibatch_variance(k, inputs.M, inputs.N, C, inputs.sigma2, inputs.sigma_tilde2)
         errors.append(abs(c - b) / (abs(b) if abs(b) > 1e-12 else 1.0))
     return max(errors)
-
-
-@dataclass
-class StarSequenceStats:
-    """Exact deviation statistics of the optimum-anchored sequence."""
-
-    mean_sq_dev: np.ndarray  # (R, N) mean ||x - x*||^2 after local step j+1 in round r
-    max_mean_sq_dev: float
-    max_sigma_ds: float  # max over slots of mean Bregman divergence / gamma^2
-
-
-def star_sequence_deviation(problem: FederatedProblem, x_star: np.ndarray, gamma: float, C: int) -> StarSequenceStats:
-    """Exact statistics of the fictitious sequence started at the optimum.
-
-    Local steps use gradients g* frozen at x*; rounds end with a cohort
-    average.  After local step j+1 of round r, x - x* = -gamma*Q.g*/C for the
-    ``_class_rows`` row Q of (S, t, T): the C*r clients of completed rounds,
-    the current client and the j+1 samples it has seen.  The step's component
-    l is any sample of T.  Every (S, t, T, l) is equally likely once the
-    cohort is averaged, so the statistics are plain means over the classes,
-    with one ``component_loss`` call per (S, t, T, l) for the Bregman term.
-    """
-    M, N = problem.M, problem.N
-    if M % C != 0:
-        raise ValueError("C must divide M")
-    R = M // C
-    n = sum(math.comb(M, C * r) * (M - C * r) for r in range(R)) * N * 2 ** (N - 1)
-    _check_guard(n, "outcome classes")
-    star_grads = np.array([problem.component_gradients(m, x_star) for m in range(M)])
-    star_losses = [[problem.component_loss(m, j, x_star) for j in range(N)] for m in range(M)]
-    sq = np.zeros((R, N))
-    breg = np.zeros((R, N))
-    for r in range(R):
-        for j in range(N):
-            Q, t = _class_rows(M, N, C, C * r, j + 1)
-            deltas = (-gamma / C) * (Q @ star_grads.reshape(M * N, -1))
-            sq[r, j] = np.mean(np.sum(deltas * deltas, axis=1))
-            rows, ls = np.nonzero(Q.reshape(-1, M, N)[np.arange(len(t)), t])  # every l in each row's T
-            breg[r, j] = sum(
-                problem.component_loss(m, l, x_star + deltas[i]) - star_losses[m][l] - star_grads[m, l] @ deltas[i]
-                for i, m, l in zip(rows.tolist(), t[rows].tolist(), ls.tolist())
-            ) / len(rows)
-    max_sigma_ds = float(breg.max() / (gamma * gamma)) if gamma > 0 else 0.0
-    return StarSequenceStats(mean_sq_dev=sq, max_mean_sq_dev=float(sq.max()), max_sigma_ds=max_sigma_ds)

@@ -44,22 +44,27 @@ partition of a row count as a tuple of client row tuples, and
 ``logistic_arrays_gathered`` is ``logistic_problem``'s gather of the matrix
 rows and labels from it, one row at a time.
 
-``star_sequence_enumerated`` is ``variance_lab.star_sequence_deviation``
-as a walk over every outcome: each client permutation crossed with each
-combination of per-client data permutations steps the optimum-anchored
-sequence directly, reads x*'s gradient and loss anew at every step and
-calls ``component_loss`` at the step's new point, and the statistics are
-means over the outcomes and the cohort's members.
+The star-sequence statistics are reached by no command, only by criterion
+03 and their own tests, so they live here.  ``star_sequence_deviation``
+gives the exact statistics (``StarSequenceStats``) of the optimum-anchored
+sequence as plain means over the outcome classes.  ``class_rows`` builds
+those classes' weight rows from ``subsets_per_entry``'s indicator rows (one
+``float(i in c)`` per entry of each ``itertools`` combination); the rows are
+checked against a per-class loop, and through ``prefix_gram_class_rows``,
+whose Gram must equal ``variance_lab._prefix_gram``'s bit for bit.  ``star_sequence_enumerated``
+is the oracle of ``star_sequence_deviation``, a walk over every outcome:
+each client permutation crossed with each combination of per-client data
+permutations steps the sequence directly, reads x*'s gradient and loss anew
+at every step and calls ``component_loss`` at the step's new point, and the
+statistics are means over the outcomes and the cohort's members.
 
 The variance oracles are the enumeration forms that ``variance_lab`` replaced
 with closed-form Gram matrices from binomial counts of the outcome classes: ``enumerate_sequences_loop``
 builds the outcome table one sample at a time, ``prefix_gram_from_table`` walks
 ``variance_lab._enumerate_sequences``'s table in chunks and adds every outcome's
 and group's weight deviations to the Gram, ``prefix_gram_class_rows`` sums
-them over one weight row per outcome class times the class's multiplicity,
-``subsets_per_entry`` builds
-``variance_lab._subsets``'s indicator rows one entry at a time, and
-``prefix_estimators`` evaluates every prefix estimator of every outcome and
+them over one ``class_rows`` row per outcome class times the class's
+multiplicity, and ``prefix_estimators`` evaluates every prefix estimator of every outcome and
 group on the inputs, which ``brute_force_all_tensor`` averages.  It averages
 in long double, so that the oracle's own rounding over up to 40,320 outcomes
 stays far below the tolerances it is compared at.  The byte oracles of ``VarianceInputs`` and
@@ -79,6 +84,7 @@ import csv
 import itertools
 import math
 import time
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -87,7 +93,7 @@ from fedrr.optimizer import DivergenceError, Round, RunTrace, TracePoint, apply_
 from fedrr.problem import LogisticProblem, Optimum, QuadraticProblem, SolverError, _converged, _sigmoid
 from fedrr.rng import stream
 from fedrr.shuffling import ClientMode, DataMode
-from fedrr.variance_lab import StarSequenceStats, _class_rows, _enumerate_sequences, _prefix_gram, _subsets
+from fedrr.variance_lab import _check_guard, _enumerate_sequences, _prefix_gram
 
 
 def component_gradient(problem, m, j, x):
@@ -385,8 +391,67 @@ def logistic_arrays_gathered(assignment, X, labels):
     return A, b
 
 
+@dataclass
+class StarSequenceStats:
+    """Exact deviation statistics of the optimum-anchored sequence."""
+
+    mean_sq_dev: np.ndarray  # (R, N) mean ||x - x*||^2 after local step j+1 in round r
+    max_mean_sq_dev: float
+    max_sigma_ds: float  # max over slots of mean Bregman divergence / gamma^2
+
+
+def class_rows(M, N, C, s, j):
+    """Weight rows Q and tail clients t of the outcome classes (S, t, T), j >= 1.
+
+    S runs over the s-subsets of the clients, t over the clients outside S
+    and T over the j-subsets of t's samples.  Row Q[i] over the M*N samples
+    is 1 on every sample of a client in S and C on the samples of T.
+    """
+    in_S = subsets_per_entry(M, s)
+    # tails[t, T, t, :] is C on the j samples of T
+    tails = C * np.eye(M)[:, None, :, None] * subsets_per_entry(N, j)[None, :, None, :]
+    outside = in_S == 0
+    Q = (in_S[:, None, None, :, None] + tails)[outside]
+    return Q.reshape(-1, M * N), np.repeat(np.nonzero(outside)[1], Q.shape[1])
+
+
+def star_sequence_deviation(problem, x_star, gamma, C):
+    """Exact statistics of the fictitious sequence started at the optimum.
+
+    Local steps use gradients g* frozen at x*; rounds end with a cohort
+    average.  After local step j+1 of round r, x - x* = -gamma*Q.g*/C for the
+    ``class_rows`` row Q of (S, t, T): the C*r clients of completed rounds,
+    the current client and the j+1 samples it has seen.  The step's component
+    l is any sample of T.  Every (S, t, T, l) is equally likely once the
+    cohort is averaged, so the statistics are plain means over the classes,
+    with one ``component_loss`` call per (S, t, T, l) for the Bregman term.
+    """
+    M, N = problem.M, problem.N
+    if M % C != 0:
+        raise ValueError("C must divide M")
+    R = M // C
+    n = sum(math.comb(M, C * r) * (M - C * r) for r in range(R)) * N * 2 ** (N - 1)
+    _check_guard(n, "outcome classes")
+    star_grads = np.array([problem.component_gradients(m, x_star) for m in range(M)])
+    star_losses = [[problem.component_loss(m, j, x_star) for j in range(N)] for m in range(M)]
+    sq = np.zeros((R, N))
+    breg = np.zeros((R, N))
+    for r in range(R):
+        for j in range(N):
+            Q, t = class_rows(M, N, C, C * r, j + 1)
+            deltas = (-gamma / C) * (Q @ star_grads.reshape(M * N, -1))
+            sq[r, j] = np.mean(np.sum(deltas * deltas, axis=1))
+            rows, ls = np.nonzero(Q.reshape(-1, M, N)[np.arange(len(t)), t])  # every l in each row's T
+            breg[r, j] = sum(
+                problem.component_loss(m, l, x_star + deltas[i]) - star_losses[m][l] - star_grads[m, l] @ deltas[i]
+                for i, m, l in zip(rows.tolist(), t[rows].tolist(), ls.tolist())
+            ) / len(rows)
+    max_sigma_ds = float(breg.max() / (gamma * gamma)) if gamma > 0 else 0.0
+    return StarSequenceStats(mean_sq_dev=sq, max_mean_sq_dev=float(sq.max()), max_sigma_ds=max_sigma_ds)
+
+
 def star_sequence_enumerated(problem, x_star, gamma, C):
-    """``variance_lab.star_sequence_deviation``, stepped along every client permutation and per-client data permutation."""
+    """``star_sequence_deviation``, stepped along every client permutation and per-client data permutation."""
     M, N = problem.M, problem.N
     R = M // C
     sq = np.zeros((R, N))
@@ -435,7 +500,7 @@ def libsvm_text_per_value(X, labels):
 
 
 def subsets_per_entry(n, size):
-    """``variance_lab._subsets``: one ``float(i in c)`` per entry of each ``itertools`` combination."""
+    """Indicator rows of every ``size``-subset of range(n), one ``float(i in c)`` per entry, in ``itertools`` order."""
     return np.array([[float(i in c) for i in range(n)] for c in itertools.combinations(range(n), size)])
 
 
@@ -483,7 +548,7 @@ def prefix_gram_from_table(M, N, C, chunk=4096):
 
 
 def prefix_gram_class_rows(M, N, C):
-    """``variance_lab._prefix_gram`` with its divisor, summing D D^T over one ``_class_rows`` row per outcome class."""
+    """``variance_lab._prefix_gram`` with its divisor, summing D D^T over one ``class_rows`` row per outcome class."""
     n_out = math.factorial(M) * math.factorial(N) ** M
     MN = M * N
     grams = []
@@ -491,7 +556,7 @@ def prefix_gram_class_rows(M, N, C):
         r, j = divmod(k, N)
         s = C * r
         # j = 0: 1 on every sample of the clients in S
-        Q = np.repeat(_subsets(M, s), N, axis=1) if j == 0 else _class_rows(M, N, C, s, j)[0]
+        Q = np.repeat(subsets_per_entry(M, s), N, axis=1) if j == 0 else class_rows(M, N, C, s, j)[0]
         D = MN * Q - C * k
         grams.append(C * n_out // len(Q) * (D.T @ D))
     gram = np.stack(grams)

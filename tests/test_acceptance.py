@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from eager_reference import component_gradient, eager_cohorts, eager_data_perms, plan_round
+from eager_reference import component_gradient, eager_cohorts, eager_data_perms, plan_round, star_sequence_deviation
 from fedrr import harness
 from fedrr.dataset import partition, synthetic_libsvm_like
 from fedrr.harness import ExperimentConfig, run_experiment
@@ -29,7 +29,6 @@ from fedrr.variance_lab import (
     brute_force_all,
     closed_form_minibatch_variance,
     closed_form_variance,
-    star_sequence_deviation,
     star_variances,
 )
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedrr.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_VERIFY, _geometries, main
+from fedrr.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_VERIFY, main
 from fedrr.dataset import libsvm_text, synthetic_libsvm_like
 from fedrr.problem import SolverError
 from fedrr.rng import stream
@@ -180,7 +180,13 @@ def test_help_still_prints_and_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: fedrr verify-variance")
 
 
-def test_geometries_are_every_small_enough_one_in_scan_order():
+def _geometries(max_size):
+    """verify-variance's scan order: M, then N with M*N <= max_size, then every C dividing M."""
+    pairs = [(M, N) for M in range(1, max_size + 1) for N in range(1, max_size // M + 1)]
+    return [(M, N, C) for M, N in pairs for C in range(1, M + 1) if M % C == 0]
+
+
+def test_geometries_are_every_small_enough_one_in_scan_order(capsys):
     for max_size in range(1, 13):
         scan = [
             (M, N, C)
@@ -190,7 +196,10 @@ def test_geometries_are_every_small_enough_one_in_scan_order():
             for C in range(1, M + 1)
             if M % C == 0
         ]
-        assert list(_geometries(max_size)) == scan
+        assert _geometries(max_size) == scan
+        assert main(["verify-variance", "--max-size", str(max_size), "--inputs", "1"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()[:-1]  # one line per geometry at one input
+        assert [line.split(":")[0] for line in lines] == [f"M={M} N={N} C={C}" for M, N, C in scan]
 
 
 def test_verify_variance_skips_only_geometries_past_the_guard(capsys):
@@ -204,7 +213,7 @@ def test_verify_variance_skips_only_geometries_past_the_guard(capsys):
         for M, N, C in ((1, 11, 1), (11, 1, 1), (11, 1, 11))
     ]
     checked = [line for line in lines[:-1] if line not in skipped]
-    assert len(checked) == len(list(_geometries(11))) - 3
+    assert len(checked) == len(_geometries(11)) - 3
     assert all(line.endswith(" ok") for line in checked)
 
 
@@ -520,7 +529,7 @@ def test_verify_variance_names_counts_past_the_int_digit_limit_in_a_process(tmp_
     done = fedrr_process(["verify-variance", "--max-size", "1700", "--inputs", "1"], tmp_path)
     assert (done.returncode, done.stderr) == (EXIT_OK, "")
     lines = done.stdout.splitlines()
-    assert len(lines) == len(list(_geometries(1700))) + 1
+    assert len(lines) == len(_geometries(1700)) + 1
     assert lines[-1].startswith("worst relative error")
     assert lines[1557] == f"M=1 N=1558 C=1: skipped ({math.factorial(1558)} outcomes exceed the enumeration guard)"
     assert lines[1558] == "M=1 N=1559 C=1: skipped (3.780e+4302 outcomes exceed the enumeration guard)"

@@ -5,11 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from fedrr.problem import LogisticProblem, ProblemError, QuadraticProblem, quadratic_problem, solve_optimum
+from fedrr.problem import LogisticProblem, ProblemError, QuadraticProblem, solve_optimum
 from fedrr.rng import _PhiloxKey
 from fedrr.shuffling import fisher_yates
 from fedrr.theory import THM1, RegimeParams
-from fedrr.variance_lab import star_sequence_deviation
 
 
 @pytest.mark.parametrize(
@@ -28,13 +27,12 @@ from fedrr.variance_lab import star_sequence_deviation
         (lambda: fisher_yates(0, 0, "checks"), ValueError, "n must be >= 1"),
         (lambda: RegimeParams(THM1, L=1.0, mu=1.0, M=4, N=2, C=2, sigma_tilde_star2=-1.0), ValueError,
          "variances and distances must be nonnegative"),
-        (lambda: star_sequence_deviation(quadratic_problem(3, 2, 2), np.zeros(2), 0.1, 2), ValueError, "C must divide M"),
         (lambda: _PhiloxKey(1).generate_state(4, np.uint64), ValueError, "a Philox key holds exactly two uint64 words"),
         (lambda: _PhiloxKey(1).generate_state(2), ValueError, "a Philox key holds exactly two uint64 words"),
     ],
     ids=[
         "logistic-2d-features", "logistic-label-shape", "quadratic-non-square-hessians", "quadratic-center-shape",
-        "solve-not-strongly-convex", "permutation-of-nothing", "negative-variance", "cohort-not-dividing-clients",
+        "solve-not-strongly-convex", "permutation-of-nothing", "negative-variance",
         "philox-four-words", "philox-uint32-words",
     ],
 )

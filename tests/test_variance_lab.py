@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import tracemalloc
@@ -12,11 +13,12 @@ from hypothesis import strategies as st
 from eager_reference import (
     brute_force_all_loop,
     brute_force_all_tensor,
+    class_rows,
     enumerate_sequences_loop,
     prefix_gram_class_rows,
     prefix_gram_from_table,
+    star_sequence_deviation,
     star_sequence_enumerated,
-    subsets_per_entry,
     variance_inputs_loop,
 )
 from fedrr.dataset import partition, synthetic_libsvm_like
@@ -29,12 +31,10 @@ from fedrr.variance_lab import (
     VarianceInputs,
     _enumerate_sequences,
     _prefix_gram,
-    _subsets,
     brute_force_all,
     closed_form_minibatch_variance,
     closed_form_variance,
     max_rel_error,
-    star_sequence_deviation,
     star_variances,
 )
 
@@ -239,13 +239,19 @@ def test_prefix_gram_closed_form_matches_the_class_rows_bit_for_bit():
         assert np.all(gram == np.round(gram)) and np.abs(gram).max() < 2.0**53
 
 
-@pytest.mark.parametrize("n", [*range(12), 14, 22])
-def test_subsets_match_the_per_entry_rows_byte_for_byte(n):
-    for size in range(n + 1) if n <= 14 else (0, 1, 2, n - 1, n):
-        got, want = _subsets(n, size), subsets_per_entry(n, size)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()  # the same rows in the same order
-        assert not got.flags.writeable
+@pytest.mark.parametrize("M, N", [(M, N) for M in range(1, 5) for N in range(1, 5)])
+def test_class_rows_match_a_per_class_loop_byte_for_byte(M, N):
+    # the Gram check above sums over the rows, blind to their order and to the tail clients star_sequence_deviation reads
+    for C, j in itertools.product([C for C in range(1, M + 1) if M % C == 0], range(1, N + 1)):
+        for s in range(0, M, C):
+            combos = itertools.product(itertools.combinations(range(M), s), range(M), itertools.combinations(range(N), j))
+            classes = [(S, t, T) for S, t, T in combos if t not in S]
+            want = np.zeros((len(classes), M, N))
+            for i, (S, t, T) in enumerate(classes):
+                want[i, list(S)], want[i, t, list(T)] = 1.0, C
+            Q, tail = class_rows(M, N, C, s, j)
+            assert Q.dtype == want.dtype and Q.shape == (len(classes), M * N) and Q.tobytes() == want.tobytes()
+            assert tail.tolist() == [t for _, t, _ in classes]
 
 
 def test_prefix_gram_guard_is_checked_before_any_work():
@@ -405,6 +411,11 @@ def test_star_sequence_matches_the_outcome_walk(problem, x_star, C):
         assert got.mean_sq_dev.shape == want.mean_sq_dev.shape == (problem.M // C, problem.N)
         assert np.abs(got.mean_sq_dev - want.mean_sq_dev).max() <= 1e-12 * want.max_mean_sq_dev
         assert abs(got.max_sigma_ds - want.max_sigma_ds) <= 1e-12 * abs(want.max_sigma_ds)
+
+
+def test_star_sequence_rejects_a_cohort_size_not_dividing_the_clients():
+    with pytest.raises(ValueError, match="^C must divide M$"):
+        star_sequence_deviation(quadratic_problem(3, 2, 2), np.zeros(2), 0.1, 2)
 
 
 def test_star_sequence_guard_raises_before_reading_the_problem():
