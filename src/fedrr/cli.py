@@ -105,19 +105,18 @@ def _cmd_verify(args) -> int:
     worst = 0.0
     failures = 0
     for M in range(1, args.max_size + 1):
+        Cs = [c for c in range(1, M + 1) if M % c == 0]
         for N in range(1, args.max_size // M + 1):
             try:  # C = 1 always divides M, and the outcome count, so the guard's verdict, depends on M and N alone
                 _prefix_gram(M, N, 1)
-                skipped = None
             except EnumerationTooLarge as exc:
-                skipped = exc
-            for C in (c for c in range(1, M + 1) if M % c == 0):
-                # every input is drawn, so a skipped geometry leaves the stream where checking it would
-                draws = [rng.normal(size=(M, N, 2)) for _ in range(args.inputs)]
-                if skipped is not None:
-                    print(f"M={M} N={N} C={C}: skipped ({skipped})")
-                    continue
-                for z in draws:
+                # one draw of every skipped input leaves the stream where checking them would
+                rng.standard_normal(len(Cs) * args.inputs * M * N * 2)
+                for C in Cs:
+                    print(f"M={M} N={N} C={C}: skipped ({exc})")
+                continue
+            for C in Cs:
+                for z in (rng.normal(size=(M, N, 2)) for _ in range(args.inputs)):
                     error = max_rel_error(VarianceInputs(z), C)
                     worst = max(worst, error)
                     status = "ok" if error <= args.tol else "FAIL"

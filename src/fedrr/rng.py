@@ -9,7 +9,10 @@ experiment never perturbs the streams of the others.
 
 A permutation's swap indices skip the ``Generator``: ``swap_indices`` re-keys
 one private Philox per thread and takes numpy's bounded draws from its raw
-words itself, so the indices are those that ``stream(...)`` would draw.
+words itself, so the indices are those that ``stream(...)`` would draw.  A
+permutation of at most ``SHORT_PERMUTATION`` elements takes Lemire's step in
+Python integers and falls back to the numpy arrays of ``_bounded_draws`` only
+where a draw might be rejected; a longer one takes the arrays at once.
 """
 
 from __future__ import annotations
@@ -70,6 +73,13 @@ def _keyed_philox(key: int) -> np.random.Philox:
     return bg
 
 
+# Permutations up to this length draw in Python integers, longer ones in numpy arrays: the
+# paths cost the same near 32 elements.  A whole fisher_yates on a 2-core Xeon VM (Python
+# 3.11, numpy 2.4), Python against numpy: 5.9 against 10.2 us at n = 4, 8.0 against 10.9 at
+# 12, 12.6 against 12.5 at 32, 16.7 against 13.9 at 48.
+SHORT_PERMUTATION = 32
+
+
 def _bounded_draws(r: np.ndarray, uint32s) -> np.ndarray:
     """numpy's draws j ~ U{0..r-1}, as uint64, for each bound in the uint64 array ``r``, from the values ``uint32s`` reads.
 
@@ -94,21 +104,45 @@ def _bounded_draws(r: np.ndarray, uint32s) -> np.ndarray:
             u = np.concatenate([u, uint32s(len(r) - len(u))])
 
 
-def swap_indices(n: int, root_seed: int, label: str, *parts) -> np.ndarray:
+def swap_indices(n: int, root_seed: int, label: str, *parts) -> list[int]:
     """The n-1 swap indices of a Fisher-Yates shuffle of range(n), from the named stream.
 
     Equal, bit for bit, to ``stream(root_seed, label, *parts).integers(0,
-    np.arange(n, 1, -1))``, rejections included, as uint64: each raw Philox
-    word gives its low 32 bits, then its high 32 bits, as numpy's
+    np.arange(n, 1, -1))``, rejections included, as Python ints: each raw
+    Philox word gives its low 32 bits, then its high 32 bits, as numpy's
     ``next_uint32`` does.  No ``Generator`` is built.
+
+    Up to ``SHORT_PERMUTATION`` elements, the ⌈(n-1)/2⌉ words' draws
+    j = (u*r) >> 32 are Python integers.  2**32 mod r is below r, so a draw
+    whose low word (u*r) mod 2**32 is at least r is never rejected; at the
+    first draw that is not, the Philox is re-keyed and ``_bounded_draws``
+    applies numpy's rejection rule to the same words.
     """
-    bg = _keyed_philox(stream_key(root_seed, label, *parts))
+    key = stream_key(root_seed, label, *parts)
+    if n <= SHORT_PERMUTATION:
+        # a word's low half draws at bound r, its high half at r - 1; an even n's last word keeps only its low half
+        draws, r = [], n
+        for w in _keyed_philox(key).random_raw(n // 2).tolist():
+            p = (w & 0xFFFF_FFFF) * r
+            if p & 0xFFFF_FFFF < r:
+                break
+            draws.append(p >> 32)
+            if r == 2:
+                return draws
+            p = (w >> 32) * (r - 1)
+            if p & 0xFFFF_FFFF < r - 1:
+                break
+            draws.append(p >> 32)
+            r -= 2
+        else:
+            return draws
+    bg = _keyed_philox(key)
 
     def uint32s(k):
         # both halves of ceil(k/2) words: explicit little-endian views put the low half first on any platform
         return bg.random_raw(-(-k // 2)).astype("<u8", copy=False).view("<u4")
 
-    return _bounded_draws(np.arange(n, 1, -1, dtype=np.uint64), uint32s)
+    return _bounded_draws(np.arange(n, 1, -1, dtype=np.uint64), uint32s).tolist()
 
 
 def derive_seed(root_seed: int, label: str, *parts) -> int:

@@ -53,7 +53,7 @@ def fisher_yates(n: int, root_seed: int, label: str, *parts) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     perm = list(range(n))
-    for i, j in zip(range(n - 1, 0, -1), swap_indices(n, root_seed, label, *parts).tolist()):
+    for i, j in zip(range(n - 1, 0, -1), swap_indices(n, root_seed, label, *parts)):
         perm[i], perm[j] = perm[j], perm[i]
     return np.array(perm, dtype=np.int64)
 

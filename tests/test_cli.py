@@ -233,6 +233,16 @@ def test_verify_variance_prints_a_skip_once_and_draws_every_input(capsys):
     assert lines[:-1] == want
 
 
+def test_a_skipped_geometrys_single_draw_is_its_inputs_draws():
+    # verify-variance advances the stream over a skipped (M, N) with one
+    # standard_normal call in place of one normal call per C and input
+    for M, N, n_c, inputs in ((11, 1, 2, 3), (1, 11, 1, 1), (6, 2, 4, 5)):
+        one, each = stream(5, "verify_variance"), stream(5, "verify_variance")
+        draws = one.standard_normal(n_c * inputs * M * N * 2)
+        assert draws.tobytes() == np.concatenate([each.normal(size=(M, N, 2)).ravel() for _ in range(n_c * inputs)]).tobytes()
+        assert one.normal(size=(M, N, 2)).tobytes() == each.normal(size=(M, N, 2)).tobytes()
+
+
 def test_verify_variance_failures_exit_4(capsys):
     code = main(["verify-variance", "--max-size", "3", "--inputs", "1", "--tol", "1e-300"])
     assert code == EXIT_VERIFY

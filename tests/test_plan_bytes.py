@@ -23,10 +23,14 @@ FIXED = (
 )
 
 
-def plan_digest(algorithm, shuffle=ShuffleMode(), rows=True):
-    """sha256 of each round's epoch, index, cohort and (unless ``rows`` is false) data orders, as little-endian int64."""
-    problem = quadratic_problem(M, N, 2, mu=1.0, L=10.0, client_spread=1.0, sample_spread=0.5, seed=0)
-    cfg = AlgoConfig(algorithm, C, T, StepSizes(0.01, 0.01, 0.01), shuffle=shuffle, seed=SEED)
+def plan_digest(algorithm, shuffle=ShuffleMode(), rows=True, shape=(M, N, C, T)):
+    """sha256 of each round's epoch, index, cohort and (unless ``rows`` is false) data orders, as little-endian int64.
+
+    ``shape`` is the plan's (clients M, points per client N, cohort size C, meta-epochs T).
+    """
+    m, n, c, t = shape
+    problem = quadratic_problem(m, n, 2, mu=1.0, L=10.0, client_spread=1.0, sample_spread=0.5, seed=0)
+    cfg = AlgoConfig(algorithm, c, t, StepSizes(0.01, 0.01, 0.01), shuffle=shuffle, seed=SEED)
     h = hashlib.sha256()
     for rnd in round_plan(problem, cfg):
         h.update(np.array([rnd.meta_epoch, rnd.round_index, *rnd.clients], dtype="<i8").tobytes())
@@ -47,6 +51,13 @@ PLAN_DIGESTS = {
     "nastya/shuffle_once": "891a31003502dac5197cbd8f7a6adac5d071d520092150689fc69a18254e3bbf",
     "nastya/reshuffling": "e5af456740b6189faf0aad03ea89bf942c5fb238c50b589ae1e6d16d887fa359",
     "fedavg/cohorts": "b3c04ab55bde898da10e351bf8c580a4ea0a869946590ac41863fdb6ba969af8",
+}
+
+# the quad_montecarlo bench's shapes: 6 clients of 4 points, cohorts of 2, so every draw is a 6- or 4-element permutation
+QUAD_SHAPE = (6, 4, 2, 50)
+QUAD_PLAN_DIGESTS = {
+    "rrcli/reshuffling/reshuffling": "0ed989233ba2fde1c414839d6f54755f7af3f5afa04442312f397fe3ff22bc42",
+    "rrcli-wr/shuffle_once": "aa726316998da31af60e9e52c0b9f967f95c3ad3252cb1380df43d6127634bbc",
 }
 
 PARTITION_DIGESTS = {
@@ -73,6 +84,18 @@ def plan_cases():
 @pytest.mark.parametrize("name,algorithm,shuffle", list(plan_cases()), ids=lambda v: v if isinstance(v, str) else "")
 def test_round_plan_bytes_are_pinned(name, algorithm, shuffle):
     assert plan_digest(algorithm, shuffle) == PLAN_DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "name,algorithm,shuffle",
+    [
+        ("rrcli/reshuffling/reshuffling", "rrcli", ShuffleMode(ClientMode.RESHUFFLING, DataMode.RESHUFFLING)),
+        ("rrcli-wr/shuffle_once", "rrcli-wr", ShuffleMode()),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "",
+)
+def test_quad_shape_plan_bytes_are_pinned(name, algorithm, shuffle):
+    assert plan_digest(algorithm, shuffle, shape=QUAD_SHAPE) == QUAD_PLAN_DIGESTS[name]
 
 
 def test_fedavg_cohort_bytes_are_pinned():

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random.bit_generator import ISeedSequence
 
-from fedrr.rng import _bounded_draws, derive_seed, stream, stream_key, swap_indices
+from fedrr import rng
+from fedrr.rng import SHORT_PERMUTATION, _bounded_draws, derive_seed, stream, stream_key, swap_indices
 
 
 def test_same_name_same_stream():
@@ -57,6 +58,15 @@ def test_stream_matches_philox_keyed_by_stream_key(root_seed, label, parts):
 def test_swap_indices_are_numpys_bounded_draws(n, root_seed, label, parts):
     expected = stream(root_seed, label, *parts).integers(0, np.arange(n, 1, -1))
     assert np.array_equal(swap_indices(n, root_seed, label, *parts), expected)
+
+
+@pytest.mark.parametrize("n", range(1, 2 * SHORT_PERMUTATION + 1))
+def test_short_and_long_paths_match_numpy_at_every_length(n):
+    # every length on both sides of the cut, over 200 (seed, label) pairs each
+    for seed in range(100):
+        for label in ("cut", "perm"):
+            expected = stream(seed, label, n).integers(0, np.arange(n, 1, -1))
+            assert np.array_equal(swap_indices(n, seed, label, n), expected)
 
 
 def untemper(y):
@@ -113,15 +123,59 @@ def test_bounded_draws_reject_as_numpy_does(bounds, values):
     assert gen.integers(0, 2**32, dtype=np.uint64) == 0xDEAD_BEEF
 
 
+class RawWords:
+    """A stand-in for a re-keyed Philox whose raw words carry the 32-bit ``values``, low half first."""
+
+    def __init__(self, values):
+        pairs = values + [0xDEAD_BEEF] * (len(values) % 2)
+        self.words = [lo | hi << 32 for lo, hi in zip(pairs[::2], pairs[1::2])]
+        self.read = 0
+
+    def random_raw(self, k):
+        self.read += k
+        assert self.read <= len(self.words), "the draws read past the chosen words"
+        return np.array(self.words[self.read - k : self.read], dtype=np.uint64)
+
+
+@pytest.mark.parametrize(
+    "n, values, rekeys",
+    [
+        (4, ACCEPTED[:3], 1),  # no rejection: the short path's Python integers alone
+        (7, ACCEPTED[:1] + [3 * INV7 % 2**32] + ACCEPTED[:5], 1),  # the u that r = 7 rejects, drawn at r = 6: accepted
+        (6, [0, 0] + ACCEPTED, 2),  # u = 0 rejected twice at the start, in the low half of the first word
+        (6, ACCEPTED[:1] + [0] + ACCEPTED[1:5], 2),  # a rejection in the high half of a word
+        (5, ACCEPTED[:2] + [0] + ACCEPTED[2:4], 2),  # a later word's low half rejected, at r = 3
+        (7, [3 * INV7 % 2**32] + ACCEPTED[:5] + [0x0BAD_F00D], 2),  # low 3 < 2**32 mod 7 = 4: rejected
+        (7, [4 * INV7 % 2**32] + ACCEPTED[:5], 2),  # low 4 < r = 7 but not < 4: accepted, through the fallback
+        (7, [6 * INV7 % 2**32] + ACCEPTED[:5], 2),  # low 6, the largest near-rejection at r = 7
+        (4, ACCEPTED[:2] + [0, 0x0BAD_F00D], 2),  # r = 2 never rejects (2**32 mod 2 = 0), yet low 0 < 2 goes to the fallback
+    ],
+)
+def test_short_path_rejections_fall_back_to_numpys_rule(monkeypatch, n, values, rekeys):
+    # the short path keeps a draw only when low >= r, which numpy never rejects;
+    # anything else re-keys and reads the same words again through _bounded_draws
+    keyed = []
+
+    def keyed_philox(key):
+        keyed.append(key)
+        return RawWords(values)
+
+    monkeypatch.setattr(rng, "_keyed_philox", keyed_philox)
+    bounds = np.arange(n, 1, -1)
+    expected = generator_emitting(values + [0xDEAD_BEEF]).integers(0, bounds)
+    assert np.array_equal(swap_indices(n, 0, "raw"), expected)
+    assert len(keyed) == rekeys and len(set(keyed)) == 1
+
+
 def test_swap_indices_per_thread():
     # each thread re-keys its own Philox: threads drawing at once, switching
     # every few microseconds, get the indices of one thread drawing alone
-    cases = [(n, seed) for n in (4, 6, 921) for seed in range(20)]
-    expected = [swap_indices(n, seed, "threads").tolist() for n, seed in cases]
+    cases = [(n, seed) for n in (4, 6, SHORT_PERMUTATION, SHORT_PERMUTATION + 1, 921) for seed in range(20)]
+    expected = [swap_indices(n, seed, "threads") for n, seed in cases]
     results = [None] * 6
 
     def work(k):
-        results[k] = [swap_indices(n, seed, "threads").tolist() for _ in range(5) for n, seed in cases]
+        results[k] = [swap_indices(n, seed, "threads") for _ in range(5) for n, seed in cases]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
