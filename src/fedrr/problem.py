@@ -137,17 +137,13 @@ class LogisticProblem(FederatedProblem):
 
     def cohort_pass(self, ms, x, gamma_step, order, bounds):
         self._check_clients(ms)
-        # rows gathered N entries at a time, at most C*N*d floats
+        # each step gathers its own (C, hi - lo) rows: a step is at most N rows, so at most C*N*d floats
         rows = np.asarray(ms)[:, None] * self.N + order
+        A, b = self._A.reshape(-1, self.d), self._b.reshape(-1)
         X = np.repeat(np.asarray(x, dtype=np.float64)[None, :], len(ms), axis=0)
-        stop = 0
         for lo, hi in bounds:
-            if hi > stop:  # the next N entries, or this step alone if it is longer
-                start, stop = lo, max(hi, lo + self.N)
-                A = self._A.reshape(-1, self.d).take(rows[:, start:stop], axis=0)
-                neg_b = -self._b.reshape(-1).take(rows[:, start:stop])
-            Ab, nb = A[:, lo - start : hi - start], neg_b[:, lo - start : hi - start]
-            X -= gamma_step * (_loss_back(Ab, nb, X) / (hi - lo) + self.alpha * X)
+            step = rows[:, lo:hi]
+            X -= gamma_step * (_loss_back(A.take(step, axis=0), -b.take(step), X) / (hi - lo) + self.alpha * X)
         return X
 
 

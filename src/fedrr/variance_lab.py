@@ -5,7 +5,8 @@ under the two-level shuffle (a random client order crossed with independent
 per-client data orders), including the grouped variant where C parallel
 groups each run their own two-level shuffle.  Every formula is checked
 against the exact variance over all permutation outcomes, which is the
-ground truth the tests trust.  That variance comes from integer Gram
+ground truth the tests trust; generic in their number type, the closed forms
+are exact for ``Fraction`` arguments.  That variance comes from integer Gram
 matrices of the prefix estimators' weights, three integers each from binomial
 counts of the outcome classes (see ``_prefix_gram``), checked bit for bit
 against a walk over every outcome of ``_enumerate_sequences``.
@@ -86,7 +87,7 @@ def closed_form_variance(k: int, M: int, N: int, sigma2: float, sigma_tilde2: fl
         raise ValueError(f"k={k} out of range [1, {M * N}]")
     if N == 1:
         if M == 1:
-            return 0.0
+            return type(sigma2)()  # zero in the inputs' number type, 0.0 for floats even at an infinite sigma
         return sigma_tilde2 * (M - k) / (k * (M - 1))
     if M == 1:
         return sigma2 * (N - k) / (k * (N - 1))
@@ -95,7 +96,7 @@ def closed_form_variance(k: int, M: int, N: int, sigma2: float, sigma_tilde2: fl
     coef = (
         (m_k * N * N + j_k * j_k) * (M * N - 1) / (k * k * (N - 1) * (M - 1))
         - N / (k * (N - 1))
-        - 1.0 / (M - 1)
+        - 1 / (M - 1)
     )
     return data_term + coef * sigma_tilde2
 
@@ -114,13 +115,13 @@ def closed_form_minibatch_variance(
     if not 1 <= k <= N * R:
         raise ValueError(f"k={k} out of range [1, {N * R}]")
     k_N = (k // N) * N
-    out = 0.0
+    out = type(sigma2)()
     if k_N > 0:
         out += (k_N / k) ** 2 * closed_form_variance(k_N * C, M, N, sigma2, sigma_tilde2)
     if k > k_N:
         out += ((k - k_N) / k) ** 2 * closed_form_variance(k - k_N, M, N, sigma2, sigma_tilde2)
     if M > 1:
-        out -= 2.0 * k_N * (k - k_N) / (k * k * (M - 1)) * sigma_tilde2
+        out -= 2 * k_N * (k - k_N) / (k * k * (M - 1)) * sigma_tilde2
     return out
 
 
@@ -164,34 +165,17 @@ def _prefix_gram(M: int, N: int, C: int) -> tuple[np.ndarray, np.ndarray]:
     is the sum of D D^T over all (outcome, group) pairs and divisor[k-1] =
     n_outcomes*C*(C*k*M*N)^2 is their count times the squared scale.
 
-    D depends only on the outcome class: the set S of the s = C*k_N/N clients
-    in completed rows and, when j > 0, group g's tail client t outside S and
-    the j-subset T of t's samples.  The n_cls classes are equally likely and
-    relabelling the clients, or one client's samples, permutes them, so
-    G[k-1] holds three integers C*n_outcomes/n_cls*((M*N)^2*q +
-    n_cls*(C*k)^2 - 2*M*N*C*k*q1), q1 the class sum of Q_x and q that of
-    Q_x*Q_y.  With spread = (M-s)*C(N, j) (1 if j = 0), n_S = C(M-1, s-1)*spread
-    classes put x's client in S and n_T = C(M-1, s)*C(N-1, j-1) put x in T:
-    n_cls = C(M, s)*spread, q1 = n_S + C*n_T, and q is n_S + C^2*n_T for
-    x = y, n_S + C^2*C(M-1, s)*C(N-2, j-2) inside one client and
-    C(M-2, s-2)*spread + 2*C*C(M-2, s-1)*C(N-1, j-1) across two, with
-    C(n, k) = 0 off range.  The guard keeps these Python integers below 2**53,
-    so G is exact; the tests check it against the class rows and outcome table.
+    D depends only on the outcome class of ``_prefix_class_sums``.  The
+    classes are equally likely and relabelling the clients, or one client's
+    samples, permutes them, so G[k-1] holds three integers, C*n_outcomes/n_cls
+    times each class sum, below 2**53 under the guard: G is exact.
     """
     if M % C != 0:
         raise ValueError(f"group count {C} does not divide client count {M}")
     n_out = math.factorial(M) * math.factorial(N) ** M
     _check_guard(n_out, "outcomes")
     MN = M * N
-    values = []  # [q_cross, q_block, q_diag] entries of each prefix length
-    for k in range(1, N * (M // C) + 1):
-        s, j, Ck = C * (k // N), k % N, C * k
-        spread = (M - s) * _binom(N, j) if j else 1
-        n_S, n_T = _binom(M - 1, s - 1) * spread, _binom(M - 1, s) * _binom(N - 1, j - 1)
-        n_cls, q1 = _binom(M, s) * spread, n_S + C * n_T
-        q_cross = _binom(M - 2, s - 2) * spread + 2 * C * _binom(M - 2, s - 1) * _binom(N - 1, j - 1)
-        qs = q_cross, n_S + C * C * _binom(M - 1, s) * _binom(N - 2, j - 2), n_S + C * C * n_T
-        values.append([C * n_out // n_cls * (MN * MN * q + n_cls * Ck * Ck - 2 * MN * Ck * q1) for q in qs])
+    values = [[C * n_out // n_cls * q for q in sums] for n_cls, sums in _prefix_class_sums(M, N, C)]
     same_client = np.arange(MN)[:, None] // N == np.arange(MN) // N
     gram = np.take(np.array(values, dtype=np.float64), same_client + np.eye(MN, dtype=np.intp), axis=1)
     scale = C * np.arange(1.0, len(gram) + 1) * MN
@@ -199,6 +183,25 @@ def _prefix_gram(M: int, N: int, C: int) -> tuple[np.ndarray, np.ndarray]:
     gram.setflags(write=False)
     divisor.setflags(write=False)
     return gram, divisor
+
+
+def _prefix_class_sums(M: int, N: int, C: int):
+    """Yield n_cls and ``_prefix_gram``'s class sums of D_x*D_y (across two clients, inside one, x = y) for each k.
+
+    Python integers for any (M, N, C), with no guard.  A class is the set S of the s = C*k_N/N clients in completed
+    rows and, when j > 0, the tail client t outside S and the j-subset T of its samples; n_S classes put x's client in
+    S and n_T put x in T, q1 and q are the class sums of Q_x and Q_x*Q_y, and a sum is (M*N)^2*q + base.
+    """
+    MN = M * N
+    for k in range(1, N * (M // C) + 1):
+        s, j, Ck = C * (k // N), k % N, C * k
+        spread = (M - s) * _binom(N, j) if j else 1
+        n_S, n_T = _binom(M - 1, s - 1) * spread, _binom(M - 1, s) * _binom(N - 1, j - 1)
+        n_cls, q1 = _binom(M, s) * spread, n_S + C * n_T
+        q_cross = _binom(M - 2, s - 2) * spread + 2 * C * _binom(M - 2, s - 1) * _binom(N - 1, j - 1)
+        q_block, q_diag = n_S + C * C * _binom(M - 1, s) * _binom(N - 2, j - 2), n_S + C * C * n_T
+        base = n_cls * Ck * Ck - 2 * MN * Ck * q1
+        yield n_cls, (MN * MN * q_cross + base, MN * MN * q_block + base, MN * MN * q_diag + base)
 
 
 def brute_force_all(inputs: VarianceInputs, C: int = 1) -> np.ndarray:

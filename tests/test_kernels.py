@@ -5,7 +5,7 @@ and ``QuadraticProblem.objective_value`` evaluates every component at once;
 ``optimizer._cohort_update`` makes one cohort pass per round.  Each must
 give the bytes of the one-client, one-component loops in
 ``tests/eager_reference.py``, signed zeros included.
-``LogisticProblem.cohort_pass`` gathers the cohort's rows N entries at a time and steps
+``LogisticProblem.cohort_pass`` gathers each step's rows of the cohort and steps
 every client with one stacked product each way; it must give the bytes of
 ``logistic_local_pass``, one client's gemv pass at a time.
 ``quadratic_problem`` draws each component's normals into one block and
@@ -326,9 +326,9 @@ def test_logistic_cohort_pass_matches_per_client_pass_at_benchmark_shape(C, S, b
 
 def test_logistic_cohort_pass_gathers_at_most_n_entries_at_a_time():
     # fedavg rows of 6N entries: one gather of all of them would hold 6*C*N*d floats, while the
-    # pass holds at most two gathers of N entries, the old one until the new one is assigned
-    problem, C = BENCHMARK_LOGISTIC, 3
-    ms, order, bounds = pass_rows(problem, np.random.default_rng(5), C, 60, 92)
+    # pass gathers each step's rows alone, one (C, batch, d) block and the products read from it
+    problem, C, batch = BENCHMARK_LOGISTIC, 3, 92
+    ms, order, bounds = pass_rows(problem, np.random.default_rng(5), C, 60, batch)
     assert order.shape[1] > 5 * problem.N
     x = np.zeros(problem.d)
     tracemalloc.start()
@@ -338,6 +338,8 @@ def test_logistic_cohort_pass_gathers_at_most_n_entries_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 3 * C * problem.N * problem.d * 8
+    # a step-sized bound: the pass peaked at 300,048 bytes, two (C, batch, d) blocks, with numpy 2.4.6
+    assert peak < 3 * C * batch * problem.d * 8
 
 
 @pytest.mark.parametrize("clients, N, d", [(6, 4, 5), (1, 1, 1), (3, 2, 1), (2, 3, 2), (4, 1, 2), (2, 5, 3), (3, 2, 8)])

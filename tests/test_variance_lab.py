@@ -30,6 +30,7 @@ from fedrr.variance_lab import (
     EnumerationTooLarge,
     VarianceInputs,
     _enumerate_sequences,
+    _prefix_class_sums,
     _prefix_gram,
     brute_force_all,
     closed_form_minibatch_variance,
@@ -332,6 +333,48 @@ def test_prefix_gram_is_exact_and_structured():
         # the full average is the grand mean under every outcome
         assert np.all(gram[-1] == 0.0)
         assert not gram.flags.writeable
+
+
+def exact_prefix_variances(zeta, C):
+    """Every k-prefix variance of the integer inputs ``zeta`` (M lists of N ints), in Fractions from the class sums."""
+    M, N = len(zeta), len(zeta[0])
+    mean = Fraction(sum(map(sum, zeta)), M * N)
+    z = [[v - mean for v in row] for row in zeta]
+    diag = sum(v * v for row in z for v in row)
+    # pairs inside one client, x = y included; over all pairs the centred products sum to 0
+    inside = sum(sum(row) ** 2 for row in z)
+    out = []
+    for k, (n_cls, (cross, block, same)) in enumerate(_prefix_class_sums(M, N, C), start=1):
+        form = same * diag + block * (inside - diag) - cross * inside
+        out.append(form / (n_cls * (C * k * M * N) ** 2))
+    return out, diag / (M * N), inside / (N * N * M)
+
+
+# the largest bound whose check takes about 3 s on a 2-core x86 VM; the counts need no guard, so this passes the
+# enumeration guard's M, N <= 10
+EXACT_IDENTITY_SIZE = 11
+
+
+def test_closed_forms_are_the_exact_variance_in_rationals_past_the_guard():
+    # both sides are linear in the centred inputs' diagonal and same-client sums, so two inputs with independent
+    # sums prove the identity for a geometry, with no rounding and no BLAS kernel in either side
+    rng = np.random.default_rng(19)
+    checked = 0
+    for M, N in itertools.product(range(1, EXACT_IDENTITY_SIZE + 1), repeat=2):
+        for zeta in (rng.integers(-9, 10, size=(M, N)).tolist() for _ in range(2)):
+            for C in (C for C in range(1, M + 1) if M % C == 0):
+                exact, sigma2, sigma_tilde2 = exact_prefix_variances(zeta, C)
+                args = Fraction(M), Fraction(N), Fraction(C), sigma2, sigma_tilde2
+                got = [closed_form_minibatch_variance(Fraction(k), *args) for k in range(1, len(exact) + 1)]
+                assert got == exact, (M, N, C)
+                checked += len(exact)
+    assert checked == 2 * 6_534  # prefix lengths of the 121 (M, N), each with every C dividing M
+
+
+def test_closed_forms_keep_a_zero_at_an_infinite_variance():
+    # the one-sample geometry has no spread whatever the inputs: 0.0, where 0 * inf would be NaN
+    assert closed_form_variance(1, 1, 1, math.inf, math.inf) == 0.0
+    assert closed_form_minibatch_variance(1, 1, 1, 1, math.inf, math.inf) == 0.0
 
 
 @given(
