@@ -107,22 +107,27 @@ def _cmd_verify(args) -> int:
     for M in range(1, args.max_size + 1):
         Cs = [c for c in range(1, M + 1) if M % c == 0]
         for N in range(1, args.max_size // M + 1):
+            # every input of (M, N), C by C, in one draw: the stream moves as one normal call per input
+            # would move it, whether the inputs are checked or skipped
+            count = len(Cs) * args.inputs * M * N * 2
+            try:
+                draws = rng.standard_normal(count)
+            except (MemoryError, ValueError):  # numpy raises ValueError for a size past its index range
+                raise ConfigError(f"--inputs {args.inputs} takes {count} draws at M={M} N={N}, more than fit in memory") from None
             try:  # C = 1 always divides M, and the outcome count, so the guard's verdict, depends on M and N alone
                 _prefix_gram(M, N, 1)
             except EnumerationTooLarge as exc:
-                # one draw of every skipped input leaves the stream where checking them would
-                rng.standard_normal(len(Cs) * args.inputs * M * N * 2)
                 for C in Cs:
                     print(f"M={M} N={N} C={C}: skipped ({exc})")
                 continue
-            for C in Cs:
-                for z in (rng.normal(size=(M, N, 2)) for _ in range(args.inputs)):
-                    error = max_rel_error(VarianceInputs(z), C)
-                    worst = max(worst, error)
-                    status = "ok" if error <= args.tol else "FAIL"
-                    if status == "FAIL":
-                        failures += 1
-                    print(f"M={M} N={N} C={C}: max rel error {error:.3e} {status}")
+            for i, inp in enumerate(VarianceInputs.stacked(draws.reshape(-1, M, N, 2))):
+                C = Cs[i // args.inputs]
+                error = max_rel_error(inp, C)
+                worst = max(worst, error)
+                status = "ok" if error <= args.tol else "FAIL"
+                if status == "FAIL":
+                    failures += 1
+                print(f"M={M} N={N} C={C}: max rel error {error:.3e} {status}")
     print(f"worst relative error {worst:.3e}")
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 

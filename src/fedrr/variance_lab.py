@@ -6,10 +6,11 @@ per-client data orders), including the grouped variant where C parallel
 groups each run their own two-level shuffle.  Every formula is checked
 against the exact variance over all permutation outcomes, which is the
 ground truth the tests trust; generic in their number type, the closed forms
-are exact for ``Fraction`` arguments.  That variance comes from integer Gram
-matrices of the prefix estimators' weights, three integers each from binomial
-counts of the outcome classes (see ``_prefix_gram``), checked bit for bit
-against a walk over every outcome of ``_enumerate_sequences``.
+are exact for ``Fraction`` variances, with int or ``Fraction`` counts.  That
+variance comes from integer Gram matrices of the prefix estimators' weights,
+three integers each from binomial counts of the outcome classes (see
+``_prefix_gram``), checked bit for bit against a walk over every outcome of
+``_enumerate_sequences``.
 
 Enumeration note: the grouped cross-covariance term carries coefficient
 2*k_N*(k - k_N) / (k^2 * (M - 1)); a variant with an extra 1/C factor does
@@ -22,6 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -53,14 +55,30 @@ class VarianceInputs:
     zeta: np.ndarray  # (M, N, d)
 
     def __post_init__(self):
-        z = self.zeta = np.asarray(self.zeta, dtype=np.float64)
-        self.M, self.N, self.d = z.shape
-        self.grand_mean = z.sum(axis=(0, 1)) / (self.M * self.N)
-        c = self.centred = z.reshape(self.M * self.N, self.d) - self.grand_mean
-        cm = z.sum(axis=1) / self.N - self.grand_mean
-        # compensated sums of row dots, each the ddot of ``row @ row``: these feed exact-identity tests
-        self.sigma2 = math.fsum((c[:, None] @ c[:, :, None]).ravel().tolist()) / (self.M * self.N)
-        self.sigma_tilde2 = math.fsum((cm[:, None] @ cm[:, :, None]).ravel().tolist()) / self.M
+        _set_moments([self], np.asarray(self.zeta, dtype=np.float64)[None])
+
+    @classmethod
+    def stacked(cls, zetas: np.ndarray) -> list[VarianceInputs]:
+        """One input per (M, N, d) block of a float64 (K, M, N, d) stack, all K moments taken in one pass."""
+        inputs = [cls.__new__(cls) for _ in range(len(zetas))]
+        _set_moments(inputs, zetas)
+        return inputs
+
+
+def _set_moments(inputs: list[VarianceInputs], z: np.ndarray) -> None:
+    """Give each input its zeta, shape, grand mean, centred rows and variances from the (K, M, N, d) stack ``z``."""
+    K, M, N, d = z.shape
+    grand_mean = z.sum(axis=(1, 2)) / (M * N)
+    centred = z.reshape(K, M * N, d) - grand_mean[:, None]
+    cm = z.sum(axis=2) / N - grand_mean[:, None]
+    # compensated sums of row dots, each the ddot of ``row @ row``: these feed exact-identity tests
+    rows = (centred[..., None, :] @ centred[..., None]).reshape(K, M * N).tolist()
+    clients = (cm[..., None, :] @ cm[..., None]).reshape(K, M).tolist()
+    for inp, zeta, mean, c, row_dots, client_dots in zip(inputs, z, grand_mean, centred, rows, clients):
+        inp.zeta, inp.grand_mean, inp.centred = zeta, mean, c
+        inp.M, inp.N, inp.d = M, N, d
+        inp.sigma2 = math.fsum(row_dots) / (M * N)
+        inp.sigma_tilde2 = math.fsum(client_dots) / M
 
 
 def star_variances(problem: FederatedProblem, x_star: np.ndarray) -> tuple[float, float]:
@@ -85,6 +103,8 @@ def closed_form_variance(k: int, M: int, N: int, sigma2: float, sigma_tilde2: fl
     """Variance of the k-sample prefix average under the two-level shuffle."""
     if not 1 <= k <= M * N:
         raise ValueError(f"k={k} out of range [1, {M * N}]")
+    if type(sigma2) is type(sigma_tilde2) is Fraction:
+        k, M, N = Fraction(k), Fraction(M), Fraction(N)  # exact ratios of the counts; floats divide as before
     if N == 1:
         if M == 1:
             return type(sigma2)()  # zero in the inputs' number type, 0.0 for floats even at an infinite sigma
@@ -114,6 +134,8 @@ def closed_form_minibatch_variance(
     R = M // C
     if not 1 <= k <= N * R:
         raise ValueError(f"k={k} out of range [1, {N * R}]")
+    if type(sigma2) is type(sigma_tilde2) is Fraction:
+        k, M, N = Fraction(k), Fraction(M), Fraction(N)  # exact ratios of the counts; floats divide as before
     k_N = (k // N) * N
     out = type(sigma2)()
     if k_N > 0:
@@ -208,7 +230,7 @@ def brute_force_all(inputs: VarianceInputs, C: int = 1) -> np.ndarray:
     """Exact prefix-average variances for every k, one product with the cached Gram per prefix length."""
     gram, divisor = _prefix_gram(inputs.M, inputs.N, C)
     z = inputs.centred
-    return np.sum(z * (gram @ z), axis=(1, 2)) / divisor
+    return np.add.reduce(z * (gram @ z), axis=(1, 2)) / divisor
 
 
 def max_rel_error(inputs: VarianceInputs, C: int = 1) -> float:

@@ -72,6 +72,9 @@ stays far below the tolerances it is compared at.  The byte oracles of ``Varianc
 takes the moments with ``np.mean`` and one generator term per sample or
 client, re-centring each row for both sides of its dot, and
 ``brute_force_all_loop`` centres ``zeta`` and builds its divisor on every call.
+``verify_variance_loop`` is ``fedrr verify-variance`` before its inputs were drawn and
+summarised one (M, N) at a time: one ``normal`` call and one ``VarianceInputs`` per
+checked input.
 
 The output oracles are the result scans that ``harness`` replaced with one
 grouping of the finished runs: ``write_runs_csv``, ``write_timings_csv`` and
@@ -89,11 +92,19 @@ from functools import lru_cache
 
 import numpy as np
 
+from fedrr.cli import EXIT_OK, EXIT_VERIFY
 from fedrr.optimizer import DivergenceError, Round, RunTrace, TracePoint, apply_decay
 from fedrr.problem import LogisticProblem, Optimum, QuadraticProblem, SolverError, _converged, _sigmoid
 from fedrr.rng import stream
 from fedrr.shuffling import ClientMode, DataMode
-from fedrr.variance_lab import _check_guard, _enumerate_sequences, _prefix_gram
+from fedrr.variance_lab import (
+    EnumerationTooLarge,
+    VarianceInputs,
+    _check_guard,
+    _enumerate_sequences,
+    _prefix_gram,
+    max_rel_error,
+)
 
 
 def component_gradient(problem, m, j, x):
@@ -614,6 +625,36 @@ def brute_force_all_loop(inputs, C=1):
     z = inputs.zeta.reshape(inputs.M * inputs.N, inputs.d) - inputs.grand_mean
     scale = C * np.arange(1.0, len(gram) + 1) * (inputs.M * inputs.N)
     return np.sum(z * (gram @ z), axis=(1, 2)) / (n_out * C * scale * scale)
+
+
+def verify_variance_loop(max_size, inputs=5, seed=0, tol=1e-10):
+    """``fedrr verify-variance``'s scan and print-out, one ``normal`` draw and one ``VarianceInputs`` per checked input.
+
+    A skipped (M, N) takes every one of its inputs' draws in one ``standard_normal`` call.  Returns the exit code.
+    """
+    rng = stream(seed, "verify_variance")
+    worst = 0.0
+    failures = 0
+    for M in range(1, max_size + 1):
+        Cs = [c for c in range(1, M + 1) if M % c == 0]
+        for N in range(1, max_size // M + 1):
+            try:
+                _prefix_gram(M, N, 1)
+            except EnumerationTooLarge as exc:
+                rng.standard_normal(len(Cs) * inputs * M * N * 2)
+                for C in Cs:
+                    print(f"M={M} N={N} C={C}: skipped ({exc})")
+                continue
+            for C in Cs:
+                for z in (rng.normal(size=(M, N, 2)) for _ in range(inputs)):
+                    error = max_rel_error(VarianceInputs(z), C)
+                    worst = max(worst, error)
+                    status = "ok" if error <= tol else "FAIL"
+                    if status == "FAIL":
+                        failures += 1
+                    print(f"M={M} N={N} C={C}: max rel error {error:.3e} {status}")
+    print(f"worst relative error {worst:.3e}")
+    return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
 def _fmt(x):

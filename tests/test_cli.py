@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eager_reference import verify_variance_loop
 from fedrr.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_VERIFY, main
 from fedrr.dataset import libsvm_text, synthetic_libsvm_like
 from fedrr.problem import SolverError
@@ -241,6 +242,29 @@ def test_a_skipped_geometrys_single_draw_is_its_inputs_draws():
         draws = one.standard_normal(n_c * inputs * M * N * 2)
         assert draws.tobytes() == np.concatenate([each.normal(size=(M, N, 2)).ravel() for _ in range(n_c * inputs)]).tobytes()
         assert one.normal(size=(M, N, 2)).tobytes() == each.normal(size=(M, N, 2)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "max_size, inputs, seed, tol",
+    [(11, 3, 0, 1e-10), (10, 5, 0, 1e-10), (8, 20, 3, 1e-10), (3, 5, 0, 1e-300)],
+    ids=["with-skips", "ci-check", "many-inputs", "failures"],
+)
+def test_verify_variance_prints_what_the_per_input_loop_prints(capsys, max_size, inputs, seed, tol):
+    # the inputs of an (M, N) are drawn and summarised together, and nothing of the output moves
+    argv = ["--max-size", str(max_size), "--inputs", str(inputs), "--seed", str(seed), "--tol", repr(tol)]
+    code = main(["verify-variance", *argv])
+    out = capsys.readouterr().out
+    assert (code, out) == (verify_variance_loop(max_size, inputs, seed, tol), capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("inputs", [10**15, 10**19])
+def test_verify_variance_rejects_inputs_past_memory_with_one_line(capsys, inputs):
+    # numpy refuses 2e15 draws (MemoryError) and 2e19 (ValueError, past its index range) before allocating them
+    code = main(["verify-variance", "--max-size", "11", "--inputs", str(inputs)])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: --inputs {inputs} takes {2 * inputs} draws at M=1 N=1, more than fit in memory\n"
 
 
 def test_verify_variance_failures_exit_4(capsys):
@@ -559,13 +583,15 @@ def test_verify_variance_names_counts_past_the_int_digit_limit_in_a_process(tmp_
          "fedrr verify-variance: argument --max-size: invalid int value: 'x'"),
         (["run", "--config", "cfg.json", "--out", "out"], QUADRATIC_TOO_LARGE, {},
          "a quadratic of M=12, N=1000000000000, d=5 does not fit in memory"),
+        (["verify-variance", "--max-size", "2", "--inputs", str(10**15)], QUAD_CFG, {},
+         "--inputs 1000000000000000 takes 2000000000000000 draws at M=1 N=1, more than fit in memory"),
         (["run", "--config", "cfg.json", "--out", "out"], DEEP_CFG, {}, "maximum recursion depth exceeded"),
         (["run", "--config", "cfg.json", "--out", "out"], HUGE_INT_CFG, {},
          "Exceeds the limit (4300 digits) for integer string conversion"),
     ],
     ids=[
         "config-not-an-object", "zero-workers", "synthetic-too-large", "empty-out", "bad-int", "quadratic-too-large",
-        "deep-config", "huge-int-config",
+        "verify-inputs-too-large", "deep-config", "huge-int-config",
     ],
 )
 def test_bad_input_in_a_process_exits_2_with_one_line(tmp_path, args, config, env, message):

@@ -406,6 +406,39 @@ def test_moments_and_enumeration_form_match_their_loops_byte_for_byte(M, N, d, l
         assert brute_force_all(inp, C).tobytes() == brute_force_all_loop(inp, C).tobytes()
 
 
+def test_stacked_moments_match_each_inputs_and_the_loop_byte_for_byte():
+    # one pass over a (K, M, N, d) stack gives every input the bytes of its own VarianceInputs and of the loop
+    # oracle; d = 1 makes the grand and client means sums over a contiguous axis, which numpy may add pairwise
+    rng = stream(23, "stacked_moments")
+    for K, M, N, d in itertools.product(range(1, 5), range(1, 12), range(1, 12), range(1, 6)):
+        zetas = rng.normal(size=(K, M, N, d)) * 10.0 ** rng.uniform(-3, 3) + rng.choice([0.0, 1e3])
+        for inp, zeta in zip(VarianceInputs.stacked(zetas), zetas, strict=True):
+            one = VarianceInputs(zeta.copy())
+            grand_mean, sigma2, sigma_tilde2 = variance_inputs_loop(zeta)
+            assert (inp.M, inp.N, inp.d) == (one.M, one.N, one.d) == (M, N, d)
+            assert inp.zeta.tobytes() == one.zeta.tobytes() == zeta.tobytes()
+            assert inp.grand_mean.tobytes() == one.grand_mean.tobytes() == grand_mean.tobytes()
+            assert inp.centred.tobytes() == one.centred.tobytes()
+            for got in (inp, one):
+                assert np.float64(got.sigma2).tobytes() == np.float64(sigma2).tobytes()
+                assert np.float64(got.sigma_tilde2).tobytes() == np.float64(sigma_tilde2).tobytes()
+
+
+def test_closed_forms_are_exact_for_integer_counts_and_fraction_variances():
+    # only the variances need be Fractions: the integer geometry's ratios are taken exactly too
+    sigma2, sigma_tilde2 = Fraction(1, 3), Fraction(1, 5)
+    for M, N in itertools.product(range(1, 9), repeat=2):
+        for k in range(1, M * N + 1):
+            got = closed_form_variance(k, M, N, sigma2, sigma_tilde2)
+            want = closed_form_variance(Fraction(k), Fraction(M), Fraction(N), sigma2, sigma_tilde2)
+            assert type(got) is Fraction and got == want, (M, N, k)
+        for C in (C for C in range(1, M + 1) if M % C == 0):
+            for k in range(1, N * M // C + 1):
+                got = closed_form_minibatch_variance(k, M, N, C, sigma2, sigma_tilde2)
+                want = closed_form_minibatch_variance(Fraction(k), Fraction(M), Fraction(N), Fraction(C), sigma2, sigma_tilde2)
+                assert type(got) is Fraction and got == want, (M, N, C, k)
+
+
 def test_enumeration_argument_checks():
     inp = VarianceInputs(stream(15, "div").normal(size=(4, 2, 1)))
     with pytest.raises(ValueError, match="does not divide"):
