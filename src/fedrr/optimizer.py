@@ -160,7 +160,9 @@ def _cohort_update(problem, rnd: Round, x, gamma):
     makes the server step at eta = gamma*S model averaging.  As a per-client
     loop in client-id order would, the first non-finite client alone warns or
     raises under the caller's error state, then raises :class:`DivergenceError`
-    with it, the round and its end point's norm; clients are summed from zeros.
+    with it, the round and its end point's norm.  Clients are summed in
+    client-id order from the first row plus 0.0, which is bit-equal to summing
+    from zeros: addition commutes, and the +0.0 turns -0.0 into +0.0 as zeros do.
     """
     t, r, ms, rows, bounds = rnd
     with np.errstate(over="ignore", invalid="ignore"):
@@ -171,9 +173,8 @@ def _cohort_update(problem, rnd: Round, x, gamma):
         where = f"meta-epoch {t}, round {r}"
         raise DivergenceError(f"non-finite iterate in local pass of client {ms[i]} at {where}", t, r, ms[i], math.hypot(*X[i]))
     G = (x - X) / (gamma * len(bounds))
-    g = np.zeros(problem.d)
-    x_end_sum = np.zeros(problem.d)
-    for g_m, x_end in zip(G, X):
+    g, x_end_sum = G[0] + 0.0, X[0] + 0.0
+    for g_m, x_end in zip(G[1:], X[1:]):
         g += g_m
         x_end_sum += x_end
     return g / len(ms), x_end_sum / len(ms)
@@ -294,12 +295,13 @@ def run_algorithm(problem: FederatedProblem, cfg: AlgoConfig, optimum: Optimum) 
         _check_iterate(x, t, r)
         if shuffled:
             if steps.eta == steps.gamma * len(rnd.bounds):
-                scale = max(1.0, float(np.abs(x).max()))
-                if float(np.abs(x - mean_end).max()) > COLLAPSE_TOL * scale:
+                # the scale max(1, max|x|) is at least 1, so no deviation up to COLLAPSE_TOL can exceed its bound
+                dev = float(np.abs(x - mean_end).max())
+                if dev > COLLAPSE_TOL and dev > COLLAPSE_TOL * max(1.0, float(np.abs(x).max())):
                     raise AssertionError("server iterate deviates from cohort mean under eta = gamma*S")
-            if r == R - 1:
-                if steps.theta != steps.eta * R:  # at theta = eta*R the global step is x itself
-                    x = x_meta - steps.theta * (x_meta - x) / (steps.eta * R)
+            # at theta = eta*R the global step is x itself, which this round has checked
+            if r == R - 1 and steps.theta != steps.eta * R:
+                x = x_meta - steps.theta * (x_meta - x) / (steps.eta * R)
                 _check_iterate(x, t, R)
         if evals // (M * N) > recorded:
             recorded = evals // (M * N)

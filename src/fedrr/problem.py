@@ -194,7 +194,8 @@ class QuadraticProblem(FederatedProblem):
         # product bit-equal to the per-client ``H[m, j] @ x``
         H = self._H[ms, order.T]
         Hc = self._Hc[ms, order.T][..., None]
-        X = np.repeat(np.asarray(x, dtype=np.float64)[None, :, None], len(ms), axis=0)
+        X = np.empty((len(ms), self.d, 1))
+        X[..., 0] = x
         for a, b in bounds:
             g = np.matmul(H[a], X)
             g -= Hc[a]

@@ -111,6 +111,27 @@ def test_aggregate_cohort_matches_loop(case):
     assert (g.tobytes(), mean_end.tobytes()) == (g_ref.tobytes(), mean_ref.tobytes())
 
 
+@given(
+    st.sampled_from([8, 12, 24]),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=10_000),
+    st.booleans(),
+    st.one_of(st.sampled_from([0.0, -0.0]), signed_vector(1).map(lambda v: float(v[0]))),
+    st.sampled_from([1e-3, 0.05, 0.2]),
+)
+@settings(max_examples=200, deadline=None)
+def test_aggregate_large_cohort_matches_loop(C, N, seed, zero_centers, x0, gamma):
+    # at C >= 8 and d = 1 numpy's axis-0 sum would add the rows pairwise; the update adds them in client-id order
+    problem = make_quadratic(N, 1, seed, False, zero_centers, M=24)
+    rng = np.random.default_rng(seed)
+    cohort = tuple(int(m) for m in rng.permutation(24)[:C])
+    perms = {m: rng.permutation(N) for m in range(24)}
+    x = np.array([x0])
+    g, mean_end = round_update(problem, cohort, x, gamma, perms, None)
+    g_ref, mean_ref = aggregate_cohort_loop(problem, cohort, x, gamma, perms, None)
+    assert (g.tobytes(), mean_end.tobytes()) == (g_ref.tobytes(), mean_ref.tobytes())
+
+
 def test_signed_zero_passes_match_loop():
     # with x = [-0.0, 1e-3, ...] the first gradient entry of every pass is
     # -0.0, which the loop form's zeros turn into +0.0

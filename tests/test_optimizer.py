@@ -130,6 +130,45 @@ def test_server_collapse_identity_checked_internally(monkeypatch):
         run_algorithm(problem, cfg, opt)
 
 
+def collapse_rule(x, mean_end):
+    """The verdict the collapse check must give: the scale first, then the deviation against COLLAPSE_TOL * scale."""
+    scale = max(1.0, float(np.abs(x).max()))
+    return float(np.abs(x - mean_end).max()) > optimizer.COLLAPSE_TOL * scale
+
+
+@pytest.mark.parametrize("v", [0.01, 50.0])  # max|x| below 1, then above 1
+@pytest.mark.parametrize("shift", ["below", "at", "above", "inf", "-inf", "nan"])
+def test_collapse_check_raises_exactly_past_its_bound(monkeypatch, v, shift):
+    # on (1/2)||x||^2 from x0 = (0, v) the server iterate's first entry stays exactly 0, so moving
+    # that entry of the first round's mean end point to m makes the deviation exactly |m|: one float
+    # below the bound COLLAPSE_TOL * max(1, max|x|), at it, one float above it, or infinitely far.
+    # The run must raise exactly when that rule does
+    problem = unit_quadratic(M=6, N=4, d=2)
+    cfg = make_cfg(problem, "rrcli", C=2, T=2, gamma=0.05, x0=np.array([0.0, v]))
+    update, verdicts = optimizer._cohort_update, []
+
+    def shifted_update(problem, rnd, x, gamma):
+        g, mean_end = update(problem, rnd, x, gamma)
+        if not verdicts:
+            x_new = x - cfg.steps.eta * g  # run_algorithm's server step, the same bytes
+            bound = optimizer.COLLAPSE_TOL * max(1.0, float(np.abs(x_new).max()))
+            assert x_new[0] == 0 and (bound > optimizer.COLLAPSE_TOL) == (v > 1)
+            m = {"below": np.nextafter(bound, 0), "at": bound, "above": np.nextafter(bound, np.inf)}.get(shift)
+            mean_end = x_new.copy()
+            mean_end[0] = float(shift) if m is None else m
+            verdicts.append(collapse_rule(x_new, mean_end))
+        return g, mean_end
+
+    monkeypatch.setattr(optimizer, "_cohort_update", shifted_update)
+    if shift in ("above", "inf", "-inf"):
+        with pytest.raises(AssertionError, match="server iterate deviates from cohort mean"):
+            run_algorithm(problem, cfg, problem.analytic_optimum())
+        assert verdicts == [True]
+    else:
+        trace = run_algorithm(problem, cfg, problem.analytic_optimum())
+        assert verdicts == [False] and len(trace.points) == cfg.T + 1
+
+
 def test_global_collapse_is_exact():
     problem = hetero_quadratic()
     opt = problem.analytic_optimum()
@@ -197,6 +236,36 @@ def test_nastya_full_participation_equals_rrcli():
     rr = run_algorithm(problem, make_cfg(problem, "rrcli", C=problem.M, T=3, gamma=0.005, seed=1), opt)
     na = run_algorithm(problem, make_cfg(problem, "nastya", C=problem.M, T=3, gamma=0.005, seed=1), opt)
     assert [p.dist_sq for p in na.points] == [p.dist_sq for p in rr.points]
+
+
+@pytest.mark.parametrize("M, N, d", [(6, 4, 5), (4, 3, 2)])
+@pytest.mark.parametrize("client_mode", [ClientMode.SHUFFLE_ONCE, ClientMode.RESHUFFLING])
+@pytest.mark.parametrize("data_mode", [DataMode.SHUFFLE_ONCE, DataMode.RESHUFFLING])
+@pytest.mark.parametrize("seed", range(5))
+def test_rrcli_wr_full_participation_equals_rrcli(M, N, d, client_mode, data_mode, seed):
+    # at C = M every cohort is all clients in id order, with no client sampling left to differ
+    problem = quadratic_problem(M, N, d, mu=1.0, L=10.0, client_spread=1.0, sample_spread=0.5, seed=seed)
+    opt = problem.analytic_optimum()
+    mode = ShuffleMode(client_mode=client_mode, data_mode=data_mode)
+    rr, wr = (
+        run_algorithm(problem, make_cfg(problem, algorithm, C=M, T=20, gamma=0.005, shuffle=mode, seed=seed), opt)
+        for algorithm in ("rrcli", "rrcli-wr")
+    )
+    assert trace_bits(wr) == trace_bits(rr)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_rrcli_wr_full_participation_equals_rrcli_replayed_cycle(pass_calls, seed):
+    # on acceptance test 06's problem rrcli's shuffle-once run at C = M reaches its float cycle
+    # near meta-epoch 200 and replays the rest; rrcli-wr, which never replays, runs every round
+    problem = plateau_quadratic()
+    opt = problem.analytic_optimum()
+    cfgs = [make_cfg(problem, algorithm, C=problem.M, T=400, gamma=0.01, seed=seed) for algorithm in ("rrcli", "rrcli-wr")]
+    rr = run_algorithm(problem, cfgs[0], opt)
+    rr_passes = len(pass_calls)
+    wr = run_algorithm(problem, cfgs[1], opt)
+    assert rr_passes < 300 and len(pass_calls) - rr_passes == 400  # one round per meta-epoch; rrcli replayed
+    assert trace_bits(wr) == trace_bits(rr)
 
 
 def test_fedavg_full_batch_single_step_is_gd():

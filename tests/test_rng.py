@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import threading
 
@@ -26,6 +27,70 @@ def test_different_names_differ():
 def test_key_is_128_bit():
     k = stream_key(0, "label")
     assert 0 <= k < 2**128
+
+
+def one_shot_key(root_seed, label, *parts):
+    """``stream_key`` as one SHA-256 over the whole ``"root_seed:label:part..."`` text."""
+    text = ":".join([str(int(root_seed)), label] + [str(p) for p in parts])
+    return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:16], "little")
+
+
+SEEDS = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.integers(min_value=0, max_value=2**64 - 1).map(np.uint64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+)
+LABELS = st.one_of(st.text(max_size=12), st.sampled_from(["a:b", ":", "data_perm", "données", "γ²", "客户端", "🎲"]))
+PARTS = st.lists(st.one_of(st.integers(), st.text(max_size=8), st.floats(allow_nan=True)), max_size=4)
+
+
+@given(SEEDS, LABELS, PARTS)
+@settings(max_examples=500, deadline=None)
+def test_stream_key_is_the_one_shot_hash(root_seed, label, parts):
+    # the cached "seed:label" prefix state, copied and fed ":part...", hashes as the joined text does
+    assert stream_key(root_seed, label, *parts) == one_shot_key(root_seed, label, *parts)
+    assert stream_key(root_seed, label, *parts) == one_shot_key(root_seed, label, *parts)  # from the cache
+
+
+@pytest.mark.parametrize("label", [7, 1.5, b"label", None, ["label"]])
+def test_stream_key_rejects_a_label_that_is_not_text(label):
+    with pytest.raises(TypeError):
+        stream_key(0, label, 1)
+
+
+def test_stream_key_prefix_cache_stays_bounded():
+    for seed in range(3 * rng._prefix_hash.cache_info().maxsize):
+        assert stream_key(seed, "bounded", seed) == one_shot_key(seed, "bounded", seed)
+    info = rng._prefix_hash.cache_info()
+    assert 0 < info.currsize <= info.maxsize
+    assert stream_key(0, "bounded", 0) == one_shot_key(0, "bounded", 0)  # evicted, then hashed again
+
+
+def test_stream_key_prefix_cache_across_threads():
+    # threads share the cached prefix states, copying them while others fill and evict the cache
+    rng._prefix_hash.cache_clear()
+    seeds = range(rng._prefix_hash.cache_info().maxsize + 500)
+    expected = [one_shot_key(seed, "threads", seed % 7) for seed in seeds]
+    results = [None] * 6
+
+    def work(k):
+        results[k] = [stream_key(seed, "threads", seed % 7) for seed in (seeds if k % 2 else reversed(seeds))]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r == (expected if k % 2 else expected[::-1]) for k, r in enumerate(results))
 
 
 def test_derive_seed_stable_and_bounded():
