@@ -9,12 +9,12 @@ Deriving streams by name (rather than by draw order) means that adding a
 client, an algorithm, or a multiplier to an experiment never perturbs the
 streams of the others.
 
-A permutation's swap indices skip the ``Generator``: ``swap_indices`` re-keys
-one private Philox per thread and takes numpy's bounded draws from its raw
-words itself, so the indices are those that ``stream(...)`` would draw.  A
-permutation of at most ``SHORT_PERMUTATION`` elements takes Lemire's step in
-Python integers and falls back to the numpy arrays of ``_bounded_draws`` only
-where a draw might be rejected; a longer one takes the arrays at once.
+A permutation's swap indices mostly skip the ``Generator``: ``swap_indices``
+re-keys one private Philox per thread and takes Lemire's bounded draws from
+its raw words itself, in Python integers up to ``SHORT_PERMUTATION`` elements
+and in numpy arrays beyond.  The rare permutation with a draw that numpy might
+reject is drawn again, from the start of the same stream, by numpy's own
+``Generator.integers``, so the indices are always those of ``stream(...)``.
 """
 
 from __future__ import annotations
@@ -90,43 +90,20 @@ def _keyed_philox(key: int) -> np.random.Philox:
 SHORT_PERMUTATION = 32
 
 
-def _bounded_draws(r: np.ndarray, uint32s) -> np.ndarray:
-    """numpy's draws j ~ U{0..r-1}, as uint64, for each bound in the uint64 array ``r``, from the values ``uint32s`` reads.
-
-    ``uint32s(k)`` returns at least k more 32-bit values of the stream, in
-    order.  This is numpy's Lemire step for a bound 1 <= r < 2**32:
-    j = (u*r) >> 32, unless (u*r) mod 2**32 < 2**32 mod r, when u is rejected
-    and this draw and every later one move one value along the stream.
-    """
-    u = uint32s(len(r))
-    done = []
-    while True:
-        prod = u[: len(r)] * r
-        low = prod & 0xFFFF_FFFF
-        # 2**32 mod r is below r, so only a draw with low < r may be rejected: rarely any
-        rejected = np.flatnonzero(low < (1 << 32) % r) if np.count_nonzero(low < r) else ()
-        if not len(rejected):
-            return np.concatenate(done + [prod >> 32]) if done else prod >> 32
-        p = rejected[0]
-        done.append(prod[:p] >> 32)
-        r, u = r[p:], u[p + 1 :]
-        if len(u) < len(r):
-            u = np.concatenate([u, uint32s(len(r) - len(u))])
-
-
 def swap_indices(n: int, root_seed: int, label: str, *parts) -> list[int]:
     """The n-1 swap indices of a Fisher-Yates shuffle of range(n), from the named stream.
 
     Equal, bit for bit, to ``stream(root_seed, label, *parts).integers(0,
     np.arange(n, 1, -1))``, rejections included, as Python ints: each raw
     Philox word gives its low 32 bits, then its high 32 bits, as numpy's
-    ``next_uint32`` does.  No ``Generator`` is built.
+    ``next_uint32`` does, and each draw is j = (u*r) >> 32 at bound r.
 
-    Up to ``SHORT_PERMUTATION`` elements, the ⌈(n-1)/2⌉ words' draws
-    j = (u*r) >> 32 are Python integers.  2**32 mod r is below r, so a draw
-    whose low word (u*r) mod 2**32 is at least r is never rejected; at the
-    first draw that is not, the Philox is re-keyed and ``_bounded_draws``
-    applies numpy's rejection rule to the same words.
+    2**32 mod r is below r, so a draw whose low word (u*r) mod 2**32 is at
+    least r is never rejected.  Up to ``SHORT_PERMUTATION`` elements the
+    ⌈(n-1)/2⌉ words' draws are Python integers, beyond it numpy arrays.  A
+    permutation with any other draw (one in about 2**33 / n**2) re-keys the
+    Philox and hands it to ``Generator.integers``, which applies numpy's
+    rejection rule to the same words.
     """
     key = stream_key(root_seed, label, *parts)
     if n <= SHORT_PERMUTATION:
@@ -146,13 +123,13 @@ def swap_indices(n: int, root_seed: int, label: str, *parts) -> list[int]:
             r -= 2
         else:
             return draws
-    bg = _keyed_philox(key)
-
-    def uint32s(k):
-        # both halves of ceil(k/2) words: explicit little-endian views put the low half first on any platform
-        return bg.random_raw(-(-k // 2)).astype("<u8", copy=False).view("<u4")
-
-    return _bounded_draws(np.arange(n, 1, -1, dtype=np.uint64), uint32s).tolist()
+    else:
+        r = np.arange(n, 1, -1, dtype=np.uint64)
+        # both halves of the n // 2 words: explicit little-endian views put the low half first on any platform
+        prod = _keyed_philox(key).random_raw(n // 2).astype("<u8", copy=False).view("<u4")[: n - 1] * r
+        if not np.count_nonzero(prod & 0xFFFF_FFFF < r):
+            return (prod >> 32).tolist()
+    return np.random.Generator(_keyed_philox(key)).integers(0, np.arange(n, 1, -1)).tolist()
 
 
 def derive_seed(root_seed: int, label: str, *parts) -> int:

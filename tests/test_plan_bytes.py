@@ -3,7 +3,9 @@
 A plan's cohorts and data orders come from permutation draws alone: no float
 arithmetic, BLAS or SIMD code touches them, so these digests hold on every
 platform.  A change to how permutations are drawn that moves any of them
-changes every contract file downstream.
+changes every contract file downstream.  The partitions at seeds 895 and
+2302 each hold a draw that numpy rejects: those permutations are drawn by
+numpy's own ``Generator.integers``, the others from the raw Philox words.
 """
 
 import hashlib

@@ -1,0 +1,60 @@
+"""The laws of the round plan's draws, checked by χ² over a fixed seed range.
+
+``tests/test_plan_bytes.py`` pins the plans' bytes; these tests check what
+those bytes must be samples of, so that a change of streams can be judged on
+its law.  The seeds 0-2999 and the bound p >= 1e-6 are fixed: at that bound a
+correct plan fails one of these tests about once in a million stream changes.
+The critical values are ``scipy.stats.chi2.isf(1e-6, df)``, computed once
+outside the tests (scipy is not a dependency).
+"""
+
+import itertools
+from collections import Counter
+
+from fedrr.optimizer import AlgoConfig, StepSizes, round_plan
+from fedrr.problem import quadratic_problem
+from fedrr.shuffling import ClientMode, DataMode, ShuffleMode
+
+SEEDS = range(3000)
+CHI2_CRITICAL = {5: 35.888, 8: 42.701}  # chi2.isf(1e-6, df)
+
+
+def plans(algorithm, M, N, C, T, **kw):
+    """Every seed's round plan for an M x N problem at cohort size C over T meta-epochs."""
+    problem = quadratic_problem(M, N, 2, mu=1.0, L=10.0, client_spread=1.0, sample_spread=0.5, seed=0)
+    for seed in SEEDS:
+        yield list(round_plan(problem, AlgoConfig(algorithm, C, T, StepSizes(0.01, 0.01, 0.01), seed=seed, **kw)))
+
+
+def assert_uniform(counts: Counter, classes):
+    """Every outcome is one of ``classes``, and their counts pass χ² against the uniform law at p >= 1e-6."""
+    classes = list(classes)
+    assert set(counts) <= set(classes)
+    expected = sum(counts.values()) / len(classes)
+    stat = sum((counts[c] - expected) ** 2 / expected for c in classes)
+    assert stat <= CHI2_CRITICAL[len(classes) - 1], (stat, counts)
+
+
+def test_reshuffled_cohorts_and_data_orders_are_uniform():
+    # rrcli at M = 4, C = 2, N = 3 with reshuffled clients and data: each meta-epoch's ordered
+    # cohort partition is one of 4!/(2!)^2 = 6, and each client's data order one of 3! = 6
+    mode = ShuffleMode(ClientMode.RESHUFFLING, DataMode.RESHUFFLING)
+    partitions, orders = Counter(), Counter()
+    for plan in plans("rrcli", 4, 3, 2, 4, shuffle=mode):
+        for t in range(4):
+            rounds = [rnd for rnd in plan if rnd.meta_epoch == t]
+            partitions[tuple(rnd.clients for rnd in rounds)] += 1
+            orders.update(tuple(row) for rnd in rounds for row in rnd.rows.tolist())
+    cohorts = [tuple(sorted(c)) for c in itertools.combinations(range(4), 2)]
+    assert_uniform(partitions, [(a, b) for a in cohorts for b in cohorts if not set(a) & set(b)])
+    assert sum(orders.values()) == 3000 * 4 * 4
+    assert_uniform(orders, itertools.permutations(range(3)))
+
+
+def test_fedavg_two_step_rows_are_uniform():
+    # fedavg at N = 3 with one-point batches over two local steps: a client's row is its two steps'
+    # points, drawn independently, so all 3 x 3 pairs are equally likely, repeats included
+    rows = Counter()
+    for plan in plans("fedavg", 4, 3, 2, 1, local_steps=2, batch_fraction=1 / 3):
+        rows.update(tuple(row) for rnd in plan for row in rnd.rows.tolist())
+    assert_uniform(rows, itertools.product(range(3), repeat=2))

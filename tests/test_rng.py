@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from numpy.random.bit_generator import ISeedSequence
 
 from fedrr import rng
-from fedrr.rng import SHORT_PERMUTATION, _bounded_draws, derive_seed, stream, stream_key, swap_indices
+from fedrr.dataset import partition
+from fedrr.rng import SHORT_PERMUTATION, derive_seed, stream, stream_key, swap_indices
 
 
 def test_same_name_same_stream():
@@ -159,33 +160,8 @@ def generator_emitting(values):
 
 INV7 = pow(7, -1, 2**32)  # u = k*INV7 mod 2**32 gives (7u) mod 2**32 = k
 ACCEPTED = [0x9E37_79B9, 0x7F4A_7C15, 0xBF58_476D, 0x94D0_49BB, 0xD6E8_FEB8]
-
-
-@pytest.mark.parametrize(
-    "bounds, values",
-    [
-        ([5, 4, 3], [0] + ACCEPTED[:3]),  # the first draw rejects u = 0
-        ([7, 6, 5, 3], ACCEPTED[:1] + [0] + ACCEPTED[1:4]),  # a middle one
-        ([7, 6, 5], ACCEPTED[:2] + [0] + ACCEPTED[2:3]),  # the last one
-        ([4, 3, 2], ACCEPTED[:1] + [0, 0] + ACCEPTED[1:3]),  # two in a row, at r = 3
-        ([7, 7], [3 * INV7 % 2**32, 4 * INV7 % 2**32, 0x1234_5678]),  # low 3 < 2**32 mod 7 = 4 rejects, low 4 does not
-        ([6, 5, 4, 3, 2], [0, 0] + ACCEPTED),  # a permutation's bounds, rejected twice at the start
-        ([9, 8, 7], ACCEPTED[:3]),  # no rejection
-    ],
-)
-def test_bounded_draws_reject_as_numpy_does(bounds, values):
-    gen = generator_emitting(values + [0xDEAD_BEEF])
-    read = 0
-
-    def uint32s(k):
-        nonlocal read
-        read += k
-        return np.array(values[read - k : read], dtype=np.uint32)
-
-    assert np.array_equal(_bounded_draws(np.array(bounds, dtype=np.uint64), uint32s), gen.integers(0, bounds))
-    # both consumed exactly the chosen values: next comes the sentinel
-    assert read == len(values)
-    assert gen.integers(0, 2**32, dtype=np.uint64) == 0xDEAD_BEEF
+# 32 values whose draws at bounds 33, 32, ..., 2 each have low word (u*r) mod 2**32 >= r
+LONG_ACCEPTED = [0x9E37_79B9 * i % 2**32 for i in range(1, SHORT_PERMUTATION + 1)]
 
 
 class RawWords:
@@ -214,16 +190,19 @@ class RawWords:
         (7, [4 * INV7 % 2**32] + ACCEPTED[:5], 2),  # low 4 < r = 7 but not < 4: accepted, through the fallback
         (7, [6 * INV7 % 2**32] + ACCEPTED[:5], 2),  # low 6, the largest near-rejection at r = 7
         (4, ACCEPTED[:2] + [0, 0x0BAD_F00D], 2),  # r = 2 never rejects (2**32 mod 2 = 0), yet low 0 < 2 goes to the fallback
+        # the array path, one element past the cut
+        (SHORT_PERMUTATION + 1, LONG_ACCEPTED[:5] + [0] + LONG_ACCEPTED[5:31], 2),  # u = 0 at r = 28: rejected
+        (SHORT_PERMUTATION + 1, LONG_ACCEPTED, 1),  # no rejection: the arrays alone
     ],
 )
 def test_short_path_rejections_fall_back_to_numpys_rule(monkeypatch, n, values, rekeys):
-    # the short path keeps a draw only when low >= r, which numpy never rejects;
-    # anything else re-keys and reads the same words again through _bounded_draws
+    # both fast paths keep a draw only when low >= r, which numpy never rejects; anything else
+    # re-keys and hands the same values to a real Generator, which applies numpy's rule to them
     keyed = []
 
     def keyed_philox(key):
         keyed.append(key)
-        return RawWords(values)
+        return RawWords(values) if len(keyed) == 1 else generator_emitting(values + [0xDEAD_BEEF]).bit_generator
 
     monkeypatch.setattr(rng, "_keyed_philox", keyed_philox)
     bounds = np.arange(n, 1, -1)
@@ -232,10 +211,36 @@ def test_short_path_rejections_fall_back_to_numpys_rule(monkeypatch, n, values, 
     assert len(keyed) == rekeys and len(set(keyed)) == 1
 
 
-def test_swap_indices_per_thread():
+def count_rekeys(monkeypatch):
+    """Wrap ``rng._keyed_philox`` so that each re-keying appends its key to the returned list."""
+    keyed, keyed_philox = [], rng._keyed_philox
+
+    def counting(key):
+        keyed.append(key)
+        return keyed_philox(key)
+
+    monkeypatch.setattr(rng, "_keyed_philox", counting)
+    return keyed
+
+
+@pytest.mark.parametrize("seed, rekeys", [(895, 2), (2302, 2), (2024, 1)])
+def test_partition_rejections_fall_back_on_real_philox_words(monkeypatch, seed, rekeys):
+    # numpy rejects one 32-bit value in each of the first two 11,055-row partitions and none in the third
+    keyed = count_rekeys(monkeypatch)
+    partition(11055, 12, seed)
+    assert len(keyed) == rekeys
+    expected = stream(seed, "partition", 11055, 12).integers(0, np.arange(11055, 1, -1))
+    assert np.array_equal(swap_indices(11055, seed, "partition", 11055, 12), expected)
+
+
+def test_swap_indices_per_thread(monkeypatch):
     # each thread re-keys its own Philox: threads drawing at once, switching
     # every few microseconds, get the indices of one thread drawing alone
-    cases = [(n, seed) for n in (4, 6, SHORT_PERMUTATION, SHORT_PERMUTATION + 1, 921) for seed in range(20)]
+    with monkeypatch.context() as patch:
+        keyed = count_rekeys(patch)
+        swap_indices(11055, 52, "threads")
+    assert len(keyed) == 2  # this case's draws go through the fallback, on each thread's own Philox
+    cases = [(n, seed) for n in (4, 6, SHORT_PERMUTATION, SHORT_PERMUTATION + 1, 921) for seed in range(20)] + [(11055, 52)]
     expected = [swap_indices(n, seed, "threads") for n, seed in cases]
     results = [None] * 6
 
