@@ -8,6 +8,7 @@ diverged (with one multiplier or many), 4 verification or optimum-solver failure
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -19,7 +20,7 @@ from .harness import ConfigError, ExperimentConfig, _atomic_write, run_experimen
 from .optimizer import DivergenceError
 from .problem import ProblemError, SolverError, logistic_problem, solve_optimum
 from .rng import stream
-from .variance_lab import EnumerationTooLarge, VarianceInputs, _prefix_gram, max_rel_error
+from .variance_lab import EnumerationTooLarge, _prefix_gram, max_rel_errors
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -93,6 +94,11 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+# (input, k) rows checked in one batch: its gathered Gram slices take up to 800 bytes a row (M*N = 10), so a
+# batch's arrays stay near a megabyte however many inputs a call draws
+CHECK_ROWS = 512
+
+
 def _cmd_verify(args) -> int:
     for bad, message in (
         (args.max_size < 1, f"--max-size must be at least 1, got {args.max_size}"),
@@ -104,6 +110,25 @@ def _cmd_verify(args) -> int:
     rng = stream(args.seed, "verify_variance")
     worst = 0.0
     failures = 0
+    batch, rows = [], 0  # (M, N, C, zetas) runs of admitted inputs not yet checked, and their (input, k) rows
+
+    def check_batch():
+        nonlocal worst, failures, rows
+        if not batch:
+            return
+        lines = []
+        errors = iter(max_rel_errors(batch))
+        for M, N, C, zetas in batch:
+            for error in itertools.islice(errors, len(zetas)):
+                worst = max(worst, error)
+                status = "ok" if error <= args.tol else "FAIL"
+                if status == "FAIL":
+                    failures += 1
+                lines.append(f"M={M} N={N} C={C}: max rel error {error:.3e} {status}")
+        print("\n".join(lines))
+        batch.clear()
+        rows = 0
+
     for M in range(1, args.max_size + 1):
         Cs = [c for c in range(1, M + 1) if M % c == 0]
         for N in range(1, args.max_size // M + 1):
@@ -113,21 +138,26 @@ def _cmd_verify(args) -> int:
             try:
                 draws = rng.standard_normal(count)
             except (MemoryError, ValueError):  # numpy raises ValueError for a size past its index range
+                check_batch()
                 raise ConfigError(f"--inputs {args.inputs} takes {count} draws at M={M} N={N}, more than fit in memory") from None
             try:  # C = 1 always divides M, and the outcome count, so the guard's verdict, depends on M and N alone
                 _prefix_gram(M, N, 1)
             except EnumerationTooLarge as exc:
+                check_batch()
                 for C in Cs:
                     print(f"M={M} N={N} C={C}: skipped ({exc})")
                 continue
-            for i, inp in enumerate(VarianceInputs.stacked(draws.reshape(-1, M, N, 2))):
-                C = Cs[i // args.inputs]
-                error = max_rel_error(inp, C)
-                worst = max(worst, error)
-                status = "ok" if error <= args.tol else "FAIL"
-                if status == "FAIL":
-                    failures += 1
-                print(f"M={M} N={N} C={C}: max rel error {error:.3e} {status}")
+            for C, todo in zip(Cs, draws.reshape(len(Cs), args.inputs, M, N, 2)):
+                prefixes = N * M // C  # an input's rows
+                while len(todo):  # the inputs that fit join the batch; a batch with no room is checked first
+                    room = (CHECK_ROWS - rows) // prefixes
+                    if room == 0:
+                        check_batch()
+                    else:
+                        batch.append((M, N, C, todo[:room]))
+                        rows += prefixes * len(batch[-1][3])
+                        todo = todo[room:]
+    check_batch()
     print(f"worst relative error {worst:.3e}")
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 

@@ -12,6 +12,15 @@ three integers each from binomial counts of the outcome classes (see
 ``_prefix_gram``), checked bit for bit against a walk over every outcome of
 ``_enumerate_sequences``.
 
+``max_rel_errors`` checks a batch of inputs of mixed geometries in a fixed
+number of numpy passes: ``_moments`` takes every input's moments from
+zero-padded stacks, and ``_prefix_errors`` every (input, k) row's Gram form
+and closed form, the latter from a cached coefficient table built with the
+scalar closed forms' own expressions.  The bytes are those of one
+``VarianceInputs`` and one ``max_rel_error`` per input, which are its
+one-input cases; the scalar closed forms stay the definition, and the
+table's tested oracle.
+
 Enumeration note: the grouped cross-covariance term carries coefficient
 2*k_N*(k - k_N) / (k^2 * (M - 1)); a variant with an extra 1/C factor does
 not match enumeration (the two coincide at C = 1).
@@ -55,30 +64,43 @@ class VarianceInputs:
     zeta: np.ndarray  # (M, N, d)
 
     def __post_init__(self):
-        _set_moments([self], np.asarray(self.zeta, dtype=np.float64)[None])
-
-    @classmethod
-    def stacked(cls, zetas: np.ndarray) -> list[VarianceInputs]:
-        """One input per (M, N, d) block of a float64 (K, M, N, d) stack, all K moments taken in one pass."""
-        inputs = [cls.__new__(cls) for _ in range(len(zetas))]
-        _set_moments(inputs, zetas)
-        return inputs
+        self.zeta = np.asarray(self.zeta, dtype=np.float64)
+        self.M, self.N, self.d = self.zeta.shape
+        (self.grand_mean,), (self.centred,), (self.sigma2,), (self.sigma_tilde2,) = _moments([self.zeta[None]])
 
 
-def _set_moments(inputs: list[VarianceInputs], z: np.ndarray) -> None:
-    """Give each input its zeta, shape, grand mean, centred rows and variances from the (K, M, N, d) stack ``z``."""
-    K, M, N, d = z.shape
-    grand_mean = z.sum(axis=(1, 2)) / (M * N)
-    centred = z.reshape(K, M * N, d) - grand_mean[:, None]
-    cm = z.sum(axis=2) / N - grand_mean[:, None]
+def _moments(stacks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, list[float], list[float]]:
+    """Grand means, centred rows and (sigma2, sigma_tilde2) of every input of the (K_b, M_b, N_b, d) ``stacks``, in order.
+
+    The inputs are zero-padded into one (K, max M*N, d) and one (K, max M, max N, d) stack and summed in one pass.
+    numpy adds a strided axis one row at a time, so a padded zero leaves every sum as it was, and each input gets the
+    bytes of a stack of its own; with the summed axis outermost in memory it adds whole slabs, row after row.  At
+    d = 1 the summed axis of a C-ordered stack is contiguous, and numpy adds it pairwise in a grouping that padding
+    would move: such inputs keep C order and must share one shape.  Centred rows past an input's M*N are padding;
+    each input's ``math.fsum`` runs over its own rows and clients only.
+    """
+    counts, shapes = [len(z) for z in stacks], [z.shape[1:] for z in stacks]
+    d = shapes[0][2]
+    if d == 1 and len(set(shapes)) > 1:
+        raise ValueError("inputs of one dimension must share one (M, N)")
+    M, N = (np.repeat(np.array([shape[i] for shape in shapes]), counts) for i in (0, 1))
+    MN = M * N
+    if d > 1:
+        z3 = np.zeros((MN.max(), len(M), d)).transpose(1, 0, 2)
+        z4 = np.zeros((N.max(), len(M), M.max(), d)).transpose(1, 2, 0, 3)
+    else:
+        z3, z4 = np.zeros((len(M), MN.max(), d)), np.zeros((len(M), M.max(), N.max(), d))
+    real_rows, real_clients = np.arange(MN.max()) < MN[:, None], np.arange(M.max()) < M[:, None]
+    real_cells = real_clients[..., None] & (np.arange(N.max()) < N[:, None, None])
+    z3[real_rows] = z4[real_cells] = np.concatenate(stacks, axis=None).reshape(-1, d)
+    grand_mean = z3.sum(axis=1) / MN[:, None]
+    centred = z3 - grand_mean[:, None]
+    cm = z4.sum(axis=2) / N[:, None, None] - grand_mean[:, None]
     # compensated sums of row dots, each the ddot of ``row @ row``: these feed exact-identity tests
-    rows = (centred[..., None, :] @ centred[..., None]).reshape(K, M * N).tolist()
-    clients = (cm[..., None, :] @ cm[..., None]).reshape(K, M).tolist()
-    for inp, zeta, mean, c, row_dots, client_dots in zip(inputs, z, grand_mean, centred, rows, clients):
-        inp.zeta, inp.grand_mean, inp.centred = zeta, mean, c
-        inp.M, inp.N, inp.d = M, N, d
-        inp.sigma2 = math.fsum(row_dots) / (M * N)
-        inp.sigma_tilde2 = math.fsum(client_dots) / M
+    rows, clients = (iter((v[:, None, :] @ v[:, :, None]).ravel().tolist()) for v in (centred[real_rows], cm[real_clients]))
+    sigma2 = [math.fsum(itertools.islice(rows, n)) / n for n in MN.tolist()]
+    sigma_tilde2 = [math.fsum(itertools.islice(clients, m)) / m for m in M.tolist()]
+    return grand_mean, centred, sigma2, sigma_tilde2
 
 
 def star_variances(problem: FederatedProblem, x_star: np.ndarray) -> tuple[float, float]:
@@ -233,10 +255,117 @@ def brute_force_all(inputs: VarianceInputs, C: int = 1) -> np.ndarray:
     return np.add.reduce(z * (gram @ z), axis=(1, 2)) / divisor
 
 
+@lru_cache(maxsize=64)
+def _closed_form_table(M: int, N: int, C: int) -> np.ndarray:
+    """``closed_form_minibatch_variance``'s float coefficients for every k, one column each, from its own expressions.
+
+    Its rows: the weight, a, b, c and e of the full-row term (k_N*C samples), the same of the tail term (k - k_N
+    samples), and the cross-term factor.  A term's variance is ``s * a / b`` in the N = 1 and M = 1 branches (s is
+    sigma_tilde2 or sigma2) and ``c * sigma2 + e * sigma_tilde2`` in the general one; a branch's unused coefficients, and
+    an absent term's, are 0 over 1, so that every branch evaluates on every column without a warning.  The weights are
+    squared by Python's ``**`` (libm's ``pow``), which rounds some ratios otherwise than numpy's ``x*x``.
+    """
+
+    def variance(k):  # closed_form_variance(k, M, N, ...)'s coefficients
+        if k == 0 or M == N == 1:
+            return 0, 1, 0, 0
+        if N == 1:
+            return M - k, k * (M - 1), 0, 0
+        if M == 1:
+            return N - k, k * (N - 1), 0, 0
+        m_k, j_k = divmod(k, N)
+        coef = (m_k * N * N + j_k * j_k) * (M * N - 1) / (k * k * (N - 1) * (M - 1)) - N / (k * (N - 1)) - 1 / (M - 1)
+        return 0, 1, j_k * (N - j_k) / (k * k * (N - 1)), coef
+
+    rows = []
+    for k in range(1, N * (M // C) + 1):
+        k_N = (k // N) * N
+        cross = 2 * k_N * (k - k_N) / (k * k * (M - 1)) if M > 1 else 0
+        rows.append(((k_N / k) ** 2, *variance(k_N * C), ((k - k_N) / k) ** 2, *variance(k - k_N), cross))
+    table = np.array(rows, dtype=np.float64).T.copy()
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=8)
+def _error_layout(chunks: tuple[tuple[int, int, int, int], ...]):
+    """All that ``_prefix_errors`` needs of a batch but its inputs, one row per (input, k), input by input.
+
+    Returns every input's first row; every row's input, ``_closed_form_table`` column, Gram divisor and two branch
+    flags (N = 1 or M = 1, and N = 1 alone); and per M*N its rows, their inputs, the Grams of its geometries and every
+    row's Gram among them.
+    """
+    grams = [_prefix_gram(M, N, C) for M, N, C, _ in chunks]
+    lengths = [len(divisor) for _, divisor in grams]
+    counts = [n for *_, n in chunks]
+    per_input = np.repeat(lengths, counts)
+    starts = np.cumsum(per_input) - per_input
+    row_input = np.repeat(np.arange(len(per_input)), per_input)
+    k = np.arange(len(row_input)) - starts[row_input]  # k - 1
+    chunk_rows = np.multiply(lengths, counts)
+
+    def per_row(values):  # one value per chunk, repeated over its rows
+        return np.repeat(values, chunk_rows)
+
+    table_row = per_row(np.cumsum(lengths) - lengths) + k
+    coefficients = np.concatenate([_closed_form_table(M, N, C) for M, N, C, _ in chunks], axis=1)[:, table_row]
+    divisor = np.concatenate([divisor for _, divisor in grams])[table_row]
+    ratio = per_row([M == 1 or N == 1 for M, N, _, _ in chunks])
+    tilde = per_row([N == 1 for _, N, _, _ in chunks])
+    size = per_row([M * N for M, N, _, _ in chunks])
+    groups = []
+    for mn in dict.fromkeys(size.tolist()):
+        members = [i for i, (M, N, _, _) in enumerate(chunks) if M * N == mn]
+        rows = np.flatnonzero(size == mn)
+        first = np.cumsum([lengths[i] for i in members]) - [lengths[i] for i in members]
+        gram_index = np.repeat(first, chunk_rows[members]) + k[rows]
+        groups.append((mn, rows, row_input[rows], np.concatenate([grams[i][0] for i in members]), gram_index))
+    for array in (starts, row_input, coefficients, divisor, ratio, tilde):
+        array.setflags(write=False)  # cached, and shared by every call with this layout
+    return starts, row_input, coefficients, divisor, ratio, tilde, groups
+
+
+def _prefix_errors(chunks, centred: np.ndarray, sigma2, sigma_tilde2) -> tuple[np.ndarray, ...]:
+    """Every input's first row, and every (input, k) row's exact variance, closed form and error, input by input.
+
+    ``chunks`` lists (M, N, C, count) runs of inputs whose zero-padded centred rows fill ``centred`` (K, max M*N, d)
+    in order.  The Gram forms take one stacked product per M*N, every slice the (M*N, M*N) @ (M*N, d) gemm of
+    ``brute_force_all``; the closed forms evaluate every row's ``_closed_form_table`` column at once, in the scalar
+    functions' order of operations.  An absent term adds a zero to a sum that is never -0.0, so for finite variances
+    the bytes are those of ``brute_force_all`` and ``closed_form_minibatch_variance``, input by input.
+    """
+    starts, row_input, coefficients, divisor, ratio, tilde, groups = _error_layout(tuple(chunks))
+    brute = np.empty(len(row_input))
+    for size, rows, inputs, grams, index in groups:
+        z = centred[inputs, :size]
+        brute[rows] = np.add.reduce(z * (grams[index] @ z), axis=(1, 2))
+    brute /= divisor
+    s2, st2 = np.asarray(sigma2)[row_input], np.asarray(sigma_tilde2)[row_input]
+    s = np.where(tilde, st2, s2)
+    w1, a1, b1, c1, e1, w2, a2, b2, c2, e2, cross = coefficients
+
+    def variance(a, b, c, e):  # closed_form_variance: s * (M - k) / (k * (M - 1)) at N = 1, and alike at M = 1
+        return np.where(ratio, s * a / b, c * s2 + e * st2)
+
+    closed = 0.0 + w1 * variance(a1, b1, c1, e1) + w2 * variance(a2, b2, c2, e2) - cross * st2
+    scale = np.abs(brute)
+    return starts, brute, closed, np.abs(closed - brute) / np.where(scale > 1e-12, scale, 1.0)
+
+
+def max_rel_errors(chunks) -> list[float]:
+    """``max_rel_error`` of every input of ``chunks``, (M, N, C, zetas) runs with zetas a (K, M, N, d) stack, in order.
+
+    The moments of all inputs are taken in one pass and their errors in another, so a whole verify-variance batch
+    costs a fixed number of numpy calls however many geometries it holds.
+    """
+    _, centred, sigma2, sigma_tilde2 = _moments([zetas for *_, zetas in chunks])
+    runs = [(M, N, C, len(zetas)) for M, N, C, zetas in chunks]
+    starts, *_, errors = _prefix_errors(runs, centred, sigma2, sigma_tilde2)
+    return np.maximum.reduceat(errors, starts).tolist()
+
+
 def max_rel_error(inputs: VarianceInputs, C: int = 1) -> float:
     """Largest closed-form error over every prefix length: relative where enumeration gives over 1e-12, else absolute."""
-    errors = []
-    for k, b in enumerate(brute_force_all(inputs, C).tolist(), start=1):
-        c = closed_form_minibatch_variance(k, inputs.M, inputs.N, C, inputs.sigma2, inputs.sigma_tilde2)
-        errors.append(abs(c - b) / (abs(b) if abs(b) > 1e-12 else 1.0))
-    return max(errors)
+    run = [(inputs.M, inputs.N, C, 1)]
+    *_, errors = _prefix_errors(run, inputs.centred[None], [inputs.sigma2], [inputs.sigma_tilde2])
+    return float(errors.max())

@@ -72,9 +72,11 @@ stays far below the tolerances it is compared at.  The byte oracles of ``Varianc
 takes the moments with ``np.mean`` and one generator term per sample or
 client, re-centring each row for both sides of its dot, and
 ``brute_force_all_loop`` centres ``zeta`` and builds its divisor on every call.
+``rel_errors_loop`` is ``max_rel_error``'s earlier body, one ``brute_force_all`` and one scalar
+``closed_form_minibatch_variance`` per prefix length, and ``max_rel_error_loop`` its largest error.
 ``verify_variance_loop`` is ``fedrr verify-variance`` before its inputs were drawn and
-summarised one (M, N) at a time: one ``normal`` call and one ``VarianceInputs`` per
-checked input.
+summarised one (M, N) at a time: one ``normal`` call, one ``VarianceInputs`` and one
+``max_rel_error_loop`` per checked input, so it shares no batch with the command.
 
 The output oracles are the result scans that ``harness`` replaced with one
 grouping of the finished runs: ``write_runs_csv``, ``write_timings_csv`` and
@@ -103,7 +105,8 @@ from fedrr.variance_lab import (
     _check_guard,
     _enumerate_sequences,
     _prefix_gram,
-    max_rel_error,
+    brute_force_all,
+    closed_form_minibatch_variance,
 )
 
 
@@ -627,6 +630,20 @@ def brute_force_all_loop(inputs, C=1):
     return np.sum(z * (gram @ z), axis=(1, 2)) / (n_out * C * scale * scale)
 
 
+def rel_errors_loop(inputs, C=1):
+    """``variance_lab.max_rel_error``'s error at every prefix length, one scalar closed form per k."""
+    errors = []
+    for k, b in enumerate(brute_force_all(inputs, C).tolist(), start=1):
+        c = closed_form_minibatch_variance(k, inputs.M, inputs.N, C, inputs.sigma2, inputs.sigma_tilde2)
+        errors.append(abs(c - b) / (abs(b) if abs(b) > 1e-12 else 1.0))
+    return errors
+
+
+def max_rel_error_loop(inputs, C=1):
+    """``variance_lab.max_rel_error`` as a loop over the prefix lengths: the largest of ``rel_errors_loop``."""
+    return max(rel_errors_loop(inputs, C))
+
+
 def verify_variance_loop(max_size, inputs=5, seed=0, tol=1e-10):
     """``fedrr verify-variance``'s scan and print-out, one ``normal`` draw and one ``VarianceInputs`` per checked input.
 
@@ -647,7 +664,7 @@ def verify_variance_loop(max_size, inputs=5, seed=0, tol=1e-10):
                 continue
             for C in Cs:
                 for z in (rng.normal(size=(M, N, 2)) for _ in range(inputs)):
-                    error = max_rel_error(VarianceInputs(z), C)
+                    error = max_rel_error_loop(VarianceInputs(z), C)
                     worst = max(worst, error)
                     status = "ok" if error <= tol else "FAIL"
                     if status == "FAIL":

@@ -1,9 +1,11 @@
+import contextlib
 import gzip
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -265,6 +267,22 @@ def test_verify_variance_rejects_inputs_past_memory_with_one_line(capsys, inputs
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"config error: --inputs {inputs} takes {2 * inputs} draws at M=1 N=1, more than fit in memory\n"
+
+
+def test_verify_variance_many_inputs_stay_within_the_per_input_loops_peak():
+    # the per-(M, N) code this replaced peaked at 2,119,013 bytes here (x86-64, Python 3.11, numpy 2.4.6), warm and
+    # with the text discarded: its 1,200 VarianceInputs objects at M=8, N=1. The bound was fixed from that figure
+    # before the batched checks were written; the text goes to devnull so that only the program's memory counts
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert main(["verify-variance", "--max-size", "8", "--inputs", "1"]) == EXIT_OK  # warm the caches
+        tracemalloc.start()
+        try:
+            code = main(["verify-variance", "--max-size", "8", "--inputs", "300"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak < 2_200_000
 
 
 def test_verify_variance_failures_exit_4(capsys):

@@ -11,12 +11,14 @@ outside the tests (scipy is not a dependency).
 import itertools
 from collections import Counter
 
+from fedrr.dataset import partition
 from fedrr.optimizer import AlgoConfig, StepSizes, round_plan
 from fedrr.problem import quadratic_problem
 from fedrr.shuffling import ClientMode, DataMode, ShuffleMode
 
 SEEDS = range(3000)
-CHI2_CRITICAL = {5: 35.888, 8: 42.701}  # chi2.isf(1e-6, df)
+CHI2_CRITICAL = {5: 35.888, 8: 42.701, 23: 70.55, 35: 89.947}  # chi2.isf(1e-6, df)
+COHORTS = list(itertools.combinations(range(4), 2))  # the 6 cohorts of 2 among 4 clients, in client-id order
 
 
 def plans(algorithm, M, N, C, T, **kw):
@@ -58,3 +60,30 @@ def test_fedavg_two_step_rows_are_uniform():
     for plan in plans("fedavg", 4, 3, 2, 1, local_steps=2, batch_fraction=1 / 3):
         rows.update(tuple(row) for rnd in plan for row in rnd.rows.tolist())
     assert_uniform(rows, itertools.product(range(3), repeat=2))
+
+
+def test_with_replacement_cohorts_are_independent_uniform_subsets():
+    # rrcli-wr at M = 4, C = 2: each of a meta-epoch's R = 2 cohorts is one of the 6 subsets, drawn
+    # independently of the other, so the 36 ordered pairs are equally likely, a repeated client included
+    cohorts, pairs = Counter(), Counter()
+    for plan in plans("rrcli-wr", 4, 3, 2, 2):
+        for t in range(2):
+            pair = tuple(rnd.clients for rnd in plan if rnd.meta_epoch == t)
+            cohorts.update(pair)
+            pairs[pair] += 1
+    assert sum(cohorts.values()) == 3000 * 2 * 2
+    assert_uniform(cohorts, COHORTS)
+    assert_uniform(pairs, itertools.product(COHORTS, repeat=2))
+
+
+def test_nastya_cohorts_are_uniform():
+    # nastya at M = 4, C = 2: every round draws one of the 6 cohorts anew
+    cohorts = Counter(rnd.clients for plan in plans("nastya", 4, 3, 2, 2) for rnd in plan)
+    assert sum(cohorts.values()) == 3000 * 2 * 2
+    assert_uniform(cohorts, COHORTS)
+
+
+def test_partition_row_orders_are_uniform():
+    # 4 rows among 2 clients: the clients' rows, read in order, are one of the 4! = 24 row orders
+    orders = Counter(tuple(partition(4, 2, seed).ravel().tolist()) for seed in SEEDS)
+    assert_uniform(orders, itertools.permutations(range(4)))

@@ -15,8 +15,10 @@ from eager_reference import (
     brute_force_all_tensor,
     class_rows,
     enumerate_sequences_loop,
+    max_rel_error_loop,
     prefix_gram_class_rows,
     prefix_gram_from_table,
+    rel_errors_loop,
     star_sequence_deviation,
     star_sequence_enumerated,
     variance_inputs_loop,
@@ -29,13 +31,17 @@ from fedrr.variance_lab import (
     ENUMERATION_GUARD,
     EnumerationTooLarge,
     VarianceInputs,
+    _closed_form_table,
     _enumerate_sequences,
+    _moments,
     _prefix_class_sums,
+    _prefix_errors,
     _prefix_gram,
     brute_force_all,
     closed_form_minibatch_variance,
     closed_form_variance,
     max_rel_error,
+    max_rel_errors,
     star_variances,
 )
 
@@ -412,16 +418,116 @@ def test_stacked_moments_match_each_inputs_and_the_loop_byte_for_byte():
     rng = stream(23, "stacked_moments")
     for K, M, N, d in itertools.product(range(1, 5), range(1, 12), range(1, 12), range(1, 6)):
         zetas = rng.normal(size=(K, M, N, d)) * 10.0 ** rng.uniform(-3, 3) + rng.choice([0.0, 1e3])
-        for inp, zeta in zip(VarianceInputs.stacked(zetas), zetas, strict=True):
+        grand_means, centred, sigma2s, sigma_tilde2s = _moments([zetas])
+        assert len(grand_means) == len(centred) == len(sigma2s) == len(sigma_tilde2s) == K
+        for i, zeta in enumerate(zetas):
             one = VarianceInputs(zeta.copy())
             grand_mean, sigma2, sigma_tilde2 = variance_inputs_loop(zeta)
-            assert (inp.M, inp.N, inp.d) == (one.M, one.N, one.d) == (M, N, d)
-            assert inp.zeta.tobytes() == one.zeta.tobytes() == zeta.tobytes()
-            assert inp.grand_mean.tobytes() == one.grand_mean.tobytes() == grand_mean.tobytes()
-            assert inp.centred.tobytes() == one.centred.tobytes()
-            for got in (inp, one):
-                assert np.float64(got.sigma2).tobytes() == np.float64(sigma2).tobytes()
-                assert np.float64(got.sigma_tilde2).tobytes() == np.float64(sigma_tilde2).tobytes()
+            assert (one.M, one.N, one.d) == (M, N, d)
+            assert one.zeta.tobytes() == zeta.tobytes()
+            assert grand_means[i].tobytes() == one.grand_mean.tobytes() == grand_mean.tobytes()
+            assert centred[i].tobytes() == one.centred.tobytes()
+            for got in ((sigma2s[i], sigma_tilde2s[i]), (one.sigma2, one.sigma_tilde2)):
+                assert np.float64(got[0]).tobytes() == np.float64(sigma2).tobytes()
+                assert np.float64(got[1]).tobytes() == np.float64(sigma_tilde2).tobytes()
+
+
+def test_padded_moments_refuse_mixed_shapes_of_one_dimension():
+    # at d = 1 numpy adds the summed axis pairwise, in a grouping that zero padding would move
+    with pytest.raises(ValueError, match="must share one"):
+        _moments([np.zeros((1, 2, 3, 1)), np.zeros((1, 3, 2, 1))])
+    _moments([np.zeros((1, 2, 3, 1)), np.ones((2, 2, 3, 1))])
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def test_padded_moments_of_mixed_shapes_match_the_loop_byte_for_byte():
+    # stacks of every (M, N) up to 11 and 1-4 inputs each, padded together: each input keeps its own bytes
+    rng = stream(37, "padded_moments")
+    for _ in range(300):
+        d = int(rng.integers(2, 4))
+        stacks = [
+            rng.normal(size=(int(rng.integers(1, 5)), *rng.integers(1, 12, size=2), d)) * 10.0 ** rng.uniform(-3, 3)
+            + rng.choice([0.0, 1e3])
+            for _ in range(int(rng.integers(1, 7)))
+        ]
+        grand_means, centred, sigma2s, sigma_tilde2s = _moments(stacks)
+        for i, zeta in enumerate(zeta for stack in stacks for zeta in stack):
+            M, N, _ = zeta.shape
+            grand_mean, sigma2, sigma_tilde2 = variance_inputs_loop(zeta)
+            assert grand_means[i].tobytes() == grand_mean.tobytes()
+            assert centred[i, : M * N].tobytes() == (zeta.reshape(M * N, d) - grand_mean).tobytes()
+            assert bits([sigma2s[i], sigma_tilde2s[i]]) == bits([sigma2, sigma_tilde2])
+
+
+def test_batched_checks_match_the_per_input_oracles_byte_for_byte():
+    # mixed batches as verify-variance builds them: every C of each drawn (M, N), 1-4 inputs a C, with N = 1 and
+    # M = 1 geometries among them. The oracles take each input alone, from the loop's moments: no padding, no batch
+    rng = stream(38, "batched_checks")
+    pairs = sorted({(M, N) for M, N, _ in GUARD_ADMITTED})
+    assert (1, 10) in pairs and (10, 1) in pairs and (1, 1) in pairs
+    rows_checked = 0
+    for _ in range(200):
+        chunks = []
+        for M, N in (pairs[i] for i in rng.integers(len(pairs), size=int(rng.integers(1, 7)))):
+            for C in (C for C in range(1, M + 1) if M % C == 0):
+                size = (int(rng.integers(1, 5)), M, N, 2)
+                chunks.append((M, N, C, rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3) + rng.choice([0.0, 1e3])))
+        _, centred, sigma2s, sigma_tilde2s = _moments([zetas for *_, zetas in chunks])
+        starts, brute, closed, errors = _prefix_errors(
+            [(M, N, C, len(zetas)) for M, N, C, zetas in chunks], centred, sigma2s, sigma_tilde2s
+        )
+        maxima = max_rel_errors(chunks)
+        i = 0
+        for M, N, C, zetas in chunks:
+            for zeta in zetas:
+                grand_mean, sigma2, sigma_tilde2 = variance_inputs_loop(zeta)
+                assert bits([sigma2s[i], sigma_tilde2s[i]]) == bits([sigma2, sigma_tilde2])
+                oracle = SimpleNamespace(
+                    zeta=zeta, M=M, N=N, d=2, grand_mean=grand_mean, centred=zeta.reshape(M * N, 2) - grand_mean,
+                    sigma2=sigma2, sigma_tilde2=sigma_tilde2,
+                )
+                rows = slice(starts[i], starts[i] + N * M // C)
+                assert bits(brute[rows]) == bits(brute_force_all_loop(oracle, C))
+                want = [closed_form_minibatch_variance(k, M, N, C, sigma2, sigma_tilde2) for k in range(1, N * M // C + 1)]
+                assert bits(closed[rows]) == bits(want)
+                assert bits(errors[rows]) == bits(rel_errors_loop(oracle, C))
+                assert bits(maxima[i]) == bits(max_rel_error_loop(oracle, C))
+                rows_checked += N * M // C
+                i += 1
+        assert i == len(maxima) == len(starts)
+    assert rows_checked > 15_000
+
+
+def table_closed_form(M, N, C, k, sigma2, sigma_tilde2):
+    """``closed_form_minibatch_variance`` from ``_closed_form_table``'s column for k, evaluated in Python floats."""
+    w1, a1, b1, c1, e1, w2, a2, b2, c2, e2, cross = _closed_form_table(M, N, C)[:, k - 1].tolist()
+    s = sigma_tilde2 if N == 1 else sigma2
+
+    def variance(a, b, c, e):
+        return s * a / b if M == 1 or N == 1 else c * sigma2 + e * sigma_tilde2
+
+    return 0.0 + w1 * variance(a1, b1, c1, e1) + w2 * variance(a2, b2, c2, e2) - cross * sigma_tilde2
+
+
+def test_closed_form_table_is_the_scalar_closed_form():
+    # every prefix length of every (M, N, C) with M, N <= 11; the table's weights come from Python's pow, as the
+    # scalar's do, and numpy's x*x would round some of them otherwise
+    rng = stream(39, "table")
+    checked = 0
+    for M, N in itertools.product(range(1, 12), repeat=2):
+        for C in (C for C in range(1, M + 1) if M % C == 0):
+            table = _closed_form_table(M, N, C)
+            assert table.shape == (11, N * M // C) and not table.flags.writeable
+            for sigma2, sigma_tilde2 in [(1.0, 1.0), (0.0, 0.0), *(10.0 ** rng.uniform(-3, 3, size=2) for _ in range(3))]:
+                sigma2, sigma_tilde2 = float(sigma2), float(sigma_tilde2)
+                for k in range(1, N * M // C + 1):
+                    got = table_closed_form(M, N, C, k, sigma2, sigma_tilde2)
+                    assert bits(got) == bits(closed_form_minibatch_variance(k, M, N, C, sigma2, sigma_tilde2)), (M, N, C, k)
+                    checked += 1
+    assert checked == 5 * 6_534
 
 
 def test_closed_forms_are_exact_for_integer_counts_and_fraction_variances():
