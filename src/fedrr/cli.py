@@ -8,10 +8,10 @@ diverged (with one multiplier or many), 4 verification or optimum-solver failure
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import os
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -99,6 +99,12 @@ def _cmd_run(args) -> int:
 CHECK_ROWS = 512
 
 
+@lru_cache(maxsize=8)
+def _line_heads(runs: tuple[tuple[int, int, int, int], ...]) -> list[str]:
+    """Every input's check line up to its error, for a batch of (M, N, C, count) runs, input by input."""
+    return [head for M, N, C, count in runs for head in [f"M={M} N={N} C={C}: max rel error "] * count]
+
+
 def _cmd_verify(args) -> int:
     for bad, message in (
         (args.max_size < 1, f"--max-size must be at least 1, got {args.max_size}"),
@@ -117,14 +123,13 @@ def _cmd_verify(args) -> int:
         if not batch:
             return
         lines = []
-        errors = iter(max_rel_errors(batch))
-        for M, N, C, zetas in batch:
-            for error in itertools.islice(errors, len(zetas)):
-                worst = max(worst, error)
-                status = "ok" if error <= args.tol else "FAIL"
-                if status == "FAIL":
-                    failures += 1
-                lines.append(f"M={M} N={N} C={C}: max rel error {error:.3e} {status}")
+        heads = _line_heads(tuple((M, N, C, len(zetas)) for M, N, C, zetas in batch))
+        for head, error in zip(heads, max_rel_errors(batch)):
+            worst = max(worst, error)
+            status = "ok" if error <= args.tol else "FAIL"
+            if status == "FAIL":
+                failures += 1
+            lines.append(f"{head}{error:.3e} {status}")
         print("\n".join(lines))
         batch.clear()
         rows = 0
@@ -149,14 +154,14 @@ def _cmd_verify(args) -> int:
                 continue
             for C, todo in zip(Cs, draws.reshape(len(Cs), args.inputs, M, N, 2)):
                 prefixes = N * M // C  # an input's rows
-                while len(todo):  # the inputs that fit join the batch; a batch with no room is checked first
-                    room = (CHECK_ROWS - rows) // prefixes
-                    if room == 0:
-                        check_batch()
-                    else:
+                # a block that fits joins the batch whole; one that does not fills it, and the full batch is checked
+                while len(todo) > (room := (CHECK_ROWS - rows) // prefixes):
+                    if room:
                         batch.append((M, N, C, todo[:room]))
-                        rows += prefixes * len(batch[-1][3])
                         todo = todo[room:]
+                    check_batch()
+                batch.append((M, N, C, todo))
+                rows += prefixes * len(todo)
     check_batch()
     print(f"worst relative error {worst:.3e}")
     return EXIT_OK if failures == 0 else EXIT_VERIFY

@@ -16,10 +16,13 @@ three integers each from binomial counts of the outcome classes (see
 number of numpy passes: ``_moments`` takes every input's moments from
 zero-padded stacks, and ``_prefix_errors`` every (input, k) row's Gram form
 and closed form, the latter from a cached coefficient table built with the
-scalar closed forms' own expressions.  The bytes are those of one
-``VarianceInputs`` and one ``max_rel_error`` per input, which are its
-one-input cases; the scalar closed forms stay the definition, and the
-table's tested oracle.
+scalar closed forms' own expressions.  All that a batch needs but its
+inputs' values comes from layouts cached per batch shape, one for the
+moments (``_moment_layout``) and one for the errors (``_error_layout``),
+so a repeated batch shape pays only for its arithmetic.  The bytes are
+those of one ``VarianceInputs`` and one ``max_rel_error`` per input, which
+are its one-input cases; the scalar closed forms stay the definition, and
+the table's tested oracle.
 
 Enumeration note: the grouped cross-covariance term carries coefficient
 2*k_N*(k - k_N) / (k^2 * (M - 1)); a variant with an extra 1/C factor does
@@ -72,35 +75,54 @@ class VarianceInputs:
 def _moments(stacks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, list[float], list[float]]:
     """Grand means, centred rows and (sigma2, sigma_tilde2) of every input of the (K_b, M_b, N_b, d) ``stacks``, in order.
 
-    The inputs are zero-padded into one (K, max M*N, d) and one (K, max M, max N, d) stack and summed in one pass.
-    numpy adds a strided axis one row at a time, so a padded zero leaves every sum as it was, and each input gets the
-    bytes of a stack of its own; with the summed axis outermost in memory it adds whole slabs, row after row.  At
-    d = 1 the summed axis of a C-ordered stack is contiguous, and numpy adds it pairwise in a grouping that padding
-    would move: such inputs keep C order and must share one shape.  Centred rows past an input's M*N are padding;
-    each input's ``math.fsum`` runs over its own rows and clients only.
+    Every input's rows are zero-padded into one (K, max M*N, d) stack and every client's samples into one
+    (clients, max N, d) stack, each summed in one pass, at the places the cached ``_moment_layout`` of the stacks'
+    shapes gives.  numpy adds a strided axis one row at a time, so a padded zero leaves every sum as it was, and each
+    input gets the bytes of a stack of its own; with the summed axis outermost in memory it adds whole slabs, row after
+    row.  At d = 1 the summed axis of a C-ordered stack is contiguous, and numpy adds it pairwise in a grouping that
+    padding would move: such inputs keep C order and must share one shape.  Centred rows past an input's M*N are
+    padding; each input's ``math.fsum`` runs over its own rows and clients only.
     """
-    counts, shapes = [len(z) for z in stacks], [z.shape[1:] for z in stacks]
-    d = shapes[0][2]
-    if d == 1 and len(set(shapes)) > 1:
-        raise ValueError("inputs of one dimension must share one (M, N)")
-    M, N = (np.repeat(np.array([shape[i] for shape in shapes]), counts) for i in (0, 1))
-    MN = M * N
-    if d > 1:
-        z3 = np.zeros((MN.max(), len(M), d)).transpose(1, 0, 2)
-        z4 = np.zeros((N.max(), len(M), M.max(), d)).transpose(1, 2, 0, 3)
+    layout = _moment_layout(tuple(z.shape for z in stacks))
+    row_input, row, client, j, client_input, MN, N, row_runs, client_runs, (K, height, clients, width, d) = layout
+    if d > 1:  # the summed axis outermost in memory
+        z3, z4 = np.zeros((height, K, d)).transpose(1, 0, 2), np.zeros((width, clients, d)).transpose(1, 0, 2)
     else:
-        z3, z4 = np.zeros((len(M), MN.max(), d)), np.zeros((len(M), M.max(), N.max(), d))
-    real_rows, real_clients = np.arange(MN.max()) < MN[:, None], np.arange(M.max()) < M[:, None]
-    real_cells = real_clients[..., None] & (np.arange(N.max()) < N[:, None, None])
-    z3[real_rows] = z4[real_cells] = np.concatenate(stacks, axis=None).reshape(-1, d)
-    grand_mean = z3.sum(axis=1) / MN[:, None]
+        z3, z4 = np.zeros((K, height, d)), np.zeros((clients, width, d))
+    data = np.concatenate([z.ravel() for z in stacks]).reshape(-1, d)
+    z3[row_input, row] = z4[client, j] = data
+    grand_mean = z3.sum(axis=1) / MN
     centred = z3 - grand_mean[:, None]
-    cm = z4.sum(axis=2) / N[:, None, None] - grand_mean[:, None]
+    cm = z4.sum(axis=1) / N - grand_mean[client_input]
     # compensated sums of row dots, each the ddot of ``row @ row``: these feed exact-identity tests
-    rows, clients = (iter((v[:, None, :] @ v[:, :, None]).ravel().tolist()) for v in (centred[real_rows], cm[real_clients]))
-    sigma2 = [math.fsum(itertools.islice(rows, n)) / n for n in MN.tolist()]
-    sigma_tilde2 = [math.fsum(itertools.islice(clients, m)) / m for m in M.tolist()]
+    real = (data - grand_mean[row_input], cm)  # an input's real centred rows are its samples less its grand mean
+    row_dots, client_dots = (iter((v[:, None, :] @ v[:, :, None]).ravel().tolist()) for v in real)
+    sigma2 = [math.fsum(itertools.islice(row_dots, n)) / n for n in row_runs]
+    sigma_tilde2 = [math.fsum(itertools.islice(client_dots, m)) / m for m in client_runs]
     return grand_mean, centred, sigma2, sigma_tilde2
+
+
+@lru_cache(maxsize=8)
+def _moment_layout(shapes: tuple[tuple[int, ...], ...]):
+    """All that ``_moments`` needs of stacks of these (K_b, M_b, N_b, d) shapes but their values, sample by sample.
+
+    Returns every sample's input, its row in that input, its client among all inputs' and its place in that client;
+    every client's input; the divisors M*N per input and N per client, shaped to broadcast; the ``math.fsum`` run
+    lengths M*N and M per input; and the sizes K, max M*N, clients, max N and d of the padded stacks.
+    """
+    d = shapes[0][3]
+    if d == 1 and len(set(shape[1:] for shape in shapes)) > 1:
+        raise ValueError("inputs of one dimension must share one (M, N)")
+    M, N = (np.repeat([shape[i] for shape in shapes], [shape[0] for shape in shapes]) for i in (1, 2))
+    MN = M * N
+    row_input, client_input = np.repeat(np.arange(len(M)), MN), np.repeat(np.arange(len(M)), M)
+    row = np.arange(len(row_input)) - np.repeat(np.cumsum(MN) - MN, MN)
+    client = np.repeat(np.arange(len(client_input)), N[client_input])
+    layout = (row_input, row, client, row % N[row_input], client_input, MN[:, None], N[client_input][:, None])
+    for array in layout:
+        array.setflags(write=False)  # cached, and shared by every call with these shapes
+    sizes = (len(M), int(MN.max()), len(client_input), int(N.max()), d)
+    return (*layout, tuple(MN.tolist()), tuple(M.tolist()), sizes)
 
 
 def star_variances(problem: FederatedProblem, x_star: np.ndarray) -> tuple[float, float]:
@@ -320,7 +342,7 @@ def _error_layout(chunks: tuple[tuple[int, int, int, int], ...]):
         first = np.cumsum([lengths[i] for i in members]) - [lengths[i] for i in members]
         gram_index = np.repeat(first, chunk_rows[members]) + k[rows]
         groups.append((mn, rows, row_input[rows], np.concatenate([grams[i][0] for i in members]), gram_index))
-    for array in (starts, row_input, coefficients, divisor, ratio, tilde):
+    for array in (starts, row_input, coefficients, divisor, ratio, tilde, *(a for _, *arrays in groups for a in arrays)):
         array.setflags(write=False)  # cached, and shared by every call with this layout
     return starts, row_input, coefficients, divisor, ratio, tilde, groups
 

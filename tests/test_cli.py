@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from eager_reference import verify_variance_loop
-from fedrr.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_VERIFY, main
+from fedrr import cli
+from fedrr.cli import CHECK_ROWS, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_VERIFY, main
 from fedrr.dataset import libsvm_text, synthetic_libsvm_like
 from fedrr.problem import SolverError
 from fedrr.rng import stream
-from fedrr.variance_lab import VarianceInputs, max_rel_error
+from fedrr.variance_lab import ENUMERATION_GUARD, VarianceInputs, max_rel_error, max_rel_errors
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -283,6 +284,37 @@ def test_verify_variance_many_inputs_stay_within_the_per_input_loops_peak():
             tracemalloc.stop()
     assert code == EXIT_OK
     assert peak < 2_200_000
+
+
+@pytest.mark.parametrize("max_size, inputs", [(10, 5), (8, 300), (11, 3)])
+def test_verify_variance_batches_keep_the_row_budget_and_check_every_input_once(monkeypatch, max_size, inputs):
+    # every batch holds at most CHECK_ROWS (input, k) rows, whole blocks and split ones alike, and the batches, read
+    # in order, hold every drawn input of every admitted geometry once, as the per-input loop draws them
+    batches = []
+
+    def recording(batch):
+        batches.append(list(batch))  # the command clears its batch once checked
+        return max_rel_errors(batch)
+
+    monkeypatch.setattr(cli, "max_rel_errors", recording)
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert main(["verify-variance", "--max-size", str(max_size), "--inputs", str(inputs)]) == EXIT_OK
+    checked = []
+    for batch in batches:
+        assert all(len(zetas) for *_, zetas in batch)
+        assert sum(N * M // C * len(zetas) for M, N, C, zetas in batch) <= CHECK_ROWS
+        checked += [(M, N, C, zeta.tobytes()) for M, N, C, zetas in batch for zeta in zetas]
+    rng = stream(0, "verify_variance")
+    drawn = []
+    for M in range(1, max_size + 1):
+        Cs = [C for C in range(1, M + 1) if M % C == 0]
+        for N in range(1, max_size // M + 1):
+            if math.factorial(M) * math.factorial(N) ** M > ENUMERATION_GUARD:
+                rng.standard_normal(len(Cs) * inputs * M * N * 2)
+            else:
+                drawn += [(M, N, C, rng.normal(size=(M, N, 2)).tobytes()) for C in Cs for _ in range(inputs)]
+    assert checked == drawn
+    assert len(batches) > 1
 
 
 def test_verify_variance_failures_exit_4(capsys):

@@ -10,6 +10,7 @@ outside the tests (scipy is not a dependency).
 
 import itertools
 from collections import Counter
+from functools import lru_cache
 
 from fedrr.dataset import partition
 from fedrr.optimizer import AlgoConfig, StepSizes, round_plan
@@ -51,6 +52,52 @@ def test_reshuffled_cohorts_and_data_orders_are_uniform():
     assert_uniform(partitions, [(a, b) for a in cohorts for b in cohorts if not set(a) & set(b)])
     assert sum(orders.values()) == 3000 * 4 * 4
     assert_uniform(orders, itertools.permutations(range(3)))
+
+
+@lru_cache(maxsize=1)
+def reshuffled_epochs():
+    """Every seed's first two meta-epochs of rrcli at M = 4, N = 3, C = 2 with reshuffled clients and data.
+
+    One (partition, orders) pair per meta-epoch: its ordered cohort partition, and every client's data order.
+    """
+    mode = ShuffleMode(ClientMode.RESHUFFLING, DataMode.RESHUFFLING)
+    epochs = []
+    for plan in plans("rrcli", 4, 3, 2, 2, shuffle=mode):
+        pair = []
+        for t in range(2):
+            rounds = [rnd for rnd in plan if rnd.meta_epoch == t]
+            orders = {m: tuple(row) for rnd in rounds for m, row in zip(rnd.clients, rnd.rows.tolist())}
+            pair.append((tuple(rnd.clients for rnd in rounds), orders))
+        epochs.append(pair)
+    return epochs
+
+
+ORDERS = list(itertools.permutations(range(3)))  # the 6 data orders of 3 points
+
+
+def test_reshuffled_partitions_of_consecutive_meta_epochs_are_independent():
+    # each meta-epoch draws its own ordered partition of the 4 clients into 2 cohorts, one of 6: the
+    # partitions of meta-epochs 0 and 1 are independent, so all 36 pairs are equally likely
+    pairs = Counter((first[0], second[0]) for first, second in reshuffled_epochs())
+    partitions = [(a, b) for a in COHORTS for b in COHORTS if not set(a) & set(b)]
+    assert len(partitions) == 6 and sum(pairs.values()) == 3000
+    assert_uniform(pairs, itertools.product(partitions, repeat=2))
+
+
+def test_two_clients_data_orders_in_one_data_epoch_are_independent():
+    # every client draws its own order of its 3 points in a data epoch: clients 0 and 1 in meta-epoch 0
+    # give all 36 pairs of orders equally often, whichever cohorts they trained in
+    pairs = Counter((first[1][0], first[1][1]) for first, _ in reshuffled_epochs())
+    assert sum(pairs.values()) == 3000
+    assert_uniform(pairs, itertools.product(ORDERS, repeat=2))
+
+
+def test_one_clients_data_orders_in_consecutive_data_epochs_are_independent():
+    # reshuffled data draws a client's order anew in every data epoch: client 0's orders in meta-epochs
+    # 0 and 1 give all 36 pairs equally often
+    pairs = Counter((first[1][0], second[1][0]) for first, second in reshuffled_epochs())
+    assert sum(pairs.values()) == 3000
+    assert_uniform(pairs, itertools.product(ORDERS, repeat=2))
 
 
 def test_fedavg_two_step_rows_are_uniform():

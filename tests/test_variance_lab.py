@@ -33,6 +33,8 @@ from fedrr.variance_lab import (
     VarianceInputs,
     _closed_form_table,
     _enumerate_sequences,
+    _error_layout,
+    _moment_layout,
     _moments,
     _prefix_class_sums,
     _prefix_errors,
@@ -460,6 +462,64 @@ def test_padded_moments_of_mixed_shapes_match_the_loop_byte_for_byte():
             assert grand_means[i].tobytes() == grand_mean.tobytes()
             assert centred[i, : M * N].tobytes() == (zeta.reshape(M * N, d) - grand_mean).tobytes()
             assert bits([sigma2s[i], sigma_tilde2s[i]]) == bits([sigma2, sigma_tilde2])
+
+
+def test_moments_from_rebuilt_layouts_match_the_loop_byte_for_byte():
+    # more batch shapes than the layout cache holds, cycled twice: the second pass finds every layout evicted and
+    # builds it again, and both passes give every input the loop's bytes. A d = 1 batch shares one (M, N)
+    rng = stream(39, "moment_layouts")
+    batches = []
+    for i in range(12):
+        d, M, N = (1, 2, 3)[i % 3], *rng.integers(1, 12, size=2)
+        shapes = [(M, N) if d == 1 else rng.integers(1, 12, size=2) for _ in range(int(rng.integers(1, 5)))]
+        batches.append([
+            rng.normal(size=(int(rng.integers(1, 4)), *shape, d)) * 10.0 ** rng.uniform(-3, 3) + rng.choice([0.0, 1e3])
+            for shape in shapes
+        ])
+    assert len({tuple(z.shape for z in stacks) for stacks in batches}) == 12 > _moment_layout.cache_info().maxsize
+    _moment_layout.cache_clear()
+    for _ in range(2):
+        for stacks in batches:
+            grand_means, centred, sigma2s, sigma_tilde2s = _moments(stacks)
+            for i, zeta in enumerate(zeta for stack in stacks for zeta in stack):
+                M, N, d = zeta.shape
+                grand_mean, sigma2, sigma_tilde2 = variance_inputs_loop(zeta)
+                assert grand_means[i].tobytes() == grand_mean.tobytes()
+                assert centred[i, : M * N].tobytes() == (zeta.reshape(M * N, d) - grand_mean).tobytes()
+                assert bits([sigma2s[i], sigma_tilde2s[i]]) == bits([sigma2, sigma_tilde2])
+    assert _moment_layout.cache_info()[:2] == (0, 24)  # no hits, and every layout built twice
+
+
+def arrays_in(value):
+    """Every numpy array in ``value``, a cached layout of arrays, ints and nested tuples or lists."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from arrays_in(item)
+
+
+def test_cached_layouts_refuse_writes():
+    # every call with a batch shape shares that shape's layouts, so none of their arrays may be written
+    moments = _moment_layout(((2, 3, 2, 2), (1, 1, 4, 2)))
+    errors = _error_layout(((3, 2, 1, 2), (3, 2, 3, 1), (1, 4, 1, 1)))
+    arrays = [*arrays_in(moments), *arrays_in(errors)]
+    assert len(arrays) == 7 + 6 + 4 * 2  # the error layout's two M*N groups hold four arrays each
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 1
+
+
+def test_cached_moments_refuse_mixed_shapes_of_one_dimension():
+    # a cached layout of one d = 1 shape does not admit another shape beside it, and a refusal is never cached
+    one_shape = [np.zeros((1, 2, 3, 1)), np.ones((2, 2, 3, 1))]
+    _moments(one_shape)
+    _moments(one_shape)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="must share one"):
+            _moments([*one_shape, np.zeros((1, 3, 2, 1))])
+        with pytest.raises(ValueError, match="must share one"):
+            _moment_layout(((1, 2, 3, 1), (1, 3, 2, 1)))
 
 
 def test_batched_checks_match_the_per_input_oracles_byte_for_byte():
