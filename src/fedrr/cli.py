@@ -1,6 +1,9 @@
 """Command-line entry points: run experiments, verify variance formulas,
 solve optima.
 
+A command line is parsed once, by its command's own parser; the full parser
+takes only a line that names no command or holds a flag it does not know.
+
 Exit codes: 0 success, 2 configuration error, 3 every run of some algorithm
 diverged (with one multiplier or many), 4 verification or optimum-solver failure.
 """
@@ -35,7 +38,8 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The ``fedrr`` parser, and each command's own parser by name."""
     # subcommand parsers take their parent's class
     parser = _Parser(prog="fedrr", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -62,10 +66,24 @@ def _build_parser() -> _Parser:
     solve.add_argument("--seed", type=int, default=2024)
     solve.add_argument("--out", default=None, help="write the solution vector in .npy format to exactly this path")
 
-    return parser
+    return parser, {"run": run, "verify-variance": verify, "solve-optimum": solve}
 
 
-_PARSER = _build_parser()  # built once, at import
+_PARSER, _COMMAND_PARSERS = _build_parser()  # built once, at import
+
+
+def _parse(argv) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)``'s namespace, from the named command's own parser alone where that suffices.
+
+    ``_PARSER`` hands everything after the command to that command's parser, and fails only on arguments it leaves
+    over; so where it leaves none, its namespace is ``_PARSER``'s, and any other argv goes to ``_PARSER`` itself.
+    """
+    parser = _COMMAND_PARSERS.get(argv[0]) if argv else None
+    if parser is not None:
+        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def _split(text: str, convert, flag: str) -> list:
@@ -116,52 +134,60 @@ def _cmd_verify(args) -> int:
     rng = stream(args.seed, "verify_variance")
     worst = 0.0
     failures = 0
-    batch, rows = [], 0  # (M, N, C, zetas) runs of admitted inputs not yet checked, and their (input, k) rows
 
-    def check_batch():
-        nonlocal worst, failures, rows
-        if not batch:
-            return
+    def draw(count, M, N):  # a skipped block, or one past the budget, drawn alone
+        try:
+            return rng.standard_normal(count)
+        except (MemoryError, ValueError):  # numpy raises ValueError for a size past its index range
+            raise ConfigError(f"--inputs {args.inputs} takes {count} draws at M={M} N={N}, more than fit in memory") from None
+
+    def check(runs, block):
+        nonlocal worst, failures
         lines = []
-        heads = _line_heads(tuple((M, N, C, len(zetas)) for M, N, C, zetas in batch))
-        for head, error in zip(heads, max_rel_errors(batch)):
+        for head, error in zip(_line_heads(runs), max_rel_errors(runs, block)):
             worst = max(worst, error)
             status = "ok" if error <= args.tol else "FAIL"
             if status == "FAIL":
                 failures += 1
             lines.append(f"{head}{error:.3e} {status}")
         print("\n".join(lines))
-        batch.clear()
-        rows = 0
+
+    batch, rows = [], 0  # (M, N, C, count) runs of admitted inputs not yet drawn, and their (input, k) rows
+
+    def check_batch():  # one draw of all its normals, as consecutive per-(M, N) draws would give them
+        nonlocal rows
+        if batch:
+            runs = tuple(batch)
+            check(runs, rng.standard_normal(sum(M * N * count for M, N, _, count in runs) * 2).reshape(-1, 2))
+            batch.clear()
+            rows = 0
 
     for M in range(1, args.max_size + 1):
         Cs = [c for c in range(1, M + 1) if M % c == 0]
         for N in range(1, args.max_size // M + 1):
-            # every input of (M, N), C by C, in one draw: the stream moves as one normal call per input
+            # every input of (M, N), C by C, takes M*N*2 normals, so the stream moves as one normal call per input
             # would move it, whether the inputs are checked or skipped
             count = len(Cs) * args.inputs * M * N * 2
-            try:
-                draws = rng.standard_normal(count)
-            except (MemoryError, ValueError):  # numpy raises ValueError for a size past its index range
-                check_batch()
-                raise ConfigError(f"--inputs {args.inputs} takes {count} draws at M={M} N={N}, more than fit in memory") from None
+            block_rows = args.inputs * sum(N * M // C for C in Cs)
             try:  # C = 1 always divides M, and the outcome count, so the guard's verdict, depends on M and N alone
                 _prefix_gram(M, N, 1)
             except EnumerationTooLarge as exc:
                 check_batch()
+                draw(count, M, N)
                 for C in Cs:
                     print(f"M={M} N={N} C={C}: skipped ({exc})")
                 continue
-            for C, todo in zip(Cs, draws.reshape(len(Cs), args.inputs, M, N, 2)):
-                prefixes = N * M // C  # an input's rows
-                # a block that fits joins the batch whole; one that does not fills it, and the full batch is checked
-                while len(todo) > (room := (CHECK_ROWS - rows) // prefixes):
-                    if room:
-                        batch.append((M, N, C, todo[:room]))
-                        todo = todo[room:]
-                    check_batch()
-                batch.append((M, N, C, todo))
-                rows += prefixes * len(todo)
+            if rows + block_rows > CHECK_ROWS:  # a batch takes whole blocks only
+                check_batch()
+            if block_rows <= CHECK_ROWS:
+                batch.extend((M, N, C, args.inputs) for C in Cs)
+                rows += block_rows
+                continue
+            # a block past the budget is drawn alone and checked C by C, in slices of as many inputs as fit
+            for C, inputs in zip(Cs, draw(count, M, N).reshape(len(Cs), args.inputs, M * N, 2)):
+                step = CHECK_ROWS // (N * M // C)
+                for part in (inputs[i : i + step] for i in range(0, args.inputs, step)):
+                    check(((M, N, C, len(part)),), part)
     check_batch()
     print(f"worst relative error {worst:.3e}")
     return EXIT_OK if failures == 0 else EXIT_VERIFY
@@ -184,7 +210,7 @@ def _cmd_solve(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         return {"run": _cmd_run, "verify-variance": _cmd_verify, "solve-optimum": _cmd_solve}[args.command](args)
     except (ConfigError, DatasetError, ProblemError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -13,16 +13,18 @@ three integers each from binomial counts of the outcome classes (see
 ``_enumerate_sequences``.
 
 ``max_rel_errors`` checks a batch of inputs of mixed geometries in a fixed
-number of numpy passes: ``_moments`` takes every input's moments from
-zero-padded stacks, and ``_prefix_errors`` every (input, k) row's Gram form
-and closed form, the latter from a cached coefficient table built with the
-scalar closed forms' own expressions.  All that a batch needs but its
-inputs' values comes from layouts cached per batch shape, one for the
-moments (``_moment_layout``) and one for the errors (``_error_layout``),
-so a repeated batch shape pays only for its arithmetic.  The bytes are
-those of one ``VarianceInputs`` and one ``max_rel_error`` per input, which
-are its one-input cases; the scalar closed forms stay the definition, and
-the table's tested oracle.
+number of numpy passes.  A batch is a tuple of (M, N, C, count) runs of
+inputs and one block of their samples, one input after another, as one
+``standard_normal`` draw lays them out: ``_moments`` reads every input's
+moments from that block in place, through zero-padded stacks, and
+``_prefix_errors`` every (input, k) row's Gram form and closed form, the
+latter from a cached coefficient table built with the scalar closed forms'
+own expressions.  All that a batch needs but its samples comes from layouts
+cached per runs tuple, one for the moments (``_moment_layout``) and one for
+the errors (``_error_layout``), so a repeated batch pays only for its
+arithmetic.  The bytes are those of one ``VarianceInputs`` and one
+``max_rel_error`` per input, which are its one-input cases; the scalar
+closed forms stay the definition, and the table's tested oracle.
 
 Enumeration note: the grouped cross-covariance term carries coefficient
 2*k_N*(k - k_N) / (k^2 * (M - 1)); a variant with an extra 1/C factor does
@@ -69,27 +71,30 @@ class VarianceInputs:
     def __post_init__(self):
         self.zeta = np.asarray(self.zeta, dtype=np.float64)
         self.M, self.N, self.d = self.zeta.shape
-        (self.grand_mean,), (self.centred,), (self.sigma2,), (self.sigma_tilde2,) = _moments([self.zeta[None]])
+        one = ((self.M, self.N, 1, 1),)
+        (self.grand_mean,), (self.centred,), (self.sigma2,), (self.sigma_tilde2,) = _moments(one, self.zeta)
 
 
-def _moments(stacks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, list[float], list[float]]:
-    """Grand means, centred rows and (sigma2, sigma_tilde2) of every input of the (K_b, M_b, N_b, d) ``stacks``, in order.
+def _moments(runs, block: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float], list[float]]:
+    """Grand means, centred rows and (sigma2, sigma_tilde2) of every input of a batch, in order.
 
-    Every input's rows are zero-padded into one (K, max M*N, d) stack and every client's samples into one
-    (clients, max N, d) stack, each summed in one pass, at the places the cached ``_moment_layout`` of the stacks'
-    shapes gives.  numpy adds a strided axis one row at a time, so a padded zero leaves every sum as it was, and each
-    input gets the bytes of a stack of its own; with the summed axis outermost in memory it adds whole slabs, row after
-    row.  At d = 1 the summed axis of a C-ordered stack is contiguous, and numpy adds it pairwise in a grouping that
-    padding would move: such inputs keep C order and must share one shape.  Centred rows past an input's M*N are
-    padding; each input's ``math.fsum`` runs over its own rows and clients only.
+    ``runs`` lists (M, N, C, count) runs of inputs, and ``block`` holds their (M, N, d) samples one input after another,
+    d its last axis; it is read in place.  Every input's rows are zero-padded into one (K, max M*N, d) stack and every
+    client's samples into one (clients, max N, d) stack, each summed in one pass, at the places the cached
+    ``_moment_layout`` of the runs gives.  numpy adds a strided axis one row at a time, so a padded zero leaves every
+    sum as it was, and each input gets the bytes of a stack of its own; with the summed axis outermost in memory it adds
+    whole slabs, row after row.  At d = 1 the summed axis of a C-ordered stack is contiguous, and numpy adds it pairwise
+    in a grouping that padding would move: such inputs keep C order and must share one (M, N).  Centred rows past an
+    input's M*N are padding; each input's ``math.fsum`` runs over its own rows and clients only.
     """
-    layout = _moment_layout(tuple(z.shape for z in stacks))
-    row_input, row, client, j, client_input, MN, N, row_runs, client_runs, (K, height, clients, width, d) = layout
+    d = block.shape[-1]
+    layout = _moment_layout(runs, d)
+    row_input, row, client, j, client_input, MN, N, row_runs, client_runs, (K, height, clients, width) = layout
     if d > 1:  # the summed axis outermost in memory
         z3, z4 = np.zeros((height, K, d)).transpose(1, 0, 2), np.zeros((width, clients, d)).transpose(1, 0, 2)
     else:
         z3, z4 = np.zeros((K, height, d)), np.zeros((clients, width, d))
-    data = np.concatenate([z.ravel() for z in stacks]).reshape(-1, d)
+    data = block.reshape(-1, d)
     z3[row_input, row] = z4[client, j] = data
     grand_mean = z3.sum(axis=1) / MN
     centred = z3 - grand_mean[:, None]
@@ -103,25 +108,24 @@ def _moments(stacks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, list[flo
 
 
 @lru_cache(maxsize=8)
-def _moment_layout(shapes: tuple[tuple[int, ...], ...]):
-    """All that ``_moments`` needs of stacks of these (K_b, M_b, N_b, d) shapes but their values, sample by sample.
+def _moment_layout(runs: tuple[tuple[int, int, int, int], ...], d: int):
+    """All that ``_moments`` needs of a batch of these (M, N, C, count) runs of d-dimensional inputs but its samples.
 
     Returns every sample's input, its row in that input, its client among all inputs' and its place in that client;
     every client's input; the divisors M*N per input and N per client, shaped to broadcast; the ``math.fsum`` run
-    lengths M*N and M per input; and the sizes K, max M*N, clients, max N and d of the padded stacks.
+    lengths M*N and M per input; and the sizes K, max M*N, clients and max N of the padded stacks.
     """
-    d = shapes[0][3]
-    if d == 1 and len(set(shape[1:] for shape in shapes)) > 1:
+    if d == 1 and len({run[:2] for run in runs}) > 1:
         raise ValueError("inputs of one dimension must share one (M, N)")
-    M, N = (np.repeat([shape[i] for shape in shapes], [shape[0] for shape in shapes]) for i in (1, 2))
+    M, N = (np.repeat([run[i] for run in runs], [run[3] for run in runs]) for i in (0, 1))
     MN = M * N
     row_input, client_input = np.repeat(np.arange(len(M)), MN), np.repeat(np.arange(len(M)), M)
     row = np.arange(len(row_input)) - np.repeat(np.cumsum(MN) - MN, MN)
     client = np.repeat(np.arange(len(client_input)), N[client_input])
     layout = (row_input, row, client, row % N[row_input], client_input, MN[:, None], N[client_input][:, None])
     for array in layout:
-        array.setflags(write=False)  # cached, and shared by every call with these shapes
-    sizes = (len(M), int(MN.max()), len(client_input), int(N.max()), d)
+        array.setflags(write=False)  # cached, and shared by every call with these runs
+    sizes = (len(M), int(MN.max()), len(client_input), int(N.max()))
     return (*layout, tuple(MN.tolist()), tuple(M.tolist()), sizes)
 
 
@@ -310,53 +314,53 @@ def _closed_form_table(M: int, N: int, C: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _error_layout(chunks: tuple[tuple[int, int, int, int], ...]):
+def _error_layout(runs: tuple[tuple[int, int, int, int], ...]):
     """All that ``_prefix_errors`` needs of a batch but its inputs, one row per (input, k), input by input.
 
     Returns every input's first row; every row's input, ``_closed_form_table`` column, Gram divisor and two branch
     flags (N = 1 or M = 1, and N = 1 alone); and per M*N its rows, their inputs, the Grams of its geometries and every
     row's Gram among them.
     """
-    grams = [_prefix_gram(M, N, C) for M, N, C, _ in chunks]
+    grams = [_prefix_gram(M, N, C) for M, N, C, _ in runs]
     lengths = [len(divisor) for _, divisor in grams]
-    counts = [n for *_, n in chunks]
+    counts = [n for *_, n in runs]
     per_input = np.repeat(lengths, counts)
     starts = np.cumsum(per_input) - per_input
     row_input = np.repeat(np.arange(len(per_input)), per_input)
     k = np.arange(len(row_input)) - starts[row_input]  # k - 1
-    chunk_rows = np.multiply(lengths, counts)
+    run_rows = np.multiply(lengths, counts)
 
-    def per_row(values):  # one value per chunk, repeated over its rows
-        return np.repeat(values, chunk_rows)
+    def per_row(values):  # one value per run, repeated over its rows
+        return np.repeat(values, run_rows)
 
     table_row = per_row(np.cumsum(lengths) - lengths) + k
-    coefficients = np.concatenate([_closed_form_table(M, N, C) for M, N, C, _ in chunks], axis=1)[:, table_row]
+    coefficients = np.concatenate([_closed_form_table(M, N, C) for M, N, C, _ in runs], axis=1)[:, table_row]
     divisor = np.concatenate([divisor for _, divisor in grams])[table_row]
-    ratio = per_row([M == 1 or N == 1 for M, N, _, _ in chunks])
-    tilde = per_row([N == 1 for _, N, _, _ in chunks])
-    size = per_row([M * N for M, N, _, _ in chunks])
+    ratio = per_row([M == 1 or N == 1 for M, N, _, _ in runs])
+    tilde = per_row([N == 1 for _, N, _, _ in runs])
+    size = per_row([M * N for M, N, _, _ in runs])
     groups = []
     for mn in dict.fromkeys(size.tolist()):
-        members = [i for i, (M, N, _, _) in enumerate(chunks) if M * N == mn]
+        members = [i for i, (M, N, _, _) in enumerate(runs) if M * N == mn]
         rows = np.flatnonzero(size == mn)
         first = np.cumsum([lengths[i] for i in members]) - [lengths[i] for i in members]
-        gram_index = np.repeat(first, chunk_rows[members]) + k[rows]
+        gram_index = np.repeat(first, run_rows[members]) + k[rows]
         groups.append((mn, rows, row_input[rows], np.concatenate([grams[i][0] for i in members]), gram_index))
     for array in (starts, row_input, coefficients, divisor, ratio, tilde, *(a for _, *arrays in groups for a in arrays)):
         array.setflags(write=False)  # cached, and shared by every call with this layout
     return starts, row_input, coefficients, divisor, ratio, tilde, groups
 
 
-def _prefix_errors(chunks, centred: np.ndarray, sigma2, sigma_tilde2) -> tuple[np.ndarray, ...]:
+def _prefix_errors(runs, centred: np.ndarray, sigma2, sigma_tilde2) -> tuple[np.ndarray, ...]:
     """Every input's first row, and every (input, k) row's exact variance, closed form and error, input by input.
 
-    ``chunks`` lists (M, N, C, count) runs of inputs whose zero-padded centred rows fill ``centred`` (K, max M*N, d)
+    ``runs`` lists (M, N, C, count) runs of inputs whose zero-padded centred rows fill ``centred`` (K, max M*N, d)
     in order.  The Gram forms take one stacked product per M*N, every slice the (M*N, M*N) @ (M*N, d) gemm of
     ``brute_force_all``; the closed forms evaluate every row's ``_closed_form_table`` column at once, in the scalar
     functions' order of operations.  An absent term adds a zero to a sum that is never -0.0, so for finite variances
     the bytes are those of ``brute_force_all`` and ``closed_form_minibatch_variance``, input by input.
     """
-    starts, row_input, coefficients, divisor, ratio, tilde, groups = _error_layout(tuple(chunks))
+    starts, row_input, coefficients, divisor, ratio, tilde, groups = _error_layout(runs)
     brute = np.empty(len(row_input))
     for size, rows, inputs, grams, index in groups:
         z = centred[inputs, :size]
@@ -374,20 +378,20 @@ def _prefix_errors(chunks, centred: np.ndarray, sigma2, sigma_tilde2) -> tuple[n
     return starts, brute, closed, np.abs(closed - brute) / np.where(scale > 1e-12, scale, 1.0)
 
 
-def max_rel_errors(chunks) -> list[float]:
-    """``max_rel_error`` of every input of ``chunks``, (M, N, C, zetas) runs with zetas a (K, M, N, d) stack, in order.
+def max_rel_errors(runs, block: np.ndarray) -> list[float]:
+    """``max_rel_error`` of every input of a batch: (M, N, C, count) ``runs`` of inputs whose samples fill ``block``.
 
-    The moments of all inputs are taken in one pass and their errors in another, so a whole verify-variance batch
+    The block holds every input's (M, N, d) samples one input after another, as one ``standard_normal`` draw lays them
+    out.  The moments of all inputs are taken in one pass and their errors in another, so a whole verify-variance batch
     costs a fixed number of numpy calls however many geometries it holds.
     """
-    _, centred, sigma2, sigma_tilde2 = _moments([zetas for *_, zetas in chunks])
-    runs = [(M, N, C, len(zetas)) for M, N, C, zetas in chunks]
+    _, centred, sigma2, sigma_tilde2 = _moments(runs, block)
     starts, *_, errors = _prefix_errors(runs, centred, sigma2, sigma_tilde2)
     return np.maximum.reduceat(errors, starts).tolist()
 
 
 def max_rel_error(inputs: VarianceInputs, C: int = 1) -> float:
     """Largest closed-form error over every prefix length: relative where enumeration gives over 1e-12, else absolute."""
-    run = [(inputs.M, inputs.N, C, 1)]
+    run = ((inputs.M, inputs.N, C, 1),)
     *_, errors = _prefix_errors(run, inputs.centred[None], [inputs.sigma2], [inputs.sigma_tilde2])
     return float(errors.max())

@@ -1,5 +1,6 @@
 import contextlib
 import gzip
+import itertools
 import json
 import math
 import os
@@ -166,8 +167,16 @@ def test_verify_variance_rejects_arguments_that_check_nothing(capsys, flag, valu
         ([], "fedrr: the following arguments are required: command"),
         (["train"], "fedrr: argument command: invalid choice: 'train'"),
         (["run"], "fedrr run: the following arguments are required: --config"),
+        (["run", "--config", "c.json", "--bogus"], "fedrr: unrecognized arguments: --bogus"),
+        (["verify-variance", "--max-size", "2", "--bogus"], "fedrr: unrecognized arguments: --bogus"),
+        (["solve-optimum", "--dataset", "d.txt", "--alpha", "1", "--bogus"], "fedrr: unrecognized arguments: --bogus"),
+        (["verify-variance", "--max-size=x"], "fedrr verify-variance: argument --max-size: invalid int value: 'x'"),
+        (["verify-variance", "--max", "x"], "fedrr verify-variance: argument --max-size: invalid int value: 'x'"),
     ],
-    ids=["bad-int", "bad-float", "no-command", "unknown-command", "missing-flag"],
+    ids=[
+        "bad-int", "bad-float", "no-command", "unknown-command", "missing-flag", "unknown-flag-run",
+        "unknown-flag-verify", "unknown-flag-solve", "bad-int-equals", "bad-int-abbreviated",
+    ],
 )
 def test_malformed_arguments_are_one_config_error_line(capsys, argv, message):
     # main returns the exit code itself rather than letting argparse raise SystemExit after its usage text
@@ -175,6 +184,27 @@ def test_malformed_arguments_are_one_config_error_line(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"config error: {message}") and len(captured.err.splitlines()) == 1
+
+
+def test_a_commands_own_parser_gives_the_full_parsers_namespace(monkeypatch):
+    # a command line with a known command and no argument its parser leaves over is parsed by that parser alone,
+    # into the namespace the full fedrr parser gives: abbreviations, = forms, negative numbers and repeated flags
+    corpus = [
+        ["run", "--config", "c.json"],
+        ["run", "--config=c.json", "--out", "o", "--seeds", "0,1", "--algo", "rrcli", "--multipliers", "1,2", "--decay"],
+        ["run", "--conf", "c.json", "--dec", "--out", "a", "--out=b", "--mult=0.5"],
+        ["verify-variance"],
+        ["verify-variance", "--max-size", "8", "--inputs", "1", "--seed", "3", "--tol", "1e-10"],
+        ["verify-variance", "--max=3", "--inp", "2", "--seed", "-5", "--seed", "7", "--tol=0.5"],
+        ["verify-variance", "--seed=-12", "--max-size", "4", "--max-size", "2"],
+        ["solve-optimum", "--dataset", "d.txt", "--alpha", "5e-4"],
+        ["solve-optimum", "--data=d.txt", "--alpha=-1", "--tol", "1e-8", "--cl", "3", "--seed", "-2", "--out", "x.npy"],
+        ["solve-optimum", "--alpha", "2", "--dataset", "a", "--dataset", "b", "--clients=4", "--clients", "5"],
+    ]
+    full = [cli._PARSER.parse_args(argv) for argv in corpus]
+    monkeypatch.setattr(cli._PARSER, "parse_args", lambda argv: pytest.fail(f"{argv} reached the full parser"))
+    for argv, want in zip(corpus, full):
+        assert cli._parse(argv) == want
 
 
 def test_help_still_prints_and_exits_0(capsys):
@@ -289,21 +319,26 @@ def test_verify_variance_many_inputs_stay_within_the_per_input_loops_peak():
 @pytest.mark.parametrize("max_size, inputs", [(10, 5), (8, 300), (11, 3)])
 def test_verify_variance_batches_keep_the_row_budget_and_check_every_input_once(monkeypatch, max_size, inputs):
     # every batch holds at most CHECK_ROWS (input, k) rows, whole blocks and split ones alike, and the batches, read
-    # in order, hold every drawn input of every admitted geometry once, as the per-input loop draws them
+    # in order, hold every drawn input of every admitted geometry once, as the per-input loop draws them. Each batch's
+    # block is one contiguous array that holds its runs' normals, input after input, and nothing else
     batches = []
 
-    def recording(batch):
-        batches.append(list(batch))  # the command clears its batch once checked
-        return max_rel_errors(batch)
+    def recording(runs, block):
+        batches.append((runs, block))
+        return max_rel_errors(runs, block)
 
     monkeypatch.setattr(cli, "max_rel_errors", recording)
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         assert main(["verify-variance", "--max-size", str(max_size), "--inputs", str(inputs)]) == EXIT_OK
     checked = []
-    for batch in batches:
-        assert all(len(zetas) for *_, zetas in batch)
-        assert sum(N * M // C * len(zetas) for M, N, C, zetas in batch) <= CHECK_ROWS
-        checked += [(M, N, C, zeta.tobytes()) for M, N, C, zetas in batch for zeta in zetas]
+    for runs, block in batches:
+        assert all(count for *_, count in runs)
+        assert sum(N * M // C * count for M, N, C, count in runs) <= CHECK_ROWS
+        assert block.flags.c_contiguous and block.shape[-1] == 2
+        assert block.size == sum(M * N * 2 * count for M, N, _, count in runs)
+        samples = iter(block.reshape(-1, 2))
+        for M, N, C, count in runs:
+            checked += [(M, N, C, np.array(list(itertools.islice(samples, M * N))).tobytes()) for _ in range(count)]
     rng = stream(0, "verify_variance")
     drawn = []
     for M in range(1, max_size + 1):

@@ -4,6 +4,8 @@
 those bytes must be samples of, so that a change of streams can be judged on
 its law.  The seeds 0-2999 and the bound p >= 1e-6 are fixed: at that bound a
 correct plan fails one of these tests about once in a million stream changes.
+The exact laws (shuffle-once reuse, a fixed schedule's cycle) hold seed by
+seed, and run over seeds 0-299.
 The critical values are ``scipy.stats.chi2.isf(1e-6, df)``, computed once
 outside the tests (scipy is not a dependency).
 """
@@ -12,20 +14,23 @@ import itertools
 from collections import Counter
 from functools import lru_cache
 
+import pytest
+
 from fedrr.dataset import partition
 from fedrr.optimizer import AlgoConfig, StepSizes, round_plan
 from fedrr.problem import quadratic_problem
 from fedrr.shuffling import ClientMode, DataMode, ShuffleMode
 
 SEEDS = range(3000)
+EXACT_SEEDS = range(300)  # the exact laws hold seed by seed and take no χ²
 CHI2_CRITICAL = {5: 35.888, 8: 42.701, 23: 70.55, 35: 89.947}  # chi2.isf(1e-6, df)
 COHORTS = list(itertools.combinations(range(4), 2))  # the 6 cohorts of 2 among 4 clients, in client-id order
 
 
-def plans(algorithm, M, N, C, T, **kw):
+def plans(algorithm, M, N, C, T, seeds=SEEDS, **kw):
     """Every seed's round plan for an M x N problem at cohort size C over T meta-epochs."""
     problem = quadratic_problem(M, N, 2, mu=1.0, L=10.0, client_spread=1.0, sample_spread=0.5, seed=0)
-    for seed in SEEDS:
+    for seed in seeds:
         yield list(round_plan(problem, AlgoConfig(algorithm, C, T, StepSizes(0.01, 0.01, 0.01), seed=seed, **kw)))
 
 
@@ -134,3 +139,41 @@ def test_partition_row_orders_are_uniform():
     # 4 rows among 2 clients: the clients' rows, read in order, are one of the 4! = 24 row orders
     orders = Counter(tuple(partition(4, 2, seed).ravel().tolist()) for seed in SEEDS)
     assert_uniform(orders, itertools.permutations(range(4)))
+
+
+def meta_epoch_partitions(plan, T):
+    """A plan's ordered cohort partition of each of its T meta-epochs."""
+    return [tuple(rnd.clients for rnd in plan if rnd.meta_epoch == t) for t in range(T)]
+
+
+def test_shuffle_once_clients_reuse_epoch_zeros_partition():
+    # rrcli with shuffle-once clients cuts one client permutation into cohorts: every meta-epoch trains
+    # epoch 0's ordered partition again, whether the data is shuffled once or reshuffled
+    for data_mode in DataMode:
+        for plan in plans("rrcli", 4, 3, 2, 3, EXACT_SEEDS, shuffle=ShuffleMode(ClientMode.SHUFFLE_ONCE, data_mode)):
+            first, *later = meta_epoch_partitions(plan, 3)
+            assert later == [first, first]
+
+
+@pytest.mark.parametrize("algorithm", ["rrcli", "rrcli-wr", "nastya"])
+def test_shuffle_once_data_reuses_every_clients_epoch_zero_order(algorithm):
+    # under shuffle-once data a client draws its data order once, in data epoch 0: every round that trains
+    # it, in any meta-epoch and whichever cohort it joins, passes over that order. 12 client slots over 4
+    # clients make some client train at least three times in every plan
+    mode = ShuffleMode(ClientMode.RESHUFFLING, DataMode.SHUFFLE_ONCE)
+    for plan in plans(algorithm, 4, 3, 2, 3, EXACT_SEEDS, shuffle=mode):
+        orders = {}
+        for rnd in plan:
+            for m, row in zip(rnd.clients, rnd.rows.tolist()):
+                assert orders.setdefault(m, row) == row
+        assert sum(len(rnd.clients) for rnd in plan) == 12
+
+
+def test_a_fixed_schedule_cycles_with_its_period():
+    # a fixed schedule of three partitions trains partition t % 3 in meta-epoch t, its cohorts' clients in
+    # ascending order, whatever the seed
+    schedule = (((0, 1), (2, 3)), ((3, 1), (0, 2)), ((2, 1), (3, 0)))
+    mode = ShuffleMode(ClientMode.DETERMINISTIC_FIXED, DataMode.RESHUFFLING, schedule)
+    want = [tuple(tuple(sorted(cohort)) for cohort in schedule[t % 3]) for t in range(7)]
+    for plan in plans("rrcli", 4, 3, 2, 7, EXACT_SEEDS, shuffle=mode):
+        assert meta_epoch_partitions(plan, 7) == want

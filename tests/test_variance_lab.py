@@ -414,13 +414,19 @@ def test_moments_and_enumeration_form_match_their_loops_byte_for_byte(M, N, d, l
         assert brute_force_all(inp, C).tobytes() == brute_force_all_loop(inp, C).tobytes()
 
 
+def moments_of(stacks):
+    """``_moments`` of (K, M, N, d) stacks of inputs: a batch of one run per stack, and one block of all their samples."""
+    runs = tuple((M, N, 1, K) for K, M, N, _ in (z.shape for z in stacks))
+    return _moments(runs, np.concatenate([z.reshape(-1, z.shape[-1]) for z in stacks]))
+
+
 def test_stacked_moments_match_each_inputs_and_the_loop_byte_for_byte():
     # one pass over a (K, M, N, d) stack gives every input the bytes of its own VarianceInputs and of the loop
     # oracle; d = 1 makes the grand and client means sums over a contiguous axis, which numpy may add pairwise
     rng = stream(23, "stacked_moments")
     for K, M, N, d in itertools.product(range(1, 5), range(1, 12), range(1, 12), range(1, 6)):
         zetas = rng.normal(size=(K, M, N, d)) * 10.0 ** rng.uniform(-3, 3) + rng.choice([0.0, 1e3])
-        grand_means, centred, sigma2s, sigma_tilde2s = _moments([zetas])
+        grand_means, centred, sigma2s, sigma_tilde2s = moments_of([zetas])
         assert len(grand_means) == len(centred) == len(sigma2s) == len(sigma_tilde2s) == K
         for i, zeta in enumerate(zetas):
             one = VarianceInputs(zeta.copy())
@@ -437,8 +443,8 @@ def test_stacked_moments_match_each_inputs_and_the_loop_byte_for_byte():
 def test_padded_moments_refuse_mixed_shapes_of_one_dimension():
     # at d = 1 numpy adds the summed axis pairwise, in a grouping that zero padding would move
     with pytest.raises(ValueError, match="must share one"):
-        _moments([np.zeros((1, 2, 3, 1)), np.zeros((1, 3, 2, 1))])
-    _moments([np.zeros((1, 2, 3, 1)), np.ones((2, 2, 3, 1))])
+        moments_of([np.zeros((1, 2, 3, 1)), np.zeros((1, 3, 2, 1))])
+    moments_of([np.zeros((1, 2, 3, 1)), np.ones((2, 2, 3, 1))])
 
 
 def bits(values):
@@ -455,7 +461,7 @@ def test_padded_moments_of_mixed_shapes_match_the_loop_byte_for_byte():
             + rng.choice([0.0, 1e3])
             for _ in range(int(rng.integers(1, 7)))
         ]
-        grand_means, centred, sigma2s, sigma_tilde2s = _moments(stacks)
+        grand_means, centred, sigma2s, sigma_tilde2s = moments_of(stacks)
         for i, zeta in enumerate(zeta for stack in stacks for zeta in stack):
             M, N, _ = zeta.shape
             grand_mean, sigma2, sigma_tilde2 = variance_inputs_loop(zeta)
@@ -480,7 +486,7 @@ def test_moments_from_rebuilt_layouts_match_the_loop_byte_for_byte():
     _moment_layout.cache_clear()
     for _ in range(2):
         for stacks in batches:
-            grand_means, centred, sigma2s, sigma_tilde2s = _moments(stacks)
+            grand_means, centred, sigma2s, sigma_tilde2s = moments_of(stacks)
             for i, zeta in enumerate(zeta for stack in stacks for zeta in stack):
                 M, N, d = zeta.shape
                 grand_mean, sigma2, sigma_tilde2 = variance_inputs_loop(zeta)
@@ -500,8 +506,8 @@ def arrays_in(value):
 
 
 def test_cached_layouts_refuse_writes():
-    # every call with a batch shape shares that shape's layouts, so none of their arrays may be written
-    moments = _moment_layout(((2, 3, 2, 2), (1, 1, 4, 2)))
+    # every batch of the same runs shares their cached layouts, so none of their arrays may be written
+    moments = _moment_layout(((3, 2, 1, 2), (1, 4, 1, 1)), 2)
     errors = _error_layout(((3, 2, 1, 2), (3, 2, 3, 1), (1, 4, 1, 1)))
     arrays = [*arrays_in(moments), *arrays_in(errors)]
     assert len(arrays) == 7 + 6 + 4 * 2  # the error layout's two M*N groups hold four arrays each
@@ -513,13 +519,13 @@ def test_cached_layouts_refuse_writes():
 def test_cached_moments_refuse_mixed_shapes_of_one_dimension():
     # a cached layout of one d = 1 shape does not admit another shape beside it, and a refusal is never cached
     one_shape = [np.zeros((1, 2, 3, 1)), np.ones((2, 2, 3, 1))]
-    _moments(one_shape)
-    _moments(one_shape)
+    moments_of(one_shape)
+    moments_of(one_shape)
     for _ in range(2):
         with pytest.raises(ValueError, match="must share one"):
-            _moments([*one_shape, np.zeros((1, 3, 2, 1))])
+            moments_of([*one_shape, np.zeros((1, 3, 2, 1))])
         with pytest.raises(ValueError, match="must share one"):
-            _moment_layout(((1, 2, 3, 1), (1, 3, 2, 1)))
+            _moment_layout(((2, 3, 1, 1), (3, 2, 1, 1)), 1)
 
 
 def test_batched_checks_match_the_per_input_oracles_byte_for_byte():
@@ -535,11 +541,11 @@ def test_batched_checks_match_the_per_input_oracles_byte_for_byte():
             for C in (C for C in range(1, M + 1) if M % C == 0):
                 size = (int(rng.integers(1, 5)), M, N, 2)
                 chunks.append((M, N, C, rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3) + rng.choice([0.0, 1e3])))
-        _, centred, sigma2s, sigma_tilde2s = _moments([zetas for *_, zetas in chunks])
-        starts, brute, closed, errors = _prefix_errors(
-            [(M, N, C, len(zetas)) for M, N, C, zetas in chunks], centred, sigma2s, sigma_tilde2s
-        )
-        maxima = max_rel_errors(chunks)
+        runs = tuple((M, N, C, len(zetas)) for M, N, C, zetas in chunks)
+        block = np.concatenate([zetas.reshape(-1, 2) for *_, zetas in chunks])
+        _, centred, sigma2s, sigma_tilde2s = _moments(runs, block)
+        starts, brute, closed, errors = _prefix_errors(runs, centred, sigma2s, sigma_tilde2s)
+        maxima = max_rel_errors(runs, block)
         i = 0
         for M, N, C, zetas in chunks:
             for zeta in zetas:
