@@ -14,7 +14,6 @@ import argparse
 import math
 import os
 import sys
-from functools import lru_cache
 
 import numpy as np
 
@@ -112,15 +111,9 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-# (input, k) rows checked in one batch: its gathered Gram slices take up to 800 bytes a row (M*N = 10), so a
-# batch's arrays stay near a megabyte however many inputs a call draws
+# (input, k) rows checked in one batch: its gathered Gram slices take up to 2,048 bytes a row (M = N = 4, the largest
+# M*N the guard admits), so a full batch gathers about a megabyte however many inputs a call draws
 CHECK_ROWS = 512
-
-
-@lru_cache(maxsize=8)
-def _line_heads(runs: tuple[tuple[int, int, int, int], ...]) -> list[str]:
-    """Every input's check line up to its error, for a batch of (M, N, C, count) runs, input by input."""
-    return [head for M, N, C, count in runs for head in [f"M={M} N={N} C={C}: max rel error "] * count]
 
 
 def _cmd_verify(args) -> int:
@@ -132,8 +125,7 @@ def _cmd_verify(args) -> int:
         if bad:
             raise ConfigError(message)
     rng = stream(args.seed, "verify_variance")
-    worst = 0.0
-    failures = 0
+    worst, failures = 0.0, 0
 
     def draw(count, M, N):  # a skipped block, or one past the budget, drawn alone
         try:
@@ -143,14 +135,11 @@ def _cmd_verify(args) -> int:
 
     def check(runs, block):
         nonlocal worst, failures
-        lines = []
-        for head, error in zip(_line_heads(runs), max_rel_errors(runs, block)):
-            worst = max(worst, error)
-            status = "ok" if error <= args.tol else "FAIL"
-            if status == "FAIL":
-                failures += 1
-            lines.append(f"{head}{error:.3e} {status}")
-        print("\n".join(lines))
+        heads, errors = max_rel_errors(runs, block)
+        worst = max(worst, *errors)
+        failed = [not error <= args.tol for error in errors]  # a NaN error fails
+        failures += sum(failed)
+        print("\n".join(f"{head}{error:.3e} {'FAIL' if bad else 'ok'}" for head, error, bad in zip(heads, errors, failed)))
 
     batch, rows = [], 0  # (M, N, C, count) runs of admitted inputs not yet drawn, and their (input, k) rows
 

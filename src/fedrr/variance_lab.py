@@ -19,12 +19,12 @@ inputs and one block of their samples, one input after another, as one
 moments from that block in place, through zero-padded stacks, and
 ``_prefix_errors`` every (input, k) row's Gram form and closed form, the
 latter from a cached coefficient table built with the scalar closed forms'
-own expressions.  All that a batch needs but its samples comes from layouts
-cached per runs tuple, one for the moments (``_moment_layout``) and one for
-the errors (``_error_layout``), so a repeated batch pays only for its
-arithmetic.  The bytes are those of one ``VarianceInputs`` and one
-``max_rel_error`` per input, which are its one-input cases; the scalar
-closed forms stay the definition, and the table's tested oracle.
+own expressions.  All that a batch needs but its samples, its moment and
+error layouts and its inputs' check-line heads, is cached per runs tuple
+(``_batch_layout``), so a repeated batch pays only for its arithmetic.  Each
+input gets the bytes of its own ``VarianceInputs``, which builds its layout
+uncached, and of ``brute_force_all``; the scalar closed forms stay the
+definition, and the table's tested oracle.
 
 Enumeration note: the grouped cross-covariance term carries coefficient
 2*k_N*(k - k_N) / (k^2 * (M - 1)); a variant with an extra 1/C factor does
@@ -71,24 +71,22 @@ class VarianceInputs:
     def __post_init__(self):
         self.zeta = np.asarray(self.zeta, dtype=np.float64)
         self.M, self.N, self.d = self.zeta.shape
-        one = ((self.M, self.N, 1, 1),)
-        (self.grand_mean,), (self.centred,), (self.sigma2,), (self.sigma_tilde2,) = _moments(one, self.zeta)
+        layout = _moment_layout(((self.M, self.N, 1, 1),), self.d)
+        (self.grand_mean,), (self.centred,), (self.sigma2,), (self.sigma_tilde2,) = _moments(layout, self.zeta)
 
 
-def _moments(runs, block: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float], list[float]]:
+def _moments(layout, block: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float], list[float]]:
     """Grand means, centred rows and (sigma2, sigma_tilde2) of every input of a batch, in order.
 
-    ``runs`` lists (M, N, C, count) runs of inputs, and ``block`` holds their (M, N, d) samples one input after another,
-    d its last axis; it is read in place.  Every input's rows are zero-padded into one (K, max M*N, d) stack and every
-    client's samples into one (clients, max N, d) stack, each summed in one pass, at the places the cached
-    ``_moment_layout`` of the runs gives.  numpy adds a strided axis one row at a time, so a padded zero leaves every
-    sum as it was, and each input gets the bytes of a stack of its own; with the summed axis outermost in memory it adds
-    whole slabs, row after row.  At d = 1 the summed axis of a C-ordered stack is contiguous, and numpy adds it pairwise
-    in a grouping that padding would move: such inputs keep C order and must share one (M, N).  Centred rows past an
-    input's M*N are padding; each input's ``math.fsum`` runs over its own rows and clients only.
+    ``block`` holds the (M, N, d) samples of the inputs that ``layout``, a ``_moment_layout``, lays out, one after
+    another; it is read in place.  Every input's rows are zero-padded into one (K, max M*N, d) stack and every
+    client's samples into one (clients, max N, d) stack, each summed in one pass.  numpy adds a strided axis one row
+    at a time, so a padded zero leaves every sum as it was, and each input gets the bytes of a stack of its own; with
+    the summed axis outermost in memory it adds whole slabs, row after row.  At d = 1 the summed axis of a C-ordered
+    stack is contiguous, and numpy adds it pairwise in a grouping that padding would move: such inputs keep C order
+    and must share one (M, N).  Centred rows past an input's M*N are padding, which no input's ``math.fsum`` reads.
     """
     d = block.shape[-1]
-    layout = _moment_layout(runs, d)
     row_input, row, client, j, client_input, MN, N, row_runs, client_runs, (K, height, clients, width) = layout
     if d > 1:  # the summed axis outermost in memory
         z3, z4 = np.zeros((height, K, d)).transpose(1, 0, 2), np.zeros((width, clients, d)).transpose(1, 0, 2)
@@ -108,6 +106,12 @@ def _moments(runs, block: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[floa
 
 
 @lru_cache(maxsize=8)
+def _batch_layout(runs: tuple[tuple[int, int, int, int], ...], d: int):
+    """The moment and error layouts of these (M, N, C, count) runs of inputs, and each input's check line to its error."""
+    heads = tuple(head for M, N, C, count in runs for head in [f"M={M} N={N} C={C}: max rel error "] * count)
+    return _moment_layout(runs, d), _error_layout(runs), heads
+
+
 def _moment_layout(runs: tuple[tuple[int, int, int, int], ...], d: int):
     """All that ``_moments`` needs of a batch of these (M, N, C, count) runs of d-dimensional inputs but its samples.
 
@@ -124,7 +128,7 @@ def _moment_layout(runs: tuple[tuple[int, int, int, int], ...], d: int):
     client = np.repeat(np.arange(len(client_input)), N[client_input])
     layout = (row_input, row, client, row % N[row_input], client_input, MN[:, None], N[client_input][:, None])
     for array in layout:
-        array.setflags(write=False)  # cached, and shared by every call with these runs
+        array.setflags(write=False)  # cached in the batch layout, and shared by every call with these runs
     sizes = (len(M), int(MN.max()), len(client_input), int(N.max()))
     return (*layout, tuple(MN.tolist()), tuple(M.tolist()), sizes)
 
@@ -313,7 +317,6 @@ def _closed_form_table(M: int, N: int, C: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=8)
 def _error_layout(runs: tuple[tuple[int, int, int, int], ...]):
     """All that ``_prefix_errors`` needs of a batch but its inputs, one row per (input, k), input by input.
 
@@ -347,20 +350,20 @@ def _error_layout(runs: tuple[tuple[int, int, int, int], ...]):
         gram_index = np.repeat(first, run_rows[members]) + k[rows]
         groups.append((mn, rows, row_input[rows], np.concatenate([grams[i][0] for i in members]), gram_index))
     for array in (starts, row_input, coefficients, divisor, ratio, tilde, *(a for _, *arrays in groups for a in arrays)):
-        array.setflags(write=False)  # cached, and shared by every call with this layout
-    return starts, row_input, coefficients, divisor, ratio, tilde, groups
+        array.setflags(write=False)  # cached in the batch layout, and shared by every call with these runs
+    return starts, row_input, coefficients, divisor, ratio, tilde, tuple(groups)
 
 
-def _prefix_errors(runs, centred: np.ndarray, sigma2, sigma_tilde2) -> tuple[np.ndarray, ...]:
+def _prefix_errors(layout, centred: np.ndarray, sigma2, sigma_tilde2) -> tuple[np.ndarray, ...]:
     """Every input's first row, and every (input, k) row's exact variance, closed form and error, input by input.
 
-    ``runs`` lists (M, N, C, count) runs of inputs whose zero-padded centred rows fill ``centred`` (K, max M*N, d)
-    in order.  The Gram forms take one stacked product per M*N, every slice the (M*N, M*N) @ (M*N, d) gemm of
+    ``layout`` is the ``_error_layout`` of the runs whose zero-padded centred rows fill ``centred`` (K, max M*N, d) in
+    order.  The Gram forms take one stacked product per M*N, every slice the (M*N, M*N) @ (M*N, d) gemm of
     ``brute_force_all``; the closed forms evaluate every row's ``_closed_form_table`` column at once, in the scalar
     functions' order of operations.  An absent term adds a zero to a sum that is never -0.0, so for finite variances
     the bytes are those of ``brute_force_all`` and ``closed_form_minibatch_variance``, input by input.
     """
-    starts, row_input, coefficients, divisor, ratio, tilde, groups = _error_layout(runs)
+    starts, row_input, coefficients, divisor, ratio, tilde, groups = layout
     brute = np.empty(len(row_input))
     for size, rows, inputs, grams, index in groups:
         z = centred[inputs, :size]
@@ -378,20 +381,13 @@ def _prefix_errors(runs, centred: np.ndarray, sigma2, sigma_tilde2) -> tuple[np.
     return starts, brute, closed, np.abs(closed - brute) / np.where(scale > 1e-12, scale, 1.0)
 
 
-def max_rel_errors(runs, block: np.ndarray) -> list[float]:
-    """``max_rel_error`` of every input of a batch: (M, N, C, count) ``runs`` of inputs whose samples fill ``block``.
+def max_rel_errors(runs, block: np.ndarray) -> tuple[tuple[str, ...], list[float]]:
+    """Every input's check-line head, and its largest closed-form error: relative where enumeration gives over 1e-12.
 
-    The block holds every input's (M, N, d) samples one input after another, as one ``standard_normal`` draw lays them
-    out.  The moments of all inputs are taken in one pass and their errors in another, so a whole verify-variance batch
-    costs a fixed number of numpy calls however many geometries it holds.
+    ``runs`` lists (M, N, C, count) runs of inputs, and ``block`` holds their (M, N, d) samples one input after another,
+    as one ``standard_normal`` draw lays them out.  The moments of all inputs are taken in one pass and their errors in
+    another, so a whole verify-variance batch costs a fixed number of numpy calls however many geometries it holds.
     """
-    _, centred, sigma2, sigma_tilde2 = _moments(runs, block)
-    starts, *_, errors = _prefix_errors(runs, centred, sigma2, sigma_tilde2)
-    return np.maximum.reduceat(errors, starts).tolist()
-
-
-def max_rel_error(inputs: VarianceInputs, C: int = 1) -> float:
-    """Largest closed-form error over every prefix length: relative where enumeration gives over 1e-12, else absolute."""
-    run = ((inputs.M, inputs.N, C, 1),)
-    *_, errors = _prefix_errors(run, inputs.centred[None], [inputs.sigma2], [inputs.sigma_tilde2])
-    return float(errors.max())
+    moment_layout, error_layout, heads = _batch_layout(runs, block.shape[-1])
+    starts, *_, errors = _prefix_errors(error_layout, *_moments(moment_layout, block)[1:])
+    return heads, np.maximum.reduceat(errors, starts).tolist()

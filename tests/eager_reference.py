@@ -72,7 +72,7 @@ stays far below the tolerances it is compared at.  The byte oracles of ``Varianc
 takes the moments with ``np.mean`` and one generator term per sample or
 client, re-centring each row for both sides of its dot, and
 ``brute_force_all_loop`` centres ``zeta`` and builds its divisor on every call.
-``rel_errors_loop`` is ``max_rel_error``'s earlier body, one ``brute_force_all`` and one scalar
+``rel_errors_loop`` is one input's errors in ``max_rel_errors``, one ``brute_force_all`` and one scalar
 ``closed_form_minibatch_variance`` per prefix length, and ``max_rel_error_loop`` its largest error.
 ``verify_variance_loop`` is ``fedrr verify-variance`` before its inputs were drawn and
 summarised one (M, N) at a time: one ``normal`` call, one ``VarianceInputs`` and one
@@ -631,7 +631,7 @@ def brute_force_all_loop(inputs, C=1):
 
 
 def rel_errors_loop(inputs, C=1):
-    """``variance_lab.max_rel_error``'s error at every prefix length, one scalar closed form per k."""
+    """One input's closed-form error in ``variance_lab.max_rel_errors`` at every prefix length, one scalar per k."""
     errors = []
     for k, b in enumerate(brute_force_all(inputs, C).tolist(), start=1):
         c = closed_form_minibatch_variance(k, inputs.M, inputs.N, C, inputs.sigma2, inputs.sigma_tilde2)
@@ -640,7 +640,8 @@ def rel_errors_loop(inputs, C=1):
 
 
 def max_rel_error_loop(inputs, C=1):
-    """``variance_lab.max_rel_error`` as a loop over the prefix lengths: the largest of ``rel_errors_loop``."""
+    """One input's error in ``variance_lab.max_rel_errors``, as a loop over the prefix lengths: the largest of
+    ``rel_errors_loop``; relative where enumeration gives over 1e-12, else absolute."""
     return max(rel_errors_loop(inputs, C))
 
 

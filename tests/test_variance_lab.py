@@ -21,6 +21,7 @@ from eager_reference import (
     rel_errors_loop,
     star_sequence_deviation,
     star_sequence_enumerated,
+    subsets_per_entry,
     variance_inputs_loop,
 )
 from fedrr.dataset import partition, synthetic_libsvm_like
@@ -31,9 +32,9 @@ from fedrr.variance_lab import (
     ENUMERATION_GUARD,
     EnumerationTooLarge,
     VarianceInputs,
+    _batch_layout,
     _closed_form_table,
     _enumerate_sequences,
-    _error_layout,
     _moment_layout,
     _moments,
     _prefix_class_sums,
@@ -42,7 +43,6 @@ from fedrr.variance_lab import (
     brute_force_all,
     closed_form_minibatch_variance,
     closed_form_variance,
-    max_rel_error,
     max_rel_errors,
     star_variances,
 )
@@ -379,6 +379,40 @@ def test_closed_forms_are_the_exact_variance_in_rationals_past_the_guard():
     assert checked == 2 * 6_534  # prefix lengths of the 121 (M, N), each with every C dividing M
 
 
+def class_row_count(M, N, C):
+    """The outcome classes of every prefix length of (M, N, C), one ``class_rows`` row each."""
+    counts = [(C * (k // N), k % N) for k in range(1, N * (M // C) + 1)]
+    return sum(math.comb(M, s) * ((M - s) * math.comb(N, j) if j else 1) for s, j in counts)
+
+
+# every geometry past the guard, with M, N <= 11 as above, whose prefix lengths have at most 10^5 class rows in all
+CLASS_ROWS_PAST_THE_GUARD = [
+    (M, N, C)
+    for M, N in itertools.product(range(1, EXACT_IDENTITY_SIZE + 1), repeat=2)
+    for C in range(1, M + 1)
+    if M % C == 0 and math.factorial(M) * math.factorial(N) ** M > ENUMERATION_GUARD and class_row_count(M, N, C) <= 10**5
+]
+
+
+def test_prefix_class_sums_are_the_class_rows_past_the_guard():
+    # the counts behind the identity above: each prefix length's class count and three class sums, against the sum of
+    # D D^T over one class_rows row per class, with no n_out factor. |D| <= M*N*C, so every partial sum of the products
+    # is an integer below 2**53 and float64's D^T D is the exact integer sum, whatever order BLAS adds in
+    assert len(CLASS_ROWS_PAST_THE_GUARD) == 191
+    checked = 0
+    for M, N, C in CLASS_ROWS_PAST_THE_GUARD:
+        MN = M * N
+        kind = (np.arange(MN)[:, None] // N == np.arange(MN) // N) + np.eye(MN, dtype=np.intp)  # across, inside, x = y
+        for k, (n_cls, sums) in enumerate(_prefix_class_sums(M, N, C), start=1):
+            s, j = C * (k // N), k % N
+            Q = np.repeat(subsets_per_entry(M, s), N, axis=1) if j == 0 else class_rows(M, N, C, s, j)[0]
+            assert len(Q) == n_cls and n_cls * (MN * C) ** 2 < 2**53
+            D = MN * Q - C * k
+            assert np.array_equal((D.T @ D).astype(np.int64), np.array(sums, dtype=np.int64)[kind]), (M, N, C, k)
+            checked += 1
+    assert checked == 2_952
+
+
 def test_closed_forms_keep_a_zero_at_an_infinite_variance():
     # the one-sample geometry has no spread whatever the inputs: 0.0, where 0 * inf would be NaN
     assert closed_form_variance(1, 1, 1, math.inf, math.inf) == 0.0
@@ -414,10 +448,15 @@ def test_moments_and_enumeration_form_match_their_loops_byte_for_byte(M, N, d, l
         assert brute_force_all(inp, C).tobytes() == brute_force_all_loop(inp, C).tobytes()
 
 
-def moments_of(stacks):
-    """``_moments`` of (K, M, N, d) stacks of inputs: a batch of one run per stack, and one block of all their samples."""
+def moments_of(stacks, cached=False):
+    """``_moments`` of (K, M, N, d) stacks of inputs: a batch of one run per stack, and one block of all their samples.
+
+    The moment layout is built afresh, as ``VarianceInputs`` builds it, or taken from ``_batch_layout`` if ``cached``.
+    """
+    d = stacks[0].shape[-1]
     runs = tuple((M, N, 1, K) for K, M, N, _ in (z.shape for z in stacks))
-    return _moments(runs, np.concatenate([z.reshape(-1, z.shape[-1]) for z in stacks]))
+    layout = _batch_layout(runs, d)[0] if cached else _moment_layout(runs, d)
+    return _moments(layout, np.concatenate([z.reshape(-1, d) for z in stacks]))
 
 
 def test_stacked_moments_match_each_inputs_and_the_loop_byte_for_byte():
@@ -471,29 +510,45 @@ def test_padded_moments_of_mixed_shapes_match_the_loop_byte_for_byte():
 
 
 def test_moments_from_rebuilt_layouts_match_the_loop_byte_for_byte():
-    # more batch shapes than the layout cache holds, cycled twice: the second pass finds every layout evicted and
-    # builds it again, and both passes give every input the loop's bytes. A d = 1 batch shares one (M, N)
+    # more batch shapes than the batch layout cache holds, cycled twice: the second pass finds every layout evicted and
+    # builds it again, and both passes give every input the loop's bytes. A batch layout holds the Grams' error layout
+    # too, so its shapes are the guard's; a d = 1 batch shares one (M, N)
     rng = stream(39, "moment_layouts")
+    pairs = sorted({(M, N) for M, N, _ in GUARD_ADMITTED})
     batches = []
     for i in range(12):
-        d, M, N = (1, 2, 3)[i % 3], *rng.integers(1, 12, size=2)
-        shapes = [(M, N) if d == 1 else rng.integers(1, 12, size=2) for _ in range(int(rng.integers(1, 5)))]
+        d, (M, N) = (1, 2, 3)[i % 3], pairs[rng.integers(len(pairs))]
+        shapes = [(M, N) if d == 1 else pairs[rng.integers(len(pairs))] for _ in range(int(rng.integers(1, 5)))]
         batches.append([
             rng.normal(size=(int(rng.integers(1, 4)), *shape, d)) * 10.0 ** rng.uniform(-3, 3) + rng.choice([0.0, 1e3])
             for shape in shapes
         ])
-    assert len({tuple(z.shape for z in stacks) for stacks in batches}) == 12 > _moment_layout.cache_info().maxsize
-    _moment_layout.cache_clear()
+    assert len({tuple(z.shape for z in stacks) for stacks in batches}) == 12 > _batch_layout.cache_info().maxsize
+    _batch_layout.cache_clear()
     for _ in range(2):
         for stacks in batches:
-            grand_means, centred, sigma2s, sigma_tilde2s = moments_of(stacks)
+            grand_means, centred, sigma2s, sigma_tilde2s = moments_of(stacks, cached=True)
             for i, zeta in enumerate(zeta for stack in stacks for zeta in stack):
                 M, N, d = zeta.shape
                 grand_mean, sigma2, sigma_tilde2 = variance_inputs_loop(zeta)
                 assert grand_means[i].tobytes() == grand_mean.tobytes()
                 assert centred[i, : M * N].tobytes() == (zeta.reshape(M * N, d) - grand_mean).tobytes()
                 assert bits([sigma2s[i], sigma_tilde2s[i]]) == bits([sigma2, sigma_tilde2])
-    assert _moment_layout.cache_info()[:2] == (0, 24)  # no hits, and every layout built twice
+    assert _batch_layout.cache_info()[:2] == (0, 24)  # no hits, and every layout built twice
+
+
+@pytest.mark.parametrize("M, N", [(1, 11), (11, 1), (4, 5)])
+def test_variance_inputs_past_the_guard_leave_the_cached_layouts_alone(M, N):
+    # VarianceInputs builds its one-input moment layout afresh: it evicts no batch layout and never reaches the Grams,
+    # which refuse these geometries
+    zeta = stream(41, "uncached_inputs").normal(size=(M, N, 2))
+    cached = _batch_layout.cache_info(), _prefix_gram.cache_info()
+    inp = VarianceInputs(zeta)
+    assert (_batch_layout.cache_info(), _prefix_gram.cache_info()) == cached
+    grand_mean, sigma2, sigma_tilde2 = variance_inputs_loop(zeta)
+    assert inp.grand_mean.tobytes() == grand_mean.tobytes()
+    assert inp.centred.tobytes() == (zeta.reshape(M * N, 2) - grand_mean).tobytes()
+    assert bits([inp.sigma2, inp.sigma_tilde2]) == bits([sigma2, sigma_tilde2])
 
 
 def arrays_in(value):
@@ -506,26 +561,31 @@ def arrays_in(value):
 
 
 def test_cached_layouts_refuse_writes():
-    # every batch of the same runs shares their cached layouts, so none of their arrays may be written
-    moments = _moment_layout(((3, 2, 1, 2), (1, 4, 1, 1)), 2)
-    errors = _error_layout(((3, 2, 1, 2), (3, 2, 3, 1), (1, 4, 1, 1)))
+    # every batch of the same runs shares their cached layout, so none of its arrays may be written, and its M*N groups
+    # and check-line heads are tuples, which no caller can change either
+    moments, errors, heads = _batch_layout(((3, 2, 1, 2), (3, 2, 3, 1), (1, 4, 1, 1)), 2)
     arrays = [*arrays_in(moments), *arrays_in(errors)]
     assert len(arrays) == 7 + 6 + 4 * 2  # the error layout's two M*N groups hold four arrays each
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 1
+    assert type(errors[-1]) is type(heads) is tuple
+    assert heads == ("M=3 N=2 C=1: max rel error ",) * 2 + ("M=3 N=2 C=3: max rel error ", "M=1 N=4 C=1: max rel error ")
 
 
 def test_cached_moments_refuse_mixed_shapes_of_one_dimension():
     # a cached layout of one d = 1 shape does not admit another shape beside it, and a refusal is never cached
     one_shape = [np.zeros((1, 2, 3, 1)), np.ones((2, 2, 3, 1))]
-    moments_of(one_shape)
-    moments_of(one_shape)
+    _batch_layout.cache_clear()
+    moments_of(one_shape, cached=True)
+    moments_of(one_shape, cached=True)
     for _ in range(2):
         with pytest.raises(ValueError, match="must share one"):
-            moments_of([*one_shape, np.zeros((1, 3, 2, 1))])
+            moments_of([*one_shape, np.zeros((1, 3, 2, 1))], cached=True)
         with pytest.raises(ValueError, match="must share one"):
-            _moment_layout(((2, 3, 1, 1), (3, 2, 1, 1)), 1)
+            _batch_layout(((2, 3, 1, 1), (3, 2, 1, 1)), 1)
+    info = _batch_layout.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 5, 1)  # each refusal is built afresh, and none is kept
 
 
 def test_batched_checks_match_the_per_input_oracles_byte_for_byte():
@@ -543,9 +603,11 @@ def test_batched_checks_match_the_per_input_oracles_byte_for_byte():
                 chunks.append((M, N, C, rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3) + rng.choice([0.0, 1e3])))
         runs = tuple((M, N, C, len(zetas)) for M, N, C, zetas in chunks)
         block = np.concatenate([zetas.reshape(-1, 2) for *_, zetas in chunks])
-        _, centred, sigma2s, sigma_tilde2s = _moments(runs, block)
-        starts, brute, closed, errors = _prefix_errors(runs, centred, sigma2s, sigma_tilde2s)
-        maxima = max_rel_errors(runs, block)
+        moment_layout, error_layout, heads = _batch_layout(runs, 2)
+        _, centred, sigma2s, sigma_tilde2s = _moments(moment_layout, block)
+        starts, brute, closed, errors = _prefix_errors(error_layout, centred, sigma2s, sigma_tilde2s)
+        checked_heads, maxima = max_rel_errors(runs, block)
+        assert checked_heads == heads
         i = 0
         for M, N, C, zetas in chunks:
             for zeta in zetas:
@@ -561,9 +623,10 @@ def test_batched_checks_match_the_per_input_oracles_byte_for_byte():
                 assert bits(closed[rows]) == bits(want)
                 assert bits(errors[rows]) == bits(rel_errors_loop(oracle, C))
                 assert bits(maxima[i]) == bits(max_rel_error_loop(oracle, C))
+                assert heads[i] == f"M={M} N={N} C={C}: max rel error "
                 rows_checked += N * M // C
                 i += 1
-        assert i == len(maxima) == len(starts)
+        assert i == len(maxima) == len(starts) == len(heads)
     assert rows_checked > 15_000
 
 
@@ -619,7 +682,7 @@ def test_enumeration_argument_checks():
 
 def test_report_serializes():
     inp = VarianceInputs(stream(13, "rep").normal(size=(2, 2, 1)))
-    assert max_rel_error(inp, C=1) <= 1e-10
+    assert max_rel_error_loop(inp, C=1) <= 1e-10
 
 
 def test_star_sequence_zero_gradients():
