@@ -18,13 +18,11 @@ inputs and one block of their samples, one input after another, as one
 ``standard_normal`` draw lays them out: ``_moments`` reads every input's
 moments from that block in place, through zero-padded stacks, and
 ``_prefix_errors`` every (input, k) row's Gram form and closed form, the
-latter from a cached coefficient table built with the scalar closed forms'
-own expressions.  All that a batch needs but its samples, its moment and
-error layouts and its inputs' check-line heads, is cached per runs tuple
-(``_batch_layout``), so a repeated batch pays only for its arithmetic.  Each
-input gets the bytes of its own ``VarianceInputs``, which builds its layout
-uncached, and of ``brute_force_all``; the scalar closed forms stay the
-definition, and the table's tested oracle.
+latter from the coefficients the scalar closed forms evaluate.  All that a
+batch needs but its samples is cached per runs tuple (``_batch_layout``), so
+a repeated batch pays only for its arithmetic.  Each input gets the bytes of
+its own ``VarianceInputs``, ``brute_force_all`` and
+``closed_form_minibatch_variance``.
 
 Enumeration note: the grouped cross-covariance term carries coefficient
 2*k_N*(k - k_N) / (k^2 * (M - 1)); a variant with an extra 1/C factor does
@@ -151,26 +149,43 @@ def _sq_norms(G: np.ndarray) -> list[float]:
     return (np.sqrt((G[:, None, :] @ G[:, :, None]).ravel()) ** 2).tolist()
 
 
+def _variance_coefficients(k, M: int, N: int):
+    """``closed_form_variance``'s (a, b, c, e) at k samples, in the counts' number type.
+
+    The variance is ``s * a / b`` when N = 1 or M = 1 (s is sigma_tilde2 or sigma2), else ``c * sigma2 + e *
+    sigma_tilde2``.  Unused ones, and all four at k = 0, are 0 over 1: every branch evaluates on every k unwarned.
+    """
+    if k == 0 or M == N == 1:
+        return 0, 1, 0, 0
+    if M == 1 or N == 1:
+        return M * N - k, k * (M * N - 1), 0, 0
+    m_k, j_k = divmod(k, N)
+    coef = (m_k * N * N + j_k * j_k) * (M * N - 1) / (k * k * (N - 1) * (M - 1)) - N / (k * (N - 1)) - 1 / (M - 1)
+    return 0, 1, j_k * (N - j_k) / (k * k * (N - 1)), coef
+
+
+def _minibatch_terms(k, M: int, N: int, C: int):
+    """``closed_form_minibatch_variance``'s full-row weight and sample count, its tail's, and its cross factor.
+
+    The weights are squared by Python's ``**`` (libm's ``pow``), which rounds some ratios otherwise than ``x*x``.
+    """
+    k_N = (k // N) * N
+    cross = 2 * k_N * (k - k_N) / (k * k * (M - 1)) if M > 1 else 0
+    return (k_N / k) ** 2, k_N * C, ((k - k_N) / k) ** 2, k - k_N, cross
+
+
 def closed_form_variance(k: int, M: int, N: int, sigma2: float, sigma_tilde2: float) -> float:
     """Variance of the k-sample prefix average under the two-level shuffle."""
     if not 1 <= k <= M * N:
         raise ValueError(f"k={k} out of range [1, {M * N}]")
     if type(sigma2) is type(sigma_tilde2) is Fraction:
         k, M, N = Fraction(k), Fraction(M), Fraction(N)  # exact ratios of the counts; floats divide as before
-    if N == 1:
-        if M == 1:
-            return type(sigma2)()  # zero in the inputs' number type, 0.0 for floats even at an infinite sigma
-        return sigma_tilde2 * (M - k) / (k * (M - 1))
-    if M == 1:
-        return sigma2 * (N - k) / (k * (N - 1))
-    m_k, j_k = divmod(k, N)
-    data_term = j_k * (N - j_k) / (k * k * (N - 1)) * sigma2
-    coef = (
-        (m_k * N * N + j_k * j_k) * (M * N - 1) / (k * k * (N - 1) * (M - 1))
-        - N / (k * (N - 1))
-        - 1 / (M - 1)
-    )
-    return data_term + coef * sigma_tilde2
+    if M == N == 1:
+        return type(sigma2)()  # zero in the inputs' number type, 0.0 for floats even at an infinite sigma
+    a, b, c, e = _variance_coefficients(k, M, N)
+    if M == 1 or N == 1:
+        return (sigma_tilde2 if N == 1 else sigma2) * a / b
+    return c * sigma2 + e * sigma_tilde2
 
 
 def closed_form_minibatch_variance(
@@ -188,14 +203,14 @@ def closed_form_minibatch_variance(
         raise ValueError(f"k={k} out of range [1, {N * R}]")
     if type(sigma2) is type(sigma_tilde2) is Fraction:
         k, M, N = Fraction(k), Fraction(M), Fraction(N)  # exact ratios of the counts; floats divide as before
-    k_N = (k // N) * N
+    w1, k1, w2, k2, cross = _minibatch_terms(k, M, N, C)
     out = type(sigma2)()
-    if k_N > 0:
-        out += (k_N / k) ** 2 * closed_form_variance(k_N * C, M, N, sigma2, sigma_tilde2)
-    if k > k_N:
-        out += ((k - k_N) / k) ** 2 * closed_form_variance(k - k_N, M, N, sigma2, sigma_tilde2)
+    if k1 > 0:
+        out += w1 * closed_form_variance(k1, M, N, sigma2, sigma_tilde2)
+    if k2 > 0:
+        out += w2 * closed_form_variance(k2, M, N, sigma2, sigma_tilde2)
     if M > 1:
-        out -= 2 * k_N * (k - k_N) / (k * k * (M - 1)) * sigma_tilde2
+        out -= cross * sigma_tilde2
     return out
 
 
@@ -285,36 +300,14 @@ def brute_force_all(inputs: VarianceInputs, C: int = 1) -> np.ndarray:
     return np.add.reduce(z * (gram @ z), axis=(1, 2)) / divisor
 
 
-@lru_cache(maxsize=64)
 def _closed_form_table(M: int, N: int, C: int) -> np.ndarray:
-    """``closed_form_minibatch_variance``'s float coefficients for every k, one column each, from its own expressions.
-
-    Its rows: the weight, a, b, c and e of the full-row term (k_N*C samples), the same of the tail term (k - k_N
-    samples), and the cross-term factor.  A term's variance is ``s * a / b`` in the N = 1 and M = 1 branches (s is
-    sigma_tilde2 or sigma2) and ``c * sigma2 + e * sigma_tilde2`` in the general one; a branch's unused coefficients, and
-    an absent term's, are 0 over 1, so that every branch evaluates on every column without a warning.  The weights are
-    squared by Python's ``**`` (libm's ``pow``), which rounds some ratios otherwise than numpy's ``x*x``.
-    """
-
-    def variance(k):  # closed_form_variance(k, M, N, ...)'s coefficients
-        if k == 0 or M == N == 1:
-            return 0, 1, 0, 0
-        if N == 1:
-            return M - k, k * (M - 1), 0, 0
-        if M == 1:
-            return N - k, k * (N - 1), 0, 0
-        m_k, j_k = divmod(k, N)
-        coef = (m_k * N * N + j_k * j_k) * (M * N - 1) / (k * k * (N - 1) * (M - 1)) - N / (k * (N - 1)) - 1 / (M - 1)
-        return 0, 1, j_k * (N - j_k) / (k * k * (N - 1)), coef
-
+    """``closed_form_minibatch_variance``'s float coefficients, one column per k: its full-row term's weight and
+    ``_variance_coefficients``, its tail term's, and its cross factor, all from ``_minibatch_terms``."""
     rows = []
     for k in range(1, N * (M // C) + 1):
-        k_N = (k // N) * N
-        cross = 2 * k_N * (k - k_N) / (k * k * (M - 1)) if M > 1 else 0
-        rows.append(((k_N / k) ** 2, *variance(k_N * C), ((k - k_N) / k) ** 2, *variance(k - k_N), cross))
-    table = np.array(rows, dtype=np.float64).T.copy()
-    table.setflags(write=False)
-    return table
+        w1, k1, w2, k2, cross = _minibatch_terms(k, M, N, C)
+        rows.append((w1, *_variance_coefficients(k1, M, N), w2, *_variance_coefficients(k2, M, N), cross))
+    return np.array(rows, dtype=np.float64).T
 
 
 def _error_layout(runs: tuple[tuple[int, int, int, int], ...]):
@@ -359,8 +352,8 @@ def _prefix_errors(layout, centred: np.ndarray, sigma2, sigma_tilde2) -> tuple[n
 
     ``layout`` is the ``_error_layout`` of the runs whose zero-padded centred rows fill ``centred`` (K, max M*N, d) in
     order.  The Gram forms take one stacked product per M*N, every slice the (M*N, M*N) @ (M*N, d) gemm of
-    ``brute_force_all``; the closed forms evaluate every row's ``_closed_form_table`` column at once, in the scalar
-    functions' order of operations.  An absent term adds a zero to a sum that is never -0.0, so for finite variances
+    ``brute_force_all``; the closed forms evaluate every row's ``_closed_form_table`` column at once: the coefficients
+    the scalar functions read, in their order of operations.  An absent term adds a zero to a sum that is never -0.0, so for finite variances
     the bytes are those of ``brute_force_all`` and ``closed_form_minibatch_variance``, input by input.
     """
     starts, row_input, coefficients, divisor, ratio, tilde, groups = layout

@@ -1,8 +1,11 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from fedrr.optimizer import StepSizes
+from fedrr.problem import quadratic_problem
 from fedrr.theory import (
     THM1,
     THM2,
@@ -13,6 +16,7 @@ from fedrr.theory import (
     sigma_ds_upper,
     theoretical_steps,
 )
+from fedrr.variance_lab import star_variances
 
 
 def rp(regime, L=1.0, mu=1.0, M=6, N=2, C=2, s2=0.0, st2=0.0, d0=0.0):
@@ -63,6 +67,43 @@ def test_sigma_upper_plugin():
     assert sigma_cs_upper(1.0, 4, 2, 1.0) == pytest.approx(0.5)
     assert sigma_ds_upper(2.0, 4, 2, 2, 0.0, 0.0) == 0.0
     assert sigma_cs_upper(5.0, 9, 3, 0.0) == 0.0
+
+
+def client_sampling_terms(M, C):
+    """Every r's mean squared star-sequence move and mean Bregman term over eta^2, over every client order, with the
+    quadratic's L and sigma_tilde_star2: (squares, bregman, L, sigma_tilde_star2).
+
+    The quadratic is shaped like acceptance test 05's.  After r rounds the server-level star sequence has moved by
+    eta/C times the sum of the first C*r clients' gradients at x*; on a quadratic its Bregman term at that move delta
+    is exactly 1/2 delta' H delta, with H the average Hessian.
+    """
+    problem = quadratic_problem(M, 4, 5, mu=1.0, L=10.0, client_spread=1.0, sample_spread=0.5, seed=11)
+    x_star = problem.analytic_optimum().x_star
+    _, sigma_tilde2 = star_variances(problem, x_star)
+    H = problem._H.sum(axis=(0, 1)) / (M * problem.N)
+    orders = np.array(list(itertools.permutations(range(M))))
+    moves = np.cumsum(problem.client_gradients(x_star)[orders], axis=1)[:, C - 1 :: C] / C  # (M!, M/C, d)
+    per_order = np.sum(moves * moves, axis=-1), 0.5 * np.einsum("ori,ij,orj->or", moves, H, moves)
+    # compensated means: numpy would add up to 8! orders one after another
+    squares, bregman = ([math.fsum(column) / len(orders) for column in terms.T.tolist()] for terms in per_order)
+    return squares, bregman, problem.L, sigma_tilde2
+
+
+def test_sigma_cs_upper_dominates_the_enumerated_client_sampling_variance():
+    # every M <= 8 and every C dividing M: the mean squared move is the without-replacement k(M-k)/(M-1) spread of k
+    # client gradients that sum to zero, and the largest mean Bregman term is at most sigma_cs_upper, with no slack
+    cases = 0
+    for M in range(1, 9):
+        for C in (C for C in range(1, M + 1) if M % C == 0):
+            squares, bregman, L, sigma_tilde2 = client_sampling_terms(M, C)
+            # one client has one order, whose one move is the gradient at x*: rounding, with no closed form
+            for r, got in enumerate(squares if M > 1 else (), start=1):
+                k = C * r
+                want = k * (M - k) / (M - 1) * sigma_tilde2 / C**2  # 0 at k = M, where the gradients sum to zero
+                assert abs(got - want) <= 1e-12 * max(want, sigma_tilde2 / C**2), (M, C, r)
+            assert max(bregman) <= sigma_cs_upper(L, M, C, sigma_tilde2), (M, C)
+            cases += 1
+    assert cases == 20
 
 
 def test_bound_homogeneous_is_contraction_only():
