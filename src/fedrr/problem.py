@@ -91,59 +91,56 @@ class FederatedProblem:
 
 
 class LogisticProblem(FederatedProblem):
-    """log(1 + exp(-b a.x)) + (alpha/2)||x||^2 per component, dense per-client rows."""
+    """log(1 + exp(r.x)) + (alpha/2)||x||^2 per component, r = -b a the signed row of features a and label b."""
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, alpha: float):
+    def __init__(self, R: np.ndarray, alpha: float):
         if not 0 < alpha < math.inf:  # NaN or inf: the optimum solve would never converge
             raise ProblemError(f"regularizer alpha must be positive and finite, got {alpha}")
-        if A.ndim != 3 or b.shape != A.shape[:2]:
-            raise ProblemError("expected A of shape (M, N, d) and matching labels")
-        self.M, self.N, self.d = A.shape
-        self._A = np.ascontiguousarray(A, dtype=np.float64)
-        self._b = np.ascontiguousarray(b, dtype=np.float64)
+        if R.ndim != 3:
+            raise ProblemError("expected signed rows of shape (M, N, d)")
+        self.M, self.N, self.d = R.shape
+        self._R = np.ascontiguousarray(R, dtype=np.float64)
         self.alpha = float(alpha)
-        row_sq = np.einsum("mnd,mnd->mn", self._A, self._A)
+        row_sq = np.einsum("mnd,mnd->mn", self._R, self._R)
         self.L = float(row_sq.max() / 4.0 + alpha)
         self.mu = float(alpha)
 
     def component_loss(self, m, j, x):
         self._check_indices(m, j)
-        z = -self._b[m, j] * float(self._A[m, j] @ x)
-        return float(np.logaddexp(0.0, z) + 0.5 * self.alpha * (x @ x))
+        return float(np.logaddexp(0.0, float(self._R[m, j] @ x)) + 0.5 * self.alpha * (x @ x))
 
     def component_gradients(self, m, x):
         self._check_indices(m)
-        A = self._A[m]
-        b = self._b[m]
+        R = self._R[m]
         # one ddot per row, stacked: a gemv over the block rounds some rows differently
-        z = (A[:, None, :] @ x[:, None])[:, 0, 0]
-        G = (-b * _sigmoid(-b * z))[:, None] * A
+        G = _sigmoid((R[:, None, :] @ x[:, None])[:, 0, 0])[:, None] * R
         G += self.alpha * x  # in place: one N x d block at a time
         return G
 
     def client_gradients(self, x):
-        return _loss_back(self._A, -self._b, np.repeat(x[None, :], self.M, axis=0)) / self.N + self.alpha * x
+        return _loss_back(self._R, np.repeat(x[None, :], self.M, axis=0)) / self.N + self.alpha * x
 
     def objective_value(self, x):
         reg = 0.5 * self.alpha * (x @ x)
-        return sum(float(np.mean(np.logaddexp(0.0, -b * (A @ x))) + reg) for A, b in zip(self._A, self._b)) / self.M
+        # one gemv per client and each row summed pairwise, as np.mean sums it
+        means = np.add.reduce(np.logaddexp(0.0, np.matmul(self._R, x)), axis=1) / self.N
+        return sum(mean + reg for mean in means.tolist()) / self.M
 
     def full_gradients(self, P):
         # client by client, every point's products while its block is in cache, added in order from zeros
         G = np.zeros((len(P), self.d))
-        for A, neg_b in zip(self._A, -self._b):
-            G += _loss_back(A, neg_b, P)
+        for R in self._R:
+            G += _loss_back(R, P)
         return G / (self.M * self.N) + self.alpha * P
 
     def cohort_pass(self, ms, x, gamma_step, order, bounds):
         self._check_clients(ms)
         # each step gathers its own (C, hi - lo) rows: a step is at most N rows, so at most C*N*d floats
         rows = np.asarray(ms)[:, None] * self.N + order
-        A, b = self._A.reshape(-1, self.d), self._b.reshape(-1)
+        R = self._R.reshape(-1, self.d)
         X = np.repeat(np.asarray(x, dtype=np.float64)[None, :], len(ms), axis=0)
         for lo, hi in bounds:
-            step = rows[:, lo:hi]
-            X -= gamma_step * (_loss_back(A.take(step, axis=0), -b.take(step), X) / (hi - lo) + self.alpha * X)
+            X -= gamma_step * (_loss_back(R.take(rows[:, lo:hi], axis=0), X) / (hi - lo) + self.alpha * X)
         return X
 
 
@@ -221,7 +218,14 @@ def logistic_problem(partition: np.ndarray, X: np.ndarray, labels: np.ndarray, a
         raise ProblemError("partition must assign at least one sample per client")
     if X.shape[1] == 0:
         raise ProblemError("a logistic problem needs at least one feature; the dataset lists none")
-    return LogisticProblem(X[partition], labels[partition], alpha)
+    b = labels[partition]
+    bad = b[np.abs(b) != 1]
+    if bad.size:
+        raise ProblemError(f"logistic labels must be -1 or +1, got {bad[0]}")
+    # one gather, signed in place: a factor of +-1 is exact, so every kernel keeps the unsigned form's bytes
+    R = X[partition].astype(np.float64, copy=False)
+    R *= -b[..., None]
+    return LogisticProblem(R, alpha)
 
 
 def quadratic_problem(
@@ -331,11 +335,11 @@ def _converged(g: np.ndarray, tol: float) -> bool:
     return norm <= tol
 
 
-def _loss_back(A, neg_b, X):
-    """``A.T @ t`` at each row x of X, t the logistic slopes at ``A @ x``; A is one (n, d) block or one per row."""
+def _loss_back(R, X):
+    """``R.T @ t`` at each row x of X, t the logistic slopes at ``R @ x``; R is one (n, d) block or one per row."""
     # numpy runs one gemv per row in each stacked product, bit-equal to the one-point products
-    t = neg_b * _sigmoid(neg_b * np.matmul(A, X[:, :, None])[..., 0])
-    return np.matmul(t[:, None, :], A)[:, 0, :]
+    t = _sigmoid(np.matmul(R, X[:, :, None])[..., 0])
+    return np.matmul(t[:, None, :], R)[:, 0, :]
 
 
 def _sigmoid(z):

@@ -23,6 +23,18 @@ non-finite end point), ``aggregate_cohort_loop`` (the cohort's mean update, one 
 and ``client_objective_loop`` and ``objective_value_loop`` (one
 ``component_loss`` call per component, added with Python's ``sum``).
 
+The logistic problem stores signed rows r = -b a and no labels.  Its
+oracles are the unsigned formulas of features a and labels b, written once
+as functions of (A, b): ``unsigned_component_loss``,
+``unsigned_component_gradient``, ``unsigned_client_gradient``,
+``unsigned_full_gradient``, ``unsigned_objective`` (each client's
+``np.mean`` of its losses, added with Python's ``sum``) and
+``unsigned_local_pass``.  On the dataset's own rows and labels they are the
+oracles of the sign identity; on a problem's signed rows they run through
+``signed_as_unsigned``, which reads each signed row as a row of label -1,
+and are the loop forms of the stacked kernels.  ``objective_per_client`` is
+the loop form of the logistic ``objective_value``.
+
 The logistic and codec oracles are the per-component and per-client forms
 that the vectorised code must match bit for bit: ``sigmoid_three_exp`` (the
 clipped two-branch logistic function), ``full_gradient_loop`` (one client at
@@ -110,13 +122,61 @@ from fedrr.variance_lab import (
 )
 
 
+def signed_as_unsigned(problem):
+    """A logistic problem's rows and labels for the unsigned forms: each signed row r = -b a is a row of label -1."""
+    return problem._R, np.full((problem.M, problem.N), -1.0)
+
+
+def unsigned_component_loss(a, b, alpha, x):
+    """log(1 + exp(-b a.x)) + (alpha/2)||x||^2 of features a and label b."""
+    return float(np.logaddexp(0.0, -b * float(a @ x)) + 0.5 * alpha * (x @ x))
+
+
+def unsigned_component_gradient(a, b, alpha, x):
+    """The gradient of ``unsigned_component_loss`` at x."""
+    s = _sigmoid(-b * float(a @ x))
+    return (-b * s) * a + alpha * x
+
+
+def unsigned_client_gradient(A, b, alpha, x):
+    """One client's mean gradient from its (N, d) rows A and labels b: ``A @ x`` forward and ``A.T @ t`` back."""
+    t = -b * _sigmoid(-b * (A @ x))
+    return A.T @ t / len(b) + alpha * x
+
+
+def unsigned_full_gradient(A, b, alpha, x):
+    """grad f at x from the (M, N, d) rows and (M, N) labels, one client's products at a time."""
+    g = np.zeros(A.shape[2])
+    for m in range(len(A)):
+        z = A[m] @ x
+        t = -b[m] * sigmoid_three_exp(-b[m] * z)
+        g += A[m].T @ t
+    return g / b.size + alpha * x
+
+
+def unsigned_objective(A, b, alpha, x):
+    """f(x) from the (M, N, d) rows and (M, N) labels: each client's ``np.mean`` of its losses, added with Python's ``sum``."""
+    reg = 0.5 * alpha * (x @ x)
+    return sum(float(np.mean(np.logaddexp(0.0, -b_m * (A_m @ x)))) + reg for A_m, b_m in zip(A, b)) / len(A)
+
+
+def unsigned_local_pass(A, b, alpha, x, gamma_step, batches):
+    """One client's pass over ``batches`` of its (N, d) rows A and labels b, one gemv forward and one back per batch."""
+    x = np.array(x, dtype=np.float64)
+    for batch in batches:
+        Ab = A[batch]
+        bb = b[batch]
+        t = -bb * _sigmoid(-bb * (Ab @ x))
+        x -= gamma_step * (Ab.T @ t / len(batch) + alpha * x)
+    return x
+
+
 def component_gradient(problem, m, j, x):
     """The gradient of ``problem.component_loss(m, j, .)`` at x, one component alone."""
     problem._check_indices(m, j)
     if isinstance(problem, LogisticProblem):
-        a, b = problem._A[m, j], problem._b[m, j]
-        s = _sigmoid(-b * float(a @ x))
-        return (-b * s) * a + problem.alpha * x
+        A, b = signed_as_unsigned(problem)
+        return unsigned_component_gradient(A[m, j], b[m, j], problem.alpha, x)
     if isinstance(problem, QuadraticProblem):
         return problem._H[m, j] @ x - problem._Hc[m, j]
     raise NotImplementedError
@@ -126,8 +186,8 @@ def client_gradient_loop(problem, m, x):
     """Client m's gradient at x, one client alone: row m of ``client_gradients``."""
     problem._check_indices(m)
     if isinstance(problem, LogisticProblem):
-        t = -problem._b[m] * _sigmoid(-problem._b[m] * (problem._A[m] @ x))
-        return problem._A[m].T @ t / problem.N + problem.alpha * x
+        A, b = signed_as_unsigned(problem)
+        return unsigned_client_gradient(A[m], b[m], problem.alpha, x)
     if isinstance(problem, QuadraticProblem):
         return (problem._H[m].sum(axis=0) @ x - problem._Hc[m].sum(axis=0)) / problem.N
     raise NotImplementedError
@@ -297,13 +357,12 @@ def sigmoid_three_exp(z):
 
 def full_gradient_loop(problem, x):
     """``LogisticProblem.full_gradient``, one client's products at a time."""
-    A, b = problem._A, problem._b
-    g = np.zeros(problem.d)
-    for m in range(problem.M):
-        z = A[m] @ x
-        t = -b[m] * sigmoid_three_exp(-b[m] * z)
-        g += A[m].T @ t
-    return g / (problem.M * problem.N) + problem.alpha * x
+    return unsigned_full_gradient(*signed_as_unsigned(problem), problem.alpha, x)
+
+
+def objective_per_client(problem, x):
+    """``LogisticProblem.objective_value``, one client's ``np.mean`` of its losses at a time."""
+    return unsigned_objective(*signed_as_unsigned(problem), problem.alpha, x)
 
 
 def quadratic_full_gradient_loop(problem, x):
@@ -343,16 +402,8 @@ def solve_optimum_loop(problem, tol, max_iter=10_000_000, gradient=full_gradient
 def logistic_local_pass(problem, m, x, gamma_step, batches):
     """Client m's logistic pass over ``batches``, one gemv forward and one back per batch."""
     problem._check_indices(m)
-    A = problem._A[m]
-    b = problem._b[m]
-    alpha = problem.alpha
-    x = np.array(x, dtype=np.float64)
-    for batch in batches:
-        Ab = A[batch]
-        bb = b[batch]
-        t = -bb * _sigmoid(-bb * (Ab @ x))
-        x -= gamma_step * (Ab.T @ t / len(batch) + alpha * x)
-    return x
+    A, b = signed_as_unsigned(problem)
+    return unsigned_local_pass(A[m], b[m], problem.alpha, x, gamma_step, batches)
 
 
 def quadratic_problem_loop(M, N=4, d=5, mu=1.0, L=10.0, client_spread=1.0, sample_spread=0.5, seed=2024):

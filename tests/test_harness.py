@@ -464,7 +464,7 @@ def test_explicit_zero_feature_hashes_like_an_absent_one(tmp_path):
         built.append(build_problem(quad_config(tmp_path, dataset={"path": str(path)}, M=2)))
     (a, a_hash), (b, b_hash) = built
     assert a_hash == b_hash
-    assert np.array_equal(a._A, b._A) and np.array_equal(a._b, b._b)
+    assert np.array_equal(a._R, b._R)
 
 
 def test_fixed_schedule_read_once_per_grid(tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from fedrr.problem import LogisticProblem, ProblemError, QuadraticProblem, solve_optimum
+from fedrr.problem import LogisticProblem, ProblemError, QuadraticProblem, logistic_problem, solve_optimum
 from fedrr.rng import _PhiloxKey
 from fedrr.shuffling import fisher_yates
 from fedrr.theory import THM1, RegimeParams
@@ -14,10 +14,9 @@ from fedrr.theory import THM1, RegimeParams
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: LogisticProblem(np.ones((4, 3)), np.ones(4), 0.1), ProblemError,
-         "expected A of shape (M, N, d) and matching labels"),
-        (lambda: LogisticProblem(np.ones((2, 4, 3)), np.ones((2, 3)), 0.1), ProblemError,
-         "expected A of shape (M, N, d) and matching labels"),
+        (lambda: LogisticProblem(np.ones((4, 3)), 0.1), ProblemError, "expected signed rows of shape (M, N, d)"),
+        (lambda: logistic_problem(np.arange(4).reshape(2, 2), np.ones((4, 3)), np.array([1.0, -1.0, 0.0, 1.0]), 0.1),
+         ProblemError, "logistic labels must be -1 or +1, got 0.0"),
         (lambda: QuadraticProblem(np.ones((2, 4, 3, 2)), np.ones((2, 4, 3)), 1.0, 2.0), ProblemError,
          "expected H of shape (M, N, d, d) and centers (M, N, d)"),
         (lambda: QuadraticProblem(np.ones((2, 4, 3, 3)), np.ones((2, 4, 2)), 1.0, 2.0), ProblemError,
@@ -31,7 +30,7 @@ from fedrr.theory import THM1, RegimeParams
         (lambda: _PhiloxKey(1).generate_state(2), ValueError, "a Philox key holds exactly two uint64 words"),
     ],
     ids=[
-        "logistic-2d-features", "logistic-label-shape", "quadratic-non-square-hessians", "quadratic-center-shape",
+        "logistic-2d-rows", "logistic-label-values", "quadratic-non-square-hessians", "quadratic-center-shape",
         "solve-not-strongly-convex", "permutation-of-nothing", "negative-variance",
         "philox-four-words", "philox-uint32-words",
     ],

@@ -180,7 +180,7 @@ def diverging_problem(N, client_values, kind="quadratic"):
     """
     values = np.repeat(np.array(client_values, dtype=np.float64)[:, None, None], N, axis=1)
     if kind == "logistic":
-        return LogisticProblem(values, np.ones((M, N)), alpha=1e-2)
+        return LogisticProblem(-values, alpha=1e-2)  # label 1: each signed row is -v_m
     return QuadraticProblem(np.ones((M, N, 1, 1)), values, mu=1.0, L=1.0)
 
 

@@ -19,16 +19,25 @@ from eager_reference import (
     libsvm_text_per_value,
     logistic_arrays_gathered,
     logistic_local_pass,
+    objective_per_client,
     partition_tuples,
     quadratic_full_gradient_loop,
     sigmoid_three_exp,
     solve_optimum_loop,
     star_variances_per_component,
     to_libsvm_text_scalars,
+    unsigned_client_gradient,
+    unsigned_component_gradient,
+    unsigned_component_loss,
+    unsigned_full_gradient,
+    unsigned_local_pass,
+    unsigned_objective,
 )
 from fedrr.dataset import libsvm_text, parse_libsvm, partition, synthetic_libsvm_like
+from fedrr.optimizer import _batch_bounds
 from fedrr.problem import (
     LogisticProblem,
+    ProblemError,
     QuadraticProblem,
     SolverError,
     _sigmoid,
@@ -116,14 +125,14 @@ def test_gradient_kernel_matches_reference_at_each_point(points, seed):
 
 def test_gradient_kernel_matches_reference_far_outside_exp_range_and_at_a_nan_feature():
     x = np.full(PROBLEM.d, 1e4)
-    assert np.abs(PROBLEM._A @ x).max() > 1e4
+    assert np.abs(PROBLEM._R @ x).max() > 1e4
     P = np.stack((x, -x, np.zeros(PROBLEM.d), np.full(PROBLEM.d, -0.0)))
     with np.errstate(over="raise", invalid="raise"):
         G = PROBLEM.full_gradients(P)
     assert all(same_bits(g, full_gradient_loop(PROBLEM, p)) for p, g in zip(P, G))
-    A = PROBLEM._A.copy()
-    A[1, 3, 2] = np.nan
-    problem = LogisticProblem(A, PROBLEM._b, PROBLEM.alpha)
+    R = PROBLEM._R.copy()
+    R[1, 3, 2] = np.nan
+    problem = LogisticProblem(R, PROBLEM.alpha)
     G = problem.full_gradients(P[1:])
     assert np.isnan(G).all(axis=1).any()
     assert all(same_bits(g, full_gradient_loop(problem, p)) for p, g in zip(P[1:], G))
@@ -192,7 +201,8 @@ def test_client_gradients_match_the_per_client_form(kind, M, d, points, seed):
     rng = np.random.default_rng(seed)
     if kind == "logistic":
         N = int(rng.integers(1, 60))
-        problem = LogisticProblem(rng.normal(size=(M, N, d)), rng.choice([-1.0, 1.0], size=(M, N)), 10.0 ** rng.uniform(-4, 0))
+        A, b = rng.normal(size=(M, N, d)), rng.choice([-1.0, 1.0], size=(M, N))
+        problem = LogisticProblem(-b[..., None] * A, 10.0 ** rng.uniform(-4, 0))
     else:
         problem = quadratic_problem(M, int(rng.integers(1, 5)), d, mu=0.5, L=4.0, seed=seed)
     for x in stacked_points(d, points, seed):
@@ -303,7 +313,7 @@ def test_partition_array_gathers_the_tuple_partition_bytes(count, M, seed):
     assert partition(count, M, seed).tolist() == [list(rows) for rows in assignment]
     problem = logistic_problem(partition(count, M, seed), X, labels, 1e-2)
     A, b = logistic_arrays_gathered(assignment, X, labels)
-    assert same_bits(problem._A, A) and same_bits(problem._b, b)
+    assert same_bits(problem._R, -b[..., None] * A)
 
 
 TEXT_VALUES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300, 1.0, -1.0, 0.1]) | st.floats()
@@ -348,7 +358,7 @@ def test_text_round_trip_is_byte_identical():
 
 def test_no_floating_point_warnings_far_outside_exp_range():
     x = np.full(PROBLEM.d, 1e4)
-    assert np.abs(PROBLEM._A @ x).max() > 1e4  # |z| far above 709
+    assert np.abs(PROBLEM._R @ x).max() > 1e4  # |z| far above 709
     ms = list(range(PROBLEM.M))
     order = np.repeat(np.arange(PROBLEM.N)[None, :], PROBLEM.M, axis=0)
     bounds = ((0, 20), (20, PROBLEM.N))
@@ -358,3 +368,114 @@ def test_no_floating_point_warnings_far_outside_exp_range():
             PROBLEM.cohort_pass(ms, sign * x, 1e-3, order, bounds)
             for m in ms:
                 logistic_local_pass(PROBLEM, m, sign * x, 1e-3, [order[m, a:b] for a, b in bounds])
+
+
+def crafted_data(count, dim, seed, nan_feature):
+    """A synthetic dataset with the features where a sign could show in the bytes.
+
+    About half its zero features are -0.0.  Row 0 is all +0.0; row 1 is
+    e_0 + e_1, whose dot with a point of x_1 = -x_0 cancels to exactly 0;
+    rows 2 and 3 have features near 60 and 1e3, past the sigmoid's clip at
+    50 and exp's range at 709 for points of unit scale; with
+    ``nan_feature``, row 4 has a NaN feature.
+    """
+    X, labels = synthetic_libsvm_like(count=count, dim=dim, seed=seed, nnz_per_row=5)
+    rng = np.random.default_rng(seed)
+    X[(X == 0) & (rng.random(X.shape) < 0.5)] = -0.0
+    X[0] = 0.0
+    X[1] = 0.0
+    X[1, :2] = 1.0
+    X[2] *= 60.0
+    X[3] = rng.normal(size=dim) * 1e3
+    if nan_feature:
+        X[4, 1] = np.nan
+    return X, labels
+
+
+def crafted_points(dim, seed):
+    """Points with x_1 = -x_0 at unit scale, 1e2 and 1e4, negated, zeros of both signs, and with NaN and +-inf entries."""
+    x = np.random.default_rng(seed).normal(size=dim)
+    x[1] = -x[0]
+    nan, inf = x.copy(), x.copy()
+    nan[2] = np.nan
+    inf[2], inf[3] = np.inf, -np.inf
+    return [x, 1e2 * x, 1e4 * x, -x, np.zeros(dim), np.full(dim, -0.0), nan, inf]
+
+
+@pytest.mark.parametrize(
+    "M, N, dim, nan_feature", [(3, 40, 12, False), (3, 40, 12, True), (12, 921, 68, False)], ids=["small", "nan-feature", "benchmark"]
+)
+def test_signed_rows_give_the_unsigned_bytes(M, N, dim, nan_feature):
+    # logistic_problem stores r = -b a; every kernel must give the bytes of the unsigned forms on the dataset's a and b
+    X, labels = crafted_data(M * N, dim, seed=M, nan_feature=nan_feature)
+    part = partition(M * N, M, 0)
+    problem = logistic_problem(part, X, labels, 1e-2)
+    A, b, alpha = X[part], labels[part], problem.alpha
+    P = crafted_points(dim, seed=M)
+    with np.errstate(all="ignore"):  # NaN and inf points, and z past exp's range
+        assert (A[..., :2] @ P[0][:2] == 0).any()  # the cancelling row
+        assert np.nanmax(np.abs(A @ P[0])) > 709
+        for x in P:
+            assert same_bits(problem.objective_value(x), unsigned_objective(A, b, alpha, x))
+            assert same_bits(problem.full_gradients(x[None])[0], unsigned_full_gradient(A, b, alpha, x))
+            assert same_bits(problem.client_gradients(x), [unsigned_client_gradient(A[m], b[m], alpha, x) for m in range(M)])
+            for m in range(M):
+                assert same_bits(problem.component_gradients(m, x), [unsigned_component_gradient(a, y, alpha, x) for a, y in zip(A[m], b[m])])
+                assert same_bits(
+                    [problem.component_loss(m, j, x) for j in range(N)], [unsigned_component_loss(a, y, alpha, x) for a, y in zip(A[m], b[m])]
+                )
+        for p, q in zip(P, P[1:]):
+            G = problem.full_gradients(np.stack((p, q)))
+            assert same_bits(G, [unsigned_full_gradient(A, b, alpha, p), unsigned_full_gradient(A, b, alpha, q)])
+        rng = np.random.default_rng(M)
+        ms = sorted(int(m) for m in rng.permutation(M)[:3])
+        order = np.array([rng.permutation(N) for _ in ms])
+        bounds = _batch_bounds(N, 10)
+        for x in P:
+            got = problem.cohort_pass(ms, x, 0.05, order, bounds)
+            want = [unsigned_local_pass(A[m], b[m], alpha, x, 0.05, [row[lo:hi] for lo, hi in bounds]) for m, row in zip(ms, order)]
+            assert same_bits(got, want)
+
+
+def test_logistic_problem_peaks_below_one_and_a_quarter_datasets():
+    # the rows are gathered once and signed in place: no second copy
+    X, labels = synthetic_libsvm_like(count=4000, dim=68, seed=0)
+    caller = (X.copy(), labels.copy())
+    part = partition(4000, 4, 0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        logistic_problem(part, X, labels, 1e-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 1.25 * X.nbytes
+    assert same_bits(X, caller[0]) and same_bits(labels, caller[1])  # the caller's arrays are left as they were
+
+
+@pytest.mark.parametrize("kind, got", [("binary", "0.0"), ("half", "0.5"), ("nan", "nan")])
+def test_labels_other_than_signs_are_refused(kind, got):
+    X, labels = synthetic_libsvm_like(count=8, dim=3, seed=0, nnz_per_row=2)
+    if kind == "binary":
+        labels = (labels + 1) / 2
+    else:
+        labels[5] = {"half": 0.5, "nan": np.nan}[kind]
+    caller = (X.copy(), labels.copy())
+    with pytest.raises(ProblemError, match=rf"^logistic labels must be -1 or \+1, got {got}$"):
+        logistic_problem(partition(8, 2, 0), X, labels, 1e-2)
+    assert same_bits(X, caller[0]) and same_bits(labels, caller[1])
+
+
+@pytest.mark.parametrize("M, N, dim, scale", [(12, 921, 68, 1.0), (1, 10_000, 12, 1.0), (3, 40, 12, 1e4)], ids=["benchmark", "past-buffer", "past-exp-range"])
+def test_objective_is_the_per_client_mean_form(M, N, dim, scale):
+    # one stacked product and one row-wise pairwise sum must give np.mean's bytes client by client,
+    # also for rows longer than numpy's 8,192-element buffer
+    problem = logistic(M, N, dim, 5e-4, seed=M)
+    rng = np.random.default_rng(N)
+    P = rng.normal(size=(4, dim)) * scale
+    P[1, rng.random(dim) < 0.3] = -0.0
+    with np.errstate(over="raise", invalid="raise"):
+        for x in P:
+            assert same_bits(problem.objective_value(x), objective_per_client(problem, x))
+    if scale > 1:
+        assert np.abs(problem._R @ P[0]).max() > 709

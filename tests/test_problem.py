@@ -97,7 +97,7 @@ def test_quadratic_analytic_optimum():
 
 def test_logistic_constants():
     problem = small_logistic(alpha=1e-2)
-    row_sq = np.einsum("mnd,mnd->mn", problem._A, problem._A)
+    row_sq = np.einsum("mnd,mnd->mn", problem._R, problem._R)
     assert problem.L == pytest.approx(row_sq.max() / 4 + 1e-2)
     assert problem.mu == pytest.approx(1e-2)
 
@@ -128,7 +128,7 @@ def test_solver_stops_at_a_non_finite_gradient():
     A = np.ones((2, 2, 3))
     A[1, 0, 2] = np.nan
     with pytest.raises(SolverError, match="non-finite gradient") as info:
-        solve_optimum(LogisticProblem(A, np.ones((2, 2)), alpha=0.1), tol=1e-12)
+        solve_optimum(LogisticProblem(-A, alpha=0.1), tol=1e-12)
     assert np.isnan(info.value.grad_norm)
 
 

@@ -69,41 +69,51 @@ def test_sigma_upper_plugin():
     assert sigma_cs_upper(5.0, 9, 3, 0.0) == 0.0
 
 
-def client_sampling_terms(M, C):
-    """Every r's mean squared star-sequence move and mean Bregman term over eta^2, over every client order, with the
-    quadratic's L and sigma_tilde_star2: (squares, bregman, L, sigma_tilde_star2).
+def client_sampling_terms(M, C, replace=False):
+    """Every r's mean squared star-sequence move and mean Bregman term over eta^2, with the quadratic's L and
+    sigma_tilde_star2: (squares, bregman, L, sigma_tilde_star2).  The means run over every client order, or with
+    ``replace`` (rrcli-wr's law) over every sequence of M/C independent uniform C-subsets.
 
     The quadratic is shaped like acceptance test 05's.  After r rounds the server-level star sequence has moved by
-    eta/C times the sum of the first C*r clients' gradients at x*; on a quadratic its Bregman term at that move delta
-    is exactly 1/2 delta' H delta, with H the average Hessian.
+    eta/C times the sum of the first r cohorts' gradients at x*; on a quadratic its Bregman term at that move delta
+    is exactly 1/2 delta' H delta, with H the average Hessian.  Each r-round prefix of the subset sequences occurs
+    equally often, so the means over the full sequences are the means over every sequence of r cohorts.
     """
     problem = quadratic_problem(M, 4, 5, mu=1.0, L=10.0, client_spread=1.0, sample_spread=0.5, seed=11)
     x_star = problem.analytic_optimum().x_star
     _, sigma_tilde2 = star_variances(problem, x_star)
     H = problem._H.sum(axis=(0, 1)) / (M * problem.N)
-    orders = np.array(list(itertools.permutations(range(M))))
-    moves = np.cumsum(problem.client_gradients(x_star)[orders], axis=1)[:, C - 1 :: C] / C  # (M!, M/C, d)
-    per_order = np.sum(moves * moves, axis=-1), 0.5 * np.einsum("ori,ij,orj->or", moves, H, moves)
-    # compensated means: numpy would add up to 8! orders one after another
-    squares, bregman = ([math.fsum(column) / len(orders) for column in terms.T.tolist()] for terms in per_order)
+    grads = problem.client_gradients(x_star)
+    if replace:
+        subsets = np.array(list(itertools.combinations(range(M), C)))
+        sequences = subsets[np.array(list(itertools.product(range(len(subsets)), repeat=M // C)))]  # (K^R, R, C)
+        moves = np.cumsum(grads[sequences].sum(axis=2), axis=1) / C  # (K^R, R, d)
+    else:
+        orders = np.array(list(itertools.permutations(range(M))))
+        moves = np.cumsum(grads[orders], axis=1)[:, C - 1 :: C] / C  # (M!, M/C, d)
+    per_sequence = np.sum(moves * moves, axis=-1), 0.5 * np.einsum("ori,ij,orj->or", moves, H, moves)
+    # compensated means: numpy would add up to 8! orders or 6^6 sequences one after another
+    squares, bregman = ([math.fsum(column) / len(moves) for column in terms.T.tolist()] for terms in per_sequence)
     return squares, bregman, problem.L, sigma_tilde2
 
 
 def test_sigma_cs_upper_dominates_the_enumerated_client_sampling_variance():
-    # every M <= 8 and every C dividing M: the mean squared move is the without-replacement k(M-k)/(M-1) spread of k
-    # client gradients that sum to zero, and the largest mean Bregman term is at most sigma_cs_upper, with no slack
+    # without replacement (every M <= 8): the mean squared move is the k(M-k)/(M-1) spread of k client gradients
+    # that sum to zero; with replacement (every M <= 6, up to 6^6 sequences): r independent cohorts of C each add
+    # C(M-C)/(M-1). Either way, for every C dividing M, the largest mean Bregman term is at most sigma_cs_upper
     cases = 0
-    for M in range(1, 9):
-        for C in (C for C in range(1, M + 1) if M % C == 0):
-            squares, bregman, L, sigma_tilde2 = client_sampling_terms(M, C)
-            # one client has one order, whose one move is the gradient at x*: rounding, with no closed form
-            for r, got in enumerate(squares if M > 1 else (), start=1):
-                k = C * r
-                want = k * (M - k) / (M - 1) * sigma_tilde2 / C**2  # 0 at k = M, where the gradients sum to zero
-                assert abs(got - want) <= 1e-12 * max(want, sigma_tilde2 / C**2), (M, C, r)
-            assert max(bregman) <= sigma_cs_upper(L, M, C, sigma_tilde2), (M, C)
-            cases += 1
-    assert cases == 20
+    for replace, largest in ((False, 8), (True, 6)):
+        for M in range(1, largest + 1):
+            for C in (C for C in range(1, M + 1) if M % C == 0):
+                squares, bregman, L, sigma_tilde2 = client_sampling_terms(M, C, replace)
+                # one client has one order, whose one move is the gradient at x*: rounding, with no closed form
+                for r, got in enumerate(squares if M > 1 else (), start=1):
+                    # 0 where the C*r or C clients are all M, and their gradients sum to zero
+                    want = (r * C * (M - C) if replace else C * r * (M - C * r)) / (M - 1) * sigma_tilde2 / C**2
+                    assert abs(got - want) <= 1e-12 * max(want, sigma_tilde2 / C**2), (replace, M, C, r)
+                assert max(bregman) <= sigma_cs_upper(L, M, C, sigma_tilde2), (replace, M, C)
+                cases += 1
+    assert cases == 20 + 14
 
 
 def test_bound_homogeneous_is_contraction_only():
