@@ -98,6 +98,8 @@ class LogisticProblem(FederatedProblem):
             raise ProblemError(f"regularizer alpha must be positive and finite, got {alpha}")
         if R.ndim != 3:
             raise ProblemError("expected signed rows of shape (M, N, d)")
+        if 0 in R.shape[:2]:  # no row: L, the largest row norm, would be a maximum over nothing
+            raise ProblemError(f"expected at least one client and one component, got signed rows of shape {R.shape}")
         self.M, self.N, self.d = R.shape
         self._R = np.ascontiguousarray(R, dtype=np.float64)
         self.alpha = float(alpha)

@@ -1,13 +1,11 @@
 """Counter-based random streams with stable, named derivation.
 
 Every source of randomness in the package is a Philox generator keyed by a
-SHA-256 hash of ``(root_seed, label, *parts)``; the hash state after each
-``"root_seed:label"`` prefix is cached, so a key costs one copy of it and the
-hash of its parts.  Philox is counter-based, so the same key yields the same
-stream on every platform and numpy version that ships the bit generator.
-Deriving streams by name (rather than by draw order) means that adding a
-client, an algorithm, or a multiplier to an experiment never perturbs the
-streams of the others.
+SHA-256 hash of ``(root_seed, label, *parts)``.  Philox is counter-based, so
+the same key yields the same stream on every platform and numpy version that
+ships the bit generator.  Deriving streams by name (rather than by draw order)
+means that adding a client, an algorithm, or a multiplier to an experiment
+never perturbs the streams of the others.
 
 A permutation's swap indices mostly skip the ``Generator``: ``swap_indices``
 re-keys one private Philox per thread and takes Lemire's bounded draws from
@@ -19,7 +17,6 @@ reject is drawn again, from the start of the same stream, by numpy's own
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import threading
 
@@ -27,18 +24,11 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 
-@functools.lru_cache(maxsize=1024)
-def _prefix_hash(root_seed: int, label: str):
-    """The SHA-256 state after ``"root_seed:label"``: shared, so callers update only a copy."""
-    # concatenation, not formatting: a label that is not a str raises TypeError
-    return hashlib.sha256((str(root_seed) + ":" + label).encode("utf-8"))
-
-
 def stream_key(root_seed: int, label: str, *parts) -> int:
     """Derive a 128-bit Philox key: SHA-256 of ``"root_seed:label:part..."``, its first 16 bytes little-endian."""
-    h = _prefix_hash(int(root_seed), label).copy()  # the cached prefix's state, fed ":part..."
-    h.update("".join([":" + str(p) for p in parts]).encode("utf-8"))
-    return int.from_bytes(h.digest()[:16], "little")
+    # concatenation, not formatting: a label that is not a str raises TypeError
+    text = str(int(root_seed)) + ":" + label + "".join([":" + str(p) for p in parts])
+    return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:16], "little")
 
 
 class _PhiloxKey(ISeedSequence):

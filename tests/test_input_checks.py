@@ -15,6 +15,10 @@ from fedrr.theory import THM1, RegimeParams
     "call, error, message",
     [
         (lambda: LogisticProblem(np.ones((4, 3)), 0.1), ProblemError, "expected signed rows of shape (M, N, d)"),
+        (lambda: LogisticProblem(np.ones((0, 3, 2)), 0.1), ProblemError,
+         "expected at least one client and one component, got signed rows of shape (0, 3, 2)"),
+        (lambda: LogisticProblem(np.ones((2, 0, 3)), 0.1), ProblemError,
+         "expected at least one client and one component, got signed rows of shape (2, 0, 3)"),
         (lambda: logistic_problem(np.arange(4).reshape(2, 2), np.ones((4, 3)), np.array([1.0, -1.0, 0.0, 1.0]), 0.1),
          ProblemError, "logistic labels must be -1 or +1, got 0.0"),
         (lambda: QuadraticProblem(np.ones((2, 4, 3, 2)), np.ones((2, 4, 3)), 1.0, 2.0), ProblemError,
@@ -30,7 +34,8 @@ from fedrr.theory import THM1, RegimeParams
         (lambda: _PhiloxKey(1).generate_state(2), ValueError, "a Philox key holds exactly two uint64 words"),
     ],
     ids=[
-        "logistic-2d-rows", "logistic-label-values", "quadratic-non-square-hessians", "quadratic-center-shape",
+        "logistic-2d-rows", "logistic-no-clients", "logistic-no-components", "logistic-label-values",
+        "quadratic-non-square-hessians", "quadratic-center-shape",
         "solve-not-strongly-convex", "permutation-of-nothing", "negative-variance",
         "philox-four-words", "philox-uint32-words",
     ],

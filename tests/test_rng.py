@@ -51,9 +51,7 @@ PARTS = st.lists(st.one_of(st.integers(), st.text(max_size=8), st.floats(allow_n
 @given(SEEDS, LABELS, PARTS)
 @settings(max_examples=500, deadline=None)
 def test_stream_key_is_the_one_shot_hash(root_seed, label, parts):
-    # the cached "seed:label" prefix state, copied and fed ":part...", hashes as the joined text does
     assert stream_key(root_seed, label, *parts) == one_shot_key(root_seed, label, *parts)
-    assert stream_key(root_seed, label, *parts) == one_shot_key(root_seed, label, *parts)  # from the cache
 
 
 @pytest.mark.parametrize("label", [7, 1.5, b"label", None, ["label"]])
@@ -62,36 +60,25 @@ def test_stream_key_rejects_a_label_that_is_not_text(label):
         stream_key(0, label, 1)
 
 
-def test_stream_key_prefix_cache_stays_bounded():
-    for seed in range(3 * rng._prefix_hash.cache_info().maxsize):
-        assert stream_key(seed, "bounded", seed) == one_shot_key(seed, "bounded", seed)
-    info = rng._prefix_hash.cache_info()
-    assert 0 < info.currsize <= info.maxsize
-    assert stream_key(0, "bounded", 0) == one_shot_key(0, "bounded", 0)  # evicted, then hashed again
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        ((0, "x"), 14251052058956474470845326327064939995),
+        ((2024, "data_perm", 3, 7), 301346041154103080725683364293710464312),
+        ((2640660228583020352, "client_perm", 0), 91117817214244984988482602210982325217),
+        ((np.int64(-5), "γ²", -1, 1.5, "a:b"), 297515703721451686087119595824313815936),
+        ((True, "🎲"), 314728298879013291635097147467617766684),
+        ((2**200, "partition", 11055, 12), 133417641011816699410312812566938612911),
+    ],
+)
+def test_stream_key_literal_values(args, key):
+    # one_shot_key is stream_key's own expression, so only these literals pin the derivation itself
+    assert stream_key(*args) == key
 
 
-def test_stream_key_prefix_cache_across_threads():
-    # threads share the cached prefix states, copying them while others fill and evict the cache
-    rng._prefix_hash.cache_clear()
-    seeds = range(rng._prefix_hash.cache_info().maxsize + 500)
-    expected = [one_shot_key(seed, "threads", seed % 7) for seed in seeds]
-    results = [None] * 6
-
-    def work(k):
-        results[k] = [stream_key(seed, "threads", seed % 7) for seed in (seeds if k % 2 else reversed(seeds))]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(results))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads)
-    finally:
-        sys.setswitchinterval(interval)
-    assert all(r == (expected if k % 2 else expected[::-1]) for k, r in enumerate(results))
+def test_derive_seed_literal_values():
+    assert derive_seed(2024, "run", "rrcli", 1.0, 0) == 2640660228583020352
+    assert derive_seed(2024, "run", "fedavg", 2.0, 4) == 5133025294760925529
 
 
 def test_derive_seed_stable_and_bounded():
