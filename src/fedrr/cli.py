@@ -114,6 +114,57 @@ def _cmd_run(args) -> int:
 # (input, k) rows checked in one batch: its gathered Gram slices take up to 2,048 bytes a row (M = N = 4, the largest
 # M*N the guard admits), so a full batch gathers about a megabyte however many inputs a call draws
 CHECK_ROWS = 512
+# steps a finished verify-variance plan may hold and still be kept for the next call with its (max-size, inputs); a
+# plan past it, such as one of a --max-size whose skipped geometries run into the thousands, is replayed by no call
+PLAN_STEPS = 256
+_PLANS = {}  # finished plans by (max_size, inputs), oldest first: at most 8, about 1.3 MB at the largest plans
+
+
+def _verify_plan(max_size: int, inputs: int):
+    """Yield verify-variance's steps in (M, N) scan order: ``(where, draws, runs, part, lines)``.
+
+    A step draws ``draws`` normals in one ``standard_normal`` call (none: it reads the last draw again), then checks
+    the ``part`` slice of the flat draw as one ``max_rel_errors`` batch of these (M, N, C, count) ``runs``, or, with
+    no runs, prints its skip ``lines``; ``where`` is the (M, N) that a draw past memory names.  Admitted (M, N)
+    blocks wait whole in a batch of at most ``CHECK_ROWS`` (input, k) rows, drawn at once when the next block does
+    not fit, at a skipped (M, N) and at the end; numpy fills one call as it fills consecutive calls, so the stream
+    moves as one normal call per input would move it.  A block past the budget is drawn alone and checked C by C, in
+    slices of as many inputs as fit; a skipped (M, N) draws its block and prints one line per C.  Steps come one at a
+    time, so a huge --max-size or --inputs starts at once.
+    """
+    batch, rows = (), 0  # (M, N, C, count) runs of admitted inputs not yet drawn, and their (input, k) rows
+    for M in range(1, max_size + 1):
+        Cs = [c for c in range(1, M + 1) if M % c == 0]
+        for N in range(1, max_size // M + 1):
+            # every input of (M, N), C by C, takes M*N*2 normals, whether it is checked or skipped
+            size, block_rows = M * N * 2, inputs * sum(N * M // C for C in Cs)
+            try:  # C = 1 always divides M, and the outcome count, so the guard's verdict, depends on M and N alone
+                _prefix_gram(M, N, 1)
+                skip = None
+            except EnumerationTooLarge as exc:
+                skip = tuple(f"M={M} N={N} C={C}: skipped ({exc})" for C in Cs)
+            if batch and (skip or rows + block_rows > CHECK_ROWS):  # a batch takes whole blocks only
+                yield _batch_step(batch)
+                batch, rows = (), 0
+            if skip:
+                yield (M, N), len(Cs) * inputs * size, (), None, skip
+            elif block_rows <= CHECK_ROWS:
+                batch += tuple((M, N, C, inputs) for C in Cs)
+                rows += block_rows
+            else:
+                for i, C in enumerate(Cs):
+                    step = CHECK_ROWS // (N * M // C)
+                    for first in range(0, inputs, step):
+                        count, start = min(step, inputs - first), (i * inputs + first) * size
+                        draws = len(Cs) * inputs * size if i == first == 0 else 0
+                        yield (M, N), draws, ((M, N, C, count),), slice(start, start + count * size), ()
+    if batch:
+        yield _batch_step(batch)
+
+
+def _batch_step(batch):
+    """The step that draws all of a batch's normals in one call and checks them all."""
+    return batch[-1][:2], sum(M * N * count for M, N, _, count in batch) * 2, batch, slice(None), ()
 
 
 def _cmd_verify(args) -> int:
@@ -124,60 +175,34 @@ def _cmd_verify(args) -> int:
     ):
         if bad:
             raise ConfigError(message)
+    key = (args.max_size, args.inputs)
+    plan = _PLANS.get(key)
+    kept = [] if plan is None else None  # the steps run so far, while they fit PLAN_STEPS
     rng = stream(args.seed, "verify_variance")
     worst, failures = 0.0, 0
-
-    def draw(count, M, N):  # a skipped block, or one past the budget, drawn alone
-        try:
-            return rng.standard_normal(count)
-        except (MemoryError, ValueError):  # numpy raises ValueError for a size past its index range
-            raise ConfigError(f"--inputs {args.inputs} takes {count} draws at M={M} N={N}, more than fit in memory") from None
-
-    def check(runs, block):
-        nonlocal worst, failures
-        heads, errors = max_rel_errors(runs, block)
-        worst = max(worst, *errors)
-        failed = [not error <= args.tol for error in errors]  # a NaN error fails
-        failures += sum(failed)
-        print("\n".join(f"{head}{error:.3e} {'FAIL' if bad else 'ok'}" for head, error, bad in zip(heads, errors, failed)))
-
-    batch, rows = [], 0  # (M, N, C, count) runs of admitted inputs not yet drawn, and their (input, k) rows
-
-    def check_batch():  # one draw of all its normals, as consecutive per-(M, N) draws would give them
-        nonlocal rows
-        if batch:
-            runs = tuple(batch)
-            check(runs, rng.standard_normal(sum(M * N * count for M, N, _, count in runs) * 2).reshape(-1, 2))
-            batch.clear()
-            rows = 0
-
-    for M in range(1, args.max_size + 1):
-        Cs = [c for c in range(1, M + 1) if M % c == 0]
-        for N in range(1, args.max_size // M + 1):
-            # every input of (M, N), C by C, takes M*N*2 normals, so the stream moves as one normal call per input
-            # would move it, whether the inputs are checked or skipped
-            count = len(Cs) * args.inputs * M * N * 2
-            block_rows = args.inputs * sum(N * M // C for C in Cs)
-            try:  # C = 1 always divides M, and the outcome count, so the guard's verdict, depends on M and N alone
-                _prefix_gram(M, N, 1)
-            except EnumerationTooLarge as exc:
-                check_batch()
-                draw(count, M, N)
-                for C in Cs:
-                    print(f"M={M} N={N} C={C}: skipped ({exc})")
-                continue
-            if rows + block_rows > CHECK_ROWS:  # a batch takes whole blocks only
-                check_batch()
-            if block_rows <= CHECK_ROWS:
-                batch.extend((M, N, C, args.inputs) for C in Cs)
-                rows += block_rows
-                continue
-            # a block past the budget is drawn alone and checked C by C, in slices of as many inputs as fit
-            for C, inputs in zip(Cs, draw(count, M, N).reshape(len(Cs), args.inputs, M * N, 2)):
-                step = CHECK_ROWS // (N * M // C)
-                for part in (inputs[i : i + step] for i in range(0, args.inputs, step)):
-                    check(((M, N, C, len(part)),), part)
-    check_batch()
+    for step in _verify_plan(*key) if plan is None else plan:
+        (M, N), draws, runs, part, lines = step
+        if kept is not None and len(kept) < PLAN_STEPS:
+            kept.append(step)
+        else:
+            kept = None  # a replay, or a plan past PLAN_STEPS steps: nothing to keep, in O(1) memory
+        if draws:
+            try:
+                normals = rng.standard_normal(draws)
+            except (MemoryError, ValueError):  # numpy raises ValueError for a size past its index range
+                raise ConfigError(f"--inputs {args.inputs} takes {draws} draws at M={M} N={N}, more than fit in memory") from None
+        if runs:
+            heads, errors = max_rel_errors(runs, normals[part].reshape(-1, 2))
+            worst = max(worst, *errors)
+            failed = [not error <= args.tol for error in errors]  # a NaN error fails
+            failures += sum(failed)
+            print("\n".join(f"{head}{error:.3e} {'FAIL' if bad else 'ok'}" for head, error, bad in zip(heads, errors, failed)))
+        else:
+            print("\n".join(lines))
+    if kept is not None:
+        if len(_PLANS) >= 8:
+            del _PLANS[next(iter(_PLANS))]
+        _PLANS[key] = tuple(kept)
     print(f"worst relative error {worst:.3e}")
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 

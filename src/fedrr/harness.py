@@ -39,7 +39,7 @@ from .optimizer import (
     pass_length,
     run_algorithm,
 )
-from .problem import FederatedProblem, Optimum, logistic_problem, optimum_at, quadratic_problem, solve_optimum
+from .problem import FederatedProblem, Optimum, ProblemError, logistic_problem, optimum_at, quadratic_problem, solve_optimum
 from .rng import derive_seed
 from .shuffling import (
     ClientMode,
@@ -222,7 +222,8 @@ def resolve_optimum(problem: FederatedProblem, cfg: ExperimentConfig, cache_dir:
     gradient norm meets ``cfg.optimum_tol``; any other file is solved again and overwritten.
     """
     if hasattr(problem, "analytic_optimum"):
-        return problem.analytic_optimum()
+        with np.errstate(all="ignore"):  # a gradient norm that overflows is named by run_experiment, not warned about
+            return problem.analytic_optimum()
     # the dataset hash does not record d: a column listed only as zero widens the problem, not the hash
     key = hashlib.sha256(
         f"{cache_key}:{problem.d}:{cfg.M}:{cfg.master_seed}:{problem.alpha}:{cfg.optimum_tol}".encode()
@@ -331,8 +332,22 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
                 )
                 jobs.append((algo_cfg, multiplier, replicate))
     optimum = resolve_optimum(problem, cfg, cache_dir=out / "cache", cache_key=data_hash)
-    out.mkdir(parents=True, exist_ok=True)  # only now: a bad dataset or a failed solve leaves no directory behind
-    sigma_star2, sigma_tilde_star2 = star_variances(problem, optimum.x_star)
+    with np.errstate(all="ignore"):  # a constant that overflows is named below, not warned about
+        sigma_star2, sigma_tilde_star2 = star_variances(problem, optimum.x_star)
+        constants = {
+            "L": problem.L,
+            "mu": problem.mu,
+            "kappa": problem.L / problem.mu,
+            "M": problem.M,
+            "N": problem.N,
+            "sigma_star2": sigma_star2,
+            "sigma_tilde_star2": sigma_tilde_star2,
+            "grad_norm_at_optimum": optimum.grad_norm,
+        }
+    for name, value in constants.items():
+        if not math.isfinite(value):  # strict JSON has no Infinity or NaN
+            raise ProblemError(f"the problem's {name} is {value}, which manifest.json cannot record")
+    out.mkdir(parents=True, exist_ok=True)  # only now: no error above leaves a directory behind
     workers = min(workers, len(jobs))  # the pool starts every worker it is given, needed or not
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # here, so a one-worker process never loads multiprocessing
@@ -362,7 +377,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
             (out / f"aggregate_{algorithm}.csv").unlink(missing_ok=True)
     if len(cfg.multipliers) > 1:  # only a sweep reports its choice
         with _atomic_write(out / "best_multipliers.json") as fh:
-            json.dump(best, fh, indent=2, sort_keys=True)
+            json.dump(best, fh, indent=2, sort_keys=True, allow_nan=False)
     else:
         best = None
         (out / "best_multipliers.json").unlink(missing_ok=True)
@@ -371,22 +386,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         "config": cfg.to_dict(),
         "dataset_hash": data_hash,
         "optimum_hash": hashlib.sha256(np.ascontiguousarray(optimum.x_star).tobytes()).hexdigest(),
-        "constants": {
-            "L": problem.L,
-            "mu": problem.mu,
-            "kappa": problem.L / problem.mu,
-            "M": problem.M,
-            "N": problem.N,
-            "sigma_star2": sigma_star2,
-            "sigma_tilde_star2": sigma_tilde_star2,
-            "grad_norm_at_optimum": optimum.grad_norm,
-        },
+        "constants": constants,
         "runs": [{k: getattr(r, k) for k in ("algorithm", "multiplier", "replicate", "seed", "diverged", "error")} for r in results],
         "diverged_count": sum(r.diverged for r in results),
         "version": __version__,
     }
     with _atomic_write(out / "manifest.json") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
 
     return {
         "results": results,

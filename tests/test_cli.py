@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -44,6 +45,11 @@ DEEP_CFG = "[" * 100_000 + "]" * 100_000
 
 def quadratic_with(**kw):
     return {**QUAD_CFG, "dataset": {"quadratic": {**QUAD_CFG["dataset"]["quadratic"], **kw}}}
+
+
+# in-range settings whose derived constants overflow: the gradients at the optimum and their squared norms, and L / mu
+STAR_OVERFLOW_CFG = quadratic_with(d=2, L=1e300)
+KAPPA_OVERFLOW_CFG = quadratic_with(d=2, mu=1e-300, L=1e10)
 
 
 def config_text(config) -> str:
@@ -316,6 +322,36 @@ def test_verify_variance_many_inputs_stay_within_the_per_input_loops_peak():
     assert peak < 2_200_000
 
 
+def test_verify_variance_replays_its_kept_plan_with_the_same_text(capsys, monkeypatch):
+    # a finished plan of at most PLAN_STEPS steps is kept by (max-size, inputs), and a repeated call replays it
+    # whatever its seed, with no step worked out again: the text is the per-input loop's all the same
+    monkeypatch.setattr(cli, "_PLANS", {})
+    argv = ["verify-variance", "--max-size", "10", "--inputs", "5"]
+    assert main(argv) == EXIT_OK
+    first = capsys.readouterr().out
+    assert list(cli._PLANS) == [(10, 5)] and cli._PLANS[10, 5] == tuple(cli._verify_plan(10, 5))
+    monkeypatch.setattr(cli, "_verify_plan", lambda *key: pytest.fail(f"the plan of {key} was worked out again"))
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == first
+    assert main([*argv, "--seed", "7"]) == EXIT_OK
+    replayed = capsys.readouterr().out
+    assert verify_variance_loop(10, 5, 7) == EXIT_OK
+    assert replayed == capsys.readouterr().out
+
+
+def test_verify_variance_keeps_no_plan_past_its_bounds(monkeypatch):
+    # --max-size 1700 scans 12,911 (M, N), nearly all skipped, far past PLAN_STEPS steps; a call that exits 2 keeps
+    # nothing; and the memo keeps the eight latest plans
+    monkeypatch.setattr(cli, "_PLANS", {})
+    assert main(["verify-variance", "--max-size", "1700", "--inputs", "1"]) == EXIT_OK
+    assert main(["verify-variance", "--max-size", "11", "--inputs", str(10**15)]) == EXIT_CONFIG
+    assert cli._PLANS == {}
+    for max_size in range(1, 11):
+        assert main(["verify-variance", "--max-size", str(max_size), "--inputs", "1"]) == EXIT_OK
+    assert list(cli._PLANS) == [(max_size, 1) for max_size in range(3, 11)]
+    assert all(len(plan) <= cli.PLAN_STEPS for plan in cli._PLANS.values())
+
+
 @pytest.mark.parametrize("max_size, inputs", [(10, 5), (8, 300), (11, 3)])
 def test_verify_variance_batches_keep_the_row_budget_and_check_every_input_once(monkeypatch, max_size, inputs):
     # every batch holds at most CHECK_ROWS (input, k) rows, whole blocks and split ones alike, and the batches, read
@@ -523,6 +559,8 @@ def test_solve_optimum_missing_file(capsys):
          "a logistic problem needs at least one feature; the dataset lists none"),
         ("run", {**QUAD_CFG, "dataset": {"synthetic": {"nnz_per_row": 9223372036854775803}}}, [], {},
          "synthetic dataset needs nnz_per_row of at most 2**63 - 6, got 9223372036854775803"),
+        ("run", STAR_OVERFLOW_CFG, [], {}, "the problem's sigma_star2 is inf, which manifest.json cannot record"),
+        ("run", KAPPA_OVERFLOW_CFG, [], {}, "the problem's kappa is inf, which manifest.json cannot record"),
     ],
     ids=[
         "config-not-an-object", "empty-seed", "non-numeric-multiplier", "non-integer-workers", "repeated-seed",
@@ -546,7 +584,8 @@ def test_solve_optimum_missing_file(capsys):
         "solve-dataset-too-large", "dataset-too-large", "synthetic-too-large", "solve-index-past-int64",
         "quadratic-too-large", "quadratic-index-past-int64", "solve-zero-index", "huge-int-config", "deep-config",
         "deep-schedule", "underflowing-multiplier", "quadratic-kappa-overflow", "featureless-dataset",
-        "solve-featureless-dataset", "synthetic-nnz-past-int64",
+        "solve-featureless-dataset", "synthetic-nnz-past-int64", "quadratic-star-variance-overflow",
+        "quadratic-kappa-past-float",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command, config, flags, env, message):
@@ -616,12 +655,16 @@ def test_solver_failure_exits_4_with_one_line(tmp_path, capsys, monkeypatch, com
     assert not (tmp_path / "out").exists()
 
 
-def python_process(args, cwd, **env):
-    """``python *args`` in a new interpreter with ``src/`` on its path; a hang fails after 120 s."""
+def process_env(**env) -> dict:
+    """The environment of a new interpreter with ``src/`` on its path and one worker; a value of None unsets a variable."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     environ = {**os.environ, "PYTHONPATH": path, "FEDRR_WORKERS": "1", **env}
-    environ = {k: v for k, v in environ.items() if v is not None}  # an env value of None unsets the variable
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=environ, capture_output=True, text=True, timeout=120)
+    return {k: v for k, v in environ.items() if v is not None}
+
+
+def python_process(args, cwd, **env):
+    """``python *args`` in a new interpreter with ``process_env(**env)``; a hang fails after 120 s."""
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=process_env(**env), capture_output=True, text=True, timeout=120)
 
 
 def fedrr_process(args, cwd, **env):
@@ -655,6 +698,26 @@ def test_verify_variance_names_counts_past_the_int_digit_limit_in_a_process(tmp_
     assert lines[1699] == "M=1 N=1700 C=1: skipped (2.998e+4755 outcomes exceed the enumeration guard)"
 
 
+def test_verify_variance_streams_its_first_lines_in_a_process(tmp_path):
+    # a --max-size of 10^8 has about 1.9e9 (M, N) to scan: its steps are worked out one at a time, so its first 200
+    # lines (M = 1, N = 1..200) print within seconds, and a plan built in full first would print none
+    argv = [sys.executable, "-m", "fedrr.cli", "verify-variance", "--max-size", "100000000", "--inputs", "1"]
+    proc = subprocess.Popen(argv, cwd=tmp_path, env=process_env(), stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    lines = []
+    reader = threading.Thread(target=lambda: lines.extend(itertools.islice(proc.stdout, 200)), daemon=True)
+    try:
+        reader.start()
+        reader.join(timeout=5)
+    finally:
+        proc.kill()
+        proc.wait()
+        reader.join()
+        proc.stdout.close()
+    assert len(lines) == 200
+    assert [line.split(":")[0] for line in lines] == [f"M=1 N={N} C=1" for N in range(1, 201)]
+    assert lines[-1] == f"M=1 N=200 C=1: skipped ({math.factorial(200)} outcomes exceed the enumeration guard)\n"
+
+
 @pytest.mark.parametrize(
     "args, config, env, message",
     [
@@ -673,10 +736,15 @@ def test_verify_variance_names_counts_past_the_int_digit_limit_in_a_process(tmp_
         (["run", "--config", "cfg.json", "--out", "out"], DEEP_CFG, {}, "maximum recursion depth exceeded"),
         (["run", "--config", "cfg.json", "--out", "out"], HUGE_INT_CFG, {},
          "Exceeds the limit (4300 digits) for integer string conversion"),
+        (["run", "--config", "cfg.json", "--out", "out"], STAR_OVERFLOW_CFG, {},
+         "the problem's sigma_star2 is inf, which manifest.json cannot record"),
+        (["run", "--config", "cfg.json", "--out", "out"], KAPPA_OVERFLOW_CFG, {},
+         "the problem's kappa is inf, which manifest.json cannot record"),
     ],
     ids=[
         "config-not-an-object", "zero-workers", "synthetic-too-large", "empty-out", "bad-int", "quadratic-too-large",
-        "verify-inputs-too-large", "deep-config", "huge-int-config",
+        "verify-inputs-too-large", "deep-config", "huge-int-config", "quadratic-star-variance-overflow",
+        "quadratic-kappa-past-float",
     ],
 )
 def test_bad_input_in_a_process_exits_2_with_one_line(tmp_path, args, config, env, message):

@@ -379,6 +379,39 @@ def test_closed_forms_are_the_exact_variance_in_rationals_past_the_guard():
     assert checked == 2 * 6_534  # prefix lengths of the 121 (M, N), each with every C dividing M
 
 
+def exact_coefficients(M, N, C):
+    """Every prefix length's (alpha_k, beta_k) in Fractions from the class sums alone.
+
+    A centred input's Gram form is (diag - block) * sum ||z||^2 + (block - cross) * sum_m ||sum_j z_mj||^2, the
+    across-client term multiplying ||sum z||^2 = 0; so the exact prefix variance is alpha_k * sigma2 + beta_k *
+    sigma_tilde2, with sum ||z||^2 = M*N * sigma2 and sum_m ||sum_j z_mj||^2 = N^2 * M * sigma_tilde2.
+    """
+    MN = M * N
+    for k, (n_cls, (cross, block, diag)) in enumerate(_prefix_class_sums(M, N, C), start=1):
+        scale = n_cls * (C * k * MN) ** 2
+        yield Fraction((diag - block) * MN, scale), Fraction((block - cross) * N * N * M, scale)
+
+
+# every geometry with M*N up to this, in about 1 s on a 2-core x86 VM: far past the enumeration guard's M*N <= 16
+COEFFICIENT_IDENTITY_SIZE = 40
+
+
+def test_closed_form_coefficients_are_the_class_sums_coefficients_exactly():
+    # the closed forms at (sigma2, sigma_tilde2) = (1, 0) and (0, 1) are their two coefficients, and these must be
+    # the class sums' alpha_k and beta_k, with no tolerance and no random input. beta at M = 1 is not compared: one
+    # client's sigma_tilde2 is 0, so no variance reads it
+    one, zero = Fraction(1), Fraction(0)
+    checked = 0
+    for M in range(1, COEFFICIENT_IDENTITY_SIZE + 1):
+        for N in range(1, COEFFICIENT_IDENTITY_SIZE // M + 1):
+            for C in (C for C in range(1, M + 1) if M % C == 0):
+                for k, (alpha, beta) in enumerate(exact_coefficients(M, N, C), start=1):
+                    assert closed_form_minibatch_variance(k, M, N, C, one, zero) == alpha, (M, N, C, k)
+                    assert M == 1 or closed_form_minibatch_variance(k, M, N, C, zero, one) == beta, (M, N, C, k)
+                    checked += 1
+    assert checked == 5_243
+
+
 def class_row_count(M, N, C):
     """The outcome classes of every prefix length of (M, N, C), one ``class_rows`` row each."""
     counts = [(C * (k // N), k % N) for k in range(1, N * (M // C) + 1)]
