@@ -5,7 +5,9 @@ A command line is parsed once, by its command's own parser; the full parser
 takes only a line that names no command or holds a flag it does not know.
 
 Exit codes: 0 success, 2 configuration error, 3 every run of some algorithm
-diverged (with one multiplier or many), 4 verification or optimum-solver failure.
+diverged (with one multiplier or many), 4 verification or optimum-solver failure,
+141 (128 + SIGPIPE) when stdout's reader closes the pipe first, with nothing on
+stderr.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .harness import ConfigError, ExperimentConfig, _atomic_write, run_experimen
 from .optimizer import DivergenceError
 from .problem import ProblemError, SolverError, logistic_problem, solve_optimum
 from .rng import stream
-from .variance_lab import EnumerationTooLarge, _prefix_gram, max_rel_errors
+from .variance_lab import EnumerationTooLarge, _guarded_outcomes, max_rel_errors
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -111,8 +113,9 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-# (input, k) rows checked in one batch: its gathered Gram slices take up to 2,048 bytes a row (M = N = 4, the largest
-# M*N the guard admits), so a full batch gathers about a megabyte however many inputs a call draws
+# (input, k) rows checked in one batch. A row takes about 190 bytes at its peak, but a batch also holds its inputs'
+# padded moment stacks and normals: a warm --max-size 8 --inputs 300 call peaks at 1.4 MB with 512 rows and at 5.0 MB
+# with 4,096, past the 2.2 MB of the per-input loop that it must stay under (x86-64, Python 3.11, numpy 2.4.6)
 CHECK_ROWS = 512
 # steps a finished verify-variance plan may hold and still be kept for the next call with its (max-size, inputs); a
 # plan past it, such as one of a --max-size whose skipped geometries run into the thousands, is replayed by no call
@@ -138,8 +141,8 @@ def _verify_plan(max_size: int, inputs: int):
         for N in range(1, max_size // M + 1):
             # every input of (M, N), C by C, takes M*N*2 normals, whether it is checked or skipped
             size, block_rows = M * N * 2, inputs * sum(N * M // C for C in Cs)
-            try:  # C = 1 always divides M, and the outcome count, so the guard's verdict, depends on M and N alone
-                _prefix_gram(M, N, 1)
+            try:  # the outcome count, so the guard's verdict, depends on M and N alone
+                _guarded_outcomes(M, N)
                 skip = None
             except EnumerationTooLarge as exc:
                 skip = tuple(f"M={M} N={N} C={C}: skipped ({exc})" for C in Cs)
@@ -226,6 +229,11 @@ def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
         return {"run": _cmd_run, "verify-variance": _cmd_verify, "solve-optimum": _cmd_solve}[args.command](args)
+    except BrokenPipeError:  # stdout's reader is gone, as when `| head` has its lines: no error to report
+        devnull = os.open(os.devnull, os.O_WRONLY)  # stdout writes there now, so the flush at exit stays quiet too
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports a command that the signal ended
     except (ConfigError, DatasetError, ProblemError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -331,22 +331,25 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
                     decay=cfg.decay,
                 )
                 jobs.append((algo_cfg, multiplier, replicate))
+
+    def recordable(constants: dict) -> dict:
+        for name, value in constants.items():
+            if not math.isfinite(value):  # strict JSON has no Infinity or NaN
+                raise ProblemError(f"the problem's {name} is {value}, which manifest.json cannot record")
+        return constants
+
+    # L and mu are floats, so an overflowing kappa is inf, unwarned; it is named before the solve it would turn to NaN
+    constants = recordable({"L": problem.L, "mu": problem.mu, "kappa": problem.L / problem.mu})
     optimum = resolve_optimum(problem, cfg, cache_dir=out / "cache", cache_key=data_hash)
     with np.errstate(all="ignore"):  # a constant that overflows is named below, not warned about
         sigma_star2, sigma_tilde_star2 = star_variances(problem, optimum.x_star)
-        constants = {
-            "L": problem.L,
-            "mu": problem.mu,
-            "kappa": problem.L / problem.mu,
-            "M": problem.M,
-            "N": problem.N,
-            "sigma_star2": sigma_star2,
-            "sigma_tilde_star2": sigma_tilde_star2,
-            "grad_norm_at_optimum": optimum.grad_norm,
-        }
-    for name, value in constants.items():
-        if not math.isfinite(value):  # strict JSON has no Infinity or NaN
-            raise ProblemError(f"the problem's {name} is {value}, which manifest.json cannot record")
+    constants |= recordable({
+        "M": problem.M,
+        "N": problem.N,
+        "sigma_star2": sigma_star2,
+        "sigma_tilde_star2": sigma_tilde_star2,
+        "grad_norm_at_optimum": optimum.grad_norm,
+    })
     out.mkdir(parents=True, exist_ok=True)  # only now: no error above leaves a directory behind
     workers = min(workers, len(jobs))  # the pool starts every worker it is given, needed or not
     if workers > 1:

@@ -296,14 +296,17 @@ def solve_optimum(problem: FederatedProblem, tol: float, max_iter: int = 10_000_
     the new iterate and at the extrapolated point with one ``full_gradients``
     call, under the caller's numpy error state, so a floating-point error at
     either point warns or raises in the iteration that meets it.  Raises
-    :class:`SolverError` with the last gradient norm if the cap is hit first,
-    or at the first non-finite gradient.
+    :class:`ProblemError` before the first iteration if kappa = L / mu
+    overflows, and :class:`SolverError` with the last gradient norm if the cap
+    is hit first, or at the first non-finite gradient.
     """
     if not 0 < tol < math.inf:  # a NaN tolerance would never be met, an infinite one by x = 0
         raise ProblemError(f"tolerance must be positive and finite, got {tol}")
     if problem.mu <= 0:
         raise ProblemError("optimum solver requires a strongly convex problem")
     L, mu = problem.L, problem.mu
+    if math.isinf(L / mu):  # it would turn the momentum to NaN; a NaN kappa comes from NaN data, whose gradient fails
+        raise ProblemError(f"the problem's kappa is {L / mu}, which the optimum solver cannot use")
     step = 1.0 / L
     x = np.zeros(problem.d)
     g = problem.full_gradient(x)

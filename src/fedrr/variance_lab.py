@@ -10,18 +10,19 @@ are exact for ``Fraction`` variances, with int or ``Fraction`` counts.  That
 variance comes from integer Gram matrices of the prefix estimators' weights,
 three integers each from binomial counts of the outcome classes (see
 ``_prefix_gram``), checked bit for bit against a walk over every outcome of
-``_enumerate_sequences``.
+``_enumerate_sequences``.  The same integers make it alpha_k * sigma2 +
+beta_k * sigma_tilde2 (see ``_closed_form_table``).
 
 ``max_rel_errors`` checks a batch of inputs of mixed geometries in a fixed
 number of numpy passes.  A batch is a tuple of (M, N, C, count) runs of
 inputs and one block of their samples, one input after another, as one
 ``standard_normal`` draw lays them out: ``_moments`` reads every input's
 moments from that block in place, through zero-padded stacks, and
-``_prefix_errors`` every (input, k) row's Gram form and closed form, the
-latter from the coefficients the scalar closed forms evaluate.  All that a
-batch needs but its samples is cached per runs tuple (``_batch_layout``), so
-a repeated batch pays only for its arithmetic.  Each input gets the bytes of
-its own ``VarianceInputs``, ``brute_force_all`` and
+``_prefix_errors`` every (input, k) row's exact variance and closed form
+from its ``_closed_form_table`` column, with no Gram.  All that a batch
+needs but its samples is cached per runs tuple (``_batch_layout``), so a
+repeated batch pays only for its arithmetic, about 190 bytes a row at its
+peak.  Each input gets the bytes of its own ``VarianceInputs`` and
 ``closed_form_minibatch_variance``.
 
 Enumeration note: the grouped cross-covariance term carries coefficient
@@ -237,6 +238,13 @@ def _enumerate_sequences(M: int, N: int, C: int) -> np.ndarray:
     return out.reshape(n_client * n_data, C, N * (M // C))
 
 
+def _guarded_outcomes(M: int, N: int) -> int:
+    """M!*N!^M, the outcome count of (M, N) under every C; ``EnumerationTooLarge`` past the guard."""
+    n_out = math.factorial(M) * math.factorial(N) ** M
+    _check_guard(n_out, "outcomes")
+    return n_out
+
+
 def _binom(n: int, k: int) -> int:
     return math.comb(n, k) if n >= 0 and k >= 0 else 0
 
@@ -261,8 +269,7 @@ def _prefix_gram(M: int, N: int, C: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if M % C != 0:
         raise ValueError(f"group count {C} does not divide client count {M}")
-    n_out = math.factorial(M) * math.factorial(N) ** M
-    _check_guard(n_out, "outcomes")
+    n_out = _guarded_outcomes(M, N)
     MN = M * N
     values = [[C * n_out // n_cls * q for q in sums] for n_cls, sums in _prefix_class_sums(M, N, C)]
     same_client = np.arange(MN)[:, None] // N == np.arange(MN) // N
@@ -301,77 +308,64 @@ def brute_force_all(inputs: VarianceInputs, C: int = 1) -> np.ndarray:
 
 
 def _closed_form_table(M: int, N: int, C: int) -> np.ndarray:
-    """``closed_form_minibatch_variance``'s float coefficients, one column per k: its full-row term's weight and
-    ``_variance_coefficients``, its tail term's, and its cross factor, all from ``_minibatch_terms``."""
+    """Every float coefficient of a checked row, one column per k: ``closed_form_minibatch_variance``'s full-row term's
+    weight and ``_variance_coefficients``, its tail term's, and its cross factor, all from ``_minibatch_terms``; then the
+    exact variance's alpha_k and beta_k, each a ratio of ``_prefix_class_sums``' integers rounded once by ``/``: a
+    centred input's Gram form is (diag - block) * sum ||z||^2 + (block - across) * sum_m ||sum_j z_mj||^2.
+    """
+    MN = M * N
     rows = []
-    for k in range(1, N * (M // C) + 1):
+    for k, (n_cls, (across, block, diag)) in enumerate(_prefix_class_sums(M, N, C), start=1):
         w1, k1, w2, k2, cross = _minibatch_terms(k, M, N, C)
-        rows.append((w1, *_variance_coefficients(k1, M, N), w2, *_variance_coefficients(k2, M, N), cross))
+        scale = n_cls * (C * k * MN) ** 2
+        alpha, beta = (diag - block) * MN / scale, (block - across) * MN * N / scale
+        rows.append((w1, *_variance_coefficients(k1, M, N), w2, *_variance_coefficients(k2, M, N), cross, alpha, beta))
     return np.array(rows, dtype=np.float64).T
 
 
 def _error_layout(runs: tuple[tuple[int, int, int, int], ...]):
     """All that ``_prefix_errors`` needs of a batch but its inputs, one row per (input, k), input by input.
 
-    Returns every input's first row; every row's input, ``_closed_form_table`` column, Gram divisor and two branch
-    flags (N = 1 or M = 1, and N = 1 alone); and per M*N its rows, their inputs, the Grams of its geometries and every
-    row's Gram among them.
+    Returns every input's first row; and every row's input, ``_closed_form_table`` column and two branch flags (N = 1
+    or M = 1, and N = 1 alone).
     """
-    grams = [_prefix_gram(M, N, C) for M, N, C, _ in runs]
-    lengths = [len(divisor) for _, divisor in grams]
+    lengths = [N * (M // C) for M, N, C, _ in runs]
     counts = [n for *_, n in runs]
     per_input = np.repeat(lengths, counts)
     starts = np.cumsum(per_input) - per_input
     row_input = np.repeat(np.arange(len(per_input)), per_input)
     k = np.arange(len(row_input)) - starts[row_input]  # k - 1
-    run_rows = np.multiply(lengths, counts)
-
-    def per_row(values):  # one value per run, repeated over its rows
-        return np.repeat(values, run_rows)
-
-    table_row = per_row(np.cumsum(lengths) - lengths) + k
+    run_rows = np.multiply(lengths, counts)  # a run's value repeats over its rows
+    table_row = np.repeat(np.cumsum(lengths) - lengths, run_rows) + k
     coefficients = np.concatenate([_closed_form_table(M, N, C) for M, N, C, _ in runs], axis=1)[:, table_row]
-    divisor = np.concatenate([divisor for _, divisor in grams])[table_row]
-    ratio = per_row([M == 1 or N == 1 for M, N, _, _ in runs])
-    tilde = per_row([N == 1 for _, N, _, _ in runs])
-    size = per_row([M * N for M, N, _, _ in runs])
-    groups = []
-    for mn in dict.fromkeys(size.tolist()):
-        members = [i for i, (M, N, _, _) in enumerate(runs) if M * N == mn]
-        rows = np.flatnonzero(size == mn)
-        first = np.cumsum([lengths[i] for i in members]) - [lengths[i] for i in members]
-        gram_index = np.repeat(first, run_rows[members]) + k[rows]
-        groups.append((mn, rows, row_input[rows], np.concatenate([grams[i][0] for i in members]), gram_index))
-    for array in (starts, row_input, coefficients, divisor, ratio, tilde, *(a for _, *arrays in groups for a in arrays)):
+    ratio = np.repeat([M == 1 or N == 1 for M, N, _, _ in runs], run_rows)
+    tilde = np.repeat([N == 1 for _, N, _, _ in runs], run_rows)
+    for array in (starts, row_input, coefficients, ratio, tilde):
         array.setflags(write=False)  # cached in the batch layout, and shared by every call with these runs
-    return starts, row_input, coefficients, divisor, ratio, tilde, tuple(groups)
+    return starts, row_input, coefficients, ratio, tilde
 
 
-def _prefix_errors(layout, centred: np.ndarray, sigma2, sigma_tilde2) -> tuple[np.ndarray, ...]:
+def _prefix_errors(layout, sigma2, sigma_tilde2) -> tuple[np.ndarray, ...]:
     """Every input's first row, and every (input, k) row's exact variance, closed form and error, input by input.
 
-    ``layout`` is the ``_error_layout`` of the runs whose zero-padded centred rows fill ``centred`` (K, max M*N, d) in
-    order.  The Gram forms take one stacked product per M*N, every slice the (M*N, M*N) @ (M*N, d) gemm of
-    ``brute_force_all``; the closed forms evaluate every row's ``_closed_form_table`` column at once: the coefficients
-    the scalar functions read, in their order of operations.  An absent term adds a zero to a sum that is never -0.0, so for finite variances
-    the bytes are those of ``brute_force_all`` and ``closed_form_minibatch_variance``, input by input.
+    ``layout`` is the ``_error_layout`` of the runs whose moments ``sigma2`` and ``sigma_tilde2`` list in order.  Both
+    sides evaluate every row's ``_closed_form_table`` column at once: the exact side as alpha_k * sigma2 + beta_k *
+    sigma_tilde2, the closed form from the coefficients the scalar functions read, in their order of operations.  An
+    absent term adds a zero to a sum that is never -0.0, so for finite variances the closed forms have the bytes of
+    ``closed_form_minibatch_variance``, input by input.
     """
-    starts, row_input, coefficients, divisor, ratio, tilde, groups = layout
-    brute = np.empty(len(row_input))
-    for size, rows, inputs, grams, index in groups:
-        z = centred[inputs, :size]
-        brute[rows] = np.add.reduce(z * (grams[index] @ z), axis=(1, 2))
-    brute /= divisor
+    starts, row_input, coefficients, ratio, tilde = layout
     s2, st2 = np.asarray(sigma2)[row_input], np.asarray(sigma_tilde2)[row_input]
     s = np.where(tilde, st2, s2)
-    w1, a1, b1, c1, e1, w2, a2, b2, c2, e2, cross = coefficients
+    w1, a1, b1, c1, e1, w2, a2, b2, c2, e2, cross, alpha, beta = coefficients
 
     def variance(a, b, c, e):  # closed_form_variance: s * (M - k) / (k * (M - 1)) at N = 1, and alike at M = 1
         return np.where(ratio, s * a / b, c * s2 + e * st2)
 
+    exact = alpha * s2 + beta * st2
     closed = 0.0 + w1 * variance(a1, b1, c1, e1) + w2 * variance(a2, b2, c2, e2) - cross * st2
-    scale = np.abs(brute)
-    return starts, brute, closed, np.abs(closed - brute) / np.where(scale > 1e-12, scale, 1.0)
+    scale = np.abs(exact)
+    return starts, exact, closed, np.abs(closed - exact) / np.where(scale > 1e-12, scale, 1.0)
 
 
 def max_rel_errors(runs, block: np.ndarray) -> tuple[tuple[str, ...], list[float]]:
@@ -382,5 +376,5 @@ def max_rel_errors(runs, block: np.ndarray) -> tuple[tuple[str, ...], list[float
     another, so a whole verify-variance batch costs a fixed number of numpy calls however many geometries it holds.
     """
     moment_layout, error_layout, heads = _batch_layout(runs, block.shape[-1])
-    starts, *_, errors = _prefix_errors(error_layout, *_moments(moment_layout, block)[1:])
+    starts, *_, errors = _prefix_errors(error_layout, *_moments(moment_layout, block)[2:])
     return heads, np.maximum.reduceat(errors, starts).tolist()

@@ -84,8 +84,11 @@ stays far below the tolerances it is compared at.  The byte oracles of ``Varianc
 takes the moments with ``np.mean`` and one generator term per sample or
 client, re-centring each row for both sides of its dot, and
 ``brute_force_all_loop`` centres ``zeta`` and builds its divisor on every call.
-``rel_errors_loop`` is one input's errors in ``max_rel_errors``, one ``brute_force_all`` and one scalar
-``closed_form_minibatch_variance`` per prefix length, and ``max_rel_error_loop`` its largest error.
+``exact_coefficients`` is every prefix length's (alpha_k, beta_k) as ``Fraction``s of the class
+sums, and ``exact_variances_loop`` one input's exact variances from them, one scalar
+alpha_k * sigma2 + beta_k * sigma_tilde2 per prefix length.  ``rel_errors_loop`` is one input's errors in
+``max_rel_errors``, one exact variance and one scalar ``closed_form_minibatch_variance`` per prefix length under
+``rel_error``, the command's error rule, and ``max_rel_error_loop`` its largest error.
 ``verify_variance_loop`` is ``fedrr verify-variance`` before its inputs were drawn and
 summarised one (M, N) at a time: one ``normal`` call, one ``VarianceInputs`` and one
 ``max_rel_error_loop`` per checked input, so it shares no batch with the command.
@@ -102,6 +105,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -116,8 +120,8 @@ from fedrr.variance_lab import (
     VarianceInputs,
     _check_guard,
     _enumerate_sequences,
+    _prefix_class_sums,
     _prefix_gram,
-    brute_force_all,
     closed_form_minibatch_variance,
 )
 
@@ -681,13 +685,39 @@ def brute_force_all_loop(inputs, C=1):
     return np.sum(z * (gram @ z), axis=(1, 2)) / (n_out * C * scale * scale)
 
 
+def exact_coefficients(M, N, C):
+    """Every prefix length's (alpha_k, beta_k) in Fractions from ``variance_lab._prefix_class_sums`` alone.
+
+    A centred input's Gram form is (diag - block) * sum ||z||^2 + (block - cross) * sum_m ||sum_j z_mj||^2, the
+    across-client term multiplying ||sum z||^2 = 0; so the exact prefix variance is alpha_k * sigma2 + beta_k *
+    sigma_tilde2, with sum ||z||^2 = M*N * sigma2 and sum_m ||sum_j z_mj||^2 = N^2 * M * sigma_tilde2.
+    """
+    MN = M * N
+    for k, (n_cls, (cross, block, diag)) in enumerate(_prefix_class_sums(M, N, C), start=1):
+        scale = n_cls * (C * k * MN) ** 2
+        yield Fraction((diag - block) * MN, scale), Fraction((block - cross) * N * N * M, scale)
+
+
+def exact_variances_loop(inputs, C=1):
+    """The exact side of ``variance_lab.max_rel_errors`` for one input: alpha_k * sigma2 + beta_k * sigma_tilde2 in
+    Python floats, each coefficient the float of its ``Fraction``, one k at a time."""
+    return [
+        float(alpha) * inputs.sigma2 + float(beta) * inputs.sigma_tilde2
+        for alpha, beta in exact_coefficients(inputs.M, inputs.N, C)
+    ]
+
+
+def rel_error(closed, exact):
+    """verify-variance's error rule: relative where the exact variance exceeds 1e-12, else absolute."""
+    return abs(closed - exact) / (abs(exact) if abs(exact) > 1e-12 else 1.0)
+
+
 def rel_errors_loop(inputs, C=1):
     """One input's closed-form error in ``variance_lab.max_rel_errors`` at every prefix length, one scalar per k."""
-    errors = []
-    for k, b in enumerate(brute_force_all(inputs, C).tolist(), start=1):
-        c = closed_form_minibatch_variance(k, inputs.M, inputs.N, C, inputs.sigma2, inputs.sigma_tilde2)
-        errors.append(abs(c - b) / (abs(b) if abs(b) > 1e-12 else 1.0))
-    return errors
+    return [
+        rel_error(closed_form_minibatch_variance(k, inputs.M, inputs.N, C, inputs.sigma2, inputs.sigma_tilde2), b)
+        for k, b in enumerate(exact_variances_loop(inputs, C), start=1)
+    ]
 
 
 def max_rel_error_loop(inputs, C=1):

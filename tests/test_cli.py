@@ -19,7 +19,7 @@ from fedrr.cli import CHECK_ROWS, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_VERI
 from fedrr.dataset import libsvm_text, synthetic_libsvm_like
 from fedrr.problem import SolverError
 from fedrr.rng import stream
-from fedrr.variance_lab import ENUMERATION_GUARD, VarianceInputs, max_rel_errors
+from fedrr.variance_lab import ENUMERATION_GUARD, VarianceInputs, _batch_layout, _prefix_gram, max_rel_errors
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -47,6 +47,8 @@ def quadratic_with(**kw):
     return {**QUAD_CFG, "dataset": {"quadratic": {**QUAD_CFG["dataset"]["quadratic"], **kw}}}
 
 
+# SMALL_LOGISTIC's dataset as a LIBSVM file's text
+SMALL_LOGISTIC_TEXT = libsvm_text(*synthetic_libsvm_like(**SMALL_LOGISTIC["dataset"]["synthetic"]))
 # in-range settings whose derived constants overflow: the gradients at the optimum and their squared norms, and L / mu
 STAR_OVERFLOW_CFG = quadratic_with(d=2, L=1e300)
 KAPPA_OVERFLOW_CFG = quadratic_with(d=2, mu=1e-300, L=1e10)
@@ -285,7 +287,7 @@ def test_a_skipped_geometrys_single_draw_is_its_inputs_draws():
 
 @pytest.mark.parametrize(
     "max_size, inputs, seed, tol",
-    [(11, 3, 0, 1e-10), (10, 5, 0, 1e-10), (8, 20, 3, 1e-10), (3, 5, 0, 1e-300)],
+    [(11, 3, 0, 1e-10), (10, 5, 0, 1e-10), (8, 20, 3, 1e-10), (4, 5, 0, 1e-300)],
     ids=["with-skips", "ci-check", "many-inputs", "failures"],
 )
 def test_verify_variance_prints_what_the_per_input_loop_prints(capsys, max_size, inputs, seed, tol):
@@ -389,11 +391,24 @@ def test_verify_variance_batches_keep_the_row_budget_and_check_every_input_once(
 
 
 def test_verify_variance_failures_exit_4(capsys):
-    code = main(["verify-variance", "--max-size", "3", "--inputs", "1", "--tol", "1e-300"])
+    # every error up to M*N = 3 is exactly 0, which no --tol fails; M*N = 4 has nonzero ones
+    code = main(["verify-variance", "--max-size", "4", "--inputs", "1", "--tol", "1e-300"])
     assert code == EXIT_VERIFY
     lines = capsys.readouterr().out.splitlines()
     assert any(line.endswith(" FAIL") for line in lines)
     assert lines[-1].startswith("worst relative error")
+
+
+def test_verify_variance_builds_no_gram(monkeypatch):
+    # the exact side of every check comes from the class sums' two coefficients and the guard from the outcome count:
+    # a call that works out its plan and its batch layouts afresh leaves the Gram cache empty
+    monkeypatch.setattr(cli, "_PLANS", {})
+    _batch_layout.cache_clear()
+    _prefix_gram.cache_clear()
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert main(["verify-variance", "--max-size", "16", "--inputs", "2"]) == EXIT_OK
+    assert _batch_layout.cache_info().misses > 0
+    assert _prefix_gram.cache_info().currsize == 0
 
 
 def test_run_command_schedule_geometry_is_one_line(tmp_path, capsys):
@@ -561,6 +576,8 @@ def test_solve_optimum_missing_file(capsys):
          "synthetic dataset needs nnz_per_row of at most 2**63 - 6, got 9223372036854775803"),
         ("run", STAR_OVERFLOW_CFG, [], {}, "the problem's sigma_star2 is inf, which manifest.json cannot record"),
         ("run", KAPPA_OVERFLOW_CFG, [], {}, "the problem's kappa is inf, which manifest.json cannot record"),
+        ("run", {**SMALL_LOGISTIC, "alpha": 1e-310}, [], {}, "the problem's kappa is inf, which manifest.json cannot record"),
+        ("solve-optimum", None, ["--alpha", "1e-310"], {}, "the problem's kappa is inf, which the optimum solver cannot use"),
     ],
     ids=[
         "config-not-an-object", "empty-seed", "non-numeric-multiplier", "non-integer-workers", "repeated-seed",
@@ -585,7 +602,7 @@ def test_solve_optimum_missing_file(capsys):
         "quadratic-too-large", "quadratic-index-past-int64", "solve-zero-index", "huge-int-config", "deep-config",
         "deep-schedule", "underflowing-multiplier", "quadratic-kappa-overflow", "featureless-dataset",
         "solve-featureless-dataset", "synthetic-nnz-past-int64", "quadratic-star-variance-overflow",
-        "quadratic-kappa-past-float",
+        "quadratic-kappa-past-float", "logistic-kappa-past-float", "solve-kappa-past-float",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command, config, flags, env, message):
@@ -718,6 +735,22 @@ def test_verify_variance_streams_its_first_lines_in_a_process(tmp_path):
     assert lines[-1] == f"M=1 N=200 C=1: skipped ({math.factorial(200)} outcomes exceed the enumeration guard)\n"
 
 
+def test_verify_variance_exits_quietly_when_its_reader_closes_the_pipe(tmp_path):
+    # a reader that takes one line and closes the pipe, as `| head -n 1` does: the next flush meets the closed pipe, and
+    # the command ends at once with exit 141 and nothing on stderr, never a config error
+    argv = [sys.executable, "-m", "fedrr.cli", "verify-variance", "--max-size", "100000000", "--inputs", "1"]
+    proc = subprocess.Popen(argv, cwd=tmp_path, env=process_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert first == "M=1 N=1 C=1: max rel error 0.000e+00 ok\n"
+    assert (proc.returncode, err) == (141, "")
+
+
 @pytest.mark.parametrize(
     "args, config, env, message",
     [
@@ -740,11 +773,16 @@ def test_verify_variance_streams_its_first_lines_in_a_process(tmp_path):
          "the problem's sigma_star2 is inf, which manifest.json cannot record"),
         (["run", "--config", "cfg.json", "--out", "out"], KAPPA_OVERFLOW_CFG, {},
          "the problem's kappa is inf, which manifest.json cannot record"),
+        (["run", "--config", "cfg.json", "--out", "out"], {**SMALL_LOGISTIC, "alpha": 1e-310}, {},
+         "the problem's kappa is inf, which manifest.json cannot record"),
+        # the dataset goes where the config would, as the only file the test leaves
+        (["solve-optimum", "--dataset", "cfg.json", "--alpha", "1e-310", "--out", "x.npy"], SMALL_LOGISTIC_TEXT, {},
+         "the problem's kappa is inf, which the optimum solver cannot use"),
     ],
     ids=[
         "config-not-an-object", "zero-workers", "synthetic-too-large", "empty-out", "bad-int", "quadratic-too-large",
         "verify-inputs-too-large", "deep-config", "huge-int-config", "quadratic-star-variance-overflow",
-        "quadratic-kappa-past-float",
+        "quadratic-kappa-past-float", "logistic-kappa-past-float", "solve-kappa-past-float",
     ],
 )
 def test_bad_input_in_a_process_exits_2_with_one_line(tmp_path, args, config, env, message):

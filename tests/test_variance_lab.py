@@ -15,15 +15,19 @@ from eager_reference import (
     brute_force_all_tensor,
     class_rows,
     enumerate_sequences_loop,
+    exact_coefficients,
+    exact_variances_loop,
     max_rel_error_loop,
     prefix_gram_class_rows,
     prefix_gram_from_table,
+    rel_error,
     rel_errors_loop,
     star_sequence_deviation,
     star_sequence_enumerated,
     subsets_per_entry,
     variance_inputs_loop,
 )
+from fedrr.cli import _COMMAND_PARSERS
 from fedrr.dataset import partition, synthetic_libsvm_like
 from fedrr.problem import logistic_problem, quadratic_problem, solve_optimum
 from fedrr.rng import stream
@@ -379,19 +383,6 @@ def test_closed_forms_are_the_exact_variance_in_rationals_past_the_guard():
     assert checked == 2 * 6_534  # prefix lengths of the 121 (M, N), each with every C dividing M
 
 
-def exact_coefficients(M, N, C):
-    """Every prefix length's (alpha_k, beta_k) in Fractions from the class sums alone.
-
-    A centred input's Gram form is (diag - block) * sum ||z||^2 + (block - cross) * sum_m ||sum_j z_mj||^2, the
-    across-client term multiplying ||sum z||^2 = 0; so the exact prefix variance is alpha_k * sigma2 + beta_k *
-    sigma_tilde2, with sum ||z||^2 = M*N * sigma2 and sum_m ||sum_j z_mj||^2 = N^2 * M * sigma_tilde2.
-    """
-    MN = M * N
-    for k, (n_cls, (cross, block, diag)) in enumerate(_prefix_class_sums(M, N, C), start=1):
-        scale = n_cls * (C * k * MN) ** 2
-        yield Fraction((diag - block) * MN, scale), Fraction((block - cross) * N * N * M, scale)
-
-
 # every geometry with M*N up to this, in about 1 s on a 2-core x86 VM: far past the enumeration guard's M*N <= 16
 COEFFICIENT_IDENTITY_SIZE = 40
 
@@ -410,6 +401,48 @@ def test_closed_form_coefficients_are_the_class_sums_coefficients_exactly():
                     assert M == 1 or closed_form_minibatch_variance(k, M, N, C, zero, one) == beta, (M, N, C, k)
                     checked += 1
     assert checked == 5_243
+
+
+def test_checked_rows_coefficients_are_the_gram_integers_rounded_once():
+    # the exact side of every checked row is alpha_k * sigma2 + beta_k * sigma_tilde2, with the two coefficients read
+    # off the exact integers of _prefix_gram's G[k-1] (x = y, x and y inside one client, across two) over its divisor,
+    # each rounded once, with no tolerance. A Gram has no pair inside one client at N = 1, where sum ||z||^2 and
+    # sum_m ||sum_j z_mj||^2 are one sum and it fixes alpha_k + beta_k, and none across clients at M = 1, where
+    # sigma_tilde2 is 0 and it fixes alpha_k alone
+    checked = 0
+    for M, N, C in GUARD_ADMITTED:
+        gram, divisor = _prefix_gram(M, N, C)
+        MN = M * N
+        rows = zip(gram.astype(np.int64).tolist(), map(int, divisor.tolist()), exact_coefficients(M, N, C))
+        for (alpha, beta), (g, div, (a, b)) in zip(_closed_form_table(M, N, C)[11:].T.tolist(), rows):
+            assert (alpha, beta) == (float(a), float(b)), (M, N, C)
+            diag, block, across = g[0][0], g[0][1] if N > 1 else None, g[0][N] if M > 1 else None
+            if N > 1:
+                assert a == Fraction((diag - block) * MN, div)
+            if N > 1 and M > 1:
+                assert b == Fraction((block - across) * M * N * N, div)
+            if N == 1 and M > 1:
+                assert a + b == Fraction((diag - across) * MN, div)
+            checked += 1
+    assert checked == sum(N * M // C for M, N, C in GUARD_ADMITTED)
+
+
+def test_gram_forms_agree_with_the_checked_rows_exact_side_at_the_default_tolerance():
+    # the Gram form of brute_force_all and the checked rows' alpha_k * sigma2 + beta_k * sigma_tilde2 are one exact
+    # variance rounded two ways: on random inputs at every geometry with M*N <= 10 they agree under verify-variance's
+    # error rule at its default --tol
+    tol = _COMMAND_PARSERS["verify-variance"].get_default("tol")
+    rng = stream(47, "gram_agreement")
+    geometries = [(M, N, C) for M, N, C in GUARD_ADMITTED if M * N <= 10]
+    assert len(geometries) == 53
+    for M, N, C in geometries:
+        for _ in range(5):
+            inp = VarianceInputs(rng.normal(size=(M, N, 2)))
+            table = _closed_form_table(M, N, C)
+            exact = table[11] * inp.sigma2 + table[12] * inp.sigma_tilde2
+            assert bits(exact) == bits(exact_variances_loop(inp, C))
+            errors = [rel_error(g, e) for g, e in zip(brute_force_all(inp, C).tolist(), exact.tolist())]
+            assert max(errors) <= tol, (M, N, C)
 
 
 def class_row_count(M, N, C):
@@ -544,8 +577,8 @@ def test_padded_moments_of_mixed_shapes_match_the_loop_byte_for_byte():
 
 def test_moments_from_rebuilt_layouts_match_the_loop_byte_for_byte():
     # more batch shapes than the batch layout cache holds, cycled twice: the second pass finds every layout evicted and
-    # builds it again, and both passes give every input the loop's bytes. A batch layout holds the Grams' error layout
-    # too, so its shapes are the guard's; a d = 1 batch shares one (M, N)
+    # builds it again, and both passes give every input the loop's bytes. The shapes are those verify-variance checks,
+    # the guard's; a d = 1 batch shares one (M, N)
     rng = stream(39, "moment_layouts")
     pairs = sorted({(M, N) for M, N, _ in GUARD_ADMITTED})
     batches = []
@@ -594,15 +627,15 @@ def arrays_in(value):
 
 
 def test_cached_layouts_refuse_writes():
-    # every batch of the same runs shares their cached layout, so none of its arrays may be written, and its M*N groups
-    # and check-line heads are tuples, which no caller can change either
+    # every batch of the same runs shares their cached layout, so none of its arrays may be written, and its check-line
+    # heads are a tuple, which no caller can change either
     moments, errors, heads = _batch_layout(((3, 2, 1, 2), (3, 2, 3, 1), (1, 4, 1, 1)), 2)
     arrays = [*arrays_in(moments), *arrays_in(errors)]
-    assert len(arrays) == 7 + 6 + 4 * 2  # the error layout's two M*N groups hold four arrays each
+    assert len(arrays) == 7 + 5
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 1
-    assert type(errors[-1]) is type(heads) is tuple
+    assert type(heads) is tuple
     assert heads == ("M=3 N=2 C=1: max rel error ",) * 2 + ("M=3 N=2 C=3: max rel error ", "M=1 N=4 C=1: max rel error ")
 
 
@@ -637,21 +670,18 @@ def test_batched_checks_match_the_per_input_oracles_byte_for_byte():
         runs = tuple((M, N, C, len(zetas)) for M, N, C, zetas in chunks)
         block = np.concatenate([zetas.reshape(-1, 2) for *_, zetas in chunks])
         moment_layout, error_layout, heads = _batch_layout(runs, 2)
-        _, centred, sigma2s, sigma_tilde2s = _moments(moment_layout, block)
-        starts, brute, closed, errors = _prefix_errors(error_layout, centred, sigma2s, sigma_tilde2s)
+        _, _, sigma2s, sigma_tilde2s = _moments(moment_layout, block)
+        starts, exact, closed, errors = _prefix_errors(error_layout, sigma2s, sigma_tilde2s)
         checked_heads, maxima = max_rel_errors(runs, block)
         assert checked_heads == heads
         i = 0
         for M, N, C, zetas in chunks:
             for zeta in zetas:
-                grand_mean, sigma2, sigma_tilde2 = variance_inputs_loop(zeta)
+                _, sigma2, sigma_tilde2 = variance_inputs_loop(zeta)
                 assert bits([sigma2s[i], sigma_tilde2s[i]]) == bits([sigma2, sigma_tilde2])
-                oracle = SimpleNamespace(
-                    zeta=zeta, M=M, N=N, d=2, grand_mean=grand_mean, centred=zeta.reshape(M * N, 2) - grand_mean,
-                    sigma2=sigma2, sigma_tilde2=sigma_tilde2,
-                )
+                oracle = SimpleNamespace(M=M, N=N, sigma2=sigma2, sigma_tilde2=sigma_tilde2)
                 rows = slice(starts[i], starts[i] + N * M // C)
-                assert bits(brute[rows]) == bits(brute_force_all_loop(oracle, C))
+                assert bits(exact[rows]) == bits(exact_variances_loop(oracle, C))
                 want = [closed_form_minibatch_variance(k, M, N, C, sigma2, sigma_tilde2) for k in range(1, N * M // C + 1)]
                 assert bits(closed[rows]) == bits(want)
                 assert bits(errors[rows]) == bits(rel_errors_loop(oracle, C))
@@ -665,7 +695,7 @@ def test_batched_checks_match_the_per_input_oracles_byte_for_byte():
 
 def table_closed_form(M, N, C, k, sigma2, sigma_tilde2):
     """``closed_form_minibatch_variance`` from ``_closed_form_table``'s column for k, evaluated in Python floats."""
-    w1, a1, b1, c1, e1, w2, a2, b2, c2, e2, cross = _closed_form_table(M, N, C)[:, k - 1].tolist()
+    w1, a1, b1, c1, e1, w2, a2, b2, c2, e2, cross = _closed_form_table(M, N, C)[:11, k - 1].tolist()
     s = sigma_tilde2 if N == 1 else sigma2
 
     def variance(a, b, c, e):
@@ -682,7 +712,7 @@ def test_closed_form_table_is_the_scalar_closed_form():
     for M, N in itertools.product(range(1, 12), repeat=2):
         for C in (C for C in range(1, M + 1) if M % C == 0):
             table = _closed_form_table(M, N, C)
-            assert table.shape == (11, N * M // C)
+            assert table.shape == (13, N * M // C)
             for sigma2, sigma_tilde2 in [(1.0, 1.0), (0.0, 0.0), *(10.0 ** rng.uniform(-3, 3, size=2) for _ in range(3))]:
                 sigma2, sigma_tilde2 = float(sigma2), float(sigma_tilde2)
                 for k in range(1, N * M // C + 1):
