@@ -1,6 +1,10 @@
 """Command-line entry points: run experiments, verify variance formulas,
 solve optima.
 
+verify-variance checks every (M, N, C) with M*N up to --max-size against the
+exact variance, whose two coefficients per prefix length are ratios of Python
+integers: no geometry is too large to check.
+
 A command line is parsed once, by its command's own parser; the full parser
 takes only a line that names no command or holds a flag it does not know.
 
@@ -24,7 +28,7 @@ from .harness import ConfigError, ExperimentConfig, _atomic_write, run_experimen
 from .optimizer import DivergenceError
 from .problem import ProblemError, SolverError, logistic_problem, solve_optimum
 from .rng import stream
-from .variance_lab import EnumerationTooLarge, _guarded_outcomes, max_rel_errors
+from .variance_lab import max_rel_errors
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,8 +57,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     run.add_argument("--multipliers", default=None, help="comma-separated step-size multipliers")
     run.add_argument("--decay", action="store_true", help="enable 1/(1+epoch) step decay")
 
-    verify = sub.add_parser("verify-variance", help="check closed-form variances against enumeration")
-    verify.add_argument("--max-size", type=int, default=8, help="largest M*N to enumerate")
+    verify = sub.add_parser("verify-variance", help="check closed-form variances against the exact variance")
+    verify.add_argument("--max-size", type=int, default=8, help="largest M*N to check")
     verify.add_argument("--inputs", type=int, default=5, help="random inputs per geometry")
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--tol", type=float, default=1e-10)
@@ -118,56 +122,48 @@ def _cmd_run(args) -> int:
 # with 4,096, past the 2.2 MB of the per-input loop that it must stay under (x86-64, Python 3.11, numpy 2.4.6)
 CHECK_ROWS = 512
 # steps a finished verify-variance plan may hold and still be kept for the next call with its (max-size, inputs); a
-# plan past it, such as one of a --max-size whose skipped geometries run into the thousands, is replayed by no call
+# plan past it, such as one of --max-size 160 at one input, is replayed by no call
 PLAN_STEPS = 256
-_PLANS = {}  # finished plans by (max_size, inputs), oldest first: at most 8, about 1.3 MB at the largest plans
+_PLANS = {}  # finished plans by (max_size, inputs), oldest first: at most 8, each at most about 110 kB, as (159, 1)'s
 
 
 def _verify_plan(max_size: int, inputs: int):
-    """Yield verify-variance's steps in (M, N) scan order: ``(where, draws, runs, part, lines)``.
+    """Yield verify-variance's steps in (M, N) scan order: ``(draws, runs, part)``.
 
     A step draws ``draws`` normals in one ``standard_normal`` call (none: it reads the last draw again), then checks
-    the ``part`` slice of the flat draw as one ``max_rel_errors`` batch of these (M, N, C, count) ``runs``, or, with
-    no runs, prints its skip ``lines``; ``where`` is the (M, N) that a draw past memory names.  Admitted (M, N)
-    blocks wait whole in a batch of at most ``CHECK_ROWS`` (input, k) rows, drawn at once when the next block does
-    not fit, at a skipped (M, N) and at the end; numpy fills one call as it fills consecutive calls, so the stream
-    moves as one normal call per input would move it.  A block past the budget is drawn alone and checked C by C, in
-    slices of as many inputs as fit; a skipped (M, N) draws its block and prints one line per C.  Steps come one at a
-    time, so a huge --max-size or --inputs starts at once.
+    the ``part`` slice of the flat draw as one ``max_rel_errors`` batch of these (M, N, C, count) ``runs``.  The
+    (M, N) blocks wait whole in a batch of at most ``CHECK_ROWS`` (input, k) rows, drawn at once when the next block
+    does not fit and at the end; numpy fills one call as it fills consecutive calls, so the stream moves as one
+    normal call per input would move it.  A block past the budget is drawn alone and checked C by C, in slices of as
+    many inputs as fit, or of one input where a single input has more rows.  Steps come one at a time, so a huge
+    --max-size or --inputs starts at once.
     """
-    batch, rows = (), 0  # (M, N, C, count) runs of admitted inputs not yet drawn, and their (input, k) rows
+    batch, rows = (), 0  # (M, N, C, count) runs of inputs not yet drawn, and their (input, k) rows
     for M in range(1, max_size + 1):
         Cs = [c for c in range(1, M + 1) if M % c == 0]
         for N in range(1, max_size // M + 1):
-            # every input of (M, N), C by C, takes M*N*2 normals, whether it is checked or skipped
+            # every input of (M, N), C by C, takes M*N*2 normals
             size, block_rows = M * N * 2, inputs * sum(N * M // C for C in Cs)
-            try:  # the outcome count, so the guard's verdict, depends on M and N alone
-                _guarded_outcomes(M, N)
-                skip = None
-            except EnumerationTooLarge as exc:
-                skip = tuple(f"M={M} N={N} C={C}: skipped ({exc})" for C in Cs)
-            if batch and (skip or rows + block_rows > CHECK_ROWS):  # a batch takes whole blocks only
+            if batch and rows + block_rows > CHECK_ROWS:  # a batch takes whole blocks only
                 yield _batch_step(batch)
                 batch, rows = (), 0
-            if skip:
-                yield (M, N), len(Cs) * inputs * size, (), None, skip
-            elif block_rows <= CHECK_ROWS:
+            if block_rows <= CHECK_ROWS:
                 batch += tuple((M, N, C, inputs) for C in Cs)
                 rows += block_rows
             else:
                 for i, C in enumerate(Cs):
-                    step = CHECK_ROWS // (N * M // C)
+                    step = max(1, CHECK_ROWS // (N * M // C))  # an input past the budget is checked alone
                     for first in range(0, inputs, step):
                         count, start = min(step, inputs - first), (i * inputs + first) * size
                         draws = len(Cs) * inputs * size if i == first == 0 else 0
-                        yield (M, N), draws, ((M, N, C, count),), slice(start, start + count * size), ()
+                        yield draws, ((M, N, C, count),), slice(start, start + count * size)
     if batch:
         yield _batch_step(batch)
 
 
 def _batch_step(batch):
     """The step that draws all of a batch's normals in one call and checks them all."""
-    return batch[-1][:2], sum(M * N * count for M, N, _, count in batch) * 2, batch, slice(None), ()
+    return sum(M * N * count for M, N, _, count in batch) * 2, batch, slice(None)
 
 
 def _cmd_verify(args) -> int:
@@ -184,7 +180,7 @@ def _cmd_verify(args) -> int:
     rng = stream(args.seed, "verify_variance")
     worst, failures = 0.0, 0
     for step in _verify_plan(*key) if plan is None else plan:
-        (M, N), draws, runs, part, lines = step
+        draws, runs, part = step
         if kept is not None and len(kept) < PLAN_STEPS:
             kept.append(step)
         else:
@@ -193,15 +189,13 @@ def _cmd_verify(args) -> int:
             try:
                 normals = rng.standard_normal(draws)
             except (MemoryError, ValueError):  # numpy raises ValueError for a size past its index range
+                M, N = runs[-1][:2]
                 raise ConfigError(f"--inputs {args.inputs} takes {draws} draws at M={M} N={N}, more than fit in memory") from None
-        if runs:
-            heads, errors = max_rel_errors(runs, normals[part].reshape(-1, 2))
-            worst = max(worst, *errors)
-            failed = [not error <= args.tol for error in errors]  # a NaN error fails
-            failures += sum(failed)
-            print("\n".join(f"{head}{error:.3e} {'FAIL' if bad else 'ok'}" for head, error, bad in zip(heads, errors, failed)))
-        else:
-            print("\n".join(lines))
+        heads, errors = max_rel_errors(runs, normals[part].reshape(-1, 2))
+        worst = max(worst, *errors)
+        failed = [not error <= args.tol for error in errors]  # a NaN error fails
+        failures += sum(failed)
+        print("\n".join(f"{head}{error:.3e} {'FAIL' if bad else 'ok'}" for head, error, bad in zip(heads, errors, failed)))
     if kept is not None:
         if len(_PLANS) >= 8:
             del _PLANS[next(iter(_PLANS))]

@@ -11,7 +11,10 @@ variance comes from integer Gram matrices of the prefix estimators' weights,
 three integers each from binomial counts of the outcome classes (see
 ``_prefix_gram``), checked bit for bit against a walk over every outcome of
 ``_enumerate_sequences``.  The same integers make it alpha_k * sigma2 +
-beta_k * sigma_tilde2 (see ``_closed_form_table``).
+beta_k * sigma_tilde2 (see ``_closed_form_table``).  Only the two oracles,
+``_enumerate_sequences`` and ``_prefix_gram`` (so ``brute_force_all``), keep
+``ENUMERATION_GUARD``: past it they raise ``EnumerationTooLarge`` before any
+work.  The closed forms, the class sums and ``max_rel_errors`` take any size.
 
 ``max_rel_errors`` checks a batch of inputs of mixed geometries in a fixed
 number of numpy passes.  A batch is a tuple of (M, N, C, count) runs of
@@ -238,13 +241,6 @@ def _enumerate_sequences(M: int, N: int, C: int) -> np.ndarray:
     return out.reshape(n_client * n_data, C, N * (M // C))
 
 
-def _guarded_outcomes(M: int, N: int) -> int:
-    """M!*N!^M, the outcome count of (M, N) under every C; ``EnumerationTooLarge`` past the guard."""
-    n_out = math.factorial(M) * math.factorial(N) ** M
-    _check_guard(n_out, "outcomes")
-    return n_out
-
-
 def _binom(n: int, k: int) -> int:
     return math.comb(n, k) if n >= 0 and k >= 0 else 0
 
@@ -269,7 +265,8 @@ def _prefix_gram(M: int, N: int, C: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if M % C != 0:
         raise ValueError(f"group count {C} does not divide client count {M}")
-    n_out = _guarded_outcomes(M, N)
+    n_out = math.factorial(M) * math.factorial(N) ** M
+    _check_guard(n_out, "outcomes")
     MN = M * N
     values = [[C * n_out // n_cls * q for q in sums] for n_cls, sums in _prefix_class_sums(M, N, C)]
     same_client = np.arange(MN)[:, None] // N == np.arange(MN) // N

@@ -116,7 +116,6 @@ from fedrr.problem import LogisticProblem, Optimum, QuadraticProblem, SolverErro
 from fedrr.rng import stream
 from fedrr.shuffling import ClientMode, DataMode
 from fedrr.variance_lab import (
-    EnumerationTooLarge,
     VarianceInputs,
     _check_guard,
     _enumerate_sequences,
@@ -727,9 +726,8 @@ def max_rel_error_loop(inputs, C=1):
 
 
 def verify_variance_loop(max_size, inputs=5, seed=0, tol=1e-10):
-    """``fedrr verify-variance``'s scan and print-out, one ``normal`` draw and one ``VarianceInputs`` per checked input.
-
-    A skipped (M, N) takes every one of its inputs' draws in one ``standard_normal`` call.  Returns the exit code.
+    """``fedrr verify-variance``'s scan and print-out, one ``normal`` draw and one ``VarianceInputs`` per input of every
+    geometry.  Returns the exit code.
     """
     rng = stream(seed, "verify_variance")
     worst = 0.0
@@ -737,13 +735,6 @@ def verify_variance_loop(max_size, inputs=5, seed=0, tol=1e-10):
     for M in range(1, max_size + 1):
         Cs = [c for c in range(1, M + 1) if M % c == 0]
         for N in range(1, max_size // M + 1):
-            try:
-                _prefix_gram(M, N, 1)
-            except EnumerationTooLarge as exc:
-                rng.standard_normal(len(Cs) * inputs * M * N * 2)
-                for C in Cs:
-                    print(f"M={M} N={N} C={C}: skipped ({exc})")
-                continue
             for C in Cs:
                 for z in (rng.normal(size=(M, N, 2)) for _ in range(inputs)):
                     error = max_rel_error_loop(VarianceInputs(z), C)

@@ -2,7 +2,6 @@ import contextlib
 import gzip
 import itertools
 import json
-import math
 import os
 import subprocess
 import sys
@@ -19,7 +18,7 @@ from fedrr.cli import CHECK_ROWS, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_VERI
 from fedrr.dataset import libsvm_text, synthetic_libsvm_like
 from fedrr.problem import SolverError
 from fedrr.rng import stream
-from fedrr.variance_lab import ENUMERATION_GUARD, VarianceInputs, _batch_layout, _prefix_gram, max_rel_errors
+from fedrr.variance_lab import VarianceInputs, _batch_layout, _prefix_gram, max_rel_errors
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -244,40 +243,22 @@ def test_geometries_are_every_small_enough_one_in_scan_order(capsys):
         assert [line.split(":")[0] for line in lines] == [f"M={M} N={N} C={C}" for M, N, C in scan]
 
 
-def test_verify_variance_skips_only_geometries_past_the_guard(capsys):
-    code = main(["verify-variance", "--max-size", "11", "--inputs", "1"])
-    assert code == EXIT_OK
-    lines = capsys.readouterr().out.splitlines()
+def test_verify_variance_checks_every_input_of_every_geometry(capsys):
+    # no geometry is skipped, those past the oracles' 10^7-outcome enumeration guard (M*N >= 11) included: every input
+    # of every (M, N, C) gets an ok line, and the text is the per-input loop's
+    assert main(["verify-variance", "--max-size", "16", "--inputs", "2"]) == EXIT_OK
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == [f"M={M} N={N} C={C}" for M, N, C in _geometries(16) for _ in range(2)]
+    assert all(line.endswith(" ok") for line in lines[:-1])
     assert lines[-1].startswith("worst relative error")
-    skipped = [line for line in lines if "skipped" in line]
-    assert skipped == [
-        f"M={M} N={N} C={C}: skipped (39916800 outcomes exceed the enumeration guard)"
-        for M, N, C in ((1, 11, 1), (11, 1, 1), (11, 1, 11))
-    ]
-    checked = [line for line in lines[:-1] if line not in skipped]
-    assert len(checked) == len(_geometries(11)) - 3
-    assert all(line.endswith(" ok") for line in checked)
+    assert verify_variance_loop(16, 2) == EXIT_OK
+    assert capsys.readouterr().out == out
 
 
-def test_verify_variance_prints_a_skip_once_and_draws_every_input(capsys):
-    code = main(["verify-variance", "--max-size", "11", "--inputs", "3"])
-    assert code == EXIT_OK
-    lines = capsys.readouterr().out.splitlines()
-    # all three inputs of a skipped geometry are drawn, so the later geometries check the same inputs
-    rng = stream(0, "verify_variance")
-    want = []
-    for M, N, C in _geometries(11):
-        draws = [rng.normal(size=(M, N, 2)) for _ in range(3)]
-        if M * N == 11:
-            want.append(f"M={M} N={N} C={C}: skipped (39916800 outcomes exceed the enumeration guard)")
-        else:
-            want += [f"M={M} N={N} C={C}: max rel error {max_rel_error_loop(VarianceInputs(z), C):.3e} ok" for z in draws]
-    assert lines[:-1] == want
-
-
-def test_a_skipped_geometrys_single_draw_is_its_inputs_draws():
-    # verify-variance advances the stream over a skipped (M, N) with one
-    # standard_normal call in place of one normal call per C and input
+def test_one_draw_of_many_inputs_is_their_per_input_draws():
+    # verify-variance draws a batch, or a block it checks in slices, with one standard_normal call in place of one
+    # normal call per C and input, and the stream goes on as the per-input calls leave it
     for M, N, n_c, inputs in ((11, 1, 2, 3), (1, 11, 1, 1), (6, 2, 4, 5)):
         one, each = stream(5, "verify_variance"), stream(5, "verify_variance")
         draws = one.standard_normal(n_c * inputs * M * N * 2)
@@ -285,10 +266,23 @@ def test_a_skipped_geometrys_single_draw_is_its_inputs_draws():
         assert one.normal(size=(M, N, 2)).tobytes() == each.normal(size=(M, N, 2)).tobytes()
 
 
+def test_an_input_past_the_row_budget_is_checked_alone():
+    # one input of (1, 513) has 513 (input, k) rows, past CHECK_ROWS: it is a step of its own, drawn and checked
+    # alone, and its error has the bytes of the per-k loop's
+    steps = [step for step in itertools.islice(cli._verify_plan(520, 1), 600) if (1, 513) in [run[:2] for run in step[1]]]
+    assert len(steps) == 1
+    draws, runs, part = steps[0]
+    assert (draws, runs, part) == (513 * 2, ((1, 513, 1, 1),), slice(0, 513 * 2))
+    normals = stream(7, "row_budget").standard_normal(draws)
+    heads, errors = max_rel_errors(runs, normals[part].reshape(-1, 2))
+    assert heads == ("M=1 N=513 C=1: max rel error ",)
+    assert np.array(errors).tobytes() == np.array([max_rel_error_loop(VarianceInputs(normals.reshape(1, 513, 2)))]).tobytes()
+
+
 @pytest.mark.parametrize(
     "max_size, inputs, seed, tol",
     [(11, 3, 0, 1e-10), (10, 5, 0, 1e-10), (8, 20, 3, 1e-10), (4, 5, 0, 1e-300)],
-    ids=["with-skips", "ci-check", "many-inputs", "failures"],
+    ids=["past-the-oracle-guard", "ci-check", "many-inputs", "failures"],
 )
 def test_verify_variance_prints_what_the_per_input_loop_prints(capsys, max_size, inputs, seed, tol):
     # the inputs of an (M, N) are drawn and summarised together, and nothing of the output moves
@@ -342,10 +336,12 @@ def test_verify_variance_replays_its_kept_plan_with_the_same_text(capsys, monkey
 
 
 def test_verify_variance_keeps_no_plan_past_its_bounds(monkeypatch):
-    # --max-size 1700 scans 12,911 (M, N), nearly all skipped, far past PLAN_STEPS steps; a call that exits 2 keeps
-    # nothing; and the memo keeps the eight latest plans
+    # --max-size 8 --inputs 2000 takes 560 steps, past PLAN_STEPS; a call that exits 2 keeps nothing; and the memo
+    # keeps the eight latest plans
     monkeypatch.setattr(cli, "_PLANS", {})
-    assert main(["verify-variance", "--max-size", "1700", "--inputs", "1"]) == EXIT_OK
+    assert len(list(cli._verify_plan(8, 2000))) > cli.PLAN_STEPS
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert main(["verify-variance", "--max-size", "8", "--inputs", "2000"]) == EXIT_OK
     assert main(["verify-variance", "--max-size", "11", "--inputs", str(10**15)]) == EXIT_CONFIG
     assert cli._PLANS == {}
     for max_size in range(1, 11):
@@ -356,8 +352,8 @@ def test_verify_variance_keeps_no_plan_past_its_bounds(monkeypatch):
 
 @pytest.mark.parametrize("max_size, inputs", [(10, 5), (8, 300), (11, 3)])
 def test_verify_variance_batches_keep_the_row_budget_and_check_every_input_once(monkeypatch, max_size, inputs):
-    # every batch holds at most CHECK_ROWS (input, k) rows, whole blocks and split ones alike, and the batches, read
-    # in order, hold every drawn input of every admitted geometry once, as the per-input loop draws them. Each batch's
+    # every batch holds at most CHECK_ROWS (input, k) rows, or one input, whole blocks and split ones alike, and the
+    # batches, read in order, hold every input of every geometry once, as the per-input loop draws them. Each batch's
     # block is one contiguous array that holds its runs' normals, input after input, and nothing else
     batches = []
 
@@ -371,21 +367,14 @@ def test_verify_variance_batches_keep_the_row_budget_and_check_every_input_once(
     checked = []
     for runs, block in batches:
         assert all(count for *_, count in runs)
-        assert sum(N * M // C * count for M, N, C, count in runs) <= CHECK_ROWS
+        assert sum(N * M // C * count for M, N, C, count in runs) <= CHECK_ROWS or [run[3] for run in runs] == [1]
         assert block.flags.c_contiguous and block.shape[-1] == 2
         assert block.size == sum(M * N * 2 * count for M, N, _, count in runs)
         samples = iter(block.reshape(-1, 2))
         for M, N, C, count in runs:
             checked += [(M, N, C, np.array(list(itertools.islice(samples, M * N))).tobytes()) for _ in range(count)]
     rng = stream(0, "verify_variance")
-    drawn = []
-    for M in range(1, max_size + 1):
-        Cs = [C for C in range(1, M + 1) if M % C == 0]
-        for N in range(1, max_size // M + 1):
-            if math.factorial(M) * math.factorial(N) ** M > ENUMERATION_GUARD:
-                rng.standard_normal(len(Cs) * inputs * M * N * 2)
-            else:
-                drawn += [(M, N, C, rng.normal(size=(M, N, 2)).tobytes()) for C in Cs for _ in range(inputs)]
+    drawn = [(M, N, C, rng.normal(size=(M, N, 2)).tobytes()) for M, N, C in _geometries(max_size) for _ in range(inputs)]
     assert checked == drawn
     assert len(batches) > 1
 
@@ -400,8 +389,8 @@ def test_verify_variance_failures_exit_4(capsys):
 
 
 def test_verify_variance_builds_no_gram(monkeypatch):
-    # the exact side of every check comes from the class sums' two coefficients and the guard from the outcome count:
-    # a call that works out its plan and its batch layouts afresh leaves the Gram cache empty
+    # the exact side of every check comes from the class sums' two coefficients, and no guard is asked: a call that
+    # works out its plan and its batch layouts afresh leaves the Gram cache empty
     monkeypatch.setattr(cli, "_PLANS", {})
     _batch_layout.cache_clear()
     _prefix_gram.cache_clear()
@@ -703,18 +692,6 @@ def test_a_one_worker_process_never_loads_multiprocessing(tmp_path):
     assert done.stdout.splitlines()[-1] == f"{EXIT_OK} [False, False]"
 
 
-def test_verify_variance_names_counts_past_the_int_digit_limit_in_a_process(tmp_path):
-    # 1558! is the last outcome count with at most 4,300 digits, str's default limit; longer counts print to four digits
-    done = fedrr_process(["verify-variance", "--max-size", "1700", "--inputs", "1"], tmp_path)
-    assert (done.returncode, done.stderr) == (EXIT_OK, "")
-    lines = done.stdout.splitlines()
-    assert len(lines) == len(_geometries(1700)) + 1
-    assert lines[-1].startswith("worst relative error")
-    assert lines[1557] == f"M=1 N=1558 C=1: skipped ({math.factorial(1558)} outcomes exceed the enumeration guard)"
-    assert lines[1558] == "M=1 N=1559 C=1: skipped (3.780e+4302 outcomes exceed the enumeration guard)"
-    assert lines[1699] == "M=1 N=1700 C=1: skipped (2.998e+4755 outcomes exceed the enumeration guard)"
-
-
 def test_verify_variance_streams_its_first_lines_in_a_process(tmp_path):
     # a --max-size of 10^8 has about 1.9e9 (M, N) to scan: its steps are worked out one at a time, so its first 200
     # lines (M = 1, N = 1..200) print within seconds, and a plan built in full first would print none
@@ -732,7 +709,7 @@ def test_verify_variance_streams_its_first_lines_in_a_process(tmp_path):
         proc.stdout.close()
     assert len(lines) == 200
     assert [line.split(":")[0] for line in lines] == [f"M=1 N={N} C=1" for N in range(1, 201)]
-    assert lines[-1] == f"M=1 N=200 C=1: skipped ({math.factorial(200)} outcomes exceed the enumeration guard)\n"
+    assert all(line.endswith(" ok\n") for line in lines)
 
 
 def test_verify_variance_exits_quietly_when_its_reader_closes_the_pipe(tmp_path):
