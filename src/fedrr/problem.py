@@ -74,6 +74,13 @@ class FederatedProblem:
         """grad f at ``x``: the one-point case of ``full_gradients``."""
         return self.full_gradients(np.asarray(x)[None])[0]
 
+    def gradient_bounds(self) -> tuple[float, float, float]:
+        """(L_f, e0, e1): ||grad f(p) - grad f(q)|| <= L_f ||p - q||, and a ``full_gradients`` row at p
+        is within E(p) = e0 + e1 ||p||_inf of grad f(p) in the 2-norm.  The default bounds no rounding,
+        so the optimum solver takes every gradient pair.
+        """
+        return self.L, math.inf, 0.0
+
     def objective_value(self, x: np.ndarray) -> float:
         """f(x): each client's mean of its N component losses, then the mean over clients."""
         raise NotImplementedError
@@ -135,6 +142,32 @@ class LogisticProblem(FederatedProblem):
             G += _loss_back(R, P)
         return G / (self.M * self.N) + self.alpha * P
 
+    def gradient_bounds(self):
+        """The logistic kernel's bounds; u = 2^-53 and g_n = n u / (1 - n u) (Higham 2002).
+
+        L_f: grad^2 f <= R'R / (4MN) + alpha I, as 0 <= sigma' <= 1/4, for the clipped sigmoid too.
+        The Gram's rounding is at most g_MN tr(R'R) in the 2-norm and eigvalsh is backward stable,
+        so adding 2 (MN + d^2) u tr(R'R) covers lambda_max's error; L bounds the curvature too.
+
+        E, in any summation order, component i, with t in [0, 1]: z = r.p errs by at most
+        g_d ||r||_1 ||p||_inf, which moves t by a quarter of that, and the sigmoid adds at most 16 u
+        (an exp within 7 ulps); the N-term back products add g_N, the M-term client sum g_M, the
+        division by MN and the last sum u each, all times c_i / MN, c_i the sum of |r_i| over the MN
+        rows; alpha p_i adds 2 u alpha |p_i|.  Then ||r||_1 <= sqrt(d max ||r||^2) and ||c|| / MN <=
+        sqrt(tr / MN) (Cauchy-Schwarz).  Underflow adds at most 2^-1075 per product: d/4 of them
+        through t, times c_i / MN, and 3 more.  The factor 2 covers the second-order terms and these
+        constants' rounding while (d + N + M) u <= 1/100.
+        """
+        u, (M, N, d) = 2.0**-53, self._R.shape
+        R = self._R.reshape(-1, d)
+        gram = R.T @ R
+        tr = float(np.trace(gram))
+        lam = np.linalg.eigvalsh(gram)[-1] if math.isfinite(tr) else math.inf
+        L_f = (lam + 2 * (M * N + d * d) * u * tr) / (4 * M * N) + self.alpha
+        rms, a = math.sqrt(tr / (M * N)), math.sqrt(d * np.einsum("nd,nd->n", R, R).max())
+        e0 = 2 * u * (N + M + 18) * rms + (d * rms / 4 + 3 * math.sqrt(d)) * 2.0**-1074
+        return min(self.L, L_f), e0, 2 * u * (d * a * rms / 4 + 2 * self.alpha * math.sqrt(d))
+
     def cohort_pass(self, ms, x, gamma_step, order, bounds):
         self._check_clients(ms)
         # each step gathers its own (C, hi - lo) rows: a step is at most N rows, so at most C*N*d floats
@@ -179,6 +212,18 @@ class QuadraticProblem(FederatedProblem):
     def full_gradients(self, P):
         # numpy runs one gemv per point, each equal to ``H.sum(axis=(0, 1)) @ x`` bit for bit
         return (np.matmul(self._H_sum, P[:, :, None])[..., 0] - self._Hc_sum) / (self.M * self.N)
+
+    def gradient_bounds(self):
+        """L_f = ||H||_2 / MN for the summed H, with 2 d^2 u for the SVD's backward error.
+
+        E: the d-term products of H p err by at most g_d |H| |p|, the subtraction of Hc and the
+        division by MN by u each, all over MN, with underflow as in ``LogisticProblem``; the
+        factor 2 covers the second-order terms.
+        """
+        u, d, MN = 2.0**-53, self.d, self.M * self.N
+        rows = float(np.linalg.norm(np.abs(self._H_sum).sum(axis=1)))
+        e0 = 4 * u * float(np.linalg.norm(self._Hc_sum)) / MN + (d / MN + 1) * math.sqrt(d) * 2.0**-1074
+        return float(np.linalg.norm(self._H_sum, 2)) * (1 + 2 * d * d * u) / MN, e0, 2 * u * (d + 2) * rows / MN
 
     def objective_value(self, x):
         r = x - self._c
@@ -292,13 +337,30 @@ def solve_optimum(problem: FederatedProblem, tol: float, max_iter: int = 10_000_
     """Drive ||grad f|| below ``tol`` with deterministic full-gradient descent.
 
     Plain 1/L steps for the first 1000 iterations, then Nesterov momentum for
-    the strongly convex regime; each Nesterov iteration takes the gradients at
-    the new iterate and at the extrapolated point with one ``full_gradients``
-    call, under the caller's numpy error state, so a floating-point error at
-    either point warns or raises in the iteration that meets it.  Raises
-    :class:`ProblemError` before the first iteration if kappa = L / mu
-    overflows, and :class:`SolverError` with the last gradient norm if the cap
-    is hit first, or at the first non-finite gradient.
+    the strongly convex regime.  Each Nesterov iteration takes the gradient at
+    the extrapolated point y, which the steps read.  The gradient at the new
+    iterate x feeds only the stopping test, so it is taken, with y's in one
+    ``full_gradients`` call, only when that test could pass.  With (L_f, e0,
+    e1) from ``problem.gradient_bounds()`` and E(p) = e0 + e1 ||p||_inf, the
+    computed gradients satisfy
+
+        ||g(x)|| >= ||g(y)|| - L_f ||x - y|| - E(x) - E(y)
+
+    (grad f's part: Nesterov, Introductory Lectures on Convex Optimization,
+    2004), so g(x) is skipped when that bound exceeds ``tol``.  It is evaluated
+    with a relative margin of 4 (d + 8) u on each side, u = 2^-53: a norm's
+    rounding is at most (d + 2) u and the bound's own arithmetic a few u.  An
+    absolute margin of sqrt(d) 2^-537 on each norm covers its squares'
+    underflow.  The bound's arithmetic ignores numpy errors, and a bound that
+    is not finite takes the pair.  The iterates never read g(x), and a
+    one-point row has the pair's bytes, so x*, f* and the stopping iteration
+    are those of taking every pair; the cap takes g(x) once for its message.
+    Gradients are taken under the caller's numpy error state, so a
+    floating-point error at a point whose gradient is taken warns or raises in
+    the iteration that meets it.  Raises :class:`ProblemError` before the
+    first iteration if kappa = L / mu overflows, and :class:`SolverError`
+    with the last gradient norm if the cap is hit first, or at the first
+    non-finite gradient.
     """
     if not 0 < tol < math.inf:  # a NaN tolerance would never be met, an infinite one by x = 0
         raise ProblemError(f"tolerance must be positive and finite, got {tol}")
@@ -318,15 +380,27 @@ def solve_optimum(problem: FederatedProblem, tol: float, max_iter: int = 10_000_
         g = problem.full_gradient(x)
         it += 1
     beta = (np.sqrt(L / mu) - 1.0) / (np.sqrt(L / mu) + 1.0)
+    with np.errstate(all="ignore"):
+        L_f, e0, e1 = problem.gradient_bounds()
+    rho, h = 4 * (problem.d + 8) * 2.0**-53, math.sqrt(problem.d) * 2.0**-537
     y, g_y = x, g
     while it < max_iter:
-        if _converged(g, tol):
+        if g is not None and _converged(g, tol):
             return optimum_at(problem, x)
         x_next = y - step * g_y
-        y = x_next + beta * (x_next - x)
-        x = x_next
-        g, g_y = problem.full_gradients(np.stack((x, y)))
+        with np.errstate(all="ignore"):
+            low = np.linalg.norm(g_y) * (1 - rho) - h - (1 + rho) * (
+                L_f * (np.linalg.norm(x_next - y) + 2 * h) + 2 * e0 + e1 * (np.abs(x_next).max() + np.abs(y).max())
+            )
+            skip = tol + h < low * (1 - rho) < math.inf
+        y, x = x_next + beta * (x_next - x), x_next
+        if skip:
+            g, g_y = None, problem.full_gradient(y)
+        else:
+            g, g_y = problem.full_gradients(np.stack((x, y)))
         it += 1
+    if g is None:
+        g = problem.full_gradient(x)
     raise SolverError(
         f"optimum solver hit the {max_iter}-iteration cap at grad norm {np.linalg.norm(g):.3e}",
         grad_norm=float(np.linalg.norm(g)),

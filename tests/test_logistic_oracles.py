@@ -284,6 +284,114 @@ def test_nesterov_divergence_fails_as_the_loop_solver_does(mode):
     assert (failures[0][0] is FloatingPointError) == (mode == "raise")
 
 
+def sweep_problem(i):
+    """Problem ``i`` of the solver sweep: Gaussian, binary 0/1 and 1e+-3-scaled logistics, and quadratics with L
+    a hundred times their curvature, so that their solves reach the Nesterov phase."""
+    rng = np.random.default_rng([49, i])
+    M, N, d = int(rng.integers(1, 5)), int(rng.integers(2, 41)), int(rng.integers(1, 13))
+    kind = ("gaussian", "binary", "scaled", "quadratic")[i % 4]
+    if kind == "quadratic":  # every other one is 1-d: there g(x_k) = (1 - L_f / L) g(y), the bound's edge
+        q = quadratic_problem(M, N, d if i % 8 else 1, mu=0.5, L=4.0, client_spread=1.0, sample_spread=0.5, seed=i)
+        return QuadraticProblem(q._H, q._c, mu=q.mu, L=100 * q.L)
+    A = (rng.random((M, N, d)) < 0.5) * 1.0 if kind == "binary" else rng.normal(size=(M, N, d))
+    if kind == "scaled":
+        A *= 10.0 ** rng.choice([-3, 3])
+    return LogisticProblem(-rng.choice([-1.0, 1.0], size=(M, N))[..., None] * A, 10.0 ** rng.uniform(-4, -1))
+
+
+# on problems 24 and 36 a rule without the rounding term E skips a stopping test that the loop passes
+SWEEP = [sweep_problem(i) for i in (*range(16), 24, 36)]
+
+
+def record_lows(problem, max_iter):
+    """The new lows of the ||g(x_k)|| that the loop solver's stopping test reads in its Nesterov phase, up
+    to ``max_iter``: at tolerance ``low`` the loop stops at the iteration that reads ``low``."""
+    norms = []
+
+    def gradient(problem, x):
+        g = problem.full_gradient(x)
+        norms.append(float(np.linalg.norm(g)))
+        return g
+
+    solver_outcome(functools.partial(solve_optimum_loop, gradient=gradient), problem, tol=1e-300, max_iter=max_iter)
+    low, lows = min(norms[:1001]), []
+    for norm in norms[1002::2]:  # past the plain phase the loop takes g(y), then g(x)
+        if 0 < norm < low:
+            low = norm
+            lows.append(low)
+    return lows
+
+
+@pytest.mark.parametrize("i", range(len(SWEEP)))
+def test_solver_matches_the_loop_solver_near_the_rounding_floor(i):
+    # g(x_k) is skipped only where a bound proves the stopping test fails; near the gradient's rounding
+    # floor that proof is tight, and a skip it does not justify moves the stop or the cap's message.  The
+    # last tolerances are record lows of the loop's own norms: two spread over its Nesterov phase and its
+    # last two, at the floor
+    problem = SWEEP[i]
+    loop = functools.partial(solve_optimum_loop, gradient=lambda problem, x: problem.full_gradient(x))
+    lows = record_lows(problem, 3000)
+    kws = [{"tol": (1e-12, 1e-14, 1e-15)[i % 3], "max_iter": 4000}, {"tol": 1e-300, "max_iter": 1200}]
+    for kw in kws + [{"tol": low, "max_iter": 3000} for low in lows[: -2 : max(1, len(lows) // 2)][:2] + lows[-2:]]:
+        assert solver_outcome(solve_optimum, problem, **kw) == solver_outcome(loop, problem, **kw)
+
+
+def top_direction(problem):
+    """A unit vector along which grad f changes at the rate L_f: near 0 for a logistic, everywhere for a quadratic."""
+    if isinstance(problem, LogisticProblem):
+        R = problem._R.reshape(-1, problem.d)
+        return np.linalg.eigh(R.T @ R)[1][:, -1], 1e-3 / np.sqrt(np.einsum("nd,nd->n", R, R).max())
+    return np.linalg.svd(problem._H_sum)[2][0], 1.0
+
+
+@pytest.mark.parametrize("problem", [PROBLEM, *SWEEP, *QUADRATICS], ids=lambda problem: type(problem).__name__)
+def test_gradient_bounds_hold_and_are_tight(problem):
+    L_f, e0, e1 = problem.gradient_bounds()
+    assert 0 < L_f <= problem.L
+
+    def gap(p, q, L):
+        """||g(p) - g(q)|| less L ||p - q|| + E(p) + E(q); at most 0 if L and E bound the computed gradients."""
+        g_p, g_q = problem.full_gradients(np.stack((p, q)))
+        return np.linalg.norm(g_p - g_q) - L * np.linalg.norm(p - q) - 2 * e0 - e1 * (abs(p).max() + abs(q).max())
+
+    rng = np.random.default_rng(7)
+    for log_scale in (-8, -3, 0, 2, 5):
+        p = rng.normal(size=problem.d) * 10.0**log_scale
+        for q in (rng.normal(size=problem.d) * 10.0**log_scale, p * (1 + 1e-9), np.nextafter(p, np.inf)):
+            assert gap(p, q, L_f) <= 0
+    v, s = top_direction(problem)
+    for p, q in ((s * v, -s * v), (s * v, 0.5 * s * v), (np.zeros(problem.d), 2 * s * v)):
+        assert gap(p, q, L_f) <= 0
+        assert gap(p, q, 0.99 * L_f) > 0  # so a bound one percent too small fails
+
+
+def test_gradient_bounds_need_their_rounding_term():
+    # one ulp apart, the computed gradients differ by more than L_f times the distance: E is not decorative
+    problem = QUADRATICS[3]
+    L_f = problem.gradient_bounds()[0]
+    P = np.random.default_rng(3).normal(size=(20, problem.d))
+    G, G_next = (problem.full_gradients(Q) for Q in (P, np.nextafter(P, np.inf)))
+    assert (np.linalg.norm(G - G_next, axis=1) > L_f * np.linalg.norm(P - np.nextafter(P, np.inf), axis=1)).any()
+
+
+def test_solver_takes_fewer_than_one_and_a_half_points_per_nesterov_iteration():
+    problem = logistic(4, 30, 10, 1e-3, 5)
+    points = []
+    kernel = problem.full_gradients
+
+    def counted(P):
+        points.append(len(P))
+        return kernel(P)
+
+    problem.full_gradients = counted
+    opt = solve_optimum(problem, 1e-12)
+    assert opt.grad_norm <= 1e-12
+    # one point at 0, one per plain step and one for the optimum record; the rest is one call per Nesterov step
+    nesterov = points[1001:-1]
+    assert len(nesterov) > 500 and set(points[:1001] + points[-1:]) == {1}
+    assert sum(nesterov) < 1.5 * len(nesterov)
+
+
 @pytest.mark.parametrize("problem", [PROBLEM, *QUADRATICS], ids=["logistic", "quadratic", "quadratic-d1", "quadratic-d2", "quadratic-d7"])
 def test_star_variances_match_per_component_form(problem):
     rng = np.random.default_rng(11)
