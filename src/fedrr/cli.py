@@ -20,6 +20,8 @@ import argparse
 import math
 import os
 import sys
+from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -117,53 +119,48 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-# (input, k) rows checked in one batch. A row takes about 190 bytes at its peak, but a batch also holds its inputs'
-# padded moment stacks and normals: a warm --max-size 8 --inputs 300 call peaks at 1.4 MB with 512 rows and at 5.0 MB
-# with 4,096, past the 2.2 MB of the per-input loop that it must stay under (x86-64, Python 3.11, numpy 2.4.6)
+# (input, k) rows checked in one batch, whose normals are drawn for it alone. A row takes about 190 bytes at its peak,
+# but a batch also holds its inputs' moment stacks and normals: a warm --max-size 8 --inputs 300 call peaks at 1.4 MB
+# with 512 rows and at 5.0 MB with 4,096, past the 2.2 MB of the per-input loop that it must stay under; with 512 rows
+# it peaks at 1.8 MB at --inputs 3,000 and 1.6 MB at 30,000 (x86-64, Python 3.11, numpy 2.4.6)
 CHECK_ROWS = 512
-# steps a finished verify-variance plan may hold and still be kept for the next call with its (max-size, inputs); a
-# plan past it, such as one of --max-size 160 at one input, is replayed by no call
+# steps a verify-variance plan may hold and still be kept for the next call with its (max-size, inputs); a plan past
+# it, such as one of --max-size 160 at one input, is worked out afresh by every call
 PLAN_STEPS = 256
-_PLANS = {}  # finished plans by (max_size, inputs), oldest first: at most 8, each at most about 110 kB, as (159, 1)'s
 
 
 def _verify_plan(max_size: int, inputs: int):
-    """Yield verify-variance's steps in (M, N) scan order: ``(draws, runs, part)``.
+    """Yield verify-variance's steps in (M, N, C) scan order: ``(draws, runs)``.
 
-    A step draws ``draws`` normals in one ``standard_normal`` call (none: it reads the last draw again), then checks
-    the ``part`` slice of the flat draw as one ``max_rel_errors`` batch of these (M, N, C, count) ``runs``.  The
-    (M, N) blocks wait whole in a batch of at most ``CHECK_ROWS`` (input, k) rows, drawn at once when the next block
-    does not fit and at the end; numpy fills one call as it fills consecutive calls, so the stream moves as one
-    normal call per input would move it.  A block past the budget is drawn alone and checked C by C, in slices of as
-    many inputs as fit, or of one input where a single input has more rows.  Steps come one at a time, so a huge
-    --max-size or --inputs starts at once.
+    A step draws ``draws`` normals in one ``standard_normal`` call and checks them as one ``max_rel_errors`` batch of
+    these (M, N, C, count) ``runs``.  Each (M, N, C)'s inputs come in slices of as many as fit ``CHECK_ROWS`` (input,
+    k) rows, or of one input where a single input has more rows, and a slice joins the pending batch while the batch
+    stays within the budget; numpy fills consecutive calls as it fills one, so the stream moves as one normal call per
+    input would move it.  Steps come one at a time, so a huge --max-size or --inputs starts at once, in bounded memory.
     """
-    batch, rows = (), 0  # (M, N, C, count) runs of inputs not yet drawn, and their (input, k) rows
+    batch, rows, draws = [], 0, 0  # runs of inputs not yet checked, and their (input, k) rows and normals
     for M in range(1, max_size + 1):
         Cs = [c for c in range(1, M + 1) if M % c == 0]
         for N in range(1, max_size // M + 1):
-            # every input of (M, N), C by C, takes M*N*2 normals
-            size, block_rows = M * N * 2, inputs * sum(N * M // C for C in Cs)
-            if batch and rows + block_rows > CHECK_ROWS:  # a batch takes whole blocks only
-                yield _batch_step(batch)
-                batch, rows = (), 0
-            if block_rows <= CHECK_ROWS:
-                batch += tuple((M, N, C, inputs) for C in Cs)
-                rows += block_rows
-            else:
-                for i, C in enumerate(Cs):
-                    step = max(1, CHECK_ROWS // (N * M // C))  # an input past the budget is checked alone
-                    for first in range(0, inputs, step):
-                        count, start = min(step, inputs - first), (i * inputs + first) * size
-                        draws = len(Cs) * inputs * size if i == first == 0 else 0
-                        yield draws, ((M, N, C, count),), slice(start, start + count * size)
+            for C in Cs:
+                n = N * M // C  # an input's rows
+                step = max(1, CHECK_ROWS // n)
+                for first in range(0, inputs, step):
+                    count = min(step, inputs - first)
+                    if batch and rows + count * n > CHECK_ROWS:
+                        yield draws, tuple(batch)
+                        batch, rows, draws = [], 0, 0
+                    batch.append((M, N, C, count))
+                    rows, draws = rows + count * n, draws + M * N * 2 * count
     if batch:
-        yield _batch_step(batch)
+        yield draws, tuple(batch)
 
 
-def _batch_step(batch):
-    """The step that draws all of a batch's normals in one call and checks them all."""
-    return sum(M * N * count for M, N, _, count in batch) * 2, batch, slice(None)
+@lru_cache(maxsize=8)
+def _kept_plan(max_size: int, inputs: int):
+    """``_verify_plan(max_size, inputs)``'s steps as a tuple, kept for the next call; None past ``PLAN_STEPS`` steps."""
+    plan = tuple(islice(_verify_plan(max_size, inputs), PLAN_STEPS + 1))
+    return plan if len(plan) <= PLAN_STEPS else None
 
 
 def _cmd_verify(args) -> int:
@@ -174,32 +171,20 @@ def _cmd_verify(args) -> int:
     ):
         if bad:
             raise ConfigError(message)
-    key = (args.max_size, args.inputs)
-    plan = _PLANS.get(key)
-    kept = [] if plan is None else None  # the steps run so far, while they fit PLAN_STEPS
+    plan = _kept_plan(args.max_size, args.inputs)
     rng = stream(args.seed, "verify_variance")
     worst, failures = 0.0, 0
-    for step in _verify_plan(*key) if plan is None else plan:
-        draws, runs, part = step
-        if kept is not None and len(kept) < PLAN_STEPS:
-            kept.append(step)
-        else:
-            kept = None  # a replay, or a plan past PLAN_STEPS steps: nothing to keep, in O(1) memory
-        if draws:
-            try:
-                normals = rng.standard_normal(draws)
-            except (MemoryError, ValueError):  # numpy raises ValueError for a size past its index range
-                M, N = runs[-1][:2]
-                raise ConfigError(f"--inputs {args.inputs} takes {draws} draws at M={M} N={N}, more than fit in memory") from None
-        heads, errors = max_rel_errors(runs, normals[part].reshape(-1, 2))
+    for draws, runs in _verify_plan(args.max_size, args.inputs) if plan is None else plan:
+        try:
+            normals = rng.standard_normal(draws)
+        except (MemoryError, ValueError):  # numpy raises ValueError for a size past its index range
+            M, N = runs[-1][:2]
+            raise ConfigError(f"the batch up to M={M} N={N} takes {draws} normal draws, more than fit in memory") from None
+        heads, errors = max_rel_errors(runs, normals.reshape(-1, 2))
         worst = max(worst, *errors)
         failed = [not error <= args.tol for error in errors]  # a NaN error fails
         failures += sum(failed)
         print("\n".join(f"{head}{error:.3e} {'FAIL' if bad else 'ok'}" for head, error, bad in zip(heads, errors, failed)))
-    if kept is not None:
-        if len(_PLANS) >= 8:
-            del _PLANS[next(iter(_PLANS))]
-        _PLANS[key] = tuple(kept)
     print(f"worst relative error {worst:.3e}")
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 

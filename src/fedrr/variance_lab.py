@@ -74,11 +74,11 @@ class VarianceInputs:
         self.zeta = np.asarray(self.zeta, dtype=np.float64)
         self.M, self.N, self.d = self.zeta.shape
         layout = _moment_layout(((self.M, self.N, 1, 1),), self.d)
-        (self.grand_mean,), (self.centred,), (self.sigma2,), (self.sigma_tilde2,) = _moments(layout, self.zeta)
+        (self.grand_mean,), self.centred, (self.sigma2,), (self.sigma_tilde2,) = _moments(layout, self.zeta)
 
 
 def _moments(layout, block: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float], list[float]]:
-    """Grand means, centred rows and (sigma2, sigma_tilde2) of every input of a batch, in order.
+    """Grand means, centred (M*N, d) rows, input after input, and (sigma2, sigma_tilde2) of every input of a batch.
 
     ``block`` holds the (M, N, d) samples of the inputs that ``layout``, a ``_moment_layout``, lays out, one after
     another; it is read in place.  Every input's rows are zero-padded into one (K, max M*N, d) stack and every
@@ -86,7 +86,7 @@ def _moments(layout, block: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[fl
     at a time, so a padded zero leaves every sum as it was, and each input gets the bytes of a stack of its own; with
     the summed axis outermost in memory it adds whole slabs, row after row.  At d = 1 the summed axis of a C-ordered
     stack is contiguous, and numpy adds it pairwise in a grouping that padding would move: such inputs keep C order
-    and must share one (M, N).  Centred rows past an input's M*N are padding, which no input's ``math.fsum`` reads.
+    and must share one (M, N).
     """
     d = block.shape[-1]
     row_input, row, client, j, client_input, MN, N, row_runs, client_runs, (K, height, clients, width) = layout
@@ -97,11 +97,10 @@ def _moments(layout, block: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[fl
     data = block.reshape(-1, d)
     z3[row_input, row] = z4[client, j] = data
     grand_mean = z3.sum(axis=1) / MN
-    centred = z3 - grand_mean[:, None]
+    centred = data - grand_mean[row_input]  # an input's real centred rows are its samples less its grand mean
     cm = z4.sum(axis=1) / N - grand_mean[client_input]
     # compensated sums of row dots, each the ddot of ``row @ row``: these feed exact-identity tests
-    real = (data - grand_mean[row_input], cm)  # an input's real centred rows are its samples less its grand mean
-    row_dots, client_dots = (iter((v[:, None, :] @ v[:, :, None]).ravel().tolist()) for v in real)
+    row_dots, client_dots = (iter((v[:, None, :] @ v[:, :, None]).ravel().tolist()) for v in (centred, cm))
     sigma2 = [math.fsum(itertools.islice(row_dots, n)) / n for n in row_runs]
     sigma_tilde2 = [math.fsum(itertools.islice(client_dots, m)) / m for m in client_runs]
     return grand_mean, centred, sigma2, sigma_tilde2

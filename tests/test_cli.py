@@ -270,11 +270,10 @@ def test_an_input_past_the_row_budget_is_checked_alone():
     # one input of (1, 513) has 513 (input, k) rows, past CHECK_ROWS: it is a step of its own, drawn and checked
     # alone, and its error has the bytes of the per-k loop's
     steps = [step for step in itertools.islice(cli._verify_plan(520, 1), 600) if (1, 513) in [run[:2] for run in step[1]]]
-    assert len(steps) == 1
-    draws, runs, part = steps[0]
-    assert (draws, runs, part) == (513 * 2, ((1, 513, 1, 1),), slice(0, 513 * 2))
+    assert steps == [(513 * 2, ((1, 513, 1, 1),))]
+    draws, runs = steps[0]
     normals = stream(7, "row_budget").standard_normal(draws)
-    heads, errors = max_rel_errors(runs, normals[part].reshape(-1, 2))
+    heads, errors = max_rel_errors(runs, normals.reshape(-1, 2))
     assert heads == ("M=1 N=513 C=1: max rel error ",)
     assert np.array(errors).tobytes() == np.array([max_rel_error_loop(VarianceInputs(normals.reshape(1, 513, 2)))]).tobytes()
 
@@ -292,25 +291,32 @@ def test_verify_variance_prints_what_the_per_input_loop_prints(capsys, max_size,
     assert (code, out) == (verify_variance_loop(max_size, inputs, seed, tol), capsys.readouterr().out)
 
 
-@pytest.mark.parametrize("inputs", [10**15, 10**19])
-def test_verify_variance_rejects_inputs_past_memory_with_one_line(capsys, inputs):
-    # numpy refuses 2e15 draws (MemoryError) and 2e19 (ValueError, past its index range) before allocating them
-    code = main(["verify-variance", "--max-size", "11", "--inputs", str(inputs)])
-    assert code == EXIT_CONFIG
+@pytest.mark.parametrize("error", [MemoryError, ValueError])
+def test_verify_variance_names_a_draw_past_memory_with_one_line(capsys, monkeypatch, error):
+    # numpy refuses a draw it cannot allocate (MemoryError) or index (ValueError): the call ends with one config-error
+    # line that names the batch's last (M, N) and its draw count, before any check line
+    class Refusing:
+        def standard_normal(self, size):
+            raise error(f"no {size} normals")
+
+    monkeypatch.setattr(cli, "stream", lambda seed, name: Refusing())
+    assert main(["verify-variance", "--max-size", "2", "--inputs", "3"]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"config error: --inputs {inputs} takes {2 * inputs} draws at M=1 N=1, more than fit in memory\n"
+    assert captured.err == "config error: the batch up to M=2 N=1 takes 42 normal draws, more than fit in memory\n"
 
 
-def test_verify_variance_many_inputs_stay_within_the_per_input_loops_peak():
-    # the per-(M, N) code this replaced peaked at 2,119,013 bytes here (x86-64, Python 3.11, numpy 2.4.6), warm and
-    # with the text discarded: its 1,200 VarianceInputs objects at M=8, N=1. The bound was fixed from that figure
-    # before the batched checks were written; the text goes to devnull so that only the program's memory counts
+@pytest.mark.parametrize("inputs", [300, 3000])
+def test_verify_variance_many_inputs_stay_within_the_per_input_loops_peak(inputs):
+    # the per-(M, N) code this replaced peaked at 2,119,013 bytes at 300 inputs here (x86-64, Python 3.11, numpy
+    # 2.4.6), warm and with the text discarded: its 1,200 VarianceInputs objects at M=8, N=1. The bound was fixed from
+    # that figure before the batched checks were written; each batch draws its own normals, so more inputs take more
+    # batches, not more memory. The text goes to devnull so that only the program's memory counts
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         assert main(["verify-variance", "--max-size", "8", "--inputs", "1"]) == EXIT_OK  # warm the caches
         tracemalloc.start()
         try:
-            code = main(["verify-variance", "--max-size", "8", "--inputs", "300"])
+            code = main(["verify-variance", "--max-size", "8", "--inputs", str(inputs)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -319,13 +325,14 @@ def test_verify_variance_many_inputs_stay_within_the_per_input_loops_peak():
 
 
 def test_verify_variance_replays_its_kept_plan_with_the_same_text(capsys, monkeypatch):
-    # a finished plan of at most PLAN_STEPS steps is kept by (max-size, inputs), and a repeated call replays it
-    # whatever its seed, with no step worked out again: the text is the per-input loop's all the same
-    monkeypatch.setattr(cli, "_PLANS", {})
+    # a plan of at most PLAN_STEPS steps is kept by (max-size, inputs), and a repeated call replays it whatever its
+    # seed, with no step worked out again: the text is the per-input loop's all the same
+    cli._kept_plan.cache_clear()
     argv = ["verify-variance", "--max-size", "10", "--inputs", "5"]
     assert main(argv) == EXIT_OK
     first = capsys.readouterr().out
-    assert list(cli._PLANS) == [(10, 5)] and cli._PLANS[10, 5] == tuple(cli._verify_plan(10, 5))
+    assert cli._kept_plan.cache_info()[:] == (0, 1, 8, 1)  # no hit, one miss, eight entries at most, one kept
+    assert cli._kept_plan(10, 5) == tuple(cli._verify_plan(10, 5))
     monkeypatch.setattr(cli, "_verify_plan", lambda *key: pytest.fail(f"the plan of {key} was worked out again"))
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == first
@@ -336,18 +343,21 @@ def test_verify_variance_replays_its_kept_plan_with_the_same_text(capsys, monkey
 
 
 def test_verify_variance_keeps_no_plan_past_its_bounds(monkeypatch):
-    # --max-size 8 --inputs 2000 takes 560 steps, past PLAN_STEPS; a call that exits 2 keeps nothing; and the memo
-    # keeps the eight latest plans
-    monkeypatch.setattr(cli, "_PLANS", {})
+    # --max-size 8 --inputs 2000 takes 560 steps, past PLAN_STEPS, so no plan is kept for it; and the memo keeps the
+    # eight latest plans
+    cli._kept_plan.cache_clear()
     assert len(list(cli._verify_plan(8, 2000))) > cli.PLAN_STEPS
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         assert main(["verify-variance", "--max-size", "8", "--inputs", "2000"]) == EXIT_OK
-    assert main(["verify-variance", "--max-size", "11", "--inputs", str(10**15)]) == EXIT_CONFIG
-    assert cli._PLANS == {}
-    for max_size in range(1, 11):
-        assert main(["verify-variance", "--max-size", str(max_size), "--inputs", "1"]) == EXIT_OK
-    assert list(cli._PLANS) == [(max_size, 1) for max_size in range(3, 11)]
-    assert all(len(plan) <= cli.PLAN_STEPS for plan in cli._PLANS.values())
+        assert cli._kept_plan(8, 2000) is None
+        for max_size in range(1, 11):
+            assert main(["verify-variance", "--max-size", str(max_size), "--inputs", "1"]) == EXIT_OK
+    monkeypatch.setattr(cli, "_verify_plan", lambda *key: pytest.fail(f"the plan of {key} was worked out again"))
+    kept = [cli._kept_plan(max_size, 1) for max_size in range(3, 11)]
+    assert cli._kept_plan.cache_info()[:2] == (9, 11)  # (8, 2000) asked twice, then (1..10, 1), then the 8 latest
+    assert all(0 < len(plan) <= cli.PLAN_STEPS for plan in kept)
+    with pytest.raises(pytest.fail.Exception, match="worked out again"):
+        cli._kept_plan(2, 1)
 
 
 @pytest.mark.parametrize("max_size, inputs", [(10, 5), (8, 300), (11, 3)])
@@ -379,6 +389,16 @@ def test_verify_variance_batches_keep_the_row_budget_and_check_every_input_once(
     assert len(batches) > 1
 
 
+@pytest.mark.parametrize("max_size, inputs", [(2, 10**15), (11, 10**19)])
+def test_verify_variance_plans_huge_inputs_within_the_row_budget(max_size, inputs):
+    # the steps of inputs no single draw could hold: each of the first 1,000 holds at most CHECK_ROWS (input, k) rows,
+    # or one input, and draws exactly its runs' normals, so a step never takes more memory than the budget's
+    for draws, runs in itertools.islice(cli._verify_plan(max_size, inputs), 1000):
+        assert all(count for *_, count in runs)
+        assert sum(N * M // C * count for M, N, C, count in runs) <= CHECK_ROWS or [run[3] for run in runs] == [1]
+        assert draws == 2 * sum(M * N * count for M, N, _, count in runs)
+
+
 def test_verify_variance_failures_exit_4(capsys):
     # every error up to M*N = 3 is exactly 0, which no --tol fails; M*N = 4 has nonzero ones
     code = main(["verify-variance", "--max-size", "4", "--inputs", "1", "--tol", "1e-300"])
@@ -391,7 +411,7 @@ def test_verify_variance_failures_exit_4(capsys):
 def test_verify_variance_builds_no_gram(monkeypatch):
     # the exact side of every check comes from the class sums' two coefficients, and no guard is asked: a call that
     # works out its plan and its batch layouts afresh leaves the Gram cache empty
-    monkeypatch.setattr(cli, "_PLANS", {})
+    cli._kept_plan.cache_clear()
     _batch_layout.cache_clear()
     _prefix_gram.cache_clear()
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
@@ -692,13 +712,20 @@ def test_a_one_worker_process_never_loads_multiprocessing(tmp_path):
     assert done.stdout.splitlines()[-1] == f"{EXIT_OK} [False, False]"
 
 
-def test_verify_variance_streams_its_first_lines_in_a_process(tmp_path):
-    # a --max-size of 10^8 has about 1.9e9 (M, N) to scan: its steps are worked out one at a time, so its first 200
-    # lines (M = 1, N = 1..200) print within seconds, and a plan built in full first would print none
-    argv = [sys.executable, "-m", "fedrr.cli", "verify-variance", "--max-size", "100000000", "--inputs", "1"]
+@pytest.mark.parametrize(
+    "max_size, inputs, heads",
+    [("100000000", "1", [f"M=1 N={N} C=1" for N in range(1, 201)]), ("2", str(10**15), ["M=1 N=1 C=1"] * 600)],
+    ids=["huge-max-size", "huge-inputs"],
+)
+def test_verify_variance_streams_its_first_lines_in_a_process(tmp_path, max_size, inputs, heads):
+    # a --max-size of 10^8 has about 1.9e9 (M, N) to scan, and 10^15 inputs of M = N = 1 take 2e15 normals: the steps
+    # are worked out one at a time and each draws only its own batch's normals, so the first lines (M = 1, N = 1..200,
+    # or 600 inputs of M = N = 1) print within seconds, where a plan built in full first, or one draw of all 10^15
+    # inputs, would print none
+    argv = [sys.executable, "-m", "fedrr.cli", "verify-variance", "--max-size", max_size, "--inputs", inputs]
     proc = subprocess.Popen(argv, cwd=tmp_path, env=process_env(), stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
     lines = []
-    reader = threading.Thread(target=lambda: lines.extend(itertools.islice(proc.stdout, 200)), daemon=True)
+    reader = threading.Thread(target=lambda: lines.extend(itertools.islice(proc.stdout, len(heads))), daemon=True)
     try:
         reader.start()
         reader.join(timeout=5)
@@ -707,8 +734,8 @@ def test_verify_variance_streams_its_first_lines_in_a_process(tmp_path):
         proc.wait()
         reader.join()
         proc.stdout.close()
-    assert len(lines) == 200
-    assert [line.split(":")[0] for line in lines] == [f"M=1 N={N} C=1" for N in range(1, 201)]
+    assert len(lines) == len(heads)
+    assert [line.split(":")[0] for line in lines] == heads
     assert all(line.endswith(" ok\n") for line in lines)
 
 
@@ -741,8 +768,6 @@ def test_verify_variance_exits_quietly_when_its_reader_closes_the_pipe(tmp_path)
          "fedrr verify-variance: argument --max-size: invalid int value: 'x'"),
         (["run", "--config", "cfg.json", "--out", "out"], QUADRATIC_TOO_LARGE, {},
          "a quadratic of M=12, N=1000000000000, d=5 does not fit in memory"),
-        (["verify-variance", "--max-size", "2", "--inputs", str(10**15)], QUAD_CFG, {},
-         "--inputs 1000000000000000 takes 2000000000000000 draws at M=1 N=1, more than fit in memory"),
         (["run", "--config", "cfg.json", "--out", "out"], DEEP_CFG, {}, "maximum recursion depth exceeded"),
         (["run", "--config", "cfg.json", "--out", "out"], HUGE_INT_CFG, {},
          "Exceeds the limit (4300 digits) for integer string conversion"),
@@ -758,7 +783,7 @@ def test_verify_variance_exits_quietly_when_its_reader_closes_the_pipe(tmp_path)
     ],
     ids=[
         "config-not-an-object", "zero-workers", "synthetic-too-large", "empty-out", "bad-int", "quadratic-too-large",
-        "verify-inputs-too-large", "deep-config", "huge-int-config", "quadratic-star-variance-overflow",
+        "deep-config", "huge-int-config", "quadratic-star-variance-overflow",
         "quadratic-kappa-past-float", "logistic-kappa-past-float", "solve-kappa-past-float",
     ],
 )

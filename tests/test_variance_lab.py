@@ -532,14 +532,14 @@ def test_stacked_moments_match_each_inputs_and_the_loop_byte_for_byte():
     for K, M, N, d in itertools.product(range(1, 5), range(1, 12), range(1, 12), range(1, 6)):
         zetas = rng.normal(size=(K, M, N, d)) * 10.0 ** rng.uniform(-3, 3) + rng.choice([0.0, 1e3])
         grand_means, centred, sigma2s, sigma_tilde2s = moments_of([zetas])
-        assert len(grand_means) == len(centred) == len(sigma2s) == len(sigma_tilde2s) == K
+        assert len(grand_means) == len(sigma2s) == len(sigma_tilde2s) == K and centred.shape == (K * M * N, d)
         for i, zeta in enumerate(zetas):
             one = VarianceInputs(zeta.copy())
             grand_mean, sigma2, sigma_tilde2 = variance_inputs_loop(zeta)
             assert (one.M, one.N, one.d) == (M, N, d)
             assert one.zeta.tobytes() == zeta.tobytes()
             assert grand_means[i].tobytes() == one.grand_mean.tobytes() == grand_mean.tobytes()
-            assert centred[i].tobytes() == one.centred.tobytes()
+            assert centred[i * M * N : (i + 1) * M * N].tobytes() == one.centred.tobytes()
             for got in ((sigma2s[i], sigma_tilde2s[i]), (one.sigma2, one.sigma_tilde2)):
                 assert np.float64(got[0]).tobytes() == np.float64(sigma2).tobytes()
                 assert np.float64(got[1]).tobytes() == np.float64(sigma_tilde2).tobytes()
@@ -567,11 +567,12 @@ def test_padded_moments_of_mixed_shapes_match_the_loop_byte_for_byte():
             for _ in range(int(rng.integers(1, 7)))
         ]
         grand_means, centred, sigma2s, sigma_tilde2s = moments_of(stacks)
+        rows = iter(centred)  # every input's M*N centred rows, input after input
         for i, zeta in enumerate(zeta for stack in stacks for zeta in stack):
             M, N, _ = zeta.shape
             grand_mean, sigma2, sigma_tilde2 = variance_inputs_loop(zeta)
             assert grand_means[i].tobytes() == grand_mean.tobytes()
-            assert centred[i, : M * N].tobytes() == (zeta.reshape(M * N, d) - grand_mean).tobytes()
+            assert np.array(list(itertools.islice(rows, M * N))).tobytes() == (zeta.reshape(M * N, d) - grand_mean).tobytes()
             assert bits([sigma2s[i], sigma_tilde2s[i]]) == bits([sigma2, sigma_tilde2])
 
 
@@ -594,11 +595,12 @@ def test_moments_from_rebuilt_layouts_match_the_loop_byte_for_byte():
     for _ in range(2):
         for stacks in batches:
             grand_means, centred, sigma2s, sigma_tilde2s = moments_of(stacks, cached=True)
+            rows = iter(centred)
             for i, zeta in enumerate(zeta for stack in stacks for zeta in stack):
                 M, N, d = zeta.shape
                 grand_mean, sigma2, sigma_tilde2 = variance_inputs_loop(zeta)
                 assert grand_means[i].tobytes() == grand_mean.tobytes()
-                assert centred[i, : M * N].tobytes() == (zeta.reshape(M * N, d) - grand_mean).tobytes()
+                assert np.array(list(itertools.islice(rows, M * N))).tobytes() == (zeta.reshape(M * N, d) - grand_mean).tobytes()
                 assert bits([sigma2s[i], sigma_tilde2s[i]]) == bits([sigma2, sigma_tilde2])
     assert _batch_layout.cache_info()[:2] == (0, 24)  # no hits, and every layout built twice
 
