@@ -127,7 +127,7 @@ class LogisticProblem(FederatedProblem):
         return G
 
     def client_gradients(self, x):
-        return _loss_back(self._R, np.repeat(x[None, :], self.M, axis=0)) / self.N + self.alpha * x
+        return _loss_back(self._R, x[None]) / self.N + self.alpha * x
 
     def objective_value(self, x):
         reg = 0.5 * self.alpha * (x @ x)
@@ -136,10 +136,11 @@ class LogisticProblem(FederatedProblem):
         return sum(mean + reg for mean in means.tolist()) / self.M
 
     def full_gradients(self, P):
-        # client by client, every point's products while its block is in cache, added in order from zeros
+        # every client's products at every point in one stacked pass, the client rows added in order from
+        # zeros: np.add.reduce would sum them pairwise
         G = np.zeros((len(P), self.d))
-        for R in self._R:
-            G += _loss_back(R, P)
+        for g in _loss_back(self._R[:, None], P):
+            G += g
         return G / (self.M * self.N) + self.alpha * P
 
     def gradient_bounds(self):
@@ -415,10 +416,11 @@ def _converged(g: np.ndarray, tol: float) -> bool:
 
 
 def _loss_back(R, X):
-    """``R.T @ t`` at each row x of X, t the logistic slopes at ``R @ x``; R is one (n, d) block or one per row."""
-    # numpy runs one gemv per row in each stacked product, bit-equal to the one-point products
+    """``R.T @ t`` at each row x of X, t the logistic slopes at ``R @ x``, for each (n, d) block of the stack R
+    as it broadcasts against X's rows: one block, one per row, one per client at one row, or (M, 1, n, d)."""
+    # numpy runs one gemv per (block, row) in each stacked product, bit-equal to the one-point products
     t = _sigmoid(np.matmul(R, X[:, :, None])[..., 0])
-    return np.matmul(t[:, None, :], R)[:, 0, :]
+    return np.matmul(t[..., None, :], R)[..., 0, :]
 
 
 def _sigmoid(z):

@@ -6,12 +6,14 @@ bytes, not within a tolerance."""
 import functools
 import tracemalloc
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decimal_reference import logistic_gradient, newton_optimum, norm
 from eager_reference import (
     client_gradient_loop,
     component_gradient,
@@ -136,6 +138,37 @@ def test_gradient_kernel_matches_reference_far_outside_exp_range_and_at_a_nan_fe
     G = problem.full_gradients(P[1:])
     assert np.isnan(G).all(axis=1).any()
     assert all(same_bits(g, full_gradient_loop(problem, p)) for p, g in zip(P[1:], G))
+
+
+@pytest.mark.parametrize("M, N, d", [(1, 1, 1), (1, 7, 3), (2, 1, 5), (12, 1, 1), (300, 3, 4)])
+def test_stacked_client_pass_matches_the_per_client_loop(M, N, d):
+    # one stacked pass over every client and point must give the loop's bytes on shapes the loop never
+    # stacked; at 12 x 1 x 1 a pairwise sum of the client rows, as np.add.reduce takes it, would differ.
+    # With the NaN feature the coordinates are finite: a NaN from it and one from an infinite coordinate
+    # have opposite signs, and which one a sum keeps depends on numpy's SIMD lanes, so a k-point call and the
+    # one-point loop can differ in a NaN's sign bit, as they could before the stacking
+    rng = np.random.default_rng([51, M, N, d])
+    R = rng.normal(size=(M, N, d)) * 10.0 ** rng.uniform(-2, 2, size=(M, N, 1))
+    R[rng.random(R.shape) < 0.2] = -0.0
+    with_nan = R.copy()
+    with_nan[M // 2, N - 1, 0] = np.nan
+    with np.errstate(all="ignore"):  # inf and NaN coordinates, and slopes past exp's range
+        for problem, specials in ((LogisticProblem(R, 1e-2), [0.0, -0.0, np.inf, -np.inf]), (LogisticProblem(with_nan, 1e-2), [0.0, -0.0])):
+            for k in (1, 2, 3):
+                for _ in range(8):
+                    P = rng.normal(size=(k, d)) * 10.0 ** rng.uniform(-3, 5, size=(k, 1))
+                    special = rng.random(P.shape) < 0.3
+                    P[special] = rng.choice(specials, size=special.sum())
+                    G = problem.full_gradients(P)
+                    assert G.shape == P.shape
+                    assert all(same_bits(g, full_gradient_loop(problem, p)) for p, g in zip(P, G))
+
+
+def test_a_point_past_the_float_range_raises_in_matmul_as_the_loop_does():
+    x = np.full(PROBLEM.d, 1e308)
+    for gradient in (lambda x: PROBLEM.full_gradients(x[None]), lambda x: full_gradient_loop(PROBLEM, x)):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="^overflow encountered in matmul$"):
+            gradient(x)
 
 
 SPECIAL = [0.0, -0.0, 50.0, -50.0, 709.0, -709.0, 1e4, -1e4, np.inf, -np.inf, np.nan, -np.nan]
@@ -372,6 +405,25 @@ def test_gradient_bounds_need_their_rounding_term():
     P = np.random.default_rng(3).normal(size=(20, problem.d))
     G, G_next = (problem.full_gradients(Q) for Q in (P, np.nextafter(P, np.inf)))
     assert (np.linalg.norm(G - G_next, axis=1) > L_f * np.linalg.norm(P - np.nextafter(P, np.inf), axis=1)).any()
+
+
+@pytest.mark.parametrize("alpha", [1e-2, 1e-3])
+@pytest.mark.parametrize("seed", [4, 7])
+def test_solver_optimum_is_within_its_bounds_of_the_40_digit_newton_optimum(seed, alpha):
+    # the true gradient at the solver's x*, in Decimal, is within the rounding bound E(x*) of the gradient it
+    # reports, whose norm rounds by at most (d + 2) u more; then mu-strong convexity puts the true optimum
+    # within ||grad f(x*)|| / mu of x*, and Newton's x* within its own gradient norm / mu of the true optimum
+    X, labels = synthetic_libsvm_like(count=40, dim=6, seed=seed, nnz_per_row=3)
+    problem = logistic_problem(partition(40, 4, seed), X, labels, alpha)
+    opt = solve_optimum(problem, 1e-12)
+    x_newton, newton_norm = newton_optimum(problem._R, problem.alpha)
+    _, e0, e1 = problem.gradient_bounds()
+    E = Decimal(e0 + e1 * np.abs(opt.x_star).max())
+    reported = Decimal(opt.grad_norm)
+    rounding = (problem.d + 2) * Decimal(2.0**-53) * reported
+    assert abs(norm(logistic_gradient(problem._R, problem.alpha, opt.x_star)) - reported) <= E + rounding
+    distance = norm([Decimal(a) - b for a, b in zip(opt.x_star, x_newton)])
+    assert distance <= (reported + rounding + E + newton_norm) / Decimal(problem.mu)
 
 
 def test_solver_takes_fewer_than_one_and_a_half_points_per_nesterov_iteration():
