@@ -25,10 +25,9 @@ from itertools import islice
 
 import numpy as np
 
-from .dataset import DatasetError, load_libsvm_file, partition
-from .harness import ConfigError, ExperimentConfig, _atomic_write, run_experiment
-from .optimizer import DivergenceError
-from .problem import ProblemError, SolverError, logistic_problem, solve_optimum
+# run and solve-optimum import the modules they use when they run, so a verify-variance process loads none of
+# harness, dataset, optimizer, problem, theory and shuffling
+from .errors import ConfigError, DatasetError, DivergenceError, ProblemError, SolverError
 from .rng import stream
 from .variance_lab import max_rel_errors
 
@@ -101,6 +100,8 @@ def _split(text: str, convert, flag: str) -> list:
 
 
 def _cmd_run(args) -> int:
+    from .harness import ExperimentConfig, run_experiment
+
     overrides = {"out_dir": args.out}
     if args.algo is not None:
         overrides["algorithms"] = args.algo.split(",")
@@ -190,6 +191,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .dataset import load_libsvm_file, partition
+    from .harness import _atomic_write
+    from .problem import logistic_problem, solve_optimum
+
     if args.out is not None and not (args.out and os.path.isdir(os.path.dirname(args.out) or ".")):
         raise ConfigError(f"--out must be a nonempty path in an existing directory, got {args.out!r}")
     X, labels = load_libsvm_file(args.dataset)

@@ -13,12 +13,9 @@ from array import array
 
 import numpy as np
 
+from .errors import DatasetError
 from .rng import stream
 from .shuffling import fisher_yates
-
-
-class DatasetError(ValueError):
-    """Malformed input file or invalid partitioning request."""
 
 
 _LABEL_MAP = {"+1": 1.0, "1": 1.0, "-1": -1.0, "0": -1.0, "2": -1.0, "1.0": 1.0, "-1.0": -1.0, "0.0": -1.0, "2.0": -1.0}

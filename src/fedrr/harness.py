@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .dataset import libsvm_text, load_libsvm_file, partition, synthetic_libsvm_like
+from .errors import ConfigError, DivergenceError, ProblemError
 from .optimizer import (
     ALGORITHMS,
     FEDAVG,
@@ -32,14 +33,13 @@ from .optimizer import (
     RRCLI,
     RRCLI_WITH_REPLACEMENT,
     AlgoConfig,
-    DivergenceError,
     RunTrace,
     StepSizes,
     check_run_settings,
     pass_length,
     run_algorithm,
 )
-from .problem import FederatedProblem, Optimum, ProblemError, logistic_problem, optimum_at, quadratic_problem, solve_optimum
+from .problem import FederatedProblem, Optimum, logistic_problem, optimum_at, quadratic_problem, solve_optimum
 from .rng import derive_seed
 from .shuffling import (
     ClientMode,
@@ -56,10 +56,6 @@ WORKERS_ENV = "FEDRR_WORKERS"
 
 RUN_FIELDS = ["algorithm", "multiplier", "seed", "epoch", "dist_sq", "func_gap", "grad_evals"]
 AGG_FIELDS = ["algorithm", "multiplier", "epoch", "dist_sq_mean", "func_gap_mean", "n_runs"]
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration."""
 
 
 # the JSON value each annotated type names, as (description, isinstance class)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 import numpy as np
 
+from .errors import DivergenceError
 from .problem import FederatedProblem, Optimum
 from .rng import stream
 from .shuffling import ClientMode, DataMode, ShuffleMode, check_fixed_schedule, fisher_yates
@@ -31,13 +32,6 @@ DIVERGENCE_NORM_CAP = 1e12
 # under eta = gamma*S the server iterate must equal the cohort's mean end point;
 # shuffled runs check this on every round
 COLLAPSE_TOL = 1e-12
-
-
-class DivergenceError(RuntimeError):
-    def __init__(self, message: str, meta_epoch=None, round_index=None, client=None, iterate_norm=None):
-        super().__init__(message)
-        self.meta_epoch, self.round_index = meta_epoch, round_index
-        self.client, self.iterate_norm = client, iterate_norm  # the client whose local pass ended non-finite, or None
 
 
 @dataclass(frozen=True)

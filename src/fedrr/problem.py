@@ -13,17 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ProblemError, SolverError
 from .rng import stream
-
-
-class ProblemError(ValueError):
-    pass
-
-
-class SolverError(RuntimeError):
-    def __init__(self, message: str, grad_norm: float):
-        super().__init__(message)
-        self.grad_norm = grad_norm
 
 
 @dataclass(frozen=True)
@@ -63,7 +54,8 @@ class FederatedProblem:
 
     # -- kernels, overridden by subclasses ----------------------------------
     def full_gradients(self, P: np.ndarray) -> np.ndarray:
-        """grad f at each row of the (k, d) array ``P``, each row with the bytes of that point's one-point call."""
+        """grad f at each row of the (k, d) array ``P``, each row that is not NaN with the bytes of that point's
+        one-point call; a NaN row may differ from it in the sign bit."""
         raise NotImplementedError
 
     def client_gradients(self, x: np.ndarray) -> np.ndarray:

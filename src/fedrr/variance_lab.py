@@ -41,10 +41,12 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .problem import FederatedProblem
+if TYPE_CHECKING:  # star_variances' annotation alone; verify-variance runs without the problem module
+    from .problem import FederatedProblem
 
 ENUMERATION_GUARD = 10_000_000
 

@@ -665,7 +665,7 @@ def test_solver_failure_exits_4_with_one_line(tmp_path, capsys, monkeypatch, com
     def fail(problem, tol):
         raise SolverError("optimum solver hit the 3-iteration cap at grad norm 1.000e-01", grad_norm=0.1)
 
-    monkeypatch.setattr("fedrr.cli.solve_optimum", fail)
+    monkeypatch.setattr("fedrr.problem.solve_optimum", fail)  # solve-optimum imports it from there when it runs
     monkeypatch.setattr("fedrr.harness.solve_optimum", fail)
     data = tmp_path / "data.txt"
     data.write_text(libsvm_text(*synthetic_libsvm_like(count=40, dim=6, seed=4, nnz_per_row=3)))
@@ -710,6 +710,21 @@ def test_a_one_worker_process_never_loads_multiprocessing(tmp_path):
     done = python_process(["-c", script], tmp_path)
     assert done.stderr == ""
     assert done.stdout.splitlines()[-1] == f"{EXIT_OK} [False, False]"
+
+
+def test_importing_the_cli_and_verifying_loads_none_of_the_training_modules(tmp_path):
+    # run and solve-optimum import what they use when they run, so a verify-variance process, which needs only
+    # errors, rng and variance_lab, never pays for the training modules' imports
+    training = ["fedrr.harness", "fedrr.dataset", "fedrr.optimizer", "fedrr.problem", "fedrr.theory", "fedrr.shuffling"]
+    script = (
+        "import contextlib, io, sys, fedrr.cli\n"
+        f"loaded = [[m for m in {training!r} if m in sys.modules]]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = fedrr.cli.main(['verify-variance', '--max-size', '3'])\n"
+        f"print(code, loaded + [[m for m in {training!r} if m in sys.modules]])\n"
+    )
+    done = python_process(["-c", script], tmp_path)
+    assert (done.stdout, done.stderr) == (f"{EXIT_OK} [[], []]\n", "")
 
 
 @pytest.mark.parametrize(

@@ -164,6 +164,21 @@ def test_stacked_client_pass_matches_the_per_client_loop(M, N, d):
                     assert all(same_bits(g, full_gradient_loop(problem, p)) for p, g in zip(P, G))
 
 
+def test_a_nan_gradient_is_nan_in_every_form():
+    # the NaN feature's +NaN and the -NaN of 0 * inf meet in the client sum, and which one it keeps depends on the
+    # lanes numpy's SIMD add puts them in: [inf] gives -NaN alone and from the loop, +NaN as a row of a pair. Only rows
+    # that are not NaN keep the one-point call's bytes; a non-finite gradient stops the solver, so no contract byte
+    # carries the sign
+    R = np.ones((12, 1, 1))
+    R[0], R[1] = np.nan, 0.0
+    problem = LogisticProblem(R, 1e-2)
+    x = np.array([np.inf])
+    with np.errstate(all="ignore"):
+        forms = [problem.full_gradient(x), full_gradient_loop(problem, x)]
+        forms += [*problem.full_gradients(np.array([[np.inf], [1.0]])), *problem.full_gradients(np.array([[1.0], [np.inf]]))]
+    assert all(np.isnan(g).all() for g in forms)
+
+
 def test_a_point_past_the_float_range_raises_in_matmul_as_the_loop_does():
     x = np.full(PROBLEM.d, 1e308)
     for gradient in (lambda x: PROBLEM.full_gradients(x[None]), lambda x: full_gradient_loop(PROBLEM, x)):
@@ -324,7 +339,7 @@ def sweep_problem(i):
     M, N, d = int(rng.integers(1, 5)), int(rng.integers(2, 41)), int(rng.integers(1, 13))
     kind = ("gaussian", "binary", "scaled", "quadratic")[i % 4]
     if kind == "quadratic":  # every other one is 1-d: there g(x_k) = (1 - L_f / L) g(y), the bound's edge
-        q = quadratic_problem(M, N, d if i % 8 else 1, mu=0.5, L=4.0, client_spread=1.0, sample_spread=0.5, seed=i)
+        q = quadratic_problem(M, N, d if i % 8 == 3 else 1, mu=0.5, L=4.0, client_spread=1.0, sample_spread=0.5, seed=i)
         return QuadraticProblem(q._H, q._c, mu=q.mu, L=100 * q.L)
     A = (rng.random((M, N, d)) < 0.5) * 1.0 if kind == "binary" else rng.normal(size=(M, N, d))
     if kind == "scaled":
