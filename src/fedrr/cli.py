@@ -2,8 +2,8 @@
 solve optima.
 
 verify-variance checks every (M, N, C) with M*N up to --max-size against the
-exact variance, whose two coefficients per prefix length are ratios of Python
-integers: no geometry is too large to check.
+exact variance, whose two coefficients per prefix length are reduced ratios of
+small Python integers: no geometry is too large to check.
 
 A command line is parsed once, by its command's own parser; the full parser
 takes only a line that names no command or holds a flag it does not know.

@@ -7,14 +7,15 @@ groups each run their own two-level shuffle.  Every formula is checked
 against the exact variance over all permutation outcomes, which is the
 ground truth the tests trust; generic in their number type, the closed forms
 are exact for ``Fraction`` variances, with int or ``Fraction`` counts.  That
-variance comes from integer Gram matrices of the prefix estimators' weights,
-three integers each from binomial counts of the outcome classes (see
-``_prefix_gram``), checked bit for bit against a walk over every outcome of
-``_enumerate_sequences``.  The same integers make it alpha_k * sigma2 +
-beta_k * sigma_tilde2 (see ``_closed_form_table``).  Only the two oracles,
+variance is alpha_k * sigma2 + beta_k * sigma_tilde2, two rationals of small
+Python integers per prefix length (``_exact_coefficients``), which the tests
+check exactly against binomial sums over the outcome classes.  The same
+numerators give the integer Gram matrices of the prefix estimators' weights,
+three integers each (see ``_prefix_gram``), checked bit for bit against a walk
+over every outcome of ``_enumerate_sequences``.  Only the two oracles,
 ``_enumerate_sequences`` and ``_prefix_gram`` (so ``brute_force_all``), keep
 ``ENUMERATION_GUARD``: past it they raise ``EnumerationTooLarge`` before any
-work.  The closed forms, the class sums and ``max_rel_errors`` take any size.
+work.  The closed forms, the coefficients and ``max_rel_errors`` take any size.
 
 ``max_rel_errors`` checks a batch of inputs of mixed geometries in a fixed
 number of numpy passes.  A batch is a tuple of (M, N, C, count) runs of
@@ -242,8 +243,21 @@ def _enumerate_sequences(M: int, N: int, C: int) -> np.ndarray:
     return out.reshape(n_client * n_data, C, N * (M // C))
 
 
-def _binom(n: int, k: int) -> int:
-    return math.comb(n, k) if n >= 0 and k >= 0 else 0
+def _exact_coefficients(M: int, N: int, C: int):
+    """Yield the exact variance's alpha_k and beta_k for each k as two numerators over one denominator, Python ints.
+
+    With s = C*floor(k/N) clients in completed rows and j = k mod N tail samples, alpha_k = j(N-j) / ((N-1) k^2) and
+    beta_k = N [s(M-s) N(N-1) + C^2 j(j-1)(M-1) - 2Csj(N-1)] / ((M-1)(N-1) C^2 k^2), over the denominator
+    (M-1)(N-1) C^2 k^2 with a factor M - 1 or N - 1 that is 0 read as 1: at N = 1, j is 0, alpha_k is 0 and beta_k is
+    (M - Ck) / ((M-1) C k).  At M = 1, sigma_tilde2 is 0 and beta_k multiplies nothing; it keeps the value of the
+    outcome classes' sums, 1 at k = N and N j(j-1) / ((N-1) k^2) before it.
+    """
+    m1, n1 = max(M - 1, 1), max(N - 1, 1)
+    for k in range(1, N * (M // C) + 1):
+        s, j = C * (k // N), k % N
+        den = m1 * n1 * C * C * k * k
+        beta = N * (s * (M - s) * N * n1 + C * C * j * (j - 1) * m1 - 2 * C * s * j * n1)
+        yield j * (N - j) * m1 * C * C, den if M == 1 and j == 0 else beta, den
 
 
 @lru_cache(maxsize=64)
@@ -259,17 +273,21 @@ def _prefix_gram(M: int, N: int, C: int) -> tuple[np.ndarray, np.ndarray]:
     is the sum of D D^T over all (outcome, group) pairs and divisor[k-1] =
     n_outcomes*C*(C*k*M*N)^2 is their count times the squared scale.
 
-    D depends only on the outcome class of ``_prefix_class_sums``.  The
-    classes are equally likely and relabelling the clients, or one client's
-    samples, permutes them, so G[k-1] holds three integers, C*n_outcomes/n_cls
-    times each class sum, below 2**53 under the guard: G is exact.
+    Relabelling the clients, or one client's samples, permutes the outcomes,
+    so G[k-1] holds three integers, below 2**53 under the guard: G is exact.
+    A centred input's Gram form is (diag - block) * sum ||z||^2 + (block -
+    across) * sum_m ||sum_j z_mj||^2, and a row of D D^T sums to zero, so with
+    a and b ``_exact_coefficients``' numerators of alpha_k and beta_k and u the
+    divisor over (M*N)^2 times their denominator, across = -u(a + b), block =
+    u((M-1)b - a) and diag = u((M-1)b + (M*N-1)a).
     """
     if M % C != 0:
         raise ValueError(f"group count {C} does not divide client count {M}")
     n_out = math.factorial(M) * math.factorial(N) ** M
     _check_guard(n_out, "outcomes")
     MN = M * N
-    values = [[C * n_out // n_cls * q for q in sums] for n_cls, sums in _prefix_class_sums(M, N, C)]
+    u, coefficients = n_out * C // (max(M - 1, 1) * max(N - 1, 1)), _exact_coefficients(M, N, C)
+    values = [(-u * (a + b), u * ((M - 1) * b - a), u * ((M - 1) * b + (MN - 1) * a)) for a, b, _ in coefficients]
     same_client = np.arange(MN)[:, None] // N == np.arange(MN) // N
     gram = np.take(np.array(values, dtype=np.float64), same_client + np.eye(MN, dtype=np.intp), axis=1)
     scale = C * np.arange(1.0, len(gram) + 1) * MN
@@ -277,25 +295,6 @@ def _prefix_gram(M: int, N: int, C: int) -> tuple[np.ndarray, np.ndarray]:
     gram.setflags(write=False)
     divisor.setflags(write=False)
     return gram, divisor
-
-
-def _prefix_class_sums(M: int, N: int, C: int):
-    """Yield n_cls and ``_prefix_gram``'s class sums of D_x*D_y (across two clients, inside one, x = y) for each k.
-
-    Python integers for any (M, N, C), with no guard.  A class is the set S of the s = C*k_N/N clients in completed
-    rows and, when j > 0, the tail client t outside S and the j-subset T of its samples; n_S classes put x's client in
-    S and n_T put x in T, q1 and q are the class sums of Q_x and Q_x*Q_y, and a sum is (M*N)^2*q + base.
-    """
-    MN = M * N
-    for k in range(1, N * (M // C) + 1):
-        s, j, Ck = C * (k // N), k % N, C * k
-        spread = (M - s) * _binom(N, j) if j else 1
-        n_S, n_T = _binom(M - 1, s - 1) * spread, _binom(M - 1, s) * _binom(N - 1, j - 1)
-        n_cls, q1 = _binom(M, s) * spread, n_S + C * n_T
-        q_cross = _binom(M - 2, s - 2) * spread + 2 * C * _binom(M - 2, s - 1) * _binom(N - 1, j - 1)
-        q_block, q_diag = n_S + C * C * _binom(M - 1, s) * _binom(N - 2, j - 2), n_S + C * C * n_T
-        base = n_cls * Ck * Ck - 2 * MN * Ck * q1
-        yield n_cls, (MN * MN * q_cross + base, MN * MN * q_block + base, MN * MN * q_diag + base)
 
 
 def brute_force_all(inputs: VarianceInputs, C: int = 1) -> np.ndarray:
@@ -308,16 +307,12 @@ def brute_force_all(inputs: VarianceInputs, C: int = 1) -> np.ndarray:
 def _closed_form_table(M: int, N: int, C: int) -> np.ndarray:
     """Every float coefficient of a checked row, one column per k: ``closed_form_minibatch_variance``'s full-row term's
     weight and ``_variance_coefficients``, its tail term's, and its cross factor, all from ``_minibatch_terms``; then the
-    exact variance's alpha_k and beta_k, each a ratio of ``_prefix_class_sums``' integers rounded once by ``/``: a
-    centred input's Gram form is (diag - block) * sum ||z||^2 + (block - across) * sum_m ||sum_j z_mj||^2.
+    exact variance's alpha_k and beta_k from ``_exact_coefficients``, each a ratio of Python ints rounded once by ``/``.
     """
-    MN = M * N
     rows = []
-    for k, (n_cls, (across, block, diag)) in enumerate(_prefix_class_sums(M, N, C), start=1):
+    for k, (a, b, den) in enumerate(_exact_coefficients(M, N, C), start=1):
         w1, k1, w2, k2, cross = _minibatch_terms(k, M, N, C)
-        scale = n_cls * (C * k * MN) ** 2
-        alpha, beta = (diag - block) * MN / scale, (block - across) * MN * N / scale
-        rows.append((w1, *_variance_coefficients(k1, M, N), w2, *_variance_coefficients(k2, M, N), cross, alpha, beta))
+        rows.append((w1, *_variance_coefficients(k1, M, N), w2, *_variance_coefficients(k2, M, N), cross, a / den, b / den))
     return np.array(rows, dtype=np.float64).T
 
 

@@ -71,10 +71,15 @@ at every step and calls ``component_loss`` at the step's new point, and the
 statistics are means over the outcomes and the cohort's members.
 
 The variance oracles are the enumeration forms that ``variance_lab`` replaced
-with closed-form Gram matrices from binomial counts of the outcome classes: ``enumerate_sequences_loop``
-builds the outcome table one sample at a time, ``prefix_gram_from_table`` walks
-``variance_lab._enumerate_sequences``'s table in chunks and adds every outcome's
-and group's weight deviations to the Gram, ``prefix_gram_class_rows`` sums
+with closed-form Gram matrices, and the binomial counts of the outcome classes
+that it replaced with reduced forms.  ``prefix_class_sums`` is each prefix
+length's class count and three class sums of weight-deviation products, Python
+integers from ``binom`` (``math.comb``, 0 at a negative argument) with no
+guard, and ``prefix_gram_class_sums`` the Gram they give; ``variance_lab``'s
+``_exact_coefficients`` and ``_prefix_gram`` must give their ratios and bytes.
+``enumerate_sequences_loop`` builds the outcome table one sample at a time,
+``prefix_gram_from_table`` walks ``variance_lab._enumerate_sequences``'s
+table in chunks and adds every outcome's and group's weight deviations to the Gram, ``prefix_gram_class_rows`` sums
 them over one ``class_rows`` row per outcome class times the class's
 multiplicity, and ``prefix_estimators`` evaluates every prefix estimator of every outcome and
 group on the inputs, which ``brute_force_all_tensor`` averages.  It averages
@@ -119,7 +124,6 @@ from fedrr.variance_lab import (
     VarianceInputs,
     _check_guard,
     _enumerate_sequences,
-    _prefix_class_sums,
     _prefix_gram,
     closed_form_minibatch_variance,
 )
@@ -684,15 +688,52 @@ def brute_force_all_loop(inputs, C=1):
     return np.sum(z * (gram @ z), axis=(1, 2)) / (n_out * C * scale * scale)
 
 
+def binom(n, k):
+    """``math.comb``, and 0 where n or k is negative."""
+    return math.comb(n, k) if n >= 0 and k >= 0 else 0
+
+
+def prefix_class_sums(M, N, C):
+    """Yield n_cls and ``variance_lab._prefix_gram``'s class sums of D_x*D_y (across two clients, inside one, x = y)
+    for each k.
+
+    Python integers for any (M, N, C), with no guard.  A class is the set S of the s = C*k_N/N clients in completed
+    rows and, when j > 0, the tail client t outside S and the j-subset T of its samples; n_S classes put x's client in
+    S and n_T put x in T, q1 and q are the class sums of Q_x and Q_x*Q_y, and a sum is (M*N)^2*q + base.
+    """
+    MN = M * N
+    for k in range(1, N * (M // C) + 1):
+        s, j, Ck = C * (k // N), k % N, C * k
+        spread = (M - s) * binom(N, j) if j else 1
+        n_S, n_T = binom(M - 1, s - 1) * spread, binom(M - 1, s) * binom(N - 1, j - 1)
+        n_cls, q1 = binom(M, s) * spread, n_S + C * n_T
+        q_cross = binom(M - 2, s - 2) * spread + 2 * C * binom(M - 2, s - 1) * binom(N - 1, j - 1)
+        q_block, q_diag = n_S + C * C * binom(M - 1, s) * binom(N - 2, j - 2), n_S + C * C * n_T
+        base = n_cls * Ck * Ck - 2 * MN * Ck * q1
+        yield n_cls, (MN * MN * q_cross + base, MN * MN * q_block + base, MN * MN * q_diag + base)
+
+
+def prefix_gram_class_sums(M, N, C):
+    """``variance_lab._prefix_gram`` with its divisor, each Gram integer C*n_outcomes/n_cls times a class sum."""
+    n_out = math.factorial(M) * math.factorial(N) ** M
+    _check_guard(n_out, "outcomes")
+    MN = M * N
+    values = [[C * n_out // n_cls * q for q in sums] for n_cls, sums in prefix_class_sums(M, N, C)]
+    same_client = np.arange(MN)[:, None] // N == np.arange(MN) // N
+    gram = np.take(np.array(values, dtype=np.float64), same_client + np.eye(MN, dtype=np.intp), axis=1)
+    scale = C * np.arange(1.0, len(gram) + 1) * MN
+    return gram, n_out * C * scale * scale
+
+
 def exact_coefficients(M, N, C):
-    """Every prefix length's (alpha_k, beta_k) in Fractions from ``variance_lab._prefix_class_sums`` alone.
+    """Every prefix length's (alpha_k, beta_k) in Fractions from ``prefix_class_sums`` alone.
 
     A centred input's Gram form is (diag - block) * sum ||z||^2 + (block - cross) * sum_m ||sum_j z_mj||^2, the
     across-client term multiplying ||sum z||^2 = 0; so the exact prefix variance is alpha_k * sigma2 + beta_k *
     sigma_tilde2, with sum ||z||^2 = M*N * sigma2 and sum_m ||sum_j z_mj||^2 = N^2 * M * sigma_tilde2.
     """
     MN = M * N
-    for k, (n_cls, (cross, block, diag)) in enumerate(_prefix_class_sums(M, N, C), start=1):
+    for k, (n_cls, (cross, block, diag)) in enumerate(prefix_class_sums(M, N, C), start=1):
         scale = n_cls * (C * k * MN) ** 2
         yield Fraction((diag - block) * MN, scale), Fraction((block - cross) * N * N * M, scale)
 

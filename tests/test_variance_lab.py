@@ -18,7 +18,9 @@ from eager_reference import (
     exact_coefficients,
     exact_variances_loop,
     max_rel_error_loop,
+    prefix_class_sums,
     prefix_gram_class_rows,
+    prefix_gram_class_sums,
     prefix_gram_from_table,
     rel_error,
     rel_errors_loop,
@@ -39,9 +41,9 @@ from fedrr.variance_lab import (
     _batch_layout,
     _closed_form_table,
     _enumerate_sequences,
+    _exact_coefficients,
     _moment_layout,
     _moments,
-    _prefix_class_sums,
     _prefix_errors,
     _prefix_gram,
     brute_force_all,
@@ -241,12 +243,13 @@ GUARD_ADMITTED = [
 
 
 def test_prefix_gram_closed_form_matches_the_class_rows_bit_for_bit():
+    # against one weight row per outcome class, and against C*n_outcomes/n_cls times each class sum
     assert len(GUARD_ADMITTED) == 71
     for M, N, C in GUARD_ADMITTED:
         gram, divisor = _prefix_gram(M, N, C)
-        want, want_divisor = prefix_gram_class_rows(M, N, C)
-        assert gram.dtype == want.dtype and gram.shape == want.shape and gram.tobytes() == want.tobytes()
-        assert divisor.dtype == want_divisor.dtype and divisor.tobytes() == want_divisor.tobytes()
+        for want, want_divisor in (prefix_gram_class_rows(M, N, C), prefix_gram_class_sums(M, N, C)):
+            assert gram.dtype == want.dtype and gram.shape == want.shape and gram.tobytes() == want.tobytes()
+            assert divisor.dtype == want_divisor.dtype and divisor.tobytes() == want_divisor.tobytes()
         # rounding to float64 is monotone, so a float below 2**53 comes from an integer below 2**53, which converts
         # exactly: the closed form's integers need no more than the float's 53 bits
         assert np.all(gram == np.round(gram)) and np.abs(gram).max() < 2.0**53
@@ -356,7 +359,7 @@ def exact_prefix_variances(zeta, C):
     # pairs inside one client, x = y included; over all pairs the centred products sum to 0
     inside = sum(sum(row) ** 2 for row in z)
     out = []
-    for k, (n_cls, (cross, block, same)) in enumerate(_prefix_class_sums(M, N, C), start=1):
+    for k, (n_cls, (cross, block, same)) in enumerate(prefix_class_sums(M, N, C), start=1):
         form = same * diag + block * (inside - diag) - cross * inside
         out.append(form / (n_cls * (C * k * M * N) ** 2))
     return out, diag / (M * N), inside / (N * N * M)
@@ -390,17 +393,47 @@ COEFFICIENT_IDENTITY_SIZE = 40
 def test_closed_form_coefficients_are_the_class_sums_coefficients_exactly():
     # the closed forms at (sigma2, sigma_tilde2) = (1, 0) and (0, 1) are their two coefficients, and these must be
     # the class sums' alpha_k and beta_k, with no tolerance and no random input. beta at M = 1 is not compared: one
-    # client's sigma_tilde2 is 0, so no variance reads it
+    # client's sigma_tilde2 is 0, so no variance reads it. The checked rows' reduced alpha_k and beta_k, with their
+    # N = 1 and M = 1 branches, must be the class sums' ratios too, beta at M = 1 included
     one, zero = Fraction(1), Fraction(0)
     checked = 0
     for M in range(1, COEFFICIENT_IDENTITY_SIZE + 1):
         for N in range(1, COEFFICIENT_IDENTITY_SIZE // M + 1):
             for C in (C for C in range(1, M + 1) if M % C == 0):
-                for k, (alpha, beta) in enumerate(exact_coefficients(M, N, C), start=1):
+                pairs = zip(exact_coefficients(M, N, C), _exact_coefficients(M, N, C), strict=True)
+                for k, ((alpha, beta), (a, b, den)) in enumerate(pairs, start=1):
                     assert closed_form_minibatch_variance(k, M, N, C, one, zero) == alpha, (M, N, C, k)
                     assert M == 1 or closed_form_minibatch_variance(k, M, N, C, zero, one) == beta, (M, N, C, k)
+                    assert (Fraction(a, den), Fraction(b, den)) == (alpha, beta), (M, N, C, k)
                     checked += 1
     assert checked == 5_243
+
+
+# every geometry with M*N up to this: 39,568 prefix lengths, in about 0.2 s on a 2-core x86 VM
+TABLE_BYTES_SIZE = 100
+
+
+def test_closed_form_table_coefficients_are_the_class_sums_ratios_rounded_once():
+    # Python's int / int and float(Fraction) both round a rational correctly, so the table's two exact-side rows must
+    # have the bytes of the class sums' ratios
+    checked = 0
+    for M in range(1, TABLE_BYTES_SIZE + 1):
+        for N in range(1, TABLE_BYTES_SIZE // M + 1):
+            for C in (C for C in range(1, M + 1) if M % C == 0):
+                want = np.array([[float(a), float(b)] for a, b in exact_coefficients(M, N, C)]).T
+                assert _closed_form_table(M, N, C)[11:].tobytes() == want.tobytes(), (M, N, C)
+                checked += want.shape[1]
+    assert checked == 39_568
+
+
+def test_criterion_03_sigma2_side_is_exactly_tight_at_two_samples_a_client():
+    # k^2 * Var_k <= sigma_ds_upper(1, M, N, 1, sigma_tilde2, sigma2) is criterion 03's first check. Its sigma2 side
+    # is an equality at N = 2, k = 1: k^2 * alpha_k = N/2, for every M, so the check's printed slack of 0.0 is exact
+    for M in range(1, 21):
+        k2_alpha = [k * k * Fraction(a, den) for k, (a, _, den) in enumerate(_exact_coefficients(M, 2, 1), start=1)]
+        assert k2_alpha[0] == max(k2_alpha) == Fraction(2, 2)
+        assert closed_form_variance(1, M, 2, Fraction(1), Fraction(0)) == 1
+        assert _closed_form_table(M, 2, 1)[11, 0] == sigma_ds_upper(1.0, M, 2, 1, 0.0, 1.0) == 1.0
 
 
 def test_checked_rows_coefficients_are_the_gram_integers_rounded_once():
@@ -469,7 +502,7 @@ def test_prefix_class_sums_are_the_class_rows_past_the_guard():
     for M, N, C in CLASS_ROWS_PAST_THE_GUARD:
         MN = M * N
         kind = (np.arange(MN)[:, None] // N == np.arange(MN) // N) + np.eye(MN, dtype=np.intp)  # across, inside, x = y
-        for k, (n_cls, sums) in enumerate(_prefix_class_sums(M, N, C), start=1):
+        for k, (n_cls, sums) in enumerate(prefix_class_sums(M, N, C), start=1):
             s, j = C * (k // N), k % N
             Q = np.repeat(subsets_per_entry(M, s), N, axis=1) if j == 0 else class_rows(M, N, C, s, j)[0]
             assert len(Q) == n_cls and n_cls * (MN * C) ** 2 < 2**53
