@@ -13,6 +13,12 @@ its raw words itself, in Python integers up to ``SHORT_PERMUTATION`` elements
 and in numpy arrays beyond.  The rare permutation with a draw that numpy might
 reject is drawn again, from the start of the same stream, by numpy's own
 ``Generator.integers``, so the indices are always those of ``stream(...)``.
+
+Longer permutations, up to ``FLOYD_CHOICE`` elements, are swapped in C by
+``shuffled_range``: ``Generator.choice`` on the private Philox, started so
+many draws before the stream that its shuffle reads the stream's own values.
+The Philox's state afterwards shows whether any draw was rejected; if one
+was, the caller swaps in Python instead.
 """
 
 from __future__ import annotations
@@ -53,30 +59,37 @@ def stream(root_seed: int, label: str, *parts) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key))
 
 
-# each thread's Philox, re-keyed by every swap_indices call and never handed out
+# each thread's Philox, re-keyed by every swap_indices and shuffled_range call and never handed out
 _local = threading.local()
 
 
-def _keyed_philox(key: int) -> np.random.Philox:
-    """This thread's Philox, set to the state of ``Philox(key=key)``: counter 0, empty buffers."""
+def _keyed_philox(key: int, counter: tuple = (0, 0, 0, 0), buffer_pos: int = 4, has_uint32: int = 0) -> np.random.Philox:
+    """This thread's Philox under ``key``, by default in the state of ``Philox(key=key)``: counter 0, empty buffers.
+
+    Philox increments its counter before it fills its 4-word buffer, so the
+    stream's first block is at counter 1.  Buffered words and the spare half
+    are all ones, which a bounded draw never rejects: the leftover of an
+    all-ones half, 2**32 - r, is at least r.
+    """
     bg = getattr(_local, "philox", None)
     if bg is None:
         bg = _local.philox = np.random.Philox(_PhiloxKey(0))
     bg.state = {
         "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": (key & 0xFFFF_FFFF_FFFF_FFFF, key >> 64)},
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
+        "state": {"counter": counter, "key": (key & 0xFFFF_FFFF_FFFF_FFFF, key >> 64)},
+        "buffer": (0xFFFF_FFFF_FFFF_FFFF,) * 4,
+        "buffer_pos": buffer_pos,
+        "has_uint32": has_uint32,
+        "uinteger": 0xFFFF_FFFF,
     }
     return bg
 
 
-# Permutations up to this length draw in Python integers, longer ones in numpy arrays: the
-# paths cost the same near 32 elements.  A whole fisher_yates on a 2-core Xeon VM (Python
-# 3.11, numpy 2.4), Python against numpy: 5.9 against 10.2 us at n = 4, 8.0 against 10.9 at
-# 12, 12.6 against 12.5 at 32, 16.7 against 13.9 at 48.
+# Permutations up to this length swap in Python over swap_indices' Python-integer draws; longer
+# ones take numpy's C shuffle (shuffled_range), and swap_indices draws them in numpy arrays.  The
+# paths cost the same near 32 elements: a whole fisher_yates on a 2-core AMD EPYC VM (Python
+# 3.11.7, numpy 2.4.6), Python swaps against the C shuffle, took 2.9 against 6.1 us at n = 4,
+# 4.0 against 6.3 at 12, 6.3 against 6.4 at 32 and 6.8 against 6.5 at 48.
 SHORT_PERMUTATION = 32
 
 
@@ -120,6 +133,37 @@ def swap_indices(n: int, root_seed: int, label: str, *parts) -> list[int]:
         if not np.count_nonzero(prod & 0xFFFF_FFFF < r):
             return (prod >> 32).tolist()
     return np.random.Generator(_keyed_philox(key)).integers(0, np.arange(n, 1, -1)).tolist()
+
+
+# numpy's Generator.choice(n, n, replace=False) runs Floyd's algorithm up to this n, a tail shuffle beyond it
+FLOYD_CHOICE = 10_000
+
+
+def shuffled_range(n: int, root_seed: int, label: str, *parts) -> np.ndarray | None:
+    """range(n) shuffled in numpy's C loop with the swaps of ``swap_indices``, or None if a draw was rejected.
+
+    For 2 <= n <= ``FLOYD_CHOICE``, ``Generator.choice(n, n, replace=False)``
+    first makes n-1 bounded draws at bounds 2..n in Floyd's algorithm, whose
+    result is range(n) whatever they are, then swaps i = n-1 .. 1 with j
+    drawn at bound i+1: the swap loop of ``shuffling.fisher_yates``.  The
+    Philox starts n-1 draws before the stream, so the swaps draw the
+    stream's own values.  A rejected draw in either phase takes one value
+    more and leaves the Philox off the state n-1 draws into the stream, as
+    a numpy whose ``choice`` takes another number of values would: then the
+    result is None.
+    """
+    # n-1 draws before the stream: (n-1) mod 2 from the spare half, s buffered words, then the
+    # blocks at counters -q+1 .. 0, the counter -q mod 2**256 written as four little-endian words
+    q, s = divmod((n - 1) // 2, 4)
+    counter = (-q % 2**64, 2**64 - 1, 2**64 - 1, 2**64 - 1) if q else (0, 0, 0, 0)
+    bg = _keyed_philox(stream_key(root_seed, label, *parts), counter, 4 - s, (n - 1) % 2)
+    perm = np.random.Generator(bg).choice(n, n, replace=False)
+    state = bg.state
+    # n-1 draws read ⌈(n-1)/2⌉ words, the last of them from the block at counter ⌈words/4⌉
+    words = n // 2
+    blocks = -(-words // 4)
+    at = (state["state"]["counter"].tolist(), state["buffer_pos"], state["has_uint32"])
+    return perm if at == ([blocks, 0, 0, 0], words - 4 * blocks + 4, (n - 1) % 2) else None
 
 
 def derive_seed(root_seed: int, label: str, *parts) -> int:

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .rng import swap_indices
+from .rng import FLOYD_CHOICE, SHORT_PERMUTATION, shuffled_range, swap_indices
 
 
 class ScheduleError(ValueError):
@@ -49,9 +49,17 @@ def fisher_yates(n: int, root_seed: int, label: str, *parts) -> np.ndarray:
     Swap i (for i = n-1 down to 1) exchanges positions i and j ~ U{0..i}.  The
     n-1 indices j are ``rng.swap_indices``: the draws that n-1 scalar
     ``stream(root_seed, label, *parts).integers(0, i + 1)`` calls would make.
+    Between ``SHORT_PERMUTATION`` and ``FLOYD_CHOICE`` elements numpy's C
+    shuffle makes the same swaps from the same values (``rng.shuffled_range``);
+    a permutation with a rejected draw, about one in 2**33 / n**2, comes from
+    the Python loop instead.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if SHORT_PERMUTATION < n <= FLOYD_CHOICE:
+        perm = shuffled_range(n, root_seed, label, *parts)
+        if perm is not None:
+            return perm
     perm = list(range(n))
     for i, j in zip(range(n - 1, 0, -1), swap_indices(n, root_seed, label, *parts)):
         perm[i], perm[j] = perm[j], perm[i]

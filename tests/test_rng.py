@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random.bit_generator import ISeedSequence
 
+from eager_reference import fisher_yates_loop
 from fedrr import rng
 from fedrr.dataset import partition
 from fedrr.rng import SHORT_PERMUTATION, derive_seed, stream, stream_key, swap_indices
+from fedrr.shuffling import fisher_yates
 
 
 def test_same_name_same_stream():
@@ -202,9 +204,9 @@ def count_rekeys(monkeypatch):
     """Wrap ``rng._keyed_philox`` so that each re-keying appends its key to the returned list."""
     keyed, keyed_philox = [], rng._keyed_philox
 
-    def counting(key):
+    def counting(key, *start):
         keyed.append(key)
-        return keyed_philox(key)
+        return keyed_philox(key, *start)
 
     monkeypatch.setattr(rng, "_keyed_philox", counting)
     return keyed
@@ -220,19 +222,12 @@ def test_partition_rejections_fall_back_on_real_philox_words(monkeypatch, seed, 
     assert np.array_equal(swap_indices(11055, seed, "partition", 11055, 12), expected)
 
 
-def test_swap_indices_per_thread(monkeypatch):
-    # each thread re-keys its own Philox: threads drawing at once, switching
-    # every few microseconds, get the indices of one thread drawing alone
-    with monkeypatch.context() as patch:
-        keyed = count_rekeys(patch)
-        swap_indices(11055, 52, "threads")
-    assert len(keyed) == 2  # this case's draws go through the fallback, on each thread's own Philox
-    cases = [(n, seed) for n in (4, 6, SHORT_PERMUTATION, SHORT_PERMUTATION + 1, 921) for seed in range(20)] + [(11055, 52)]
-    expected = [swap_indices(n, seed, "threads") for n, seed in cases]
+def in_six_threads(draws):
+    """The results of ``draws()`` in six threads run at once, switching every few microseconds."""
     results = [None] * 6
 
     def work(k):
-        results[k] = [swap_indices(n, seed, "threads") for _ in range(5) for n, seed in cases]
+        results[k] = draws()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -245,4 +240,42 @@ def test_swap_indices_per_thread(monkeypatch):
         assert not any(t.is_alive() for t in threads)
     finally:
         sys.setswitchinterval(interval)
+    return results
+
+
+def test_swap_indices_per_thread(monkeypatch):
+    # each thread re-keys its own Philox: threads drawing at once, switching
+    # every few microseconds, get the indices of one thread drawing alone
+    with monkeypatch.context() as patch:
+        keyed = count_rekeys(patch)
+        swap_indices(11055, 52, "threads")
+    assert len(keyed) == 2  # this case's draws go through the fallback, on each thread's own Philox
+    cases = [(n, seed) for n in (4, 6, SHORT_PERMUTATION, SHORT_PERMUTATION + 1, 921) for seed in range(20)] + [(11055, 52)]
+    expected = [swap_indices(n, seed, "threads") for n, seed in cases]
+    results = in_six_threads(lambda: [swap_indices(n, seed, "threads") for _ in range(5) for n, seed in cases])
+    assert all(r == expected * 5 for r in results)
+
+
+@pytest.mark.parametrize("n", [*range(2, 65), 921, 10_000])
+def test_choice_is_floyds_draws_then_the_swap_loop(n):
+    # what rng.shuffled_range relies on: choice(n, n, replace=False) makes the n-1 draws of Floyd's
+    # algorithm at bounds 2..n, which leave range(n) as it is, then the swaps of the scalar loop, and
+    # ends where those draws end
+    for k in range(20):
+        chosen = stream(k, "choice", n)
+        perm = chosen.choice(n, n, replace=False)
+        drawn = stream(k, "choice", n)
+        for j in range(1, n):
+            drawn.integers(0, j + 1)
+        assert np.array_equal(perm, fisher_yates_loop(n, drawn))
+        assert repr(chosen.bit_generator.state) == repr(drawn.bit_generator.state)
+
+
+def test_fisher_yates_per_thread():
+    # numpy's C shuffle and the fallbacks of seeds 177 (a Floyd draw rejected) and 419 (a swap draw
+    # rejected) re-key each thread's own Philox: threads drawing at once, switching every few
+    # microseconds, get the bytes of one thread drawing alone
+    cases = [(n, seed) for n in (33, 921, 10_000) for seed in range(8)] + [(10_000, 177), (10_000, 419)]
+    expected = [fisher_yates(n, seed, "reject", n).tobytes() for n, seed in cases]
+    results = in_six_threads(lambda: [fisher_yates(n, seed, "reject", n).tobytes() for _ in range(5) for n, seed in cases])
     assert all(r == expected * 5 for r in results)

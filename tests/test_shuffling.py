@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eager_reference import fisher_yates_integers, fisher_yates_loop
-from fedrr.rng import stream
+from fedrr import rng
+from fedrr.rng import stream, stream_key
 from fedrr.shuffling import ScheduleError, check_fixed_schedule, fisher_yates
 
 
@@ -38,6 +39,70 @@ def test_fisher_yates_matches_scalar_loop_through_a_rejection(n, seed, name):
     u = stream(seed, *name).bit_generator.random_raw(n // 2).astype("<u8").view("<u4")[: n - 1]
     assert (u * bounds & 0xFFFF_FFFF < (1 << 32) % bounds).any()  # the first rejection shows in the values in place
     assert np.array_equal(fisher_yates(n, seed, *name), fisher_yates_loop(n, stream(seed, *name)))
+
+
+@pytest.mark.parametrize("n", [*range(1, 201), 921, 4096, 9999, 10_000, 10_001, 11_055])
+def test_fisher_yates_is_the_loop_on_every_path(n):
+    # Python swaps up to 32 elements, numpy's C shuffle up to 10,000, Python swaps beyond
+    for seed in range(20):
+        assert np.array_equal(fisher_yates(n, seed, "paths", n), fisher_yates_loop(n, stream(seed, "paths", n)))
+
+
+def count_paths(monkeypatch):
+    """Wrap ``rng._keyed_philox`` so that each re-keying appends the path it serves to the returned list.
+
+    A Philox started before the stream serves numpy's C shuffle ("C"), one at
+    the stream's start the Python swaps' ``swap_indices`` ("Python").
+    """
+    paths, keyed_philox = [], rng._keyed_philox
+
+    def counting(key, *start):
+        paths.append("C" if start else "Python")
+        return keyed_philox(key, *start)
+
+    monkeypatch.setattr(rng, "_keyed_philox", counting)
+    return paths
+
+
+def rejects(u, bounds):
+    """Whether numpy's bounded draw rejects one of the 32-bit values u, read in place at these bounds."""
+    return bool((u * bounds & 0xFFFF_FFFF < (1 << 32) % bounds).any())
+
+
+@pytest.mark.parametrize(
+    "seed, floyd_rejects, swap_rejects, paths",
+    [
+        (177, True, False, ["C", "Python"]),  # a Floyd draw rejected
+        (254, True, False, ["C", "Python"]),
+        (419, False, True, ["C", "Python", "Python"]),  # a swap draw rejected, by the C shuffle and the array path alike
+        (500, False, True, ["C", "Python", "Python"]),
+        (3, False, False, ["C"]),  # none rejected: the C shuffle's permutation is the result
+    ],
+)
+def test_fisher_yates_falls_back_to_the_loop_after_a_rejection(monkeypatch, seed, floyd_rejects, swap_rejects, paths):
+    # the C path reads 9,999 values for Floyd's draws, then the stream's own 9,999; a rejection in
+    # either hands the permutation to the Python swaps, whose array path re-keys once more after
+    # a rejection of its own
+    n = 10_000
+    calls = count_paths(monkeypatch)
+    assert np.array_equal(fisher_yates(n, seed, "reject", n), fisher_yates_loop(n, stream(seed, "reject", n)))
+    assert calls == paths
+    # the 2(n-1) values from the Philox's start: the first n-1 taken where the C shuffle starts it, the rest the stream's
+    start = (-((n - 1) // 8) % 2**64, 2**64 - 1, 2**64 - 1, 2**64 - 1), 4 - (n - 1) // 2 % 4, (n - 1) % 2
+    philox = rng._keyed_philox(stream_key(seed, "reject", n), *start)
+    u = np.random.Generator(philox).integers(0, 2**32, 2 * (n - 1), dtype=np.uint64)
+    assert np.array_equal(u[n - 1 :], stream(seed, "reject", n).integers(0, 2**32, n - 1, dtype=np.uint64))
+    assert rejects(u[: n - 1], np.arange(2, n + 1, dtype=np.uint64)) == floyd_rejects
+    assert rejects(u[n - 1 :], np.arange(n, 1, -1, dtype=np.uint64)) == swap_rejects
+
+
+def test_data_permutations_take_numpys_shuffle(monkeypatch):
+    # fig2's 921-element data orders: a numpy whose choice draws otherwise than rng.shuffled_range
+    # expects fails here, and does not only lose speed
+    calls = count_paths(monkeypatch)
+    for seed in range(50):
+        fisher_yates(921, seed, "data_perm", 0, seed % 12)
+    assert calls == ["C"] * 50
 
 
 def test_fisher_yates_uniform_n3():
