@@ -347,13 +347,18 @@ def solve_optimum(problem: FederatedProblem, tol: float, max_iter: int = 10_000_
     underflow.  The bound's arithmetic ignores numpy errors, and a bound that
     is not finite takes the pair.  The iterates never read g(x), and a
     one-point row has the pair's bytes, so x*, f* and the stopping iteration
-    are those of taking every pair; the cap takes g(x) once for its message.
-    Gradients are taken under the caller's numpy error state, so a
-    floating-point error at a point whose gradient is taken warns or raises in
-    the iteration that meets it.  Raises :class:`ProblemError` before the
+    are those of taking every pair; the cap and a repeat take g(x) once for
+    their message.  Gradients are taken under the caller's numpy error state,
+    so a floating-point error at a point whose gradient is taken warns or
+    raises in the iteration that meets it.  Raises :class:`ProblemError` before the
     first iteration if kappa = L / mu overflows, and :class:`SolverError`
-    with the last gradient norm if the cap is hit first, or at the first
-    non-finite gradient.
+    with the last gradient norm if the cap is hit first, at the first
+    non-finite gradient, or once the state that fixes every later iterate
+    repeats, so that each later stopping test would repeat one that failed:
+    x after a 1/L step that leaves it (a fixed (x, x) for Nesterov too), or
+    Nesterov's (x, y) as at the phase switch or the last power-of-two
+    iteration (Brent's cycle detection).  Only a ``tol`` below the gradient's
+    rounding floor gets there.
     """
     if not 0 < tol < math.inf:  # a NaN tolerance would never be met, an infinite one by x = 0
         raise ProblemError(f"tolerance must be positive and finite, got {tol}")
@@ -369,14 +374,17 @@ def solve_optimum(problem: FederatedProblem, tol: float, max_iter: int = 10_000_
     while it < min(1000, max_iter):
         if _converged(g, tol):
             return optimum_at(problem, x)
-        x = x - step * g
-        g = problem.full_gradient(x)
+        x_next = x - step * g
         it += 1
+        if x_next.tobytes() == x.tobytes():
+            raise _repeat_error(it, g)
+        x, g = x_next, problem.full_gradient(x_next)
     beta = (np.sqrt(L / mu) - 1.0) / (np.sqrt(L / mu) + 1.0)
     with np.errstate(all="ignore"):
         L_f, e0, e1 = problem.gradient_bounds()
     rho, h = 4 * (problem.d + 8) * 2.0**-53, math.sqrt(problem.d) * 2.0**-537
     y, g_y = x, g
+    saved = x.tobytes() + y.tobytes()
     while it < max_iter:
         if g is not None and _converged(g, tol):
             return optimum_at(problem, x)
@@ -387,17 +395,27 @@ def solve_optimum(problem: FederatedProblem, tol: float, max_iter: int = 10_000_
             )
             skip = tol + h < low * (1 - rho) < math.inf
         y, x = x_next + beta * (x_next - x), x_next
+        it += 1
+        state = x.tobytes() + y.tobytes()
+        if state == saved:
+            raise _repeat_error(it, problem.full_gradient(x))
+        if it & (it - 1) == 0:
+            saved = state
         if skip:
             g, g_y = None, problem.full_gradient(y)
         else:
             g, g_y = problem.full_gradients(np.stack((x, y)))
-        it += 1
     if g is None:
         g = problem.full_gradient(x)
     raise SolverError(
         f"optimum solver hit the {max_iter}-iteration cap at grad norm {np.linalg.norm(g):.3e}",
         grad_norm=float(np.linalg.norm(g)),
     )
+
+
+def _repeat_error(it: int, g: np.ndarray) -> SolverError:
+    norm = float(np.linalg.norm(g))
+    return SolverError(f"optimum solver repeated its iterates at iteration {it} with grad norm {norm:.3e}", grad_norm=norm)
 
 
 def _converged(g: np.ndarray, tol: float) -> bool:

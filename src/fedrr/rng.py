@@ -7,18 +7,11 @@ ships the bit generator.  Deriving streams by name (rather than by draw order)
 means that adding a client, an algorithm, or a multiplier to an experiment
 never perturbs the streams of the others.
 
-A permutation's swap indices mostly skip the ``Generator``: ``swap_indices``
-re-keys one private Philox per thread and takes Lemire's bounded draws from
-its raw words itself, in Python integers up to ``SHORT_PERMUTATION`` elements
-and in numpy arrays beyond.  The rare permutation with a draw that numpy might
-reject is drawn again, from the start of the same stream, by numpy's own
-``Generator.integers``, so the indices are always those of ``stream(...)``.
-
-Longer permutations, up to ``FLOYD_CHOICE`` elements, are swapped in C by
-``shuffled_range``: ``Generator.choice`` on the private Philox, started so
-many draws before the stream that its shuffle reads the stream's own values.
-The Philox's state afterwards shows whether any draw was rejected; if one
-was, the caller swaps in Python instead.
+A permutation of more than ``SHORT_PERMUTATION`` elements is numpy's C
+shuffle on this thread's private Philox, fed the stream's own values
+(``shuffled_range``); a shorter one, or one of at most ``FLOYD_CHOICE``
+elements with a rejected draw, is swapped in Python over ``swap_indices``.
+Either way the swaps are those of ``stream(...)``.
 """
 
 from __future__ import annotations
@@ -85,11 +78,8 @@ def _keyed_philox(key: int, counter: tuple = (0, 0, 0, 0), buffer_pos: int = 4, 
     return bg
 
 
-# Permutations up to this length swap in Python over swap_indices' Python-integer draws; longer
-# ones take numpy's C shuffle (shuffled_range), and swap_indices draws them in numpy arrays.  The
-# paths cost the same near 32 elements: a whole fisher_yates on a 2-core AMD EPYC VM (Python
-# 3.11.7, numpy 2.4.6), Python swaps against the C shuffle, took 2.9 against 6.1 us at n = 4,
-# 4.0 against 6.3 at 12, 6.3 against 6.4 at 32 and 6.8 against 6.5 at 48.
+# Permutations up to this length swap in Python over swap_indices' Python-integer draws, longer ones in numpy's
+# C shuffle: on a 2-core AMD EPYC VM a whole fisher_yates took 6.3 against 6.4 us at n = 32, 6.8 against 6.5 at 48
 SHORT_PERMUTATION = 32
 
 
@@ -97,16 +87,13 @@ def swap_indices(n: int, root_seed: int, label: str, *parts) -> list[int]:
     """The n-1 swap indices of a Fisher-Yates shuffle of range(n), from the named stream.
 
     Equal, bit for bit, to ``stream(root_seed, label, *parts).integers(0,
-    np.arange(n, 1, -1))``, rejections included, as Python ints: each raw
-    Philox word gives its low 32 bits, then its high 32 bits, as numpy's
-    ``next_uint32`` does, and each draw is j = (u*r) >> 32 at bound r.
-
-    2**32 mod r is below r, so a draw whose low word (u*r) mod 2**32 is at
-    least r is never rejected.  Up to ``SHORT_PERMUTATION`` elements the
-    ⌈(n-1)/2⌉ words' draws are Python integers, beyond it numpy arrays.  A
-    permutation with any other draw (one in about 2**33 / n**2) re-keys the
-    Philox and hands it to ``Generator.integers``, which applies numpy's
-    rejection rule to the same words.
+    np.arange(n, 1, -1))``, rejections included, as Python ints.  Up to
+    ``SHORT_PERMUTATION`` elements each raw Philox word gives its low 32 bits,
+    then its high 32 bits, as numpy's ``next_uint32`` does, and each draw is
+    j = (u*r) >> 32 at bound r.  2**32 mod r is below r, so a draw whose low
+    word (u*r) mod 2**32 is at least r is never rejected.  After any other
+    draw (one in about 2**33 / n**2 permutations), and for longer ones,
+    ``Generator.integers`` draws from the re-keyed Philox by numpy's rule.
     """
     key = stream_key(root_seed, label, *parts)
     if n <= SHORT_PERMUTATION:
@@ -126,12 +113,6 @@ def swap_indices(n: int, root_seed: int, label: str, *parts) -> list[int]:
             r -= 2
         else:
             return draws
-    else:
-        r = np.arange(n, 1, -1, dtype=np.uint64)
-        # both halves of the n // 2 words: explicit little-endian views put the low half first on any platform
-        prod = _keyed_philox(key).random_raw(n // 2).astype("<u8", copy=False).view("<u4")[: n - 1] * r
-        if not np.count_nonzero(prod & 0xFFFF_FFFF < r):
-            return (prod >> 32).tolist()
     return np.random.Generator(_keyed_philox(key)).integers(0, np.arange(n, 1, -1)).tolist()
 
 
@@ -142,21 +123,23 @@ FLOYD_CHOICE = 10_000
 def shuffled_range(n: int, root_seed: int, label: str, *parts) -> np.ndarray | None:
     """range(n) shuffled in numpy's C loop with the swaps of ``swap_indices``, or None if a draw was rejected.
 
-    For 2 <= n <= ``FLOYD_CHOICE``, ``Generator.choice(n, n, replace=False)``
-    first makes n-1 bounded draws at bounds 2..n in Floyd's algorithm, whose
-    result is range(n) whatever they are, then swaps i = n-1 .. 1 with j
-    drawn at bound i+1: the swap loop of ``shuffling.fisher_yates``.  The
-    Philox starts n-1 draws before the stream, so the swaps draw the
-    stream's own values.  A rejected draw in either phase takes one value
-    more and leaves the Philox off the state n-1 draws into the stream, as
-    a numpy whose ``choice`` takes another number of values would: then the
-    result is None.
+    ``Generator.choice(n, n, replace=False)`` ends with the swap loop of
+    ``shuffling.fisher_yates``, by numpy's own bounded draw; past
+    ``FLOYD_CHOICE`` elements that is all it does, so it runs on the stream.
+    Up to it, Floyd's algorithm first makes n-1 draws at bounds 2..n, whose
+    result is range(n) whatever they are, so the Philox starts that many draws
+    before the stream.  A rejected draw in either phase, or a numpy whose
+    ``choice`` draws otherwise, leaves the Philox off the state n-1 draws into
+    the stream: then the result is None.
     """
+    key = stream_key(root_seed, label, *parts)
+    if n > FLOYD_CHOICE:
+        return np.random.Generator(_keyed_philox(key)).choice(n, n, replace=False)
     # n-1 draws before the stream: (n-1) mod 2 from the spare half, s buffered words, then the
     # blocks at counters -q+1 .. 0, the counter -q mod 2**256 written as four little-endian words
     q, s = divmod((n - 1) // 2, 4)
     counter = (-q % 2**64, 2**64 - 1, 2**64 - 1, 2**64 - 1) if q else (0, 0, 0, 0)
-    bg = _keyed_philox(stream_key(root_seed, label, *parts), counter, 4 - s, (n - 1) % 2)
+    bg = _keyed_philox(key, counter, 4 - s, (n - 1) % 2)
     perm = np.random.Generator(bg).choice(n, n, replace=False)
     state = bg.state
     # n-1 draws read ⌈(n-1)/2⌉ words, the last of them from the block at counter ⌈words/4⌉

@@ -377,8 +377,13 @@ def quadratic_full_gradient_loop(problem, x):
     return (problem._H.sum(axis=(0, 1)) @ x - problem._Hc.sum(axis=(0, 1))) / (problem.M * problem.N)
 
 
-def solve_optimum_loop(problem, tol, max_iter=10_000_000, gradient=full_gradient_loop):
-    """``fedrr.problem.solve_optimum`` with one ``gradient(problem, x)`` call per point: two per Nesterov iteration."""
+def solve_optimum_loop(problem, tol, max_iter=10_000_000, gradient=full_gradient_loop, repeats=True):
+    """``fedrr.problem.solve_optimum`` with one ``gradient(problem, x)`` call per point: two per Nesterov iteration.
+
+    With ``repeats`` it fails where the solver does once its state repeats: a 1/L step that leaves x as it
+    is, or a Nesterov (x, y) equal to the one at the phase switch or at the last power-of-two iteration.
+    Without, it runs on to its stop or its cap.
+    """
     L, mu = problem.L, problem.mu
     step = 1.0 / L
     x = np.zeros(problem.d)
@@ -387,11 +392,15 @@ def solve_optimum_loop(problem, tol, max_iter=10_000_000, gradient=full_gradient
     while it < min(1000, max_iter):
         if _converged(g, tol):
             return Optimum(x, problem.objective_value(x), float(np.linalg.norm(gradient(problem, x))))
-        x = x - step * g
-        g = gradient(problem, x)
+        x_next = x - step * g
         it += 1
+        if repeats and np.array_equal(x_next, x):
+            raise repeat_error(it, g)
+        x = x_next
+        g = gradient(problem, x)
     beta = (np.sqrt(L / mu) - 1.0) / (np.sqrt(L / mu) + 1.0)
     y = x.copy()
+    saved = (x.copy(), y.copy())
     while it < max_iter:
         if _converged(g, tol):
             return Optimum(x, problem.objective_value(x), float(np.linalg.norm(gradient(problem, x))))
@@ -400,10 +409,19 @@ def solve_optimum_loop(problem, tol, max_iter=10_000_000, gradient=full_gradient
         x = x_next
         g = gradient(problem, x)
         it += 1
+        if repeats and np.array_equal(x, saved[0]) and np.array_equal(y, saved[1]):
+            raise repeat_error(it, g)
+        if bin(it).count("1") == 1:
+            saved = (x.copy(), y.copy())
     raise SolverError(
         f"optimum solver hit the {max_iter}-iteration cap at grad norm {np.linalg.norm(g):.3e}",
         grad_norm=float(np.linalg.norm(g)),
     )
+
+
+def repeat_error(it, g):
+    norm = float(np.linalg.norm(g))
+    return SolverError(f"optimum solver repeated its iterates at iteration {it} with grad norm {norm:.3e}", grad_norm=norm)
 
 
 def logistic_local_pass(problem, m, x, gamma_step, batches):

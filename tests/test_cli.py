@@ -3,6 +3,7 @@ import gzip
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -465,6 +466,18 @@ def test_solve_optimum_command(tmp_path, capsys):
     with open(out_bare, "rb") as fh:
         assert np.lib.format.read_array(fh, allow_pickle=False).tobytes() == x.tobytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.txt", "xstar", "xstar.npy"]
+
+
+def test_solve_optimum_below_the_rounding_floor_fails_in_one_line(tmp_path, capsys):
+    # at tolerance 1e-300 the 1/L steps stop moving x at iteration 100: the solve ends there with exit 4
+    # and one stderr line, and does not run on towards its 10,000,000-iteration cap
+    path = tmp_path / "data.txt"
+    path.write_text(libsvm_text(*synthetic_libsvm_like(count=40, dim=6)))
+    code = main(["solve-optimum", "--dataset", str(path), "--clients", "4", "--alpha", "0.01", "--tol", "1e-300"])
+    assert code == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"solver failed: optimum solver repeated its iterates at iteration \d+ with grad norm \S+\n", captured.err)
 
 
 def test_solve_optimum_missing_file(capsys):

@@ -384,6 +384,46 @@ def test_solver_matches_the_loop_solver_near_the_rounding_floor(i):
         assert solver_outcome(solve_optimum, problem, **kw) == solver_outcome(loop, problem, **kw)
 
 
+def forty_by_six():
+    """The 40 x 6 synthetic set in 4 clients at alpha 0.01, as ``solve-optimum`` builds it by default."""
+    X, labels = synthetic_libsvm_like(count=40, dim=6)
+    return logistic_problem(partition(40, 4, 2024), X, labels, 0.01)
+
+
+def slow(problem):
+    """The quadratic with L a hundred times its curvature bound, so that its solve reaches the Nesterov phase."""
+    return QuadraticProblem(problem._H, problem._c, mu=problem.mu, L=100 * problem.L)
+
+
+# problems whose solve at tolerance 1e-300 repeats its state on every BLAS and SIMD setting tried: the first two
+# within the 1/L phase (near iterations 100 and 54), the others in the Nesterov phase (near 2,049 and 4,097)
+REPEATS = {"40x6": forty_by_six(), "d3": QUADRATICS[0], "sweep5": SWEEP[5], "slow-d3": slow(QUADRATICS[0])}
+
+
+@pytest.mark.parametrize("name", list(REPEATS))
+def test_a_repeated_state_takes_no_new_point(name):
+    # the solver stops where its state repeats; the loop solver without that stop runs on to its cap, and
+    # every point whose gradient it takes from the repeated x on is one it took before: no later stopping
+    # test could pass that the earlier ones failed
+    problem = REPEATS[name]
+    with pytest.raises(SolverError, match="repeated its iterates at iteration") as info:
+        solve_optimum(problem, 1e-300, max_iter=20_000)
+    repeat_at = int(str(info.value).split("iteration ")[1].split()[0])
+    points = []
+
+    def gradient(problem, x):
+        points.append(x.tobytes())
+        return problem.full_gradient(x)
+
+    max_iter = repeat_at + 600
+    loop = functools.partial(solve_optimum_loop, gradient=gradient, repeats=False)
+    assert solver_outcome(loop, problem, tol=1e-300, max_iter=max_iter)[0].startswith(f"optimum solver hit the {max_iter}-iteration cap")
+    loop = functools.partial(solve_optimum_loop, gradient=lambda problem, x: problem.full_gradient(x))
+    assert solver_outcome(loop, problem, tol=1e-300, max_iter=max_iter) == (str(info.value), info.value.grad_norm)
+    k = repeat_at if repeat_at <= 1000 else 2 * repeat_at - 1000  # where the loop takes the repeated x's gradient
+    assert set(points[k:]) <= set(points[:k])
+
+
 def top_direction(problem):
     """A unit vector along which grad f changes at the rate L_f: near 0 for a logistic, everywhere for a quadratic."""
     if isinstance(problem, LogisticProblem):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random.bit_generator import ISeedSequence
 
-from eager_reference import fisher_yates_loop
+from eager_reference import fisher_yates_integers, fisher_yates_loop
 from fedrr import rng
 from fedrr.dataset import partition
 from fedrr.rng import SHORT_PERMUTATION, derive_seed, stream, stream_key, swap_indices
@@ -179,13 +179,10 @@ class RawWords:
         (7, [4 * INV7 % 2**32] + ACCEPTED[:5], 2),  # low 4 < r = 7 but not < 4: accepted, through the fallback
         (7, [6 * INV7 % 2**32] + ACCEPTED[:5], 2),  # low 6, the largest near-rejection at r = 7
         (4, ACCEPTED[:2] + [0, 0x0BAD_F00D], 2),  # r = 2 never rejects (2**32 mod 2 = 0), yet low 0 < 2 goes to the fallback
-        # the array path, one element past the cut
-        (SHORT_PERMUTATION + 1, LONG_ACCEPTED[:5] + [0] + LONG_ACCEPTED[5:31], 2),  # u = 0 at r = 28: rejected
-        (SHORT_PERMUTATION + 1, LONG_ACCEPTED, 1),  # no rejection: the arrays alone
     ],
 )
 def test_short_path_rejections_fall_back_to_numpys_rule(monkeypatch, n, values, rekeys):
-    # both fast paths keep a draw only when low >= r, which numpy never rejects; anything else
+    # the short path keeps a draw only when low >= r, which numpy never rejects; anything else
     # re-keys and hands the same values to a real Generator, which applies numpy's rule to them
     keyed = []
 
@@ -200,6 +197,26 @@ def test_short_path_rejections_fall_back_to_numpys_rule(monkeypatch, n, values, 
     assert len(keyed) == rekeys and len(set(keyed)) == 1
 
 
+@pytest.mark.parametrize(
+    "values",
+    [LONG_ACCEPTED[:5] + [0] + LONG_ACCEPTED[5:31], LONG_ACCEPTED],  # u = 0 at r = 28, which numpy rejects; none rejected
+    ids=["rejected", "accepted"],
+)
+def test_long_swap_indices_are_numpys_draws_on_one_rekey(monkeypatch, values):
+    # one element past the short path, the Philox goes straight to Generator.integers, rejection or not
+    keyed = []
+
+    def keyed_philox(key):
+        keyed.append(key)
+        return generator_emitting(values + [0xDEAD_BEEF]).bit_generator
+
+    monkeypatch.setattr(rng, "_keyed_philox", keyed_philox)
+    n = SHORT_PERMUTATION + 1
+    expected = generator_emitting(values + [0xDEAD_BEEF]).integers(0, np.arange(n, 1, -1))
+    assert np.array_equal(swap_indices(n, 0, "raw"), expected)
+    assert len(keyed) == 1
+
+
 def count_rekeys(monkeypatch):
     """Wrap ``rng._keyed_philox`` so that each re-keying appends its key to the returned list."""
     keyed, keyed_philox = [], rng._keyed_philox
@@ -212,14 +229,20 @@ def count_rekeys(monkeypatch):
     return keyed
 
 
-@pytest.mark.parametrize("seed, rekeys", [(895, 2), (2302, 2), (2024, 1)])
-def test_partition_rejections_fall_back_on_real_philox_words(monkeypatch, seed, rekeys):
-    # numpy rejects one 32-bit value in each of the first two 11,055-row partitions and none in the third
+@pytest.mark.parametrize("seed, rejected", [(895, True), (2302, True), (2024, False)])
+def test_partition_rejections_are_numpys_on_real_philox_words(monkeypatch, seed, rejected):
+    # numpy rejects one 32-bit value in each of the first two 11,055-row partitions and none in the third:
+    # numpy's tail shuffle draws each of them from one re-keyed Philox, rejection or not
     keyed = count_rekeys(monkeypatch)
-    partition(11055, 12, seed)
-    assert len(keyed) == rekeys
-    expected = stream(seed, "partition", 11055, 12).integers(0, np.arange(11055, 1, -1))
-    assert np.array_equal(swap_indices(11055, seed, "partition", 11055, 12), expected)
+    rows = partition(11055, 12, seed)
+    assert len(keyed) == 1
+    name = ("partition", 11055, 12)
+    bounds = np.arange(11055, 1, -1, dtype=np.uint64)
+    u = stream(seed, *name).bit_generator.random_raw(11055 // 2).astype("<u8").view("<u4")[:11054]
+    assert bool((u * bounds & 0xFFFF_FFFF < (1 << 32) % bounds).any()) == rejected
+    expected = fisher_yates_integers(11055, stream(seed, *name))
+    assert np.array_equal(rows.ravel(), expected[: rows.size])
+    assert np.array_equal(swap_indices(11055, seed, *name), stream(seed, *name).integers(0, bounds.astype(np.int64)))
 
 
 def in_six_threads(draws):
@@ -249,7 +272,7 @@ def test_swap_indices_per_thread(monkeypatch):
     with monkeypatch.context() as patch:
         keyed = count_rekeys(patch)
         swap_indices(11055, 52, "threads")
-    assert len(keyed) == 2  # this case's draws go through the fallback, on each thread's own Philox
+    assert len(keyed) == 1  # this case's draws are Generator.integers, on each thread's own Philox
     cases = [(n, seed) for n in (4, 6, SHORT_PERMUTATION, SHORT_PERMUTATION + 1, 921) for seed in range(20)] + [(11055, 52)]
     expected = [swap_indices(n, seed, "threads") for n, seed in cases]
     results = in_six_threads(lambda: [swap_indices(n, seed, "threads") for _ in range(5) for n, seed in cases])
@@ -271,11 +294,23 @@ def test_choice_is_floyds_draws_then_the_swap_loop(n):
         assert repr(chosen.bit_generator.state) == repr(drawn.bit_generator.state)
 
 
+@pytest.mark.parametrize("n", [10_001, 11_055, 200_000])
+def test_choice_past_floyd_is_the_tail_shuffle(n):
+    # what rng.shuffled_range relies on past FLOYD_CHOICE: choice(n, n, replace=False) makes no Floyd draws,
+    # only the swaps of the scalar loop from the stream's first value, and ends where those draws end
+    for k in range(3):
+        chosen = stream(k, "choice", n)
+        perm = chosen.choice(n, n, replace=False)
+        drawn = stream(k, "choice", n)
+        assert np.array_equal(perm, fisher_yates_integers(n, drawn))
+        assert repr(chosen.bit_generator.state) == repr(drawn.bit_generator.state)
+
+
 def test_fisher_yates_per_thread():
-    # numpy's C shuffle and the fallbacks of seeds 177 (a Floyd draw rejected) and 419 (a swap draw
-    # rejected) re-key each thread's own Philox: threads drawing at once, switching every few
-    # microseconds, get the bytes of one thread drawing alone
-    cases = [(n, seed) for n in (33, 921, 10_000) for seed in range(8)] + [(10_000, 177), (10_000, 419)]
+    # numpy's C shuffle, its tail shuffle past 10,000 elements, and the fallbacks of seeds 177 (a Floyd
+    # draw rejected) and 419 (a swap draw rejected) re-key each thread's own Philox: threads drawing at
+    # once, switching every few microseconds, get the bytes of one thread drawing alone
+    cases = [(n, seed) for n in (33, 921, 10_000, 11_055) for seed in range(8)] + [(10_000, 177), (10_000, 419)]
     expected = [fisher_yates(n, seed, "reject", n).tobytes() for n, seed in cases]
     results = in_six_threads(lambda: [fisher_yates(n, seed, "reject", n).tobytes() for _ in range(5) for n, seed in cases])
     assert all(r == expected * 5 for r in results)

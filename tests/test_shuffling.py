@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eager_reference import fisher_yates_integers, fisher_yates_loop
-from fedrr import rng
+from fedrr import rng, shuffling
 from fedrr.rng import stream, stream_key
 from fedrr.shuffling import ScheduleError, check_fixed_schedule, fisher_yates
 
@@ -43,16 +43,34 @@ def test_fisher_yates_matches_scalar_loop_through_a_rejection(n, seed, name):
 
 @pytest.mark.parametrize("n", [*range(1, 201), 921, 4096, 9999, 10_000, 10_001, 11_055])
 def test_fisher_yates_is_the_loop_on_every_path(n):
-    # Python swaps up to 32 elements, numpy's C shuffle up to 10,000, Python swaps beyond
+    # Python swaps up to 32 elements, numpy's C shuffle after Floyd's draws up to 10,000, its tail shuffle beyond
     for seed in range(20):
         assert np.array_equal(fisher_yates(n, seed, "paths", n), fisher_yates_loop(n, stream(seed, "paths", n)))
+
+
+@pytest.mark.parametrize("n", [10_001, 11_055, 200_000])
+def test_long_permutations_are_the_swap_loop_over_numpys_draws(monkeypatch, n):
+    # past 10,000 elements numpy's tail shuffle is the whole permutation: the Python swaps are never
+    # reached, rejected draws included (a 200,000-element permutation has about two)
+    monkeypatch.setattr(shuffling, "swap_indices", lambda *a: pytest.fail("Python swaps past FLOYD_CHOICE"))
+    bounds = np.arange(n, 1, -1, dtype=np.uint64)
+    rejected = 0
+    for seed in range(20):
+        perm = fisher_yates(n, seed, "long", n)
+        assert np.array_equal(perm, fisher_yates_integers(n, stream(seed, "long", n)))
+        u = stream(seed, "long", n).bit_generator.random_raw(n // 2).astype("<u8").view("<u4")[: n - 1]
+        rejected += rejects(u, bounds)
+    if n == 200_000:
+        assert rejected >= 10
 
 
 def count_paths(monkeypatch):
     """Wrap ``rng._keyed_philox`` so that each re-keying appends the path it serves to the returned list.
 
-    A Philox started before the stream serves numpy's C shuffle ("C"), one at
-    the stream's start the Python swaps' ``swap_indices`` ("Python").
+    Up to 10,000 elements a Philox started before the stream serves numpy's
+    C shuffle ("C"), one at the stream's start the Python swaps'
+    ``swap_indices`` ("Python").  Past 10,000 the tail shuffle starts at the
+    stream's start too, so the paths are told apart only up to there.
     """
     paths, keyed_philox = [], rng._keyed_philox
 
@@ -74,15 +92,14 @@ def rejects(u, bounds):
     [
         (177, True, False, ["C", "Python"]),  # a Floyd draw rejected
         (254, True, False, ["C", "Python"]),
-        (419, False, True, ["C", "Python", "Python"]),  # a swap draw rejected, by the C shuffle and the array path alike
-        (500, False, True, ["C", "Python", "Python"]),
+        (419, False, True, ["C", "Python"]),  # a swap draw rejected
+        (500, False, True, ["C", "Python"]),
         (3, False, False, ["C"]),  # none rejected: the C shuffle's permutation is the result
     ],
 )
 def test_fisher_yates_falls_back_to_the_loop_after_a_rejection(monkeypatch, seed, floyd_rejects, swap_rejects, paths):
     # the C path reads 9,999 values for Floyd's draws, then the stream's own 9,999; a rejection in
-    # either hands the permutation to the Python swaps, whose array path re-keys once more after
-    # a rejection of its own
+    # either hands the permutation to the Python swaps over Generator.integers
     n = 10_000
     calls = count_paths(monkeypatch)
     assert np.array_equal(fisher_yates(n, seed, "reject", n), fisher_yates_loop(n, stream(seed, "reject", n)))
